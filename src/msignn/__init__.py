@@ -11,8 +11,8 @@ from .datasets import (ChainsSpec, ColorCountingSpec, Dataset, GraphDataset,
                        gen_chains, gen_color_counting, load_dataset, load_graph,
                        save_dataset)
 from .equilibrium import (EquilibriumResult, ScaleModule, SolverConfig,
-                          adjoint_solve, forward_solve, injected_gradient,
-                          normalized_gram, oracle_solve, weight_gradient)
+                          adjoint_solve, forward_solve, normalized_gram,
+                          oracle_solve, weight_gradient)
 from .graph import Graph, GraphBatch, batch, build_graph, hop_distance, normalize_adjacency
 from .model import (AttentionParams, ForwardTrace, MlpEncoder,
                     MultiscaleImplicitGNN, init_model, load_checkpoint,
@@ -31,7 +31,7 @@ __all__ = [
     "SolverConfig", "TrainConfig", "accuracy", "adjoint_solve", "batch",
     "bce_with_logits", "build_graph", "cross_entropy", "empirical_range",
     "forward_solve", "gen_chains", "gen_color_counting", "history_to_csv",
-    "hop_distance", "init_model", "injected_gradient", "load_checkpoint",
+    "hop_distance", "init_model", "load_checkpoint",
     "load_dataset", "load_graph", "measure_decay", "micro_f1", "normalize_adjacency",
     "normalized_gram", "oracle_solve", "range_bound", "range_bound_exact",
     "save_checkpoint", "save_dataset", "sum_pool", "theoretical_bound",

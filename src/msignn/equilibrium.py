@@ -17,8 +17,20 @@ equation
 
     U  =  gamma * g(F)^T * U * (S^m)^T  +  dL/dZ*
 
-with the same Picard scheme (transposition preserves the contraction),
-after which parameter gradients are closed-form functions of U and Z*.
+with the same Picard scheme, after which parameter gradients are
+closed-form functions of U and Z*.
+
+Both solves keep their iterate transposed (node-per-row, n x h), because
+g(F) is symmetric:
+
+    forward:  Z^T  <-  gamma * (S^T)^m Z^T g(F)  +  H^T
+    adjoint:  U^T  <-  gamma *  S^m    U^T g(F)  +  (dL/dZ*)^T
+
+Each hop is then one sparse-times-dense product with an operator made
+once per solve: the forward solve and ``weight_gradient`` use ``s.T``, a
+CSC view sharing S's arrays, and the adjoint uses S itself. Powers of S
+are never materialized. Callers pass and receive the column-per-node
+(h x n) layout; S is trusted to be a validated CSR (see ``graph``).
 ``oracle_solve`` solves the vectorized system (I - gamma*(S^m)^T (x) g(F))
 densely by LU; it exists purely as an independent cross-check for tests
 and is capacity-guarded.
@@ -97,22 +109,23 @@ def normalized_gram(f_weight: np.ndarray, eps_f: float) -> np.ndarray:
     return gram / (numerics.frobenius_norm(gram) + eps_f)
 
 
-def _propagate(z: np.ndarray, s: sp.csr_array, m: int) -> np.ndarray:
+def _propagate(y: np.ndarray, op, m: int) -> np.ndarray:
+    """op^m y: m sparse hops on a node-per-row (n x h) matrix."""
     for _ in range(m):
-        z = numerics.spmm_right(z, s)
-    return z
+        y = op @ y
+    return y
 
 
-def _picard(coeff: np.ndarray, s: sp.csr_array, m: int, gamma: float,
-            injected: np.ndarray, cfg: SolverConfig, z0: np.ndarray | None,
-            what: str) -> EquilibriumResult:
+def _picard(coeff: np.ndarray, op, m: int, gamma: float, injected: np.ndarray,
+            cfg: SolverConfig, z0: np.ndarray | None, what: str) -> EquilibriumResult:
+    """Iterate Y <- gamma op^m Y coeff + injected^T with Y = Z^T; returns Z = Y^T."""
     if injected.shape[0] != coeff.shape[0]:
         raise ShapeError(
             f"{what}: injected rows {injected.shape[0]} != hidden dim {coeff.shape[0]}")
-    if injected.shape[1] != s.shape[0]:
+    if injected.shape[1] != op.shape[1]:
         raise ShapeError(
-            f"{what}: injected cols {injected.shape[1]} != node count {s.shape[0]}")
-    z = np.zeros_like(injected) if z0 is None else numerics.as_dense(z0).copy()
+            f"{what}: injected cols {injected.shape[1]} != node count {op.shape[1]}")
+    z = np.zeros_like(injected) if z0 is None else numerics.as_dense(z0)
     if z.shape != injected.shape:
         raise ShapeError(f"{what}: z0 shape {z.shape} != {injected.shape}")
     if gamma == 0.0:
@@ -120,21 +133,23 @@ def _picard(coeff: np.ndarray, s: sp.csr_array, m: int, gamma: float,
         return EquilibriumResult(
             z_star=injected.copy(), iterations=1, residual=0.0, converged=True,
             update_norms=np.array([numerics.frobenius_norm(injected - z)]))
+    injected_t = np.ascontiguousarray(injected.T)
+    y = np.ascontiguousarray(z.T)
     update_norms = []
     residual = np.inf
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            z_next = gamma * (coeff @ _propagate(z, s, m)) + injected
-        if not np.all(np.isfinite(z_next)):
+            y_next = gamma * (_propagate(y, op, m) @ coeff) + injected_t
+        if not np.all(np.isfinite(y_next)):
             raise DivergenceError(
                 f"{what} produced non-finite values at iteration {iterations}; "
                 "check that S is normalized and gamma < 1")
-        diff = numerics.frobenius_norm(z_next - z)
-        residual = diff / (numerics.frobenius_norm(z) + RESIDUAL_FLOOR)
+        diff = numerics.frobenius_norm(y_next - y)
+        residual = diff / (numerics.frobenius_norm(y) + RESIDUAL_FLOOR)
         update_norms.append(diff)
-        z = z_next
+        y = y_next
         if residual <= cfg.tol:
             converged = True
             break
@@ -142,8 +157,8 @@ def _picard(coeff: np.ndarray, s: sp.csr_array, m: int, gamma: float,
         raise DivergenceError(
             f"{what} did not reach tol {cfg.tol:g} within {cfg.max_iters} iterations "
             f"(residual {residual:.3e})")
-    return EquilibriumResult(z_star=z, iterations=iterations, residual=residual,
-                             converged=converged,
+    return EquilibriumResult(z_star=np.ascontiguousarray(y.T), iterations=iterations,
+                             residual=residual, converged=converged,
                              update_norms=np.asarray(update_norms))
 
 
@@ -156,7 +171,7 @@ def forward_solve(module: ScaleModule, injected: np.ndarray, s: sp.csr_array,
     cfg.max_iters, whichever comes first.
     """
     g = normalized_gram(module.f_weight, module.eps_f)
-    return _picard(g, s, module.scale_m, module.gamma, injected, cfg, z0,
+    return _picard(g, s.T, module.scale_m, module.gamma, injected, cfg, z0,
                    "forward solve")
 
 
@@ -167,10 +182,9 @@ def adjoint_solve(module: ScaleModule, s: sp.csr_array, grad_z: np.ndarray,
     U equals dL/dZ* (I - J)^{-1} in the vectorized sense, i.e. the loss
     gradient pulled back through the fixed point.
     """
-    g = normalized_gram(module.f_weight, module.eps_f)
-    s_t = numerics.as_csr(s.T)
-    result = _picard(numerics.transpose(g), s_t, module.scale_m, module.gamma,
-                     grad_z, cfg, None, "adjoint solve")
+    g = normalized_gram(module.f_weight, module.eps_f)  # symmetric: g^T = g
+    result = _picard(g, s, module.scale_m, module.gamma, grad_z, cfg, None,
+                     "adjoint solve")
     return result.z_star
 
 
@@ -190,8 +204,8 @@ def weight_gradient(module: ScaleModule, u: np.ndarray, z_star: np.ndarray,
     """
     if u.shape != z_star.shape:
         raise ShapeError(f"adjoint shape {u.shape} != equilibrium shape {z_star.shape}")
-    propagated = _propagate(z_star, s, module.scale_m)
-    m_up = module.gamma * (u @ propagated.T)
+    propagated_t = _propagate(z_star.T, s.T, module.scale_m)
+    m_up = module.gamma * (u @ propagated_t)
     gram = module.f_weight.T @ module.f_weight
     r = numerics.frobenius_norm(gram)
     r_eps = r + module.eps_f
@@ -199,11 +213,6 @@ def weight_gradient(module: ScaleModule, u: np.ndarray, z_star: np.ndarray,
     if r >= 1e-30:
         d_gram = d_gram - (numerics.inner_product(m_up, gram) / (r * r_eps ** 2)) * gram
     return module.f_weight @ (d_gram + d_gram.T)
-
-
-def injected_gradient(u: np.ndarray) -> np.ndarray:
-    """Gradient reaching the injected term: the map is identity in H, so it is U."""
-    return u
 
 
 def oracle_solve(module: ScaleModule, injected: np.ndarray,

@@ -1,14 +1,20 @@
 """Graph containers, adjacency normalization, hop distances, batching.
 
-Node features are stored column-per-node (feature_dim x n), so the
-propagation equations act on whole feature matrices without transposes.
-Labels are either an int class per node, shape (n,), or a multi-hot 0/1
-matrix, shape (num_classes, n).
+Node features are stored column-per-node (feature_dim x n), the layout of
+the propagation equations; the solves in ``equilibrium`` transpose
+internally. Labels are either an int class per node, shape (n,), or a
+multi-hot 0/1 matrix, shape (num_classes, n).
+
+Adjacency matrices from outside the library are validated once, where
+they enter: ``build_graph`` (which the generators and loaders go through)
+and ``normalize_adjacency`` check their input with ``numerics.as_csr``.
+What the library derives from a validated matrix, the normalized S and
+the block-diagonal merges of ``batch``, is canonical by construction and
+not checked again.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +74,7 @@ def normalize_adjacency(a: sp.csr_array, directed: bool = False,
         raise ShapeError(f"adjacency must be square, got {a.shape}")
     a = numerics.as_csr(a)
     if self_loops:
-        a = numerics.as_csr(a + sp.eye_array(a.shape[0], format="csr"))
+        a = a + sp.eye_array(a.shape[0], format="csr")
     if directed:
         d_out = np.asarray(a.sum(axis=1)).ravel()
         d_in = np.asarray(a.sum(axis=0)).ravel()
@@ -78,7 +84,8 @@ def normalize_adjacency(a: sp.csr_array, directed: bool = False,
         deg = np.asarray(a.sum(axis=1)).ravel()
         left = right = _inv_sqrt(deg)
     scaled = sp.diags_array(left) @ a @ sp.diags_array(right)
-    return numerics.as_csr(scaled, shape=a.shape)
+    scaled.sort_indices()  # sparse products need not emit sorted rows
+    return scaled
 
 
 def _inv_sqrt(deg: np.ndarray) -> np.ndarray:
@@ -126,23 +133,16 @@ def build_graph(adjacency, features, labels=None, directed: bool = False,
 
 
 def hop_distance(g: Graph, p: int) -> np.ndarray:
-    """BFS shortest-path hop count from node p; inf where unreachable.
+    """Shortest-path hop count from node p; inf where unreachable.
 
     Follows edge direction on directed graphs.
     """
     if not 0 <= p < g.n:
         raise IndexError(f"node {p} out of range for {g.n} nodes")
-    indptr, indices = g.adjacency.indptr, g.adjacency.indices
-    dist = np.full(g.n, np.inf)
-    dist[p] = 0.0
-    queue = deque([p])
-    while queue:
-        u = queue.popleft()
-        for v in indices[indptr[u]:indptr[u + 1]]:
-            if not np.isfinite(dist[v]):
-                dist[v] = dist[u] + 1.0
-                queue.append(v)
-    return dist
+    # Imported on first use: loading csgraph adds ~10 MB of resident memory,
+    # which training and inference never need.
+    from scipy.sparse import csgraph
+    return csgraph.shortest_path(g.adjacency, unweighted=True, indices=p)
 
 
 def batch(graphs: list[Graph]) -> GraphBatch:
@@ -158,8 +158,8 @@ def batch(graphs: list[Graph]) -> GraphBatch:
                 f"feature dims differ across graphs: {g.feature_dim} != {feat_dim}")
         if g.directed != directed or g.multilabel != multilabel:
             raise ShapeError("all graphs in a batch must share directedness and label kind")
-    adjacency = numerics.as_csr(sp.block_diag([g.adjacency for g in graphs], format="csr"))
-    s = numerics.as_csr(sp.block_diag([g.s for g in graphs], format="csr"))
+    adjacency = sp.block_diag([g.adjacency for g in graphs], format="csr")
+    s = sp.block_diag([g.s for g in graphs], format="csr")
     features = np.hstack([g.features for g in graphs])
     if any(g.labels is None for g in graphs):
         labels = None

@@ -29,8 +29,7 @@ import numpy as np
 
 from . import numerics
 from .equilibrium import (EquilibriumResult, ScaleModule, SolverConfig,
-                          adjoint_solve, forward_solve, injected_gradient,
-                          weight_gradient)
+                          adjoint_solve, forward_solve, weight_gradient)
 from .errors import ShapeError
 from .graph import Graph, GraphBatch
 
@@ -298,7 +297,7 @@ class MultiscaleImplicitGNN:
                 d_zt = d_zt + att.w_a.T @ d_pre
             u = adjoint_solve(mod, g.s, d_zt, self.solver_cfg)
             grads[f"scales.{t}.f"] = weight_gradient(mod, u, z_t, g.s)
-            d_injected += injected_gradient(u)
+            d_injected += u  # the map is the identity in H
         grads["attention.q"] = d_q
         grads["attention.w_a"] = d_wa
         grads["attention.b_a"] = d_ba

@@ -5,6 +5,12 @@ scipy CSR arrays in canonical form (sorted column indices, no duplicates).
 Everything here is a pure function: inputs are never mutated, so values
 can be shared freely across threads.
 
+``as_csr`` is the one place a sparse matrix from outside the library is
+coerced and validated (``check_csr``). ``graph`` calls it where outside
+input enters (``build_graph``, ``normalize_adjacency``, and through
+``build_graph`` the loaders); matrices the library derives from validated
+ones (batches, the operators of the solves) are never re-validated.
+
 The only nontrivial kernel is ``lu_solve`` (LAPACK LU with partial
 pivoting); it backs the dense Kronecker oracle in ``equilibrium`` and is
 never used on the iterative path.
@@ -26,7 +32,6 @@ __all__ = [
     "spmm_right",
     "frobenius_norm",
     "softmax_rows",
-    "transpose",
     "add",
     "sub",
     "scale",
@@ -50,10 +55,12 @@ def as_dense(a) -> np.ndarray:
 
 
 def as_csr(a, shape=None) -> sp.csr_array:
-    """Coerce to a canonical float64 CSR array."""
+    """Coerce to a validated canonical float64 CSR array; ``a`` is never mutated."""
     out = sp.csr_array(a, shape=shape, dtype=np.float64)
-    out.sum_duplicates()
-    out.sort_indices()
+    if not out.has_canonical_format:
+        # csr_array(a) may share a's index arrays; canonicalize a private copy.
+        out = out.copy()
+        out.sum_duplicates()
     check_csr(out)
     return out
 
@@ -69,10 +76,12 @@ def check_csr(s: sp.csr_array) -> None:
     if s.nnz:
         if indices.min() < 0 or indices.max() >= cols:
             raise ShapeError("corrupt CSR: column index out of range")
-        for r in range(rows):
-            row = indices[indptr[r]:indptr[r + 1]]
-            if np.any(np.diff(row) <= 0):
-                raise ShapeError("corrupt CSR: in-row column indices not strictly increasing")
+        # Entry k+1 must exceed entry k unless k+1 opens a new row.
+        same_row = np.ones(s.nnz - 1, dtype=bool)
+        starts = indptr[1:-1]
+        same_row[starts[(starts > 0) & (starts < s.nnz)] - 1] = False
+        if np.any(np.diff(indices)[same_row] <= 0):
+            raise ShapeError("corrupt CSR: in-row column indices not strictly increasing")
     if not np.all(np.isfinite(s.data)):
         raise ValueError("CSR values contain NaN or Inf")
 
@@ -88,10 +97,11 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def spmm_right(z: np.ndarray, s: sp.csr_array) -> np.ndarray:
-    """Dense-times-CSR product Z*S, the propagation kernel.
+    """Dense-times-CSR product Z*S.
 
-    Powers of the adjacency are never materialized; m-hop propagation is
-    m successive calls of this kernel.
+    scipy evaluates it as (S^T Z^T)^T, building a transposed view of S on
+    every call; the solves in ``equilibrium`` avoid that by keeping their
+    iterate transposed and building the operator once per solve.
     """
     if z.shape[1] != s.shape[0]:
         raise ShapeError(f"spmm_right: inner dimensions differ, {z.shape} x {s.shape}")
@@ -107,10 +117,6 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     shifted = m - m.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def transpose(m: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(m.T)
 
 
 def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,8 +4,7 @@ import pytest
 import scipy.sparse as sp
 
 from msignn import (ScaleModule, SolverConfig, adjoint_solve, forward_solve,
-                    injected_gradient, normalized_gram, oracle_solve,
-                    weight_gradient)
+                    normalized_gram, oracle_solve, weight_gradient)
 from msignn.errors import CapacityError, DivergenceError
 from msignn.numerics import as_csr, frobenius_norm, inner_product
 
@@ -216,13 +215,6 @@ def test_weight_gradient_symmetry_preserved():
     u = (gram @ gram) / module.gamma
     grad = weight_gradient(module, u, np.eye(h), s)
     npt.assert_allclose(grad, grad.T, atol=1e-10)
-
-
-def test_injected_gradient_identity():
-    rng = np.random.default_rng(10)
-    for shape in [(1, 1), (3, 4), (5, 2)]:
-        u = rng.standard_normal(shape)
-        npt.assert_array_equal(injected_gradient(u), u)
 
 
 def test_oracle_gamma_zero():

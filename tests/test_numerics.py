@@ -116,7 +116,6 @@ def test_elementwise_ops():
     npt.assert_array_equal(numerics.hadamard(a, b), a * b)
     npt.assert_array_equal(numerics.tanh_map(a), np.tanh(a))
     npt.assert_array_equal(numerics.relu_map(a), np.maximum(a, 0.0))
-    npt.assert_array_equal(numerics.transpose(a), a.T)
     npt.assert_array_equal(numerics.column_slice(a, 1), a[:, 1])
     with pytest.raises(ShapeError):
         numerics.add(a, np.zeros((3, 3)))
@@ -146,3 +145,41 @@ def test_check_csr_rejects_bad_indptr():
     s.indptr = np.array([0, 2, 1, 3], dtype=s.indptr.dtype)
     with pytest.raises(ShapeError):
         numerics.check_csr(s)
+
+
+def _raw_csr(indptr, indices, shape):
+    """A CSR array over the given structure, bypassing scipy's own canonicalization."""
+    s = sp.csr_array(np.eye(*shape))
+    s.indptr = np.asarray(indptr, dtype=np.int32)
+    s.indices = np.asarray(indices, dtype=np.int32)
+    s.data = np.ones(len(indices))
+    return s
+
+
+@pytest.mark.parametrize("indptr, indices", [
+    ([0, 2, 3, 3], [2, 0, 1]),   # unsorted within row 0
+    ([0, 1, 3, 3], [0, 1, 1]),   # duplicate within row 1
+    ([0, 1, 2, 3], [0, 3, 2]),   # column 3 outside a 3-column matrix
+    ([0, 0, 1, 3], [0, 2, 1]),   # unsorted last row after an empty first row
+])
+def test_check_csr_rejects_bad_indices(indptr, indices):
+    with pytest.raises(ShapeError):
+        numerics.check_csr(_raw_csr(indptr, indices, (3, 3)))
+
+
+def test_check_csr_accepts_row_boundaries():
+    # Empty leading and trailing rows, and a column index that falls from one
+    # row to the next: each is valid and must not read as a sorting violation.
+    numerics.check_csr(_raw_csr([0, 0, 2, 3, 3], [1, 2, 0], (4, 3)))
+    numerics.check_csr(_raw_csr([0, 0, 0, 0], [], (3, 3)))
+
+
+def test_as_csr_leaves_input_unchanged():
+    a = sp.csr_array((np.array([1.0, 2.0]), np.array([2, 0]), np.array([0, 2, 2, 2])),
+                     shape=(3, 3))
+    indices, data = a.indices.copy(), a.data.copy()
+    out = numerics.as_csr(a)
+    npt.assert_array_equal(a.indices, indices)
+    npt.assert_array_equal(a.data, data)
+    npt.assert_array_equal(out.indices, [0, 2])
+    npt.assert_array_equal(numerics.densify(out), numerics.densify(a))
