@@ -1,10 +1,13 @@
 """Command-line interface.
 
 Subcommands: gen-chains, gen-colors, train, eval, probe-range, bound.
-Every command is deterministic given its flags and seed, and echoes its
-effective configuration to the output directory. A JSON config file can
-supply any flag (keys mirror flag names with underscores); explicit flags
-override file values, and unknown keys are rejected.
+Every command is deterministic given its flags and seed; those that write
+an output directory echo their effective configuration to it. Each flag declares its
+default on its own argument. A JSON config file (``--config``) can supply
+any flag of its subcommand, keys mirroring flag names with underscores:
+its values replace the subcommand's defaults and the command line is
+parsed again, so explicit flags override file values. Keys that are not
+flags of the subcommand are rejected.
 
 Exit codes: 0 success, 2 usage, 3 I/O failure, 4 parse/validation failure,
 5 numerical divergence. The MSIGNN_OUT_DIR environment variable supplies
@@ -34,30 +37,10 @@ EXIT_DIVERGED = 5
 
 OUT_DIR_ENV = "MSIGNN_OUT_DIR"
 
-DEFAULTS = {
-    "gen-chains": {"classes": 2, "chains_per_class": 20, "length": 10, "seed": 0},
-    "gen-colors": {"colors": 3, "chains": 30, "length": 30, "fraction": 0.3, "seed": 0},
-    "train": {"data": None, "gen": None, "classes": 2, "chains_per_class": 20,
-              "colors": 3, "chains": 30, "length": 10, "fraction": 0.3,
-              "data_seed": 0, "scales": "1", "gamma": 0.8, "hidden": 16,
-              "encoder_layers": 2, "dropout": 0.0, "encoder_bias": True,
-              "eps_f": 1e-5, "lr": 0.01,
-              "wd": 0.0, "epochs": 500, "patience": 100, "seed": 0,
-              "tol": 1e-6, "max_iters": 300},
-    "eval": {"checkpoint": None, "data": None},
-    "probe-range": {"gammas": "0.3,0.5,0.7,0.9", "scales": "1", "length": 60,
-                    "theta": 1e-8, "hidden": 10, "seed": 0},
-    "bound": {"gamma": None, "theta": None, "m": 1},
-}
-
 
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
-    except SystemExit as exc:  # argparse reports usage errors itself
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        cfg = _effective_config(args)
         handler = {
             "gen-chains": _cmd_gen_chains,
             "gen-colors": _cmd_gen_colors,
@@ -66,7 +49,10 @@ def main(argv=None) -> int:
             "probe-range": _cmd_probe_range,
             "bound": _cmd_bound,
         }[args.command]
-        return handler(cfg)
+        return handler({k: v for k, v in vars(args).items()
+                        if k not in ("command", "config")})
+    except SystemExit as exc:  # argparse reports usage errors itself
+        return EXIT_USAGE if exc.code else EXIT_OK
     except DivergenceError as exc:
         print(f"error: divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -79,6 +65,11 @@ def main(argv=None) -> int:
 
 
 def _parse(argv):
+    """Parse ``argv`` with precedence defaults < config file < explicit flags.
+
+    A config file's values become its subcommand's defaults, and ``argv``
+    is parsed again on top of them.
+    """
     parser = argparse.ArgumentParser(prog="msignn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -89,48 +80,46 @@ def _parse(argv):
 
     p = sub.add_parser("gen-chains", help="generate the directed-chains dataset")
     common(p)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--chains-per-class", type=int)
-    p.add_argument("--length", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--classes", type=int, default=2)
+    p.add_argument("--chains-per-class", type=int, default=20)
+    p.add_argument("--length", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gen-colors", help="generate the color-counting dataset")
     common(p)
-    p.add_argument("--colors", type=int)
-    p.add_argument("--chains", type=int)
-    p.add_argument("--length", type=int)
-    p.add_argument("--fraction", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--colors", type=int, default=3)
+    p.add_argument("--chains", type=int, default=30)
+    p.add_argument("--length", type=int, default=30)
+    p.add_argument("--fraction", type=float, default=0.3)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("train", help="train a model on a dataset")
     common(p)
     p.add_argument("--data", help="dataset directory produced by gen-*")
     p.add_argument("--gen", choices=["chains", "colors"],
                    help="generate the dataset in-process instead of loading one")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--chains-per-class", type=int)
-    p.add_argument("--colors", type=int)
-    p.add_argument("--chains", type=int)
-    p.add_argument("--length", type=int)
-    p.add_argument("--fraction", type=float)
-    p.add_argument("--data-seed", type=int)
-    p.add_argument("--scales", help="comma-separated scale exponents, e.g. '1,2'")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--encoder-layers", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--encoder-bias", dest="encoder_bias", action="store_true",
-                   default=None)
-    p.add_argument("--no-encoder-bias", dest="encoder_bias", action="store_false",
-                   default=None)
-    p.add_argument("--eps-f", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--wd", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iters", type=int)
+    p.add_argument("--classes", type=int, default=2)
+    p.add_argument("--chains-per-class", type=int, default=20)
+    p.add_argument("--colors", type=int, default=3)
+    p.add_argument("--chains", type=int, default=30)
+    p.add_argument("--length", type=int, default=10)
+    p.add_argument("--fraction", type=float, default=0.3)
+    p.add_argument("--data-seed", type=int, default=0)
+    p.add_argument("--scales", default="1",
+                   help="comma-separated scale exponents, e.g. '1,2'")
+    p.add_argument("--gamma", type=float, default=0.8)
+    p.add_argument("--hidden", type=int, default=16)
+    p.add_argument("--encoder-layers", type=int, default=2)
+    p.add_argument("--dropout", type=float, default=0.0)
+    p.add_argument("--encoder-bias", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--eps-f", type=float, default=1e-5)
+    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--wd", type=float, default=0.0)
+    p.add_argument("--epochs", type=int, default=500)
+    p.add_argument("--patience", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--max-iters", type=int, default=300)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     common(p, with_out=False)
@@ -139,40 +128,43 @@ def _parse(argv):
 
     p = sub.add_parser("probe-range", help="measure decay curves on a directed chain")
     common(p)
-    p.add_argument("--gammas", help="comma-separated contraction factors")
-    p.add_argument("--scales", help="comma-separated scale exponents")
-    p.add_argument("--length", type=int)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--gammas", default="0.3,0.5,0.7,0.9",
+                   help="comma-separated contraction factors")
+    p.add_argument("--scales", default="1", help="comma-separated scale exponents")
+    p.add_argument("--length", type=int, default=60)
+    p.add_argument("--theta", type=float, default=1e-8)
+    p.add_argument("--hidden", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bound", help="print the closed-form theta-effective range bound")
-    p.add_argument("--config", help="JSON config file; flags override its values")
+    common(p, with_out=False)
     p.add_argument("--gamma", type=float)
     p.add_argument("--theta", type=float)
-    p.add_argument("--m", type=int)
+    p.add_argument("--m", type=int, default=1)
 
-    return parser.parse_args(argv)
-
-
-def _effective_config(args) -> dict:
-    """defaults < config file < explicit flags."""
-    cfg = dict(DEFAULTS[args.command])
-    cfg["out"] = None
-    provided = {k: v for k, v in vars(args).items()
-                if k not in ("command", "config") and v is not None}
+    args = parser.parse_args(argv)
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{args.config}: invalid JSON: {exc}") from exc
-        unknown = set(file_cfg) - set(cfg)
-        if unknown:
-            raise ValueError(f"{args.config}: unknown config keys: {sorted(unknown)}")
-        cfg.update(file_cfg)
-    cfg.update(provided)
-    return cfg
+        sub.choices[args.command].set_defaults(**_read_config(args))
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # the flag's type rejected a file value
+            raise ValueError(f"{args.config}: invalid config value") from exc
+    return args
+
+
+def _read_config(args) -> dict:
+    """The config file's settings; its keys must be the subcommand's own flags."""
+    with open(args.config, encoding="utf-8") as fh:
+        try:
+            file_cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.config}: invalid JSON: {exc}") from exc
+    if not isinstance(file_cfg, dict):
+        raise ValueError(f"{args.config}: expected a JSON object")
+    unknown = set(file_cfg) - (set(vars(args)) - {"command", "config"})
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config keys: {sorted(unknown)}")
+    return file_cfg
 
 
 def _out_dir(cfg) -> Path:

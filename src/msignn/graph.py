@@ -8,9 +8,10 @@ multi-hot 0/1 matrix, shape (num_classes, n).
 Adjacency matrices from outside the library are validated once, where
 they enter: ``build_graph`` (which the generators and loaders go through)
 and ``normalize_adjacency`` check their input with ``numerics.as_csr``.
-What the library derives from a validated matrix, the normalized S and
-the block-diagonal merges of ``batch``, is canonical by construction and
-not checked again.
+``build_graph`` then normalizes the matrix it has already checked without
+checking it again. What the library derives from a validated matrix, the
+normalized S and the block-diagonal merges of ``batch``, is canonical by
+construction and not checked again.
 """
 
 from __future__ import annotations
@@ -72,20 +73,25 @@ def normalize_adjacency(a: sp.csr_array, directed: bool = False,
     """
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"adjacency must be square, got {a.shape}")
-    a = numerics.as_csr(a)
+    return _normalize(numerics.as_csr(a), directed, self_loops)
+
+
+def _normalize(a: sp.csr_array, directed: bool, self_loops: bool) -> sp.csr_array:
+    """``normalize_adjacency`` of an already validated square CSR matrix."""
     if self_loops:
         a = a + sp.eye_array(a.shape[0], format="csr")
     if directed:
-        d_out = np.asarray(a.sum(axis=1)).ravel()
-        d_in = np.asarray(a.sum(axis=0)).ravel()
-        left = _inv_sqrt(d_out)
-        right = _inv_sqrt(d_in)
+        left = _inv_sqrt(np.asarray(a.sum(axis=1)).ravel())
+        right = _inv_sqrt(np.asarray(a.sum(axis=0)).ravel())
     else:
-        deg = np.asarray(a.sum(axis=1)).ravel()
-        left = right = _inv_sqrt(deg)
-    scaled = sp.diags_array(left) @ a @ sp.diags_array(right)
-    scaled.sort_indices()  # sparse products need not emit sorted rows
-    return scaled
+        left = right = _inv_sqrt(np.asarray(a.sum(axis=1)).ravel())
+    # Scale each stored entry a_ij by left_i * right_j in place of the
+    # products with two diagonal matrices; same arithmetic, same sparsity.
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    out = a.copy()
+    out.data = a.data * left[rows] * right[a.indices]
+    out.eliminate_zeros()
+    return out
 
 
 def _inv_sqrt(deg: np.ndarray) -> np.ndarray:
@@ -127,7 +133,7 @@ def build_graph(adjacency, features, labels=None, directed: bool = False,
             raise ShapeError("labels must be a vector or a multi-hot matrix")
     if self_loops is None:
         self_loops = not directed
-    s = normalize_adjacency(adjacency, directed=directed, self_loops=self_loops)
+    s = _normalize(adjacency, directed, self_loops)
     return Graph(n=n, adjacency=adjacency, s=s, features=features,
                  labels=labels, directed=directed)
 

@@ -1,5 +1,10 @@
 """Dense and sparse linear-algebra kernels used by every other module.
 
+What is here: coercion and validation (``as_dense``, ``as_csr``,
+``check_csr``), ``densify``, the dense-times-CSR product ``spmm_right``,
+``frobenius_norm`` and ``inner_product``, ``softmax_rows`` and ``lu_solve``.
+Plain numpy operators are used directly everywhere else.
+
 Dense matrices are 2-D float64 C-order ndarrays; sparse matrices are
 scipy CSR arrays in canonical form (sorted column indices, no duplicates).
 Everything here is a pure function: inputs are never mutated, so values
@@ -28,18 +33,10 @@ __all__ = [
     "as_csr",
     "check_csr",
     "densify",
-    "matmul",
     "spmm_right",
     "frobenius_norm",
     "softmax_rows",
-    "add",
-    "sub",
-    "scale",
-    "hadamard",
-    "tanh_map",
-    "relu_map",
     "inner_product",
-    "column_slice",
     "lu_solve",
 ]
 
@@ -90,12 +87,6 @@ def densify(s: sp.csr_array) -> np.ndarray:
     return np.asarray(s.todense(), dtype=np.float64)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    return a @ b
-
-
 def spmm_right(z: np.ndarray, s: sp.csr_array) -> np.ndarray:
     """Dense-times-CSR product Z*S.
 
@@ -119,42 +110,10 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _require_same_shape(a, b, "add")
-    return a + b
-
-
-def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _require_same_shape(a, b, "sub")
-    return a - b
-
-
-def scale(a: np.ndarray, c: float) -> np.ndarray:
-    return c * a
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _require_same_shape(a, b, "hadamard")
-    return a * b
-
-
-def tanh_map(a: np.ndarray) -> np.ndarray:
-    return np.tanh(a)
-
-
-def relu_map(a: np.ndarray) -> np.ndarray:
-    return np.maximum(a, 0.0)
-
-
 def inner_product(a: np.ndarray, b: np.ndarray) -> float:
-    _require_same_shape(a, b, "inner_product")
+    if a.shape != b.shape:
+        raise ShapeError(f"inner_product: shapes differ, {a.shape} vs {b.shape}")
     return float(np.sum(a * b))
-
-
-def column_slice(m: np.ndarray, j: int) -> np.ndarray:
-    if not 0 <= j < m.shape[1]:
-        raise IndexError(f"column {j} out of range for {m.shape}")
-    return m[:, j].copy()
 
 
 def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -165,7 +124,3 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"lu_solve: rhs length {b.shape[0]} != {a.shape[0]}")
     return np.linalg.solve(a, b)
 
-
-def _require_same_shape(a, b, op):
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes differ, {a.shape} vs {b.shape}")

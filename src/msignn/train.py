@@ -1,9 +1,14 @@
 """Losses, Adam, the training loop, and evaluation metrics.
 
-Node tasks train full batch on masked nodes; graph tasks train on
-mini-batches of graphs. The loop keeps the best-validation parameters and
-restores them when it finishes, and records per-epoch solver iteration
-counts and wall time so equilibrium cost stays visible.
+``train_loop`` is one epoch loop for both tasks. Only the training pass
+differs: node tasks take one full-batch step on the masked nodes, graph
+tasks one step per shuffled minibatch of ``batch_size`` training graphs.
+Both tasks select weights the same way: the loop keeps the parameters of
+the epoch with the highest validation metric, ties broken by the lower
+train loss, and restores them when it finishes. ``patience`` counts
+epochs without a strict improvement of the validation metric. Each
+history row records the epoch's solver iteration counts and wall time, so
+equilibrium cost stays visible.
 """
 
 from __future__ import annotations
@@ -143,12 +148,18 @@ def micro_f1(preds: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Settings of ``train_loop``; ``batch_size`` applies to graph tasks only.
+
+    Training stops early once ``patience`` consecutive epochs bring no
+    strict improvement of the validation metric.
+    """
+
     epochs: int = 500
     lr: float = 0.01
     weight_decay: float = 0.0
     seed: int = 0
     patience: int = 100
-    batch_size: int = 32  # graph tasks only
+    batch_size: int = 32
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -157,53 +168,36 @@ class TrainConfig:
             raise ValueError("lr must be positive")
 
 
-def _node_eval(model, graph, *masks) -> list[float]:
-    """Metric on several masks from one forward pass."""
-    preds = model.predict(graph)
-    metric = micro_f1 if graph.multilabel else accuracy
-    return [metric(preds, graph.labels, m) for m in masks]
-
-
 def train_loop(model: MultiscaleImplicitGNN, data, cfg: TrainConfig) -> list[dict]:
     """Train and return the per-epoch history; leaves the best-val weights in place.
 
     ``data`` is a node-task Dataset (graph + train/val/test masks) or a
     graph-task GraphDataset (graphs + per-graph labels + split masks).
     """
-    if cfg.epochs == 0:
-        return []
     if model.task == "graph":
-        return _train_graphs(model, data, cfg)
-    return _train_nodes(model, data, cfg)
-
-
-def _train_nodes(model, data, cfg) -> list[dict]:
-    graph = data.graph
+        train_pass, evaluate = _graph_pass, _graph_eval
+    else:
+        train_pass, evaluate = _node_pass, _node_eval
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()
     opt = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    loss_fn = bce_with_logits if graph.multilabel else cross_entropy
     history = []
-    # Among epochs tied on validation accuracy, keep the lowest train loss;
+    # Among epochs tied on the validation metric, keep the lowest train loss;
     # a tiny validation split saturates long before the model stops improving.
     best_key = (-np.inf, -np.inf)
     best_params = None
     stale = 0
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        trace = model.forward(graph, train_mode=True, rng=rng)
-        loss, grad_logits = loss_fn(trace.logits, graph.labels, data.train_mask)
-        grads = model.backward(graph, trace, grad_logits)
-        opt.step(params, grads)
-        train_metric, val_metric = _node_eval(model, graph,
-                                              data.train_mask, data.val_mask)
+        loss, iter_counts = train_pass(model, data, cfg, rng, opt, params)
+        train_metric, val_metric = evaluate(model, data, data.train_mask, data.val_mask)
         seconds = time.perf_counter() - t0
         history.append({
             "epoch": epoch,
             "train_loss": loss,
             "train_acc": train_metric,
             "val_acc": val_metric,
-            "iters_per_scale": ";".join(str(r.iterations) for r in trace.scale_results),
+            "iters_per_scale": ";".join(str(c) for c in iter_counts),
             "seconds": seconds,
         })
         improved_val = val_metric > best_key[0]
@@ -222,63 +216,53 @@ def _train_nodes(model, data, cfg) -> list[dict]:
     return history
 
 
-def _train_graphs(model, data, cfg) -> list[dict]:
-    rng = np.random.default_rng(cfg.seed)
-    params = model.parameters()
-    opt = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    train_idx = np.flatnonzero(data.train_mask)
-    history = []
-    best_val = -np.inf
-    best_params = None
-    stale = 0
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        order = rng.permutation(train_idx)
-        losses = []
-        iter_counts = None
-        for start in range(0, len(order), cfg.batch_size):
-            chunk = order[start:start + cfg.batch_size]
-            minibatch = batch_graphs([data.graphs[i] for i in chunk])
-            labels = data.labels[chunk]
-            trace = model.forward(minibatch, train_mode=True, rng=rng)
-            loss, grad_logits = cross_entropy(trace.logits, labels,
-                                              np.ones(len(chunk), dtype=bool))
-            grads = model.backward(minibatch, trace, grad_logits)
-            opt.step(params, grads)
-            losses.append(loss)
-            iter_counts = [r.iterations for r in trace.scale_results]
-        train_metric = _graph_eval(model, data, data.train_mask)
-        val_metric = _graph_eval(model, data, data.val_mask)
-        seconds = time.perf_counter() - t0
-        history.append({
-            "epoch": epoch,
-            "train_loss": float(np.mean(losses)),
-            "train_acc": train_metric,
-            "val_acc": val_metric,
-            "iters_per_scale": ";".join(str(c) for c in (iter_counts or [])),
-            "seconds": seconds,
-        })
-        if val_metric > best_val:
-            best_val = val_metric
-            best_params = {k: v.copy() for k, v in params.items()}
-            stale = 0
-        else:
-            stale += 1
-            if stale > cfg.patience:
-                break
-    if best_params is not None:
-        for k, v in params.items():
-            v[...] = best_params[k]
-    return history
+def _node_pass(model, data, cfg, rng, opt, params):
+    """One full-batch step on the masked training nodes; returns (loss, iterations)."""
+    graph = data.graph
+    loss_fn = bce_with_logits if graph.multilabel else cross_entropy
+    trace = model.forward(graph, train_mode=True, rng=rng)
+    loss, grad_logits = loss_fn(trace.logits, graph.labels, data.train_mask)
+    opt.step(params, model.backward(graph, trace, grad_logits))
+    return loss, [r.iterations for r in trace.scale_results]
 
 
-def _graph_eval(model, data, mask) -> float:
-    idx = np.flatnonzero(mask)
-    if len(idx) == 0:
-        raise EmptySelectionError("graph split selects no graphs")
-    minibatch = batch_graphs([data.graphs[i] for i in idx])
-    preds = model.predict(minibatch)
-    return float(np.mean(preds == data.labels[idx]))
+def _graph_pass(model, data, cfg, rng, opt, params):
+    """One step per shuffled minibatch of training graphs.
+
+    Returns the mean minibatch loss and the last forward's iterations.
+    """
+    order = rng.permutation(np.flatnonzero(data.train_mask))
+    losses, iter_counts = [], []
+    for start in range(0, len(order), cfg.batch_size):
+        chunk = order[start:start + cfg.batch_size]
+        minibatch = batch_graphs([data.graphs[i] for i in chunk])
+        trace = model.forward(minibatch, train_mode=True, rng=rng)
+        loss, grad_logits = cross_entropy(trace.logits, data.labels[chunk],
+                                          np.ones(len(chunk), dtype=bool))
+        opt.step(params, model.backward(minibatch, trace, grad_logits))
+        losses.append(loss)
+        iter_counts = [r.iterations for r in trace.scale_results]
+    return float(np.mean(losses)), iter_counts
+
+
+def _node_eval(model, data, *masks) -> list[float]:
+    """Metric on several node masks from one forward pass."""
+    graph = data.graph
+    preds = model.predict(graph)
+    metric = micro_f1 if graph.multilabel else accuracy
+    return [metric(preds, graph.labels, m) for m in masks]
+
+
+def _graph_eval(model, data, *masks) -> list[float]:
+    """Accuracy on several graph splits, one batched forward pass per split."""
+    metrics = []
+    for mask in masks:
+        idx = np.flatnonzero(mask)
+        if len(idx) == 0:
+            raise EmptySelectionError("graph split selects no graphs")
+        preds = model.predict(batch_graphs([data.graphs[i] for i in idx]))
+        metrics.append(float(np.mean(preds == data.labels[idx])))
+    return metrics
 
 
 # -- history serialization ---------------------------------------------------

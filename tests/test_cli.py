@@ -198,3 +198,56 @@ def test_eval_on_mismatched_features_is_data_error(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "--checkpoint", str(out / "checkpoint.json"),
                        "--data", str(colors))
     assert code == EXIT_DATA
+
+
+def test_config_file_out_key_only_where_out_is_a_flag(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"out": str(tmp_path / "from_file"),
+                                    "gamma": 0.5, "theta": 1e-6}))
+    code, _, err = run(capsys, "bound", "--config", str(cfg_path))
+    assert code == EXIT_DATA and "unknown config keys: ['out']" in err
+
+    cfg_path.write_text(json.dumps({"out": str(tmp_path / "from_file")}))
+    code, _, err = run(capsys, "eval", "--config", str(cfg_path))
+    assert code == EXIT_DATA and "unknown config keys: ['out']" in err
+
+    code, _, _ = run(capsys, "train", "--config", str(cfg_path), "--gen", "chains",
+                     "--length", "3", "--epochs", "0", "--hidden", "4")
+    assert code == EXIT_OK
+    assert (tmp_path / "from_file" / "config.json").exists()
+
+
+def test_config_echo_key_sets(tmp_path, capsys):
+    commands = {
+        "gen-chains": (["--length", "3"],
+                       ["chains_per_class", "classes", "command", "length", "seed"]),
+        "gen-colors": (["--chains", "2", "--length", "4"],
+                       ["chains", "colors", "command", "fraction", "length", "seed"]),
+        "train": (["--gen", "chains", "--length", "3", "--epochs", "0", "--hidden", "4"],
+                  ["chains", "chains_per_class", "classes", "colors", "command", "data",
+                   "data_seed", "dropout", "encoder_bias", "encoder_layers", "epochs",
+                   "eps_f", "fraction", "gamma", "gen", "hidden", "length", "lr",
+                   "max_iters", "patience", "scales", "seed", "tol", "wd"]),
+        "probe-range": (["--gammas", "0.5", "--length", "5"],
+                        ["command", "gammas", "hidden", "length", "scales", "seed",
+                         "theta"]),
+    }
+    for command, (args, keys) in commands.items():
+        out = tmp_path / command
+        code, _, _ = run(capsys, command, *args, "--out", str(out))
+        assert code == EXIT_OK
+        echoed = json.loads((out / "config.json").read_text())
+        assert sorted(echoed) == keys
+        assert echoed["command"] == command
+
+
+def test_encoder_bias_flag_overrides_config_file(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"encoder_bias": False}))
+    base = ["train", "--config", str(cfg_path), "--gen", "chains", "--length", "3",
+            "--epochs", "0", "--hidden", "4"]
+    for extra, expected in (([], False), (["--encoder-bias"], True)):
+        out = tmp_path / f"run{len(extra)}"
+        code, _, _ = run(capsys, *base, *extra, "--out", str(out))
+        assert code == EXIT_OK
+        assert json.loads((out / "config.json").read_text())["encoder_bias"] is expected

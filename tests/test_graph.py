@@ -62,6 +62,44 @@ def test_normalize_directed_chain_columns():
         assert col.max() <= 1.0 + 1e-15
 
 
+def _dense_normalized(a, directed, self_loops):
+    """D_out^{-1/2} (A + I?) D_in^{-1/2} in dense arithmetic; zero degree gives 0."""
+    if self_loops:
+        a = a + np.eye(len(a))
+
+    def inv_sqrt(deg):
+        out = np.zeros_like(deg)
+        out[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
+        return out
+
+    left = inv_sqrt(a.sum(axis=1))
+    right = inv_sqrt(a.sum(axis=0)) if directed else left
+    return left[:, None] * a * right[None, :]
+
+
+@pytest.mark.parametrize("directed, self_loops",
+                         [(False, True), (False, False), (True, False), (True, True)])
+def test_normalize_matches_dense_formula_exactly(directed, self_loops):
+    # node 5 is isolated; directed, node 0 is a source and node 4 a sink
+    a = np.zeros((6, 6))
+    for i, j in [(0, 1), (1, 2), (2, 3), (0, 2), (3, 4), (1, 4)]:
+        a[i, j] = 1.0
+        if not directed:
+            a[j, i] = 1.0
+    expected = _dense_normalized(a, directed, self_loops)
+    # an explicitly stored zero (5, 0) must not survive into S
+    rows, cols = np.nonzero(a)
+    stored = sp.csr_array((np.r_[a[rows, cols], 0.0], (np.r_[rows, 5], np.r_[cols, 0])),
+                          shape=a.shape)
+    assert stored.nnz == len(rows) + 1
+    s = normalize_adjacency(stored, directed=directed, self_loops=self_loops)
+    g = build_graph(stored, np.zeros((1, 6)), directed=directed, self_loops=self_loops)
+    for got in (s, g.s):
+        assert got.has_sorted_indices
+        assert got.nnz == np.count_nonzero(expected)
+        npt.assert_array_equal(densify(got), expected)
+
+
 def test_hop_distance_chain():
     n = 4
     rows = np.arange(n - 1)

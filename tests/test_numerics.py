@@ -7,27 +7,6 @@ from msignn import numerics
 from msignn.errors import ShapeError
 
 
-def test_matmul_identity():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    npt.assert_array_equal(numerics.matmul(np.eye(2), m), m)
-
-
-def test_matmul_hand_case():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[1.0], [1.0]])
-    npt.assert_array_equal(numerics.matmul(a, b), [[3.0], [7.0]])
-
-
-def test_matmul_annihilator():
-    m = np.arange(6.0).reshape(2, 3)
-    npt.assert_array_equal(numerics.matmul(np.zeros((2, 2)), m), np.zeros((2, 3)))
-
-
-def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
-        numerics.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
 def test_spmm_identity():
     z = np.arange(6.0).reshape(2, 3)
     s = numerics.as_csr(sp.eye_array(3, format="csr"))
@@ -105,22 +84,6 @@ def test_softmax_rows_sum_and_shift_invariance():
     shifted = numerics.softmax_rows(m + 3.7)
     npt.assert_allclose(out, shifted, atol=1e-12)
     assert np.all(out > 0) and np.all(out < 1)
-
-
-def test_elementwise_ops():
-    a = np.array([[1.0, -2.0], [0.5, 3.0]])
-    b = np.array([[2.0, 1.0], [1.0, -1.0]])
-    npt.assert_array_equal(numerics.add(a, b), a + b)
-    npt.assert_array_equal(numerics.sub(a, b), a - b)
-    npt.assert_array_equal(numerics.scale(a, 2.0), 2.0 * a)
-    npt.assert_array_equal(numerics.hadamard(a, b), a * b)
-    npt.assert_array_equal(numerics.tanh_map(a), np.tanh(a))
-    npt.assert_array_equal(numerics.relu_map(a), np.maximum(a, 0.0))
-    npt.assert_array_equal(numerics.column_slice(a, 1), a[:, 1])
-    with pytest.raises(ShapeError):
-        numerics.add(a, np.zeros((3, 3)))
-    with pytest.raises(IndexError):
-        numerics.column_slice(a, 5)
 
 
 def test_lu_solve_residual_bound():

@@ -238,3 +238,75 @@ def test_history_csv_layout(tmp_path):
     assert fields[0] == "1"
     assert float(fields[1]) == 0.5
     assert fields[4] == "12;13"
+
+
+def _node_problem():
+    ds = gen_chains(ChainsSpec(length=4, seed=0))
+    cfg = dict(lr=0.2, seed=0)
+    return ds, (lambda: init_model(np.random.default_rng(0), ds.graph.feature_dim, 4, 2,
+                                   scale_exponents=(1,))), cfg
+
+
+def _graph_problem():
+    rng = np.random.default_rng(5)
+    graphs = [random_undirected_graph(rng, int(rng.integers(3, 6)), num_classes=2)
+              for _ in range(10)]
+    from msignn.datasets import GraphDataset
+    data = GraphDataset(graphs=graphs, labels=np.array([0, 1] * 5),
+                        train_mask=np.array([True] * 6 + [False] * 4),
+                        val_mask=np.array([False] * 6 + [True] * 3 + [False]),
+                        test_mask=np.array([False] * 9 + [True]))
+    cfg = dict(lr=0.1, seed=3, batch_size=3)
+    return data, (lambda: init_model(np.random.default_rng(1), graphs[0].feature_dim, 4, 2,
+                                     scale_exponents=(1,), task="graph")), cfg
+
+
+PROBLEMS = {"node": _node_problem, "graph": _graph_problem}
+EPOCHS = 30
+
+
+@pytest.mark.parametrize("task", sorted(PROBLEMS))
+def test_train_loop_stops_after_patience_stale_epochs(task):
+    data, make_model, cfg = PROBLEMS[task]()
+    full = train_loop(make_model(), data, TrainConfig(epochs=EPOCHS, patience=EPOCHS, **cfg))
+    patience = 3
+    best_val, stale, stop = -np.inf, 0, None
+    for row in full:
+        if row["val_acc"] > best_val:
+            best_val, stale = row["val_acc"], 0
+        else:
+            stale += 1
+            if stale > patience:
+                stop = row["epoch"]
+                break
+    assert stop is not None and stop < EPOCHS
+    short = train_loop(make_model(), data, TrainConfig(epochs=EPOCHS, patience=patience,
+                                                       **cfg))
+    assert len(short) == stop
+    assert [r["train_loss"] for r in short] == [r["train_loss"] for r in full[:stop]]
+
+
+@pytest.mark.parametrize("task", sorted(PROBLEMS))
+def test_train_loop_restores_best_epoch_weights(task):
+    data, make_model, cfg = PROBLEMS[task]()
+    model = make_model()
+    history = train_loop(model, data, TrainConfig(epochs=EPOCHS, patience=EPOCHS, **cfg))
+    keys = [(row["val_acc"], -row["train_loss"]) for row in history]
+    best_epoch = keys.index(max(keys)) + 1
+    # the best validation metric is reached before best_epoch, which wins the
+    # tie on train loss, and training goes on past it
+    assert keys.index(max(keys)) > [v for v, _ in keys].index(max(keys)[0])
+    assert best_epoch < len(history)
+
+    def weights_after(epochs):
+        reference = make_model()
+        train_loop(reference, data, TrainConfig(epochs=epochs, patience=EPOCHS, **cfg))
+        return reference.parameters()
+
+    restored = model.parameters()
+    at_best = weights_after(best_epoch)
+    for name, value in restored.items():
+        npt.assert_array_equal(value, at_best[name])
+    before_best = weights_after(best_epoch - 1)
+    assert any(not np.array_equal(value, before_best[name])
+               for name, value in restored.items())
