@@ -183,19 +183,10 @@ def _echo_config(cfg, command, out: Path) -> None:
         fh.write("\n")
 
 
-def _parse_int_list(text, what) -> list[int]:
+def _parse_list(text, cast, what) -> list:
+    """Comma-separated values, each converted by ``cast``; blanks are skipped."""
     try:
-        values = [int(tok) for tok in str(text).split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ValueError(f"bad {what} list: {text!r}") from exc
-    if not values:
-        raise ValueError(f"empty {what} list")
-    return values
-
-
-def _parse_float_list(text, what) -> list[float]:
-    try:
-        values = [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
+        values = [cast(tok) for tok in str(text).split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ValueError(f"bad {what} list: {text!r}") from exc
     if not values:
@@ -246,7 +237,7 @@ def _load_train_data(cfg) -> datasets.Dataset:
 def _cmd_train(cfg) -> int:
     out = _out_dir(cfg)
     data = _load_train_data(cfg)
-    scales = _parse_int_list(cfg["scales"], "scale")
+    scales = _parse_list(cfg["scales"], int, "scale")
     solver = SolverConfig(tol=cfg["tol"], max_iters=cfg["max_iters"])
     rng = np.random.default_rng(cfg["seed"])
     graph = data.graph
@@ -300,8 +291,8 @@ def _cmd_eval(cfg) -> int:
 
 def _cmd_probe_range(cfg) -> int:
     out = _out_dir(cfg)
-    gammas = _parse_float_list(cfg["gammas"], "gamma")
-    scales = _parse_int_list(cfg["scales"], "scale")
+    gammas = _parse_list(cfg["gammas"], float, "gamma")
+    scales = _parse_list(cfg["scales"], int, "scale")
     length = cfg["length"]
     theta = cfg["theta"]
     hidden = cfg["hidden"]

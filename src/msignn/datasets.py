@@ -31,6 +31,7 @@ EDGE_FILE = "edges.tsv"
 FEATURE_FILE = "features.csv"
 LABEL_FILE = "labels.csv"
 SIDECAR_FILE = "masks.json"
+MAX_COLOR_RESAMPLES = 1000  # color draws per chain before a tie-free majority is given up
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ def gen_chains(spec: ChainsSpec) -> Dataset:
                    spec_echo={"kind": "chains", **asdict(spec)})
 
 
-def gen_color_counting(spec: ColorCountingSpec, max_resamples: int = 1000) -> Dataset:
+def gen_color_counting(spec: ColorCountingSpec) -> Dataset:
     """Undirected chains labeled with each chain's strict-majority color."""
     rng = np.random.default_rng(spec.seed)
     n = spec.num_chains * spec.length
@@ -137,7 +138,7 @@ def gen_color_counting(spec: ColorCountingSpec, max_resamples: int = 1000) -> Da
     for c in range(spec.num_chains):
         start = c * spec.length
         positions = start + rng.choice(spec.length, size=num_colored, replace=False)
-        for attempt in range(max_resamples):
+        for _ in range(MAX_COLOR_RESAMPLES):
             colors = rng.integers(spec.num_colors, size=num_colored)
             counts = np.bincount(colors, minlength=spec.num_colors)
             top = counts.max()
@@ -145,7 +146,7 @@ def gen_color_counting(spec: ColorCountingSpec, max_resamples: int = 1000) -> Da
                 break
         else:
             raise GenerationError(
-                f"no strict majority color for chain {c} after {max_resamples} resamples")
+                f"no strict majority color for chain {c} after {MAX_COLOR_RESAMPLES} resamples")
         features[:, positions] = 0.0
         features[colors, positions] = 1.0
         labels[start:start + spec.length] = int(np.argmax(counts))

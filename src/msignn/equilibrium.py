@@ -80,7 +80,6 @@ class ScaleModule:
 class SolverConfig:
     tol: float = 1e-6
     max_iters: int = 300
-    strict: bool = False  # raise instead of returning an unconverged result
 
     def __post_init__(self):
         if self.tol <= 0.0:
@@ -153,10 +152,6 @@ def _picard(coeff: np.ndarray, op, m: int, gamma: float, injected: np.ndarray,
         if residual <= cfg.tol:
             converged = True
             break
-    if cfg.strict and not converged:
-        raise DivergenceError(
-            f"{what} did not reach tol {cfg.tol:g} within {cfg.max_iters} iterations "
-            f"(residual {residual:.3e})")
     return EquilibriumResult(z_star=np.ascontiguousarray(y.T), iterations=iterations,
                              residual=residual, converged=converged,
                              update_norms=np.asarray(update_norms))
@@ -211,7 +206,7 @@ def weight_gradient(module: ScaleModule, u: np.ndarray, z_star: np.ndarray,
     r_eps = r + module.eps_f
     d_gram = m_up / r_eps
     if r >= 1e-30:
-        d_gram = d_gram - (numerics.inner_product(m_up, gram) / (r * r_eps ** 2)) * gram
+        d_gram = d_gram - (float(np.sum(m_up * gram)) / (r * r_eps ** 2)) * gram
     return module.f_weight @ (d_gram + d_gram.T)
 
 
@@ -236,5 +231,5 @@ def oracle_solve(module: ScaleModule, injected: np.ndarray,
         s_m = s_m @ s
     system = np.eye(unknowns) - module.gamma * np.kron(numerics.densify(s_m).T, g)
     rhs = injected.flatten(order="F")
-    solution = numerics.lu_solve(system, rhs)
+    solution = np.linalg.solve(system, rhs)
     return solution.reshape((h, n), order="F")

@@ -144,21 +144,21 @@ class ForwardTrace:
     encoder_cache: tuple
     scale_results: list[EquilibriumResult]
     tanh_acts: list[np.ndarray]
-    betas: np.ndarray          # (n, k) attention logits
     alphas: np.ndarray         # (n, k) softmax weights, rows sum to 1
     z_prime: np.ndarray        # (h, n) fused equilibrium
     pooled: np.ndarray | None  # (h, num_graphs) for graph tasks
     logits: np.ndarray
-    graph_of_node: np.ndarray | None = None
 
 
 class MultiscaleImplicitGNN:
-    """Encoder + parallel implicit scale modules + attention fusion + decoder."""
+    """Encoder + parallel implicit scale modules + attention fusion + decoder.
+
+    The scale exponents must be pairwise distinct.
+    """
 
     def __init__(self, encoder: MlpEncoder, scales: list[ScaleModule],
                  attention: AttentionParams, decoder_weight: np.ndarray,
-                 task: str = "node", solver_cfg: SolverConfig = SolverConfig(),
-                 require_distinct_scales: bool = True):
+                 task: str = "node", solver_cfg: SolverConfig = SolverConfig()):
         if task not in ("node", "graph"):
             raise ValueError(f"task must be 'node' or 'graph', got {task!r}")
         if not scales:
@@ -168,7 +168,7 @@ class MultiscaleImplicitGNN:
             if mod.hidden_dim != hidden:
                 raise ShapeError("all scale modules must share the hidden dim")
         exponents = [mod.scale_m for mod in scales]
-        if require_distinct_scales and len(set(exponents)) != len(exponents):
+        if len(set(exponents)) != len(exponents):
             raise ValueError(f"scale exponents must be pairwise distinct, got {exponents}")
         if encoder.out_dim != hidden:
             raise ShapeError(f"encoder output dim {encoder.out_dim} != hidden dim {hidden}")
@@ -212,7 +212,7 @@ class MultiscaleImplicitGNN:
 
     def forward(self, data: Graph | GraphBatch, train_mode: bool = False,
                 rng=None) -> ForwardTrace:
-        g, graph_of_node = self._unpack(data)
+        g, batch = self._unpack(data)
         injected, enc_cache = self.encoder.forward(g.features, train_mode, rng)
         results = [forward_solve(mod, injected, g.s, self.solver_cfg)
                    for mod in self.scales]
@@ -229,43 +229,33 @@ class MultiscaleImplicitGNN:
         z_prime = np.zeros_like(results[0].z_star)
         for t, res in enumerate(results):
             z_prime += res.z_star * alphas[:, t][None, :]
-        if self.task == "graph":
-            pooled = sum_pool(z_prime, _as_batch(data))
+        if batch is not None:
+            pooled = sum_pool(z_prime, batch)
             logits = self.decoder_weight @ pooled
         else:
             pooled = None
             logits = self.decoder_weight @ z_prime
         return ForwardTrace(injected=injected, encoder_cache=enc_cache,
                             scale_results=results, tanh_acts=tanh_acts,
-                            betas=betas, alphas=alphas, z_prime=z_prime,
-                            pooled=pooled, logits=logits,
-                            graph_of_node=graph_of_node)
+                            alphas=alphas, z_prime=z_prime,
+                            pooled=pooled, logits=logits)
 
     # -- backward ---------------------------------------------------------
 
     def backward(self, data: Graph | GraphBatch, trace: ForwardTrace,
-                 grad_logits: np.ndarray,
-                 include_attention_grad: bool = True) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss for every parameter, given d(loss)/d(logits).
-
-        ``include_attention_grad=False`` treats the attention weights alpha as
-        constants (the beta path is cut); the difference against the full
-        backward isolates the attention-chain contribution.
-        """
-        g, graph_of_node = self._unpack(data)
+                 grad_logits: np.ndarray) -> dict[str, np.ndarray]:
+        """Gradients of a scalar loss for every parameter, given d(loss)/d(logits)."""
+        g, batch = self._unpack(data)
+        if grad_logits.shape != trace.logits.shape:
+            raise ShapeError(
+                f"grad_logits shape {grad_logits.shape} != logits {trace.logits.shape}")
         att = self.attention
         grads: dict[str, np.ndarray] = {}
-        if self.task == "graph":
-            if grad_logits.shape != trace.logits.shape:
-                raise ShapeError(
-                    f"grad_logits shape {grad_logits.shape} != logits {trace.logits.shape}")
+        if batch is not None:
             grads["decoder.w"] = grad_logits @ trace.pooled.T
             d_pooled = self.decoder_weight.T @ grad_logits
-            d_zp = d_pooled[:, graph_of_node]
+            d_zp = d_pooled[:, batch.graph_of_node]
         else:
-            if grad_logits.shape != trace.logits.shape:
-                raise ShapeError(
-                    f"grad_logits shape {grad_logits.shape} != logits {trace.logits.shape}")
             grads["decoder.w"] = grad_logits @ trace.z_prime.T
             d_zp = self.decoder_weight.T @ grad_logits
 
@@ -286,15 +276,13 @@ class MultiscaleImplicitGNN:
         d_injected = np.zeros_like(trace.injected)
         for t, mod in enumerate(self.scales):
             z_t = trace.scale_results[t].z_star
-            d_zt = d_zp * trace.alphas[:, t][None, :]
-            if include_attention_grad:
-                acts = trace.tanh_acts[t]
-                db = d_beta[:, t]
-                d_q += acts @ db
-                d_pre = (att.q[:, None] * db[None, :]) * (1.0 - acts * acts)
-                d_wa += d_pre @ z_t.T
-                d_ba += d_pre.sum(axis=1)
-                d_zt = d_zt + att.w_a.T @ d_pre
+            acts = trace.tanh_acts[t]
+            db = d_beta[:, t]
+            d_q += acts @ db
+            d_pre = (att.q[:, None] * db[None, :]) * (1.0 - acts * acts)
+            d_wa += d_pre @ z_t.T
+            d_ba += d_pre.sum(axis=1)
+            d_zt = d_zp * trace.alphas[:, t][None, :] + att.w_a.T @ d_pre
             u = adjoint_solve(mod, g.s, d_zt, self.solver_cfg)
             grads[f"scales.{t}.f"] = weight_gradient(mod, u, z_t, g.s)
             d_injected += u  # the map is the identity in H
@@ -319,19 +307,14 @@ class MultiscaleImplicitGNN:
             return (logits > 0.0).astype(np.int64)
         return np.argmax(logits, axis=0)
 
-    def _unpack(self, data):
+    def _unpack(self, data) -> tuple[Graph, GraphBatch | None]:
+        """The graph to propagate on and, for graph tasks, the batch to pool over."""
+        if self.task == "node":
+            return (data.merged if isinstance(data, GraphBatch) else data), None
         if isinstance(data, GraphBatch):
-            return data.merged, data.graph_of_node
-        if self.task == "graph":
-            return data, np.zeros(data.n, dtype=np.int64)
-        return data, None
-
-
-def _as_batch(data) -> GraphBatch:
-    if isinstance(data, GraphBatch):
-        return data
-    return GraphBatch(merged=data, graph_of_node=np.zeros(data.n, dtype=np.int64),
-                      num_graphs=1)
+            return data.merged, data
+        return data, GraphBatch(merged=data, graph_of_node=np.zeros(data.n, dtype=np.int64),
+                                num_graphs=1)
 
 
 def sum_pool(z: np.ndarray, batch: GraphBatch) -> np.ndarray:
@@ -355,18 +338,15 @@ def glorot_uniform(rng, fan_out: int, fan_in: int, gain: float = 1.0) -> np.ndar
 def init_model(rng, feature_dim: int, hidden_dim: int, num_classes: int,
                scale_exponents=(1,), gamma: float = 0.8, eps_f: float = 1e-5,
                encoder_layers: int = 2, dropout: float = 0.0,
-               encoder_bias: bool = True, attention_dim: int | None = None,
-               task: str = "node", solver_cfg: SolverConfig = SolverConfig(),
-               require_distinct_scales: bool = True) -> MultiscaleImplicitGNN:
+               encoder_bias: bool = True, task: str = "node",
+               solver_cfg: SolverConfig = SolverConfig()) -> MultiscaleImplicitGNN:
     """Build a model with Glorot-uniform weights and zero biases.
 
     F matrices use the same init scaled by 0.5, keeping the initial ||g(F)||
-    comfortably away from the eps-dominated regime. Attention width defaults
-    to the hidden dim. ``encoder_bias=False`` drops the encoder bias terms
+    comfortably away from the eps-dominated regime. The attention width is
+    the hidden dim. ``encoder_bias=False`` drops the encoder bias terms
     entirely (useful when zero feature columns must stay exactly zero).
     """
-    if attention_dim is None:
-        attention_dim = hidden_dim
     dims = [feature_dim] + [hidden_dim] * encoder_layers
     weights = [glorot_uniform(rng, dims[i + 1], dims[i]) for i in range(encoder_layers)]
     biases = [np.zeros(dims[i + 1]) for i in range(encoder_layers)] if encoder_bias else None
@@ -374,15 +354,14 @@ def init_model(rng, feature_dim: int, hidden_dim: int, num_classes: int,
     scales = [ScaleModule(f_weight=glorot_uniform(rng, hidden_dim, hidden_dim, gain=0.5),
                           gamma=gamma, scale_m=int(m), eps_f=eps_f)
               for m in scale_exponents]
-    q_limit = np.sqrt(6.0 / (attention_dim + 1))
+    q_limit = np.sqrt(6.0 / (hidden_dim + 1))
     attention = AttentionParams(
-        w_a=glorot_uniform(rng, attention_dim, hidden_dim),
-        b_a=np.zeros(attention_dim),
-        q=rng.uniform(-q_limit, q_limit, size=attention_dim))
+        w_a=glorot_uniform(rng, hidden_dim, hidden_dim),
+        b_a=np.zeros(hidden_dim),
+        q=rng.uniform(-q_limit, q_limit, size=hidden_dim))
     decoder = glorot_uniform(rng, num_classes, hidden_dim)
     return MultiscaleImplicitGNN(encoder, scales, attention, decoder, task=task,
-                                 solver_cfg=solver_cfg,
-                                 require_distinct_scales=require_distinct_scales)
+                                 solver_cfg=solver_cfg)
 
 
 # -- checkpointing --------------------------------------------------------
@@ -405,8 +384,7 @@ def save_checkpoint(model: MultiscaleImplicitGNN, path) -> None:
             "scales": [{"m": mod.scale_m, "gamma": mod.gamma, "eps_f": mod.eps_f}
                        for mod in model.scales],
             "solver": {"tol": model.solver_cfg.tol,
-                       "max_iters": model.solver_cfg.max_iters,
-                       "strict": model.solver_cfg.strict},
+                       "max_iters": model.solver_cfg.max_iters},
         },
         "params": {name: arr.tolist() for name, arr in model.parameters().items()},
     }
@@ -416,6 +394,11 @@ def save_checkpoint(model: MultiscaleImplicitGNN, path) -> None:
 
 
 def load_checkpoint(path) -> MultiscaleImplicitGNN:
+    """Rebuild a saved model; rejects a file whose scales repeat an exponent.
+
+    Files written before the solver's ``strict`` setting was removed carry
+    it under ``solver``; it is ignored.
+    """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format") != CHECKPOINT_FORMAT:
@@ -436,8 +419,6 @@ def load_checkpoint(path) -> MultiscaleImplicitGNN:
     attention = AttentionParams(w_a=params["attention.w_a"],
                                 b_a=params["attention.b_a"],
                                 q=params["attention.q"])
-    solver = SolverConfig(tol=cfg["solver"]["tol"], max_iters=cfg["solver"]["max_iters"],
-                          strict=cfg["solver"].get("strict", False))
+    solver = SolverConfig(tol=cfg["solver"]["tol"], max_iters=cfg["solver"]["max_iters"])
     return MultiscaleImplicitGNN(encoder, scales, attention, params["decoder.w"],
-                                 task=cfg["task"], solver_cfg=solver,
-                                 require_distinct_scales=False)
+                                 task=cfg["task"], solver_cfg=solver)

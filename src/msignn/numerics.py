@@ -2,8 +2,8 @@
 
 What is here: coercion and validation (``as_dense``, ``as_csr``,
 ``check_csr``), ``densify``, the dense-times-CSR product ``spmm_right``,
-``frobenius_norm`` and ``inner_product``, ``softmax_rows`` and ``lu_solve``.
-Plain numpy operators are used directly everywhere else.
+``frobenius_norm`` and ``softmax_rows``. Plain numpy calls are used
+directly everywhere else.
 
 Dense matrices are 2-D float64 C-order ndarrays; sparse matrices are
 scipy CSR arrays in canonical form (sorted column indices, no duplicates).
@@ -15,10 +15,6 @@ coerced and validated (``check_csr``). ``graph`` calls it where outside
 input enters (``build_graph``, ``normalize_adjacency``, and through
 ``build_graph`` the loaders); matrices the library derives from validated
 ones (batches, the operators of the solves) are never re-validated.
-
-The only nontrivial kernel is ``lu_solve`` (LAPACK LU with partial
-pivoting); it backs the dense Kronecker oracle in ``equilibrium`` and is
-never used on the iterative path.
 """
 
 from __future__ import annotations
@@ -36,8 +32,6 @@ __all__ = [
     "spmm_right",
     "frobenius_norm",
     "softmax_rows",
-    "inner_product",
-    "lu_solve",
 ]
 
 
@@ -108,19 +102,3 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     shifted = m - m.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def inner_product(a: np.ndarray, b: np.ndarray) -> float:
-    if a.shape != b.shape:
-        raise ShapeError(f"inner_product: shapes differ, {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
-
-
-def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b by LU with partial pivoting (LAPACK gesv)."""
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"lu_solve: matrix not square, {a.shape}")
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"lu_solve: rhs length {b.shape[0]} != {a.shape[0]}")
-    return np.linalg.solve(a, b)
-

@@ -37,7 +37,6 @@ class DecayCurve:
     bound: np.ndarray
     gamma: float
     scale_m: int
-    theta: float | None = None
     clamped: int = 0
 
 

@@ -3,6 +3,8 @@
 ``train_loop`` is one epoch loop for both tasks. Only the training pass
 differs: node tasks take one full-batch step on the masked nodes, graph
 tasks one step per shuffled minibatch of ``batch_size`` training graphs.
+Each epoch ends with one evaluation forward per split; graph tasks merge
+each split's graphs into one batch once per call.
 Both tasks select weights the same way: the loop keeps the parameters of
 the epoch with the highest validation metric, ties broken by the lower
 train loss, and restores them when it finishes. ``patience`` counts
@@ -25,6 +27,9 @@ from .model import MultiscaleImplicitGNN
 
 HISTORY_COLUMNS = ["epoch", "train_loss", "train_acc", "val_acc",
                    "iters_per_scale", "seconds"]
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 # -- losses ----------------------------------------------------------------
@@ -78,18 +83,16 @@ def bce_with_logits(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray):
 class Adam:
     """Bias-corrected Adam over a flat name -> array parameter dict.
 
-    Weight decay is added to the gradient before the moment updates and is
-    skipped for bias vectors (names whose leaf starts with 'b').
+    The moment decay rates and the denominator's epsilon are the usual
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``. Weight decay is added
+    to the gradient before the moment updates and is skipped for bias
+    vectors (names whose leaf starts with 'b').
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float = 0.01,
-                 weight_decay: float = 0.0, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 weight_decay: float = 0.0):
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {name: np.zeros_like(p) for name, p in params.items()}
         self.v = {name: np.zeros_like(p) for name, p in params.items()}
@@ -110,13 +113,13 @@ class Adam:
                 g = g + self.weight_decay * p
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            m_hat = m / (1.0 - ADAM_BETA1 ** t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # -- metrics ---------------------------------------------------------------
@@ -174,10 +177,14 @@ def train_loop(model: MultiscaleImplicitGNN, data, cfg: TrainConfig) -> list[dic
     ``data`` is a node-task Dataset (graph + train/val/test masks) or a
     graph-task GraphDataset (graphs + per-graph labels + split masks).
     """
+    masks = (data.train_mask, data.val_mask)
     if model.task == "graph":
+        # The splits never change, so each is merged into one batch once.
         train_pass, evaluate = _graph_pass, _graph_eval
+        eval_sets = _graph_splits(data, masks)
     else:
         train_pass, evaluate = _node_pass, _node_eval
+        eval_sets = masks
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()
     opt = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
@@ -190,7 +197,7 @@ def train_loop(model: MultiscaleImplicitGNN, data, cfg: TrainConfig) -> list[dic
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         loss, iter_counts = train_pass(model, data, cfg, rng, opt, params)
-        train_metric, val_metric = evaluate(model, data, data.train_mask, data.val_mask)
+        train_metric, val_metric = evaluate(model, data, eval_sets)
         seconds = time.perf_counter() - t0
         history.append({
             "epoch": epoch,
@@ -245,7 +252,7 @@ def _graph_pass(model, data, cfg, rng, opt, params):
     return float(np.mean(losses)), iter_counts
 
 
-def _node_eval(model, data, *masks) -> list[float]:
+def _node_eval(model, data, masks) -> list[float]:
     """Metric on several node masks from one forward pass."""
     graph = data.graph
     preds = model.predict(graph)
@@ -253,16 +260,20 @@ def _node_eval(model, data, *masks) -> list[float]:
     return [metric(preds, graph.labels, m) for m in masks]
 
 
-def _graph_eval(model, data, *masks) -> list[float]:
-    """Accuracy on several graph splits, one batched forward pass per split."""
-    metrics = []
+def _graph_splits(data, masks) -> list[tuple]:
+    """(merged batch, labels) of the graphs each mask selects."""
+    splits = []
     for mask in masks:
         idx = np.flatnonzero(mask)
         if len(idx) == 0:
             raise EmptySelectionError("graph split selects no graphs")
-        preds = model.predict(batch_graphs([data.graphs[i] for i in idx]))
-        metrics.append(float(np.mean(preds == data.labels[idx])))
-    return metrics
+        splits.append((batch_graphs([data.graphs[i] for i in idx]), data.labels[idx]))
+    return splits
+
+
+def _graph_eval(model, data, splits) -> list[float]:
+    """Accuracy on several merged graph splits, one batched forward pass per split."""
+    return [float(np.mean(model.predict(merged) == labels)) for merged, labels in splits]
 
 
 # -- history serialization ---------------------------------------------------

@@ -2,10 +2,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import msignn.train
 from msignn import (Adam, ChainsSpec, SolverConfig, TrainConfig, accuracy,
                     bce_with_logits, cross_entropy, gen_chains, history_to_csv,
                     init_model, micro_f1, train_loop)
 from msignn.errors import EmptySelectionError
+from msignn.model import MultiscaleImplicitGNN
 from msignn.train import HISTORY_COLUMNS
 
 from conftest import random_undirected_graph
@@ -310,3 +312,30 @@ def test_train_loop_restores_best_epoch_weights(task):
     before_best = weights_after(best_epoch - 1)
     assert any(not np.array_equal(value, before_best[name])
                for name, value in restored.items())
+
+
+def test_graph_task_merges_each_evaluation_split_once(monkeypatch):
+    data, make_model, cfg = _graph_problem()
+    train_ids = {id(data.graphs[i]) for i in np.flatnonzero(data.train_mask)}
+    merges, predicts = [], []
+    merge, predict = msignn.train.batch_graphs, MultiscaleImplicitGNN.predict
+
+    def counting_merge(graphs):
+        merges.append({id(g) for g in graphs})
+        return merge(graphs)
+
+    def counting_predict(model, data):
+        predicts.append(data.num_graphs)
+        return predict(model, data)
+
+    monkeypatch.setattr(msignn.train, "batch_graphs", counting_merge)
+    monkeypatch.setattr(MultiscaleImplicitGNN, "predict", counting_predict)
+    epochs = 5
+    history = train_loop(make_model(), data, TrainConfig(epochs=epochs, patience=epochs, **cfg))
+    assert len(history) == epochs
+    # training minibatches are proper subsets of the training split
+    minibatches = [ids for ids in merges if ids < train_ids]
+    assert len(minibatches) == 2 * epochs
+    assert len(merges) - len(minibatches) == 2
+    # still one evaluation forward per split per epoch
+    assert predicts == [6, 3] * epochs
