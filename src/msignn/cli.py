@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: gen-chains, gen-colors, train, eval, probe-range, bound.
-Every command is deterministic given its flags and seed; those that write
-an output directory echo their effective configuration to it. Each flag declares its
-default on its own argument. A JSON config file (``--config``) can supply
-any flag of its subcommand, keys mirroring flag names with underscores:
-its values replace the subcommand's defaults and the command line is
-parsed again, so explicit flags override file values. Keys that are not
-flags of the subcommand are rejected.
+``gen-chains`` and ``gen-colors`` write a dataset directory; ``train`` and
+``eval`` read one (``--data DIR``). Every command is deterministic given its
+flags and seed; those that write an output directory echo their effective
+configuration to it. Each flag declares its default on its own argument.
+A JSON config file (``--config``) can supply any flag of its subcommand,
+keys mirroring flag names with underscores: its values replace the
+subcommand's defaults and the command line is parsed again, so explicit
+flags override file values. Keys that are not flags of the subcommand are
+rejected.
 
 Exit codes: 0 success, 2 usage, 3 I/O failure, 4 parse/validation failure,
 5 numerical divergence. The MSIGNN_OUT_DIR environment variable supplies
@@ -96,15 +98,6 @@ def _parse(argv):
     p = sub.add_parser("train", help="train a model on a dataset")
     common(p)
     p.add_argument("--data", help="dataset directory produced by gen-*")
-    p.add_argument("--gen", choices=["chains", "colors"],
-                   help="generate the dataset in-process instead of loading one")
-    p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--chains-per-class", type=int, default=20)
-    p.add_argument("--colors", type=int, default=3)
-    p.add_argument("--chains", type=int, default=30)
-    p.add_argument("--length", type=int, default=10)
-    p.add_argument("--fraction", type=float, default=0.3)
-    p.add_argument("--data-seed", type=int, default=0)
     p.add_argument("--scales", default="1",
                    help="comma-separated scale exponents, e.g. '1,2'")
     p.add_argument("--gamma", type=float, default=0.8)
@@ -220,23 +213,11 @@ def _cmd_gen_colors(cfg) -> int:
     return EXIT_OK
 
 
-def _load_train_data(cfg) -> datasets.Dataset:
-    if cfg.get("data"):
-        return datasets.load_dataset(cfg["data"])
-    if cfg.get("gen") == "chains":
-        return datasets.gen_chains(datasets.ChainsSpec(
-            num_classes=cfg["classes"], chains_per_class=cfg["chains_per_class"],
-            length=cfg["length"], seed=cfg["data_seed"]))
-    if cfg.get("gen") == "colors":
-        return datasets.gen_color_counting(datasets.ColorCountingSpec(
-            num_colors=cfg["colors"], num_chains=cfg["chains"], length=cfg["length"],
-            colored_fraction=cfg["fraction"], seed=cfg["data_seed"]))
-    raise ValueError("train needs --data DIR or --gen chains|colors")
-
-
 def _cmd_train(cfg) -> int:
+    if not cfg.get("data"):
+        raise ValueError("train needs --data DIR")
     out = _out_dir(cfg)
-    data = _load_train_data(cfg)
+    data = datasets.load_dataset(cfg["data"])
     scales = _parse_list(cfg["scales"], int, "scale")
     solver = SolverConfig(tol=cfg["tol"], max_iters=cfg["max_iters"])
     rng = np.random.default_rng(cfg["seed"])

@@ -11,8 +11,9 @@ Two generator families:
 
 Both are pure functions of (spec, seed). Datasets persist as an edge list
 (``src<TAB>dst``), a features CSV (row per node, transposed to
-column-per-node on load), a labels CSV (``node_id,label``), and a JSON
-sidecar with the split masks and a spec echo.
+column-per-node on load), a labels CSV (``node_id,label``, or one
+multi-hot row per node), and a JSON sidecar with the split masks, the
+label kind and a spec echo.
 """
 
 from __future__ import annotations
@@ -172,10 +173,15 @@ def save_dataset(ds: Dataset, out_dir) -> None:
         for col in g.features.T:
             fh.write(",".join(repr(float(v)) for v in col) + "\n")
     with open(out / LABEL_FILE, "w", encoding="utf-8") as fh:
-        for i, label in enumerate(g.labels):
-            fh.write(f"{i},{int(label)}\n")
+        if g.multilabel:
+            for col in g.labels.T:
+                fh.write(",".join(repr(float(v)) for v in col) + "\n")
+        else:
+            for i, label in enumerate(g.labels):
+                fh.write(f"{i},{int(label)}\n")
     sidecar = {
         "directed": g.directed,
+        "multilabel": g.multilabel,
         "spec": ds.spec_echo,
         "train": np.flatnonzero(ds.train_mask).tolist(),
         "val": np.flatnonzero(ds.val_mask).tolist(),
@@ -195,7 +201,8 @@ def load_dataset(in_dir) -> Dataset:
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{sidecar_path}: invalid JSON sidecar: {exc}") from exc
     graph = load_graph(src / EDGE_FILE, src / FEATURE_FILE, src / LABEL_FILE,
-                       directed=bool(sidecar["directed"]))
+                       directed=bool(sidecar["directed"]),
+                       multilabel=bool(sidecar.get("multilabel", False)))
     n = graph.n
 
     def mask_of(key):

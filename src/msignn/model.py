@@ -376,7 +376,6 @@ def save_checkpoint(model: MultiscaleImplicitGNN, path) -> None:
             "task": model.task,
             "hidden_dim": model.hidden_dim,
             "num_classes": model.num_classes,
-            "attention_dim": int(model.attention.w_a.shape[0]),
             "encoder_dims": [model.encoder.in_dim]
                             + [w.shape[0] for w in model.encoder.weights],
             "encoder_bias": model.encoder.biases is not None,
@@ -396,8 +395,8 @@ def save_checkpoint(model: MultiscaleImplicitGNN, path) -> None:
 def load_checkpoint(path) -> MultiscaleImplicitGNN:
     """Rebuild a saved model; rejects a file whose scales repeat an exponent.
 
-    Files written before the solver's ``strict`` setting was removed carry
-    it under ``solver``; it is ignored.
+    Older files may carry keys no longer written, ``attention_dim`` (always
+    the hidden dim) and ``solver.strict``; they are ignored.
     """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)

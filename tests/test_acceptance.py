@@ -304,7 +304,9 @@ def test_criterion_9_batching():
 # -- 10. determinism of the CLI -------------------------------------------------
 
 def test_criterion_10_determinism(tmp_path, capsys):
-    train_args = ["train", "--gen", "chains", "--length", "6", "--epochs", "4",
+    data = tmp_path / "data"
+    assert main(["gen-chains", "--length", "6", "--out", str(data)]) == 0
+    train_args = ["train", "--data", str(data), "--epochs", "4",
                   "--hidden", "4", "--seed", "5"]
     out_a, out_b = tmp_path / "ta", tmp_path / "tb"
     assert main(train_args + ["--out", str(out_a)]) == 0

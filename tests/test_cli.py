@@ -9,6 +9,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def gen_chains_dir(tmp_path, capsys, length):
+    """Write a default chains dataset of the given length; return its directory."""
+    data = tmp_path / "data"
+    assert run(capsys, "gen-chains", "--length", str(length), "--out", str(data))[0] == EXIT_OK
+    return str(data)
+
+
 def test_gen_chains_writes_dataset(tmp_path, capsys):
     out = tmp_path / "chains"
     code, stdout, _ = run(capsys, "gen-chains", "--length", "10", "--out", str(out))
@@ -63,7 +70,7 @@ def test_train_und_eval_round_trip(tmp_path, capsys):
 
 def test_train_epochs_zero_untrained_checkpoint(tmp_path, capsys):
     out = tmp_path / "run"
-    code, _, _ = run(capsys, "train", "--gen", "chains", "--length", "3",
+    code, _, _ = run(capsys, "train", "--data", gen_chains_dir(tmp_path, capsys, 3),
                      "--epochs", "0", "--hidden", "4", "--out", str(out))
     assert code == EXIT_OK
     history = (out / "history.csv").read_text().strip().split("\n")
@@ -73,15 +80,21 @@ def test_train_epochs_zero_untrained_checkpoint(tmp_path, capsys):
 
 
 def test_train_rejects_duplicate_scales(tmp_path, capsys):
-    code, _, err = run(capsys, "train", "--gen", "chains", "--length", "3",
+    code, _, err = run(capsys, "train", "--data", gen_chains_dir(tmp_path, capsys, 3),
                        "--scales", "1,1", "--epochs", "1",
                        "--out", str(tmp_path / "x"))
     assert code == EXIT_DATA
     assert "distinct" in err
 
 
+def test_train_without_data_is_data_error(tmp_path, capsys):
+    code, _, err = run(capsys, "train", "--epochs", "0", "--out", str(tmp_path / "x"))
+    assert code == EXIT_DATA
+    assert "train needs --data DIR" in err
+
+
 def test_train_rerun_byte_identical(tmp_path, capsys):
-    args = ["train", "--gen", "chains", "--length", "4", "--epochs", "3",
+    args = ["train", "--data", gen_chains_dir(tmp_path, capsys, 4), "--epochs", "3",
             "--hidden", "4", "--seed", "11"]
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     run(capsys, *args, "--out", str(out_a))
@@ -211,8 +224,9 @@ def test_config_file_out_key_only_where_out_is_a_flag(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "--config", str(cfg_path))
     assert code == EXIT_DATA and "unknown config keys: ['out']" in err
 
-    code, _, _ = run(capsys, "train", "--config", str(cfg_path), "--gen", "chains",
-                     "--length", "3", "--epochs", "0", "--hidden", "4")
+    code, _, _ = run(capsys, "train", "--config", str(cfg_path),
+                     "--data", gen_chains_dir(tmp_path, capsys, 3),
+                     "--epochs", "0", "--hidden", "4")
     assert code == EXIT_OK
     assert (tmp_path / "from_file" / "config.json").exists()
 
@@ -223,11 +237,11 @@ def test_config_echo_key_sets(tmp_path, capsys):
                        ["chains_per_class", "classes", "command", "length", "seed"]),
         "gen-colors": (["--chains", "2", "--length", "4"],
                        ["chains", "colors", "command", "fraction", "length", "seed"]),
-        "train": (["--gen", "chains", "--length", "3", "--epochs", "0", "--hidden", "4"],
-                  ["chains", "chains_per_class", "classes", "colors", "command", "data",
-                   "data_seed", "dropout", "encoder_bias", "encoder_layers", "epochs",
-                   "eps_f", "fraction", "gamma", "gen", "hidden", "length", "lr",
-                   "max_iters", "patience", "scales", "seed", "tol", "wd"]),
+        "train": (["--data", gen_chains_dir(tmp_path, capsys, 3), "--epochs", "0",
+                   "--hidden", "4"],
+                  ["command", "data", "dropout", "encoder_bias", "encoder_layers",
+                   "epochs", "eps_f", "gamma", "hidden", "lr", "max_iters", "patience",
+                   "scales", "seed", "tol", "wd"]),
         "probe-range": (["--gammas", "0.5", "--length", "5"],
                         ["command", "gammas", "hidden", "length", "scales", "seed",
                          "theta"]),
@@ -244,8 +258,8 @@ def test_config_echo_key_sets(tmp_path, capsys):
 def test_encoder_bias_flag_overrides_config_file(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"encoder_bias": False}))
-    base = ["train", "--config", str(cfg_path), "--gen", "chains", "--length", "3",
-            "--epochs", "0", "--hidden", "4"]
+    base = ["train", "--config", str(cfg_path),
+            "--data", gen_chains_dir(tmp_path, capsys, 3), "--epochs", "0", "--hidden", "4"]
     for extra, expected in (([], False), (["--encoder-bias"], True)):
         out = tmp_path / f"run{len(extra)}"
         code, _, _ = run(capsys, *base, *extra, "--out", str(out))

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from msignn import (ChainsSpec, ColorCountingSpec, gen_chains, gen_color_counting,
-                    load_dataset, load_graph, save_dataset)
+from msignn import (ChainsSpec, ColorCountingSpec, build_graph, gen_chains,
+                    gen_color_counting, load_dataset, load_graph, save_dataset)
 from msignn.errors import DataFormatError
 from msignn.numerics import densify
 
@@ -115,12 +117,13 @@ def test_color_counting_deterministic():
     npt.assert_array_equal(a.graph.labels, b.graph.labels)
 
 
-def test_save_load_round_trip(tmp_path):
-    ds = gen_chains(ChainsSpec(length=6, seed=7))
+def _assert_round_trip(ds, tmp_path):
+    """What ``load_dataset`` reads back equals, field for field, what was saved."""
     save_dataset(ds, tmp_path)
     back = load_dataset(tmp_path)
     npt.assert_array_equal(densify(back.graph.adjacency), densify(ds.graph.adjacency))
-    npt.assert_array_equal(densify(back.graph.s), densify(ds.graph.s))
+    for attr in ("indptr", "indices", "data"):
+        npt.assert_array_equal(getattr(back.graph.s, attr), getattr(ds.graph.s, attr))
     npt.assert_array_equal(back.graph.features, ds.graph.features)
     npt.assert_array_equal(back.graph.labels, ds.graph.labels)
     npt.assert_array_equal(back.train_mask, ds.train_mask)
@@ -129,12 +132,22 @@ def test_save_load_round_trip(tmp_path):
     assert back.graph.directed == ds.graph.directed
 
 
+def test_save_load_round_trip(tmp_path):
+    _assert_round_trip(gen_chains(ChainsSpec(length=6, seed=7)), tmp_path)
+
+
 def test_save_load_round_trip_undirected(tmp_path):
+    _assert_round_trip(gen_color_counting(ColorCountingSpec(num_chains=4, length=5, seed=2)),
+                       tmp_path)
+
+
+def test_save_load_round_trip_multihot(tmp_path):
     ds = gen_color_counting(ColorCountingSpec(num_chains=4, length=5, seed=2))
-    save_dataset(ds, tmp_path)
-    back = load_dataset(tmp_path)
-    npt.assert_array_equal(densify(back.graph.adjacency), densify(ds.graph.adjacency))
-    npt.assert_array_equal(back.graph.features, ds.graph.features)
+    g = ds.graph
+    multi_hot = np.random.default_rng(3).integers(0, 2, size=(3, g.n)).astype(float)
+    ds = replace(ds, graph=build_graph(g.adjacency, g.features, multi_hot, directed=False))
+    assert ds.graph.multilabel
+    _assert_round_trip(ds, tmp_path)
 
 
 def test_load_graph_two_nodes(tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import json
 from dataclasses import replace
 
@@ -290,15 +291,21 @@ def test_checkpoint_rejects_repeated_scales(tmp_path):
 
 
 def test_checkpoint_with_strict_solver_key_loads(tmp_path):
-    # files from before the solver's strict setting was removed carry the key
+    # files from before the solver's strict setting and the checkpoint's
+    # attention_dim key were removed carry those keys
     model, path, payload = _saved_payload(tmp_path)
     assert "strict" not in payload["config"]["solver"]
-    payload["config"]["solver"]["strict"] = False
-    path.write_text(json.dumps(payload))
-    restored = load_checkpoint(path)
-    assert restored.solver_cfg == model.solver_cfg
-    for name, value in model.parameters().items():
-        npt.assert_array_equal(restored.parameters()[name], value)
+    assert "attention_dim" not in payload["config"]
+    strict = copy.deepcopy(payload)
+    strict["config"]["solver"]["strict"] = False
+    attention_dim = copy.deepcopy(payload)
+    attention_dim["config"]["attention_dim"] = model.hidden_dim
+    for old in (strict, attention_dim):
+        path.write_text(json.dumps(old))
+        restored = load_checkpoint(path)
+        assert restored.solver_cfg == model.solver_cfg
+        for name, value in model.parameters().items():
+            npt.assert_array_equal(restored.parameters()[name], value)
 
 
 def test_encoder_shape_validation():
