@@ -13,12 +13,12 @@ from .datasets import (ChainsSpec, ColorCountingSpec, Dataset, GraphDataset,
 from .equilibrium import (EquilibriumResult, ScaleModule, SolverConfig,
                           adjoint_solve, forward_solve, normalized_gram,
                           oracle_solve, weight_gradient)
-from .graph import Graph, GraphBatch, batch, build_graph, hop_distance, normalize_adjacency
+from .graph import Graph, GraphBatch, batch, build_graph, hop_distance
 from .model import (AttentionParams, ForwardTrace, MlpEncoder,
                     MultiscaleImplicitGNN, init_model, load_checkpoint,
                     save_checkpoint, sum_pool)
 from .probe import (DecayCurve, empirical_range, measure_decay, range_bound,
-                    range_bound_exact, theoretical_bound, write_curve_csv)
+                    range_bound_exact, write_curve_csv)
 from .train import (Adam, TrainConfig, accuracy, bce_with_logits, cross_entropy,
                     history_to_csv, micro_f1, train_loop)
 
@@ -32,8 +32,8 @@ __all__ = [
     "bce_with_logits", "build_graph", "cross_entropy", "empirical_range",
     "forward_solve", "gen_chains", "gen_color_counting", "history_to_csv",
     "hop_distance", "init_model", "load_checkpoint",
-    "load_dataset", "load_graph", "measure_decay", "micro_f1", "normalize_adjacency",
+    "load_dataset", "load_graph", "measure_decay", "micro_f1",
     "normalized_gram", "oracle_solve", "range_bound", "range_bound_exact",
-    "save_checkpoint", "save_dataset", "sum_pool", "theoretical_bound",
+    "save_checkpoint", "save_dataset", "sum_pool",
     "train_loop", "weight_gradient", "write_curve_csv",
 ]

@@ -14,12 +14,20 @@ Both are pure functions of (spec, seed). Datasets persist as an edge list
 column-per-node on load), a labels CSV (``node_id,label``, or one
 multi-hot row per node), and a JSON sidecar with the split masks, the
 label kind and a spec echo.
+
+The three text files are read by one row reader: it skips blank lines,
+requires a fixed field count (``src<TAB>dst``, ``node_id,label``) or the
+first row's (features, multi-hot labels), and reports a field that does
+not parse or a row of the wrong width as a ``DataFormatError`` naming
+``path:line``. A node id out of range names its line too, and
+overlapping split masks name the sidecar and the two splits.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -119,7 +127,7 @@ def gen_chains(spec: ChainsSpec) -> Dataset:
     starts = np.arange(num_chains) * spec.length
     features[chain_class, starts] = 1.0
     labels = np.repeat(chain_class, spec.length)
-    graph = build_graph(adjacency, features, labels, directed=True, self_loops=False)
+    graph = build_graph(adjacency, features, labels, directed=True)
     train, val, test = _split_masks(n, rng)
     return Dataset(graph=graph, train_mask=train, val_mask=val, test_mask=test,
                    spec_echo={"kind": "chains", **asdict(spec)})
@@ -151,7 +159,7 @@ def gen_color_counting(spec: ColorCountingSpec) -> Dataset:
         features[:, positions] = 0.0
         features[colors, positions] = 1.0
         labels[start:start + spec.length] = int(np.argmax(counts))
-    graph = build_graph(adjacency, features, labels, directed=False, self_loops=True)
+    graph = build_graph(adjacency, features, labels, directed=False)
     train, val, test = _split_masks(n, rng)
     return Dataset(graph=graph, train_mask=train, val_mask=val, test_mask=test,
                    spec_echo={"kind": "colors", **asdict(spec)})
@@ -213,8 +221,14 @@ def load_dataset(in_dir) -> Dataset:
         mask[idx] = True
         return mask
 
-    return Dataset(graph=graph, train_mask=mask_of("train"), val_mask=mask_of("val"),
-                   test_mask=mask_of("test"), spec_echo=sidecar.get("spec", {}))
+    masks = {key: mask_of(key) for key in ("train", "val", "test")}
+    for a, b in combinations(masks, 2):
+        both = np.flatnonzero(masks[a] & masks[b])
+        if both.size:
+            raise DataFormatError(
+                f"{sidecar_path}: {a} and {b} masks overlap (node {both[0]} is in both)")
+    return Dataset(graph=graph, train_mask=masks["train"], val_mask=masks["val"],
+                   test_mask=masks["test"], spec_echo=sidecar.get("spec", {}))
 
 
 def load_graph(edge_path, feature_path, label_path=None, directed: bool = False,
@@ -224,46 +238,14 @@ def load_graph(edge_path, feature_path, label_path=None, directed: bool = False,
     Duplicate edge lines are deduplicated; node ids must stay inside the
     feature-file row count. Parse failures carry the offending line number.
     """
-    features_rows = []
-    with open(feature_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError as exc:
-                raise DataFormatError(f"{feature_path}:{lineno}: bad feature value") from exc
-            if features_rows and len(row) != len(features_rows[0]):
-                raise DataFormatError(
-                    f"{feature_path}:{lineno}: expected {len(features_rows[0])} columns")
-            features_rows.append(row)
-    if not features_rows:
-        raise DataFormatError(f"{feature_path}: no feature rows")
-    features = np.asarray(features_rows).T  # column per node
+    features = _read_rows(feature_path, ",", np.float64)[0].T  # column per node
     n = features.shape[1]
-
-    src, dst = [], []
-    with open(edge_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataFormatError(f"{edge_path}:{lineno}: expected 'src<TAB>dst'")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise DataFormatError(f"{edge_path}:{lineno}: non-integer node id") from exc
-            if not (0 <= a < n and 0 <= b < n):
-                raise DataFormatError(
-                    f"{edge_path}:{lineno}: node id out of range for {n} nodes")
-            src.append(a)
-            dst.append(b)
-    data = np.ones(len(src))
-    adjacency = sp.csr_array((data, (np.asarray(src, dtype=np.int64),
-                                     np.asarray(dst, dtype=np.int64))), shape=(n, n))
+    if n == 0:
+        raise DataFormatError(f"{feature_path}: no feature rows")
+    edges, linenos = _read_rows(edge_path, "\t", np.int64, width=2)
+    _check_node_ids(edges, linenos, n, edge_path)
+    adjacency = sp.csr_array((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                             shape=(n, n))
     adjacency.data[:] = 1.0  # duplicate lines collapse to a single 0/1 edge
     if not directed:
         adjacency = adjacency.maximum(adjacency.T)
@@ -276,36 +258,51 @@ def load_graph(edge_path, feature_path, label_path=None, directed: bool = False,
 
 def _load_labels(label_path, n, multilabel):
     if multilabel:
-        rows = []
-        with open(label_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rows.append([float(tok) for tok in line.split(",")])
-                except ValueError as exc:
-                    raise DataFormatError(f"{label_path}:{lineno}: bad label value") from exc
+        rows = _read_rows(label_path, ",", np.float64)[0]
         if len(rows) != n:
             raise DataFormatError(f"{label_path}: expected {n} multi-hot rows, got {len(rows)}")
-        return np.asarray(rows).T
+        return rows.T
+    rows, linenos = _read_rows(label_path, ",", np.int64, width=2)
+    _check_node_ids(rows[:, :1], linenos, n, label_path)
     labels = np.full(n, -1, dtype=np.int64)
-    with open(label_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataFormatError(f"{label_path}:{lineno}: expected 'node_id,label'")
-            try:
-                node, label = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise DataFormatError(f"{label_path}:{lineno}: non-integer field") from exc
-            if not 0 <= node < n:
-                raise DataFormatError(f"{label_path}:{lineno}: node id out of range")
-            labels[node] = label
+    labels[rows[:, 0]] = rows[:, 1]
     if np.any(labels < 0):
         missing = int(np.flatnonzero(labels < 0)[0])
         raise DataFormatError(f"{label_path}: node {missing} has no label")
     return labels
+
+
+def _read_rows(path, sep, dtype, width=None):
+    """Read a delimited text file as a (rows, fields) array of ``dtype``.
+
+    Blank lines are skipped. Every row must have ``width`` fields or, when
+    ``width`` is None, as many as the first row. A field ``dtype`` cannot
+    parse, or a row of another width, raises ``DataFormatError`` naming
+    ``path:line``. Also returns each row's line number, so a caller can
+    name the line of a value that parses but is out of range.
+    """
+    rows, linenos = [], []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(sep)
+            if width is None:
+                width = len(fields)
+            if len(fields) != width:
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
+            try:
+                rows.append([dtype(field) for field in fields])
+            except (ValueError, OverflowError) as exc:
+                raise DataFormatError(f"{path}:{lineno}: bad field: {exc}") from exc
+            linenos.append(lineno)
+    return np.array(rows, dtype=dtype).reshape(len(rows), width or 0), linenos
+
+
+def _check_node_ids(ids, linenos, n, path):
+    """Name the first line whose row of ``ids`` (rows x fields) leaves [0, n)."""
+    bad = np.flatnonzero(((ids < 0) | (ids >= n)).any(axis=1))
+    if bad.size:
+        raise DataFormatError(f"{path}:{linenos[bad[0]]}: node id out of range for {n} nodes")

@@ -5,13 +5,15 @@ the propagation equations; the solves in ``equilibrium`` transpose
 internally. Labels are either an int class per node, shape (n,), or a
 multi-hot 0/1 matrix, shape (num_classes, n).
 
-Adjacency matrices from outside the library are validated once, where
-they enter: ``build_graph`` (which the generators and loaders go through)
-and ``normalize_adjacency`` check their input with ``numerics.as_csr``.
-``build_graph`` then normalizes the matrix it has already checked without
-checking it again. What the library derives from a validated matrix, the
-normalized S and the block-diagonal merges of ``batch``, is canonical by
-construction and not checked again.
+``build_graph`` is the only place a normalized adjacency S is made, and
+self-loops follow ``directed``: an undirected graph gets
+S = D^{-1/2} (A + I) D^{-1/2}, a directed graph no self-loops and
+S = D_out^{-1/2} A D_in^{-1/2} (directed chains must not short-circuit
+their own information-passing test). ``build_graph``, which the
+generators and loaders go through, validates its adjacency once with
+``numerics.as_csr``. What the library derives from a validated matrix,
+the normalized S and the block-diagonal merges of ``batch``, is
+canonical by construction and not checked again.
 """
 
 from __future__ import annotations
@@ -62,28 +64,18 @@ class GraphBatch:
     num_graphs: int
 
 
-def normalize_adjacency(a: sp.csr_array, directed: bool = False,
-                        self_loops: bool = True) -> sp.csr_array:
-    """Degree-normalize an adjacency matrix.
+def _normalize(a: sp.csr_array, directed: bool) -> sp.csr_array:
+    """Degree-normalize an already validated square CSR matrix.
 
-    Undirected: S = D^{-1/2} (A + I?) D^{-1/2} with D the degree diagonal of
-    the possibly self-looped matrix. Directed: S = D_out^{-1/2} A D_in^{-1/2}.
-    Zero-degree rows/columns get a normalization factor of 0, so isolated
-    nodes simply stay decoupled instead of raising a division error.
+    Zero-degree rows/columns (sources, sinks and isolated nodes of a
+    directed graph) get a normalization factor of 0, so those nodes stay
+    decoupled instead of raising a division error.
     """
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"adjacency must be square, got {a.shape}")
-    return _normalize(numerics.as_csr(a), directed, self_loops)
-
-
-def _normalize(a: sp.csr_array, directed: bool, self_loops: bool) -> sp.csr_array:
-    """``normalize_adjacency`` of an already validated square CSR matrix."""
-    if self_loops:
-        a = a + sp.eye_array(a.shape[0], format="csr")
     if directed:
         left = _inv_sqrt(np.asarray(a.sum(axis=1)).ravel())
         right = _inv_sqrt(np.asarray(a.sum(axis=0)).ravel())
     else:
+        a = a + sp.eye_array(a.shape[0], format="csr")
         left = right = _inv_sqrt(np.asarray(a.sum(axis=1)).ravel())
     # Scale each stored entry a_ij by left_i * right_j in place of the
     # products with two diagonal matrices; same arithmetic, same sparsity.
@@ -101,14 +93,8 @@ def _inv_sqrt(deg: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_graph(adjacency, features, labels=None, directed: bool = False,
-                self_loops: bool | None = None) -> Graph:
-    """Assemble a Graph, normalizing the adjacency.
-
-    ``self_loops`` defaults to on for undirected graphs and off for directed
-    ones (directed synthetic chains must not short-circuit their own
-    information-passing test).
-    """
+def build_graph(adjacency, features, labels=None, directed: bool = False) -> Graph:
+    """Assemble a Graph, normalizing the adjacency (self-loops only if undirected)."""
     adjacency = numerics.as_csr(adjacency)
     n = adjacency.shape[0]
     if adjacency.shape[1] != n:
@@ -131,9 +117,7 @@ def build_graph(adjacency, features, labels=None, directed: bool = False,
             labels = labels.astype(np.float64)
         else:
             raise ShapeError("labels must be a vector or a multi-hot matrix")
-    if self_loops is None:
-        self_loops = not directed
-    s = _normalize(adjacency, directed, self_loops)
+    s = _normalize(adjacency, directed)
     return Graph(n=n, adjacency=adjacency, s=s, features=features,
                  labels=labels, directed=directed)
 

@@ -11,10 +11,10 @@ Everything here is a pure function: inputs are never mutated, so values
 can be shared freely across threads.
 
 ``as_csr`` is the one place a sparse matrix from outside the library is
-coerced and validated (``check_csr``). ``graph`` calls it where outside
-input enters (``build_graph``, ``normalize_adjacency``, and through
-``build_graph`` the loaders); matrices the library derives from validated
-ones (batches, the operators of the solves) are never re-validated.
+coerced and validated (``check_csr``). ``graph.build_graph``, which the
+generators and loaders go through, calls it where outside input enters;
+matrices the library derives from validated ones (batches, the operators
+of the solves) are never re-validated.
 """
 
 from __future__ import annotations

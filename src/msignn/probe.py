@@ -37,7 +37,6 @@ class DecayCurve:
     bound: np.ndarray
     gamma: float
     scale_m: int
-    clamped: int = 0
 
 
 def measure_decay(module: ScaleModule, graph: Graph, encode, p: int,
@@ -67,16 +66,15 @@ def measure_decay(module: ScaleModule, graph: Graph, encode, p: int,
     measured = np.empty(len(hops))
     for i, h in enumerate(hops):
         measured[i] = delta[dist == h].max()
-    clamped = int(np.sum((measured > 0) & (measured < CLAMP_FLOOR)))
     measured[measured < CLAMP_FLOOR] = 0.0
 
-    bound = _matrix_bounds(module, graph, hops, dist,
+    bound = _matrix_bounds(module, graph, p, hops, dist,
                            injected_pert[:, p] - injected[:, p])
     return DecayCurve(hops=hops, measured=measured, bound=bound,
-                      gamma=module.gamma, scale_m=module.scale_m, clamped=clamped)
+                      gamma=module.gamma, scale_m=module.scale_m)
 
 
-def _matrix_bounds(module, graph, hops, dist, delta_h):
+def _matrix_bounds(module, graph, p, hops, dist, delta_h):
     """Evaluate the decay bound with the actual g(F), S powers, and dH."""
     g = normalized_gram(module.f_weight, module.eps_f)
     max_power = int(ceil(hops.max() / module.scale_m)) if len(hops) else 0
@@ -89,7 +87,7 @@ def _matrix_bounds(module, graph, hops, dist, delta_h):
 
     # |S^h_{p, q}| rows, maximized over the nodes at each hop.
     row = np.zeros((1, graph.n))
-    row[0, np.flatnonzero(dist == 0)[0] if (dist == 0).any() else 0] = 1.0
+    row[0, p] = 1.0
     s_entry = np.empty(len(hops))
     cursor = 0
     for h in range(int(hops.max()) + 1):
@@ -102,16 +100,6 @@ def _matrix_bounds(module, graph, hops, dist, delta_h):
     prefactor = module.gamma ** (hops / module.scale_m) / (1.0 - module.gamma)
     powers = np.ceil(hops / module.scale_m).astype(np.int64)
     return prefactor * g_term[powers] * s_entry
-
-
-def theoretical_bound(gamma: float, scale_m: int, hop: int,
-                      g_norm_pow_term: float) -> float:
-    """gamma^(h/m)/(1-gamma) times a caller-supplied matrix term."""
-    if not 0.0 <= gamma < 1.0:
-        raise DomainError(f"gamma must lie in [0, 1), got {gamma}")
-    if hop < 0 or scale_m < 1:
-        raise DomainError("need hop >= 0 and scale m >= 1")
-    return gamma ** (hop / scale_m) / (1.0 - gamma) * g_norm_pow_term
 
 
 def range_bound_exact(gamma: float, theta: float, scale_m: int = 1) -> float:

@@ -1,8 +1,7 @@
 import numpy as np
 import scipy.sparse as sp
 
-from msignn import build_graph, normalize_adjacency
-from msignn.numerics import as_csr
+from msignn import build_graph
 
 
 def random_undirected_graph(rng, n, density=0.3, feat_dim=3, num_classes=2):
@@ -20,7 +19,7 @@ def random_normalized_csr(rng, n, density=0.3):
     a = (rng.random((n, n)) < density).astype(float)
     a = np.maximum(a, a.T)
     np.fill_diagonal(a, 0.0)
-    return normalize_adjacency(as_csr(sp.csr_array(a)), directed=False, self_loops=True)
+    return build_graph(sp.csr_array(a), np.zeros((1, n)), directed=False).s
 
 
 def power_iteration_norm(dense, iters=200):

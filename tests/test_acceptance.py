@@ -109,7 +109,7 @@ def random_directed_tree(rng, n):
     a = sp.csr_array((np.ones(n - 1), (rows, cols)), shape=(n, n))
     feats = np.zeros((2, n))
     feats[:, 0] = rng.standard_normal(2)
-    return build_graph(a, feats, directed=True, self_loops=False)
+    return build_graph(a, feats, directed=True)
 
 
 def test_criterion_3_bound_soundness():

@@ -213,6 +213,30 @@ def test_eval_on_mismatched_features_is_data_error(tmp_path, capsys):
     assert code == EXIT_DATA
 
 
+def test_eval_on_malformed_dataset_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    run(capsys, "gen-chains", "--length", "3", "--out", str(data))
+    out = tmp_path / "run"
+    run(capsys, "train", "--data", str(data), "--epochs", "0", "--hidden", "4",
+        "--out", str(out))
+    sidecar_path = data / "masks.json"
+    sidecar = json.loads(sidecar_path.read_text())
+
+    def eval_err():
+        code, _, err = run(capsys, "eval", "--checkpoint", str(out / "checkpoint.json"),
+                           "--data", str(data))
+        assert code == EXIT_DATA
+        return err
+
+    overlapping = dict(sidecar, test=sidecar["test"] + sidecar["val"][:1])
+    sidecar_path.write_text(json.dumps(overlapping))
+    assert "val and test masks overlap" in eval_err()
+
+    sidecar_path.write_text(json.dumps(dict(sidecar, multilabel=True)))
+    (data / "labels.csv").write_text("1,0,1\n0,1\n")
+    assert "labels.csv:2" in eval_err()
+
+
 def test_config_file_out_key_only_where_out_is_a_flag(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"out": str(tmp_path / "from_file"),

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -141,6 +142,12 @@ def test_save_load_round_trip_undirected(tmp_path):
                        tmp_path)
 
 
+def test_save_load_round_trip_empty_edge_list(tmp_path):
+    ds = gen_chains(ChainsSpec(length=1))
+    _assert_round_trip(ds, tmp_path)
+    assert (tmp_path / "edges.tsv").read_text() == ""
+
+
 def test_save_load_round_trip_multihot(tmp_path):
     ds = gen_color_counting(ColorCountingSpec(num_chains=4, length=5, seed=2))
     g = ds.graph
@@ -189,3 +196,21 @@ def test_load_multihot_labels(tmp_path):
                    tmp_path / "labels.csv", multilabel=True)
     assert g.multilabel
     npt.assert_array_equal(g.labels, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+
+
+def test_load_multihot_labels_rejects_ragged_rows(tmp_path):
+    (tmp_path / "edges.tsv").write_text("0\t1\n1\t0\n")
+    (tmp_path / "features.csv").write_text("1.0\n2.0\n")
+    (tmp_path / "labels.csv").write_text("1,0,1\n0,1\n")
+    with pytest.raises(DataFormatError, match="labels.csv:2"):
+        load_graph(tmp_path / "edges.tsv", tmp_path / "features.csv",
+                   tmp_path / "labels.csv", multilabel=True)
+
+
+def test_load_dataset_rejects_overlapping_masks(tmp_path):
+    save_dataset(gen_chains(ChainsSpec(length=3)), tmp_path)
+    sidecar = json.loads((tmp_path / "masks.json").read_text())
+    sidecar["test"].append(sidecar["train"][0])
+    (tmp_path / "masks.json").write_text(json.dumps(sidecar))
+    with pytest.raises(DataFormatError, match=r"masks\.json: train and test masks overlap"):
+        load_dataset(tmp_path)

@@ -3,26 +3,26 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from msignn import batch, build_graph, hop_distance, normalize_adjacency
+from msignn import batch, build_graph, hop_distance
 from msignn.errors import ShapeError
-from msignn.numerics import as_csr, densify
+from msignn.numerics import densify
 
 from conftest import power_iteration_norm, random_undirected_graph
 
 
-def _csr(dense):
-    return as_csr(sp.csr_array(np.asarray(dense, dtype=float)))
+def _s(dense, directed=False):
+    """The normalized S ``build_graph`` makes for a dense 0/1 adjacency."""
+    a = np.asarray(dense, dtype=float)
+    return build_graph(sp.csr_array(a), np.zeros((1, a.shape[1])), directed=directed).s
 
 
 def test_normalize_two_node_edge():
-    a = _csr([[0, 1], [1, 0]])
-    s = normalize_adjacency(a, directed=False, self_loops=True)
+    s = _s([[0, 1], [1, 0]])
     npt.assert_allclose(densify(s), np.full((2, 2), 0.5), rtol=1e-15)
 
 
 def test_normalize_three_node_path():
-    a = _csr([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    s = densify(normalize_adjacency(a, directed=False, self_loops=True))
+    s = densify(_s([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
     npt.assert_allclose(np.diag(s), [0.5, 1.0 / 3.0, 0.5], rtol=1e-15)
     off = 1.0 / np.sqrt(6.0)
     npt.assert_allclose(s[0, 1], off, rtol=1e-15)
@@ -31,14 +31,14 @@ def test_normalize_three_node_path():
 
 
 def test_normalize_empty_adjacency():
-    a = _csr(np.zeros((4, 4)))
-    s = normalize_adjacency(a, directed=False, self_loops=False)
-    assert s.nnz == 0
+    # undirected: only the self-loops, each of degree 1; directed: nothing
+    npt.assert_array_equal(densify(_s(np.zeros((4, 4)))), np.eye(4))
+    assert _s(np.zeros((4, 4)), directed=True).nnz == 0
 
 
 def test_normalize_rejects_non_square():
-    with pytest.raises(ShapeError):
-        normalize_adjacency(as_csr(sp.csr_array(np.zeros((2, 3)))))
+    with pytest.raises(ShapeError, match="square"):
+        build_graph(sp.csr_array(np.zeros((2, 3))), np.zeros((1, 3)))
 
 
 def test_normalize_symmetric_and_contractive():
@@ -55,16 +55,19 @@ def test_normalize_directed_chain_columns():
     n = 6
     rows = np.arange(n - 1)
     a = sp.csr_array((np.ones(n - 1), (rows, rows + 1)), shape=(n, n))
-    s = densify(normalize_adjacency(as_csr(a), directed=True, self_loops=False))
+    s = densify(build_graph(a, np.zeros((1, n)), directed=True).s)
     for j in range(n):
         col = s[:, j]
         assert np.count_nonzero(col) <= 1
         assert col.max() <= 1.0 + 1e-15
 
 
-def _dense_normalized(a, directed, self_loops):
-    """D_out^{-1/2} (A + I?) D_in^{-1/2} in dense arithmetic; zero degree gives 0."""
-    if self_loops:
+def _dense_normalized(a, directed):
+    """D_out^{-1/2} A D_in^{-1/2}, with A + I if undirected, in dense arithmetic.
+
+    Zero degree gives 0.
+    """
+    if not directed:
         a = a + np.eye(len(a))
 
     def inv_sqrt(deg):
@@ -77,8 +80,7 @@ def _dense_normalized(a, directed, self_loops):
     return left[:, None] * a * right[None, :]
 
 
-@pytest.mark.parametrize("directed, self_loops",
-                         [(False, True), (False, False), (True, False), (True, True)])
+@pytest.mark.parametrize("directed, self_loops", [(False, True), (True, False)])
 def test_normalize_matches_dense_formula_exactly(directed, self_loops):
     # node 5 is isolated; directed, node 0 is a source and node 4 a sink
     a = np.zeros((6, 6))
@@ -86,18 +88,18 @@ def test_normalize_matches_dense_formula_exactly(directed, self_loops):
         a[i, j] = 1.0
         if not directed:
             a[j, i] = 1.0
-    expected = _dense_normalized(a, directed, self_loops)
+    expected = _dense_normalized(a, directed)
     # an explicitly stored zero (5, 0) must not survive into S
     rows, cols = np.nonzero(a)
     stored = sp.csr_array((np.r_[a[rows, cols], 0.0], (np.r_[rows, 5], np.r_[cols, 0])),
                           shape=a.shape)
     assert stored.nnz == len(rows) + 1
-    s = normalize_adjacency(stored, directed=directed, self_loops=self_loops)
-    g = build_graph(stored, np.zeros((1, 6)), directed=directed, self_loops=self_loops)
-    for got in (s, g.s):
-        assert got.has_sorted_indices
-        assert got.nnz == np.count_nonzero(expected)
-        npt.assert_array_equal(densify(got), expected)
+    s = build_graph(stored, np.zeros((1, 6)), directed=directed).s
+    assert s.has_sorted_indices
+    assert s.nnz == np.count_nonzero(expected)
+    npt.assert_array_equal(densify(s), expected)
+    # self-loops follow `directed`: the isolated node 5 couples to itself or to nothing
+    assert (densify(s)[5, 5] == 1.0) == self_loops
 
 
 def test_hop_distance_chain():

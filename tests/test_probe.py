@@ -4,7 +4,7 @@ import pytest
 
 from msignn import (ChainsSpec, ScaleModule, SolverConfig, gen_chains,
                     empirical_range, measure_decay, range_bound,
-                    range_bound_exact, theoretical_bound, write_curve_csv)
+                    range_bound_exact, write_curve_csv)
 from msignn.errors import DomainError
 from msignn.model import MlpEncoder, glorot_uniform
 from msignn.probe import DecayCurve
@@ -56,17 +56,6 @@ def test_measure_decay_rejects_bad_node():
     module = ScaleModule(f_weight=f, gamma=0.5)
     with pytest.raises(IndexError):
         measure_decay(module, g, encode, p=99, cfg=cfg)
-
-
-def test_theoretical_bound_values():
-    assert theoretical_bound(0.5, 1, 0, 3.0) == pytest.approx(6.0)  # gamma^0 = 1
-    assert theoretical_bound(0.5, 1, 10, 1.0) == pytest.approx(2.0 ** -9)
-    # doubling m taking gamma^(h/m) -> gamma^(h/2m): ratio gamma^(-h/(2m))
-    h, m, gamma = 12, 2, 0.7
-    ratio = theoretical_bound(gamma, 2 * m, h, 1.0) / theoretical_bound(gamma, m, h, 1.0)
-    assert ratio == pytest.approx(gamma ** (-h / (2 * m)))
-    with pytest.raises(DomainError):
-        theoretical_bound(1.0, 1, 5, 1.0)
 
 
 def test_range_bound_reference_values():
