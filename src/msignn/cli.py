@@ -244,20 +244,10 @@ def _cmd_train(cfg) -> int:
 
 def _node_metrics(model, data) -> dict:
     graph = data.graph
-    preds = model.predict(graph)
-    if graph.multilabel:
-        metric = train.micro_f1
-        name = "micro_f1"
-    else:
-        metric = train.accuracy
-        name = "accuracy"
-    return {
-        "task": model.task,
-        "metric": name,
-        "train": metric(preds, graph.labels, data.train_mask),
-        "val": metric(preds, graph.labels, data.val_mask),
-        "test": metric(preds, graph.labels, data.test_mask),
-    }
+    scores = train.evaluate(model, graph, graph.labels,
+                            (data.train_mask, data.val_mask, data.test_mask))
+    return {"task": model.task, "metric": "micro_f1" if graph.multilabel else "accuracy",
+            **dict(zip(("train", "val", "test"), scores))}
 
 
 def _cmd_eval(cfg) -> int:

@@ -208,6 +208,9 @@ def load_dataset(in_dir) -> Dataset:
             sidecar = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{sidecar_path}: invalid JSON sidecar: {exc}") from exc
+    for key in ("directed", "train", "val", "test"):
+        if key not in sidecar:
+            raise DataFormatError(f"{sidecar_path}: missing key {key!r}")
     graph = load_graph(src / EDGE_FILE, src / FEATURE_FILE, src / LABEL_FILE,
                        directed=bool(sidecar["directed"]),
                        multilabel=bool(sidecar.get("multilabel", False)))

@@ -229,7 +229,7 @@ def oracle_solve(module: ScaleModule, injected: np.ndarray,
     s_m = sp.eye_array(n, format="csr")
     for _ in range(module.scale_m):
         s_m = s_m @ s
-    system = np.eye(unknowns) - module.gamma * np.kron(numerics.densify(s_m).T, g)
+    system = np.eye(unknowns) - module.gamma * np.kron(s_m.toarray().T, g)
     rhs = injected.flatten(order="F")
     solution = np.linalg.solve(system, rhs)
     return solution.reshape((h, n), order="F")

@@ -172,8 +172,8 @@ class MultiscaleImplicitGNN:
             raise ValueError(f"scale exponents must be pairwise distinct, got {exponents}")
         if encoder.out_dim != hidden:
             raise ShapeError(f"encoder output dim {encoder.out_dim} != hidden dim {hidden}")
-        if attention.w_a.shape[1] != hidden:
-            raise ShapeError("attention W_a columns must equal the hidden dim")
+        if attention.w_a.shape != (hidden, hidden):
+            raise ShapeError("attention W_a must be hidden x hidden")
         if decoder_weight.shape[1] != hidden:
             raise ShapeError("decoder columns must equal the hidden dim")
         self.encoder = encoder
@@ -395,6 +395,8 @@ def save_checkpoint(model: MultiscaleImplicitGNN, path) -> None:
 def load_checkpoint(path) -> MultiscaleImplicitGNN:
     """Rebuild a saved model; rejects a file whose scales repeat an exponent.
 
+    Its parameters must be exactly those its config implies, each with the
+    implied shape; a ``ValueError`` names the file and the parameter.
     Older files may carry keys no longer written, ``attention_dim`` (always
     the hidden dim) and ``solver.strict``; they are ignored.
     """
@@ -407,7 +409,22 @@ def load_checkpoint(path) -> MultiscaleImplicitGNN:
     cfg = payload["config"]
     params = {name: np.asarray(value, dtype=np.float64)
               for name, value in payload["params"].items()}
-    n_layers = len(cfg["encoder_dims"]) - 1
+    dims, hidden = cfg["encoder_dims"], cfg["hidden_dim"]
+    n_layers = len(dims) - 1
+    expected = {f"scales.{t}.f": (hidden, hidden) for t in range(len(cfg["scales"]))}
+    for i in range(n_layers):
+        expected[f"encoder.w{i}"] = (dims[i + 1], dims[i])
+        if cfg["encoder_bias"]:
+            expected[f"encoder.b{i}"] = (dims[i + 1],)
+    expected.update({"attention.w_a": (hidden, hidden), "attention.b_a": (hidden,),
+                     "attention.q": (hidden,), "decoder.w": (cfg["num_classes"], hidden)})
+    for name in sorted(expected.keys() | params.keys()):
+        if name not in params or name not in expected:
+            kind = "missing" if name in expected else "unknown"
+            raise ValueError(f"{path}: {kind} parameter {name!r}")
+        if params[name].shape != expected[name]:
+            raise ValueError(f"{path}: parameter {name!r} has shape {params[name].shape}, "
+                             f"expected {expected[name]}")
     biases = ([params[f"encoder.b{i}"] for i in range(n_layers)]
               if cfg["encoder_bias"] else None)
     encoder = MlpEncoder([params[f"encoder.w{i}"] for i in range(n_layers)],

@@ -1,7 +1,7 @@
 """Dense and sparse linear-algebra kernels used by every other module.
 
 What is here: coercion and validation (``as_dense``, ``as_csr``,
-``check_csr``), ``densify``, the dense-times-CSR product ``spmm_right``,
+``check_csr``), the dense-times-CSR product ``spmm_right``,
 ``frobenius_norm`` and ``softmax_rows``. Plain numpy calls are used
 directly everywhere else.
 
@@ -28,7 +28,6 @@ __all__ = [
     "as_dense",
     "as_csr",
     "check_csr",
-    "densify",
     "spmm_right",
     "frobenius_norm",
     "softmax_rows",
@@ -75,10 +74,6 @@ def check_csr(s: sp.csr_array) -> None:
             raise ShapeError("corrupt CSR: in-row column indices not strictly increasing")
     if not np.all(np.isfinite(s.data)):
         raise ValueError("CSR values contain NaN or Inf")
-
-
-def densify(s: sp.csr_array) -> np.ndarray:
-    return np.asarray(s.todense(), dtype=np.float64)
 
 
 def spmm_right(z: np.ndarray, s: sp.csr_array) -> np.ndarray:

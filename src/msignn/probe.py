@@ -104,6 +104,8 @@ def _matrix_bounds(module, graph, p, hops, dist, delta_h):
 
 def range_bound_exact(gamma: float, theta: float, scale_m: int = 1) -> float:
     """The closed-form range bound m * ln(theta(1-gamma)) / ln(gamma), un-floored."""
+    if scale_m < 1:
+        raise DomainError("scale m must be >= 1")
     if not 0.0 < gamma < 1.0:
         raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
     if not 0.0 < theta < 1.0:
@@ -115,8 +117,6 @@ def range_bound_exact(gamma: float, theta: float, scale_m: int = 1) -> float:
 
 def range_bound(gamma: float, theta: float, scale_m: int = 1) -> int:
     """Integer upper bound on the theta-effective range."""
-    if scale_m < 1:
-        raise DomainError("scale m must be >= 1")
     return int(floor(range_bound_exact(gamma, theta, scale_m)))
 
 

@@ -1,10 +1,11 @@
 """Losses, Adam, the training loop, and evaluation metrics.
 
-``train_loop`` is one epoch loop for both tasks. Only the training pass
-differs: node tasks take one full-batch step on the masked nodes, graph
-tasks one step per shuffled minibatch of ``batch_size`` training graphs.
-Each epoch ends with one evaluation forward per split; graph tasks merge
-each split's graphs into one batch once per call.
+``train_loop`` is one epoch loop for both tasks. A batch, an (input,
+labels, mask) triple, is the unit of one optimizer step: a node task has
+one, the whole graph under its train mask; a graph task one per shuffled
+minibatch of ``batch_size`` training graphs, merged under an all-true
+mask. ``evaluate`` makes one ``model.predict`` per input and scores each
+of its masks; graph tasks merge each split into one batch once per call.
 Both tasks select weights the same way: the loop keeps the parameters of
 the epoch with the highest validation metric, ties broken by the lower
 train loss, and restores them when it finishes. ``patience`` counts
@@ -177,14 +178,24 @@ def train_loop(model: MultiscaleImplicitGNN, data, cfg: TrainConfig) -> list[dic
     ``data`` is a node-task Dataset (graph + train/val/test masks) or a
     graph-task GraphDataset (graphs + per-graph labels + split masks).
     """
-    masks = (data.train_mask, data.val_mask)
     if model.task == "graph":
+        train_idx, val_idx = np.flatnonzero(data.train_mask), np.flatnonzero(data.val_mask)
+        if not (len(train_idx) and len(val_idx)):
+            raise EmptySelectionError("graph split selects no graphs")
         # The splits never change, so each is merged into one batch once.
-        train_pass, evaluate = _graph_pass, _graph_eval
-        eval_sets = _graph_splits(data, masks)
+        eval_sets = [(merged, labels, [mask]) for merged, labels, mask
+                     in (_graph_batch(data, train_idx), _graph_batch(data, val_idx))]
+
+        def batches(rng):
+            order = rng.permutation(train_idx)
+            for start in range(0, len(order), cfg.batch_size):
+                yield _graph_batch(data, order[start:start + cfg.batch_size])
     else:
-        train_pass, evaluate = _node_pass, _node_eval
-        eval_sets = masks
+        graph = data.graph
+        eval_sets = [(graph, graph.labels, (data.train_mask, data.val_mask))]
+
+        def batches(rng):
+            yield graph, graph.labels, data.train_mask
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()
     opt = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
@@ -196,8 +207,9 @@ def train_loop(model: MultiscaleImplicitGNN, data, cfg: TrainConfig) -> list[dic
     stale = 0
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        loss, iter_counts = train_pass(model, data, cfg, rng, opt, params)
-        train_metric, val_metric = evaluate(model, data, eval_sets)
+        loss, iter_counts = _train_pass(model, batches(rng), rng, opt, params)
+        train_metric, val_metric = [score for eval_set in eval_sets
+                                    for score in evaluate(model, *eval_set)]
         seconds = time.perf_counter() - t0
         history.append({
             "epoch": epoch,
@@ -223,57 +235,33 @@ def train_loop(model: MultiscaleImplicitGNN, data, cfg: TrainConfig) -> list[dic
     return history
 
 
-def _node_pass(model, data, cfg, rng, opt, params):
-    """One full-batch step on the masked training nodes; returns (loss, iterations)."""
-    graph = data.graph
-    loss_fn = bce_with_logits if graph.multilabel else cross_entropy
-    trace = model.forward(graph, train_mode=True, rng=rng)
-    loss, grad_logits = loss_fn(trace.logits, graph.labels, data.train_mask)
-    opt.step(params, model.backward(graph, trace, grad_logits))
-    return loss, [r.iterations for r in trace.scale_results]
+def _train_pass(model, batches, rng, opt, params):
+    """One optimizer step per batch; multi-hot labels take ``bce_with_logits``.
 
-
-def _graph_pass(model, data, cfg, rng, opt, params):
-    """One step per shuffled minibatch of training graphs.
-
-    Returns the mean minibatch loss and the last forward's iterations.
+    Returns the mean batch loss and the last forward's iteration counts.
     """
-    order = rng.permutation(np.flatnonzero(data.train_mask))
     losses, iter_counts = [], []
-    for start in range(0, len(order), cfg.batch_size):
-        chunk = order[start:start + cfg.batch_size]
-        minibatch = batch_graphs([data.graphs[i] for i in chunk])
-        trace = model.forward(minibatch, train_mode=True, rng=rng)
-        loss, grad_logits = cross_entropy(trace.logits, data.labels[chunk],
-                                          np.ones(len(chunk), dtype=bool))
-        opt.step(params, model.backward(minibatch, trace, grad_logits))
+    for data, labels, mask in batches:
+        loss_fn = bce_with_logits if labels.ndim == 2 else cross_entropy
+        trace = model.forward(data, train_mode=True, rng=rng)
+        loss, grad_logits = loss_fn(trace.logits, labels, mask)
+        opt.step(params, model.backward(data, trace, grad_logits))
         losses.append(loss)
         iter_counts = [r.iterations for r in trace.scale_results]
     return float(np.mean(losses)), iter_counts
 
 
-def _node_eval(model, data, masks) -> list[float]:
-    """Metric on several node masks from one forward pass."""
-    graph = data.graph
-    preds = model.predict(graph)
-    metric = micro_f1 if graph.multilabel else accuracy
-    return [metric(preds, graph.labels, m) for m in masks]
+def _graph_batch(data, idx) -> tuple:
+    """(merged batch, labels, all-true mask) of the graphs ``idx`` selects."""
+    return (batch_graphs([data.graphs[i] for i in idx]), data.labels[idx],
+            np.ones(len(idx), dtype=bool))
 
 
-def _graph_splits(data, masks) -> list[tuple]:
-    """(merged batch, labels) of the graphs each mask selects."""
-    splits = []
-    for mask in masks:
-        idx = np.flatnonzero(mask)
-        if len(idx) == 0:
-            raise EmptySelectionError("graph split selects no graphs")
-        splits.append((batch_graphs([data.graphs[i] for i in idx]), data.labels[idx]))
-    return splits
-
-
-def _graph_eval(model, data, splits) -> list[float]:
-    """Accuracy on several merged graph splits, one batched forward pass per split."""
-    return [float(np.mean(model.predict(merged) == labels)) for merged, labels in splits]
+def evaluate(model: MultiscaleImplicitGNN, data, labels: np.ndarray, masks) -> list[float]:
+    """One ``model.predict`` on ``data``; micro-F1 (multi-hot labels) or accuracy per mask."""
+    preds = model.predict(data)
+    metric = micro_f1 if labels.ndim == 2 else accuracy
+    return [metric(preds, labels, mask) for mask in masks]
 
 
 # -- history serialization ---------------------------------------------------

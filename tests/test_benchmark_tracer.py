@@ -10,7 +10,7 @@ import pytest
 
 import msignn.model
 from msignn import TrainConfig, batch, init_model, train_loop
-from msignn.datasets import GraphDataset
+from msignn.datasets import Dataset, GraphDataset
 
 from conftest import random_undirected_graph
 
@@ -36,8 +36,16 @@ def test_tracer_restores_every_patched_name(tracing):
     assert [getattr(owner, attr) for owner, attr in names] == originals
 
 
-def test_traced_graph_training_records_solves(tracing):
-    rng = np.random.default_rng(0)
+def _node_problem(rng):
+    graph = random_undirected_graph(rng, 8)
+    data = Dataset(graph=graph, train_mask=np.arange(8) < 4,
+                   val_mask=(np.arange(8) >= 4) & (np.arange(8) < 6),
+                   test_mask=np.arange(8) >= 6, spec_echo={})
+    model = init_model(rng, graph.feature_dim, 4, 2, scale_exponents=(1, 2))
+    return model, data, graph, set()
+
+
+def _graph_problem(rng):
     graphs = [random_undirected_graph(rng, 4) for _ in range(4)]
     data = GraphDataset(graphs=graphs, labels=np.array([0, 1, 0, 1]),
                         train_mask=np.array([True, True, False, False]),
@@ -45,14 +53,27 @@ def test_traced_graph_training_records_solves(tracing):
                         test_mask=np.array([False, False, False, True]))
     model = init_model(rng, graphs[0].feature_dim, 4, 2, scale_exponents=(1, 2),
                        task="graph")
+    return model, data, batch(graphs), {"graph.batch", "model.sum_pool"}
+
+
+@pytest.mark.parametrize("make_problem", [_node_problem, _graph_problem],
+                         ids=["node", "graph"])
+def test_traced_graph_training_records_solves(tracing, make_problem):
+    model, data, predict_input, task_names = make_problem(np.random.default_rng(0))
     with tracing.Tracer() as tracer:
-        history = train_loop(model, data, TrainConfig(epochs=2, batch_size=2))
-        model.predict(batch(graphs))
+        history = tracer.call(tracing.TRAIN_LOOP, train_loop, model, data,
+                              TrainConfig(epochs=3, batch_size=2))
+        model.predict(predict_input)
     names = {span.name for span in tracer.spans}
-    assert {"equilibrium.forward_solve", "equilibrium.adjoint_solve", "graph.batch",
-            "equilibrium.weight_gradient", "model.sum_pool", "train.loss",
-            "train.adam_step", "model.predict"} <= names
+    assert {"equilibrium.forward_solve", "equilibrium.adjoint_solve",
+            "equilibrium.weight_gradient", "train.loss", "train.adam_step",
+            "model.predict"} | task_names <= names
     solves = [s for s in tracer.spans if s.name.startswith("equilibrium.")
               and s.name.endswith("_solve")]
     assert all(s.info["converged"] for s in solves)
-    assert len(history) == 2
+    assert len(history) == 3
+    # each epoch ends with its evaluation predicts, which the benchmark splits on
+    loop_idx = next(i for i, s in enumerate(tracer.spans) if s.name == tracing.TRAIN_LOOP)
+    epochs = tracing.assign_epochs(tracer.spans, loop_idx,
+                                   [row["seconds"] for row in history])
+    assert len(epochs) == len(history)

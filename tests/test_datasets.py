@@ -8,7 +8,6 @@ import pytest
 from msignn import (ChainsSpec, ColorCountingSpec, build_graph, gen_chains,
                     gen_color_counting, load_dataset, load_graph, save_dataset)
 from msignn.errors import DataFormatError
-from msignn.numerics import densify
 
 
 def test_chains_default_counts():
@@ -71,7 +70,7 @@ def test_chains_deterministic_per_seed():
     b = gen_chains(ChainsSpec(length=9, seed=5))
     npt.assert_array_equal(a.graph.features, b.graph.features)
     npt.assert_array_equal(a.train_mask, b.train_mask)
-    npt.assert_array_equal(densify(a.graph.s), densify(b.graph.s))
+    npt.assert_array_equal(a.graph.s.toarray(), b.graph.s.toarray())
     c = gen_chains(ChainsSpec(length=9, seed=6))
     assert not np.array_equal(a.train_mask, c.train_mask)
 
@@ -105,7 +104,7 @@ def test_color_counting_majority_recount_oracle():
 def test_color_counting_undirected_chain_structure():
     spec = ColorCountingSpec(num_chains=3, length=4, seed=1)
     ds = gen_color_counting(spec)
-    a = densify(ds.graph.adjacency)
+    a = ds.graph.adjacency.toarray()
     npt.assert_array_equal(a, a.T)
     deg = a.sum(axis=1)
     assert deg.max() <= 2  # path graph
@@ -122,7 +121,7 @@ def _assert_round_trip(ds, tmp_path):
     """What ``load_dataset`` reads back equals, field for field, what was saved."""
     save_dataset(ds, tmp_path)
     back = load_dataset(tmp_path)
-    npt.assert_array_equal(densify(back.graph.adjacency), densify(ds.graph.adjacency))
+    npt.assert_array_equal(back.graph.adjacency.toarray(), ds.graph.adjacency.toarray())
     for attr in ("indptr", "indices", "data"):
         npt.assert_array_equal(getattr(back.graph.s, attr), getattr(ds.graph.s, attr))
     npt.assert_array_equal(back.graph.features, ds.graph.features)
@@ -213,4 +212,14 @@ def test_load_dataset_rejects_overlapping_masks(tmp_path):
     sidecar["test"].append(sidecar["train"][0])
     (tmp_path / "masks.json").write_text(json.dumps(sidecar))
     with pytest.raises(DataFormatError, match=r"masks\.json: train and test masks overlap"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("key", ["directed", "train", "val", "test"])
+def test_load_dataset_names_missing_sidecar_key(tmp_path, key):
+    save_dataset(gen_chains(ChainsSpec(length=3)), tmp_path)
+    sidecar = json.loads((tmp_path / "masks.json").read_text())
+    del sidecar[key]
+    (tmp_path / "masks.json").write_text(json.dumps(sidecar))
+    with pytest.raises(DataFormatError, match=rf"masks\.json: missing key '{key}'"):
         load_dataset(tmp_path)

@@ -5,7 +5,6 @@ import scipy.sparse as sp
 
 from msignn import batch, build_graph, hop_distance
 from msignn.errors import ShapeError
-from msignn.numerics import densify
 
 from conftest import power_iteration_norm, random_undirected_graph
 
@@ -18,11 +17,11 @@ def _s(dense, directed=False):
 
 def test_normalize_two_node_edge():
     s = _s([[0, 1], [1, 0]])
-    npt.assert_allclose(densify(s), np.full((2, 2), 0.5), rtol=1e-15)
+    npt.assert_allclose(s.toarray(), np.full((2, 2), 0.5), rtol=1e-15)
 
 
 def test_normalize_three_node_path():
-    s = densify(_s([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
+    s = _s([[0, 1, 0], [1, 0, 1], [0, 1, 0]]).toarray()
     npt.assert_allclose(np.diag(s), [0.5, 1.0 / 3.0, 0.5], rtol=1e-15)
     off = 1.0 / np.sqrt(6.0)
     npt.assert_allclose(s[0, 1], off, rtol=1e-15)
@@ -32,7 +31,7 @@ def test_normalize_three_node_path():
 
 def test_normalize_empty_adjacency():
     # undirected: only the self-loops, each of degree 1; directed: nothing
-    npt.assert_array_equal(densify(_s(np.zeros((4, 4)))), np.eye(4))
+    npt.assert_array_equal(_s(np.zeros((4, 4))).toarray(), np.eye(4))
     assert _s(np.zeros((4, 4)), directed=True).nnz == 0
 
 
@@ -46,7 +45,7 @@ def test_normalize_symmetric_and_contractive():
     for _ in range(10):
         n = int(rng.integers(2, 51))
         g = random_undirected_graph(rng, n)
-        dense = densify(g.s)
+        dense = g.s.toarray()
         npt.assert_allclose(dense, dense.T, atol=1e-15)
         assert power_iteration_norm(dense) <= 1.0 + 1e-10
 
@@ -55,7 +54,7 @@ def test_normalize_directed_chain_columns():
     n = 6
     rows = np.arange(n - 1)
     a = sp.csr_array((np.ones(n - 1), (rows, rows + 1)), shape=(n, n))
-    s = densify(build_graph(a, np.zeros((1, n)), directed=True).s)
+    s = build_graph(a, np.zeros((1, n)), directed=True).s.toarray()
     for j in range(n):
         col = s[:, j]
         assert np.count_nonzero(col) <= 1
@@ -97,9 +96,9 @@ def test_normalize_matches_dense_formula_exactly(directed, self_loops):
     s = build_graph(stored, np.zeros((1, 6)), directed=directed).s
     assert s.has_sorted_indices
     assert s.nnz == np.count_nonzero(expected)
-    npt.assert_array_equal(densify(s), expected)
+    npt.assert_array_equal(s.toarray(), expected)
     # self-loops follow `directed`: the isolated node 5 couples to itself or to nothing
-    assert (densify(s)[5, 5] == 1.0) == self_loops
+    assert (s.toarray()[5, 5] == 1.0) == self_loops
 
 
 def test_hop_distance_chain():
@@ -146,7 +145,7 @@ def test_batch_single_graph_identity():
     b = batch([g])
     assert b.num_graphs == 1
     npt.assert_array_equal(b.graph_of_node, np.zeros(7, dtype=int))
-    npt.assert_array_equal(densify(b.merged.adjacency), densify(g.adjacency))
+    npt.assert_array_equal(b.merged.adjacency.toarray(), g.adjacency.toarray())
     npt.assert_array_equal(b.merged.features, g.features)
 
 
@@ -155,7 +154,7 @@ def test_batch_two_graphs_block_structure():
     g1 = random_undirected_graph(rng, 2)
     g2 = random_undirected_graph(rng, 2)
     b = batch([g1, g2])
-    merged = densify(b.merged.adjacency)
+    merged = b.merged.adjacency.toarray()
     assert merged.shape == (4, 4)
     npt.assert_array_equal(merged[:2, 2:], np.zeros((2, 2)))
     npt.assert_array_equal(merged[2:, :2], np.zeros((2, 2)))
@@ -177,10 +176,10 @@ def test_batch_round_trip_exact():
     start = 0
     for g in graphs:
         stop = start + g.n
-        npt.assert_array_equal(densify(b.merged.adjacency)[start:stop, start:stop],
-                               densify(g.adjacency))
-        npt.assert_array_equal(densify(b.merged.s)[start:stop, start:stop],
-                               densify(g.s))
+        npt.assert_array_equal(b.merged.adjacency.toarray()[start:stop, start:stop],
+                               g.adjacency.toarray())
+        npt.assert_array_equal(b.merged.s.toarray()[start:stop, start:stop],
+                               g.s.toarray())
         npt.assert_array_equal(b.merged.features[:, start:stop], g.features)
         npt.assert_array_equal(b.merged.labels[start:stop], g.labels)
         start = stop

@@ -290,6 +290,23 @@ def test_checkpoint_rejects_repeated_scales(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_params_its_config_does_not_imply(tmp_path):
+    _, path, payload = _saved_payload(tmp_path)
+    cut = copy.deepcopy(payload)
+    cut["params"]["decoder.w"] = cut["params"]["decoder.w"][:1]   # num_classes is 2
+    missing = copy.deepcopy(payload)
+    del missing["params"]["scales.0.f"]
+    unknown = copy.deepcopy(payload)
+    unknown["params"]["scales.2.f"] = unknown["params"]["scales.0.f"]
+    for bad, message in ((cut, r"'decoder\.w' has shape \(1, 4\), expected \(2, 4\)"),
+                         (missing, r"missing parameter 'scales\.0\.f'"),
+                         (unknown, r"unknown parameter 'scales\.2\.f'")):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=message) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+
 def test_checkpoint_with_strict_solver_key_loads(tmp_path):
     # files from before the solver's strict setting and the checkpoint's
     # attention_dim key were removed carry those keys
@@ -315,3 +332,11 @@ def test_encoder_shape_validation():
         MlpEncoder([np.zeros((4, 3))], [np.zeros(5)])
     with pytest.raises(ShapeError):
         AttentionParams(w_a=np.zeros((4, 4)), b_a=np.zeros(3), q=np.zeros(4))
+
+
+def test_attention_width_is_the_hidden_dim():
+    # checkpoints record no attention width, so a model with another one could not reload
+    model = init_model(np.random.default_rng(0), 3, 4, 2)
+    wide = AttentionParams(w_a=np.zeros((8, 4)), b_a=np.zeros(8), q=np.zeros(8))
+    with pytest.raises(ShapeError, match="hidden x hidden"):
+        MultiscaleImplicitGNN(model.encoder, model.scales, wide, model.decoder_weight)

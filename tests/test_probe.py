@@ -80,6 +80,9 @@ def test_range_bound_domain_errors():
         range_bound(0.5, 1.5, 1)
     with pytest.raises(DomainError):
         range_bound(0.5, 1e-6, 0)
+    for scale_m in (0, -2):
+        with pytest.raises(DomainError, match="scale m must be >= 1"):
+            range_bound_exact(0.5, 1e-6, scale_m)
 
 
 def test_empirical_range_cases():
