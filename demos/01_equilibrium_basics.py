@@ -1,9 +1,11 @@
-"""Fixed-point propagation on a small graph, step by step.
+"""Fixed-point propagation on a small graph, both ways.
 
-Builds a 6-node graph, iterates the contracted propagation map to its
-equilibrium, and cross-checks the iterative solution against the dense
-Kronecker-system oracle. Also shows the geometric contraction of the
-update norms that Banach's theorem promises.
+Builds a 6-node undirected graph and solves the contracted propagation map
+for its equilibrium twice: in closed form, from the eigendecomposition of
+S that ``build_graph`` makes available, and by Picard iteration on a plain
+CSR copy of S, which carries no eigendecomposition. Both are checked
+against the dense Kronecker-system oracle. The iteration also shows the
+geometric contraction of the update norms that Banach's theorem promises.
 
 Run: python3 demos/01_equilibrium_basics.py
 """
@@ -32,22 +34,27 @@ injected = rng.standard_normal((hidden, 6))
 g_norm = frobenius_norm(normalized_gram(module.f_weight, module.eps_f))
 print(f"||g(F)||_F = {g_norm:.6f}  (< 1 by construction, so the map contracts)")
 
-result = forward_solve(module, injected, graph.s, SolverConfig(tol=1e-10, max_iters=500))
-print(f"converged: {result.converged} after {result.iterations} iterations, "
-      f"final relative residual {result.residual:.2e}")
+cfg = SolverConfig(tol=1e-10, max_iters=500)
+exact = oracle_solve(module, injected, graph.s)
 
-print("\nupdate norms contract by at most gamma per step:")
+closed = forward_solve(module, injected, graph.s, cfg)
+err = frobenius_norm(closed.z_star - exact) / frobenius_norm(exact)
+print(f"\nclosed form: {closed.iterations} iterations, true relative residual "
+      f"{closed.residual:.2e}, {err:.2e} from the dense Kronecker oracle")
+
+plain_s = sp.csr_array(graph.s)  # a plain copy has no eigendecomposition: Picard
+result = forward_solve(module, injected, plain_s, cfg)
+err = frobenius_norm(result.z_star - exact) / frobenius_norm(exact)
+print(f"Picard: converged {result.converged} after {result.iterations} iterations, "
+      f"final relative residual {result.residual:.2e}, {err:.2e} from the oracle")
+
+print("\nPicard update norms contract by at most gamma per step:")
 u = result.update_norms
 for k in range(1, 6):
     print(f"  step {k + 1}: ||dZ|| = {u[k]:.3e}   ratio {u[k] / u[k - 1]:.4f} "
           f"(gamma = {module.gamma})")
 
-exact = oracle_solve(module, injected, graph.s)
-err = frobenius_norm(result.z_star - exact) / frobenius_norm(exact)
-print(f"\nagreement with the dense Kronecker oracle: {err:.2e} relative Frobenius")
-
-two_inits = forward_solve(module, injected, graph.s,
-                          SolverConfig(tol=1e-10, max_iters=500),
+two_inits = forward_solve(module, injected, plain_s, cfg,
                           z0=rng.standard_normal((hidden, 6)) * 10)
 gap = frobenius_norm(two_inits.z_star - result.z_star)
-print(f"uniqueness: starting far away lands on the same point (gap {gap:.2e})")
+print(f"uniqueness: Picard started far away lands on the same point (gap {gap:.2e})")

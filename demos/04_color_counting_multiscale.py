@@ -39,5 +39,6 @@ for scales in ((1,), (1, 4, 8)):
     print(f"M = {set(scales)}: test accuracy per seed "
           f"{[f'{a:.3f}' for a in accs]}, mean {np.mean(accs):.4f}")
 
-print("\nthe multiscale set reaches the same information in fewer iterations per hop")
-print("and mixes neighborhood radii per node through the attention weights.")
+print("\neach application of S^m spans m hops, so information decays like gamma^(h/m)")
+print("with hop distance h: the multiscale set reaches farther along each chain and")
+print("mixes neighborhood radii per node through the attention weights.")

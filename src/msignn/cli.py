@@ -254,6 +254,9 @@ def _cmd_eval(cfg) -> int:
     if not cfg.get("checkpoint") or not cfg.get("data"):
         raise ValueError("eval needs --checkpoint FILE and --data DIR")
     model = load_checkpoint(cfg["checkpoint"])
+    if model.task != "node":
+        raise ValueError(f"{cfg['checkpoint']}: checkpoint of a {model.task}-task model; "
+                         "eval scores node-task models on a dataset's node masks")
     data = datasets.load_dataset(cfg["data"])
     metrics = _node_metrics(model, data)
     print(json.dumps(metrics, sort_keys=True))

@@ -1,24 +1,38 @@
 """The implicit propagation layer and its gradients.
 
-One scale module iterates the linear map
+One scale module solves the linear map
 
     Z  <-  gamma * g(F) * Z * S^m  +  H
 
-to its unique fixed point Z*, where g(F) = F^T F / (||F^T F||_F + eps) has
-Frobenius norm strictly below 1 by construction. With gamma < 1 and a
+for its unique fixed point Z*, where g(F) = F^T F / (||F^T F||_F + eps)
+has Frobenius norm strictly below 1 by construction. With gamma < 1 and a
 degree-normalized S (spectral norm <= 1) the map contracts in Frobenius
-norm, so plain Picard iteration converges geometrically from any start;
-we iterate from Z = 0 so the iterates are exactly the partial sums of the
-underlying geometric series.
+norm, so the fixed point exists, is unique and does not depend on the
+start.
 
-Training never differentiates through the iterations. The loss gradient
-at Z* is pulled back through the fixed point by solving the adjoint
-equation
+Training never differentiates through a solve. The loss gradient at Z*
+is pulled back through the fixed point by solving the adjoint equation
 
     U  =  gamma * g(F)^T * U * (S^m)^T  +  dL/dZ*
 
-with the same Picard scheme, after which parameter gradients are
-closed-form functions of U and Z*.
+after which parameter gradients are closed-form functions of U and Z*.
+
+Two solvers serve both equations, and the input decides which runs:
+
+- **Closed form**, when S has a ``graph.spectrum`` (undirected graphs
+  and their batches). With S = V Sigma V^T per connected component and
+  g(F) = Q Lambda Q^T, the fixed point is
+  Z* = Q [(Q^T H V) / (1 - gamma lambda (sigma^m)^T)] V^T, elementwise
+  division, whose denominators are >= 1 - gamma. g and S are symmetric,
+  so the adjoint is the same formula applied to dL/dZ*. The solve then
+  applies the map once to its answer and reports that true relative
+  residual, with ``iterations = 0``; a residual above ``tol`` continues
+  as Picard iteration from the closed-form answer.
+- **Picard iteration** for every other S (directed graphs, components
+  above ``graph.SPECTRUM_MAX_COMPONENT`` nodes, any S made outside
+  ``graph``). It iterates from Z = 0, unless given a start, so the
+  iterates are the partial sums of the underlying geometric series, and
+  stops when ||Z_next - Z||_F / (||Z||_F + 1e-12) <= tol.
 
 Both solves keep their iterate transposed (node-per-row, n x h), because
 g(F) is symmetric:
@@ -43,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import numerics
+from . import graph, numerics
 from .errors import CapacityError, DivergenceError, ShapeError
 
 RESIDUAL_FLOOR = 1e-12  # guards the relative residual against a zero iterate
@@ -115,32 +129,72 @@ def _propagate(y: np.ndarray, op, m: int) -> np.ndarray:
     return y
 
 
-def _picard(coeff: np.ndarray, op, m: int, gamma: float, injected: np.ndarray,
-            cfg: SolverConfig, z0: np.ndarray | None, what: str) -> EquilibriumResult:
-    """Iterate Y <- gamma op^m Y coeff + injected^T with Y = Z^T; returns Z = Y^T."""
-    if injected.shape[0] != coeff.shape[0]:
+def _solve(g: np.ndarray, s, op, m: int, gamma: float, injected: np.ndarray,
+           cfg: SolverConfig, z0: np.ndarray | None, what: str) -> EquilibriumResult:
+    """Solve Y = gamma op^m Y g + injected^T with Y = Z^T; returns Z = Y^T.
+
+    ``op`` is S or S^T, the operator of the map; ``s`` is S itself, which
+    carries the spectrum when there is one.
+    """
+    if injected.shape[0] != g.shape[0]:
         raise ShapeError(
-            f"{what}: injected rows {injected.shape[0]} != hidden dim {coeff.shape[0]}")
+            f"{what}: injected rows {injected.shape[0]} != hidden dim {g.shape[0]}")
     if injected.shape[1] != op.shape[1]:
         raise ShapeError(
             f"{what}: injected cols {injected.shape[1]} != node count {op.shape[1]}")
-    z = np.zeros_like(injected) if z0 is None else numerics.as_dense(z0)
-    if z.shape != injected.shape:
+    z = None if z0 is None else numerics.as_dense(z0)
+    if z is not None and z.shape != injected.shape:
         raise ShapeError(f"{what}: z0 shape {z.shape} != {injected.shape}")
     if gamma == 0.0:
         # The map is constant: one application lands exactly on the fixed point.
+        step = injected if z is None else injected - z
         return EquilibriumResult(
             z_star=injected.copy(), iterations=1, residual=0.0, converged=True,
-            update_norms=np.array([numerics.frobenius_norm(injected - z)]))
+            update_norms=np.array([numerics.frobenius_norm(step)]))
     injected_t = np.ascontiguousarray(injected.T)
-    y = np.ascontiguousarray(z.T)
+    blocks = graph.spectrum(s)
+    if blocks is None:
+        y = np.zeros_like(injected_t) if z is None else np.ascontiguousarray(z.T)
+        return _picard(g, op, m, gamma, injected_t, y, cfg, what)
+    y = _closed_form(g, blocks, m, gamma, injected_t)
+    # One more application of the map measures the true residual (in place,
+    # since an evaluation solve on a large batch sets the peak memory).
+    step = _propagate(y, op, m) @ g
+    step *= gamma
+    step += injected_t
+    step -= y
+    residual = numerics.frobenius_norm(step) / (numerics.frobenius_norm(y) + RESIDUAL_FLOOR)
+    if residual <= cfg.tol:
+        return EquilibriumResult(z_star=np.ascontiguousarray(y.T), iterations=0,
+                                 residual=residual, converged=True,
+                                 update_norms=np.zeros(0))
+    return _picard(g, op, m, gamma, injected_t, y, cfg, what)
+
+
+def _closed_form(g: np.ndarray, blocks, m: int, gamma: float,
+                 rhs_t: np.ndarray) -> np.ndarray:
+    """Y = V [(V^T rhs_t Q) / (1 - gamma sigma^m lambda^T)] Q^T, block by block."""
+    lam, q = np.linalg.eigh(g)
+    y = rhs_t @ q
+    for b in blocks:  # blocks partition the nodes, so each overwrites only its own rows
+        coeffs = np.matmul(b.vectors.transpose(0, 2, 1), y[b.nodes])
+        denominators = (b.values ** m)[:, :, None] * (-gamma * lam)
+        denominators += 1.0
+        coeffs /= denominators
+        y[b.nodes] = np.matmul(b.vectors, coeffs)
+    return y @ q.T
+
+
+def _picard(g: np.ndarray, op, m: int, gamma: float, injected_t: np.ndarray,
+            y: np.ndarray, cfg: SolverConfig, what: str) -> EquilibriumResult:
+    """Iterate Y <- gamma op^m Y g + injected_t from Y = y; returns Z = Y^T."""
     update_norms = []
     residual = np.inf
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            y_next = gamma * (_propagate(y, op, m) @ coeff) + injected_t
+            y_next = gamma * (_propagate(y, op, m) @ g) + injected_t
         if not np.all(np.isfinite(y_next)):
             raise DivergenceError(
                 f"{what} produced non-finite values at iteration {iterations}; "
@@ -160,14 +214,15 @@ def _picard(coeff: np.ndarray, op, m: int, gamma: float, injected: np.ndarray,
 def forward_solve(module: ScaleModule, injected: np.ndarray, s: sp.csr_array,
                   cfg: SolverConfig = SolverConfig(),
                   z0: np.ndarray | None = None) -> EquilibriumResult:
-    """Iterate the propagation map to its fixed point.
+    """Solve for the fixed point, in closed form when S has a spectrum.
 
-    Stops when ||Z_next - Z||_F / (||Z||_F + 1e-12) <= cfg.tol or at
-    cfg.max_iters, whichever comes first.
+    Picard iteration, from ``z0`` if given, stops when
+    ||Z_next - Z||_F / (||Z||_F + 1e-12) <= cfg.tol or at cfg.max_iters,
+    whichever comes first. A closed-form solve ignores ``z0``.
     """
     g = normalized_gram(module.f_weight, module.eps_f)
-    return _picard(g, s.T, module.scale_m, module.gamma, injected, cfg, z0,
-                   "forward solve")
+    return _solve(g, s, s.T, module.scale_m, module.gamma, injected, cfg, z0,
+                  "forward solve")
 
 
 def adjoint_solve(module: ScaleModule, s: sp.csr_array, grad_z: np.ndarray,
@@ -175,11 +230,12 @@ def adjoint_solve(module: ScaleModule, s: sp.csr_array, grad_z: np.ndarray,
     """Solve U = gamma g(F)^T U (S^m)^T + grad_z for the loss adjoint U.
 
     U equals dL/dZ* (I - J)^{-1} in the vectorized sense, i.e. the loss
-    gradient pulled back through the fixed point.
+    gradient pulled back through the fixed point. Same solvers and stop
+    as ``forward_solve``.
     """
     g = normalized_gram(module.f_weight, module.eps_f)  # symmetric: g^T = g
-    result = _picard(g, s, module.scale_m, module.gamma, grad_z, cfg, None,
-                     "adjoint solve")
+    result = _solve(g, s, s, module.scale_m, module.gamma, grad_z, cfg, None,
+                    "adjoint solve")
     return result.z_star
 
 

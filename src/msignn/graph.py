@@ -14,6 +14,16 @@ generators and loaders go through, validates its adjacency once with
 ``numerics.as_csr``. What the library derives from a validated matrix,
 the normalized S and the block-diagonal merges of ``batch``, is
 canonical by construction and not checked again.
+
+The S of an undirected graph is symmetric, and ``spectrum(s)`` gives its
+eigendecomposition, one dense ``eigh`` per connected component, which
+lets ``equilibrium`` solve in closed form. ``build_graph`` marks such an
+S, and the eigendecomposition is computed on the first call and cached
+on S itself, so it is paid once per graph and only by graphs that are
+solved. ``batch`` marks the merged S with its members' S and node
+offsets: a batch assembles its spectrum from theirs and decomposes
+nothing. Directed graphs, and undirected ones with a component above
+``SPECTRUM_MAX_COMPONENT`` nodes, have no spectrum.
 """
 
 from __future__ import annotations
@@ -25,6 +35,12 @@ import scipy.sparse as sp
 
 from . import numerics
 from .errors import ShapeError
+
+# A component's eigenvectors are a dense k x k block: above this many nodes
+# S gets no spectrum and its solves iterate instead.
+SPECTRUM_MAX_COMPONENT = 512
+_SPECTRUM = "_msignn_spectrum"  # the attribute of S that holds its _LazySpectrum
+_PENDING = object()
 
 
 @dataclass(frozen=True)
@@ -64,6 +80,106 @@ class GraphBatch:
     num_graphs: int
 
 
+@dataclass(frozen=True)
+class SpectrumBlock:
+    """Eigendecomposition of the c connected components of S with k nodes each.
+
+    S restricted to the nodes ``nodes[i]`` equals
+    ``vectors[i] @ diag(values[i]) @ vectors[i].T``.
+    """
+
+    nodes: np.ndarray    # (c, k) node indices
+    values: np.ndarray   # (c, k) eigenvalues, ascending per component
+    vectors: np.ndarray  # (c, k, k) orthonormal eigenvectors, one per column
+
+
+class _LazySpectrum:
+    """What a symmetric S carries until, and after, ``spectrum`` first reads it."""
+
+    __slots__ = ("members", "blocks")
+
+    def __init__(self, members=()):
+        self.members = members  # ((member S, node offset), ...) when S merges a batch
+        self.blocks = _PENDING  # a graph's own blocks once computed, None over the cap
+
+
+def spectrum(s) -> list[SpectrumBlock] | None:
+    """The per-component eigendecomposition of S, or None if S has none.
+
+    Only an S marked by ``build_graph`` or ``batch`` has one; any other,
+    a plain ``sp.csr_array`` copy of a marked S included, has none. A
+    graph's S computes its blocks on the first call and keeps them. A
+    merged S lists its members' blocks, node indices offset, on every
+    call: it shares their eigenvectors and keeps nothing.
+    """
+    lazy = getattr(s, _SPECTRUM, None)
+    if lazy is None:
+        return None
+    if lazy.members:
+        parts = [(spectrum(member), offset) for member, offset in lazy.members]
+        if any(blocks is None for blocks, _ in parts):
+            return None
+        return [SpectrumBlock(b.nodes + offset, b.values, b.vectors)
+                for blocks, offset in parts for b in blocks]
+    if lazy.blocks is _PENDING:
+        lazy.blocks = _decompose(s)
+    return lazy.blocks
+
+
+def component_labels(s) -> np.ndarray:
+    """Label every node of a symmetric S with the smallest node of its component.
+
+    Min-label propagation with pointer jumping: each pass gives every node
+    the smallest label among itself and its neighbours, then replaces each
+    label by the label of that node until labels stop changing.
+    """
+    n = s.shape[0]
+    label = np.arange(n)
+    nonempty = np.flatnonzero(np.diff(s.indptr))
+    while True:
+        hooked = label.copy()
+        if nonempty.size:
+            # A segment of reduceat ends where the next non-empty row starts.
+            hooked[nonempty] = np.minimum(
+                label[nonempty],
+                np.minimum.reduceat(label[s.indices], s.indptr[nonempty]))
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
+
+
+def _decompose(s) -> list[SpectrumBlock] | None:
+    """Dense ``eigh`` of every component, stacked by component size."""
+    n = s.shape[0]
+    _, comp, sizes = np.unique(component_labels(s), return_inverse=True,
+                               return_counts=True)
+    if sizes.size and sizes.max() > SPECTRUM_MAX_COMPONENT:
+        return None
+    order = np.argsort(comp, kind="stable")  # nodes grouped by component
+    starts = np.cumsum(sizes) - sizes
+    pos = np.empty(n, dtype=np.int64)  # each node's place within its component
+    pos[order] = np.arange(n) - np.repeat(starts, sizes)
+    rows = np.repeat(np.arange(n), np.diff(s.indptr))
+    entry_comp = comp[rows]
+    blocks = []
+    for k in np.unique(sizes):
+        members = np.flatnonzero(sizes == k)
+        slot = np.full(sizes.size, -1)
+        slot[members] = np.arange(members.size)
+        sel = slot[entry_comp] >= 0
+        dense = np.zeros((members.size, k, k))
+        dense[slot[entry_comp[sel]], pos[rows[sel]], pos[s.indices[sel]]] = s.data[sel]
+        values, vectors = np.linalg.eigh(dense)
+        nodes = order[starts[members][:, None] + np.arange(k)]
+        blocks.append(SpectrumBlock(nodes, values, vectors))
+    return blocks
+
+
 def _normalize(a: sp.csr_array, directed: bool) -> sp.csr_array:
     """Degree-normalize an already validated square CSR matrix.
 
@@ -94,7 +210,10 @@ def _inv_sqrt(deg: np.ndarray) -> np.ndarray:
 
 
 def build_graph(adjacency, features, labels=None, directed: bool = False) -> Graph:
-    """Assemble a Graph, normalizing the adjacency (self-loops only if undirected)."""
+    """Assemble a Graph, normalizing the adjacency (self-loops only if undirected).
+
+    The S of an undirected graph is marked to carry its ``spectrum``.
+    """
     adjacency = numerics.as_csr(adjacency)
     n = adjacency.shape[0]
     if adjacency.shape[1] != n:
@@ -118,6 +237,8 @@ def build_graph(adjacency, features, labels=None, directed: bool = False) -> Gra
         else:
             raise ShapeError("labels must be a vector or a multi-hot matrix")
     s = _normalize(adjacency, directed)
+    if not directed:
+        setattr(s, _SPECTRUM, _LazySpectrum())
     return Graph(n=n, adjacency=adjacency, s=s, features=features,
                  labels=labels, directed=directed)
 
@@ -150,6 +271,9 @@ def batch(graphs: list[Graph]) -> GraphBatch:
             raise ShapeError("all graphs in a batch must share directedness and label kind")
     adjacency = sp.block_diag([g.adjacency for g in graphs], format="csr")
     s = sp.block_diag([g.s for g in graphs], format="csr")
+    if not directed:
+        offsets = np.cumsum([0] + [g.n for g in graphs[:-1]])
+        setattr(s, _SPECTRUM, _LazySpectrum(tuple(zip((g.s for g in graphs), offsets))))
     features = np.hstack([g.features for g in graphs])
     if any(g.labels is None for g in graphs):
         labels = None

@@ -35,6 +35,8 @@ from .graph import Graph, GraphBatch
 
 CHECKPOINT_FORMAT = "msignn-checkpoint"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_CONFIG_KEYS = ("task", "hidden_dim", "num_classes", "encoder_dims",
+                          "encoder_bias", "dropout", "scales", "solver")
 
 
 class MlpEncoder:
@@ -392,11 +394,18 @@ def save_checkpoint(model: MultiscaleImplicitGNN, path) -> None:
         fh.write("\n")
 
 
+def _require_keys(mapping: dict, keys, prefix: str, path) -> None:
+    for key in keys:
+        if key not in mapping:
+            raise ValueError(f"{path}: missing key {prefix + key!r}")
+
+
 def load_checkpoint(path) -> MultiscaleImplicitGNN:
     """Rebuild a saved model; rejects a file whose scales repeat an exponent.
 
-    Its parameters must be exactly those its config implies, each with the
-    implied shape; a ``ValueError`` names the file and the parameter.
+    Its config must hold every key ``save_checkpoint`` writes, and its
+    parameters must be exactly those its config implies, each with the
+    implied shape; a ``ValueError`` names the file and the key or parameter.
     Older files may carry keys no longer written, ``attention_dim`` (always
     the hidden dim) and ``solver.strict``; they are ignored.
     """
@@ -406,7 +415,12 @@ def load_checkpoint(path) -> MultiscaleImplicitGNN:
         raise ValueError(f"not a model checkpoint: {path}")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
+    _require_keys(payload, ("config", "params"), "", path)
     cfg = payload["config"]
+    _require_keys(cfg, CHECKPOINT_CONFIG_KEYS, "config.", path)
+    _require_keys(cfg["solver"], ("tol", "max_iters"), "config.solver.", path)
+    for t, sc in enumerate(cfg["scales"]):
+        _require_keys(sc, ("m", "gamma", "eps_f"), f"config.scales[{t}].", path)
     params = {name: np.asarray(value, dtype=np.float64)
               for name, value in payload["params"].items()}
     dims, hidden = cfg["encoder_dims"], cfg["hidden_dim"]

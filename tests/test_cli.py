@@ -1,5 +1,8 @@
 import json
 
+import numpy as np
+
+from msignn import init_model, load_dataset, save_checkpoint
 from msignn.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, OUT_DIR_ENV, main
 
 
@@ -211,6 +214,17 @@ def test_eval_on_mismatched_features_is_data_error(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "--checkpoint", str(out / "checkpoint.json"),
                        "--data", str(colors))
     assert code == EXIT_DATA
+
+
+def test_eval_rejects_a_graph_task_checkpoint(tmp_path, capsys):
+    data = gen_chains_dir(tmp_path, capsys, 4)
+    feature_dim = load_dataset(data).graph.feature_dim
+    ckpt = tmp_path / "graph.json"
+    save_checkpoint(init_model(np.random.default_rng(0), feature_dim, 4, 2, task="graph"),
+                    ckpt)
+    code, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", data)
+    assert code == EXIT_DATA
+    assert str(ckpt) in err and "graph-task" in err
 
 
 def test_eval_on_malformed_dataset_is_data_error(tmp_path, capsys):

@@ -1,8 +1,4 @@
-"""Each demo runs to completion against the current library API.
-
-``04_color_counting_multiscale`` is left out: it takes tens of seconds, and
-acceptance criterion 7 makes the same generate / init / train / predict calls.
-"""
+"""Each demo runs to completion against the current library API."""
 
 import os
 import subprocess
@@ -15,7 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", ["01_equilibrium_basics", "02_effective_range",
-                                  "03_train_chains", "05_graph_batching"])
+                                  "03_train_chains", "04_color_counting_multiscale",
+                                  "05_graph_batching"])
 def test_demo_runs(name, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],

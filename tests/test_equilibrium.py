@@ -89,12 +89,13 @@ def test_forward_residual_contracts_geometrically():
     rng = np.random.default_rng(2)
     for _ in range(10):
         n = int(rng.integers(3, 20))
-        s = random_normalized_csr(rng, n)
+        s = sp.csr_array(random_normalized_csr(rng, n))  # a plain copy iterates
         gamma = float(rng.uniform(0.3, 0.95))
         module = ScaleModule(f_weight=rng.standard_normal((5, 5)), gamma=gamma)
         res = forward_solve(module, rng.standard_normal((5, n)), s,
                             SolverConfig(tol=1e-10, max_iters=1000))
         u = res.update_norms
+        assert u.size >= 2 and res.iterations == u.size
         nz = u[:-1] > 0
         ratios = u[1:][nz] / u[:-1][nz]
         assert np.all(ratios <= gamma + 1e-9)
@@ -103,7 +104,7 @@ def test_forward_residual_contracts_geometrically():
 def test_forward_unique_fixed_point_across_inits():
     rng = np.random.default_rng(3)
     n = 8
-    s = random_normalized_csr(rng, n)
+    s = sp.csr_array(random_normalized_csr(rng, n))  # a plain copy iterates from z0
     module = ScaleModule(f_weight=rng.standard_normal((4, 4)), gamma=0.8)
     injected = rng.standard_normal((4, n))
     cfg = SolverConfig(tol=1e-9, max_iters=2000)

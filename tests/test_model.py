@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -303,6 +304,24 @@ def test_checkpoint_rejects_params_its_config_does_not_imply(tmp_path):
                          (unknown, r"unknown parameter 'scales\.2\.f'")):
         path.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match=message) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+
+def test_checkpoint_names_a_missing_config_key(tmp_path):
+    _, path, payload = _saved_payload(tmp_path)
+    for keys, shown in ((("config", "hidden_dim"), "config.hidden_dim"),
+                        (("config", "solver", "tol"), "config.solver.tol"),
+                        (("config", "scales", 1, "gamma"), "config.scales[1].gamma"),
+                        (("params",), "params")):
+        bad = copy.deepcopy(payload)
+        *parents, last = keys
+        node = bad
+        for key in parents:
+            node = node[key]
+        del node[last]
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=re.escape(f"missing key '{shown}'")) as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
 
