@@ -1,7 +1,7 @@
 """Graph-level tasks: block-diagonal batching and sum-pooling readout.
 
 Merging graphs block-diagonally lets one equilibrium solve handle a whole
-mini-batch; because the merged adjacency has no cross-graph edges, the
+mini-batch; because the merged S has no cross-graph edges, the
 result is exactly the concatenation of the per-graph solutions. Sum
 pooling then collapses each graph's node columns into one embedding for
 the linear decoder.

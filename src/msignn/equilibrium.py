@@ -195,12 +195,12 @@ def _picard(g: np.ndarray, op, m: int, gamma: float, injected_t: np.ndarray,
     for iterations in range(1, cfg.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             y_next = gamma * (_propagate(y, op, m) @ g) + injected_t
+            diff = numerics.frobenius_norm(y_next - y)
+            residual = diff / (numerics.frobenius_norm(y) + RESIDUAL_FLOOR)
         if not np.all(np.isfinite(y_next)):
             raise DivergenceError(
                 f"{what} produced non-finite values at iteration {iterations}; "
                 "check that S is normalized and gamma < 1")
-        diff = numerics.frobenius_norm(y_next - y)
-        residual = diff / (numerics.frobenius_norm(y) + RESIDUAL_FLOOR)
         update_norms.append(diff)
         y = y_next
         if residual <= cfg.tol:

@@ -5,6 +5,10 @@ the propagation equations; the solves in ``equilibrium`` transpose
 internally. Labels are either an int class per node, shape (n,), or a
 multi-hot 0/1 matrix, shape (num_classes, n).
 
+A ``Graph`` and a ``GraphBatch`` hold what the model reads: S, features,
+labels and each node's graph; a graph is a batch of one. ``batch`` merges
+S, features and labels. Only a ``Graph`` keeps its raw adjacency.
+
 ``build_graph`` is the only place a normalized adjacency S is made, and
 self-loops follow ``directed``: an undirected graph gets
 S = D^{-1/2} (A + I) D^{-1/2}, a directed graph no self-loops and
@@ -44,15 +48,16 @@ _PENDING = object()
 
 
 @dataclass(frozen=True)
-class Graph:
-    """Immutable graph: raw 0/1 adjacency, normalized adjacency, features, labels."""
+class _Nodes:
+    """What the model reads: normalized adjacency S, features, labels."""
 
-    n: int
-    adjacency: sp.csr_array
     s: sp.csr_array
     features: np.ndarray
     labels: np.ndarray | None
-    directed: bool
+
+    @property
+    def n(self) -> int:
+        return self.s.shape[0]
 
     @property
     def feature_dim(self) -> int:
@@ -72,10 +77,25 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class GraphBatch:
+class Graph(_Nodes):
+    """Immutable graph, a batch of one: its nodes, raw 0/1 adjacency, directedness."""
+
+    adjacency: sp.csr_array
+    directed: bool
+
+    @property
+    def graph_of_node(self) -> np.ndarray:
+        return np.zeros(self.n, dtype=np.int64)
+
+    @property
+    def num_graphs(self) -> int:
+        return 1
+
+
+@dataclass(frozen=True)
+class GraphBatch(_Nodes):
     """Several graphs merged block-diagonally, with per-node graph membership."""
 
-    merged: Graph
     graph_of_node: np.ndarray
     num_graphs: int
 
@@ -239,8 +259,8 @@ def build_graph(adjacency, features, labels=None, directed: bool = False) -> Gra
     s = _normalize(adjacency, directed)
     if not directed:
         setattr(s, _SPECTRUM, _LazySpectrum())
-    return Graph(n=n, adjacency=adjacency, s=s, features=features,
-                 labels=labels, directed=directed)
+    return Graph(s=s, features=features, labels=labels, adjacency=adjacency,
+                 directed=directed)
 
 
 def hop_distance(g: Graph, p: int) -> np.ndarray:
@@ -269,21 +289,13 @@ def batch(graphs: list[Graph]) -> GraphBatch:
                 f"feature dims differ across graphs: {g.feature_dim} != {feat_dim}")
         if g.directed != directed or g.multilabel != multilabel:
             raise ShapeError("all graphs in a batch must share directedness and label kind")
-    adjacency = sp.block_diag([g.adjacency for g in graphs], format="csr")
     s = sp.block_diag([g.s for g in graphs], format="csr")
     if not directed:
         offsets = np.cumsum([0] + [g.n for g in graphs[:-1]])
         setattr(s, _SPECTRUM, _LazySpectrum(tuple(zip((g.s for g in graphs), offsets))))
-    features = np.hstack([g.features for g in graphs])
-    if any(g.labels is None for g in graphs):
-        labels = None
-    elif multilabel:
-        labels = np.hstack([g.labels for g in graphs])
-    else:
-        labels = np.concatenate([g.labels for g in graphs])
+    labels = (None if any(g.labels is None for g in graphs)
+              else np.concatenate([g.labels for g in graphs], axis=-1))
     graph_of_node = np.concatenate(
         [np.full(g.n, i, dtype=np.int64) for i, g in enumerate(graphs)])
-    merged = Graph(n=int(adjacency.shape[0]), adjacency=adjacency, s=s,
-                   features=features, labels=labels, directed=directed)
-    return GraphBatch(merged=merged, graph_of_node=graph_of_node,
-                      num_graphs=len(graphs))
+    return GraphBatch(s=s, features=np.hstack([g.features for g in graphs]),
+                      labels=labels, graph_of_node=graph_of_node, num_graphs=len(graphs))

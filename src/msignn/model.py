@@ -9,12 +9,13 @@ Forward pass (node task):
     Z'_i   = sum_t alpha_it z*_it
     Yhat   = W_dec Z'                        linear decoder, no bias
 
-Graph tasks sum-pool Z' per graph before the decoder. The backward pass is
-hand-written: the loss gradient on each Z*_t (through both the attention
-weights and the weighted sum) enters the adjoint solve of ``equilibrium``,
-whose output backpropagates into F_t and, summed across scales, through
-the encoder. No autodiff framework is involved, so every formula here is
-covered by finite-difference checks in the test suite.
+Graph tasks sum-pool Z' per graph (a Graph is a batch of one) before the
+decoder. The backward pass is hand-written: the loss gradient on each Z*_t
+(through both the attention weights and the weighted sum) enters the
+adjoint solve of ``equilibrium``, whose output backpropagates into F_t
+and, summed across scales, through the encoder. No autodiff framework is
+involved, so every formula here is covered by finite-difference checks in
+the test suite.
 
 Parameters are exposed as a flat name -> ndarray dict of live references;
 the optimizer updates them in place between forward/backward passes.
@@ -51,6 +52,8 @@ class MlpEncoder:
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray] | None = None,
                  dropout_rate: float = 0.0):
+        if not weights:
+            raise ValueError("encoder needs at least one layer, got 0")
         if biases is not None and len(weights) != len(biases):
             raise ShapeError("encoder needs one bias per weight matrix")
         for i in range(1, len(weights)):
@@ -214,13 +217,11 @@ class MultiscaleImplicitGNN:
 
     def forward(self, data: Graph | GraphBatch, train_mode: bool = False,
                 rng=None) -> ForwardTrace:
-        g, batch = self._unpack(data)
-        injected, enc_cache = self.encoder.forward(g.features, train_mode, rng)
-        results = [forward_solve(mod, injected, g.s, self.solver_cfg)
+        injected, enc_cache = self.encoder.forward(data.features, train_mode, rng)
+        results = [forward_solve(mod, injected, data.s, self.solver_cfg)
                    for mod in self.scales]
-        n = g.n
         k = len(self.scales)
-        betas = np.empty((n, k))
+        betas = np.empty((data.n, k))
         tanh_acts = []
         att = self.attention
         for t, res in enumerate(results):
@@ -231,12 +232,8 @@ class MultiscaleImplicitGNN:
         z_prime = np.zeros_like(results[0].z_star)
         for t, res in enumerate(results):
             z_prime += res.z_star * alphas[:, t][None, :]
-        if batch is not None:
-            pooled = sum_pool(z_prime, batch)
-            logits = self.decoder_weight @ pooled
-        else:
-            pooled = None
-            logits = self.decoder_weight @ z_prime
+        pooled = sum_pool(z_prime, data) if self.task == "graph" else None
+        logits = self.decoder_weight @ (z_prime if pooled is None else pooled)
         return ForwardTrace(injected=injected, encoder_cache=enc_cache,
                             scale_results=results, tanh_acts=tanh_acts,
                             alphas=alphas, z_prime=z_prime,
@@ -247,25 +244,21 @@ class MultiscaleImplicitGNN:
     def backward(self, data: Graph | GraphBatch, trace: ForwardTrace,
                  grad_logits: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss for every parameter, given d(loss)/d(logits)."""
-        g, batch = self._unpack(data)
         if grad_logits.shape != trace.logits.shape:
             raise ShapeError(
                 f"grad_logits shape {grad_logits.shape} != logits {trace.logits.shape}")
         att = self.attention
         grads: dict[str, np.ndarray] = {}
-        if batch is not None:
-            grads["decoder.w"] = grad_logits @ trace.pooled.T
-            d_pooled = self.decoder_weight.T @ grad_logits
-            d_zp = d_pooled[:, batch.graph_of_node]
-        else:
-            grads["decoder.w"] = grad_logits @ trace.z_prime.T
-            d_zp = self.decoder_weight.T @ grad_logits
+        readout = trace.z_prime if trace.pooled is None else trace.pooled
+        grads["decoder.w"] = grad_logits @ readout.T
+        d_zp = self.decoder_weight.T @ grad_logits
+        if self.task == "graph":
+            d_zp = d_zp[:, data.graph_of_node]  # each node takes its graph's gradient
 
         k = len(self.scales)
-        n = g.n
         # Value path: Z' = sum_t alpha_t * Z_t, so each scale sees alpha-scaled d_zp
         # and each alpha sees the inner product of d_zp with its equilibrium.
-        d_alpha = np.empty((n, k))
+        d_alpha = np.empty((data.n, k))
         for t in range(k):
             d_alpha[:, t] = np.sum(d_zp * trace.scale_results[t].z_star, axis=0)
         # Softmax backward per node (rows of alpha sum to 1).
@@ -285,8 +278,8 @@ class MultiscaleImplicitGNN:
             d_wa += d_pre @ z_t.T
             d_ba += d_pre.sum(axis=1)
             d_zt = d_zp * trace.alphas[:, t][None, :] + att.w_a.T @ d_pre
-            u = adjoint_solve(mod, g.s, d_zt, self.solver_cfg)
-            grads[f"scales.{t}.f"] = weight_gradient(mod, u, z_t, g.s)
+            u = adjoint_solve(mod, data.s, d_zt, self.solver_cfg)
+            grads[f"scales.{t}.f"] = weight_gradient(mod, u, z_t, data.s)
             d_injected += u  # the map is the identity in H
         grads["attention.q"] = d_q
         grads["attention.w_a"] = d_wa
@@ -303,23 +296,13 @@ class MultiscaleImplicitGNN:
 
     def predict(self, data: Graph | GraphBatch) -> np.ndarray:
         """Class per column (argmax, ties to the lower index) or multi-hot at logit > 0."""
-        g, _ = self._unpack(data)
         logits = self.forward(data).logits
-        if g.multilabel and self.task == "node":
+        if data.multilabel and self.task == "node":
             return (logits > 0.0).astype(np.int64)
         return np.argmax(logits, axis=0)
 
-    def _unpack(self, data) -> tuple[Graph, GraphBatch | None]:
-        """The graph to propagate on and, for graph tasks, the batch to pool over."""
-        if self.task == "node":
-            return (data.merged if isinstance(data, GraphBatch) else data), None
-        if isinstance(data, GraphBatch):
-            return data.merged, data
-        return data, GraphBatch(merged=data, graph_of_node=np.zeros(data.n, dtype=np.int64),
-                                num_graphs=1)
 
-
-def sum_pool(z: np.ndarray, batch: GraphBatch) -> np.ndarray:
+def sum_pool(z: np.ndarray, batch: Graph | GraphBatch) -> np.ndarray:
     """Sum node columns within each graph: output column g = sum of z[:, i] with i in g."""
     if z.shape[1] != batch.graph_of_node.shape[0]:
         raise ShapeError(
@@ -333,6 +316,8 @@ def sum_pool(z: np.ndarray, batch: GraphBatch) -> np.ndarray:
 
 
 def glorot_uniform(rng, fan_out: int, fan_in: int, gain: float = 1.0) -> np.ndarray:
+    if min(fan_out, fan_in) < 1:
+        raise ValueError(f"weight sizes must be positive, got {fan_out} x {fan_in}")
     limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 

@@ -170,6 +170,12 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def train_loop(model: MultiscaleImplicitGNN, data, cfg: TrainConfig) -> list[dict]:

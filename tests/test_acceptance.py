@@ -300,7 +300,7 @@ def test_criterion_9_batching():
     gap = np.abs(batched - separate).max()
     assert gap <= 1e-9, f"batched vs per-graph forward gap {gap:.2e}"
 
-    z = rng.standard_normal((4, merged.merged.n))
+    z = rng.standard_normal((4, merged.n))
     pooled = sum_pool(z, merged)
     brute = np.zeros((4, merged.num_graphs))
     for i, g in enumerate(merged.graph_of_node):

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from msignn import init_model, load_dataset, save_checkpoint
 from msignn.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, OUT_DIR_ENV, main
@@ -88,6 +89,29 @@ def test_train_rejects_duplicate_scales(tmp_path, capsys):
                        "--out", str(tmp_path / "x"))
     assert code == EXIT_DATA
     assert "distinct" in err
+
+
+@pytest.mark.parametrize("command, flag, named", [
+    ("train", "--encoder-layers", "at least one layer, got 0"),
+    ("train", "--hidden", "got 0 x"),
+    ("probe-range", "--hidden", "got 0 x"),
+])
+def test_zero_model_size_is_data_error(tmp_path, capsys, command, flag, named):
+    data = ["--data", gen_chains_dir(tmp_path, capsys, 3)] if command == "train" else []
+    code, _, err = run(capsys, command, *data, flag, "0", "--out", str(tmp_path / "x"))
+    assert code == EXIT_DATA
+    assert named in err
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--patience", "-3", "patience must be >= 0"),
+    ("--wd", "-1", "weight_decay must be >= 0"),
+])
+def test_train_rejects_negative_settings(tmp_path, capsys, flag, value, named):
+    code, _, err = run(capsys, "train", "--data", gen_chains_dir(tmp_path, capsys, 3),
+                       "--epochs", "3", flag, value, "--out", str(tmp_path / "x"))
+    assert code == EXIT_DATA
+    assert named in err
 
 
 def test_train_without_data_is_data_error(tmp_path, capsys):

@@ -96,7 +96,7 @@ def test_adjoint_closed_form_matches_picard_and_oracle(g, module, seed):
 @PROPERTY
 @given(st.lists(graphs, min_size=1, max_size=4), modules, st.integers(0, 2**32 - 1))
 def test_batch_solves_like_its_members_alone(members, module, seed):
-    merged = batch(members).merged
+    merged = batch(members)
     rng = np.random.default_rng(seed)
     injected = rng.standard_normal((module.hidden_dim, merged.n))
     grad = rng.standard_normal((module.hidden_dim, merged.n))
@@ -180,7 +180,7 @@ def test_plain_copies_and_directed_graphs_have_no_spectrum():
     assert spectrum(sp.csr_array(undirected.s)) is None
     assert spectrum(build_graph(a, np.ones((1, 2)), directed=True).s) is None
     directed_batch = batch([build_graph(a, np.ones((1, 2)), directed=True)] * 2)
-    assert spectrum(directed_batch.merged.s) is None
+    assert spectrum(directed_batch.s) is None
 
 
 def test_spectrum_is_lazy_cached_and_never_decomposed_per_batch(monkeypatch):
@@ -189,7 +189,7 @@ def test_spectrum_is_lazy_cached_and_never_decomposed_per_batch(monkeypatch):
     monkeypatch.setattr(graph_mod, "_decompose", lambda s: calls.append(s) or decompose(s))
     rng = np.random.default_rng(0)
     members = [_random_graph(int(seed), [3, 4, 1], 0.6) for seed in rng.integers(0, 99, 3)]
-    merged = batch(members).merged
+    merged = batch(members)
     assert calls == []
     spectrum(members[0].s)
     spectrum(members[0].s)

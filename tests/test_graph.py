@@ -145,8 +145,8 @@ def test_batch_single_graph_identity():
     b = batch([g])
     assert b.num_graphs == 1
     npt.assert_array_equal(b.graph_of_node, np.zeros(7, dtype=int))
-    npt.assert_array_equal(b.merged.adjacency.toarray(), g.adjacency.toarray())
-    npt.assert_array_equal(b.merged.features, g.features)
+    npt.assert_array_equal(b.s.toarray(), g.s.toarray())
+    npt.assert_array_equal(b.features, g.features)
 
 
 def test_batch_two_graphs_block_structure():
@@ -154,7 +154,7 @@ def test_batch_two_graphs_block_structure():
     g1 = random_undirected_graph(rng, 2)
     g2 = random_undirected_graph(rng, 2)
     b = batch([g1, g2])
-    merged = b.merged.adjacency.toarray()
+    merged = b.s.toarray()
     assert merged.shape == (4, 4)
     npt.assert_array_equal(merged[:2, 2:], np.zeros((2, 2)))
     npt.assert_array_equal(merged[2:, :2], np.zeros((2, 2)))
@@ -165,7 +165,7 @@ def test_batch_no_cross_graph_edges():
     rng = np.random.default_rng(5)
     graphs = [random_undirected_graph(rng, int(rng.integers(2, 8))) for _ in range(4)]
     b = batch(graphs)
-    coo = b.merged.adjacency.tocoo()
+    coo = b.s.tocoo()
     assert np.all(b.graph_of_node[coo.row] == b.graph_of_node[coo.col])
 
 
@@ -176,12 +176,9 @@ def test_batch_round_trip_exact():
     start = 0
     for g in graphs:
         stop = start + g.n
-        npt.assert_array_equal(b.merged.adjacency.toarray()[start:stop, start:stop],
-                               g.adjacency.toarray())
-        npt.assert_array_equal(b.merged.s.toarray()[start:stop, start:stop],
-                               g.s.toarray())
-        npt.assert_array_equal(b.merged.features[:, start:stop], g.features)
-        npt.assert_array_equal(b.merged.labels[start:stop], g.labels)
+        npt.assert_array_equal(b.s.toarray()[start:stop, start:stop], g.s.toarray())
+        npt.assert_array_equal(b.features[:, start:stop], g.features)
+        npt.assert_array_equal(b.labels[start:stop], g.labels)
         start = stop
 
 

@@ -172,9 +172,11 @@ def test_gradients_without_encoder_bias():
 def test_sum_pool_cases():
     z = np.array([[1.0, 2.0, 3.0, 4.0],
                   [5.0, 6.0, 7.0, 8.0]])
-    single = GraphBatch(merged=None, graph_of_node=np.zeros(4, dtype=int), num_graphs=1)
+    single = GraphBatch(s=None, features=None, labels=None,
+                        graph_of_node=np.zeros(4, dtype=int), num_graphs=1)
     npt.assert_array_equal(sum_pool(z, single), [[10.0], [26.0]])
-    two = GraphBatch(merged=None, graph_of_node=np.array([0, 0, 1, 1]), num_graphs=2)
+    two = GraphBatch(s=None, features=None, labels=None,
+                     graph_of_node=np.array([0, 0, 1, 1]), num_graphs=2)
     npt.assert_array_equal(sum_pool(z, two), [[3.0, 7.0], [11.0, 15.0]])
     npt.assert_array_equal(sum_pool(np.zeros_like(z), two), np.zeros((2, 2)))
 
@@ -215,6 +217,23 @@ def test_graph_task_forward_and_gradcheck():
             numeric[idx] = (lp - lm) / (2 * step)
             it.iternext()
         npt.assert_allclose(grads[name], numeric, rtol=1e-3, atol=1e-6, err_msg=name)
+
+
+@pytest.mark.parametrize("directed", [False, True])  # closed-form and Picard solves
+def test_graph_task_on_a_plain_graph_is_a_batch_of_one(directed):
+    rng = np.random.default_rng(11)
+    g = random_undirected_graph(rng, 6, num_classes=2)
+    g = build_graph(g.adjacency, g.features, g.labels, directed=directed)
+    model = init_model(rng, g.feature_dim, 4, 2, scale_exponents=(1, 2), task="graph",
+                       solver_cfg=TIGHT)
+    grad_logits = rng.standard_normal((2, 1))
+    plain, one = model.forward(g), model.forward(batch([g]))
+    npt.assert_array_equal(plain.logits, one.logits)
+    grads_plain = model.backward(g, plain, grad_logits)
+    grads_one = model.backward(batch([g]), one, grad_logits)
+    assert grads_plain.keys() == model.parameters().keys()
+    for name, grad in grads_plain.items():
+        npt.assert_array_equal(grad, grads_one[name], err_msg=name)
 
 
 def test_predict_argmax_and_threshold():

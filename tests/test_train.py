@@ -151,6 +151,14 @@ def test_micro_f1_hand_counts():
     assert micro_f1(labels, labels, mask) == 1.0
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epochs", -1), ("lr", 0.0), ("weight_decay", -1.0), ("patience", -3), ("batch_size", 0),
+])
+def test_train_config_rejects_out_of_range_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
 def test_train_loop_zero_epochs_is_noop():
     rng = np.random.default_rng(3)
     ds = gen_chains(ChainsSpec(length=3, seed=0))
