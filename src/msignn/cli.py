@@ -285,6 +285,9 @@ def _cmd_probe_range(cfg) -> int:
     def encode(x):
         return encoder.forward(x)[0]
 
+    # Every bound is checked before the first curve is written.
+    bounds = {(gamma, m): probe.range_bound(gamma, theta, m)
+              for gamma in gammas for m in scales}
     summary = []
     for gamma in gammas:
         for m in scales:
@@ -297,7 +300,7 @@ def _cmd_probe_range(cfg) -> int:
                 "m": m,
                 "theta": theta,
                 "empirical_range": probe.empirical_range(curve, theta),
-                "range_bound": probe.range_bound(gamma, theta, m),
+                "range_bound": bounds[gamma, m],
                 "file": name,
             })
     with open(out / "summary.csv", "w", encoding="utf-8") as fh:

@@ -17,42 +17,47 @@ is pulled back through the fixed point by solving the adjoint equation
 
 after which parameter gradients are closed-form functions of U and Z*.
 
-Two solvers serve both equations, and the input decides which runs:
-
-- **Closed form**, when S has a ``graph.spectrum`` (undirected graphs
-  and their batches). With S = V Sigma V^T per connected component and
-  g(F) = Q Lambda Q^T, the fixed point is
-  Z* = Q [(Q^T H V) / (1 - gamma lambda (sigma^m)^T)] V^T, elementwise
-  division, whose denominators are >= 1 - gamma. g and S are symmetric,
-  so the adjoint is the same formula applied to dL/dZ*. The solve then
-  applies the map once to its answer and reports that true relative
-  residual, with ``iterations = 0``; a residual above ``tol`` continues
-  as Picard iteration from the closed-form answer.
-- **Picard iteration** for every other S (directed graphs, components
-  above ``graph.SPECTRUM_MAX_COMPONENT`` nodes, any S made outside
-  ``graph``). It iterates from Z = 0, unless given a start, so the
-  iterates are the partial sums of the underlying geometric series, and
-  stops when ||Z_next - Z||_F / (||Z||_F + 1e-12) <= tol.
-
 Both solves keep their iterate transposed (node-per-row, n x h), because
 g(F) is symmetric:
 
     forward:  Z^T  <-  gamma * (S^T)^m Z^T g(F)  +  H^T
     adjoint:  U^T  <-  gamma *  S^m    U^T g(F)  +  (dL/dZ*)^T
 
-Each hop is then one sparse-times-dense product with an operator made
-once per solve: the forward solve and ``weight_gradient`` use ``s.T``, a
-CSC view sharing S's arrays, and the adjoint uses S itself. Powers of S
-are never materialized. Callers pass and receive the column-per-node
-(h x n) layout; S is trusted to be a validated CSR (see ``graph``).
-``oracle_solve`` solves the vectorized system (I - gamma*(S^m)^T (x) g(F))
-densely by LU; it exists purely as an independent cross-check for tests
-and is capacity-guarded.
+Each hop is one sparse-times-dense product with an operator made once
+per solve: the forward solve and ``weight_gradient`` use ``s.T``, a CSC
+view sharing S's arrays, and the adjoint uses S itself. Powers of S are
+never materialized. Callers pass and receive the column-per-node (h x n)
+layout; S is trusted to be a validated CSR (see ``graph``).
+
+A solve changes basis once. With g(F) = Q diag(lambda) Q^T, c = gamma
+lambda and R the transposed right-hand side times Q, the columns of
+W = Z^T Q are h independent problems w_j = c_j op^m w_j + r_j, where op
+is the solve's operator; Z = (W Q^T)^T at the end. Two kernels solve
+them, and the input decides which runs:
+
+- **Closed form**, when S has a ``graph.spectrum`` (undirected graphs
+  and their batches). With S = V Sigma V^T per connected component,
+  W = V [(V^T R) / (1 - sigma^m c^T)], elementwise division, whose
+  denominators are >= 1 - gamma. One more application of the map
+  measures the true relative residual, reported with ``iterations = 0``;
+  above ``tol`` the solve continues as Picard from that answer.
+- **Picard iteration** for every other S (directed graphs, components
+  above ``graph.SPECTRUM_MAX_COMPONENT`` nodes, any S made outside
+  ``graph``): W <- (op^m W) diag(c) + R from W = 0 unless given a start,
+  so the iterates are partial sums of the geometric series. It stops when
+  ||W_next - W||_F / (||W||_F + 1e-12) <= tol, the same ratio in Z since
+  Q is orthogonal.
+
+gamma = 0 needs no path of its own: the closed form returns H with
+``iterations = 0``, and Picard reaches H at step 1 and confirms it at
+step 2. ``oracle_solve`` solves the vectorized system
+(I - gamma*(S^m)^T (x) g(F)) densely by LU; it exists purely as an
+independent cross-check for tests and is capacity-guarded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -108,8 +113,6 @@ class EquilibriumResult:
     iterations: int
     residual: float
     converged: bool
-    # ||Z^(k+1) - Z^(k)||_F per step; contracts by at most gamma per step.
-    update_norms: np.ndarray = field(default=None, repr=False)
 
 
 def normalized_gram(f_weight: np.ndarray, eps_f: float) -> np.ndarray:
@@ -131,7 +134,7 @@ def _propagate(y: np.ndarray, op, m: int) -> np.ndarray:
 
 def _solve(g: np.ndarray, s, op, m: int, gamma: float, injected: np.ndarray,
            cfg: SolverConfig, z0: np.ndarray | None, what: str) -> EquilibriumResult:
-    """Solve Y = gamma op^m Y g + injected^T with Y = Z^T; returns Z = Y^T.
+    """Solve Y = gamma op^m Y g + injected^T for W = Y Q; returns Z = Y^T.
 
     ``op`` is S or S^T, the operator of the map; ``s`` is S itself, which
     carries the spectrum when there is one.
@@ -145,70 +148,58 @@ def _solve(g: np.ndarray, s, op, m: int, gamma: float, injected: np.ndarray,
     z = None if z0 is None else numerics.as_dense(z0)
     if z is not None and z.shape != injected.shape:
         raise ShapeError(f"{what}: z0 shape {z.shape} != {injected.shape}")
-    if gamma == 0.0:
-        # The map is constant: one application lands exactly on the fixed point.
-        step = injected if z is None else injected - z
-        return EquilibriumResult(
-            z_star=injected.copy(), iterations=1, residual=0.0, converged=True,
-            update_norms=np.array([numerics.frobenius_norm(step)]))
-    injected_t = np.ascontiguousarray(injected.T)
+    lam, q = np.linalg.eigh(g)
+    c = gamma * lam
+    rhs = np.ascontiguousarray(injected.T) @ q
     blocks = graph.spectrum(s)
     if blocks is None:
-        y = np.zeros_like(injected_t) if z is None else np.ascontiguousarray(z.T)
-        return _picard(g, op, m, gamma, injected_t, y, cfg, what)
-    y = _closed_form(g, blocks, m, gamma, injected_t)
+        w = np.zeros_like(rhs) if z is None else z.T @ q
+        return _picard(c, q, op, m, rhs, w, cfg, what)
+    w = _closed_form(c, blocks, m, rhs)
     # One more application of the map measures the true residual (in place,
     # since an evaluation solve on a large batch sets the peak memory).
-    step = _propagate(y, op, m) @ g
-    step *= gamma
-    step += injected_t
-    step -= y
-    residual = numerics.frobenius_norm(step) / (numerics.frobenius_norm(y) + RESIDUAL_FLOOR)
+    step = _propagate(w, op, m)
+    step *= c
+    step += rhs
+    step -= w
+    residual = numerics.frobenius_norm(step) / (numerics.frobenius_norm(w) + RESIDUAL_FLOOR)
+    del step
     if residual <= cfg.tol:
-        return EquilibriumResult(z_star=np.ascontiguousarray(y.T), iterations=0,
-                                 residual=residual, converged=True,
-                                 update_norms=np.zeros(0))
-    return _picard(g, op, m, gamma, injected_t, y, cfg, what)
+        del rhs  # one n x h array fewer while the back-transform makes two
+        return EquilibriumResult(z_star=np.ascontiguousarray((w @ q.T).T), iterations=0,
+                                 residual=residual, converged=True)
+    return _picard(c, q, op, m, rhs, w, cfg, what)
 
 
-def _closed_form(g: np.ndarray, blocks, m: int, gamma: float,
-                 rhs_t: np.ndarray) -> np.ndarray:
-    """Y = V [(V^T rhs_t Q) / (1 - gamma sigma^m lambda^T)] Q^T, block by block."""
-    lam, q = np.linalg.eigh(g)
-    y = rhs_t @ q
-    for b in blocks:  # blocks partition the nodes, so each overwrites only its own rows
-        coeffs = np.matmul(b.vectors.transpose(0, 2, 1), y[b.nodes])
-        denominators = (b.values ** m)[:, :, None] * (-gamma * lam)
+def _closed_form(c: np.ndarray, blocks, m: int, rhs: np.ndarray) -> np.ndarray:
+    """W = V [(V^T R) / (1 - sigma^m c^T)], block by block."""
+    w = np.empty_like(rhs)
+    for b in blocks:  # blocks partition the nodes, so together they write every row
+        coeffs = np.matmul(b.vectors.transpose(0, 2, 1), rhs[b.nodes])
+        denominators = (b.values ** m)[:, :, None] * -c
         denominators += 1.0
         coeffs /= denominators
-        y[b.nodes] = np.matmul(b.vectors, coeffs)
-    return y @ q.T
+        w[b.nodes] = np.matmul(b.vectors, coeffs)
+    return w
 
 
-def _picard(g: np.ndarray, op, m: int, gamma: float, injected_t: np.ndarray,
-            y: np.ndarray, cfg: SolverConfig, what: str) -> EquilibriumResult:
-    """Iterate Y <- gamma op^m Y g + injected_t from Y = y; returns Z = Y^T."""
-    update_norms = []
-    residual = np.inf
-    converged = False
-    iterations = 0
+def _picard(c: np.ndarray, q: np.ndarray, op, m: int, rhs: np.ndarray,
+            w: np.ndarray, cfg: SolverConfig, what: str) -> EquilibriumResult:
+    """Iterate W <- (op^m W) diag(c) + R from W = w; returns Z = (W Q^T)^T."""
     for iterations in range(1, cfg.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            y_next = gamma * (_propagate(y, op, m) @ g) + injected_t
-            diff = numerics.frobenius_norm(y_next - y)
-            residual = diff / (numerics.frobenius_norm(y) + RESIDUAL_FLOOR)
-        if not np.all(np.isfinite(y_next)):
+            w_next = _propagate(w, op, m) * c + rhs
+            residual = (numerics.frobenius_norm(w_next - w)
+                        / (numerics.frobenius_norm(w) + RESIDUAL_FLOOR))
+        if not np.all(np.isfinite(w_next)):
             raise DivergenceError(
                 f"{what} produced non-finite values at iteration {iterations}; "
                 "check that S is normalized and gamma < 1")
-        update_norms.append(diff)
-        y = y_next
+        w = w_next
         if residual <= cfg.tol:
-            converged = True
             break
-    return EquilibriumResult(z_star=np.ascontiguousarray(y.T), iterations=iterations,
-                             residual=residual, converged=converged,
-                             update_norms=np.asarray(update_norms))
+    return EquilibriumResult(z_star=np.ascontiguousarray((w @ q.T).T), iterations=iterations,
+                             residual=residual, converged=residual <= cfg.tol)
 
 
 def forward_solve(module: ScaleModule, injected: np.ndarray, s: sp.csr_array,

@@ -334,6 +334,8 @@ def init_model(rng, feature_dim: int, hidden_dim: int, num_classes: int,
     the hidden dim. ``encoder_bias=False`` drops the encoder bias terms
     entirely (useful when zero feature columns must stay exactly zero).
     """
+    if encoder_layers < 1:
+        raise ValueError(f"encoder needs at least one layer, got {encoder_layers}")
     dims = [feature_dim] + [hidden_dim] * encoder_layers
     weights = [glorot_uniform(rng, dims[i + 1], dims[i]) for i in range(encoder_layers)]
     biases = [np.zeros(dims[i + 1]) for i in range(encoder_layers)] if encoder_bias else None

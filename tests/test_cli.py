@@ -103,6 +103,13 @@ def test_zero_model_size_is_data_error(tmp_path, capsys, command, flag, named):
     assert named in err
 
 
+def test_train_names_a_negative_encoder_layer_count(tmp_path, capsys):
+    code, _, err = run(capsys, "train", "--data", gen_chains_dir(tmp_path, capsys, 3),
+                       "--encoder-layers", "-1", "--out", str(tmp_path / "x"))
+    assert code == EXIT_DATA
+    assert "at least one layer, got -1" in err
+
+
 @pytest.mark.parametrize("flag, value, named", [
     ("--patience", "-3", "patience must be >= 0"),
     ("--wd", "-1", "weight_decay must be >= 0"),
@@ -152,6 +159,21 @@ def test_probe_range_outputs_and_determinism(tmp_path, capsys):
     run(capsys, *args, "--out", str(out_b))
     for name in ("curve_g0.3_m1.csv", "curve_g0.5_m1.csv", "summary.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+@pytest.mark.parametrize("gammas, theta, named", [
+    ("0.5,0", "1e-6", "gamma must lie in (0, 1), got 0"),
+    ("0.3", "0", "theta must lie in (0, 1), got 0"),
+], ids=["gamma-zero", "theta-zero"])
+def test_probe_range_checks_every_bound_before_writing(tmp_path, capsys, gammas, theta,
+                                                      named):
+    out = tmp_path / "x"
+    code, _, err = run(capsys, "probe-range", "--gammas", gammas, "--theta", theta,
+                       "--scales", "1", "--length", "10", "--out", str(out))
+    assert code == EXIT_DATA
+    assert named in err
+    assert not list(out.glob("curve_*.csv"))
+    assert not (out / "summary.csv").exists()
 
 
 def test_probe_theta_changes_only_summary(tmp_path, capsys):

@@ -8,7 +8,7 @@ from msignn import (ScaleModule, SolverConfig, adjoint_solve, forward_solve,
 from msignn.errors import CapacityError, DivergenceError
 from msignn.numerics import as_csr, frobenius_norm
 
-from conftest import random_normalized_csr
+from conftest import picard_steps, random_directed_csr, random_normalized_csr
 
 
 def scalar_setup(gamma_times_g=0.4):
@@ -53,27 +53,42 @@ def test_forward_scalar_geometric_series():
     npt.assert_allclose(res.z_star[0, 0], 1.666667, atol=1e-5)
 
 
-def test_forward_gamma_zero_single_step():
-    module = ScaleModule(f_weight=np.eye(2), gamma=0.0)
-    s = as_csr(sp.eye_array(3, format="csr"))
-    injected = np.arange(6.0).reshape(2, 3)
-    res = forward_solve(module, injected, s)
-    assert res.iterations == 1 and res.converged
-    npt.assert_array_equal(res.z_star, injected)
+def test_forward_gamma_zero_returns_injected_from_both_kernels():
+    # The map is constant: the closed form needs no iteration, and Picard
+    # lands on H at step 1 and confirms it at step 2. Both go through g's
+    # eigenbasis and back, so Z* equals H up to rounding.
+    rng = np.random.default_rng(12)
+    s = random_normalized_csr(rng, 6)
+    module = ScaleModule(f_weight=rng.standard_normal((3, 3)), gamma=0.0, scale_m=2)
+    injected = rng.uniform(-1.0, 1.0, (3, 6))
+    closed = forward_solve(module, injected, s)
+    picard = forward_solve(module, injected, sp.csr_array(s))
+    assert closed.iterations == 0 and picard.iterations == 2
+    for res in (closed, picard):
+        assert res.converged
+        npt.assert_allclose(res.z_star, injected, rtol=0, atol=1e-15)
 
 
-def test_forward_matches_oracle_on_random_graphs():
-    rng = np.random.default_rng(1)
+def check_forward_against_oracle(rng, make_s):
     cfg = SolverConfig(tol=1e-8, max_iters=2000)
     for _ in range(10):
         n = int(rng.integers(3, 9))
-        s = random_normalized_csr(rng, n)
+        s = make_s(rng, n)
         module = ScaleModule(f_weight=rng.standard_normal((4, 4)) * 0.7,
                              gamma=0.8, scale_m=int(rng.integers(1, 4)))
         injected = rng.standard_normal((4, n))
         res = forward_solve(module, injected, s, cfg)
         exact = oracle_solve(module, injected, s)
         assert frobenius_norm(res.z_star - exact) <= 10 * cfg.tol * frobenius_norm(exact)
+
+
+def test_forward_matches_oracle_on_random_graphs():
+    check_forward_against_oracle(np.random.default_rng(1), random_normalized_csr)
+
+
+def test_forward_matches_oracle_on_directed_graphs():
+    # A symmetric S cannot tell the forward operator S^T from S; this one can.
+    check_forward_against_oracle(np.random.default_rng(13), random_directed_csr)
 
 
 def test_forward_divergence_error_on_bad_s():
@@ -89,16 +104,11 @@ def test_forward_residual_contracts_geometrically():
     rng = np.random.default_rng(2)
     for _ in range(10):
         n = int(rng.integers(3, 20))
-        s = sp.csr_array(random_normalized_csr(rng, n))  # a plain copy iterates
+        s = random_normalized_csr(rng, n)
         gamma = float(rng.uniform(0.3, 0.95))
         module = ScaleModule(f_weight=rng.standard_normal((5, 5)), gamma=gamma)
-        res = forward_solve(module, rng.standard_normal((5, n)), s,
-                            SolverConfig(tol=1e-10, max_iters=1000))
-        u = res.update_norms
-        assert u.size >= 2 and res.iterations == u.size
-        nz = u[:-1] > 0
-        ratios = u[1:][nz] / u[:-1][nz]
-        assert np.all(ratios <= gamma + 1e-9)
+        steps = picard_steps(module, rng.standard_normal((5, n)), s, 20)
+        assert np.all(steps[1:] <= gamma * steps[:-1] + 1e-9)
 
 
 def test_forward_unique_fixed_point_across_inits():
@@ -144,12 +154,11 @@ def test_adjoint_scalar_geometric_series():
     npt.assert_allclose(u[0, 0], 1.0 / 0.6, rtol=1e-8)
 
 
-def test_adjoint_matches_kronecker_oracle():
-    rng = np.random.default_rng(6)
+def check_adjoint_against_kronecker(rng, make_s):
     for _ in range(5):
         n = int(rng.integers(3, 8))
         h = int(rng.integers(2, 6))
-        s = random_normalized_csr(rng, n)
+        s = make_s(rng, n)
         module = ScaleModule(f_weight=rng.standard_normal((h, h)), gamma=0.8,
                              scale_m=int(rng.integers(1, 3)))
         grad = rng.standard_normal((h, n))
@@ -163,6 +172,15 @@ def test_adjoint_matches_kronecker_oracle():
         npt.assert_allclose(u, expected, atol=1e-8 * (1 + np.abs(expected).max()))
 
 
+def test_adjoint_matches_kronecker_oracle():
+    check_adjoint_against_kronecker(np.random.default_rng(6), random_normalized_csr)
+
+
+def test_adjoint_matches_kronecker_oracle_on_directed_graphs():
+    # A symmetric S cannot tell the adjoint operator S from S^T; this one can.
+    check_adjoint_against_kronecker(np.random.default_rng(14), random_directed_csr)
+
+
 def test_weight_gradient_zero_adjoint():
     rng = np.random.default_rng(7)
     s = random_normalized_csr(rng, 5)
@@ -172,11 +190,9 @@ def test_weight_gradient_zero_adjoint():
                            np.zeros((3, 3)))
 
 
-def test_weight_gradient_matches_finite_differences():
+def check_weight_gradient(rng, s):
     # loss(F) = <R, Z*(F)> checked against central differences
-    rng = np.random.default_rng(8)
-    n, h = 6, 3
-    s = random_normalized_csr(rng, n)
+    n, h = s.shape[0], 3
     injected = rng.standard_normal((h, n))
     r = rng.standard_normal((h, n))
     f = rng.standard_normal((h, h))
@@ -200,6 +216,16 @@ def test_weight_gradient_matches_finite_differences():
             fm = f.copy(); fm[i, j] -= step
             numeric[i, j] = (loss(fp) - loss(fm)) / (2 * step)
     npt.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-8)
+
+
+def test_weight_gradient_matches_finite_differences():
+    rng = np.random.default_rng(8)
+    check_weight_gradient(rng, random_normalized_csr(rng, 6))
+
+
+def test_weight_gradient_matches_finite_differences_on_directed_graph():
+    rng = np.random.default_rng(15)
+    check_weight_gradient(rng, random_directed_csr(rng, 6))
 
 
 def test_weight_gradient_symmetry_preserved():
