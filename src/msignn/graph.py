@@ -15,9 +15,18 @@ S = D^{-1/2} (A + I) D^{-1/2}, a directed graph no self-loops and
 S = D_out^{-1/2} A D_in^{-1/2} (directed chains must not short-circuit
 their own information-passing test). ``build_graph``, which the
 generators and loaders go through, validates its adjacency once with
-``numerics.as_csr``. What the library derives from a validated matrix,
+``numerics.as_csr``. Weights must be non-negative, which the contraction
+bound of ``equilibrium`` rests on, and explicitly stored zeros are
+dropped, so a Graph's adjacency, its hop distances and its saved edge
+list agree with S. What the library derives from a validated matrix,
 the normalized S and the block-diagonal merges of ``batch``, is
 canonical by construction and not checked again.
+
+Every S, merged ones included, is assembled from numpy arrays by one
+``sp.csr_array((data, indices, indptr))`` call: on small graphs scipy's
+sparse operations cost more in bookkeeping than in arithmetic. Degrees
+are summed in the order scipy's sparse sums use, so S is bit-identical
+to the formula evaluated with scipy's sparse operations.
 
 The S of an undirected graph is symmetric, and ``spectrum(s)`` gives its
 eigendecomposition, one dense ``eigh`` per connected component, which
@@ -200,25 +209,12 @@ def _decompose(s) -> list[SpectrumBlock] | None:
     return blocks
 
 
-def _normalize(a: sp.csr_array, directed: bool) -> sp.csr_array:
-    """Degree-normalize an already validated square CSR matrix.
-
-    Zero-degree rows/columns (sources, sinks and isolated nodes of a
-    directed graph) get a normalization factor of 0, so those nodes stay
-    decoupled instead of raising a division error.
-    """
-    if directed:
-        left = _inv_sqrt(np.asarray(a.sum(axis=1)).ravel())
-        right = _inv_sqrt(np.asarray(a.sum(axis=0)).ravel())
-    else:
-        a = a + sp.eye_array(a.shape[0], format="csr")
-        left = right = _inv_sqrt(np.asarray(a.sum(axis=1)).ravel())
-    # Scale each stored entry a_ij by left_i * right_j in place of the
-    # products with two diagonal matrices; same arithmetic, same sparsity.
-    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-    out = a.copy()
-    out.data = a.data * left[rows] * right[a.indices]
-    out.eliminate_zeros()
+def _row_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Sum each row's stored entries, as ``sum(axis=1)`` does for a scipy CSR array."""
+    out = np.zeros(indptr.size - 1)
+    nonempty = np.flatnonzero(np.diff(indptr))
+    if nonempty.size:
+        out[nonempty] = np.add.reduceat(data, indptr[nonempty])
     return out
 
 
@@ -229,10 +225,61 @@ def _inv_sqrt(deg: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kept(indptr, indices, data, keep):
+    """Fresh CSR arrays of the entries where ``keep`` holds, indexed in ``indices.dtype``."""
+    indptr = np.concatenate(([0], np.cumsum(keep)))[indptr].astype(indices.dtype)
+    return indptr, indices[keep], data[keep]
+
+
+def _is_symmetric(rows, indices, data) -> bool:
+    """Whether canonical CSR entries equal those of the transpose, whose
+    canonical order is theirs sorted by (column, row)."""
+    o = np.lexsort((rows, indices))
+    return (np.array_equal(indices[o], rows) and np.array_equal(rows[o], indices)
+            and np.array_equal(data[o], data))
+
+
+def _normalize(indptr, indices, data, rows, directed: bool) -> sp.csr_array:
+    """S from the canonical CSR arrays of a validated, zero-free, non-negative A.
+
+    Zero-degree rows/columns (sources, sinks and isolated nodes of a
+    directed graph) get a normalization factor of 0, so those nodes stay
+    decoupled instead of raising a division error. Row sums are reduced
+    with ``np.add.reduceat``, as scipy's ``sum(axis=1)`` does, and column
+    sums accumulated entry by entry, as ``ones @ A`` does.
+    """
+    n = indptr.size - 1
+    if directed:
+        left = _inv_sqrt(_row_sums(indptr, data))
+        right = _inv_sqrt(np.bincount(indices, weights=data, minlength=n))
+    else:
+        # A + I: a stored diagonal entry becomes a_ii + 1, and a missing one
+        # is appended, then put in place by restoring the (row, column) order.
+        diag = rows == indices
+        data = np.where(diag, data + 1.0, data)
+        missing = np.ones(n, dtype=bool)
+        missing[rows[diag]] = False
+        nodes = np.flatnonzero(missing)
+        order = np.lexsort((np.concatenate((indices, nodes)),
+                            np.concatenate((rows, nodes))))
+        indices = np.concatenate((indices, nodes.astype(indices.dtype)))[order]
+        rows = np.concatenate((rows, nodes))[order]
+        data = np.concatenate((data, np.ones(nodes.size)))[order]
+        indptr = indptr + np.concatenate(([0], np.cumsum(missing)))
+        left = right = _inv_sqrt(_row_sums(indptr, data))
+    # Each stored entry a_ij is scaled by left_i * right_j, the arithmetic of
+    # the products with two diagonal matrices; an entry that underflows goes.
+    data = data * left[rows] * right[indices]
+    indptr, indices, data = _kept(indptr, indices, data, data != 0)
+    return sp.csr_array((data, indices, indptr), shape=(n, n))
+
+
 def build_graph(adjacency, features, labels=None, directed: bool = False) -> Graph:
     """Assemble a Graph, normalizing the adjacency (self-loops only if undirected).
 
-    The S of an undirected graph is marked to carry its ``spectrum``.
+    Adjacency weights must be non-negative; explicitly stored zeros are
+    dropped, from S and from the Graph's own adjacency alike. The S of an
+    undirected graph is marked to carry its ``spectrum``.
     """
     adjacency = numerics.as_csr(adjacency)
     n = adjacency.shape[0]
@@ -242,7 +289,19 @@ def build_graph(adjacency, features, labels=None, directed: bool = False) -> Gra
     if features.shape[1] != n:
         raise ShapeError(
             f"features must have one column per node: {features.shape[1]} != {n}")
-    if not directed and (adjacency != adjacency.T).nnz != 0:
+    indptr, indices, data = adjacency.indptr, adjacency.indices, adjacency.data
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    negative = np.flatnonzero(data < 0)
+    if negative.size:
+        k = negative[0]
+        raise ValueError(f"adjacency weights must be non-negative, got "
+                         f"{float(data[k])!r} at ({rows[k]}, {indices[k]})")
+    stored_zero = data == 0
+    if stored_zero.any():
+        rows = rows[~stored_zero]
+        indptr, indices, data = _kept(indptr, indices, data, ~stored_zero)
+        adjacency = sp.csr_array((data, indices, indptr), shape=adjacency.shape)
+    if not directed and not _is_symmetric(rows, indices, data):
         raise ShapeError("undirected graph requires a symmetric adjacency")
     if labels is not None:
         labels = np.asarray(labels)
@@ -256,7 +315,7 @@ def build_graph(adjacency, features, labels=None, directed: bool = False) -> Gra
             labels = labels.astype(np.float64)
         else:
             raise ShapeError("labels must be a vector or a multi-hot matrix")
-    s = _normalize(adjacency, directed)
+    s = _normalize(indptr, indices, data, rows, directed)
     if not directed:
         setattr(s, _SPECTRUM, _LazySpectrum())
     return Graph(s=s, features=features, labels=labels, adjacency=adjacency,
@@ -289,9 +348,18 @@ def batch(graphs: list[Graph]) -> GraphBatch:
                 f"feature dims differ across graphs: {g.feature_dim} != {feat_dim}")
         if g.directed != directed or g.multilabel != multilabel:
             raise ShapeError("all graphs in a batch must share directedness and label kind")
-    s = sp.block_diag([g.s for g in graphs], format="csr")
+    sizes = [g.n for g in graphs]
+    nnz = [g.s.nnz for g in graphs]
+    n, offsets = sum(sizes), np.cumsum([0] + sizes[:-1])
+    idx = sp.get_index_dtype(maxval=max(n, sum(nnz)))
+    # Member i's column indices shift by its node offset, its row pointers
+    # by the entries of the members before it.
+    indices = np.concatenate([g.s.indices for g in graphs]) + np.repeat(offsets, nnz)
+    indptr = np.concatenate([g.s.indptr[1:] for g in graphs]) + np.repeat(
+        np.cumsum([0] + nnz[:-1]), sizes)
+    s = sp.csr_array((np.concatenate([g.s.data for g in graphs]), indices.astype(idx),
+                      np.concatenate(([0], indptr)).astype(idx)), shape=(n, n))
     if not directed:
-        offsets = np.cumsum([0] + [g.n for g in graphs[:-1]])
         setattr(s, _SPECTRUM, _LazySpectrum(tuple(zip((g.s for g in graphs), offsets))))
     labels = (None if any(g.labels is None for g in graphs)
               else np.concatenate([g.labels for g in graphs], axis=-1))

@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
-from msignn import (ChainsSpec, ColorCountingSpec, build_graph, gen_chains,
+from msignn import (ChainsSpec, ColorCountingSpec, Dataset, build_graph, gen_chains,
                     gen_color_counting, load_dataset, load_graph, save_dataset)
 from msignn.errors import DataFormatError
 
@@ -154,6 +155,18 @@ def test_save_load_round_trip_multihot(tmp_path):
     ds = replace(ds, graph=build_graph(g.adjacency, g.features, multi_hot, directed=False))
     assert ds.graph.multilabel
     _assert_round_trip(ds, tmp_path)
+
+
+def test_save_load_round_trip_drops_stored_zeros(tmp_path):
+    # the path 0 - 1 on three nodes, with zeros stored at (1, 2) and (2, 1)
+    a = sp.csr_array((np.array([1.0, 1.0, 0.0, 0.0]), ([0, 1, 1, 2], [1, 0, 2, 1])),
+                     shape=(3, 3))
+    graph = build_graph(a, np.eye(3), np.array([0, 1, 0]))
+    mask = np.array([True, False, False])
+    ds = Dataset(graph=graph, train_mask=mask, val_mask=np.roll(mask, 1),
+                 test_mask=np.roll(mask, 2), spec_echo={})
+    _assert_round_trip(ds, tmp_path)
+    assert (tmp_path / "edges.tsv").read_text() == "0\t1\n1\t0\n"
 
 
 def test_load_graph_two_nodes(tmp_path):

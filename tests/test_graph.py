@@ -2,11 +2,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msignn import batch, build_graph, hop_distance
 from msignn.errors import ShapeError
 
 from conftest import power_iteration_norm, random_undirected_graph
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def _s(dense, directed=False):
@@ -194,3 +198,138 @@ def test_build_graph_rejects_asymmetric_undirected():
     a = sp.csr_array((np.ones(1), ([0], [1])), shape=(2, 2))
     with pytest.raises(ShapeError):
         build_graph(a, np.zeros((1, 2)), directed=False)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_build_graph_rejects_negative_weights_naming_the_first(directed):
+    # At the parent this S had ||S||_2 = 3, and the closed form reported
+    # convergence on a map that does not contract.
+    a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, -0.5], [0.0, -0.5, 0.0]])
+    with pytest.raises(ValueError, match=r"non-negative, got -0\.5 at \(1, 2\)"):
+        build_graph(a, np.zeros((1, 3)), directed=directed)
+
+
+def _path_with_stored_zeros():
+    """The undirected path 0 - 1 on three nodes, with zeros stored at (1, 2) and (2, 1)."""
+    a = sp.csr_array((np.array([1.0, 1.0, 0.0, 0.0]), ([0, 1, 1, 2], [1, 0, 2, 1])),
+                     shape=(3, 3))
+    assert a.nnz == 4
+    return build_graph(a, np.zeros((1, 3)))
+
+
+def test_stored_zeros_are_dropped_from_the_adjacency():
+    g = _path_with_stored_zeros()
+    assert g.adjacency.nnz == 2
+    npt.assert_array_equal(g.adjacency.toarray(), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    npt.assert_array_equal(g.s.toarray()[2], [0, 0, 1])
+
+
+def test_hop_distance_does_not_follow_stored_zeros():
+    npt.assert_array_equal(hop_distance(_path_with_stored_zeros(), 0), [0, 1, np.inf])
+
+
+def _inv_sqrt(deg):
+    out = np.zeros_like(deg)
+    out[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
+    return out
+
+
+def _reference_s(a, directed):
+    """S of a canonical CSR adjacency, made with scipy's sparse operations.
+
+    This is how ``build_graph`` made S before it assembled S from arrays;
+    the assembled S must equal it bit for bit.
+    """
+    if directed:
+        left = _inv_sqrt(np.asarray(a.sum(axis=1)).ravel())
+        right = _inv_sqrt(np.asarray(a.sum(axis=0)).ravel())
+    else:
+        a = a + sp.eye_array(a.shape[0], format="csr")
+        left = right = _inv_sqrt(np.asarray(a.sum(axis=1)).ravel())
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    out = a.copy()
+    out.data = a.data * left[rows] * right[a.indices]
+    out.eliminate_zeros()
+    return out
+
+
+# Zeros, small integers and floats down to subnormals (whose S entries can
+# underflow to zero and must then be dropped).
+weights = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 1e3))
+
+
+@st.composite
+def adjacencies(draw, directed, max_cells=60):
+    """A COO adjacency with self-loops, isolated nodes, duplicates and stored zeros.
+
+    Each drawn cell is stored once or twice (a duplicate pair sums to the
+    same value in either order, so an undirected input stays exactly
+    symmetric); an undirected cell is mirrored.
+    """
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    cells = draw(st.lists(st.tuples(node, node), max_size=max_cells,
+                          unique_by=(lambda c: c) if directed else (lambda c: tuple(sorted(c)))))
+    rows, cols, vals = [], [], []
+    for i, j in cells:
+        for w in draw(st.lists(weights, min_size=1, max_size=2)):
+            pairs = [(i, j)] if directed or i == j else [(i, j), (j, i)]
+            for r, c in pairs:
+                rows.append(r)
+                cols.append(c)
+                vals.append(w)
+    index = draw(st.sampled_from([np.int32, np.int64]))
+    return sp.coo_array((np.array(vals, dtype=float),
+                         (np.array(rows, dtype=index), np.array(cols, dtype=index))),
+                        shape=(n, n))
+
+
+@PROPERTY
+@given(st.booleans().flatmap(lambda d: st.tuples(adjacencies(d), st.just(d))))
+def test_s_is_bit_identical_to_the_scipy_formula(drawn):
+    a, directed = drawn
+    s = build_graph(a, np.zeros((1, a.shape[0])), directed=directed).s
+    # S is a function of the matrix, not of its storage: the reference gets
+    # the input with duplicates summed and stored zeros dropped.
+    canonical = sp.csr_array(a)
+    canonical.eliminate_zeros()
+    expected = _reference_s(canonical, directed)
+    assert s.shape == expected.shape
+    assert (s.indptr.dtype, s.indices.dtype) == (expected.indptr.dtype, expected.indices.dtype)
+    npt.assert_array_equal(s.indptr, expected.indptr)
+    npt.assert_array_equal(s.indices, expected.indices)
+    assert s.data.tobytes() == expected.data.tobytes()
+
+
+@PROPERTY
+@given(adjacencies(directed=False), st.sampled_from(["none", "ulp", "drop"]),
+       st.integers(0, 2**16))
+def test_symmetry_check_agrees_with_scipy(drawn, change, pick):
+    a = sp.csr_array(drawn)
+    if change != "none" and a.nnz:
+        k = pick % a.nnz
+        if change == "ulp":
+            a.data[k] = np.nextafter(a.data[k], np.inf)
+        else:
+            coo, keep = a.tocoo(), np.arange(a.nnz) != k
+            a = sp.csr_array((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=a.shape)
+    features = np.zeros((1, a.shape[0]))
+    if (a != a.T).nnz == 0:
+        build_graph(a, features)
+    else:
+        with pytest.raises(ShapeError, match="symmetric"):
+            build_graph(a, features)
+
+
+@PROPERTY
+@given(st.booleans().flatmap(lambda d: st.tuples(
+    st.lists(adjacencies(d, max_cells=12), min_size=1, max_size=40), st.just(d))))
+def test_batch_merges_like_block_diag(drawn):
+    members, directed = drawn
+    graphs = [build_graph(a, np.zeros((1, a.shape[0])), directed=directed) for a in members]
+    s = batch(graphs).s
+    expected = sp.block_diag([g.s for g in graphs], format="csr")
+    assert s.shape == expected.shape
+    npt.assert_array_equal(s.indptr, expected.indptr)
+    npt.assert_array_equal(s.indices, expected.indices)
+    npt.assert_array_equal(s.data, expected.data)
