@@ -218,7 +218,10 @@ def load_dataset(in_dir) -> Dataset:
 
     def mask_of(key):
         mask = np.zeros(n, dtype=bool)
-        idx = np.asarray(sidecar[key], dtype=np.int64)
+        ids = sidecar[key]
+        if not isinstance(ids, list) or any(type(i) is not int for i in ids):
+            raise DataFormatError(f"{sidecar_path}: {key} mask must list integer node ids")
+        idx = np.asarray(ids, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise DataFormatError(f"{sidecar_path}: {key} mask index out of range")
         mask[idx] = True
@@ -267,6 +270,15 @@ def _load_labels(label_path, n, multilabel):
         return rows.T
     rows, linenos = _read_rows(label_path, ",", np.int64, width=2)
     _check_node_ids(rows[:, :1], linenos, n, label_path)
+    negative = np.flatnonzero(rows[:, 1] < 0)
+    if negative.size:
+        k = negative[0]
+        raise DataFormatError(f"{label_path}:{linenos[k]}: negative label {rows[k, 1]}")
+    _, first = np.unique(rows[:, 0], return_index=True)
+    repeated = np.setdiff1d(np.arange(len(rows)), first)
+    if repeated.size:
+        k = repeated[0]
+        raise DataFormatError(f"{label_path}:{linenos[k]}: node {rows[k, 0]} labelled twice")
     labels = np.full(n, -1, dtype=np.int64)
     labels[rows[:, 0]] = rows[:, 1]
     if np.any(labels < 0):

@@ -33,10 +33,11 @@ eigendecomposition, one dense ``eigh`` per connected component, which
 lets ``equilibrium`` solve in closed form. ``build_graph`` marks such an
 S, and the eigendecomposition is computed on the first call and cached
 on S itself, so it is paid once per graph and only by graphs that are
-solved. ``batch`` marks the merged S with its members' S and node
-offsets: a batch assembles its spectrum from theirs and decomposes
-nothing. Directed graphs, and undirected ones with a component above
-``SPECTRUM_MAX_COMPONENT`` nodes, have no spectrum.
+solved or batched. ``batch`` gives the merged S its members' blocks,
+node indices offset, when it makes S: a batch decomposes nothing itself
+and shares its members' eigenvectors. Directed graphs, and undirected
+ones with a component above ``SPECTRUM_MAX_COMPONENT`` nodes, have no
+spectrum, nor has a batch with such a member.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from .errors import ShapeError
 # A component's eigenvectors are a dense k x k block: above this many nodes
 # S gets no spectrum and its solves iterate instead.
 SPECTRUM_MAX_COMPONENT = 512
-_SPECTRUM = "_msignn_spectrum"  # the attribute of S that holds its _LazySpectrum
-_PENDING = object()
+_SPECTRUM = "_msignn_spectrum"  # the attribute of S that holds its spectrum
+_PENDING = object()  # a graph's S before its first ``spectrum`` call
 
 
 @dataclass(frozen=True)
@@ -122,37 +123,19 @@ class SpectrumBlock:
     vectors: np.ndarray  # (c, k, k) orthonormal eigenvectors, one per column
 
 
-class _LazySpectrum:
-    """What a symmetric S carries until, and after, ``spectrum`` first reads it."""
-
-    __slots__ = ("members", "blocks")
-
-    def __init__(self, members=()):
-        self.members = members  # ((member S, node offset), ...) when S merges a batch
-        self.blocks = _PENDING  # a graph's own blocks once computed, None over the cap
-
-
 def spectrum(s) -> list[SpectrumBlock] | None:
     """The per-component eigendecomposition of S, or None if S has none.
 
     Only an S marked by ``build_graph`` or ``batch`` has one; any other,
     a plain ``sp.csr_array`` copy of a marked S included, has none. A
-    graph's S computes its blocks on the first call and keeps them. A
-    merged S lists its members' blocks, node indices offset, on every
-    call: it shares their eigenvectors and keeps nothing.
+    graph's S computes its blocks on the first call and keeps them; a
+    merged S holds the blocks ``batch`` listed from its members.
     """
-    lazy = getattr(s, _SPECTRUM, None)
-    if lazy is None:
-        return None
-    if lazy.members:
-        parts = [(spectrum(member), offset) for member, offset in lazy.members]
-        if any(blocks is None for blocks, _ in parts):
-            return None
-        return [SpectrumBlock(b.nodes + offset, b.values, b.vectors)
-                for blocks, offset in parts for b in blocks]
-    if lazy.blocks is _PENDING:
-        lazy.blocks = _decompose(s)
-    return lazy.blocks
+    blocks = getattr(s, _SPECTRUM, None)
+    if blocks is _PENDING:
+        blocks = _decompose(s)
+        setattr(s, _SPECTRUM, blocks)
+    return blocks
 
 
 def component_labels(s) -> np.ndarray:
@@ -309,6 +292,11 @@ def build_graph(adjacency, features, labels=None, directed: bool = False) -> Gra
             if labels.shape[0] != n:
                 raise ShapeError("label vector length must equal node count")
             labels = labels.astype(np.int64)
+            negative = np.flatnonzero(labels < 0)
+            if negative.size:
+                k = negative[0]
+                raise ValueError(f"class labels must be non-negative, got {labels[k]} "
+                                 f"at node {k}")
         elif labels.ndim == 2:
             if labels.shape[1] != n:
                 raise ShapeError("multi-hot labels must have one column per node")
@@ -317,7 +305,7 @@ def build_graph(adjacency, features, labels=None, directed: bool = False) -> Gra
             raise ShapeError("labels must be a vector or a multi-hot matrix")
     s = _normalize(indptr, indices, data, rows, directed)
     if not directed:
-        setattr(s, _SPECTRUM, _LazySpectrum())
+        setattr(s, _SPECTRUM, _PENDING)
     return Graph(s=s, features=features, labels=labels, adjacency=adjacency,
                  directed=directed)
 
@@ -336,7 +324,10 @@ def hop_distance(g: Graph, p: int) -> np.ndarray:
 
 
 def batch(graphs: list[Graph]) -> GraphBatch:
-    """Merge graphs block-diagonally; normalization happens per graph before merging."""
+    """Merge graphs block-diagonally; normalization happens per graph before merging.
+
+    Undirected members are decomposed here if no solve or batch did so before.
+    """
     if not graphs:
         raise ValueError("cannot batch an empty graph list")
     feat_dim = graphs[0].feature_dim
@@ -360,7 +351,10 @@ def batch(graphs: list[Graph]) -> GraphBatch:
     s = sp.csr_array((np.concatenate([g.s.data for g in graphs]), indices.astype(idx),
                       np.concatenate(([0], indptr)).astype(idx)), shape=(n, n))
     if not directed:
-        setattr(s, _SPECTRUM, _LazySpectrum(tuple(zip((g.s for g in graphs), offsets))))
+        parts = [spectrum(g.s) for g in graphs]
+        setattr(s, _SPECTRUM, None if any(blocks is None for blocks in parts) else
+                [SpectrumBlock(b.nodes + offset, b.values, b.vectors)
+                 for blocks, offset in zip(parts, offsets) for b in blocks])
     labels = (None if any(g.labels is None for g in graphs)
               else np.concatenate([g.labels for g in graphs], axis=-1))
     graph_of_node = np.concatenate(

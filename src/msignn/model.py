@@ -408,34 +408,26 @@ def load_checkpoint(path) -> MultiscaleImplicitGNN:
     _require_keys(cfg["solver"], ("tol", "max_iters"), "config.solver.", path)
     for t, sc in enumerate(cfg["scales"]):
         _require_keys(sc, ("m", "gamma", "eps_f"), f"config.scales[{t}].", path)
-    params = {name: np.asarray(value, dtype=np.float64)
-              for name, value in payload["params"].items()}
     dims, hidden = cfg["encoder_dims"], cfg["hidden_dim"]
-    n_layers = len(dims) - 1
-    expected = {f"scales.{t}.f": (hidden, hidden) for t in range(len(cfg["scales"]))}
-    for i in range(n_layers):
-        expected[f"encoder.w{i}"] = (dims[i + 1], dims[i])
-        if cfg["encoder_bias"]:
-            expected[f"encoder.b{i}"] = (dims[i + 1],)
-    expected.update({"attention.w_a": (hidden, hidden), "attention.b_a": (hidden,),
-                     "attention.q": (hidden,), "decoder.w": (cfg["num_classes"], hidden)})
+    encoder = MlpEncoder([np.zeros((dims[i + 1], dims[i])) for i in range(len(dims) - 1)],
+                         [np.zeros(d) for d in dims[1:]] if cfg["encoder_bias"] else None,
+                         dropout_rate=cfg["dropout"])
+    scales = [ScaleModule(f_weight=np.zeros((hidden, hidden)), gamma=sc["gamma"],
+                          scale_m=sc["m"], eps_f=sc["eps_f"]) for sc in cfg["scales"]]
+    attention = AttentionParams(w_a=np.zeros((hidden, hidden)), b_a=np.zeros(hidden),
+                                q=np.zeros(hidden))
+    solver = SolverConfig(tol=cfg["solver"]["tol"], max_iters=cfg["solver"]["max_iters"])
+    model = MultiscaleImplicitGNN(encoder, scales, attention,
+                                  np.zeros((cfg["num_classes"], hidden)),
+                                  task=cfg["task"], solver_cfg=solver)
+    expected, params = model.parameters(), payload["params"]
     for name in sorted(expected.keys() | params.keys()):
         if name not in params or name not in expected:
             kind = "missing" if name in expected else "unknown"
             raise ValueError(f"{path}: {kind} parameter {name!r}")
-        if params[name].shape != expected[name]:
-            raise ValueError(f"{path}: parameter {name!r} has shape {params[name].shape}, "
-                             f"expected {expected[name]}")
-    biases = ([params[f"encoder.b{i}"] for i in range(n_layers)]
-              if cfg["encoder_bias"] else None)
-    encoder = MlpEncoder([params[f"encoder.w{i}"] for i in range(n_layers)],
-                         biases, dropout_rate=cfg["dropout"])
-    scales = [ScaleModule(f_weight=params[f"scales.{t}.f"], gamma=sc["gamma"],
-                          scale_m=sc["m"], eps_f=sc["eps_f"])
-              for t, sc in enumerate(cfg["scales"])]
-    attention = AttentionParams(w_a=params["attention.w_a"],
-                                b_a=params["attention.b_a"],
-                                q=params["attention.q"])
-    solver = SolverConfig(tol=cfg["solver"]["tol"], max_iters=cfg["solver"]["max_iters"])
-    return MultiscaleImplicitGNN(encoder, scales, attention, params["decoder.w"],
-                                 task=cfg["task"], solver_cfg=solver)
+        value = np.asarray(params[name], dtype=np.float64)
+        if value.shape != expected[name].shape:
+            raise ValueError(f"{path}: parameter {name!r} has shape {value.shape}, "
+                             f"expected {expected[name].shape}")
+        expected[name][...] = value
+    return model

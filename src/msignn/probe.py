@@ -85,16 +85,13 @@ def _matrix_bounds(module, graph, p, hops, dist, delta_h):
         vec = g @ vec
         g_term[i] = np.linalg.norm(vec)
 
-    # |S^h_{p, q}| rows, maximized over the nodes at each hop.
+    # |S^h_{p, q}| rows, maximized over the nodes at each hop. Hop distances
+    # from p leave no gap, so hops[h] == h.
     row = np.zeros((1, graph.n))
     row[0, p] = 1.0
     s_entry = np.empty(len(hops))
-    cursor = 0
-    for h in range(int(hops.max()) + 1):
-        if cursor < len(hops) and hops[cursor] == h:
-            at_hop = dist == h
-            s_entry[cursor] = np.abs(row[0, at_hop]).max()
-            cursor += 1
+    for h in hops:
+        s_entry[h] = np.abs(row[0, dist == h]).max()
         row = spmm_right(row, graph.s)
 
     prefactor = module.gamma ** (hops / module.scale_m) / (1.0 - module.gamma)
@@ -110,8 +107,6 @@ def range_bound_exact(gamma: float, theta: float, scale_m: int = 1) -> float:
         raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
     if not 0.0 < theta < 1.0:
         raise DomainError(f"theta must lie in (0, 1), got {theta}")
-    if theta * (1.0 - gamma) >= 1.0:
-        raise DomainError("theta * (1 - gamma) must be below 1")
     return scale_m * log(theta * (1.0 - gamma)) / log(gamma)
 
 

@@ -188,24 +188,31 @@ def test_spectrum_is_lazy_cached_and_never_decomposed_per_batch(monkeypatch):
     decompose = graph_mod._decompose
     monkeypatch.setattr(graph_mod, "_decompose", lambda s: calls.append(s) or decompose(s))
     rng = np.random.default_rng(0)
-    members = [_random_graph(int(seed), [3, 4, 1], 0.6) for seed in rng.integers(0, 99, 3)]
-    merged = batch(members)
+    members = [_random_graph(int(seed), [3, 4, 1], 0.6) for seed in rng.integers(0, 99, 4)]
     assert calls == []
     spectrum(members[0].s)
     spectrum(members[0].s)
     assert len(calls) == 1
-    blocks = spectrum(merged.s)
-    assert len(calls) == 3                 # the two members not decomposed before
-    spectrum(merged.s)
-    assert len(calls) == 3
-    assert sum(b.nodes.size for b in blocks) == merged.n
+    # Two batches on overlapping members: each member is decomposed once,
+    # when the first batch holding it is made, and a merged S never is.
+    merged = [batch(members[:3]), batch(members[1:])]
+    assert len(calls) == 4
+    assert all(call is g.s for call, g in zip(calls, members))
+    for m in merged:
+        blocks = spectrum(m.s)
+        assert spectrum(m.s) is blocks
+        covered = np.concatenate([b.nodes.ravel() for b in blocks])
+        assert sorted(covered) == list(range(m.n))
+    assert len(calls) == 4
 
 
 def test_component_above_the_cap_falls_back_to_picard(monkeypatch):
     monkeypatch.setattr(graph_mod, "SPECTRUM_MAX_COMPONENT", 4)
     module = ScaleModule(f_weight=np.eye(3), gamma=0.9, scale_m=2)
-    for sizes, closed in (([4, 4, 2], True), ([5, 1], False)):
-        g = _random_graph(1, sizes, 1.0)  # complete components: one per size
+    # complete components, one per size; a batch with a member above the cap
+    # has no spectrum either
+    small, large = _random_graph(1, [4, 4, 2], 1.0), _random_graph(1, [5, 1], 1.0)
+    for g, closed in ((small, True), (large, False), (batch([small, large]), False)):
         injected = np.random.default_rng(2).standard_normal((3, g.n))
         assert (spectrum(g.s) is not None) == closed
         res = forward_solve(module, injected, g.s, SolverConfig(tol=1e-12, max_iters=5000))

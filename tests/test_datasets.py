@@ -219,6 +219,27 @@ def test_load_multihot_labels_rejects_ragged_rows(tmp_path):
                    tmp_path / "labels.csv", multilabel=True)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0,1\n1,-1\n", r"labels\.csv:2: negative label -1"),
+    ("0,1\n1,0\n0,2\n", r"labels\.csv:3: node 0 labelled twice")])
+def test_load_labels_names_the_line_of_a_bad_label(tmp_path, text, message):
+    (tmp_path / "edges.tsv").write_text("0\t1\n1\t0\n")
+    (tmp_path / "features.csv").write_text("1.0\n2.0\n")
+    (tmp_path / "labels.csv").write_text(text)
+    with pytest.raises(DataFormatError, match=message):
+        load_graph(tmp_path / "edges.tsv", tmp_path / "features.csv", tmp_path / "labels.csv")
+
+
+@pytest.mark.parametrize("ids", [[0.7], [True], 0])
+def test_load_dataset_rejects_a_mask_entry_that_is_not_an_integer(tmp_path, ids):
+    save_dataset(gen_chains(ChainsSpec(length=3)), tmp_path)
+    sidecar = json.loads((tmp_path / "masks.json").read_text())
+    sidecar["val"] = ids
+    (tmp_path / "masks.json").write_text(json.dumps(sidecar))
+    with pytest.raises(DataFormatError, match=r"masks\.json: val mask must list integer"):
+        load_dataset(tmp_path)
+
+
 def test_load_dataset_rejects_overlapping_masks(tmp_path):
     save_dataset(gen_chains(ChainsSpec(length=3)), tmp_path)
     sidecar = json.loads((tmp_path / "masks.json").read_text())

@@ -209,6 +209,12 @@ def test_build_graph_rejects_negative_weights_naming_the_first(directed):
         build_graph(a, np.zeros((1, 3)), directed=directed)
 
 
+def test_build_graph_rejects_a_negative_class_label():
+    a = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="non-negative, got -1 at node 0"):
+        build_graph(a, np.ones((1, 2)), labels=[-1, 0])
+
+
 def _path_with_stored_zeros():
     """The undirected path 0 - 1 on three nodes, with zeros stored at (1, 2) and (2, 1)."""
     a = sp.csr_array((np.array([1.0, 1.0, 0.0, 0.0]), ([0, 1, 1, 2], [1, 0, 2, 1])),
