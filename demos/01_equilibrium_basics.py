@@ -1,12 +1,12 @@
 """Fixed-point propagation on a small graph, both ways.
 
 Builds a 6-node undirected graph and solves the contracted propagation map
-for its equilibrium twice: in closed form, from the eigendecomposition of
-S that ``build_graph`` makes available, and by Picard iteration on a plain
-CSR copy of S, which carries no eigendecomposition. Both are checked
-against the dense Kronecker-system oracle. Solves stopped after k = 1, 2,
-... Picard iterations show the geometric contraction of the steps that
-Banach's theorem promises.
+for its equilibrium twice by Picard iteration: from the closed form that
+the eigendecomposition of S, made available by ``build_graph``, gives, and
+from zero on a plain CSR copy of S, which carries no eigendecomposition.
+Both are checked against the dense Kronecker-system oracle. Solves
+stopped after k = 1, 2, ... Picard iterations show the geometric
+contraction of the steps that Banach's theorem promises.
 
 Run: python3 demos/01_equilibrium_basics.py
 """
@@ -40,13 +40,13 @@ exact = oracle_solve(module, injected, graph.s)
 
 closed = forward_solve(module, injected, graph.s, cfg)
 err = frobenius_norm(closed.z_star - exact) / frobenius_norm(exact)
-print(f"\nclosed form: {closed.iterations} iterations, true relative residual "
-      f"{closed.residual:.2e}, {err:.2e} from the dense Kronecker oracle")
+print(f"\nclosed form, checked by Picard steps from it: {closed.iterations} step(s), "
+      f"relative residual {closed.residual:.2e}, {err:.2e} from the dense Kronecker oracle")
 
 plain_s = sp.csr_array(graph.s)  # a plain copy has no eigendecomposition: Picard
 result = forward_solve(module, injected, plain_s, cfg)
 err = frobenius_norm(result.z_star - exact) / frobenius_norm(exact)
-print(f"Picard: converged {result.converged} after {result.iterations} iterations, "
+print(f"Picard from zero: converged {result.converged} after {result.iterations} iterations, "
       f"final relative residual {result.residual:.2e}, {err:.2e} from the oracle")
 
 print("\nPicard steps contract by at most gamma; z_k stops after k iterations:")

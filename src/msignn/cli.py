@@ -29,7 +29,7 @@ import numpy as np
 from . import datasets, probe, train
 from .equilibrium import ScaleModule, SolverConfig
 from .errors import DivergenceError
-from .model import MlpEncoder, glorot_uniform, init_model, load_checkpoint, save_checkpoint
+from .model import init_model, is_json, load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -137,26 +137,35 @@ def _parse(argv):
 
     args = parser.parse_args(argv)
     if args.config:
-        sub.choices[args.command].set_defaults(**_read_config(args))
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:  # the flag's type rejected a file value
-            raise ValueError(f"{args.config}: invalid config value") from exc
+        subparser = sub.choices[args.command]
+        subparser.set_defaults(**_read_config(args.config, subparser))
+        args = parser.parse_args(argv)
     return args
 
 
-def _read_config(args) -> dict:
-    """The config file's settings; its keys must be the subcommand's own flags."""
-    with open(args.config, encoding="utf-8") as fh:
+def _read_config(path, subparser) -> dict:
+    """The config file's settings; its keys must be the subcommand's own flags.
+
+    Each value is a JSON integer for an int flag, a number for a float flag,
+    a boolean for ``--encoder-bias``, a string for any other.
+    """
+    with open(path, encoding="utf-8") as fh:
         try:
             file_cfg = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.config}: invalid JSON: {exc}") from exc
+            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(file_cfg, dict):
-        raise ValueError(f"{args.config}: expected a JSON object")
-    unknown = set(file_cfg) - (set(vars(args)) - {"command", "config"})
+        raise ValueError(f"{path}: expected a JSON object")
+    flags = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
+    unknown = set(file_cfg) - set(flags)
     if unknown:
-        raise ValueError(f"{args.config}: unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
+    for key, value in file_cfg.items():
+        kind = ("boolean" if isinstance(flags[key], argparse.BooleanOptionalAction)
+                else {int: "integer", float: "number"}.get(flags[key].type, "string"))
+        if not is_json(value, kind):
+            raise ValueError(f"{path}: config key {key!r} must be a JSON {kind}, "
+                             f"got {json.dumps(value)}")
     return file_cfg
 
 
@@ -179,7 +188,7 @@ def _echo_config(cfg, command, out: Path) -> None:
 def _parse_list(text, cast, what) -> list:
     """Comma-separated values, each converted by ``cast``; blanks are skipped."""
     try:
-        values = [cast(tok) for tok in str(text).split(",") if tok.strip() != ""]
+        values = [cast(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ValueError(f"bad {what} list: {text!r}") from exc
     if not values:
@@ -269,21 +278,15 @@ def _cmd_probe_range(cfg) -> int:
     scales = _parse_list(cfg["scales"], int, "scale")
     length = cfg["length"]
     theta = cfg["theta"]
-    hidden = cfg["hidden"]
-    rng = np.random.default_rng(cfg["seed"])
 
-    chain = datasets.gen_chains(datasets.ChainsSpec(
-        num_classes=1, chains_per_class=1, length=length, seed=cfg["seed"]))
-    graph = chain.graph
-    encoder = MlpEncoder(
-        weights=[glorot_uniform(rng, hidden, graph.feature_dim),
-                 glorot_uniform(rng, hidden, hidden)],
-        biases=[np.zeros(hidden), np.zeros(hidden)])
-    f_weight = glorot_uniform(rng, hidden, hidden, gain=0.5)
+    graph = datasets.gen_chains(datasets.ChainsSpec(
+        num_classes=1, chains_per_class=1, length=length, seed=cfg["seed"])).graph
+    model = init_model(np.random.default_rng(cfg["seed"]), graph.feature_dim,
+                       cfg["hidden"], 1)
     solver = SolverConfig(tol=1e-15, max_iters=length + 50)
 
     def encode(x):
-        return encoder.forward(x)[0]
+        return model.encoder.forward(x)[0]
 
     # Every bound is checked before the first curve is written.
     bounds = {(gamma, m): probe.range_bound(gamma, theta, m)
@@ -291,7 +294,7 @@ def _cmd_probe_range(cfg) -> int:
     summary = []
     for gamma in gammas:
         for m in scales:
-            module = ScaleModule(f_weight=f_weight, gamma=gamma, scale_m=m)
+            module = ScaleModule(f_weight=model.scales[0].f_weight, gamma=gamma, scale_m=m)
             curve = probe.measure_decay(module, graph, encode, p=0, cfg=solver)
             name = f"curve_g{gamma:g}_m{m}.csv"
             probe.write_curve_csv(curve, out / name)

@@ -211,9 +211,13 @@ def load_dataset(in_dir) -> Dataset:
     for key in ("directed", "train", "val", "test"):
         if key not in sidecar:
             raise DataFormatError(f"{sidecar_path}: missing key {key!r}")
+    for key in ("directed", "multilabel"):
+        if not isinstance(sidecar.get(key, False), bool):
+            raise DataFormatError(f"{sidecar_path}: {key} must be a JSON boolean, "
+                                  f"got {json.dumps(sidecar[key])}")
     graph = load_graph(src / EDGE_FILE, src / FEATURE_FILE, src / LABEL_FILE,
-                       directed=bool(sidecar["directed"]),
-                       multilabel=bool(sidecar.get("multilabel", False)))
+                       directed=sidecar["directed"],
+                       multilabel=sidecar.get("multilabel", False))
     n = graph.n
 
     def mask_of(key):

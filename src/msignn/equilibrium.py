@@ -29,30 +29,28 @@ view sharing S's arrays, and the adjoint uses S itself. Powers of S are
 never materialized. Callers pass and receive the column-per-node (h x n)
 layout; S is trusted to be a validated CSR (see ``graph``).
 
-A solve changes basis once. With g(F) = Q diag(lambda) Q^T, c = gamma
+A solve changes basis once: with g(F) = Q diag(lambda) Q^T, c = gamma
 lambda and R the transposed right-hand side times Q, the columns of
-W = Z^T Q are h independent problems w_j = c_j op^m w_j + r_j, where op
-is the solve's operator; Z = (W Q^T)^T at the end. Two kernels solve
-them, and the input decides which runs:
+W = Z^T Q are h independent problems w_j = c_j op^m w_j + r_j (op is the
+solve's operator), and Z = (W Q^T)^T at the end. One loop solves them,
+Picard iteration W <- (op^m W) diag(c) + R until
+||W_next - W||_F / (||W||_F + 1e-12) <= tol, the same ratio in Z as Q is
+orthogonal. It starts from the best guess the input gives:
 
-- **Closed form**, when S has a ``graph.spectrum`` (undirected graphs
-  and their batches). With S = V Sigma V^T per connected component,
-  W = V [(V^T R) / (1 - sigma^m c^T)], elementwise division, whose
-  denominators are >= 1 - gamma. One more application of the map
-  measures the true relative residual, reported with ``iterations = 0``;
-  above ``tol`` the solve continues as Picard from that answer.
-- **Picard iteration** for every other S (directed graphs, components
-  above ``graph.SPECTRUM_MAX_COMPONENT`` nodes, any S made outside
-  ``graph``): W <- (op^m W) diag(c) + R from W = 0 unless given a start,
-  so the iterates are partial sums of the geometric series. It stops when
-  ||W_next - W||_F / (||W||_F + 1e-12) <= tol, the same ratio in Z since
-  Q is orthogonal.
+- the closed form W = V [(V^T R) / (1 - sigma^m c^T)] when S has a
+  ``graph.spectrum``, S = V Sigma V^T per connected component (undirected
+  graphs and their batches); every denominator is >= 1 - gamma. The first
+  step measures its true residual and polishes it, so such a solve
+  reports 1 iteration, and goes on while the residual is above tol;
+- ``z0`` (forward solves) or zeros for every other S: directed graphs,
+  components above ``graph.SPECTRUM_MAX_COMPONENT`` nodes, any S made
+  outside ``graph``. From zeros the iterates are partial sums of the
+  geometric series.
 
-gamma = 0 needs no path of its own: the closed form returns H with
-``iterations = 0``, and Picard reaches H at step 1 and confirms it at
-step 2. ``oracle_solve`` solves the vectorized system
-(I - gamma*(S^m)^T (x) g(F)) densely by LU; it exists purely as an
-independent cross-check for tests and is capacity-guarded.
+gamma = 0 needs no path of its own: a closed-form solve reports 1
+iteration and a solve from zeros 2. ``oracle_solve`` solves the vectorized
+system (I - gamma*(S^m)^T (x) g(F)) densely by LU, a capacity-guarded
+cross-check for tests.
 """
 
 from __future__ import annotations
@@ -154,21 +152,12 @@ def _solve(g: np.ndarray, s, op, m: int, gamma: float, injected: np.ndarray,
     blocks = graph.spectrum(s)
     if blocks is None:
         w = np.zeros_like(rhs) if z is None else z.T @ q
-        return _picard(c, q, op, m, rhs, w, cfg, what)
-    w = _closed_form(c, blocks, m, rhs)
-    # One more application of the map measures the true residual (in place,
-    # since an evaluation solve on a large batch sets the peak memory).
-    step = _propagate(w, op, m)
-    step *= c
-    step += rhs
-    step -= w
-    residual = numerics.frobenius_norm(step) / (numerics.frobenius_norm(w) + RESIDUAL_FLOOR)
-    del step
-    if residual <= cfg.tol:
-        del rhs  # one n x h array fewer while the back-transform makes two
-        return EquilibriumResult(z_star=np.ascontiguousarray((w @ q.T).T), iterations=0,
-                                 residual=residual, converged=True)
-    return _picard(c, q, op, m, rhs, w, cfg, what)
+    else:
+        w = _closed_form(c, blocks, m, rhs)
+    w, iterations, residual = _picard(c, op, m, rhs, w, cfg, what)
+    del rhs  # one n x h array fewer while the back-transform makes two
+    return EquilibriumResult(z_star=np.ascontiguousarray((w @ q.T).T), iterations=iterations,
+                             residual=residual, converged=residual <= cfg.tol)
 
 
 def _closed_form(c: np.ndarray, blocks, m: int, rhs: np.ndarray) -> np.ndarray:
@@ -183,33 +172,37 @@ def _closed_form(c: np.ndarray, blocks, m: int, rhs: np.ndarray) -> np.ndarray:
     return w
 
 
-def _picard(c: np.ndarray, q: np.ndarray, op, m: int, rhs: np.ndarray,
-            w: np.ndarray, cfg: SolverConfig, what: str) -> EquilibriumResult:
-    """Iterate W <- (op^m W) diag(c) + R from W = w; returns Z = (W Q^T)^T."""
+def _picard(c: np.ndarray, op, m: int, rhs: np.ndarray, w: np.ndarray,
+            cfg: SolverConfig, what: str) -> tuple[np.ndarray, int, float]:
+    """Iterate W <- (op^m W) diag(c) + R from W = w (overwritten); returns W, steps, residual."""
     for iterations in range(1, cfg.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            w_next = _propagate(w, op, m) * c + rhs
-            residual = (numerics.frobenius_norm(w_next - w)
-                        / (numerics.frobenius_norm(w) + RESIDUAL_FLOOR))
-        if not np.all(np.isfinite(w_next)):
+            w_next = _propagate(w, op, m)
+            w_next *= c
+            w_next += rhs
+            scale = numerics.frobenius_norm(w) + RESIDUAL_FLOOR
+            w -= w_next
+            residual = numerics.frobenius_norm(w) / scale
+        # A non-finite entry of W_next makes the residual nan or inf, so only
+        # then is W_next scanned.
+        if not np.isfinite(residual) and not np.all(np.isfinite(w_next)):
             raise DivergenceError(
                 f"{what} produced non-finite values at iteration {iterations}; "
                 "check that S is normalized and gamma < 1")
         w = w_next
         if residual <= cfg.tol:
             break
-    return EquilibriumResult(z_star=np.ascontiguousarray((w @ q.T).T), iterations=iterations,
-                             residual=residual, converged=residual <= cfg.tol)
+    return w, iterations, residual
 
 
 def forward_solve(module: ScaleModule, injected: np.ndarray, s: sp.csr_array,
                   cfg: SolverConfig = SolverConfig(),
                   z0: np.ndarray | None = None) -> EquilibriumResult:
-    """Solve for the fixed point, in closed form when S has a spectrum.
+    """Solve for the fixed point by Picard iteration from the closed form.
 
-    Picard iteration, from ``z0`` if given, stops when
-    ||Z_next - Z||_F / (||Z||_F + 1e-12) <= cfg.tol or at cfg.max_iters,
-    whichever comes first. A closed-form solve ignores ``z0``.
+    The iteration stops when ||Z_next - Z||_F / (||Z||_F + 1e-12) <= cfg.tol
+    or at cfg.max_iters, whichever comes first. ``z0`` is its start only
+    when S has no spectrum; otherwise the closed form is.
     """
     g = normalized_gram(module.f_weight, module.eps_f)
     return _solve(g, s, s.T, module.scale_m, module.gamma, injected, cfg, z0,

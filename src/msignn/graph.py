@@ -30,7 +30,7 @@ to the formula evaluated with scipy's sparse operations.
 
 The S of an undirected graph is symmetric, and ``spectrum(s)`` gives its
 eigendecomposition, one dense ``eigh`` per connected component, which
-lets ``equilibrium`` solve in closed form. ``build_graph`` marks such an
+gives ``equilibrium`` its closed-form start. ``build_graph`` marks such an
 S, and the eigendecomposition is computed on the first call and cached
 on S itself, so it is paid once per graph and only by graphs that are
 solved or batched. ``batch`` gives the merged S its members' blocks,
@@ -51,7 +51,7 @@ from . import numerics
 from .errors import ShapeError
 
 # A component's eigenvectors are a dense k x k block: above this many nodes
-# S gets no spectrum and its solves iterate instead.
+# S gets no spectrum and its solves start from zero instead.
 SPECTRUM_MAX_COMPONENT = 512
 _SPECTRUM = "_msignn_spectrum"  # the attribute of S that holds its spectrum
 _PENDING = object()  # a graph's S before its first ``spectrum`` call
@@ -291,6 +291,11 @@ def build_graph(adjacency, features, labels=None, directed: bool = False) -> Gra
         if labels.ndim == 1:
             if labels.shape[0] != n:
                 raise ShapeError("label vector length must equal node count")
+            if labels.dtype.kind == "f":
+                k = np.flatnonzero(~np.isfinite(labels) | (labels != np.trunc(labels)))
+                if k.size:
+                    raise ValueError(f"class labels must be integers, got "
+                                     f"{float(labels[k[0]])!r} at node {k[0]}")
             labels = labels.astype(np.int64)
             negative = np.flatnonzero(labels < 0)
             if negative.size:

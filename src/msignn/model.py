@@ -36,8 +36,15 @@ from .graph import Graph, GraphBatch
 
 CHECKPOINT_FORMAT = "msignn-checkpoint"
 CHECKPOINT_VERSION = 1
-CHECKPOINT_CONFIG_KEYS = ("task", "hidden_dim", "num_classes", "encoder_dims",
-                          "encoder_bias", "dropout", "scales", "solver")
+# What ``save_checkpoint`` writes besides format and version: a dict holds its
+# required keys, a one-item list the kind of its items, a string a JSON type.
+CHECKPOINT_SCHEMA = {"params": {}, "config": {
+    "task": "string", "hidden_dim": "integer", "num_classes": "integer",
+    "encoder_dims": ["integer"], "encoder_bias": "boolean", "dropout": "number",
+    "scales": [{"m": "integer", "gamma": "number", "eps_f": "number"}],
+    "solver": {"tol": "number", "max_iters": "integer"}}}
+JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
+              "number": (int, float), "boolean": bool}
 
 
 class MlpEncoder:
@@ -381,51 +388,71 @@ def save_checkpoint(model: MultiscaleImplicitGNN, path) -> None:
         fh.write("\n")
 
 
-def _require_keys(mapping: dict, keys, prefix: str, path) -> None:
-    for key in keys:
-        if key not in mapping:
-            raise ValueError(f"{path}: missing key {prefix + key!r}")
+def is_json(value, kind: str) -> bool:
+    """Whether a parsed JSON value has the named JSON type; a boolean is not a number."""
+    return isinstance(value, JSON_TYPES[kind]) and (kind == "boolean"
+                                                    or not isinstance(value, bool))
+
+
+def _check(value, schema, key: str, path) -> None:
+    """Raise a ValueError naming the file and ``key`` unless value fits ``schema``."""
+    kind = {dict: "object", list: "array"}.get(type(schema), schema)
+    if not is_json(value, kind):
+        raise ValueError(f"{path}: {key} must be a JSON {kind}, got {json.dumps(value)}")
+    for name, item in schema.items() if kind == "object" else ():
+        full = f"{key}.{name}" if key else name
+        if name not in value:
+            raise ValueError(f"{path}: missing key {full!r}")
+        _check(value[name], item, full, path)
+    for i, item in enumerate(value) if kind == "array" else ():
+        _check(item, schema[0], f"{key}[{i}]", path)
 
 
 def load_checkpoint(path) -> MultiscaleImplicitGNN:
     """Rebuild a saved model; rejects a file whose scales repeat an exponent.
 
-    Its config must hold every key ``save_checkpoint`` writes, and its
-    parameters must be exactly those its config implies, each with the
-    implied shape; a ``ValueError`` names the file and the key or parameter.
+    Its config must hold every key ``save_checkpoint`` writes, each with the
+    JSON type it writes, and its parameters must be exactly those its config
+    implies, each an array of numbers with the implied shape; a
+    ``ValueError`` names the file and the key or parameter.
     Older files may carry keys no longer written, ``attention_dim`` (always
     the hidden dim) and ``solver.strict``; they are ignored.
     """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a model checkpoint: {path}")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-    _require_keys(payload, ("config", "params"), "", path)
+    _check(payload, CHECKPOINT_SCHEMA, "", path)
     cfg = payload["config"]
-    _require_keys(cfg, CHECKPOINT_CONFIG_KEYS, "config.", path)
-    _require_keys(cfg["solver"], ("tol", "max_iters"), "config.solver.", path)
-    for t, sc in enumerate(cfg["scales"]):
-        _require_keys(sc, ("m", "gamma", "eps_f"), f"config.scales[{t}].", path)
     dims, hidden = cfg["encoder_dims"], cfg["hidden_dim"]
-    encoder = MlpEncoder([np.zeros((dims[i + 1], dims[i])) for i in range(len(dims) - 1)],
-                         [np.zeros(d) for d in dims[1:]] if cfg["encoder_bias"] else None,
-                         dropout_rate=cfg["dropout"])
-    scales = [ScaleModule(f_weight=np.zeros((hidden, hidden)), gamma=sc["gamma"],
-                          scale_m=sc["m"], eps_f=sc["eps_f"]) for sc in cfg["scales"]]
-    attention = AttentionParams(w_a=np.zeros((hidden, hidden)), b_a=np.zeros(hidden),
-                                q=np.zeros(hidden))
-    solver = SolverConfig(tol=cfg["solver"]["tol"], max_iters=cfg["solver"]["max_iters"])
-    model = MultiscaleImplicitGNN(encoder, scales, attention,
-                                  np.zeros((cfg["num_classes"], hidden)),
-                                  task=cfg["task"], solver_cfg=solver)
+    try:  # a well-typed value can still be out of its domain
+        encoder = MlpEncoder([np.zeros((dims[i + 1], dims[i])) for i in range(len(dims) - 1)],
+                             [np.zeros(d) for d in dims[1:]] if cfg["encoder_bias"] else None,
+                             dropout_rate=cfg["dropout"])
+        scales = [ScaleModule(f_weight=np.zeros((hidden, hidden)), gamma=sc["gamma"],
+                              scale_m=sc["m"], eps_f=sc["eps_f"]) for sc in cfg["scales"]]
+        attention = AttentionParams(w_a=np.zeros((hidden, hidden)), b_a=np.zeros(hidden),
+                                    q=np.zeros(hidden))
+        solver = SolverConfig(tol=cfg["solver"]["tol"], max_iters=cfg["solver"]["max_iters"])
+        model = MultiscaleImplicitGNN(encoder, scales, attention,
+                                      np.zeros((cfg["num_classes"], hidden)),
+                                      task=cfg["task"], solver_cfg=solver)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     expected, params = model.parameters(), payload["params"]
     for name in sorted(expected.keys() | params.keys()):
         if name not in params or name not in expected:
             kind = "missing" if name in expected else "unknown"
             raise ValueError(f"{path}: {kind} parameter {name!r}")
-        value = np.asarray(params[name], dtype=np.float64)
+        try:
+            value = np.asarray(params[name])
+        except ValueError:  # ragged
+            value = np.asarray(None)
+        if value.dtype.kind not in "iuf":
+            raise ValueError(f"{path}: parameter {name!r} must be a rectangular "
+                             f"array of JSON numbers")
         if value.shape != expected[name].shape:
             raise ValueError(f"{path}: parameter {name!r} has shape {value.shape}, "
                              f"expected {expected[name].shape}")

@@ -44,9 +44,9 @@ def as_dense(a) -> np.ndarray:
     return out
 
 
-def as_csr(a, shape=None) -> sp.csr_array:
+def as_csr(a) -> sp.csr_array:
     """Coerce to a validated canonical float64 CSR array; ``a`` is never mutated."""
-    out = sp.csr_array(a, shape=shape, dtype=np.float64)
+    out = sp.csr_array(a, dtype=np.float64)
     if not out.has_canonical_format:
         # csr_array(a) may share a's index arrays; canonicalize a private copy.
         out = out.copy()

@@ -178,7 +178,7 @@ def test_criterion_5_oracle_equivalence():
         injected = rng.standard_normal((h, n))
         exact = oracle_solve(module, injected, s)
         closed = forward_solve(module, injected, s, cfg)
-        assert closed.iterations == 0 and closed.converged
+        assert closed.iterations == 1 and closed.converged
         rel = frobenius_norm(closed.z_star - exact) / frobenius_norm(exact)
         assert rel <= 1e-12, f"trial {trial}: |closed form - oracle| = {rel:.2e}"
         worst_closed = max(worst_closed, rel)

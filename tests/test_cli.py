@@ -349,3 +349,44 @@ def test_encoder_bias_flag_overrides_config_file(tmp_path, capsys):
         code, _, _ = run(capsys, *base, *extra, "--out", str(out))
         assert code == EXIT_OK
         assert json.loads((out / "config.json").read_text())["encoder_bias"] is expected
+
+
+@pytest.mark.parametrize("key, value", [("encoder_dims", 5), ("hidden_dim", "16")])
+def test_eval_on_a_malformed_checkpoint_value_is_data_error(tmp_path, capsys, key, value):
+    data = gen_chains_dir(tmp_path, capsys, 3)
+    out = tmp_path / "run"
+    run(capsys, "train", "--data", data, "--epochs", "0", "--hidden", "4", "--out", str(out))
+    ckpt = out / "checkpoint.json"
+    payload = json.loads(ckpt.read_text())
+    payload["config"][key] = value
+    ckpt.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", data)
+    assert code == EXIT_DATA
+    assert str(ckpt) in err and f"config.{key}" in err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "hidden", 2.5), ("train", "epochs", 1.5), ("train", "hidden", "4"),
+    ("train", "encoder_bias", "false"), ("train", "gamma", True), ("train", "scales", 1),
+    ("gen-colors", "fraction", "0.5"), ("bound", "gamma", None),
+])
+def test_config_value_of_the_wrong_json_type_is_data_error(tmp_path, capsys, command,
+                                                           key, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    code, _, err = run(capsys, command, "--config", str(cfg_path))
+    assert code == EXIT_DATA
+    assert str(cfg_path) in err and f"config key '{key}' must be a JSON" in err
+
+
+def test_config_values_of_each_flag_type_are_accepted(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg = {"hidden": 4, "lr": 1, "dropout": 0.25, "encoder_bias": False, "scales": "1,2",
+           "epochs": 1}
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    code, _, _ = run(capsys, "train", "--config", str(cfg_path),
+                     "--data", gen_chains_dir(tmp_path, capsys, 3), "--out", str(out))
+    assert code == EXIT_OK
+    echoed = json.loads((out / "config.json").read_text())
+    assert {k: echoed[k] for k in cfg} == cfg

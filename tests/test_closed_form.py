@@ -72,7 +72,7 @@ def _rel(a, b):
 def test_forward_closed_form_matches_picard_and_oracle(g, module, seed):
     injected = np.random.default_rng(seed).standard_normal((module.hidden_dim, g.n))
     closed = forward_solve(module, injected, g.s)
-    assert closed.iterations == 0 and closed.converged
+    assert closed.iterations == 1 and closed.converged
     assert closed.residual <= 1e-13
     picard = forward_solve(module, injected, sp.csr_array(g.s), PICARD)
     assert picard.converged and picard.iterations >= 1
@@ -102,7 +102,7 @@ def test_batch_solves_like_its_members_alone(members, module, seed):
     grad = rng.standard_normal((module.hidden_dim, merged.n))
     z = forward_solve(module, injected, merged.s)
     u = adjoint_solve(module, merged.s, grad)
-    assert z.iterations == 0
+    assert z.iterations == 1
     start = 0
     for g in members:
         cols = slice(start, start + g.n)
@@ -160,7 +160,7 @@ def test_weight_gradient_matches_finite_differences_on_both_paths(g, seed, h, f_
 
     module = ScaleModule(f_weight=f, gamma=gamma, scale_m=m)
     z = solve(f)
-    assert (z.iterations == 0) != picard
+    assert (z.iterations == 1) != picard
     analytic = weight_gradient(module, adjoint_solve(module, s, r, cfg), z.z_star, s)
     step = 1e-5
     numeric = np.zeros_like(f)
@@ -216,7 +216,7 @@ def test_component_above_the_cap_falls_back_to_picard(monkeypatch):
         injected = np.random.default_rng(2).standard_normal((3, g.n))
         assert (spectrum(g.s) is not None) == closed
         res = forward_solve(module, injected, g.s, SolverConfig(tol=1e-12, max_iters=5000))
-        assert (res.iterations == 0) == closed and res.converged
+        assert (res.iterations == 1) == closed and res.converged
         assert _rel(res.z_star, oracle_solve(module, injected, g.s)) <= 1e-9
 
 

@@ -257,3 +257,14 @@ def test_load_dataset_names_missing_sidecar_key(tmp_path, key):
     (tmp_path / "masks.json").write_text(json.dumps(sidecar))
     with pytest.raises(DataFormatError, match=rf"masks\.json: missing key '{key}'"):
         load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("key, value", [("directed", "false"), ("directed", 0),
+                                        ("multilabel", "true"), ("multilabel", None)])
+def test_load_dataset_requires_boolean_sidecar_flags(tmp_path, key, value):
+    save_dataset(gen_color_counting(ColorCountingSpec(num_chains=2, length=4)), tmp_path)
+    sidecar = json.loads((tmp_path / "masks.json").read_text())
+    sidecar[key] = value
+    (tmp_path / "masks.json").write_text(json.dumps(sidecar))
+    with pytest.raises(DataFormatError, match=rf"masks\.json: {key} must be a JSON boolean"):
+        load_dataset(tmp_path)

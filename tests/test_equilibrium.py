@@ -54,7 +54,7 @@ def test_forward_scalar_geometric_series():
 
 
 def test_forward_gamma_zero_returns_injected_from_both_kernels():
-    # The map is constant: the closed form needs no iteration, and Picard
+    # The map is constant: the closed form is H and step 1 confirms it; Picard
     # lands on H at step 1 and confirms it at step 2. Both go through g's
     # eigenbasis and back, so Z* equals H up to rounding.
     rng = np.random.default_rng(12)
@@ -63,7 +63,7 @@ def test_forward_gamma_zero_returns_injected_from_both_kernels():
     injected = rng.uniform(-1.0, 1.0, (3, 6))
     closed = forward_solve(module, injected, s)
     picard = forward_solve(module, injected, sp.csr_array(s))
-    assert closed.iterations == 0 and picard.iterations == 2
+    assert closed.iterations == 1 and picard.iterations == 2
     for res in (closed, picard):
         assert res.converged
         npt.assert_allclose(res.z_star, injected, rtol=0, atol=1e-15)
@@ -122,6 +122,20 @@ def test_forward_unique_fixed_point_across_inits():
     res1 = forward_solve(module, injected, s, cfg, z0=rng.standard_normal((4, n)) * 5)
     diff = frobenius_norm(res0.z_star - res1.z_star)
     assert diff <= 10 * cfg.tol * max(frobenius_norm(res0.z_star), 1.0)
+
+
+def test_solves_leave_their_inputs_unchanged():
+    # Picard updates its iterate in place: the start must be its own array.
+    rng = np.random.default_rng(5)
+    s = random_normalized_csr(rng, 7)
+    module = ScaleModule(f_weight=rng.standard_normal((3, 3)), gamma=0.7)
+    injected, z0 = rng.standard_normal((3, 7)), rng.standard_normal((3, 7))
+    kept = injected.copy(), z0.copy()
+    for matrix in (s, sp.csr_array(s)):  # from the closed form, and from z0
+        forward_solve(module, injected, matrix, z0=z0)
+        adjoint_solve(module, matrix, injected)
+        npt.assert_array_equal(injected, kept[0])
+        npt.assert_array_equal(z0, kept[1])
 
 
 def test_forward_node_permutation_equivariance():

@@ -215,6 +215,16 @@ def test_build_graph_rejects_a_negative_class_label():
         build_graph(a, np.ones((1, 2)), labels=[-1, 0])
 
 
+def test_build_graph_rejects_a_class_label_that_is_not_an_integer():
+    a = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for labels, message in (([0.5, 1.7], "got 0.5 at node 0"),
+                            ([1.0, np.nan], "got nan at node 1")):
+        with pytest.raises(ValueError, match=f"must be integers, {message}"):
+            build_graph(a, np.ones((1, 2)), labels=labels)
+    g = build_graph(a, np.ones((1, 2)), labels=[0.0, 1.0])
+    assert g.labels.dtype == np.int64 and g.labels.tolist() == [0, 1]
+
+
 def _path_with_stored_zeros():
     """The undirected path 0 - 1 on three nodes, with zeros stored at (1, 2) and (2, 1)."""
     a = sp.csr_array((np.array([1.0, 1.0, 0.0, 0.0]), ([0, 1, 1, 2], [1, 0, 2, 1])),

@@ -345,6 +345,33 @@ def test_checkpoint_names_a_missing_config_key(tmp_path):
         assert str(path) in str(info.value)
 
 
+NOT_AN_ARRAY = "parameter 'decoder.w' must be a rectangular array of JSON numbers"
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("config", "encoder_dims"), 5, "config.encoder_dims must be a JSON array, got 5"),
+    (("config", "hidden_dim"), "16", 'config.hidden_dim must be a JSON integer, got "16"'),
+    (("config", "scales", 0, "m"), 1.5, r"config.scales\[0\].m must be a JSON integer"),
+    (("config", "encoder_bias"), "false", "config.encoder_bias must be a JSON boolean"),
+    (("config", "solver"), [], "config.solver must be a JSON object"),
+    (("config", "scales", 0, "gamma"), 1.5, r"gamma must lie in \[0, 1\)"),
+    (("params", "decoder.w"), [[1.0, 2.0], [3.0]], NOT_AN_ARRAY),
+    (("params", "decoder.w"), "abc", NOT_AN_ARRAY),
+    (("params", "decoder.w"), [[True] * 4] * 2, NOT_AN_ARRAY),
+], ids=["dims", "hidden", "m", "bias", "solver", "gamma", "ragged", "string", "booleans"])
+def test_checkpoint_names_a_malformed_value(tmp_path, keys, value, message):
+    _, path, payload = _saved_payload(tmp_path)
+    *parents, last = keys
+    node = payload
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
 def test_checkpoint_with_strict_solver_key_loads(tmp_path):
     # files from before the solver's strict setting and the checkpoint's
     # attention_dim key were removed carry those keys
