@@ -8,8 +8,10 @@ configuration to it. Each flag declares its default on its own argument.
 A JSON config file (``--config``) can supply any flag of its subcommand,
 keys mirroring flag names with underscores: its values replace the
 subcommand's defaults and the command line is parsed again, so explicit
-flags override file values. Keys that are not flags of the subcommand are
-rejected.
+flags override file values. ``jsonio.read_json`` checks the file: a key
+that is not a flag of the subcommand is rejected, and a value must have
+its flag's JSON kind (integer for an int flag, finite number for a float
+flag, boolean for ``--encoder-bias``, string for the rest).
 
 Exit codes: 0 success, 2 usage, 3 I/O failure, 4 parse/validation failure,
 5 numerical divergence. The MSIGNN_OUT_DIR environment variable supplies
@@ -29,7 +31,8 @@ import numpy as np
 from . import datasets, probe, train
 from .equilibrium import ScaleModule, SolverConfig
 from .errors import DivergenceError
-from .model import init_model, is_json, load_checkpoint, save_checkpoint
+from .jsonio import read_json, write_json
+from .model import init_model, load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -136,37 +139,15 @@ def _parse(argv):
     p.add_argument("--m", type=int, default=1)
 
     args = parser.parse_args(argv)
-    if args.config:
+    if args.config:  # every flag is an optional key of its flag's JSON kind
         subparser = sub.choices[args.command]
-        subparser.set_defaults(**_read_config(args.config, subparser))
+        kinds = {int: "integer", float: "number"}
+        schema = {f"{a.dest}?": "boolean" if isinstance(a, argparse.BooleanOptionalAction)
+                  else kinds.get(a.type, "string")
+                  for a in subparser._actions if a.dest not in ("help", "config")}
+        subparser.set_defaults(**read_json(args.config, schema))
         args = parser.parse_args(argv)
     return args
-
-
-def _read_config(path, subparser) -> dict:
-    """The config file's settings; its keys must be the subcommand's own flags.
-
-    Each value is a JSON integer for an int flag, a number for a float flag,
-    a boolean for ``--encoder-bias``, a string for any other.
-    """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            file_cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(file_cfg, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    flags = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
-    unknown = set(file_cfg) - set(flags)
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
-    for key, value in file_cfg.items():
-        kind = ("boolean" if isinstance(flags[key], argparse.BooleanOptionalAction)
-                else {int: "integer", float: "number"}.get(flags[key].type, "string"))
-        if not is_json(value, kind):
-            raise ValueError(f"{path}: config key {key!r} must be a JSON {kind}, "
-                             f"got {json.dumps(value)}")
-    return file_cfg
 
 
 def _out_dir(cfg) -> Path:
@@ -180,9 +161,7 @@ def _out_dir(cfg) -> Path:
 
 def _echo_config(cfg, command, out: Path) -> None:
     payload = {"command": command, **{k: v for k, v in cfg.items() if k != "out"}}
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "config.json", payload)
 
 
 def _parse_list(text, cast, what) -> list:
@@ -243,9 +222,7 @@ def _cmd_train(cfg) -> int:
     save_checkpoint(model, out / "checkpoint.json")
     metrics = _node_metrics(model, data)
     metrics["epochs_run"] = len(history)
-    with open(out / "metrics.json", "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "metrics.json", metrics)
     _echo_config(cfg, "train", out)
     print(json.dumps(metrics, sort_keys=True))
     return EXIT_OK

@@ -19,13 +19,14 @@ The three text files are read by one row reader: it skips blank lines,
 requires a fixed field count (``src<TAB>dst``, ``node_id,label``) or the
 first row's (features, multi-hot labels), and reports a field that does
 not parse or a row of the wrong width as a ``DataFormatError`` naming
-``path:line``. A node id out of range names its line too, and
-overlapping split masks name the sidecar and the two splits.
+``path:line``. A node id out of range names its line too. The sidecar
+is read by ``jsonio.read_json`` against ``SIDECAR_SCHEMA``, so a key it
+does not list (a misspelled ``multilabel``) is rejected, and overlapping
+split masks name the sidecar and the two splits.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
@@ -35,6 +36,7 @@ import scipy.sparse as sp
 
 from .errors import DataFormatError, GenerationError
 from .graph import Graph, build_graph
+from .jsonio import read_json, write_json
 
 EDGE_FILE = "edges.tsv"
 FEATURE_FILE = "features.csv"
@@ -168,6 +170,11 @@ def gen_color_counting(spec: ColorCountingSpec) -> Dataset:
 # -- persistence -----------------------------------------------------------
 
 
+# What ``save_dataset`` writes to ``masks.json``, as a ``jsonio`` schema.
+SIDECAR_SCHEMA = {"directed": "boolean", "multilabel?": "boolean", "spec?": "object",
+                  "train": ["integer"], "val": ["integer"], "test": ["integer"]}
+
+
 def save_dataset(ds: Dataset, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -195,43 +202,22 @@ def save_dataset(ds: Dataset, out_dir) -> None:
         "val": np.flatnonzero(ds.val_mask).tolist(),
         "test": np.flatnonzero(ds.test_mask).tolist(),
     }
-    with open(out / SIDECAR_FILE, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(out / SIDECAR_FILE, sidecar)
 
 
 def load_dataset(in_dir) -> Dataset:
     src = Path(in_dir)
     sidecar_path = src / SIDECAR_FILE
-    try:
-        with open(sidecar_path, encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{sidecar_path}: invalid JSON sidecar: {exc}") from exc
-    for key in ("directed", "train", "val", "test"):
-        if key not in sidecar:
-            raise DataFormatError(f"{sidecar_path}: missing key {key!r}")
-    for key in ("directed", "multilabel"):
-        if not isinstance(sidecar.get(key, False), bool):
-            raise DataFormatError(f"{sidecar_path}: {key} must be a JSON boolean, "
-                                  f"got {json.dumps(sidecar[key])}")
+    sidecar = read_json(sidecar_path, SIDECAR_SCHEMA)
     graph = load_graph(src / EDGE_FILE, src / FEATURE_FILE, src / LABEL_FILE,
                        directed=sidecar["directed"],
                        multilabel=sidecar.get("multilabel", False))
-    n = graph.n
-
-    def mask_of(key):
-        mask = np.zeros(n, dtype=bool)
-        ids = sidecar[key]
-        if not isinstance(ids, list) or any(type(i) is not int for i in ids):
-            raise DataFormatError(f"{sidecar_path}: {key} mask must list integer node ids")
-        idx = np.asarray(ids, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
+    masks = {}
+    for key in ("train", "val", "test"):
+        if any(not 0 <= i < graph.n for i in sidecar[key]):
             raise DataFormatError(f"{sidecar_path}: {key} mask index out of range")
-        mask[idx] = True
-        return mask
-
-    masks = {key: mask_of(key) for key in ("train", "val", "test")}
+        masks[key] = np.zeros(graph.n, dtype=bool)
+        masks[key][sidecar[key]] = True
     for a, b in combinations(masks, 2):
         both = np.flatnonzero(masks[a] & masks[b])
         if both.size:

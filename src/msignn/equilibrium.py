@@ -85,8 +85,8 @@ class ScaleModule:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         if self.scale_m < 1:
             raise ValueError(f"scale exponent must be >= 1, got {self.scale_m}")
-        if self.eps_f <= 0.0:
-            raise ValueError(f"eps_f must be positive, got {self.eps_f}")
+        if not 0.0 < self.eps_f < np.inf:
+            raise ValueError(f"eps_f must be positive and finite, got {self.eps_f}")
 
     @property
     def hidden_dim(self) -> int:
@@ -99,8 +99,8 @@ class SolverConfig:
     max_iters: int = 300
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

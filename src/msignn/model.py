@@ -23,7 +23,6 @@ the optimizer updates them in place between forward/backward passes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,18 +32,19 @@ from .equilibrium import (EquilibriumResult, ScaleModule, SolverConfig,
                           adjoint_solve, forward_solve, weight_gradient)
 from .errors import ShapeError
 from .graph import Graph, GraphBatch
+from .jsonio import check_json, read_json, write_json
 
 CHECKPOINT_FORMAT = "msignn-checkpoint"
 CHECKPOINT_VERSION = 1
-# What ``save_checkpoint`` writes besides format and version: a dict holds its
-# required keys, a one-item list the kind of its items, a string a JSON type.
-CHECKPOINT_SCHEMA = {"params": {}, "config": {
-    "task": "string", "hidden_dim": "integer", "num_classes": "integer",
-    "encoder_dims": ["integer"], "encoder_bias": "boolean", "dropout": "number",
+# What ``save_checkpoint`` writes, as a ``jsonio`` schema. Older files may
+# carry ``attention_dim`` (always the hidden dim) and ``solver.strict``, keys
+# no longer written; they are ignored.
+CHECKPOINT_SCHEMA = {"format": "string", "version": "integer", "params": "object", "config": {
+    "task": "string", "hidden_dim": "count", "num_classes": "count",
+    "encoder_dims": ["count"], "encoder_bias": "boolean", "dropout": "number",
     "scales": [{"m": "integer", "gamma": "number", "eps_f": "number"}],
-    "solver": {"tol": "number", "max_iters": "integer"}}}
-JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
-              "number": (int, float), "boolean": bool}
+    "solver": {"tol": "number", "max_iters": "integer", "strict?": "boolean"},
+    "attention_dim?": "integer"}}
 
 
 class MlpEncoder:
@@ -383,48 +383,25 @@ def save_checkpoint(model: MultiscaleImplicitGNN, path) -> None:
         },
         "params": {name: arr.tolist() for name, arr in model.parameters().items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def is_json(value, kind: str) -> bool:
-    """Whether a parsed JSON value has the named JSON type; a boolean is not a number."""
-    return isinstance(value, JSON_TYPES[kind]) and (kind == "boolean"
-                                                    or not isinstance(value, bool))
-
-
-def _check(value, schema, key: str, path) -> None:
-    """Raise a ValueError naming the file and ``key`` unless value fits ``schema``."""
-    kind = {dict: "object", list: "array"}.get(type(schema), schema)
-    if not is_json(value, kind):
-        raise ValueError(f"{path}: {key} must be a JSON {kind}, got {json.dumps(value)}")
-    for name, item in schema.items() if kind == "object" else ():
-        full = f"{key}.{name}" if key else name
-        if name not in value:
-            raise ValueError(f"{path}: missing key {full!r}")
-        _check(value[name], item, full, path)
-    for i, item in enumerate(value) if kind == "array" else ():
-        _check(item, schema[0], f"{key}[{i}]", path)
+    write_json(path, payload)
 
 
 def load_checkpoint(path) -> MultiscaleImplicitGNN:
     """Rebuild a saved model; rejects a file whose scales repeat an exponent.
 
-    Its config must hold every key ``save_checkpoint`` writes, each with the
-    JSON type it writes, and its parameters must be exactly those its config
-    implies, each an array of numbers with the implied shape; a
-    ``ValueError`` names the file and the key or parameter.
-    Older files may carry keys no longer written, ``attention_dim`` (always
-    the hidden dim) and ``solver.strict``; they are ignored.
+    Once its format and version match, the file is checked against
+    ``CHECKPOINT_SCHEMA``: its config holds every key ``save_checkpoint``
+    writes, each of the kind it writes, every size a count and every number
+    finite. Its parameters are exactly those its config implies, each an
+    array of finite numbers of the implied shape. Every error is a
+    ``ValueError`` naming the file and any key or parameter.
     """
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+    payload = read_json(path, "object")
+    if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a model checkpoint: {path}")
     if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-    _check(payload, CHECKPOINT_SCHEMA, "", path)
+        raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
+    check_json(payload, CHECKPOINT_SCHEMA, path)
     cfg = payload["config"]
     dims, hidden = cfg["encoder_dims"], cfg["hidden_dim"]
     try:  # a well-typed value can still be out of its domain
@@ -450,9 +427,9 @@ def load_checkpoint(path) -> MultiscaleImplicitGNN:
             value = np.asarray(params[name])
         except ValueError:  # ragged
             value = np.asarray(None)
-        if value.dtype.kind not in "iuf":
+        if value.dtype.kind not in "iuf" or not np.all(np.isfinite(value)):
             raise ValueError(f"{path}: parameter {name!r} must be a rectangular "
-                             f"array of JSON numbers")
+                             f"array of JSON numbers, all finite")
         if value.shape != expected[name].shape:
             raise ValueError(f"{path}: parameter {name!r} has shape {value.shape}, "
                              f"expected {expected[name].shape}")

@@ -168,10 +168,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.patience < 0:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
         if self.batch_size < 1:

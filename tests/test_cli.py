@@ -113,6 +113,10 @@ def test_train_names_a_negative_encoder_layer_count(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, named", [
     ("--patience", "-3", "patience must be >= 0"),
     ("--wd", "-1", "weight_decay must be >= 0"),
+    ("--wd", "inf", "weight_decay must be >= 0 and finite, got inf"),
+    ("--tol", "nan", "tol must be positive and finite, got nan"),
+    ("--lr", "nan", "lr must be positive and finite, got nan"),
+    ("--eps-f", "inf", "eps_f must be positive and finite, got inf"),
 ])
 def test_train_rejects_negative_settings(tmp_path, capsys, flag, value, named):
     code, _, err = run(capsys, "train", "--data", gen_chains_dir(tmp_path, capsys, 3),
@@ -246,7 +250,7 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "gen-chains", "--config", str(cfg_path),
                        "--out", str(tmp_path / "o"))
     assert code == EXIT_DATA
-    assert "unknown config keys" in err
+    assert f"{cfg_path}: unknown key 'lenght'" in err
 
 
 def test_eval_on_mismatched_features_is_data_error(tmp_path, capsys):
@@ -302,11 +306,11 @@ def test_config_file_out_key_only_where_out_is_a_flag(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"out": str(tmp_path / "from_file"),
                                     "gamma": 0.5, "theta": 1e-6}))
     code, _, err = run(capsys, "bound", "--config", str(cfg_path))
-    assert code == EXIT_DATA and "unknown config keys: ['out']" in err
+    assert code == EXIT_DATA and "unknown key 'out'" in err
 
     cfg_path.write_text(json.dumps({"out": str(tmp_path / "from_file")}))
     code, _, err = run(capsys, "eval", "--config", str(cfg_path))
-    assert code == EXIT_DATA and "unknown config keys: ['out']" in err
+    assert code == EXIT_DATA and "unknown key 'out'" in err
 
     code, _, _ = run(capsys, "train", "--config", str(cfg_path),
                      "--data", gen_chains_dir(tmp_path, capsys, 3),
@@ -376,7 +380,7 @@ def test_config_value_of_the_wrong_json_type_is_data_error(tmp_path, capsys, com
     cfg_path.write_text(json.dumps({key: value}))
     code, _, err = run(capsys, command, "--config", str(cfg_path))
     assert code == EXIT_DATA
-    assert str(cfg_path) in err and f"config key '{key}' must be a JSON" in err
+    assert f"{cfg_path}: {key} must be a " in err
 
 
 def test_config_values_of_each_flag_type_are_accepted(tmp_path, capsys):
@@ -390,3 +394,57 @@ def test_config_values_of_each_flag_type_are_accepted(tmp_path, capsys):
     assert code == EXIT_OK
     echoed = json.loads((out / "config.json").read_text())
     assert {k: echoed[k] for k in cfg} == cfg
+
+
+@pytest.mark.parametrize("text", ["5", '"abc"', "[]"])
+def test_eval_on_a_sidecar_that_is_not_an_object_is_data_error(tmp_path, capsys, text):
+    data = gen_chains_dir(tmp_path, capsys, 3)
+    out = tmp_path / "run"
+    run(capsys, "train", "--data", data, "--epochs", "0", "--hidden", "4", "--out", str(out))
+    sidecar = tmp_path / "data" / "masks.json"
+    sidecar.write_text(text)
+    code, _, err = run(capsys, "eval", "--checkpoint", str(out / "checkpoint.json"),
+                       "--data", data)
+    assert code == EXIT_DATA
+    assert f"{sidecar}: top level must be a JSON object, got {text}" in err
+
+
+# Each JSON file the CLI reads, and the keys of a number in it.
+JSON_FILES = {
+    "checkpoint": ("run/checkpoint.json", ("config", "dropout")),
+    "sidecar": ("data/masks.json", ("train", 0)),
+    "config": ("cfg.json", ("tol",)),
+}
+MALFORMED = {"invalid-json": "invalid JSON", "not-an-object": "top level must be a JSON object",
+             "nan": "got NaN", "unknown-key": "unknown key 'bogus'"}
+
+
+@pytest.mark.parametrize("malformed", MALFORMED)
+@pytest.mark.parametrize("which", JSON_FILES)
+def test_every_json_file_rejects_the_same_malformed_input(tmp_path, capsys, which,
+                                                          malformed):
+    data = gen_chains_dir(tmp_path, capsys, 3)
+    ckpt = tmp_path / "run" / "checkpoint.json"
+    run(capsys, "train", "--data", data, "--epochs", "0", "--hidden", "4",
+        "--out", str(ckpt.parent))
+    (tmp_path / "cfg.json").write_text(json.dumps({"tol": 1e-6}))
+    name, (*parents, last) = JSON_FILES[which]
+    path = tmp_path / name
+    payload = json.loads(path.read_text())
+    with_nan = json.loads(path.read_text())
+    node = with_nan
+    for key in parents:
+        node = node[key]
+    node[last] = float("nan")
+    path.write_text({"invalid-json": "{", "not-an-object": "[1, 2]",
+                     "nan": json.dumps(with_nan),
+                     "unknown-key": json.dumps({"bogus": 1, **payload})}[malformed])
+    if which == "config":
+        argv = ["train", "--config", str(path), "--data", data, "--epochs", "0",
+                "--out", str(tmp_path / "again")]
+    else:
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", data]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_DATA
+    assert f"{path}: " in err and MALFORMED[malformed] in err
+

@@ -236,7 +236,9 @@ def test_load_dataset_rejects_a_mask_entry_that_is_not_an_integer(tmp_path, ids)
     sidecar = json.loads((tmp_path / "masks.json").read_text())
     sidecar["val"] = ids
     (tmp_path / "masks.json").write_text(json.dumps(sidecar))
-    with pytest.raises(DataFormatError, match=r"masks\.json: val mask must list integer"):
+    shown = ("val must be a JSON array, got 0" if ids == 0
+             else rf"val\[0\] must be a JSON integer, got {json.dumps(ids[0])}")
+    with pytest.raises(DataFormatError, match=rf"masks\.json: {shown}"):
         load_dataset(tmp_path)
 
 
@@ -256,6 +258,36 @@ def test_load_dataset_names_missing_sidecar_key(tmp_path, key):
     del sidecar[key]
     (tmp_path / "masks.json").write_text(json.dumps(sidecar))
     with pytest.raises(DataFormatError, match=rf"masks\.json: missing key '{key}'"):
+        load_dataset(tmp_path)
+
+
+def test_load_dataset_rejects_a_misspelled_sidecar_key(tmp_path):
+    # a misspelled multilabel used to load silently as single-label
+    save_dataset(gen_chains(ChainsSpec(length=3)), tmp_path)
+    sidecar = json.loads((tmp_path / "masks.json").read_text())
+    sidecar["multilable"] = sidecar.pop("multilabel")
+    (tmp_path / "masks.json").write_text(json.dumps(sidecar))
+    with pytest.raises(DataFormatError, match=r"masks\.json: unknown key 'multilable'"):
+        load_dataset(tmp_path)
+
+
+def test_load_dataset_needs_no_optional_sidecar_key(tmp_path):
+    save_dataset(gen_chains(ChainsSpec(length=3)), tmp_path)
+    sidecar = json.loads((tmp_path / "masks.json").read_text())
+    del sidecar["multilabel"], sidecar["spec"]
+    (tmp_path / "masks.json").write_text(json.dumps(sidecar))
+    ds = load_dataset(tmp_path)
+    assert not ds.graph.multilabel and ds.spec_echo == {}
+    assert ds.train_mask.sum() == len(sidecar["train"])
+
+
+@pytest.mark.parametrize("ids", [[-1], [120], [2 ** 70]])
+def test_load_dataset_rejects_a_mask_index_out_of_range(tmp_path, ids):
+    save_dataset(gen_chains(ChainsSpec(length=3)), tmp_path)  # 120 nodes
+    sidecar = json.loads((tmp_path / "masks.json").read_text())
+    sidecar["test"] = ids
+    (tmp_path / "masks.json").write_text(json.dumps(sidecar))
+    with pytest.raises(DataFormatError, match=r"masks\.json: test mask index out of range"):
         load_dataset(tmp_path)
 
 

@@ -285,12 +285,26 @@ def test_checkpoint_round_trip_exact(tmp_path):
 def test_checkpoint_rejects_foreign_payloads(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": "something-else", "version": 1}')
-    with pytest.raises(ValueError, match="not a model checkpoint"):
+    with pytest.raises(ValueError, match="not a model checkpoint") as info:
         load_checkpoint(bad)
+    assert str(bad) in str(info.value)
     wrong_version = tmp_path / "v999.json"
     wrong_version.write_text('{"format": "msignn-checkpoint", "version": 999}')
-    with pytest.raises(ValueError, match="version"):
+    with pytest.raises(ValueError, match="unsupported checkpoint version 999") as info:
         load_checkpoint(wrong_version)
+    assert str(info.value).startswith(f"{wrong_version}: ")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not json", "invalid JSON: Expecting value"),
+    ("[]", r"top level must be a JSON object, got \[\]"),
+], ids=["not-json", "array"])
+def test_checkpoint_that_is_no_json_object_names_the_file(tmp_path, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    with pytest.raises(ValueError, match=message) as info:
+        load_checkpoint(bad)
+    assert str(info.value).startswith(f"{bad}: ")
 
 
 def _saved_payload(tmp_path):
@@ -345,20 +359,33 @@ def test_checkpoint_names_a_missing_config_key(tmp_path):
         assert str(path) in str(info.value)
 
 
-NOT_AN_ARRAY = "parameter 'decoder.w' must be a rectangular array of JSON numbers"
+NOT_AN_ARRAY = "parameter 'decoder.w' must be a rectangular array of JSON numbers, all finite"
 
 
 @pytest.mark.parametrize("keys, value, message", [
     (("config", "encoder_dims"), 5, "config.encoder_dims must be a JSON array, got 5"),
-    (("config", "hidden_dim"), "16", 'config.hidden_dim must be a JSON integer, got "16"'),
+    (("config", "hidden_dim"), "16",
+     'config.hidden_dim must be a JSON integer >= 1, got "16"'),
     (("config", "scales", 0, "m"), 1.5, r"config.scales\[0\].m must be a JSON integer"),
     (("config", "encoder_bias"), "false", "config.encoder_bias must be a JSON boolean"),
     (("config", "solver"), [], "config.solver must be a JSON object"),
     (("config", "scales", 0, "gamma"), 1.5, r"gamma must lie in \[0, 1\)"),
+    (("config", "hidden_dim"), -2, "config.hidden_dim must be a JSON integer >= 1, got -2"),
+    (("config", "encoder_dims"), [8, -4],
+     r"config.encoder_dims\[1\] must be a JSON integer >= 1, got -4"),
+    (("config", "num_classes"), 0, "config.num_classes must be a JSON integer >= 1, got 0"),
+    (("config", "solver", "tol"), float("nan"),
+     "config.solver.tol must be a finite JSON number, got NaN"),
+    (("config", "scales", 1, "eps_f"), float("inf"),
+     r"config.scales\[1\].eps_f must be a finite JSON number, got Infinity"),
+    (("config", "hidden_size"), 4, "unknown key 'config.hidden_size'"),
     (("params", "decoder.w"), [[1.0, 2.0], [3.0]], NOT_AN_ARRAY),
     (("params", "decoder.w"), "abc", NOT_AN_ARRAY),
     (("params", "decoder.w"), [[True] * 4] * 2, NOT_AN_ARRAY),
-], ids=["dims", "hidden", "m", "bias", "solver", "gamma", "ragged", "string", "booleans"])
+    (("params", "decoder.w"), [[1.0, 2.0, float("nan"), 4.0]] * 2, NOT_AN_ARRAY),
+], ids=["dims", "hidden", "m", "bias", "solver", "gamma", "negative-hidden",
+        "negative-dim", "zero-classes", "nan-tol", "inf-eps", "unknown", "ragged",
+        "string", "booleans", "nan-param"])
 def test_checkpoint_names_a_malformed_value(tmp_path, keys, value, message):
     _, path, payload = _saved_payload(tmp_path)
     *parents, last = keys

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import msignn.train
-from msignn import (Adam, ChainsSpec, SolverConfig, TrainConfig, accuracy,
+from msignn import (Adam, ChainsSpec, ScaleModule, SolverConfig, TrainConfig, accuracy,
                     bce_with_logits, cross_entropy, gen_chains, history_to_csv,
                     init_model, micro_f1, train_loop)
 from msignn.errors import EmptySelectionError
@@ -347,3 +347,16 @@ def test_graph_task_merges_each_evaluation_split_once(monkeypatch):
     assert len(merges) - len(minibatches) == 2
     # still one evaluation forward per split per epoch
     assert predicts == [6, 3] * epochs
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build, name", [
+    (lambda v: SolverConfig(tol=v), "tol"),
+    (lambda v: TrainConfig(lr=v), "lr"),
+    (lambda v: TrainConfig(weight_decay=v), "weight_decay"),
+    (lambda v: ScaleModule(f_weight=np.eye(2), eps_f=v), "eps_f"),
+], ids=["tol", "lr", "weight_decay", "eps_f"])
+def test_settings_that_are_not_finite_are_rejected(build, name, value):
+    # a nan tol used to run every solve to max_iters unconverged
+    with pytest.raises(ValueError, match=f"{name} must be .* finite, got {value}"):
+        build(value)
