@@ -33,11 +33,14 @@ eigendecomposition, one dense ``eigh`` per connected component, which
 gives ``equilibrium`` its closed-form start. ``build_graph`` marks such an
 S, and the eigendecomposition is computed on the first call and cached
 on S itself, so it is paid once per graph and only by graphs that are
-solved or batched. ``batch`` gives the merged S its members' blocks,
-node indices offset, when it makes S: a batch decomposes nothing itself
-and shares its members' eigenvectors. Directed graphs, and undirected
-ones with a component above ``SPECTRUM_MAX_COMPONENT`` nodes, have no
-spectrum, nor has a batch with such a member.
+solved or batched. ``batch`` gives the merged S its spectrum when it
+makes S, one block per component size, so a solve on a batch loops over
+sizes, not members. The members still pending are decomposed together,
+by one ``eigh`` per component size, and each keeps its own rows of the
+result; a batch of decomposed members decomposes nothing and stacks
+their blocks. Directed graphs, and undirected ones with a component
+above ``SPECTRUM_MAX_COMPONENT`` nodes, have no spectrum, nor has a
+batch with such a member.
 """
 
 from __future__ import annotations
@@ -128,8 +131,9 @@ def spectrum(s) -> list[SpectrumBlock] | None:
 
     Only an S marked by ``build_graph`` or ``batch`` has one; any other,
     a plain ``sp.csr_array`` copy of a marked S included, has none. A
-    graph's S computes its blocks on the first call and keeps them; a
-    merged S holds the blocks ``batch`` listed from its members.
+    graph's S computes its blocks on the first call and keeps them, unless
+    a ``batch`` holding it did so first; a merged S holds the blocks
+    ``batch`` made for it.
     """
     blocks = getattr(s, _SPECTRUM, None)
     if blocks is _PENDING:
@@ -328,10 +332,76 @@ def hop_distance(g: Graph, p: int) -> np.ndarray:
     return csgraph.shortest_path(g.adjacency, unweighted=True, indices=p)
 
 
+def _block_diagonal(matrices) -> tuple[sp.csr_array, np.ndarray]:
+    """The block-diagonal CSR merge of square CSR arrays, and each one's node offset."""
+    sizes = [a.shape[0] for a in matrices]
+    nnz = [a.nnz for a in matrices]
+    n, offsets = sum(sizes), np.cumsum([0] + sizes[:-1])
+    idx = sp.get_index_dtype(maxval=max(n, sum(nnz)))
+    # Matrix i's column indices shift by its node offset, its row pointers
+    # by the entries of the matrices before it.
+    indices = np.concatenate([a.indices for a in matrices]) + np.repeat(offsets, nnz)
+    indptr = np.concatenate([a.indptr[1:] for a in matrices]) + np.repeat(
+        np.cumsum([0] + nnz[:-1]), sizes)
+    s = sp.csr_array((np.concatenate([a.data for a in matrices]), indices.astype(idx),
+                      np.concatenate(([0], indptr)).astype(idx)), shape=(n, n))
+    return s, offsets
+
+
+def _batch_spectrum(graphs: list[Graph], s, offsets) -> list[SpectrumBlock] | None:
+    """The spectrum of the merged S of undirected ``graphs``, one block per component size.
+
+    The members still pending are decomposed by one ``_decompose`` call on
+    their own merged S, and each caches its rows of the result: views of
+    the same arrays, node indices shifted back. If that merge has a
+    component above the cap, each pending member is decomposed alone, so
+    the members under it still get their spectrum. When every member was
+    pending, that decomposition is the batch's; otherwise the members'
+    blocks are concatenated per size, node indices offset.
+    """
+    pending = list({id(g.s): g for g in graphs
+                    if getattr(g.s, _SPECTRUM, None) is _PENDING}.values())
+    if pending:
+        merged, starts = (s, offsets) if len(pending) == len(graphs) else _block_diagonal(
+            [g.s for g in pending])
+        blocks = _decompose(merged)
+        if blocks is None:
+            for g in pending:
+                spectrum(g.s)
+        else:
+            # A block's rows ascend by their component's smallest node,
+            # nodes[:, 0], so each member's components are one run of rows.
+            ends = np.append(starts, merged.shape[0])
+            cuts = [np.searchsorted(b.nodes[:, 0], ends) for b in blocks]
+            for i, g in enumerate(pending):
+                own = []
+                for b, cut in zip(blocks, cuts):
+                    lo, hi = cut[i], cut[i + 1]
+                    if lo < hi:
+                        own.append(SpectrumBlock(b.nodes[lo:hi] - starts[i], b.values[lo:hi],
+                                                 b.vectors[lo:hi]))
+                setattr(g.s, _SPECTRUM, own)
+            if merged is s:
+                return blocks
+    parts = [spectrum(g.s) for g in graphs]
+    if any(own is None for own in parts):
+        return None
+    by_size: dict[int, list[tuple[SpectrumBlock, int]]] = {}
+    for own, offset in zip(parts, offsets):
+        for b in own:
+            by_size.setdefault(b.nodes.shape[1], []).append((b, offset))
+    return [SpectrumBlock(np.concatenate([b.nodes + offset for b, offset in group]),
+                          np.concatenate([b.values for b, _ in group]),
+                          np.concatenate([b.vectors for b, _ in group]))
+            for _, group in sorted(by_size.items())]
+
+
 def batch(graphs: list[Graph]) -> GraphBatch:
     """Merge graphs block-diagonally; normalization happens per graph before merging.
 
-    Undirected members are decomposed here if no solve or batch did so before.
+    Undirected members that no solve or batch decomposed before are
+    decomposed here, together; the merged S gets one spectrum block per
+    component size.
     """
     if not graphs:
         raise ValueError("cannot batch an empty graph list")
@@ -344,22 +414,9 @@ def batch(graphs: list[Graph]) -> GraphBatch:
                 f"feature dims differ across graphs: {g.feature_dim} != {feat_dim}")
         if g.directed != directed or g.multilabel != multilabel:
             raise ShapeError("all graphs in a batch must share directedness and label kind")
-    sizes = [g.n for g in graphs]
-    nnz = [g.s.nnz for g in graphs]
-    n, offsets = sum(sizes), np.cumsum([0] + sizes[:-1])
-    idx = sp.get_index_dtype(maxval=max(n, sum(nnz)))
-    # Member i's column indices shift by its node offset, its row pointers
-    # by the entries of the members before it.
-    indices = np.concatenate([g.s.indices for g in graphs]) + np.repeat(offsets, nnz)
-    indptr = np.concatenate([g.s.indptr[1:] for g in graphs]) + np.repeat(
-        np.cumsum([0] + nnz[:-1]), sizes)
-    s = sp.csr_array((np.concatenate([g.s.data for g in graphs]), indices.astype(idx),
-                      np.concatenate(([0], indptr)).astype(idx)), shape=(n, n))
+    s, offsets = _block_diagonal([g.s for g in graphs])
     if not directed:
-        parts = [spectrum(g.s) for g in graphs]
-        setattr(s, _SPECTRUM, None if any(blocks is None for blocks in parts) else
-                [SpectrumBlock(b.nodes + offset, b.values, b.vectors)
-                 for blocks, offset in zip(parts, offsets) for b in blocks])
+        setattr(s, _SPECTRUM, _batch_spectrum(graphs, s, offsets))
     labels = (None if any(g.labels is None for g in graphs)
               else np.concatenate([g.labels for g in graphs], axis=-1))
     graph_of_node = np.concatenate(

@@ -314,9 +314,16 @@ def sum_pool(z: np.ndarray, batch: Graph | GraphBatch) -> np.ndarray:
     if z.shape[1] != batch.graph_of_node.shape[0]:
         raise ShapeError(
             f"z has {z.shape[1]} columns but the batch has {batch.graph_of_node.shape[0]} nodes")
-    out = np.zeros((z.shape[0], batch.num_graphs))
-    np.add.at(out.T, batch.graph_of_node, z.T)
-    return out
+    h, num_graphs, graph_of_node = z.shape[0], batch.num_graphs, batch.graph_of_node
+    outside = (graph_of_node < 0) | (graph_of_node >= num_graphs)
+    if outside.any():
+        i = np.flatnonzero(outside)[0]
+        raise IndexError(f"node {i} is in graph {graph_of_node[i]}, outside the "
+                         f"batch's {num_graphs} graphs")
+    # Cell (r, g) adds its nodes in node order, from 0.0, as np.add.at does.
+    cells = (np.arange(h)[:, None] * num_graphs + graph_of_node).ravel()
+    return np.bincount(cells, weights=z.ravel(),
+                       minlength=h * num_graphs).reshape(h, num_graphs)
 
 
 # -- initialization -------------------------------------------------------

@@ -93,10 +93,30 @@ def test_adjoint_closed_form_matches_picard_and_oracle(g, module, seed):
     assert _rel(closed, picard) <= 10 * PICARD.tol / (1 - module.gamma)
 
 
+def _assert_blocks_equal(blocks, expected):
+    assert len(blocks) == len(expected)
+    for b, e in zip(blocks, expected):
+        for got, want in zip((b.nodes, b.values, b.vectors), (e.nodes, e.values, e.vectors)):
+            assert np.array_equal(got, want)
+
+
 @PROPERTY
-@given(st.lists(graphs, min_size=1, max_size=4), modules, st.integers(0, 2**32 - 1))
-def test_batch_solves_like_its_members_alone(members, module, seed):
+@given(st.lists(graphs, min_size=1, max_size=4), st.lists(st.booleans(), min_size=4,
+                                                          max_size=4),
+       st.booleans(), modules, st.integers(0, 2**32 - 1))
+def test_batch_solves_like_its_members_alone(members, decomposed, repeat, module, seed):
+    # Members have several components of mixed sizes. Some are decomposed
+    # before the batch is made and the rest are pending; one may appear twice.
+    for g, early in zip(members, decomposed):
+        if early:
+            spectrum(g.s)
+    if repeat:
+        members = members[:1] + members
     merged = batch(members)
+    sizes = np.unique(np.unique(component_labels(merged.s), return_counts=True)[1])
+    assert [b.nodes.shape[1] for b in spectrum(merged.s)] == list(sizes)
+    for g in members:
+        _assert_blocks_equal(spectrum(g.s), graph_mod._decompose(g.s))
     rng = np.random.default_rng(seed)
     injected = rng.standard_normal((module.hidden_dim, merged.n))
     grad = rng.standard_normal((module.hidden_dim, merged.n))
@@ -186,24 +206,27 @@ def test_plain_copies_and_directed_graphs_have_no_spectrum():
 def test_spectrum_is_lazy_cached_and_never_decomposed_per_batch(monkeypatch):
     calls = []
     decompose = graph_mod._decompose
-    monkeypatch.setattr(graph_mod, "_decompose", lambda s: calls.append(s) or decompose(s))
+    monkeypatch.setattr(graph_mod, "_decompose",
+                        lambda s: calls.append(s.shape[0]) or decompose(s))
     rng = np.random.default_rng(0)
     members = [_random_graph(int(seed), [3, 4, 1], 0.6) for seed in rng.integers(0, 99, 4)]
     assert calls == []
     spectrum(members[0].s)
     spectrum(members[0].s)
-    assert len(calls) == 1
-    # Two batches on overlapping members: each member is decomposed once,
-    # when the first batch holding it is made, and a merged S never is.
+    assert calls == [8]
+    # Two batches on overlapping members: the members still pending when a
+    # batch is made are decomposed together, in one call, so each member's
+    # eigendecomposition is computed once.
     merged = [batch(members[:3]), batch(members[1:])]
-    assert len(calls) == 4
-    assert all(call is g.s for call, g in zip(calls, members))
+    assert calls == [8, 16, 8]
     for m in merged:
         blocks = spectrum(m.s)
         assert spectrum(m.s) is blocks
         covered = np.concatenate([b.nodes.ravel() for b in blocks])
         assert sorted(covered) == list(range(m.n))
-    assert len(calls) == 4
+    # A batch of decomposed members decomposes nothing.
+    assert spectrum(batch(members[::-1]).s) is not None
+    assert calls == [8, 16, 8]
 
 
 def test_component_above_the_cap_falls_back_to_picard(monkeypatch):
@@ -218,6 +241,19 @@ def test_component_above_the_cap_falls_back_to_picard(monkeypatch):
         res = forward_solve(module, injected, g.s, SolverConfig(tol=1e-12, max_iters=5000))
         assert (res.iterations == 1) == closed and res.converged
         assert _rel(res.z_star, oracle_solve(module, injected, g.s)) <= 1e-9
+    # Pending members under the cap batched with one above it: their merged
+    # decomposition fails, so each small member is decomposed alone and
+    # keeps the spectrum it would have had.
+    pending = [_random_graph(seed, [4, 2, 3], 1.0) for seed in (5, 6)]
+    merged = batch(pending + [_random_graph(7, [5], 1.0)])
+    assert spectrum(merged.s) is None
+    for g in pending:
+        assert getattr(g.s, graph_mod._SPECTRUM) is not graph_mod._PENDING
+        _assert_blocks_equal(spectrum(g.s), graph_mod._decompose(g.s))
+    injected = np.random.default_rng(3).standard_normal((3, merged.n))
+    res = forward_solve(module, injected, merged.s, SolverConfig(tol=1e-12, max_iters=5000))
+    assert res.iterations > 1 and res.converged
+    assert _rel(res.z_star, oracle_solve(module, injected, merged.s)) <= 1e-9
 
 
 def test_a_wrong_closed_form_continues_as_picard():

@@ -179,6 +179,20 @@ def test_sum_pool_cases():
                      graph_of_node=np.array([0, 0, 1, 1]), num_graphs=2)
     npt.assert_array_equal(sum_pool(z, two), [[3.0, 7.0], [11.0, 15.0]])
     npt.assert_array_equal(sum_pool(np.zeros_like(z), two), np.zeros((2, 2)))
+    # Against np.add.at, bit for bit: nodes out of graph order, and graphs 1
+    # and 4 with no nodes.
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((3, 9)) * 10.0 ** rng.integers(-8, 8, (3, 9))
+    graph_of_node = np.array([3, 0, 2, 0, 3, 2, 0, 3, 2])
+    reference = np.zeros((3, 5))
+    np.add.at(reference.T, graph_of_node, z.T)
+    unsorted = GraphBatch(s=None, features=None, labels=None,
+                          graph_of_node=graph_of_node, num_graphs=5)
+    assert np.array_equal(sum_pool(z, unsorted), reference)
+    for outside in (5, -1):
+        bad = replace(unsorted, graph_of_node=np.where(graph_of_node == 2, outside, 0))
+        with pytest.raises(IndexError, match=f"node 2 is in graph {outside}"):
+            sum_pool(z, bad)
 
 
 def test_graph_task_forward_and_gradcheck():
