@@ -301,9 +301,17 @@ class MultiscaleImplicitGNN:
 
     # -- inference --------------------------------------------------------
 
-    def predict(self, data: Graph | GraphBatch) -> np.ndarray:
-        """Class per column (argmax, ties to the lower index) or multi-hot at logit > 0."""
-        logits = self.forward(data).logits
+    def predict(self, data: Graph | GraphBatch, trace: ForwardTrace | None = None) -> np.ndarray:
+        """Class per column (argmax, ties to the lower index) or multi-hot at logit > 0.
+
+        ``trace``, a forward of ``data`` at the current parameters, stands in
+        for running one; its logits must have one column per node (node
+        task) or per graph (graph task) of ``data``.
+        """
+        logits = (self.forward(data) if trace is None else trace).logits
+        width = data.n if self.task == "node" else data.num_graphs
+        if logits.shape[1] != width:
+            raise ShapeError(f"trace has logits for {logits.shape[1]} columns, data has {width}")
         if data.multilabel and self.task == "node":
             return (logits > 0.0).astype(np.int64)
         return np.argmax(logits, axis=0)

@@ -6,12 +6,16 @@ one, the whole graph under its train mask; a graph task one per shuffled
 minibatch of ``batch_size`` training graphs, merged under an all-true
 mask. ``evaluate`` makes one ``model.predict`` per input and scores each
 of its masks; graph tasks merge each split into one batch once per call.
-Both tasks select weights the same way: the loop keeps the parameters of
-the epoch with the highest validation metric, ties broken by the lower
-train loss, and restores them when it finishes. ``patience`` counts
-epochs without a strict improvement of the validation metric. Each
-history row records the epoch's solver iteration counts and wall time, so
-equilibrium cost stays visible.
+A node task without dropout runs one forward per epoch: each step after
+the first starts from the previous epoch's evaluation ``ForwardTrace``,
+since nothing changes the parameters in between and without dropout the
+train-mode forward equals the evaluation's. Both tasks select weights the
+same way: the loop keeps the parameters of the epoch with the highest
+validation metric, ties broken by the lower train loss, and restores them
+when it finishes. ``patience`` counts epochs without a strict improvement
+of the validation metric. Each history row records the epoch's wall time
+and the forward iteration counts of its step (its last one, for a graph
+task), so equilibrium cost stays visible.
 """
 
 from __future__ import annotations
@@ -182,7 +186,11 @@ def train_loop(model: MultiscaleImplicitGNN, data, cfg: TrainConfig) -> list[dic
     """Train and return the per-epoch history; leaves the best-val weights in place.
 
     ``data`` is a node-task Dataset (graph + train/val/test masks) or a
-    graph-task GraphDataset (graphs + per-graph labels + split masks).
+    graph-task GraphDataset (graphs + per-graph labels + split masks). A
+    node task without dropout runs ``epochs + 1`` forwards in all, with
+    losses and gradients bit-identical to a fresh forward per step. A
+    row's ``iters_per_scale`` holds the forward iteration counts of the
+    epoch's (last) step.
     """
     if model.task == "graph":
         train_idx, val_idx = np.flatnonzero(data.train_mask), np.flatnonzero(data.val_mask)
@@ -202,6 +210,8 @@ def train_loop(model: MultiscaleImplicitGNN, data, cfg: TrainConfig) -> list[dic
 
         def batches(rng):
             yield graph, graph.labels, data.train_mask
+    # Without dropout a node task's train-mode forward repeats the evaluation's.
+    reuse_evaluation = model.task == "node" and model.encoder.dropout_rate == 0.0
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()
     opt = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
@@ -211,11 +221,15 @@ def train_loop(model: MultiscaleImplicitGNN, data, cfg: TrainConfig) -> list[dic
     best_key = (-np.inf, -np.inf)
     best_params = None
     stale = 0
+    trace = None  # the last evaluation's forward, at the current parameters
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        loss, iter_counts = _train_pass(model, batches(rng), rng, opt, params)
+        loss, iter_counts = _train_pass(model, batches(rng), rng, opt, params, trace)
+        trace = None  # spent; at most one trace is alive at a time
+        if reuse_evaluation:
+            trace = model.forward(data.graph)
         train_metric, val_metric = [score for eval_set in eval_sets
-                                    for score in evaluate(model, *eval_set)]
+                                    for score in evaluate(model, *eval_set, trace)]
         seconds = time.perf_counter() - t0
         history.append({
             "epoch": epoch,
@@ -241,19 +255,23 @@ def train_loop(model: MultiscaleImplicitGNN, data, cfg: TrainConfig) -> list[dic
     return history
 
 
-def _train_pass(model, batches, rng, opt, params):
+def _train_pass(model, batches, rng, opt, params, trace):
     """One optimizer step per batch; multi-hot labels take ``bce_with_logits``.
 
-    Returns the mean batch loss and the last forward's iteration counts.
+    ``trace``, unless None, is the first batch's forward at the current
+    parameters, and that step runs none of its own. Returns the mean batch
+    loss and the last step's forward iteration counts.
     """
     losses, iter_counts = [], []
     for data, labels, mask in batches:
         loss_fn = bce_with_logits if labels.ndim == 2 else cross_entropy
-        trace = model.forward(data, train_mode=True, rng=rng)
+        if trace is None:
+            trace = model.forward(data, train_mode=True, rng=rng)
         loss, grad_logits = loss_fn(trace.logits, labels, mask)
         opt.step(params, model.backward(data, trace, grad_logits))
         losses.append(loss)
         iter_counts = [r.iterations for r in trace.scale_results]
+        trace = None
     return float(np.mean(losses)), iter_counts
 
 
@@ -263,9 +281,14 @@ def _graph_batch(data, idx) -> tuple:
             np.ones(len(idx), dtype=bool))
 
 
-def evaluate(model: MultiscaleImplicitGNN, data, labels: np.ndarray, masks) -> list[float]:
-    """One ``model.predict`` on ``data``; micro-F1 (multi-hot labels) or accuracy per mask."""
-    preds = model.predict(data)
+def evaluate(model: MultiscaleImplicitGNN, data, labels: np.ndarray, masks,
+             trace=None) -> list[float]:
+    """One ``model.predict`` on ``data``; micro-F1 (multi-hot labels) or accuracy per mask.
+
+    ``trace``, a forward of ``data`` at the current parameters, spares the
+    predict its own.
+    """
+    preds = model.predict(data) if trace is None else model.predict(data, trace)
     metric = micro_f1 if labels.ndim == 2 else accuracy
     return [metric(preds, labels, mask) for mask in masks]
 

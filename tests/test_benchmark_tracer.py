@@ -60,9 +60,10 @@ def _graph_problem(rng):
                          ids=["node", "graph"])
 def test_traced_graph_training_records_solves(tracing, make_problem):
     model, data, predict_input, task_names = make_problem(np.random.default_rng(0))
+    epochs = 3
     with tracing.Tracer() as tracer:
         history = tracer.call(tracing.TRAIN_LOOP, train_loop, model, data,
-                              TrainConfig(epochs=3, batch_size=2))
+                              TrainConfig(epochs=epochs, batch_size=2))
         model.predict(predict_input)
     names = {span.name for span in tracer.spans}
     assert {"equilibrium.forward_solve", "equilibrium.adjoint_solve",
@@ -71,9 +72,17 @@ def test_traced_graph_training_records_solves(tracing, make_problem):
     solves = [s for s in tracer.spans if s.name.startswith("equilibrium.")
               and s.name.endswith("_solve")]
     assert all(s.info["converged"] for s in solves)
-    assert len(history) == 3
+    assert len(history) == epochs
     # each epoch ends with its evaluation predicts, which the benchmark splits on
     loop_idx = next(i for i, s in enumerate(tracer.spans) if s.name == tracing.TRAIN_LOOP)
-    epochs = tracing.assign_epochs(tracer.spans, loop_idx,
-                                   [row["seconds"] for row in history])
-    assert len(epochs) == len(history)
+    epoch_ids = tracing.assign_epochs(tracer.spans, loop_idx,
+                                      [row["seconds"] for row in history])
+    assert len(epoch_ids) == len(history)
+    # The tracer counts solves only where the model calls forward_solve by
+    # name, once per scale. A node task without dropout runs one forward per
+    # epoch plus the first step's; a graph task here one minibatch step and
+    # one predict per split each epoch.
+    forwards = epochs + 1 if model.task == "node" else 3 * epochs
+    in_loop = [s for s in tracer.spans
+               if s.name == "equilibrium.forward_solve" and s.epoch >= 0]
+    assert len(in_loop) == forwards * len(model.scales)

@@ -266,6 +266,22 @@ def test_predict_argmax_and_threshold():
     npt.assert_array_equal(model_ml.predict(multi), (logits > 0).astype(int))
 
 
+def test_predict_from_a_trace_matches_and_rejects_another_inputs_trace():
+    rng = np.random.default_rng(14)
+    g, other = random_undirected_graph(rng, 6), random_undirected_graph(rng, 4)
+    model = small_model(rng, g, scales=(1, 2))
+    npt.assert_array_equal(model.predict(g, model.forward(g)), model.predict(g))
+    with pytest.raises(ShapeError, match="logits for 4 columns, data has 6"):
+        model.predict(g, model.forward(other))
+
+    graph_model = small_model(rng, g, scales=(1,), task="graph")
+    merged = batch([g, other])
+    npt.assert_array_equal(graph_model.predict(merged, graph_model.forward(merged)),
+                           graph_model.predict(merged))
+    with pytest.raises(ShapeError, match="logits for 1 columns, data has 2"):
+        graph_model.predict(merged, graph_model.forward(other))
+
+
 def test_dropout_only_in_train_mode():
     rng = np.random.default_rng(13)
     g = random_undirected_graph(rng, 6)

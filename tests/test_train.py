@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import msignn.train
-from msignn import (Adam, ChainsSpec, ScaleModule, SolverConfig, TrainConfig, accuracy,
-                    bce_with_logits, cross_entropy, gen_chains, history_to_csv,
-                    init_model, micro_f1, train_loop)
+from msignn import (Adam, ChainsSpec, ColorCountingSpec, ScaleModule, SolverConfig,
+                    TrainConfig, accuracy, bce_with_logits, build_graph, cross_entropy,
+                    gen_chains, gen_color_counting, history_to_csv, init_model, micro_f1,
+                    train_loop)
 from msignn.errors import EmptySelectionError
 from msignn.model import MultiscaleImplicitGNN
-from msignn.train import HISTORY_COLUMNS
+from msignn.train import HISTORY_COLUMNS, evaluate
 
 from conftest import random_undirected_graph
 
@@ -347,6 +350,90 @@ def test_graph_task_merges_each_evaluation_split_once(monkeypatch):
     assert len(merges) - len(minibatches) == 2
     # still one evaluation forward per split per epoch
     assert predicts == [6, 3] * epochs
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_node_task_without_dropout_runs_one_forward_per_epoch(monkeypatch, dropout):
+    ds = gen_chains(ChainsSpec(length=4, seed=0))
+    forwards, predicts = [], []
+    forward, predict = MultiscaleImplicitGNN.forward, MultiscaleImplicitGNN.predict
+
+    def counting_forward(model, data, train_mode=False, rng=None):
+        forwards.append(train_mode)
+        return forward(model, data, train_mode, rng)
+
+    def counting_predict(model, data, trace=None):
+        predicts.append(trace is None)
+        return predict(model, data, trace)
+
+    monkeypatch.setattr(MultiscaleImplicitGNN, "forward", counting_forward)
+    monkeypatch.setattr(MultiscaleImplicitGNN, "predict", counting_predict)
+    model = init_model(np.random.default_rng(0), ds.graph.feature_dim, 4, 2,
+                       scale_exponents=(1, 2), dropout=dropout)
+    epochs = 5
+    history = train_loop(model, ds, TrainConfig(epochs=epochs, lr=0.1, patience=epochs))
+    assert len(history) == epochs and len(predicts) == epochs
+    if dropout:
+        # each step draws its own dropout masks, and each predict runs its own forward
+        assert forwards == [True, False] * epochs and all(predicts)
+    else:
+        # only the first step runs a forward; each later one starts from the evaluation's
+        assert forwards == [True] + [False] * epochs and not any(predicts)
+
+
+def _reference_loop(model, data, cfg):
+    """A fresh train-mode forward per step, then ``evaluate``; no early stop.
+
+    Returns the history rows without wall times, and the parameters of the
+    epoch ``train_loop`` keeps: the first with the highest (val, -loss).
+    """
+    graph, masks = data.graph, (data.train_mask, data.val_mask)
+    loss_fn = bce_with_logits if graph.multilabel else cross_entropy
+    rng = np.random.default_rng(cfg.seed)
+    params = model.parameters()
+    opt = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    rows, snapshots = [], []
+    for epoch in range(1, cfg.epochs + 1):
+        trace = model.forward(graph, train_mode=True, rng=rng)
+        loss, grad_logits = loss_fn(trace.logits, graph.labels, data.train_mask)
+        opt.step(params, model.backward(graph, trace, grad_logits))
+        train_metric, val_metric = evaluate(model, graph, graph.labels, masks)
+        rows.append({"epoch": epoch, "train_loss": loss, "train_acc": train_metric,
+                     "val_acc": val_metric, "iters_per_scale": ";".join(
+                         str(r.iterations) for r in trace.scale_results)})
+        snapshots.append({k: v.copy() for k, v in params.items()})
+    keys = [(row["val_acc"], -row["train_loss"]) for row in rows]
+    return rows, snapshots[keys.index(max(keys))]
+
+
+def _colors(multi_hot):
+    ds = gen_color_counting(ColorCountingSpec(num_chains=6, length=8, seed=2))
+    if multi_hot:
+        g = ds.graph
+        labels = np.random.default_rng(3).integers(0, 2, size=(3, g.n)).astype(float)
+        ds = replace(ds, graph=build_graph(g.adjacency, g.features, labels))
+    return ds
+
+
+@pytest.mark.parametrize("multi_hot", [False, True], ids=["cross_entropy", "bce"])
+def test_reused_evaluation_forward_trains_bit_identically(multi_hot):
+    ds = _colors(multi_hot)
+    epochs = 8
+    cfg = TrainConfig(epochs=epochs, lr=0.05, weight_decay=1e-3, seed=4, patience=epochs)
+
+    def make_model():
+        return init_model(np.random.default_rng(5), ds.graph.feature_dim, 6,
+                          ds.graph.num_classes, scale_exponents=(1, 3), gamma=0.9)
+
+    model = make_model()
+    history = train_loop(model, ds, cfg)
+    rows, kept = _reference_loop(make_model(), ds, cfg)
+    assert len(history) == epochs
+    for row, expected in zip(history, rows):
+        assert {k: v for k, v in row.items() if k != "seconds"} == expected
+    assert len({row["train_loss"] for row in rows}) == epochs  # the model does train
+    for name, value in model.parameters().items():
+        npt.assert_array_equal(value, kept[name], err_msg=name)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
