@@ -18,11 +18,12 @@ label kind and a spec echo.
 The three text files are read by one row reader: it skips blank lines,
 requires a fixed field count (``src<TAB>dst``, ``node_id,label``) or the
 first row's (features, multi-hot labels), and reports a field that does
-not parse or a row of the wrong width as a ``DataFormatError`` naming
-``path:line``. A node id out of range names its line too. The sidecar
-is read by ``jsonio.read_json`` against ``SIDECAR_SCHEMA``, so a key it
-does not list (a misspelled ``multilabel``) is rejected, and overlapping
-split masks name the sidecar and the two splits.
+not parse or is not finite, or a row of the wrong width, as a
+``DataFormatError`` naming ``path:line``. A node id out of range names
+its line too. The sidecar is read by ``jsonio.read_json`` against
+``SIDECAR_SCHEMA``, so a key it does not list (a misspelled
+``multilabel``) is rejected, and overlapping split masks name the
+sidecar and the two splits.
 """
 
 from __future__ import annotations
@@ -282,9 +283,10 @@ def _read_rows(path, sep, dtype, width=None):
 
     Blank lines are skipped. Every row must have ``width`` fields or, when
     ``width`` is None, as many as the first row. A field ``dtype`` cannot
-    parse, or a row of another width, raises ``DataFormatError`` naming
-    ``path:line``. Also returns each row's line number, so a caller can
-    name the line of a value that parses but is out of range.
+    parse, a float field that is nan or infinite, or a row of another
+    width raises ``DataFormatError`` naming ``path:line``. Also returns
+    each row's line number, so a caller can name the line of a value that
+    parses but is out of range.
     """
     rows, linenos = [], []
     with open(path, encoding="utf-8") as fh:
@@ -303,7 +305,13 @@ def _read_rows(path, sep, dtype, width=None):
             except (ValueError, OverflowError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad field: {exc}") from exc
             linenos.append(lineno)
-    return np.array(rows, dtype=dtype).reshape(len(rows), width or 0), linenos
+    rows = np.array(rows, dtype=dtype).reshape(len(rows), width or 0)
+    bad = np.argwhere(~np.isfinite(rows))
+    if bad.size:
+        r, c = bad[0]
+        raise DataFormatError(f"{path}:{linenos[r]}: field {c + 1} is "
+                              f"{float(rows[r, c])!r}, not a finite number")
+    return rows, linenos
 
 
 def _check_node_ids(ids, linenos, n, path):

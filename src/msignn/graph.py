@@ -35,10 +35,11 @@ S, and the eigendecomposition is computed on the first call and cached
 on S itself, so it is paid once per graph and only by graphs that are
 solved or batched. ``batch`` gives the merged S its spectrum when it
 makes S, one block per component size, so a solve on a batch loops over
-sizes, not members. The members still pending are decomposed together,
-by one ``eigh`` per component size, and each keeps its own rows of the
-result; a batch of decomposed members decomposes nothing and stacks
-their blocks. Directed graphs, and undirected ones with a component
+sizes, not members. It gets that spectrum one of two ways. While any
+member is still pending, the batch decomposes its own S, by one ``eigh``
+per component size, and each pending member keeps its own rows of the
+result. When none is, the batch decomposes nothing and stacks its
+members' blocks. Directed graphs, and undirected ones with a component
 above ``SPECTRUM_MAX_COMPONENT`` nodes, have no spectrum, nor has a
 batch with such a member.
 """
@@ -132,8 +133,9 @@ def spectrum(s) -> list[SpectrumBlock] | None:
     Only an S marked by ``build_graph`` or ``batch`` has one; any other,
     a plain ``sp.csr_array`` copy of a marked S included, has none. A
     graph's S computes its blocks on the first call and keeps them, unless
-    a ``batch`` holding it did so first; a merged S holds the blocks
-    ``batch`` made for it.
+    a ``batch`` holding it decomposed the batch's S first, in which case it
+    keeps its rows of that result; a merged S holds the blocks ``batch``
+    decomposed or stacked for it.
     """
     blocks = getattr(s, _SPECTRUM, None)
     if blocks is _PENDING:
@@ -310,6 +312,11 @@ def build_graph(adjacency, features, labels=None, directed: bool = False) -> Gra
             if labels.shape[1] != n:
                 raise ShapeError("multi-hot labels must have one column per node")
             labels = labels.astype(np.float64)
+            bad = np.argwhere((labels != 0) & (labels != 1))  # nan included
+            if bad.size:
+                c, k = bad[0]
+                raise ValueError(f"multi-hot labels must be 0 or 1, got "
+                                 f"{float(labels[c, k])!r} for class {c} at node {k}")
         else:
             raise ShapeError("labels must be a vector or a multi-hot matrix")
     s = _normalize(indptr, indices, data, rows, directed)
@@ -351,38 +358,28 @@ def _block_diagonal(matrices) -> tuple[sp.csr_array, np.ndarray]:
 def _batch_spectrum(graphs: list[Graph], s, offsets) -> list[SpectrumBlock] | None:
     """The spectrum of the merged S of undirected ``graphs``, one block per component size.
 
-    The members still pending are decomposed by one ``_decompose`` call on
-    their own merged S, and each caches its rows of the result: views of
-    the same arrays, node indices shifted back. If that merge has a
-    component above the cap, each pending member is decomposed alone, so
-    the members under it still get their spectrum. When every member was
-    pending, that decomposition is the batch's; otherwise the members'
+    While any member is pending, the batch decomposes its own S with one
+    ``_decompose`` call, and each pending member caches its rows of the
+    result: views of the same arrays, node indices shifted back. A member
+    repeated in the batch is no longer pending at its second occurrence.
+    If S has a component above the cap, the batch has no spectrum and its
+    pending members stay pending. When no member is pending, the members'
     blocks are concatenated per size, node indices offset.
     """
-    pending = list({id(g.s): g for g in graphs
-                    if getattr(g.s, _SPECTRUM, None) is _PENDING}.values())
-    if pending:
-        merged, starts = (s, offsets) if len(pending) == len(graphs) else _block_diagonal(
-            [g.s for g in pending])
-        blocks = _decompose(merged)
-        if blocks is None:
-            for g in pending:
-                spectrum(g.s)
-        else:
+    if any(getattr(g.s, _SPECTRUM, None) is _PENDING for g in graphs):
+        blocks = _decompose(s)
+        if blocks is not None:
             # A block's rows ascend by their component's smallest node,
             # nodes[:, 0], so each member's components are one run of rows.
-            ends = np.append(starts, merged.shape[0])
+            ends = np.append(offsets, s.shape[0])
             cuts = [np.searchsorted(b.nodes[:, 0], ends) for b in blocks]
-            for i, g in enumerate(pending):
-                own = []
-                for b, cut in zip(blocks, cuts):
-                    lo, hi = cut[i], cut[i + 1]
-                    if lo < hi:
-                        own.append(SpectrumBlock(b.nodes[lo:hi] - starts[i], b.values[lo:hi],
-                                                 b.vectors[lo:hi]))
-                setattr(g.s, _SPECTRUM, own)
-            if merged is s:
-                return blocks
+            for i, g in enumerate(graphs):
+                if getattr(g.s, _SPECTRUM, None) is _PENDING:
+                    rows = [slice(cut[i], cut[i + 1]) for cut in cuts]
+                    setattr(g.s, _SPECTRUM, [
+                        SpectrumBlock(b.nodes[r] - offsets[i], b.values[r], b.vectors[r])
+                        for b, r in zip(blocks, rows) if r.start < r.stop])
+        return blocks
     parts = [spectrum(g.s) for g in graphs]
     if any(own is None for own in parts):
         return None
@@ -399,9 +396,10 @@ def _batch_spectrum(graphs: list[Graph], s, offsets) -> list[SpectrumBlock] | No
 def batch(graphs: list[Graph]) -> GraphBatch:
     """Merge graphs block-diagonally; normalization happens per graph before merging.
 
-    Undirected members that no solve or batch decomposed before are
-    decomposed here, together; the merged S gets one spectrum block per
-    component size.
+    The merged S of undirected members gets one spectrum block per
+    component size: if any member is still pending, from decomposing the
+    merged S, whose rows each pending member keeps; otherwise stacked from
+    the members' blocks.
     """
     if not graphs:
         raise ValueError("cannot batch an empty graph list")

@@ -190,12 +190,15 @@ def train_loop(model: MultiscaleImplicitGNN, data, cfg: TrainConfig) -> list[dic
     node task without dropout runs ``epochs + 1`` forwards in all, with
     losses and gradients bit-identical to a fresh forward per step. A
     row's ``iters_per_scale`` holds the forward iteration counts of the
-    epoch's (last) step.
+    epoch's (last) step. An empty train or val split is named before the
+    first epoch.
     """
+    for split in ("train", "val"):
+        if not np.any(getattr(data, f"{split}_mask")):
+            raise EmptySelectionError(f"{split} split selects no "
+                                      f"{'graphs' if model.task == 'graph' else 'nodes'}")
     if model.task == "graph":
         train_idx, val_idx = np.flatnonzero(data.train_mask), np.flatnonzero(data.val_mask)
-        if not (len(train_idx) and len(val_idx)):
-            raise EmptySelectionError("graph split selects no graphs")
         # The splits never change, so each is merged into one batch once.
         eval_sets = [(merged, labels, [mask]) for merged, labels, mask
                      in (_graph_batch(data, train_idx), _graph_batch(data, val_idx))]
@@ -288,7 +291,7 @@ def evaluate(model: MultiscaleImplicitGNN, data, labels: np.ndarray, masks,
     ``trace``, a forward of ``data`` at the current parameters, spares the
     predict its own.
     """
-    preds = model.predict(data) if trace is None else model.predict(data, trace)
+    preds = model.predict(data, trace)
     metric = micro_f1 if labels.ndim == 2 else accuracy
     return [metric(preds, labels, mask) for mask in masks]
 

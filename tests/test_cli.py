@@ -125,6 +125,17 @@ def test_train_rejects_negative_settings(tmp_path, capsys, flag, value, named):
     assert named in err
 
 
+def test_train_names_an_empty_train_split(tmp_path, capsys):
+    # 5% of 10 nodes rounds to no training node
+    data = tmp_path / "data"
+    assert run(capsys, "gen-colors", "--chains", "2", "--length", "5",
+               "--out", str(data))[0] == EXIT_OK
+    code, _, err = run(capsys, "train", "--data", str(data), "--epochs", "2",
+                       "--out", str(tmp_path / "x"))
+    assert code == EXIT_DATA
+    assert "train split selects no nodes" in err
+
+
 def test_train_without_data_is_data_error(tmp_path, capsys):
     code, _, err = run(capsys, "train", "--epochs", "0", "--out", str(tmp_path / "x"))
     assert code == EXIT_DATA

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
-from msignn import (ScaleModule, SolverConfig, adjoint_solve, batch, build_graph,
+from msignn import (Graph, ScaleModule, SolverConfig, adjoint_solve, batch, build_graph,
                     forward_solve, oracle_solve, weight_gradient)
 from msignn import graph as graph_mod
 from msignn.graph import component_labels, spectrum
@@ -201,6 +201,17 @@ def test_plain_copies_and_directed_graphs_have_no_spectrum():
     assert spectrum(build_graph(a, np.ones((1, 2)), directed=True).s) is None
     directed_batch = batch([build_graph(a, np.ones((1, 2)), directed=True)] * 2)
     assert spectrum(directed_batch.s) is None
+    # A Graph made by hand around a plain S is never pending, and has no
+    # blocks to stack: its batch with a decomposed member has no spectrum.
+    by_hand = Graph(s=sp.csr_array(undirected.s), features=np.ones((1, 2)), labels=None,
+                    adjacency=a, directed=False)
+    mixed = batch([by_hand, undirected])
+    assert spectrum(mixed.s) is None
+    module = ScaleModule(f_weight=np.eye(2), gamma=0.8, scale_m=2)
+    injected = np.random.default_rng(1).standard_normal((2, mixed.n))
+    res = forward_solve(module, injected, mixed.s, PICARD)
+    assert res.iterations > 1 and res.converged
+    assert _rel(res.z_star, oracle_solve(module, injected, mixed.s)) <= 1e-9
 
 
 def test_spectrum_is_lazy_cached_and_never_decomposed_per_batch(monkeypatch):
@@ -214,11 +225,11 @@ def test_spectrum_is_lazy_cached_and_never_decomposed_per_batch(monkeypatch):
     spectrum(members[0].s)
     spectrum(members[0].s)
     assert calls == [8]
-    # Two batches on overlapping members: the members still pending when a
-    # batch is made are decomposed together, in one call, so each member's
-    # eigendecomposition is computed once.
+    # Two batches on overlapping members, each holding a pending member: a
+    # batch with a pending member decomposes its whole S in one call, and
+    # each member pending then keeps its rows of the result.
     merged = [batch(members[:3]), batch(members[1:])]
-    assert calls == [8, 16, 8]
+    assert calls == [8, 24, 24]
     for m in merged:
         blocks = spectrum(m.s)
         assert spectrum(m.s) is blocks
@@ -226,7 +237,7 @@ def test_spectrum_is_lazy_cached_and_never_decomposed_per_batch(monkeypatch):
         assert sorted(covered) == list(range(m.n))
     # A batch of decomposed members decomposes nothing.
     assert spectrum(batch(members[::-1]).s) is not None
-    assert calls == [8, 16, 8]
+    assert calls == [8, 24, 24]
 
 
 def test_component_above_the_cap_falls_back_to_picard(monkeypatch):
@@ -241,14 +252,14 @@ def test_component_above_the_cap_falls_back_to_picard(monkeypatch):
         res = forward_solve(module, injected, g.s, SolverConfig(tol=1e-12, max_iters=5000))
         assert (res.iterations == 1) == closed and res.converged
         assert _rel(res.z_star, oracle_solve(module, injected, g.s)) <= 1e-9
-    # Pending members under the cap batched with one above it: their merged
-    # decomposition fails, so each small member is decomposed alone and
-    # keeps the spectrum it would have had.
+    # Pending members under the cap batched with one above it: the batch's
+    # decomposition fails, so the small members stay pending, and on first
+    # use each gets the spectrum it would have had alone.
     pending = [_random_graph(seed, [4, 2, 3], 1.0) for seed in (5, 6)]
     merged = batch(pending + [_random_graph(7, [5], 1.0)])
     assert spectrum(merged.s) is None
     for g in pending:
-        assert getattr(g.s, graph_mod._SPECTRUM) is not graph_mod._PENDING
+        assert getattr(g.s, graph_mod._SPECTRUM) is graph_mod._PENDING
         _assert_blocks_equal(spectrum(g.s), graph_mod._decompose(g.s))
     injected = np.random.default_rng(3).standard_normal((3, merged.n))
     res = forward_solve(module, injected, merged.s, SolverConfig(tol=1e-12, max_iters=5000))

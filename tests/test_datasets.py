@@ -219,6 +219,24 @@ def test_load_multihot_labels_rejects_ragged_rows(tmp_path):
                    tmp_path / "labels.csv", multilabel=True)
 
 
+@pytest.mark.parametrize("features, labels, message", [
+    ("1.0,0.5\n\n2.0,nan\n", None, r"features\.csv:3: field 2 is nan, not a finite"),
+    ("1.0\n-inf\n", None, r"features\.csv:2: field 1 is -inf, not a finite"),
+    ("1.0\n2.0\n", "1,0,NaN\n0,1,1\n", r"labels\.csv:1: field 3 is nan, not a finite"),
+    ("1.0\n2.0\n", "1,0,1\n0,1e999,1\n", r"labels\.csv:2: field 2 is inf, not a finite"),
+], ids=["features-nan", "features-inf", "multi-hot-nan", "multi-hot-overflow"])
+def test_load_graph_names_the_line_of_a_non_finite_field(tmp_path, features, labels, message):
+    (tmp_path / "edges.tsv").write_text("0\t1\n1\t0\n")
+    (tmp_path / "features.csv").write_text(features)
+    label_path = None
+    if labels is not None:
+        label_path = tmp_path / "labels.csv"
+        label_path.write_text(labels)
+    with pytest.raises(DataFormatError, match=message):
+        load_graph(tmp_path / "edges.tsv", tmp_path / "features.csv", label_path,
+                   multilabel=labels is not None)
+
+
 @pytest.mark.parametrize("text, message", [
     ("0,1\n1,-1\n", r"labels\.csv:2: negative label -1"),
     ("0,1\n1,0\n0,2\n", r"labels\.csv:3: node 0 labelled twice")])

@@ -225,6 +225,17 @@ def test_build_graph_rejects_a_class_label_that_is_not_an_integer():
     assert g.labels.dtype == np.int64 and g.labels.tolist() == [0, 1]
 
 
+def test_build_graph_rejects_a_multi_hot_label_other_than_0_or_1():
+    a = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for labels, message in (([[0.5, 2.0], [np.nan, 1.0]], "got 0.5 for class 0 at node 0"),
+                            ([[0.0, 1.0], [np.nan, 1.0]], "got nan for class 1 at node 0"),
+                            ([[1.0, 0.0], [1.0, -1.0]], "got -1.0 for class 1 at node 1")):
+        with pytest.raises(ValueError, match=f"must be 0 or 1, {message}"):
+            build_graph(a, np.ones((1, 2)), labels=labels)
+    g = build_graph(a, np.ones((1, 2)), labels=[[0, 1], [True, False]])
+    assert g.multilabel and g.labels.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
 def _path_with_stored_zeros():
     """The undirected path 0 - 1 on three nodes, with zeros stored at (1, 2) and (2, 1)."""
     a = sp.csr_array((np.array([1.0, 1.0, 0.0, 0.0]), ([0, 1, 1, 2], [1, 0, 2, 1])),

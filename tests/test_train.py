@@ -4,9 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import msignn.graph
 import msignn.train
 from msignn import (Adam, ChainsSpec, ColorCountingSpec, ScaleModule, SolverConfig,
-                    TrainConfig, accuracy, bce_with_logits, build_graph, cross_entropy,
+                    TrainConfig, accuracy, batch, bce_with_logits, build_graph, cross_entropy,
                     gen_chains, gen_color_counting, history_to_csv, init_model, micro_f1,
                     train_loop)
 from msignn.errors import EmptySelectionError
@@ -325,6 +326,20 @@ def test_train_loop_restores_best_epoch_weights(task):
                for name, value in restored.items())
 
 
+@pytest.mark.parametrize("task", sorted(PROBLEMS))
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_an_empty_split_is_named_before_any_epoch(monkeypatch, task, split):
+    data, make_model, cfg = PROBLEMS[task]()
+    data = replace(data, **{f"{split}_mask": np.zeros_like(data.train_mask)})
+    forwards = []
+    monkeypatch.setattr(MultiscaleImplicitGNN, "forward",
+                        lambda *args, **kwargs: forwards.append(args))
+    unit = "graphs" if task == "graph" else "nodes"
+    with pytest.raises(EmptySelectionError, match=f"^{split} split selects no {unit}$"):
+        train_loop(make_model(), data, TrainConfig(epochs=3, **cfg))
+    assert forwards == []
+
+
 def test_graph_task_merges_each_evaluation_split_once(monkeypatch):
     data, make_model, cfg = _graph_problem()
     train_ids = {id(data.graphs[i]) for i in np.flatnonzero(data.train_mask)}
@@ -335,9 +350,9 @@ def test_graph_task_merges_each_evaluation_split_once(monkeypatch):
         merges.append({id(g) for g in graphs})
         return merge(graphs)
 
-    def counting_predict(model, data):
+    def counting_predict(model, data, trace=None):
         predicts.append(data.num_graphs)
-        return predict(model, data)
+        return predict(model, data, trace)
 
     monkeypatch.setattr(msignn.train, "batch_graphs", counting_merge)
     monkeypatch.setattr(MultiscaleImplicitGNN, "predict", counting_predict)
@@ -350,6 +365,27 @@ def test_graph_task_merges_each_evaluation_split_once(monkeypatch):
     assert len(merges) - len(minibatches) == 2
     # still one evaluation forward per split per epoch
     assert predicts == [6, 3] * epochs
+
+
+def test_graph_task_decomposes_each_evaluation_split_and_test_batch_once(monkeypatch):
+    data, make_model, cfg = _graph_problem()
+    sizes = []
+    decompose = msignn.graph._decompose
+    monkeypatch.setattr(msignn.graph, "_decompose",
+                        lambda s: sizes.append(s.shape[0]) or decompose(s))
+    model = make_model()
+    assert cfg["batch_size"] < data.train_mask.sum()
+    train_loop(model, data, TrainConfig(epochs=3, patience=3, **cfg))
+    test = batch([data.graphs[i] for i in np.flatnonzero(data.test_mask)])
+    npt.assert_array_equal(model.predict(test), model.predict(test))
+
+    def nodes(mask):
+        return sum(data.graphs[i].n for i in np.flatnonzero(mask))
+
+    # The evaluation batches and the test batch hold only pending members, so
+    # each decomposes its own S; minibatches and the repeat predict stack or
+    # reuse blocks already made.
+    assert sizes == [nodes(data.train_mask), nodes(data.val_mask), nodes(data.test_mask)]
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.3])
