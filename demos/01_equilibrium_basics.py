@@ -16,7 +16,6 @@ import scipy.sparse as sp
 
 from msignn import (ScaleModule, SolverConfig, build_graph, forward_solve,
                     normalized_gram, oracle_solve)
-from msignn.numerics import frobenius_norm
 
 rng = np.random.default_rng(0)
 
@@ -32,20 +31,20 @@ module = ScaleModule(f_weight=rng.standard_normal((hidden, hidden)) * 0.5,
                      gamma=0.8, scale_m=2)
 injected = rng.standard_normal((hidden, 6))
 
-g_norm = frobenius_norm(normalized_gram(module.f_weight, module.eps_f))
+g_norm = np.linalg.norm(normalized_gram(module.f_weight, module.eps_f))
 print(f"||g(F)||_F = {g_norm:.6f}  (< 1 by construction, so the map contracts)")
 
 cfg = SolverConfig(tol=1e-10, max_iters=500)
 exact = oracle_solve(module, injected, graph.s)
 
 closed = forward_solve(module, injected, graph.s, cfg)
-err = frobenius_norm(closed.z_star - exact) / frobenius_norm(exact)
+err = np.linalg.norm(closed.z_star - exact) / np.linalg.norm(exact)
 print(f"\nclosed form, checked by Picard steps from it: {closed.iterations} step(s), "
       f"relative residual {closed.residual:.2e}, {err:.2e} from the dense Kronecker oracle")
 
 plain_s = sp.csr_array(graph.s)  # a plain copy has no eigendecomposition: Picard
 result = forward_solve(module, injected, plain_s, cfg)
-err = frobenius_norm(result.z_star - exact) / frobenius_norm(exact)
+err = np.linalg.norm(result.z_star - exact) / np.linalg.norm(exact)
 print(f"Picard from zero: converged {result.converged} after {result.iterations} iterations, "
       f"final relative residual {result.residual:.2e}, {err:.2e} from the oracle")
 
@@ -54,7 +53,7 @@ z_prev, steps = np.zeros_like(injected), []
 for k in range(1, 7):
     z_k = forward_solve(module, injected, plain_s,
                         SolverConfig(tol=1e-300, max_iters=k)).z_star
-    steps.append(frobenius_norm(z_k - z_prev))
+    steps.append(np.linalg.norm(z_k - z_prev))
     z_prev = z_k
 for k in range(1, 6):
     print(f"  step {k + 1}: ||z_{k + 1} - z_{k}|| = {steps[k]:.3e}   ratio "
@@ -62,5 +61,5 @@ for k in range(1, 6):
 
 two_inits = forward_solve(module, injected, plain_s, cfg,
                           z0=rng.standard_normal((hidden, 6)) * 10)
-gap = frobenius_norm(two_inits.z_star - result.z_star)
+gap = np.linalg.norm(two_inits.z_star - result.z_star)
 print(f"uniqueness: Picard started far away lands on the same point (gap {gap:.2e})")

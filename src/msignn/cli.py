@@ -178,26 +178,35 @@ def _parse_list(text, cast, what) -> list:
 # -- commands ---------------------------------------------------------------
 
 
+def _check_split_size(n: int) -> None:
+    if n < datasets.SPLIT_MIN_NODES:
+        raise ValueError(f"a generated dataset needs at least {datasets.SPLIT_MIN_NODES} "
+                         f"nodes to split into train, val and test, got n={n}")
+
+
 def _cmd_gen_chains(cfg) -> int:
-    out = _out_dir(cfg)
     spec = datasets.ChainsSpec(num_classes=cfg["classes"],
                                chains_per_class=cfg["chains_per_class"],
                                length=cfg["length"], seed=cfg["seed"])
+    n = spec.num_classes * spec.chains_per_class * spec.length
+    _check_split_size(n)
+    out = _out_dir(cfg)
     datasets.save_dataset(datasets.gen_chains(spec), out)
     _echo_config(cfg, "gen-chains", out)
-    print(f"wrote chains dataset ({spec.num_classes * spec.chains_per_class * spec.length} "
-          f"nodes) to {out}")
+    print(f"wrote chains dataset ({n} nodes) to {out}")
     return EXIT_OK
 
 
 def _cmd_gen_colors(cfg) -> int:
-    out = _out_dir(cfg)
     spec = datasets.ColorCountingSpec(num_colors=cfg["colors"], num_chains=cfg["chains"],
                                       length=cfg["length"],
                                       colored_fraction=cfg["fraction"], seed=cfg["seed"])
+    n = spec.num_chains * spec.length
+    _check_split_size(n)
+    out = _out_dir(cfg)
     datasets.save_dataset(datasets.gen_color_counting(spec), out)
     _echo_config(cfg, "gen-colors", out)
-    print(f"wrote color-counting dataset ({spec.num_chains * spec.length} nodes) to {out}")
+    print(f"wrote color-counting dataset ({n} nodes) to {out}")
     return EXIT_OK
 
 
@@ -253,6 +262,10 @@ def _cmd_probe_range(cfg) -> int:
     out = _out_dir(cfg)
     gammas = _parse_list(cfg["gammas"], float, "gamma")
     scales = _parse_list(cfg["scales"], int, "scale")
+    for values, what in ((gammas, "gamma"), (scales, "scale")):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:  # its curve would overwrite the first one's
+            raise ValueError(f"{what} {repeated[0]!r} is listed twice")
     length = cfg["length"]
     theta = cfg["theta"]
 
@@ -273,7 +286,7 @@ def _cmd_probe_range(cfg) -> int:
         for m in scales:
             module = ScaleModule(f_weight=model.scales[0].f_weight, gamma=gamma, scale_m=m)
             curve = probe.measure_decay(module, graph, encode, p=0, cfg=solver)
-            name = f"curve_g{gamma:g}_m{m}.csv"
+            name = f"curve_g{gamma!r}_m{m}.csv"
             probe.write_curve_csv(curve, out / name)
             summary.append({
                 "gamma": gamma,
@@ -286,11 +299,11 @@ def _cmd_probe_range(cfg) -> int:
     with open(out / "summary.csv", "w", encoding="utf-8") as fh:
         fh.write("gamma,m,theta,empirical_range,range_bound,file\n")
         for row in summary:
-            fh.write(f"{row['gamma']:g},{row['m']},{row['theta']:g},"
+            fh.write(f"{row['gamma']!r},{row['m']},{row['theta']!r},"
                      f"{row['empirical_range']},{row['range_bound']},{row['file']}\n")
     _echo_config(cfg, "probe-range", out)
     for row in summary:
-        print(f"gamma={row['gamma']:g} m={row['m']}: empirical range "
+        print(f"gamma={row['gamma']!r} m={row['m']}: empirical range "
               f"{row['empirical_range']}, bound {row['range_bound']}")
     return EXIT_OK
 

@@ -44,6 +44,7 @@ FEATURE_FILE = "features.csv"
 LABEL_FILE = "labels.csv"
 SIDECAR_FILE = "masks.json"
 MAX_COLOR_RESAMPLES = 1000  # color draws per chain before a tie-free majority is given up
+SPLIT_MIN_NODES = 3  # the fewest nodes whose split gives train, val and test a node each
 
 
 @dataclass(frozen=True)
@@ -98,10 +99,11 @@ class ColorCountingSpec:
 
 
 def _split_masks(n: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Random 5% / 10% / 85% node split."""
+    """Random 5% / 10% / 85% node split; from SPLIT_MIN_NODES on, no split is empty."""
     order = rng.permutation(n)
-    n_train = int(round(0.05 * n))
-    n_val = int(round(0.10 * n))
+    least = 1 if n >= SPLIT_MIN_NODES else 0  # rounding alone empties train below n = 11
+    n_train = max(least, int(round(0.05 * n)))
+    n_val = max(least, int(round(0.10 * n)))
     train = np.zeros(n, dtype=bool)
     val = np.zeros(n, dtype=bool)
     test = np.zeros(n, dtype=bool)

@@ -120,7 +120,7 @@ def normalized_gram(f_weight: np.ndarray, eps_f: float) -> np.ndarray:
     what makes the propagation a contraction regardless of training.
     """
     gram = f_weight.T @ f_weight
-    return gram / (numerics.frobenius_norm(gram) + eps_f)
+    return gram / (np.linalg.norm(gram) + eps_f)
 
 
 def _propagate(y: np.ndarray, op, m: int) -> np.ndarray:
@@ -130,13 +130,14 @@ def _propagate(y: np.ndarray, op, m: int) -> np.ndarray:
     return y
 
 
-def _solve(g: np.ndarray, s, op, m: int, gamma: float, injected: np.ndarray,
-           cfg: SolverConfig, z0: np.ndarray | None, what: str) -> EquilibriumResult:
-    """Solve Y = gamma op^m Y g + injected^T for W = Y Q; returns Z = Y^T.
+def _solve(module: ScaleModule, s, op, injected: np.ndarray, cfg: SolverConfig,
+           z0: np.ndarray | None, what: str) -> EquilibriumResult:
+    """Solve Y = gamma op^m Y g(F) + injected^T for W = Y Q; returns Z = Y^T.
 
     ``op`` is S or S^T, the operator of the map; ``s`` is S itself, which
     carries the spectrum when there is one.
     """
+    g = normalized_gram(module.f_weight, module.eps_f)
     if injected.shape[0] != g.shape[0]:
         raise ShapeError(
             f"{what}: injected rows {injected.shape[0]} != hidden dim {g.shape[0]}")
@@ -147,14 +148,14 @@ def _solve(g: np.ndarray, s, op, m: int, gamma: float, injected: np.ndarray,
     if z is not None and z.shape != injected.shape:
         raise ShapeError(f"{what}: z0 shape {z.shape} != {injected.shape}")
     lam, q = np.linalg.eigh(g)
-    c = gamma * lam
+    c = module.gamma * lam
     rhs = np.ascontiguousarray(injected.T) @ q
     blocks = graph.spectrum(s)
     if blocks is None:
         w = np.zeros_like(rhs) if z is None else z.T @ q
     else:
-        w = _closed_form(c, blocks, m, rhs)
-    w, iterations, residual = _picard(c, op, m, rhs, w, cfg, what)
+        w = _closed_form(c, blocks, module.scale_m, rhs)
+    w, iterations, residual = _picard(c, op, module.scale_m, rhs, w, cfg, what)
     del rhs  # one n x h array fewer while the back-transform makes two
     return EquilibriumResult(z_star=np.ascontiguousarray((w @ q.T).T), iterations=iterations,
                              residual=residual, converged=residual <= cfg.tol)
@@ -175,23 +176,23 @@ def _closed_form(c: np.ndarray, blocks, m: int, rhs: np.ndarray) -> np.ndarray:
 def _picard(c: np.ndarray, op, m: int, rhs: np.ndarray, w: np.ndarray,
             cfg: SolverConfig, what: str) -> tuple[np.ndarray, int, float]:
     """Iterate W <- (op^m W) diag(c) + R from W = w (overwritten); returns W, steps, residual."""
-    for iterations in range(1, cfg.max_iters + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, cfg.max_iters + 1):
             w_next = _propagate(w, op, m)
             w_next *= c
             w_next += rhs
-            scale = numerics.frobenius_norm(w) + RESIDUAL_FLOOR
+            scale = np.linalg.norm(w) + RESIDUAL_FLOOR
             w -= w_next
-            residual = numerics.frobenius_norm(w) / scale
-        # A non-finite entry of W_next makes the residual nan or inf, so only
-        # then is W_next scanned.
-        if not np.isfinite(residual) and not np.all(np.isfinite(w_next)):
-            raise DivergenceError(
-                f"{what} produced non-finite values at iteration {iterations}; "
-                "check that S is normalized and gamma < 1")
-        w = w_next
-        if residual <= cfg.tol:
-            break
+            residual = float(np.linalg.norm(w) / scale)
+            # A non-finite entry of W_next makes the residual nan or inf, so only
+            # then is W_next scanned.
+            if not np.isfinite(residual) and not np.all(np.isfinite(w_next)):
+                raise DivergenceError(
+                    f"{what} produced non-finite values at iteration {iterations}; "
+                    "check that S is normalized and gamma < 1")
+            w = w_next
+            if residual <= cfg.tol:
+                break
     return w, iterations, residual
 
 
@@ -204,9 +205,7 @@ def forward_solve(module: ScaleModule, injected: np.ndarray, s: sp.csr_array,
     or at cfg.max_iters, whichever comes first. ``z0`` is its start only
     when S has no spectrum; otherwise the closed form is.
     """
-    g = normalized_gram(module.f_weight, module.eps_f)
-    return _solve(g, s, s.T, module.scale_m, module.gamma, injected, cfg, z0,
-                  "forward solve")
+    return _solve(module, s, s.T, injected, cfg, z0, "forward solve")
 
 
 def adjoint_solve(module: ScaleModule, s: sp.csr_array, grad_z: np.ndarray,
@@ -217,10 +216,7 @@ def adjoint_solve(module: ScaleModule, s: sp.csr_array, grad_z: np.ndarray,
     gradient pulled back through the fixed point. Same solvers and stop
     as ``forward_solve``.
     """
-    g = normalized_gram(module.f_weight, module.eps_f)  # symmetric: g^T = g
-    result = _solve(g, s, s, module.scale_m, module.gamma, grad_z, cfg, None,
-                    "adjoint solve")
-    return result.z_star
+    return _solve(module, s, s, grad_z, cfg, None, "adjoint solve").z_star  # g^T = g
 
 
 def weight_gradient(module: ScaleModule, u: np.ndarray, z_star: np.ndarray,
@@ -242,7 +238,7 @@ def weight_gradient(module: ScaleModule, u: np.ndarray, z_star: np.ndarray,
     propagated_t = _propagate(z_star.T, s.T, module.scale_m)
     m_up = module.gamma * (u @ propagated_t)
     gram = module.f_weight.T @ module.f_weight
-    r = numerics.frobenius_norm(gram)
+    r = np.linalg.norm(gram)
     r_eps = r + module.eps_f
     d_gram = m_up / r_eps
     if r >= 1e-30:

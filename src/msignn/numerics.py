@@ -1,9 +1,9 @@
 """Dense and sparse linear-algebra kernels used by every other module.
 
 What is here: coercion and validation (``as_dense``, ``as_csr``,
-``check_csr``), the dense-times-CSR product ``spmm_right``,
-``frobenius_norm`` and ``softmax_rows``. Plain numpy calls are used
-directly everywhere else.
+``check_csr``), the dense-times-CSR product ``spmm_right`` and
+``softmax_rows``. Plain numpy calls (norms included) are used directly
+everywhere else.
 
 Dense matrices are 2-D float64 C-order ndarrays; sparse matrices are
 scipy CSR arrays in canonical form (sorted column indices, no duplicates).
@@ -29,7 +29,6 @@ __all__ = [
     "as_csr",
     "check_csr",
     "spmm_right",
-    "frobenius_norm",
     "softmax_rows",
 ]
 
@@ -86,10 +85,6 @@ def spmm_right(z: np.ndarray, s: sp.csr_array) -> np.ndarray:
     if z.shape[1] != s.shape[0]:
         raise ShapeError(f"spmm_right: inner dimensions differ, {z.shape} x {s.shape}")
     return np.asarray(z @ s)
-
-
-def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(m * m)))
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:

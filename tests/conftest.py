@@ -2,7 +2,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from msignn import SolverConfig, build_graph, forward_solve
-from msignn.numerics import frobenius_norm
 
 
 def random_undirected_graph(rng, n, density=0.3, feat_dim=3, num_classes=2):
@@ -45,7 +44,7 @@ def picard_steps(module, injected, s, count):
     for k in range(1, count + 1):
         z = forward_solve(module, injected, plain,
                           SolverConfig(tol=1e-300, max_iters=k)).z_star
-        steps.append(frobenius_norm(z - prev))
+        steps.append(np.linalg.norm(z - prev))
         prev = z
     return np.array(steps)
 

@@ -126,14 +126,38 @@ def test_train_rejects_negative_settings(tmp_path, capsys, flag, value, named):
 
 
 def test_train_names_an_empty_train_split(tmp_path, capsys):
-    # 5% of 10 nodes rounds to no training node
-    data = tmp_path / "data"
-    assert run(capsys, "gen-colors", "--chains", "2", "--length", "5",
-               "--out", str(data))[0] == EXIT_OK
-    code, _, err = run(capsys, "train", "--data", str(data), "--epochs", "2",
+    data = gen_chains_dir(tmp_path, capsys, 3)
+    sidecar_path = tmp_path / "data" / "masks.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar["train"] = []
+    sidecar_path.write_text(json.dumps(sidecar))
+    code, _, err = run(capsys, "train", "--data", data, "--epochs", "2",
                        "--out", str(tmp_path / "x"))
     assert code == EXIT_DATA
     assert "train split selects no nodes" in err
+
+
+def test_a_ten_node_dataset_trains(tmp_path, capsys):
+    # 5% of 10 nodes rounds to none; the split still gives train a node
+    data = tmp_path / "data"
+    assert run(capsys, "gen-colors", "--chains", "2", "--length", "5",
+               "--out", str(data))[0] == EXIT_OK
+    assert json.loads((data / "masks.json").read_text())["train"]
+    code, _, err = run(capsys, "train", "--data", str(data), "--epochs", "2",
+                       "--hidden", "4", "--out", str(tmp_path / "x"))
+    assert code == EXIT_OK, err
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["gen-chains", "--classes", "1", "--chains-per-class", "1", "--length", "2"], 2),
+    (["gen-colors", "--chains", "1", "--length", "1"], 1),
+], ids=["chains", "colors"])
+def test_gen_rejects_a_dataset_too_small_to_split(tmp_path, capsys, argv, n):
+    out = tmp_path / "x"
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == EXIT_DATA
+    assert f"got n={n}" in err
+    assert not out.exists()
 
 
 def test_train_without_data_is_data_error(tmp_path, capsys):
@@ -189,6 +213,31 @@ def test_probe_range_checks_every_bound_before_writing(tmp_path, capsys, gammas,
     assert named in err
     assert not list(out.glob("curve_*.csv"))
     assert not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("flag, values, named", [
+    ("--gammas", "0.5,0.7,0.5", "gamma 0.5 is listed twice"),
+    ("--scales", "2,1,2", "scale 2 is listed twice"),
+], ids=["gamma", "scale"])
+def test_probe_range_rejects_a_repeated_value(tmp_path, capsys, flag, values, named):
+    out = tmp_path / "x"
+    code, _, err = run(capsys, "probe-range", flag, values, "--length", "10",
+                       "--out", str(out))
+    assert code == EXIT_DATA
+    assert named in err
+    assert not list(out.glob("curve_*.csv"))
+
+
+def test_probe_range_names_gammas_that_print_alike_apart(tmp_path, capsys):
+    out = tmp_path / "x"
+    code, _, _ = run(capsys, "probe-range", "--gammas", "0.3,0.30000001", "--length", "10",
+                     "--out", str(out))
+    assert code == EXIT_OK
+    rows = [r.split(",") for r in (out / "summary.csv").read_text().strip().split("\n")[1:]]
+    assert [(r[0], r[-1]) for r in rows] == [
+        ("0.3", "curve_g0.3_m1.csv"), ("0.30000001", "curve_g0.30000001_m1.csv")]
+    for r in rows:
+        assert (out / r[-1]).exists()
 
 
 def test_probe_theta_changes_only_summary(tmp_path, capsys):

@@ -66,6 +66,17 @@ def test_chains_split_partitions_nodes():
     assert abs(ds.val_mask.sum() - 0.10 * n) <= 1
 
 
+def test_small_splits_are_never_empty_and_large_ones_keep_their_sizes():
+    for n in range(3, 11):
+        ds = gen_color_counting(ColorCountingSpec(num_chains=1, length=n, seed=n))
+        sizes = [int(m.sum()) for m in (ds.train_mask, ds.val_mask, ds.test_mask)]
+        assert min(sizes) >= 1 and sum(sizes) == n
+    for n in (11, 13, 20, 30, 100):
+        ds = gen_color_counting(ColorCountingSpec(num_chains=1, length=n, seed=n))
+        assert int(ds.train_mask.sum()) == round(0.05 * n)
+        assert int(ds.val_mask.sum()) == round(0.10 * n)
+
+
 def test_chains_deterministic_per_seed():
     a = gen_chains(ChainsSpec(length=9, seed=5))
     b = gen_chains(ChainsSpec(length=9, seed=5))

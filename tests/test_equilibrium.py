@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from msignn import (ScaleModule, SolverConfig, adjoint_solve, forward_solve,
                     normalized_gram, oracle_solve, weight_gradient)
 from msignn.errors import CapacityError, DivergenceError
-from msignn.numerics import as_csr, frobenius_norm
+from msignn.numerics import as_csr
 
 from conftest import picard_steps, random_directed_csr, random_normalized_csr
 
@@ -37,7 +37,7 @@ def test_normalized_gram_norm_below_one():
         size = int(rng.integers(1, 17))
         f = rng.standard_normal((size, size)) * rng.uniform(0.01, 10.0)
         g = normalized_gram(f, 1e-5)
-        assert frobenius_norm(g) < 1.0
+        assert np.linalg.norm(g) < 1.0
         npt.assert_allclose(g, g.T, atol=1e-12)  # symmetric PSD
         assert np.all(np.linalg.eigvalsh(g) >= -1e-12)
 
@@ -79,7 +79,7 @@ def check_forward_against_oracle(rng, make_s):
         injected = rng.standard_normal((4, n))
         res = forward_solve(module, injected, s, cfg)
         exact = oracle_solve(module, injected, s)
-        assert frobenius_norm(res.z_star - exact) <= 10 * cfg.tol * frobenius_norm(exact)
+        assert np.linalg.norm(res.z_star - exact) <= 10 * cfg.tol * np.linalg.norm(exact)
 
 
 def test_forward_matches_oracle_on_random_graphs():
@@ -92,12 +92,19 @@ def test_forward_matches_oracle_on_directed_graphs():
 
 
 def test_forward_divergence_error_on_bad_s():
-    # spectral norm of 3*I is 3 > 1, and gamma * g ~ 0.9 * 3 > 1: diverges
+    # spectral norm of 3*I is 3 > 1, and gamma * g ~ 0.9 * 3 > 1: both solves
+    # diverge, and the floating-point error state is restored on the raise.
     module = ScaleModule(f_weight=np.eye(2) * 10, gamma=0.9, eps_f=1e-13)
     s = as_csr(sp.eye_array(4, format="csr") * 3.0)
-    with pytest.raises(DivergenceError):
-        forward_solve(module, np.ones((2, 4)) * 1e300, s,
-                      SolverConfig(tol=1e-30, max_iters=300))
+    cfg = SolverConfig(tol=1e-30, max_iters=300)
+    rhs = np.ones((2, 4)) * 1e300
+    solves = {"forward solve": lambda: forward_solve(module, rhs, s, cfg),
+              "adjoint solve": lambda: adjoint_solve(module, s, rhs, cfg)}
+    for what, solve in solves.items():
+        before = np.geterr()
+        with pytest.raises(DivergenceError, match=what):
+            solve()
+        assert np.geterr() == before
 
 
 def test_forward_residual_contracts_geometrically():
@@ -120,8 +127,8 @@ def test_forward_unique_fixed_point_across_inits():
     cfg = SolverConfig(tol=1e-9, max_iters=2000)
     res0 = forward_solve(module, injected, s, cfg)
     res1 = forward_solve(module, injected, s, cfg, z0=rng.standard_normal((4, n)) * 5)
-    diff = frobenius_norm(res0.z_star - res1.z_star)
-    assert diff <= 10 * cfg.tol * max(frobenius_norm(res0.z_star), 1.0)
+    diff = np.linalg.norm(res0.z_star - res1.z_star)
+    assert diff <= 10 * cfg.tol * max(np.linalg.norm(res0.z_star), 1.0)
 
 
 def test_solves_leave_their_inputs_unchanged():

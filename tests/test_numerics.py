@@ -45,19 +45,6 @@ def test_spmm_shape_error():
         numerics.spmm_right(np.zeros((2, 4)), s)
 
 
-def test_frobenius_norm_values():
-    assert numerics.frobenius_norm(np.eye(2)) == pytest.approx(np.sqrt(2.0))
-    assert numerics.frobenius_norm(np.zeros((3, 3))) == 0.0
-    assert numerics.frobenius_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
-
-
-def test_frobenius_matches_inner_product():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        a = rng.standard_normal((int(rng.integers(1, 20)), int(rng.integers(1, 20))))
-        npt.assert_allclose(numerics.frobenius_norm(a) ** 2, np.vdot(a, a), rtol=1e-12)
-
-
 def test_softmax_rows_uniform():
     npt.assert_allclose(numerics.softmax_rows(np.zeros((1, 3))),
                         np.full((1, 3), 1.0 / 3.0), rtol=1e-15)
