@@ -179,11 +179,17 @@ SIDECAR_SCHEMA = {"directed": "boolean", "multilabel?": "boolean", "spec?": "obj
 
 
 def save_dataset(ds: Dataset, out_dir) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write ``ds`` as files; raises before writing any if an edge has a weight."""
     g = ds.graph
     coo = g.adjacency.tocoo()
     order = np.lexsort((coo.col, coo.row))
+    weighted = order[coo.data[order] != 1]
+    if weighted.size:
+        k = weighted[0]
+        raise ValueError(f"{EDGE_FILE} cannot store edge weights: edge ({coo.row[k]}, "
+                         f"{coo.col[k]}) has weight {float(coo.data[k])!r}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / EDGE_FILE, "w", encoding="utf-8") as fh:
         for r, c in zip(coo.row[order], coo.col[order]):
             fh.write(f"{r}\t{c}\n")

@@ -138,6 +138,9 @@ def _solve(module: ScaleModule, s, op, injected: np.ndarray, cfg: SolverConfig,
     carries the spectrum when there is one.
     """
     g = normalized_gram(module.f_weight, module.eps_f)
+    if not np.all(np.isfinite(g)):
+        # Training updates F in place, so an exploded step can leave it non-finite.
+        raise DivergenceError(f"{what}: g(F) is not finite; check F for NaN or Inf")
     if injected.shape[0] != g.shape[0]:
         raise ShapeError(
             f"{what}: injected rows {injected.shape[0]} != hidden dim {g.shape[0]}")
@@ -187,6 +190,10 @@ def _picard(c: np.ndarray, op, m: int, rhs: np.ndarray, w: np.ndarray,
             # A non-finite entry of W_next makes the residual nan or inf, so only
             # then is W_next scanned.
             if not np.isfinite(residual) and not np.all(np.isfinite(w_next)):
+                if not np.all(np.isfinite(rhs)):
+                    name = "H" if what == "forward solve" else "dL/dZ*"
+                    raise DivergenceError(f"{what}: its right-hand side {name} is not "
+                                          "finite")
                 raise DivergenceError(
                     f"{what} produced non-finite values at iteration {iterations}; "
                     "check that S is normalized and gamma < 1")

@@ -12,8 +12,9 @@ class DomainError(ValueError):
 class DivergenceError(ArithmeticError):
     """Fixed-point iteration produced non-finite values.
 
-    Usually signals a misnormalized adjacency (spectral norm > 1) or a
-    contraction factor outside [0, 1).
+    The message names a non-finite input (F, H or dL/dZ*) when there is one;
+    otherwise it usually signals a misnormalized adjacency (spectral norm > 1)
+    or a contraction factor outside [0, 1).
     """
 
 

@@ -14,12 +14,12 @@ self-loops follow ``directed``: an undirected graph gets
 S = D^{-1/2} (A + I) D^{-1/2}, a directed graph no self-loops and
 S = D_out^{-1/2} A D_in^{-1/2} (directed chains must not short-circuit
 their own information-passing test). ``build_graph``, which the
-generators and loaders go through, validates its adjacency once with
-``numerics.as_csr``. Weights must be non-negative, which the contraction
-bound of ``equilibrium`` rests on, and explicitly stored zeros are
-dropped, so a Graph's adjacency, its hop distances and its saved edge
-list agree with S. What the library derives from a validated matrix,
-the normalized S and the block-diagonal merges of ``batch``, is
+generators and loaders go through, validates and canonicalizes its
+adjacency once with ``numerics.as_csr``, which drops explicitly stored
+zeros, so a Graph's adjacency, its hop distances and its saved edge list
+agree with S. Weights must be non-negative, which the contraction bound
+of ``equilibrium`` rests on. What the library derives from a validated
+matrix, the normalized S and the block-diagonal merges of ``batch``, is
 canonical by construction and not checked again.
 
 Every S, merged ones included, is assembled from numpy arrays by one
@@ -266,9 +266,9 @@ def _normalize(indptr, indices, data, rows, directed: bool) -> sp.csr_array:
 def build_graph(adjacency, features, labels=None, directed: bool = False) -> Graph:
     """Assemble a Graph, normalizing the adjacency (self-loops only if undirected).
 
-    Adjacency weights must be non-negative; explicitly stored zeros are
-    dropped, from S and from the Graph's own adjacency alike. The S of an
-    undirected graph is marked to carry its ``spectrum``.
+    Adjacency weights must be non-negative; ``numerics.as_csr`` drops
+    explicitly stored zeros, from S and the Graph's adjacency alike. The S
+    of an undirected graph is marked to carry its ``spectrum``.
     """
     adjacency = numerics.as_csr(adjacency)
     n = adjacency.shape[0]
@@ -285,11 +285,6 @@ def build_graph(adjacency, features, labels=None, directed: bool = False) -> Gra
         k = negative[0]
         raise ValueError(f"adjacency weights must be non-negative, got "
                          f"{float(data[k])!r} at ({rows[k]}, {indices[k]})")
-    stored_zero = data == 0
-    if stored_zero.any():
-        rows = rows[~stored_zero]
-        indptr, indices, data = _kept(indptr, indices, data, ~stored_zero)
-        adjacency = sp.csr_array((data, indices, indptr), shape=adjacency.shape)
     if not directed and not _is_symmetric(rows, indices, data):
         raise ShapeError("undirected graph requires a symmetric adjacency")
     if labels is not None:

@@ -1,17 +1,16 @@
 """Dense and sparse linear-algebra kernels used by every other module.
 
-What is here: coercion and validation (``as_dense``, ``as_csr``,
-``check_csr``), the dense-times-CSR product ``spmm_right`` and
-``softmax_rows``. Plain numpy calls (norms included) are used directly
-everywhere else.
+What is here: coercion and validation (``as_dense``, ``as_csr``), the
+dense-times-CSR product ``spmm_right`` and ``softmax_rows``. Plain numpy
+calls (norms included) are used directly everywhere else.
 
 Dense matrices are 2-D float64 C-order ndarrays; sparse matrices are
-scipy CSR arrays in canonical form (sorted column indices, no duplicates).
-Everything here is a pure function: inputs are never mutated, so values
-can be shared freely across threads.
+scipy CSR arrays in canonical form (sorted column indices, no duplicates,
+no stored zeros). Everything here is a pure function: inputs are never
+mutated, so values can be shared freely across threads.
 
 ``as_csr`` is the one place a sparse matrix from outside the library is
-coerced and validated (``check_csr``). ``graph.build_graph``, which the
+coerced, validated and canonicalized. ``graph.build_graph``, which the
 generators and loaders go through, calls it where outside input enters;
 matrices the library derives from validated ones (batches, the operators
 of the solves) are never re-validated.
@@ -27,7 +26,6 @@ from .errors import ShapeError
 __all__ = [
     "as_dense",
     "as_csr",
-    "check_csr",
     "spmm_right",
     "softmax_rows",
 ]
@@ -44,35 +42,25 @@ def as_dense(a) -> np.ndarray:
 
 
 def as_csr(a) -> sp.csr_array:
-    """Coerce to a validated canonical float64 CSR array; ``a`` is never mutated."""
+    """Coerce to a validated canonical float64 CSR array with no stored zeros.
+
+    The structure is checked before scipy canonicalizes it: its compiled
+    routines assume a monotone ``indptr`` and in-range column indices.
+    ``a`` is never mutated.
+    """
     out = sp.csr_array(a, dtype=np.float64)
-    if not out.has_canonical_format:
-        # csr_array(a) may share a's index arrays; canonicalize a private copy.
+    try:
+        out.check_format(full_check=True)
+    except ValueError as exc:
+        raise ShapeError(f"corrupt CSR: {exc}") from None
+    if not out.has_canonical_format or not out.data.all():
+        # csr_array(a) may share a's arrays; canonicalize a private copy.
         out = out.copy()
         out.sum_duplicates()
-    check_csr(out)
-    return out
-
-
-def check_csr(s: sp.csr_array) -> None:
-    """Validate CSR structural invariants (monotone indptr, sorted in-row indices)."""
-    rows, cols = s.shape
-    indptr, indices = s.indptr, s.indices
-    if len(indptr) != rows + 1 or indptr[0] != 0 or indptr[-1] != s.nnz:
-        raise ShapeError("corrupt CSR: indptr does not span the value array")
-    if np.any(np.diff(indptr) < 0):
-        raise ShapeError("corrupt CSR: indptr not non-decreasing")
-    if s.nnz:
-        if indices.min() < 0 or indices.max() >= cols:
-            raise ShapeError("corrupt CSR: column index out of range")
-        # Entry k+1 must exceed entry k unless k+1 opens a new row.
-        same_row = np.ones(s.nnz - 1, dtype=bool)
-        starts = indptr[1:-1]
-        same_row[starts[(starts > 0) & (starts < s.nnz)] - 1] = False
-        if np.any(np.diff(indices)[same_row] <= 0):
-            raise ShapeError("corrupt CSR: in-row column indices not strictly increasing")
-    if not np.all(np.isfinite(s.data)):
+        out.eliminate_zeros()
+    if not np.all(np.isfinite(out.data)):
         raise ValueError("CSR values contain NaN or Inf")
+    return out
 
 
 def spmm_right(z: np.ndarray, s: sp.csr_array) -> np.ndarray:

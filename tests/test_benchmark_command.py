@@ -1,0 +1,29 @@
+"""The benchmark command runs to a correct result on every judged workload.
+
+For each workload BENCHMARK.json judges, its command runs from the
+repository root for two epochs, untraced, as perfbench/smoke.py runs it.
+A run that exits non-zero, reports an incorrect or failed result, or
+leaves out an end-to-end metric fails here before any timing is taken.
+"""
+
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_benchmark_command_reports_a_correct_result(workload):
+    cmd = SPEC["command"] + ["--workload", workload, "--seed", "3", "--seconds", "1",
+                             "--trace", "0", "--epochs", "2"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    missing = {m["name"] for m in SPEC["end_to_end"]} - set(result["metrics"])
+    assert not missing, sorted(missing)

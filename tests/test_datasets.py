@@ -259,6 +259,18 @@ def test_load_labels_names_the_line_of_a_bad_label(tmp_path, text, message):
         load_graph(tmp_path / "edges.tsv", tmp_path / "features.csv", tmp_path / "labels.csv")
 
 
+def test_save_dataset_refuses_edge_weights(tmp_path):
+    # edges.tsv holds src<TAB>dst only: reloading would give every edge weight 1.
+    a = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
+    masks = [np.arange(3) == k for k in range(3)]
+    ds = Dataset(graph=build_graph(a, np.ones((1, 3)), np.zeros(3, dtype=int)),
+                 train_mask=masks[0], val_mask=masks[1], test_mask=masks[2], spec_echo={})
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) has weight 2\.0"):
+        save_dataset(ds, out)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ids", [[0.7], [True], 0])
 def test_load_dataset_rejects_a_mask_entry_that_is_not_an_integer(tmp_path, ids):
     save_dataset(gen_chains(ChainsSpec(length=3)), tmp_path)

@@ -107,6 +107,33 @@ def test_forward_divergence_error_on_bad_s():
         assert np.geterr() == before
 
 
+@pytest.mark.parametrize("make_s", [random_normalized_csr, random_directed_csr],
+                         ids=["undirected", "directed"])
+def test_nonfinite_right_hand_side_is_named(make_s):
+    rng = np.random.default_rng(4)
+    s = make_s(rng, 6)
+    module = ScaleModule(f_weight=rng.standard_normal((3, 3)))
+    rhs = rng.standard_normal((3, 6))
+    rhs[1, 2] = np.nan
+    with pytest.raises(DivergenceError, match=r"^forward solve: .* H is not finite"):
+        forward_solve(module, rhs, s)
+    with pytest.raises(DivergenceError, match=r"^adjoint solve: .* dL/dZ\* is not finite"):
+        adjoint_solve(module, s, rhs)
+
+
+def test_nonfinite_f_is_named():
+    # Training updates F in place, after ScaleModule validated it.
+    rng = np.random.default_rng(5)
+    s = random_normalized_csr(rng, 6)
+    module = ScaleModule(f_weight=rng.standard_normal((3, 3)))
+    module.f_weight[0, 1] = np.nan
+    rhs = rng.standard_normal((3, 6))
+    with pytest.raises(DivergenceError, match=r"^forward solve: g\(F\) is not finite"):
+        forward_solve(module, rhs, s)
+    with pytest.raises(DivergenceError, match=r"^adjoint solve: g\(F\) is not finite"):
+        adjoint_solve(module, s, rhs)
+
+
 def test_forward_residual_contracts_geometrically():
     rng = np.random.default_rng(2)
     for _ in range(10):

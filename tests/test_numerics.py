@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -77,38 +82,88 @@ def test_as_dense_rejects_nonfinite():
         numerics.as_dense(np.array([[np.nan, 0.0]]))
 
 
-def test_check_csr_rejects_bad_indptr():
-    s = sp.csr_array(np.eye(3))
-    s.indptr = np.array([0, 2, 1, 3], dtype=s.indptr.dtype)
-    with pytest.raises(ShapeError):
-        numerics.check_csr(s)
-
-
-def _raw_csr(indptr, indices, shape):
+def _raw_csr(indptr, indices, shape, data=None):
     """A CSR array over the given structure, bypassing scipy's own canonicalization."""
     s = sp.csr_array(np.eye(*shape))
     s.indptr = np.asarray(indptr, dtype=np.int32)
     s.indices = np.asarray(indices, dtype=np.int32)
-    s.data = np.ones(len(indices))
+    s.data = np.ones(len(indices)) if data is None else np.asarray(data, dtype=float)
     return s
 
 
-@pytest.mark.parametrize("indptr, indices", [
-    ([0, 2, 3, 3], [2, 0, 1]),   # unsorted within row 0
-    ([0, 1, 3, 3], [0, 1, 1]),   # duplicate within row 1
-    ([0, 1, 2, 3], [0, 3, 2]),   # column 3 outside a 3-column matrix
-    ([0, 0, 1, 3], [0, 2, 1]),   # unsorted last row after an empty first row
-])
-def test_check_csr_rejects_bad_indices(indptr, indices):
-    with pytest.raises(ShapeError):
-        numerics.check_csr(_raw_csr(indptr, indices, (3, 3)))
+NON_MONOTONE_INDPTR = [
+    ([0, 5, 2, 3], [2, 1, 0]),
+    ([0, 2, 1, 3], [0, 1, 2]),
+    ([0, 2, 1, 3], [1, 2, 0]),
+]
+
+# scipy's compiled canonicalization trusts indptr: run on these inputs
+# unchecked, it raises RuntimeError or corrupts the heap and aborts the
+# interpreter, so they run in a process of their own.
+NON_MONOTONE_SCRIPT = """
+import numpy as np
+import scipy.sparse as sp
+from msignn import build_graph
+for indptr, indices in {cases!r}:
+    a = sp.csr_array((np.ones(3), np.array(indices, dtype=np.int32),
+                      np.array(indptr, dtype=np.int32)), shape=(3, 3))
+    try:
+        build_graph(a, np.ones((1, 3)), directed=True)
+        print("accepted")
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+"""
 
 
-def test_check_csr_accepts_row_boundaries():
+def test_build_graph_rejects_non_monotone_indptr():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", NON_MONOTONE_SCRIPT.format(cases=NON_MONOTONE_INDPTR)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == len(NON_MONOTONE_INDPTR)
+    assert all(line.startswith("ShapeError corrupt CSR") for line in lines), lines
+
+
+@pytest.mark.parametrize("indices", [[0, 3, 2], [0, -1, 2]], ids=["too-large", "negative"])
+def test_as_csr_rejects_column_out_of_range(indices):
+    a = _raw_csr([0, 1, 2, 3], indices, (3, 3))
+    with pytest.raises(ShapeError, match="corrupt CSR"):
+        numerics.as_csr(a)
+
+
+@pytest.mark.parametrize("indptr, indices, data", [
+    ([0, 2, 3, 3], [2, 0, 1], [1.0, 2.0, 3.0]),
+    ([0, 1, 3, 3], [0, 1, 1], [1.0, 2.0, 3.0]),
+    ([0, 2, 3, 3], [0, 2, 1], [1.0, 0.0, 3.0]),
+    ([0, 0, 1, 3], [0, 2, 1], [1.0, 2.0, 3.0]),
+], ids=["unsorted", "duplicate", "stored-zero", "unsorted-after-empty-row"])
+def test_as_csr_canonicalizes(indptr, indices, data):
+    a = _raw_csr(indptr, indices, (3, 3), data)
+    expected = np.zeros((3, 3))
+    rows = np.repeat(np.arange(3), np.diff(indptr))
+    np.add.at(expected, (rows, indices), data)
+    out, canonical = numerics.as_csr(a), sp.csr_array(expected)  # no zero stored
+    for attr in ("indptr", "indices", "data"):
+        npt.assert_array_equal(getattr(out, attr), getattr(canonical, attr))
+    npt.assert_array_equal(a.indices, indices)  # canonicalized in a private copy
+    npt.assert_array_equal(a.data, data)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_as_csr_rejects_nonfinite(bad):
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        numerics.as_csr(_raw_csr([0, 1, 2, 3], [0, 1, 2], (3, 3), [1.0, bad, 1.0]))
+
+
+def test_as_csr_accepts_row_boundaries():
     # Empty leading and trailing rows, and a column index that falls from one
-    # row to the next: each is valid and must not read as a sorting violation.
-    numerics.check_csr(_raw_csr([0, 0, 2, 3, 3], [1, 2, 0], (4, 3)))
-    numerics.check_csr(_raw_csr([0, 0, 0, 0], [], (3, 3)))
+    # row to the next: each is valid and canonical, and passes unchanged.
+    out = numerics.as_csr(_raw_csr([0, 0, 2, 3, 3], [1, 2, 0], (4, 3)))
+    npt.assert_array_equal(out.indptr, [0, 0, 2, 3, 3])
+    npt.assert_array_equal(out.indices, [1, 2, 0])
+    assert numerics.as_csr(_raw_csr([0, 0, 0, 0], [], (3, 3))).nnz == 0
 
 
 def test_as_csr_leaves_input_unchanged():
