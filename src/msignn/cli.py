@@ -47,15 +47,14 @@ def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
         handler = {
-            "gen-chains": _cmd_gen_chains,
-            "gen-colors": _cmd_gen_colors,
+            "gen-chains": _cmd_gen,
+            "gen-colors": _cmd_gen,
             "train": _cmd_train,
             "eval": _cmd_eval,
             "probe-range": _cmd_probe_range,
             "bound": _cmd_bound,
         }[args.command]
-        return handler({k: v for k, v in vars(args).items()
-                        if k not in ("command", "config")})
+        return handler({k: v for k, v in vars(args).items() if k != "config"})
     except SystemExit as exc:  # argparse reports usage errors itself
         return EXIT_USAGE if exc.code else EXIT_OK
     except DivergenceError as exc:
@@ -159,9 +158,8 @@ def _out_dir(cfg) -> Path:
     return path
 
 
-def _echo_config(cfg, command, out: Path) -> None:
-    payload = {"command": command, **{k: v for k, v in cfg.items() if k != "out"}}
-    write_json(out / "config.json", payload)
+def _echo_config(cfg, out: Path) -> None:
+    write_json(out / "config.json", {k: v for k, v in cfg.items() if k != "out"})
 
 
 def _parse_list(text, cast, what) -> list:
@@ -178,35 +176,23 @@ def _parse_list(text, cast, what) -> list:
 # -- commands ---------------------------------------------------------------
 
 
-def _check_split_size(n: int) -> None:
+def _cmd_gen(cfg) -> int:
+    if cfg["command"] == "gen-chains":
+        kind, data = "chains", datasets.gen_chains(datasets.ChainsSpec(
+            num_classes=cfg["classes"], chains_per_class=cfg["chains_per_class"],
+            length=cfg["length"], seed=cfg["seed"]))
+    else:
+        kind, data = "color-counting", datasets.gen_color_counting(datasets.ColorCountingSpec(
+            num_colors=cfg["colors"], num_chains=cfg["chains"], length=cfg["length"],
+            colored_fraction=cfg["fraction"], seed=cfg["seed"]))
+    n = data.graph.n
     if n < datasets.SPLIT_MIN_NODES:
         raise ValueError(f"a generated dataset needs at least {datasets.SPLIT_MIN_NODES} "
                          f"nodes to split into train, val and test, got n={n}")
-
-
-def _cmd_gen_chains(cfg) -> int:
-    spec = datasets.ChainsSpec(num_classes=cfg["classes"],
-                               chains_per_class=cfg["chains_per_class"],
-                               length=cfg["length"], seed=cfg["seed"])
-    n = spec.num_classes * spec.chains_per_class * spec.length
-    _check_split_size(n)
     out = _out_dir(cfg)
-    datasets.save_dataset(datasets.gen_chains(spec), out)
-    _echo_config(cfg, "gen-chains", out)
-    print(f"wrote chains dataset ({n} nodes) to {out}")
-    return EXIT_OK
-
-
-def _cmd_gen_colors(cfg) -> int:
-    spec = datasets.ColorCountingSpec(num_colors=cfg["colors"], num_chains=cfg["chains"],
-                                      length=cfg["length"],
-                                      colored_fraction=cfg["fraction"], seed=cfg["seed"])
-    n = spec.num_chains * spec.length
-    _check_split_size(n)
-    out = _out_dir(cfg)
-    datasets.save_dataset(datasets.gen_color_counting(spec), out)
-    _echo_config(cfg, "gen-colors", out)
-    print(f"wrote color-counting dataset ({n} nodes) to {out}")
+    datasets.save_dataset(data, out)
+    _echo_config(cfg, out)
+    print(f"wrote {kind} dataset ({n} nodes) to {out}")
     return EXIT_OK
 
 
@@ -232,7 +218,7 @@ def _cmd_train(cfg) -> int:
     metrics = _node_metrics(model, data)
     metrics["epochs_run"] = len(history)
     write_json(out / "metrics.json", metrics)
-    _echo_config(cfg, "train", out)
+    _echo_config(cfg, out)
     print(json.dumps(metrics, sort_keys=True))
     return EXIT_OK
 
@@ -301,7 +287,7 @@ def _cmd_probe_range(cfg) -> int:
         for row in summary:
             fh.write(f"{row['gamma']!r},{row['m']},{row['theta']!r},"
                      f"{row['empirical_range']},{row['range_bound']},{row['file']}\n")
-    _echo_config(cfg, "probe-range", out)
+    _echo_config(cfg, out)
     for row in summary:
         print(f"gamma={row['gamma']!r} m={row['m']}: empirical range "
               f"{row['empirical_range']}, bound {row['range_bound']}")

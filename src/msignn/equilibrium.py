@@ -35,19 +35,20 @@ W = Z^T Q are h independent problems w_j = c_j op^m w_j + r_j (op is the
 solve's operator), and Z = (W Q^T)^T at the end. One loop solves them,
 Picard iteration W <- (op^m W) diag(c) + R until
 ||W_next - W||_F / (||W||_F + 1e-12) <= tol, the same ratio in Z as Q is
-orthogonal. It starts from the best guess the input gives:
+orthogonal. It starts from the best guess the input gives, which the
+result's ``path`` names:
 
-- the closed form W = V [(V^T R) / (1 - sigma^m c^T)] when S has a
+- "closed form", W = V [(V^T R) / (1 - sigma^m c^T)], when S has a
   ``graph.spectrum``, S = V Sigma V^T per connected component (undirected
   graphs and their batches); every denominator is >= 1 - gamma. The first
   step measures its true residual and polishes it, so such a solve
   reports 1 iteration, and goes on while the residual is above tol;
-- ``z0`` (forward solves) or zeros for every other S: directed graphs,
-  components above ``graph.SPECTRUM_MAX_COMPONENT`` nodes, any S made
-  outside ``graph``. From zeros the iterates are partial sums of the
-  geometric series.
+- "picard", from ``z0`` (forward solves) or zeros, for every other S:
+  directed graphs, components above ``graph.SPECTRUM_MAX_COMPONENT``
+  nodes, any S made outside ``graph``. From zeros the iterates are
+  partial sums of the geometric series.
 
-gamma = 0 needs no path of its own: a closed-form solve reports 1
+gamma = 0 needs no special case: a closed-form solve reports 1
 iteration and a solve from zeros 2. ``oracle_solve`` solves the vectorized
 system (I - gamma*(S^m)^T (x) g(F)) densely by LU, a capacity-guarded
 cross-check for tests.
@@ -111,6 +112,7 @@ class EquilibriumResult:
     iterations: int
     residual: float
     converged: bool
+    path: str  # "closed form" when the solve started from S's spectrum, else "picard"
 
 
 def normalized_gram(f_weight: np.ndarray, eps_f: float) -> np.ndarray:
@@ -137,31 +139,35 @@ def _solve(module: ScaleModule, s, op, injected: np.ndarray, cfg: SolverConfig,
     ``op`` is S or S^T, the operator of the map; ``s`` is S itself, which
     carries the spectrum when there is one.
     """
-    g = normalized_gram(module.f_weight, module.eps_f)
-    if not np.all(np.isfinite(g)):
-        # Training updates F in place, so an exploded step can leave it non-finite.
-        raise DivergenceError(f"{what}: g(F) is not finite; check F for NaN or Inf")
-    if injected.shape[0] != g.shape[0]:
-        raise ShapeError(
-            f"{what}: injected rows {injected.shape[0]} != hidden dim {g.shape[0]}")
-    if injected.shape[1] != op.shape[1]:
-        raise ShapeError(
-            f"{what}: injected cols {injected.shape[1]} != node count {op.shape[1]}")
-    z = None if z0 is None else numerics.as_dense(z0)
-    if z is not None and z.shape != injected.shape:
-        raise ShapeError(f"{what}: z0 shape {z.shape} != {injected.shape}")
-    lam, q = np.linalg.eigh(g)
-    c = module.gamma * lam
-    rhs = np.ascontiguousarray(injected.T) @ q
-    blocks = graph.spectrum(s)
-    if blocks is None:
-        w = np.zeros_like(rhs) if z is None else z.T @ q
-    else:
-        w = _closed_form(c, blocks, module.scale_m, rhs)
-    w, iterations, residual = _picard(c, op, module.scale_m, rhs, w, cfg, what)
-    del rhs  # one n x h array fewer while the back-transform makes two
-    return EquilibriumResult(z_star=np.ascontiguousarray((w @ q.T).T), iterations=iterations,
-                             residual=residual, converged=residual <= cfg.tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are named below
+        g = normalized_gram(module.f_weight, module.eps_f)
+        if not np.all(np.isfinite(g)):
+            # Training updates F in place, so an exploded step can leave it non-finite.
+            raise DivergenceError(f"{what}: g(F) is not finite; check F for NaN, Inf "
+                                  "or entries whose Gram matrix F^T F overflows")
+        if injected.shape[0] != g.shape[0]:
+            raise ShapeError(
+                f"{what}: injected rows {injected.shape[0]} != hidden dim {g.shape[0]}")
+        if injected.shape[1] != op.shape[1]:
+            raise ShapeError(
+                f"{what}: injected cols {injected.shape[1]} != node count {op.shape[1]}")
+        z = None if z0 is None else numerics.as_dense(z0)
+        if z is not None and z.shape != injected.shape:
+            raise ShapeError(f"{what}: z0 shape {z.shape} != {injected.shape}")
+        lam, q = np.linalg.eigh(g)
+        c = module.gamma * lam
+        rhs = np.ascontiguousarray(injected.T) @ q
+        blocks = graph.spectrum(s)
+        if blocks is None:
+            w = np.zeros_like(rhs) if z is None else z.T @ q
+        else:
+            w = _closed_form(c, blocks, module.scale_m, rhs)
+        w, iterations, residual = _picard(c, op, module.scale_m, rhs, w, cfg, what)
+        del rhs  # one n x h array fewer while the back-transform makes two
+        z_star = np.ascontiguousarray((w @ q.T).T)
+    return EquilibriumResult(z_star=z_star, iterations=iterations, residual=residual,
+                             converged=residual <= cfg.tol,
+                             path="picard" if blocks is None else "closed form")
 
 
 def _closed_form(c: np.ndarray, blocks, m: int, rhs: np.ndarray) -> np.ndarray:
@@ -179,27 +185,25 @@ def _closed_form(c: np.ndarray, blocks, m: int, rhs: np.ndarray) -> np.ndarray:
 def _picard(c: np.ndarray, op, m: int, rhs: np.ndarray, w: np.ndarray,
             cfg: SolverConfig, what: str) -> tuple[np.ndarray, int, float]:
     """Iterate W <- (op^m W) diag(c) + R from W = w (overwritten); returns W, steps, residual."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(1, cfg.max_iters + 1):
-            w_next = _propagate(w, op, m)
-            w_next *= c
-            w_next += rhs
-            scale = np.linalg.norm(w) + RESIDUAL_FLOOR
-            w -= w_next
-            residual = float(np.linalg.norm(w) / scale)
-            # A non-finite entry of W_next makes the residual nan or inf, so only
-            # then is W_next scanned.
-            if not np.isfinite(residual) and not np.all(np.isfinite(w_next)):
-                if not np.all(np.isfinite(rhs)):
-                    name = "H" if what == "forward solve" else "dL/dZ*"
-                    raise DivergenceError(f"{what}: its right-hand side {name} is not "
-                                          "finite")
-                raise DivergenceError(
-                    f"{what} produced non-finite values at iteration {iterations}; "
-                    "check that S is normalized and gamma < 1")
-            w = w_next
-            if residual <= cfg.tol:
-                break
+    for iterations in range(1, cfg.max_iters + 1):
+        w_next = _propagate(w, op, m)
+        w_next *= c
+        w_next += rhs
+        scale = np.linalg.norm(w) + RESIDUAL_FLOOR
+        w -= w_next
+        residual = float(np.linalg.norm(w) / scale)
+        # A non-finite entry of W_next makes the residual nan or inf, so only
+        # then is W_next scanned.
+        if not np.isfinite(residual) and not np.all(np.isfinite(w_next)):
+            if not np.all(np.isfinite(rhs)):
+                name = "H" if what == "forward solve" else "dL/dZ*"
+                raise DivergenceError(f"{what}: its right-hand side {name} is not finite")
+            raise DivergenceError(
+                f"{what} produced non-finite values at iteration {iterations}; "
+                "check that S is normalized and gamma < 1")
+        w = w_next
+        if residual <= cfg.tol:
+            break
     return w, iterations, residual
 
 

@@ -22,7 +22,7 @@ class CapacityError(ValueError):
     """Problem size exceeds a hard guard (dense oracle systems only)."""
 
 
-class GenerationError(RuntimeError):
+class GenerationError(ValueError):
     """Synthetic data generation could not satisfy its invariants."""
 
 

@@ -18,6 +18,8 @@ of the solves) are never re-validated.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -44,15 +46,22 @@ def as_dense(a) -> np.ndarray:
 def as_csr(a) -> sp.csr_array:
     """Coerce to a validated canonical float64 CSR array with no stored zeros.
 
-    The structure is checked before scipy canonicalizes it: its compiled
-    routines assume a monotone ``indptr`` and in-range column indices.
-    ``a`` is never mutated.
+    A CSR, CSC, BSR or COO input's structure is checked before scipy
+    converts or canonicalizes it: its compiled routines assume a monotone
+    ``indptr`` and in-range indices. ``a`` is never mutated.
     """
-    out = sp.csr_array(a, dtype=np.float64)
+    if not sp.issparse(a):
+        a = sp.csr_array(a)  # a (data, indices, indptr) tuple is checked below
     try:
-        out.check_format(full_check=True)
+        if a.format in ("csr", "csc", "bsr"):
+            copy.copy(a).check_format(full_check=True)  # rebinds the copy's arrays only
+        elif a.format == "coo":
+            for axis, (index, size) in enumerate(zip(a.coords, a.shape)):
+                if a.nnz and not 0 <= index.min() <= index.max() < size:
+                    raise ValueError(f"axis {axis} index outside [0, {size})")
     except ValueError as exc:
-        raise ShapeError(f"corrupt CSR: {exc}") from None
+        raise ShapeError(f"corrupt {a.format.upper()}: {exc}") from None
+    out = sp.csr_array(a, dtype=np.float64)
     if not out.has_canonical_format or not out.data.all():
         # csr_array(a) may share a's arrays; canonicalize a private copy.
         out = out.copy()
@@ -66,9 +75,8 @@ def as_csr(a) -> sp.csr_array:
 def spmm_right(z: np.ndarray, s: sp.csr_array) -> np.ndarray:
     """Dense-times-CSR product Z*S.
 
-    scipy evaluates it as (S^T Z^T)^T, building a transposed view of S on
-    every call; the solves in ``equilibrium`` avoid that by keeping their
-    iterate transposed and building the operator once per solve.
+    No library code calls it: ``z @ s`` is the same product. It stays only
+    while the benchmark's tracer patches it by name.
     """
     if z.shape[1] != s.shape[0]:
         raise ShapeError(f"spmm_right: inner dimensions differ, {z.shape} x {s.shape}")

@@ -23,7 +23,6 @@ import numpy as np
 from .equilibrium import ScaleModule, SolverConfig, forward_solve, normalized_gram
 from .errors import DomainError
 from .graph import Graph, hop_distance
-from .numerics import spmm_right
 
 CLAMP_FLOOR = 1e-300  # below this, values are denormal noise; clamp to an exact 0
 
@@ -92,7 +91,7 @@ def _matrix_bounds(module, graph, p, hops, dist, delta_h):
     s_entry = np.empty(len(hops))
     for h in hops:
         s_entry[h] = np.abs(row[0, dist == h]).max()
-        row = spmm_right(row, graph.s)
+        row = row @ graph.s
 
     prefactor = module.gamma ** (hops / module.scale_m) / (1.0 - module.gamma)
     powers = np.ceil(hops / module.scale_m).astype(np.int64)

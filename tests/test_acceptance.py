@@ -178,6 +178,7 @@ def test_criterion_5_oracle_equivalence():
         exact = oracle_solve(module, injected, s)
         closed = forward_solve(module, injected, s, cfg)
         assert closed.iterations == 1 and closed.converged
+        assert closed.path == "closed form"
         rel = np.linalg.norm(closed.z_star - exact) / np.linalg.norm(exact)
         assert rel <= 1e-12, f"trial {trial}: |closed form - oracle| = {rel:.2e}"
         worst_closed = max(worst_closed, rel)

@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from msignn import init_model, load_dataset, save_checkpoint
+from msignn import errors, init_model, load_dataset, save_checkpoint
 from msignn.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, OUT_DIR_ENV, main
 
 
@@ -158,6 +159,26 @@ def test_gen_rejects_a_dataset_too_small_to_split(tmp_path, capsys, argv, n):
     assert code == EXIT_DATA
     assert f"got n={n}" in err
     assert not out.exists()
+
+
+def test_gen_colors_without_a_strict_majority_is_data_error(tmp_path, capsys):
+    # Two colored nodes among 1000 colors: a chain's two draws rarely agree.
+    out = tmp_path / "x"
+    code, stdout, err = run(capsys, "gen-colors", "--colors", "1000", "--length", "7",
+                            "--fraction", "0.3", "--out", str(out))
+    assert code == EXIT_DATA and stdout == ""
+    assert re.fullmatch(r"error: no strict majority color for chain \d+ after \d+ "
+                        r"resamples\n", err), err
+    assert not out.exists()
+
+
+def test_every_library_error_has_an_exit_code():
+    # main maps a ValueError to exit 4 and a DivergenceError to exit 5.
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and c.__module__ == errors.__name__]
+    assert len(classes) >= 2
+    for cls in classes:
+        assert issubclass(cls, ValueError) or cls is errors.DivergenceError, cls.__name__
 
 
 def test_train_without_data_is_data_error(tmp_path, capsys):

@@ -72,6 +72,7 @@ def test_forward_closed_form_matches_picard_and_oracle(g, module, seed):
     injected = np.random.default_rng(seed).standard_normal((module.hidden_dim, g.n))
     closed = forward_solve(module, injected, g.s)
     assert closed.iterations == 1 and closed.converged
+    assert closed.path == "closed form"
     assert closed.residual <= 1e-13
     picard = forward_solve(module, injected, sp.csr_array(g.s), PICARD)
     assert picard.converged and picard.iterations >= 1
@@ -121,7 +122,7 @@ def test_batch_solves_like_its_members_alone(members, decomposed, repeat, module
     grad = rng.standard_normal((module.hidden_dim, merged.n))
     z = forward_solve(module, injected, merged.s)
     u = adjoint_solve(module, merged.s, grad)
-    assert z.iterations == 1
+    assert z.iterations == 1 and z.path == "closed form"
     start = 0
     for g in members:
         cols = slice(start, start + g.n)
@@ -180,8 +181,11 @@ def test_weight_gradient_matches_finite_differences_on_both_paths(g, seed, h, f_
     module = ScaleModule(f_weight=f, gamma=gamma, scale_m=m)
     z = solve(f)
     assert (z.iterations == 1) != picard
+    assert z.path == ("picard" if picard else "closed form")
     analytic = weight_gradient(module, adjoint_solve(module, s, r, cfg), z.z_star, s)
-    step = 1e-5
+    # g(F) bends on the scale of F, so the step shrinks with F to keep the
+    # differences' truncation error below rtol; its floor bounds rounding.
+    step = 1e-5 * min(1.0, max(f_scale, 1e-2))
     numeric = np.zeros_like(f)
     for i in range(h):
         for j in range(h):
@@ -210,6 +214,7 @@ def test_plain_copies_and_directed_graphs_have_no_spectrum():
     injected = np.random.default_rng(1).standard_normal((2, mixed.n))
     res = forward_solve(module, injected, mixed.s, PICARD)
     assert res.iterations > 1 and res.converged
+    assert res.path == "picard"
     assert _rel(res.z_star, oracle_solve(module, injected, mixed.s)) <= 1e-9
 
 
@@ -250,6 +255,7 @@ def test_component_above_the_cap_falls_back_to_picard(monkeypatch):
         assert (spectrum(g.s) is not None) == closed
         res = forward_solve(module, injected, g.s, SolverConfig(tol=1e-12, max_iters=5000))
         assert (res.iterations == 1) == closed and res.converged
+        assert res.path == ("closed form" if closed else "picard")
         assert _rel(res.z_star, oracle_solve(module, injected, g.s)) <= 1e-9
     # Pending members under the cap batched with one above it: the batch's
     # decomposition fails, so the small members stay pending, and on first
@@ -263,6 +269,7 @@ def test_component_above_the_cap_falls_back_to_picard(monkeypatch):
     injected = np.random.default_rng(3).standard_normal((3, merged.n))
     res = forward_solve(module, injected, merged.s, SolverConfig(tol=1e-12, max_iters=5000))
     assert res.iterations > 1 and res.converged
+    assert res.path == "picard"
     assert _rel(res.z_star, oracle_solve(module, injected, merged.s)) <= 1e-9
 
 

@@ -64,6 +64,7 @@ def test_forward_gamma_zero_returns_injected_from_both_kernels():
     closed = forward_solve(module, injected, s)
     picard = forward_solve(module, injected, sp.csr_array(s))
     assert closed.iterations == 1 and picard.iterations == 2
+    assert (closed.path, picard.path) == ("closed form", "picard")
     for res in (closed, picard):
         assert res.converged
         npt.assert_allclose(res.z_star, injected, rtol=0, atol=1e-15)
@@ -107,26 +108,32 @@ def test_forward_divergence_error_on_bad_s():
         assert np.geterr() == before
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("make_s", [random_normalized_csr, random_directed_csr],
                          ids=["undirected", "directed"])
-def test_nonfinite_right_hand_side_is_named(make_s):
+def test_nonfinite_right_hand_side_is_named(make_s, bad):
+    # Under the error::RuntimeWarning filter a warning from the first product
+    # with an Inf would surface in place of the DivergenceError.
     rng = np.random.default_rng(4)
     s = make_s(rng, 6)
     module = ScaleModule(f_weight=rng.standard_normal((3, 3)))
     rhs = rng.standard_normal((3, 6))
-    rhs[1, 2] = np.nan
+    rhs[1, 2] = bad
     with pytest.raises(DivergenceError, match=r"^forward solve: .* H is not finite"):
         forward_solve(module, rhs, s)
     with pytest.raises(DivergenceError, match=r"^adjoint solve: .* dL/dZ\* is not finite"):
         adjoint_solve(module, s, rhs)
 
 
-def test_nonfinite_f_is_named():
-    # Training updates F in place, after ScaleModule validated it.
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200],
+                         ids=["nan", "inf", "-inf", "gram-overflow"])
+def test_nonfinite_f_is_named(bad):
+    # Training updates F in place, after ScaleModule validated it. A finite
+    # 1e200 makes F^T F overflow.
     rng = np.random.default_rng(5)
     s = random_normalized_csr(rng, 6)
     module = ScaleModule(f_weight=rng.standard_normal((3, 3)))
-    module.f_weight[0, 1] = np.nan
+    module.f_weight[0, 1] = bad
     rhs = rng.standard_normal((3, 6))
     with pytest.raises(DivergenceError, match=r"^forward solve: g\(F\) is not finite"):
         forward_solve(module, rhs, s)

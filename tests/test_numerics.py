@@ -97,33 +97,72 @@ NON_MONOTONE_INDPTR = [
     ([0, 2, 1, 3], [1, 2, 0]),
 ]
 
-# scipy's compiled canonicalization trusts indptr: run on these inputs
-# unchecked, it raises RuntimeError or corrupts the heap and aborts the
-# interpreter, so they run in a process of their own.
-NON_MONOTONE_SCRIPT = """
+# scipy's compiled conversions and canonicalization trust indptr and index
+# bounds: run on corrupt input unchecked, they raise RuntimeError, segfault,
+# corrupt the heap and abort the interpreter, or silently build a different
+# graph. So build_graph meets such input in a process of its own.
+BUILD_GRAPH_SCRIPT = """
 import numpy as np
 import scipy.sparse as sp
 from msignn import build_graph
-for indptr, indices in {cases!r}:
-    a = sp.csr_array((np.ones(3), np.array(indices, dtype=np.int32),
-                      np.array(indptr, dtype=np.int32)), shape=(3, 3))
+{make_cases}
+for a in cases:
     try:
-        build_graph(a, np.ones((1, 3)), directed=True)
+        build_graph(a, np.ones((1, a.shape[0])), directed=True)
         print("accepted")
     except Exception as exc:
         print(type(exc).__name__, exc)
 """
 
 
-def test_build_graph_rejects_non_monotone_indptr():
+def _build_graph_apart(make_cases: str) -> list[str]:
+    """One output line per input in ``cases``, which ``make_cases`` defines."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     result = subprocess.run(
-        [sys.executable, "-c", NON_MONOTONE_SCRIPT.format(cases=NON_MONOTONE_INDPTR)],
+        [sys.executable, "-c", BUILD_GRAPH_SCRIPT.format(make_cases=make_cases)],
         env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
+    return result.stdout.splitlines()
+
+
+def test_build_graph_rejects_non_monotone_indptr():
+    lines = _build_graph_apart(
+        "cases = [sp.csr_array((np.ones(3), np.array(indices, dtype=np.int32),\n"
+        "                       np.array(indptr, dtype=np.int32)), shape=(3, 3))\n"
+        f"         for indptr, indices in {NON_MONOTONE_INDPTR!r}]")
     assert len(lines) == len(NON_MONOTONE_INDPTR)
     assert all(line.startswith("ShapeError corrupt CSR") for line in lines), lines
+
+
+def test_build_graph_rejects_corrupt_csc_bsr_and_coo():
+    lines = _build_graph_apart("""
+csc = sp.csc_array(np.eye(3))
+csc.indices[1] = 7
+bsr = sp.bsr_array(np.eye(4), blocksize=(2, 2))
+bsr.indptr = np.array([0, 2, 1], dtype=bsr.indptr.dtype)
+coo = sp.coo_array(np.eye(3))
+coo.row[0] = 9
+cases = [csc, bsr, sp.csc_array((np.ones(3), [0, 1, 2], [0, 2, 1, 3]), shape=(3, 3)), coo]
+""")
+    assert [line.split(":")[0] for line in lines] == [
+        "ShapeError corrupt CSC", "ShapeError corrupt BSR", "ShapeError corrupt CSC",
+        "ShapeError corrupt COO"], lines
+
+
+def test_as_csr_agrees_across_formats_and_leaves_input_unchanged():
+    dense = np.array([[0.0, 2.0, 0.0, 1.0], [3.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0], [4.0, 0.0, 5.0, 0.0]])
+    expected = numerics.as_csr(dense)
+    for fmt in ("csr", "csc", "bsr", "coo"):
+        a = sp.csr_array(dense).asformat(fmt)
+        attrs = dict(vars(a))
+        copies = {k: v.copy() for k, v in attrs.items() if isinstance(v, np.ndarray)}
+        out = numerics.as_csr(a)
+        for attr in ("indptr", "indices", "data"):
+            npt.assert_array_equal(getattr(out, attr), getattr(expected, attr))
+        assert all(vars(a)[k] is v for k, v in attrs.items()), fmt  # nothing rebound
+        for key, value in copies.items():
+            npt.assert_array_equal(attrs[key], value)
 
 
 @pytest.mark.parametrize("indices", [[0, 3, 2], [0, -1, 2]], ids=["too-large", "negative"])
