@@ -23,34 +23,40 @@ g(F) is symmetric:
     forward:  Z^T  <-  gamma * (S^T)^m Z^T g(F)  +  H^T
     adjoint:  U^T  <-  gamma *  S^m    U^T g(F)  +  (dL/dZ*)^T
 
-Each hop is one sparse-times-dense product with an operator made once
-per solve: the forward solve and ``weight_gradient`` use ``s.T``, a CSC
-view sharing S's arrays, and the adjoint uses S itself. Powers of S are
-never materialized. Callers pass and receive the column-per-node (h x n)
-layout; S is trusted to be a validated CSR (see ``graph``).
+Callers pass and receive the column-per-node (h x n) layout; S is trusted
+to be a validated CSR (see ``graph``).
 
 A solve changes basis once: with g(F) = Q diag(lambda) Q^T, c = gamma
 lambda and R the transposed right-hand side times Q, the columns of
-W = Z^T Q are h independent problems w_j = c_j op^m w_j + r_j (op is the
-solve's operator), and Z = (W Q^T)^T at the end. One loop solves them,
-Picard iteration W <- (op^m W) diag(c) + R until
-||W_next - W||_F / (||W||_F + 1e-12) <= tol, the same ratio in Z as Q is
-orthogonal. It starts from the best guess the input gives, which the
-result's ``path`` names:
+W = Z^T Q are h independent problems w_j = c_j op^m w_j + r_j (op is S^T
+for the forward solve, S for the adjoint), and Z = (W Q^T)^T at the end.
+The input decides how they are solved, and the result's ``path`` names it:
 
-- "closed form", W = V [(V^T R) / (1 - sigma^m c^T)], when S has a
-  ``graph.spectrum``, S = V Sigma V^T per connected component (undirected
-  graphs and their batches); every denominator is >= 1 - gamma. The first
-  step measures its true residual and polishes it, so such a solve
-  reports 1 iteration, and goes on while the residual is above tol;
-- "picard", from ``z0`` (forward solves) or zeros, for every other S:
-  directed graphs, components above ``graph.SPECTRUM_MAX_COMPONENT``
-  nodes, any S made outside ``graph``. From zeros the iterates are
-  partial sums of the geometric series.
+- "closed form" when S has a ``graph.spectrum``, S = V Sigma V^T per
+  connected component (undirected graphs and their batches): W = V C with
+  eigen-coefficients C = (V^T R) / (1 - sigma^m c^T), whose denominators
+  are all >= 1 - gamma. Such a solve reports 0 iterations and makes no
+  sparse product. Its residual is a bound (``_residual_bound``) on the
+  true relative residual, derived from the decomposition errors that each
+  spectrum block measured once and from the rounding of the closed form's
+  own arithmetic; S and its spectrum are read-only, so the blocks describe
+  the S being solved. The result keeps Q and C, from which
+  ``weight_gradient`` forms Z* S^m without a hop;
+- "picard" for every other S (directed graphs, components above
+  ``graph.SPECTRUM_MAX_COMPONENT`` nodes, any S made outside ``graph``),
+  and when a closed form's bound is above tol (a wrong spectrum, or a tol
+  below what its rounding can certify): Picard iteration
+  W <- (op^m W) diag(c) + R until
+  ||W_next - W||_F / (||W||_F + 1e-12) <= tol, the same ratio in Z as Q
+  is orthogonal, from that closed form, from ``z0`` (forward solves) or
+  from zeros. From zeros the iterates are partial sums of the geometric
+  series. Each hop is one sparse-times-dense product with an operator
+  made once per solve: ``s.T``, a CSC view sharing S's arrays, or S
+  itself. Powers of S are never materialized.
 
-gamma = 0 needs no special case: a closed-form solve reports 1
-iteration and a solve from zeros 2. ``oracle_solve`` solves the vectorized
-system (I - gamma*(S^m)^T (x) g(F)) densely by LU, a capacity-guarded
+gamma = 0 needs no special case: a closed form reports 0 iterations and a
+solve from zeros 2. ``oracle_solve`` solves the vectorized system
+(I - gamma*(S^m)^T (x) g(F)) densely by LU, a capacity-guarded
 cross-check for tests.
 """
 
@@ -112,7 +118,11 @@ class EquilibriumResult:
     iterations: int
     residual: float
     converged: bool
-    path: str  # "closed form" when the solve started from S's spectrum, else "picard"
+    path: str  # "closed form" when the closed form alone is the answer, else "picard"
+    # After a closed form: the basis Q of g(F) and, per spectrum block, the
+    # eigen-coefficients C, (c, k, h) each, so that Z*^T = [V C] Q^T.
+    basis: np.ndarray | None = None
+    coefficients: list[np.ndarray] | None = None
 
 
 def normalized_gram(f_weight: np.ndarray, eps_f: float) -> np.ndarray:
@@ -132,13 +142,14 @@ def _propagate(y: np.ndarray, op, m: int) -> np.ndarray:
     return y
 
 
-def _solve(module: ScaleModule, s, op, injected: np.ndarray, cfg: SolverConfig,
-           z0: np.ndarray | None, what: str) -> EquilibriumResult:
+def _solve(module: ScaleModule, s, injected: np.ndarray, cfg: SolverConfig,
+           z0: np.ndarray | None, adjoint: bool) -> EquilibriumResult:
     """Solve Y = gamma op^m Y g(F) + injected^T for W = Y Q; returns Z = Y^T.
 
-    ``op`` is S or S^T, the operator of the map; ``s`` is S itself, which
-    carries the spectrum when there is one.
+    ``op`` is S for the adjoint and S^T for the forward solve. S carries
+    the spectrum when there is one.
     """
+    what = "adjoint solve" if adjoint else "forward solve"
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are named below
         g = normalized_gram(module.f_weight, module.eps_f)
         if not np.all(np.isfinite(g)):
@@ -148,46 +159,111 @@ def _solve(module: ScaleModule, s, op, injected: np.ndarray, cfg: SolverConfig,
         if injected.shape[0] != g.shape[0]:
             raise ShapeError(
                 f"{what}: injected rows {injected.shape[0]} != hidden dim {g.shape[0]}")
-        if injected.shape[1] != op.shape[1]:
+        if injected.shape[1] != s.shape[0]:
             raise ShapeError(
-                f"{what}: injected cols {injected.shape[1]} != node count {op.shape[1]}")
+                f"{what}: injected cols {injected.shape[1]} != node count {s.shape[0]}")
         z = None if z0 is None else numerics.as_dense(z0)
         if z is not None and z.shape != injected.shape:
             raise ShapeError(f"{what}: z0 shape {z.shape} != {injected.shape}")
         lam, q = np.linalg.eigh(g)
         c = module.gamma * lam
-        rhs = np.ascontiguousarray(injected.T) @ q
+        rhs = injected.T @ q
         blocks = graph.spectrum(s)
+        coefficients = None
         if blocks is None:
             w = np.zeros_like(rhs) if z is None else z.T @ q
         else:
-            w = _closed_form(c, blocks, module.scale_m, rhs)
-        w, iterations, residual = _picard(c, op, module.scale_m, rhs, w, cfg, what)
-        del rhs  # one n x h array fewer while the back-transform makes two
-        z_star = np.ascontiguousarray((w @ q.T).T)
+            w, coefficients = _closed_form(c, blocks, module.scale_m, rhs)
+            iterations, residual = 0, _residual_bound(c, blocks, module.scale_m)
+            # A non-finite W, from H or an overflow, is for Picard to name.
+            if not (residual <= cfg.tol and np.isfinite(np.sum(w))):
+                coefficients = None
+        if coefficients is None:
+            w, iterations, residual = _picard(c, s if adjoint else s.T, module.scale_m,
+                                              rhs, w, cfg, what)
+        del rhs  # one n x h array fewer while the back-transform makes Z
+        z_star = q @ w.T
     return EquilibriumResult(z_star=z_star, iterations=iterations, residual=residual,
                              converged=residual <= cfg.tol,
-                             path="picard" if blocks is None else "closed form")
+                             path="picard" if coefficients is None else "closed form",
+                             basis=None if coefficients is None else q,
+                             coefficients=coefficients)
 
 
-def _closed_form(c: np.ndarray, blocks, m: int, rhs: np.ndarray) -> np.ndarray:
-    """W = V [(V^T R) / (1 - sigma^m c^T)], block by block."""
+def _closed_form(c: np.ndarray, blocks, m: int,
+                 rhs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """W = V C, C = (V^T R) / (1 - sigma^m c^T), block by block; returns W and each C."""
     w = np.empty_like(rhs)
+    coefficients = []
     for b in blocks:  # blocks partition the nodes, so together they write every row
         coeffs = np.matmul(b.vectors.transpose(0, 2, 1), rhs[b.nodes])
-        denominators = (b.values ** m)[:, :, None] * -c
+        denominators = _power(b.values, m)[:, :, None] * -c
         denominators += 1.0
         coeffs /= denominators
         w[b.nodes] = np.matmul(b.vectors, coeffs)
-    return w
+        coefficients.append(coeffs)
+    return w, coefficients
+
+
+def _power(values: np.ndarray, m: int) -> np.ndarray:
+    """values^m by m - 1 products; numpy's ``**`` calls pow() per entry, ~30x slower."""
+    out = values
+    for _ in range(m - 1):
+        out = out * values
+    return out
+
+
+def _residual_bound(c: np.ndarray, blocks, m: int) -> float:
+    """A bound on the closed form's relative residual ||c S^m W + R - W||_F / ||W||_F.
+
+    Per component, with E = S V - V Sigma and F = V^T V - I (their norms
+    are at most the block's ``error`` delta and ``drift`` eps), ||S|| <= 1,
+    s = max(1, max |sigma|), gamma_bar = max |c| and
+    omega = 1 + gamma_bar s^m >= |1 - sigma^m c|, the exact coefficients
+    C = (V^T R) / (1 - sigma^m c^T) leave the residual
+
+        c (S^m V - V Sigma^m) C + (I - V V^T) R,
+
+    where S^m V - V Sigma^m = sum_i S^i E Sigma^(m-1-i) has norm at most
+    m s^(m-1) delta, ||I - V V^T|| = ||F|| and ||R|| <= omega ||C|| /
+    sqrt(1 - eps); and ||W|| = ||V C|| >= sqrt(1 - eps) ||C||. Components
+    hold disjoint rows, so the largest per-component ratio bounds the
+    whole; to first order it is gamma_bar m delta. Rounding adds, to first
+    order in the unit roundoff u, where a length-n dot product errs by at
+    most n u times its factors' norms: k^(3/2) (omega + 1 + gamma_bar) u
+    for V^T R and V C (k nodes per component), (m + 3) omega u for the
+    denominators and the division, and 2 (1 + gamma_bar) h^(3/2) u for
+    H^T Q and the back-transform W Q^T, which take Q orthogonal, as a
+    Picard residual does.
+    """
+    u = np.finfo(np.float64).eps / 2
+    gamma_bar = float(np.abs(c).max())
+    worst = 0.0
+    for b in blocks:
+        if not b.drift < 1.0:
+            return np.inf
+        k = b.nodes.shape[1]
+        s = max(1.0, float(np.abs(b.values).max()))
+        omega = 1.0 + gamma_bar * s ** m
+        exact = (gamma_bar * m * s ** (m - 1) * b.error
+                 + omega * b.drift / np.sqrt(1.0 - b.drift)) / np.sqrt(1.0 - b.drift)
+        rounding = (k ** 1.5 * (omega + 1.0 + gamma_bar) + (m + 3) * omega) * u
+        worst = max(worst, exact + rounding)
+    return worst + 2.0 * (1.0 + gamma_bar) * c.size ** 1.5 * u
 
 
 def _picard(c: np.ndarray, op, m: int, rhs: np.ndarray, w: np.ndarray,
             cfg: SolverConfig, what: str) -> tuple[np.ndarray, int, float]:
     """Iterate W <- (op^m W) diag(c) + R from W = w (overwritten); returns W, steps, residual."""
+    # diag(c) is one flat multiply by c tiled per row: broadcasting c over the
+    # rows would run an inner loop of length h once per row.
+    tiled = np.tile(c, rhs.shape[0])
     for iterations in range(1, cfg.max_iters + 1):
-        w_next = _propagate(w, op, m)
-        w_next *= c
+        # reshape(-1) is a view only of a C-contiguous array; of any other it
+        # is a copy, and the product would be lost.
+        w_next = np.ascontiguousarray(_propagate(w, op, m))
+        flat = w_next.reshape(-1)
+        flat *= tiled
         w_next += rhs
         scale = np.linalg.norm(w) + RESIDUAL_FLOOR
         w -= w_next
@@ -210,13 +286,13 @@ def _picard(c: np.ndarray, op, m: int, rhs: np.ndarray, w: np.ndarray,
 def forward_solve(module: ScaleModule, injected: np.ndarray, s: sp.csr_array,
                   cfg: SolverConfig = SolverConfig(),
                   z0: np.ndarray | None = None) -> EquilibriumResult:
-    """Solve for the fixed point by Picard iteration from the closed form.
+    """Solve for the fixed point: in closed form when S has a spectrum, else by Picard.
 
-    The iteration stops when ||Z_next - Z||_F / (||Z||_F + 1e-12) <= cfg.tol
+    Picard iteration stops when ||Z_next - Z||_F / (||Z||_F + 1e-12) <= cfg.tol
     or at cfg.max_iters, whichever comes first. ``z0`` is its start only
     when S has no spectrum; otherwise the closed form is.
     """
-    return _solve(module, s, s.T, injected, cfg, z0, "forward solve")
+    return _solve(module, s, injected, cfg, z0, adjoint=False)
 
 
 def adjoint_solve(module: ScaleModule, s: sp.csr_array, grad_z: np.ndarray,
@@ -224,18 +300,25 @@ def adjoint_solve(module: ScaleModule, s: sp.csr_array, grad_z: np.ndarray,
     """Solve U = gamma g(F)^T U (S^m)^T + grad_z for the loss adjoint U.
 
     U equals dL/dZ* (I - J)^{-1} in the vectorized sense, i.e. the loss
-    gradient pulled back through the fixed point. Same solvers and stop
-    as ``forward_solve``.
+    gradient pulled back through the fixed point. Same paths and stop as
+    ``forward_solve``: on an S with a spectrum, the closed form alone when
+    its residual bound is within cfg.tol. Only U is returned.
     """
-    return _solve(module, s, s, grad_z, cfg, None, "adjoint solve").z_star  # g^T = g
+    return _solve(module, s, grad_z, cfg, None, adjoint=True).z_star  # g^T = g
 
 
-def weight_gradient(module: ScaleModule, u: np.ndarray, z_star: np.ndarray,
+def weight_gradient(module: ScaleModule, u: np.ndarray, forward: EquilibriumResult,
                     s: sp.csr_array) -> np.ndarray:
-    """Gradient of the loss with respect to F, given the adjoint U and Z*.
+    """Gradient of the loss with respect to F, given the adjoint U and the forward solve.
 
-    The upstream gradient at g(F) is M = gamma * U (Z* S^m)^T; pulling M
-    back through the Frobenius normalization and the Gram map F^T F gives
+    ``forward`` is the ``forward_solve`` result on the same S whose Z* the
+    adjoint was taken at. The upstream gradient at g(F) is
+    M = gamma * U (Z* S^m)^T. After a closed-form solve
+    (Z* S^m)^T = [V (sigma^m * C)] Q^T per spectrum block, from the
+    result's coefficients and basis, with no sparse hop; after a Picard
+    solve, or on an S without the spectrum, Z* is hopped m times with
+    ``s.T``. Pulling M back through the Frobenius normalization and the
+    Gram map F^T F gives
 
         dG = M/r_eps - (<M, G> / (r * r_eps^2)) G,   dF = F (dG + dG^T)
 
@@ -244,10 +327,19 @@ def weight_gradient(module: ScaleModule, u: np.ndarray, z_star: np.ndarray,
     Validated against central finite differences before any training run
     is trusted.
     """
-    if u.shape != z_star.shape:
-        raise ShapeError(f"adjoint shape {u.shape} != equilibrium shape {z_star.shape}")
-    propagated_t = _propagate(z_star.T, s.T, module.scale_m)
-    m_up = module.gamma * (u @ propagated_t)
+    if u.shape != forward.z_star.shape:
+        raise ShapeError(
+            f"adjoint shape {u.shape} != equilibrium shape {forward.z_star.shape}")
+    m = module.scale_m
+    blocks = None if forward.coefficients is None else graph.spectrum(s)
+    if blocks is None:  # a Picard solve, or an S (a plain copy) without the spectrum
+        m_up = module.gamma * (u @ _propagate(forward.z_star.T, s.T, m))
+    else:
+        propagated = np.empty((u.shape[1], u.shape[0]))
+        for b, coeffs in zip(blocks, forward.coefficients):
+            scaled = _power(b.values, m)[:, :, None] * coeffs
+            propagated[b.nodes] = np.matmul(b.vectors, scaled)
+        m_up = module.gamma * ((u @ propagated) @ forward.basis.T)
     gram = module.f_weight.T @ module.f_weight
     r = np.linalg.norm(gram)
     r_eps = r + module.eps_f

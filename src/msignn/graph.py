@@ -30,7 +30,10 @@ to the formula evaluated with scipy's sparse operations.
 
 The S of an undirected graph is symmetric, and ``spectrum(s)`` gives its
 eigendecomposition, one dense ``eigh`` per connected component, which
-gives ``equilibrium`` its closed-form start. ``build_graph`` marks such an
+gives ``equilibrium`` its closed form. Each block also keeps the error of
+its decomposition, measured once from the dense blocks it is made from,
+from which the solves bound a closed form's residual without touching S
+again. ``build_graph`` marks such an
 S, and the eigendecomposition is computed on the first call and cached
 on S itself, so it is paid once per graph and only by graphs that are
 solved or batched. ``batch`` gives the merged S its spectrum when it
@@ -42,6 +45,11 @@ result. When none is, the batch decomposes nothing and stacks its
 members' blocks. Directed graphs, and undirected ones with a component
 above ``SPECTRUM_MAX_COMPONENT`` nodes, have no spectrum, nor has a
 batch with such a member.
+
+What a spectrum was measured on must not change under it, so the arrays
+of every S that ``build_graph`` or ``batch`` makes (``data``, ``indices``,
+``indptr``) and of every spectrum block are read-only: writing to one
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -118,13 +126,22 @@ class GraphBatch(_Nodes):
 class SpectrumBlock:
     """Eigendecomposition of the c connected components of S with k nodes each.
 
-    S restricted to the nodes ``nodes[i]`` equals
-    ``vectors[i] @ diag(values[i]) @ vectors[i].T``.
+    S restricted to the nodes ``nodes[i]``, S_i, equals
+    ``vectors[i] @ diag(values[i]) @ vectors[i].T`` up to two errors
+    measured when the block is decomposed, each the largest Frobenius norm
+    over its components (an upper bound on the spectral norm). The arrays
+    are made read-only.
     """
 
     nodes: np.ndarray    # (c, k) node indices
     values: np.ndarray   # (c, k) eigenvalues, ascending per component
     vectors: np.ndarray  # (c, k, k) orthonormal eigenvectors, one per column
+    error: float         # max_i ||S_i V_i - V_i diag(values[i])||
+    drift: float         # max_i ||V_i^T V_i - I||, how far V_i is from orthonormal
+
+    def __post_init__(self):
+        for a in (self.nodes, self.values, self.vectors):
+            a.flags.writeable = False
 
 
 def spectrum(s) -> list[SpectrumBlock] | None:
@@ -194,7 +211,11 @@ def _decompose(s) -> list[SpectrumBlock] | None:
         dense[slot[entry_comp[sel]], pos[rows[sel]], pos[s.indices[sel]]] = s.data[sel]
         values, vectors = np.linalg.eigh(dense)
         nodes = order[starts[members][:, None] + np.arange(k)]
-        blocks.append(SpectrumBlock(nodes, values, vectors))
+        error = np.matmul(dense, vectors) - vectors * values[:, None, :]
+        drift = np.matmul(vectors.transpose(0, 2, 1), vectors) - np.eye(k)
+        blocks.append(SpectrumBlock(nodes, values, vectors,
+                                    float(np.linalg.norm(error, axis=(1, 2)).max()),
+                                    float(np.linalg.norm(drift, axis=(1, 2)).max())))
     return blocks
 
 
@@ -260,7 +281,14 @@ def _normalize(indptr, indices, data, rows, directed: bool) -> sp.csr_array:
     # the products with two diagonal matrices; an entry that underflows goes.
     data = data * left[rows] * right[indices]
     indptr, indices, data = _kept(indptr, indices, data, data != 0)
-    return sp.csr_array((data, indices, indptr), shape=(n, n))
+    return _read_only(sp.csr_array((data, indices, indptr), shape=(n, n)))
+
+
+def _read_only(s: sp.csr_array) -> sp.csr_array:
+    """S with its three arrays, which it owns, made read-only."""
+    for a in (s.data, s.indices, s.indptr):
+        a.flags.writeable = False
+    return s
 
 
 def build_graph(adjacency, features, labels=None, directed: bool = False) -> Graph:
@@ -347,7 +375,7 @@ def _block_diagonal(matrices) -> tuple[sp.csr_array, np.ndarray]:
         np.cumsum([0] + nnz[:-1]), sizes)
     s = sp.csr_array((np.concatenate([a.data for a in matrices]), indices.astype(idx),
                       np.concatenate(([0], indptr)).astype(idx)), shape=(n, n))
-    return s, offsets
+    return _read_only(s), offsets
 
 
 def _batch_spectrum(graphs: list[Graph], s, offsets) -> list[SpectrumBlock] | None:
@@ -372,7 +400,8 @@ def _batch_spectrum(graphs: list[Graph], s, offsets) -> list[SpectrumBlock] | No
                 if getattr(g.s, _SPECTRUM, None) is _PENDING:
                     rows = [slice(cut[i], cut[i + 1]) for cut in cuts]
                     setattr(g.s, _SPECTRUM, [
-                        SpectrumBlock(b.nodes[r] - offsets[i], b.values[r], b.vectors[r])
+                        SpectrumBlock(b.nodes[r] - offsets[i], b.values[r], b.vectors[r],
+                                      b.error, b.drift)
                         for b, r in zip(blocks, rows) if r.start < r.stop])
         return blocks
     parts = [spectrum(g.s) for g in graphs]
@@ -384,7 +413,8 @@ def _batch_spectrum(graphs: list[Graph], s, offsets) -> list[SpectrumBlock] | No
             by_size.setdefault(b.nodes.shape[1], []).append((b, offset))
     return [SpectrumBlock(np.concatenate([b.nodes + offset for b, offset in group]),
                           np.concatenate([b.values for b, _ in group]),
-                          np.concatenate([b.vectors for b, _ in group]))
+                          np.concatenate([b.vectors for b, _ in group]),
+                          max(b.error for b, _ in group), max(b.drift for b, _ in group))
             for _, group in sorted(by_size.items())]
 
 

@@ -277,7 +277,8 @@ class MultiscaleImplicitGNN:
         d_ba = np.zeros_like(att.b_a)
         d_injected = np.zeros_like(trace.injected)
         for t, mod in enumerate(self.scales):
-            z_t = trace.scale_results[t].z_star
+            res = trace.scale_results[t]
+            z_t = res.z_star
             acts = trace.tanh_acts[t]
             db = d_beta[:, t]
             d_q += acts @ db
@@ -286,7 +287,7 @@ class MultiscaleImplicitGNN:
             d_ba += d_pre.sum(axis=1)
             d_zt = d_zp * trace.alphas[:, t][None, :] + att.w_a.T @ d_pre
             u = adjoint_solve(mod, data.s, d_zt, self.solver_cfg)
-            grads[f"scales.{t}.f"] = weight_gradient(mod, u, z_t, data.s)
+            grads[f"scales.{t}.f"] = weight_gradient(mod, u, res, data.s)
             d_injected += u  # the map is the identity in H
         grads["attention.q"] = d_q
         grads["attention.w_a"] = d_wa

@@ -1,7 +1,11 @@
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
-from msignn import SolverConfig, build_graph, forward_solve
+from msignn import SolverConfig, build_graph, equilibrium, forward_solve
 
 
 def random_undirected_graph(rng, n, density=0.3, feat_dim=3, num_classes=2):
@@ -62,3 +66,30 @@ def power_iteration_norm(dense, iters=200):
             return 0.0
         v = w / nw
     return float(np.sqrt(v @ ata @ v))
+
+
+@contextmanager
+def counting_hops():
+    """Counts ``equilibrium._propagate`` calls, the solves' only sparse hops.
+
+    Yields a counter whose ``calls`` is the number of calls so far; a
+    closed-form solve and a hop-free weight gradient make none.
+    """
+    propagate = equilibrium._propagate
+    counter = SimpleNamespace(calls=0)
+
+    def counted(y, op, m):
+        counter.calls += 1
+        return propagate(y, op, m)
+
+    equilibrium._propagate = counted
+    try:
+        yield counter
+    finally:
+        equilibrium._propagate = propagate
+
+
+@pytest.fixture
+def hops():
+    with counting_hops() as counter:
+        yield counter

@@ -24,7 +24,8 @@ from msignn.graph import build_graph
 from msignn.model import MlpEncoder, MultiscaleImplicitGNN, glorot_uniform
 from msignn.train import cross_entropy
 
-from conftest import picard_steps, random_normalized_csr, random_undirected_graph
+from conftest import (counting_hops, picard_steps, random_normalized_csr,
+                      random_undirected_graph)
 
 import scipy.sparse as sp
 
@@ -176,8 +177,9 @@ def test_criterion_5_oracle_equivalence():
                              gamma=gamma, scale_m=int(rng.integers(1, 4)))
         injected = rng.standard_normal((h, n))
         exact = oracle_solve(module, injected, s)
-        closed = forward_solve(module, injected, s, cfg)
-        assert closed.iterations == 1 and closed.converged
+        with counting_hops() as hops:
+            closed = forward_solve(module, injected, s, cfg)
+        assert closed.iterations == 0 and closed.converged and hops.calls == 0
         assert closed.path == "closed form"
         rel = np.linalg.norm(closed.z_star - exact) / np.linalg.norm(exact)
         assert rel <= 1e-12, f"trial {trial}: |closed form - oracle| = {rel:.2e}"

@@ -7,17 +7,22 @@ runs Picard iteration: the solve properties below compare the two paths
 on one matrix, and both against the dense Kronecker oracle.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
 from msignn import (Graph, ScaleModule, SolverConfig, adjoint_solve, batch, build_graph,
-                    forward_solve, oracle_solve, weight_gradient)
+                    forward_solve, normalized_gram, oracle_solve, weight_gradient)
 from msignn import graph as graph_mod
 from msignn.graph import component_labels, spectrum
+
+from conftest import counting_hops
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 # Picard stops on the step size; its error is up to tol / (1 - contraction).
@@ -70,8 +75,9 @@ def _rel(a, b):
 @given(graphs, modules, st.integers(0, 2**32 - 1))
 def test_forward_closed_form_matches_picard_and_oracle(g, module, seed):
     injected = np.random.default_rng(seed).standard_normal((module.hidden_dim, g.n))
-    closed = forward_solve(module, injected, g.s)
-    assert closed.iterations == 1 and closed.converged
+    with counting_hops() as hops:
+        closed = forward_solve(module, injected, g.s)
+    assert closed.iterations == 0 and closed.converged and hops.calls == 0
     assert closed.path == "closed form"
     assert closed.residual <= 1e-13
     picard = forward_solve(module, injected, sp.csr_array(g.s), PICARD)
@@ -120,9 +126,10 @@ def test_batch_solves_like_its_members_alone(members, decomposed, repeat, module
     rng = np.random.default_rng(seed)
     injected = rng.standard_normal((module.hidden_dim, merged.n))
     grad = rng.standard_normal((module.hidden_dim, merged.n))
-    z = forward_solve(module, injected, merged.s)
-    u = adjoint_solve(module, merged.s, grad)
-    assert z.iterations == 1 and z.path == "closed form"
+    with counting_hops() as hops:
+        z = forward_solve(module, injected, merged.s)
+        u = adjoint_solve(module, merged.s, grad)
+    assert z.iterations == 0 and z.path == "closed form" and hops.calls == 0
     start = 0
     for g in members:
         cols = slice(start, start + g.n)
@@ -172,17 +179,21 @@ def test_weight_gradient_matches_finite_differences_on_both_paths(g, seed, h, f_
     injected = rng.standard_normal((h, g.n))
     r = rng.standard_normal((h, g.n))
     f = f_scale * rng.standard_normal((h, h))
-    cfg = SolverConfig(tol=1e-14, max_iters=20000)
+    # Picard stops on its step, so it is asked for 1e-14. The closed form's
+    # answer does not depend on tol, which must only lie above its residual
+    # bound (up to ~3e-14 on these graphs), or the solve goes on as Picard.
+    cfg = SolverConfig(tol=1e-14 if picard else 1e-12, max_iters=20000)
 
     def solve(f_mat):
         return forward_solve(ScaleModule(f_weight=f_mat, gamma=gamma, scale_m=m),
                              injected, s, cfg)
 
     module = ScaleModule(f_weight=f, gamma=gamma, scale_m=m)
-    z = solve(f)
-    assert (z.iterations == 1) != picard
+    with counting_hops() as hops:
+        z = solve(f)
+        analytic = weight_gradient(module, adjoint_solve(module, s, r, cfg), z, s)
     assert z.path == ("picard" if picard else "closed form")
-    analytic = weight_gradient(module, adjoint_solve(module, s, r, cfg), z.z_star, s)
+    assert (hops.calls == 0) != picard
     # g(F) bends on the scale of F, so the step shrinks with F to keep the
     # differences' truncation error below rtol; its floor bounds rounding.
     step = 1e-5 * min(1.0, max(f_scale, 1e-2))
@@ -253,8 +264,9 @@ def test_component_above_the_cap_falls_back_to_picard(monkeypatch):
     for g, closed in ((small, True), (large, False), (batch([small, large]), False)):
         injected = np.random.default_rng(2).standard_normal((3, g.n))
         assert (spectrum(g.s) is not None) == closed
-        res = forward_solve(module, injected, g.s, SolverConfig(tol=1e-12, max_iters=5000))
-        assert (res.iterations == 1) == closed and res.converged
+        with counting_hops() as hops:
+            res = forward_solve(module, injected, g.s, SolverConfig(tol=1e-12, max_iters=5000))
+        assert (res.iterations == 0) == closed == (hops.calls == 0) and res.converged
         assert res.path == ("closed form" if closed else "picard")
         assert _rel(res.z_star, oracle_solve(module, injected, g.s)) <= 1e-9
     # Pending members under the cap batched with one above it: the batch's
@@ -273,16 +285,94 @@ def test_component_above_the_cap_falls_back_to_picard(monkeypatch):
     assert _rel(res.z_star, oracle_solve(module, injected, merged.s)) <= 1e-9
 
 
-def test_a_wrong_closed_form_continues_as_picard():
-    # Corrupt the cached eigenvalues: the true residual of the closed-form
-    # answer exceeds tol, and the solve iterates on from it to the oracle.
+def test_a_wrong_closed_form_continues_as_picard(monkeypatch):
+    # Decompose S with an eigh that halves the eigenvalues: the block measures
+    # its decomposition error, the residual bound exceeds tol, and the solve
+    # iterates on from the wrong closed form to the oracle.
+    eigh = np.linalg.eigh
+
+    def halved(a):
+        values, vectors = eigh(a)
+        return values / 2, vectors
+
     g = _random_graph(3, [5, 3], 0.7)
-    for block in spectrum(g.s):
-        block.values[...] *= 0.5
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", halved)
+        blocks = spectrum(g.s)
+    assert max(b.error for b in blocks) > 0.1
     module = ScaleModule(f_weight=np.eye(2), gamma=0.8)
     injected = np.random.default_rng(4).standard_normal((2, g.n))
     res = forward_solve(module, injected, g.s, SolverConfig(tol=1e-10, max_iters=2000))
-    assert res.converged and res.iterations > 0
+    assert res.path == "picard" and res.converged and res.iterations > 0
+    assert res.coefficients is None
     assert _rel(res.z_star, oracle_solve(module, injected, g.s)) <= 1e-8
     stalled = forward_solve(module, injected, g.s, SolverConfig(tol=1e-10, max_iters=2))
     assert not stalled.converged and stalled.iterations == 2
+
+
+def _true_residual(module, z, injected, s):
+    """||gamma g(F) Z S^m + H - Z||_F / ||Z||_F, from a dense S^m."""
+    s_m = np.linalg.matrix_power(s.toarray(), module.scale_m)
+    g = normalized_gram(module.f_weight, module.eps_f)
+    mapped = module.gamma * (g @ z @ s_m) + injected
+    return np.linalg.norm(mapped - z) / max(np.linalg.norm(z), 1e-300)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(graphs, st.builds(_module, st.integers(0, 2**32 - 1), st.integers(1, 5), f_scales,
+                         st.floats(0.01, 0.99), st.sampled_from([1, 2, 4, 8])),
+       st.integers(0, 2**32 - 1))
+def test_the_closed_form_reports_a_bound_on_its_true_residual(g, module, seed):
+    # The reported residual bounds the true one, recomputed here from Z*
+    # alone, and certifies the default tol.
+    injected = np.random.default_rng(seed).standard_normal((module.hidden_dim, g.n))
+    res = forward_solve(module, injected, g.s)
+    assert res.path == "closed form"
+    assert _true_residual(module, res.z_star, injected, g.s) <= res.residual
+    assert res.residual <= SolverConfig().tol
+
+
+@pytest.mark.parametrize("m", [1, 4, 8])
+def test_hop_free_weight_gradient_matches_the_hop_path(monkeypatch, m):
+    # The same graph built twice: once with a spectrum (closed-form solves and
+    # the hop-free gradient) and once with the spectrum cap below its
+    # components (Picard solves and Z* hopped m times). Picard, asked for
+    # 1e-14, stops within tol/(1 - gamma) ~ 3e-14 of Z* and U, so the
+    # gradients agree to 1e-12.
+    rng = np.random.default_rng(30 + m)
+    a = _random_graph(m, [6, 4, 3, 1], 0.6).adjacency
+    injected, r = rng.standard_normal((2, 3, 14))
+    module = ScaleModule(f_weight=rng.standard_normal((3, 3)), gamma=0.7, scale_m=m)
+    gradients = []
+    for cap, tol in ((graph_mod.SPECTRUM_MAX_COMPONENT, 1e-12), (1, 1e-14)):
+        cfg = SolverConfig(tol=tol, max_iters=20000)
+        monkeypatch.setattr(graph_mod, "SPECTRUM_MAX_COMPONENT", cap)
+        s = build_graph(a, np.zeros((1, 14))).s
+        z = forward_solve(module, injected, s, cfg)
+        assert z.path == ("closed form" if cap > 1 else "picard")
+        u = adjoint_solve(module, s, r, cfg)
+        gradients.append(weight_gradient(module, u, z, s))
+        if cap > 1:  # from the same Z*, the two ways of forming Z* S^m agree to rounding
+            hopped = replace(z, basis=None, coefficients=None)
+            assert _rel(weight_gradient(module, u, hopped, s), gradients[0]) <= 1e-14
+    assert _rel(*gradients) <= 1e-12
+
+
+def _writes(array):
+    with pytest.raises(ValueError, match="read-only"):
+        array[...] = 0
+
+
+def test_s_and_its_spectrum_are_read_only():
+    # What the spectrum was measured on, and the spectrum itself, cannot be
+    # changed in place: a graph's S, a batch's S, a graph's blocks and the
+    # blocks a batch stacks from its decomposed members.
+    members = [_random_graph(seed, [3, 2], 0.8) for seed in (1, 2)]
+    merged = batch(members)  # both pending: the batch decomposes its own S
+    stacked = batch(members[::-1])  # both decomposed: their blocks are stacked
+    for s in [g.s for g in members] + [merged.s, stacked.s]:
+        for array in (s.data, s.indices, s.indptr):
+            _writes(array)
+        for b in spectrum(s):
+            for array in (b.nodes, b.values, b.vectors):
+                _writes(array)

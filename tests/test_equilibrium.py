@@ -3,8 +3,8 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from msignn import (ScaleModule, SolverConfig, adjoint_solve, forward_solve,
-                    normalized_gram, oracle_solve, weight_gradient)
+from msignn import (EquilibriumResult, ScaleModule, SolverConfig, adjoint_solve,
+                    forward_solve, normalized_gram, oracle_solve, weight_gradient)
 from msignn.errors import CapacityError, DivergenceError
 from msignn.numerics import as_csr
 
@@ -53,18 +53,18 @@ def test_forward_scalar_geometric_series():
     npt.assert_allclose(res.z_star[0, 0], 1.666667, atol=1e-5)
 
 
-def test_forward_gamma_zero_returns_injected_from_both_kernels():
-    # The map is constant: the closed form is H and step 1 confirms it; Picard
-    # lands on H at step 1 and confirms it at step 2. Both go through g's
-    # eigenbasis and back, so Z* equals H up to rounding.
+def test_forward_gamma_zero_returns_injected_from_both_kernels(hops):
+    # The map is constant: the closed form is H, with no hop; Picard lands on H
+    # at step 1 and confirms it at step 2. Both go through g's eigenbasis and
+    # back, so Z* equals H up to rounding.
     rng = np.random.default_rng(12)
     s = random_normalized_csr(rng, 6)
     module = ScaleModule(f_weight=rng.standard_normal((3, 3)), gamma=0.0, scale_m=2)
     injected = rng.uniform(-1.0, 1.0, (3, 6))
     closed = forward_solve(module, injected, s)
+    assert (closed.path, closed.iterations, hops.calls) == ("closed form", 0, 0)
     picard = forward_solve(module, injected, sp.csr_array(s))
-    assert closed.iterations == 1 and picard.iterations == 2
-    assert (closed.path, picard.path) == ("closed form", "picard")
+    assert (picard.path, picard.iterations) == ("picard", 2)
     for res in (closed, picard):
         assert res.converged
         npt.assert_allclose(res.z_star, injected, rtol=0, atol=1e-15)
@@ -236,22 +236,31 @@ def test_adjoint_matches_kronecker_oracle_on_directed_graphs():
     check_adjoint_against_kronecker(np.random.default_rng(14), random_directed_csr)
 
 
+def _given(z_star):
+    """A forward result holding only Z*, so ``weight_gradient`` hops from it."""
+    return EquilibriumResult(z_star=z_star, iterations=0, residual=0.0, converged=True,
+                             path="picard")
+
+
 def test_weight_gradient_zero_adjoint():
     rng = np.random.default_rng(7)
     s = random_normalized_csr(rng, 5)
     module = ScaleModule(f_weight=rng.standard_normal((3, 3)), gamma=0.6)
     z = rng.standard_normal((3, 5))
-    npt.assert_array_equal(weight_gradient(module, np.zeros((3, 5)), z, s),
-                           np.zeros((3, 3)))
+    closed = forward_solve(module, z, s)
+    # both gradient paths, and a closed form's result on a plain copy of S
+    for forward, matrix in ((_given(z), s), (closed, s), (closed, sp.csr_array(s))):
+        npt.assert_array_equal(weight_gradient(module, np.zeros((3, 5)), forward, matrix),
+                               np.zeros((3, 3)))
 
 
-def check_weight_gradient(rng, s):
+def check_weight_gradient(rng, s, m=2):
     # loss(F) = <R, Z*(F)> checked against central differences
     n, h = s.shape[0], 3
     injected = rng.standard_normal((h, n))
     r = rng.standard_normal((h, n))
     f = rng.standard_normal((h, h))
-    gamma, m = 0.7, 2
+    gamma = 0.7
     cfg = SolverConfig(tol=1e-13, max_iters=5000)
 
     def loss(f_mat):
@@ -259,9 +268,9 @@ def check_weight_gradient(rng, s):
         return float(np.sum(r * forward_solve(module, injected, s, cfg).z_star))
 
     module = ScaleModule(f_weight=f, gamma=gamma, scale_m=m)
-    z_star = forward_solve(module, injected, s, cfg).z_star
+    forward = forward_solve(module, injected, s, cfg)
     u = adjoint_solve(module, s, r, cfg)
-    analytic = weight_gradient(module, u, z_star, s)
+    analytic = weight_gradient(module, u, forward, s)
 
     step = 1e-5
     numeric = np.zeros_like(f)
@@ -271,11 +280,22 @@ def check_weight_gradient(rng, s):
             fm = f.copy(); fm[i, j] -= step
             numeric[i, j] = (loss(fp) - loss(fm)) / (2 * step)
     npt.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-8)
+    return forward
 
 
 def test_weight_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
     check_weight_gradient(rng, random_normalized_csr(rng, 6))
+
+
+@pytest.mark.parametrize("m", [1, 4, 8])
+def test_hop_free_weight_gradient_matches_finite_differences(m, hops):
+    # A closed-form forward hands weight_gradient its coefficients, so the
+    # gradient forms Z* S^m in the eigenbasis of S: the whole check hops nowhere.
+    rng = np.random.default_rng(16 + m)
+    s = random_normalized_csr(rng, 7)
+    assert check_weight_gradient(rng, s, m).path == "closed form"
+    assert hops.calls == 0
 
 
 def test_weight_gradient_matches_finite_differences_on_directed_graph():
@@ -295,7 +315,7 @@ def test_weight_gradient_symmetry_preserved():
     s = as_csr(sp.eye_array(h, format="csr"))
     gram = f.T @ f
     u = (gram @ gram) / module.gamma
-    grad = weight_gradient(module, u, np.eye(h), s)
+    grad = weight_gradient(module, u, _given(np.eye(h)), s)
     npt.assert_allclose(grad, grad.T, atol=1e-10)
 
 

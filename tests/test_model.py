@@ -250,6 +250,37 @@ def test_graph_task_on_a_plain_graph_is_a_batch_of_one(directed):
         npt.assert_array_equal(grad, grads_one[name], err_msg=name)
 
 
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("task", ["node", "graph"])
+def test_a_training_step_hops_only_on_directed_graphs(monkeypatch, hops, task, directed):
+    # On an undirected graph or batch every solve is the closed form and the
+    # weight gradient forms Z* S^m in the eigenbasis: a step's forward and
+    # backward make no sparse hop and build no S^T. A directed S has no
+    # spectrum; its solves iterate and hop.
+    rng = np.random.default_rng(21)
+    graphs = [random_undirected_graph(rng, 6) for _ in range(3)]
+    graphs = [build_graph(g.adjacency, g.features, g.labels, directed=directed)
+              for g in graphs]
+    if task == "node":
+        data, labels = graphs[0], graphs[0].labels
+    else:
+        data, labels = batch(graphs), np.array([0, 1, 1])
+    model = init_model(rng, data.feature_dim, 4, 2, scale_exponents=(1, 2, 4), task=task)
+    transposes = []
+    transpose = sp.csr_array.transpose
+    monkeypatch.setattr(sp.csr_array, "transpose",
+                        lambda s, *args, **kwargs: transposes.append(s)
+                        or transpose(s, *args, **kwargs))
+    trace = model.forward(data, train_mode=True, rng=rng)
+    _, grad_logits = cross_entropy(trace.logits, labels, np.ones(labels.size, dtype=bool))
+    model.backward(data, trace, grad_logits)
+    paths = {res.path for res in trace.scale_results}
+    if directed:
+        assert paths == {"picard"} and hops.calls > 0 and transposes
+    else:
+        assert paths == {"closed form"} and hops.calls == 0 and not transposes
+
+
 def test_predict_argmax_and_threshold():
     rng = np.random.default_rng(12)
     g = random_undirected_graph(rng, 5, num_classes=3)
