@@ -35,8 +35,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataFormatError, GenerationError
-from .graph import Graph, build_graph
+from .errors import DataFormatError, GenerationError, ShapeError
+from .graph import Graph, build_graph, class_labels
 from .jsonio import read_json, write_json
 
 EDGE_FILE = "edges.tsv"
@@ -49,7 +49,10 @@ SPLIT_MIN_NODES = 3  # the fewest nodes whose split gives train, val and test a 
 
 @dataclass(frozen=True)
 class Dataset:
-    """A node-task dataset: graph plus disjoint train/val/test node masks."""
+    """A node-task dataset: graph plus disjoint train/val/test node masks.
+
+    Each mask must hold one entry per node, and no node may be in two.
+    """
 
     graph: Graph
     train_mask: np.ndarray
@@ -57,16 +60,47 @@ class Dataset:
     test_mask: np.ndarray
     spec_echo: dict
 
+    def __post_init__(self):
+        _check_masks(self, self.graph.n, "node")
+
 
 @dataclass(frozen=True)
 class GraphDataset:
-    """A graph-task dataset: individual graphs, one label each, split by graph."""
+    """A graph-task dataset: individual graphs, one label each, split by graph.
+
+    The labels must be a vector of non-negative integers, one per graph
+    (stored as int64), and each mask must hold one entry per graph, no
+    graph in two masks.
+    """
 
     graphs: list[Graph]
     labels: np.ndarray
     train_mask: np.ndarray
     val_mask: np.ndarray
     test_mask: np.ndarray
+
+    def __post_init__(self):
+        labels, count = np.asarray(self.labels), len(self.graphs)
+        if labels.shape != (count,):
+            raise ShapeError(f"graph labels must be a vector with one entry per graph, "
+                             f"got shape {labels.shape} for {count} graphs")
+        object.__setattr__(self, "labels", class_labels(labels, "graph"))
+        _check_masks(self, count, "graph")
+
+
+def _check_masks(ds, count: int, unit: str) -> None:
+    """Require ``ds``'s train, val and test masks to hold ``count`` entries each,
+    and no ``unit`` (node or graph) to be in two of them."""
+    masks = {}
+    for name in ("train", "val", "test"):
+        masks[name] = np.asarray(getattr(ds, f"{name}_mask"))
+        if masks[name].shape != (count,):
+            raise ShapeError(f"{name} mask must hold one entry per {unit}, got shape "
+                             f"{masks[name].shape} for {count} {unit}s")
+    for a, b in combinations(masks, 2):
+        both = np.flatnonzero(masks[a].astype(bool) & masks[b].astype(bool))
+        if both.size:
+            raise ValueError(f"{a} and {b} masks overlap ({unit} {both[0]} is in both)")
 
 
 @dataclass(frozen=True)
@@ -227,13 +261,11 @@ def load_dataset(in_dir) -> Dataset:
             raise DataFormatError(f"{sidecar_path}: {key} mask index out of range")
         masks[key] = np.zeros(graph.n, dtype=bool)
         masks[key][sidecar[key]] = True
-    for a, b in combinations(masks, 2):
-        both = np.flatnonzero(masks[a] & masks[b])
-        if both.size:
-            raise DataFormatError(
-                f"{sidecar_path}: {a} and {b} masks overlap (node {both[0]} is in both)")
-    return Dataset(graph=graph, train_mask=masks["train"], val_mask=masks["val"],
-                   test_mask=masks["test"], spec_echo=sidecar.get("spec", {}))
+    try:
+        return Dataset(graph=graph, train_mask=masks["train"], val_mask=masks["val"],
+                       test_mask=masks["test"], spec_echo=sidecar.get("spec", {}))
+    except ValueError as exc:  # overlapping masks
+        raise DataFormatError(f"{sidecar_path}: {exc}") from exc
 
 
 def load_graph(edge_path, feature_path, label_path=None, directed: bool = False,

@@ -5,9 +5,10 @@ the propagation equations; the solves in ``equilibrium`` transpose
 internally. Labels are either an int class per node, shape (n,), or a
 multi-hot 0/1 matrix, shape (num_classes, n).
 
-A ``Graph`` and a ``GraphBatch`` hold what the model reads: S, features,
-labels and each node's graph; a graph is a batch of one. ``batch`` merges
-S, features and labels. Only a ``Graph`` keeps its raw adjacency.
+A ``GraphBatch`` holds what the model reads: S, features, labels and
+each node's graph. A ``Graph`` is a ``GraphBatch`` of one, every node in
+graph 0, that also keeps its raw adjacency and directedness. ``batch``
+merges the S, features and labels of graphs into one ``GraphBatch``.
 
 ``build_graph`` is the only place a normalized adjacency S is made, and
 self-loops follow ``directed``: an undirected graph gets
@@ -69,13 +70,16 @@ _SPECTRUM = "_msignn_spectrum"  # the attribute of S that holds its spectrum
 _PENDING = object()  # a graph's S before its first ``spectrum`` call
 
 
-@dataclass(frozen=True)
-class _Nodes:
-    """What the model reads: normalized adjacency S, features, labels."""
+@dataclass(frozen=True, kw_only=True)
+class GraphBatch:
+    """What the model reads: normalized adjacency S, features, labels, and
+    each node's graph, ``graph_of_node[i]`` in ``range(num_graphs)``."""
 
     s: sp.csr_array
     features: np.ndarray
     labels: np.ndarray | None
+    graph_of_node: np.ndarray
+    num_graphs: int
 
     @property
     def n(self) -> int:
@@ -98,28 +102,12 @@ class _Nodes:
         return self.labels is not None and self.labels.ndim == 2
 
 
-@dataclass(frozen=True)
-class Graph(_Nodes):
-    """Immutable graph, a batch of one: its nodes, raw 0/1 adjacency, directedness."""
+@dataclass(frozen=True, kw_only=True)
+class Graph(GraphBatch):
+    """A batch of one graph that keeps its raw 0/1 adjacency and directedness."""
 
     adjacency: sp.csr_array
     directed: bool
-
-    @property
-    def graph_of_node(self) -> np.ndarray:
-        return np.zeros(self.n, dtype=np.int64)
-
-    @property
-    def num_graphs(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True)
-class GraphBatch(_Nodes):
-    """Several graphs merged block-diagonally, with per-node graph membership."""
-
-    graph_of_node: np.ndarray
-    num_graphs: int
 
 
 @dataclass(frozen=True)
@@ -291,6 +279,25 @@ def _read_only(s: sp.csr_array) -> sp.csr_array:
     return s
 
 
+def class_labels(labels: np.ndarray, unit: str) -> np.ndarray:
+    """A vector of class labels as int64, each a non-negative integer.
+
+    An error names the first bad label's position, as ``unit`` (node or
+    graph) and index.
+    """
+    if labels.dtype.kind == "f":
+        k = np.flatnonzero(~np.isfinite(labels) | (labels != np.trunc(labels)))
+        if k.size:
+            raise ValueError(f"class labels must be integers, got "
+                             f"{float(labels[k[0]])!r} at {unit} {k[0]}")
+    labels = labels.astype(np.int64)
+    negative = np.flatnonzero(labels < 0)
+    if negative.size:
+        k = negative[0]
+        raise ValueError(f"class labels must be non-negative, got {labels[k]} at {unit} {k}")
+    return labels
+
+
 def build_graph(adjacency, features, labels=None, directed: bool = False) -> Graph:
     """Assemble a Graph, normalizing the adjacency (self-loops only if undirected).
 
@@ -320,17 +327,7 @@ def build_graph(adjacency, features, labels=None, directed: bool = False) -> Gra
         if labels.ndim == 1:
             if labels.shape[0] != n:
                 raise ShapeError("label vector length must equal node count")
-            if labels.dtype.kind == "f":
-                k = np.flatnonzero(~np.isfinite(labels) | (labels != np.trunc(labels)))
-                if k.size:
-                    raise ValueError(f"class labels must be integers, got "
-                                     f"{float(labels[k[0]])!r} at node {k[0]}")
-            labels = labels.astype(np.int64)
-            negative = np.flatnonzero(labels < 0)
-            if negative.size:
-                k = negative[0]
-                raise ValueError(f"class labels must be non-negative, got {labels[k]} "
-                                 f"at node {k}")
+            labels = class_labels(labels, "node")
         elif labels.ndim == 2:
             if labels.shape[1] != n:
                 raise ShapeError("multi-hot labels must have one column per node")
@@ -345,8 +342,9 @@ def build_graph(adjacency, features, labels=None, directed: bool = False) -> Gra
     s = _normalize(indptr, indices, data, rows, directed)
     if not directed:
         setattr(s, _SPECTRUM, _PENDING)
-    return Graph(s=s, features=features, labels=labels, adjacency=adjacency,
-                 directed=directed)
+    return Graph(s=s, features=features, labels=labels,
+                 graph_of_node=np.zeros(n, dtype=np.int64), num_graphs=1,
+                 adjacency=adjacency, directed=directed)
 
 
 def hop_distance(g: Graph, p: int) -> np.ndarray:
@@ -442,7 +440,7 @@ def batch(graphs: list[Graph]) -> GraphBatch:
         setattr(s, _SPECTRUM, _batch_spectrum(graphs, s, offsets))
     labels = (None if any(g.labels is None for g in graphs)
               else np.concatenate([g.labels for g in graphs], axis=-1))
-    graph_of_node = np.concatenate(
-        [np.full(g.n, i, dtype=np.int64) for i, g in enumerate(graphs)])
-    return GraphBatch(s=s, features=np.hstack([g.features for g in graphs]),
-                      labels=labels, graph_of_node=graph_of_node, num_graphs=len(graphs))
+    return GraphBatch(s=s, features=np.hstack([g.features for g in graphs]), labels=labels,
+                      graph_of_node=np.repeat(np.arange(len(graphs), dtype=np.int64),
+                                              [g.n for g in graphs]),
+                      num_graphs=len(graphs))

@@ -31,7 +31,7 @@ from . import numerics
 from .equilibrium import (EquilibriumResult, ScaleModule, SolverConfig,
                           adjoint_solve, forward_solve, weight_gradient)
 from .errors import ShapeError
-from .graph import Graph, GraphBatch
+from .graph import GraphBatch
 from .jsonio import check_json, read_json, write_json
 
 CHECKPOINT_FORMAT = "msignn-checkpoint"
@@ -222,7 +222,7 @@ class MultiscaleImplicitGNN:
 
     # -- forward ----------------------------------------------------------
 
-    def forward(self, data: Graph | GraphBatch, train_mode: bool = False,
+    def forward(self, data: GraphBatch, train_mode: bool = False,
                 rng=None) -> ForwardTrace:
         injected, enc_cache = self.encoder.forward(data.features, train_mode, rng)
         results = [forward_solve(mod, injected, data.s, self.solver_cfg)
@@ -248,7 +248,7 @@ class MultiscaleImplicitGNN:
 
     # -- backward ---------------------------------------------------------
 
-    def backward(self, data: Graph | GraphBatch, trace: ForwardTrace,
+    def backward(self, data: GraphBatch, trace: ForwardTrace,
                  grad_logits: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss for every parameter, given d(loss)/d(logits)."""
         if grad_logits.shape != trace.logits.shape:
@@ -302,7 +302,7 @@ class MultiscaleImplicitGNN:
 
     # -- inference --------------------------------------------------------
 
-    def predict(self, data: Graph | GraphBatch, trace: ForwardTrace | None = None) -> np.ndarray:
+    def predict(self, data: GraphBatch, trace: ForwardTrace | None = None) -> np.ndarray:
         """Class per column (argmax, ties to the lower index) or multi-hot at logit > 0.
 
         ``trace``, a forward of ``data`` at the current parameters, stands in
@@ -318,7 +318,7 @@ class MultiscaleImplicitGNN:
         return np.argmax(logits, axis=0)
 
 
-def sum_pool(z: np.ndarray, batch: Graph | GraphBatch) -> np.ndarray:
+def sum_pool(z: np.ndarray, batch: GraphBatch) -> np.ndarray:
     """Sum node columns within each graph: output column g = sum of z[:, i] with i in g."""
     if z.shape[1] != batch.graph_of_node.shape[0]:
         raise ShapeError(

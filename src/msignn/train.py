@@ -190,13 +190,20 @@ def train_loop(model: MultiscaleImplicitGNN, data, cfg: TrainConfig) -> list[dic
     node task without dropout runs ``epochs + 1`` forwards in all, with
     losses and gradients bit-identical to a fresh forward per step. A
     row's ``iters_per_scale`` holds the forward iteration counts of the
-    epoch's (last) step. An empty train or val split is named before the
-    first epoch.
+    epoch's (last) step. An empty train or val split, and labels naming a
+    class the model lacks, are named before the first epoch.
     """
     for split in ("train", "val"):
         if not np.any(getattr(data, f"{split}_mask")):
             raise EmptySelectionError(f"{split} split selects no "
                                       f"{'graphs' if model.task == 'graph' else 'nodes'}")
+    labels = data.labels if model.task == "graph" else data.graph.labels
+    if labels.ndim == 2 and labels.shape[0] != model.num_classes:
+        raise ShapeError(f"labels have {labels.shape[0]} multi-hot rows, but the model "
+                         f"has {model.num_classes} classes")
+    if labels.ndim == 1 and labels.size and labels.max() >= model.num_classes:
+        raise ShapeError(f"largest label {labels.max()} names a class the model lacks: "
+                         f"it has {model.num_classes} classes")
     if model.task == "graph":
         train_idx, val_idx = np.flatnonzero(data.train_mask), np.flatnonzero(data.val_mask)
         # The splits never change, so each is merged into one batch once.

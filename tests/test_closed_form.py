@@ -218,6 +218,7 @@ def test_plain_copies_and_directed_graphs_have_no_spectrum():
     # A Graph made by hand around a plain S is never pending, and has no
     # blocks to stack: its batch with a decomposed member has no spectrum.
     by_hand = Graph(s=sp.csr_array(undirected.s), features=np.ones((1, 2)), labels=None,
+                    graph_of_node=np.zeros(2, dtype=np.int64), num_graphs=1,
                     adjacency=a, directed=False)
     mixed = batch([by_hand, undirected])
     assert spectrum(mixed.s) is None

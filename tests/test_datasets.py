@@ -6,9 +6,11 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from msignn import (ChainsSpec, ColorCountingSpec, Dataset, build_graph, gen_chains,
-                    gen_color_counting, load_dataset, load_graph, save_dataset)
-from msignn.errors import DataFormatError
+from msignn import (ChainsSpec, ColorCountingSpec, Dataset, GraphDataset, build_graph,
+                    gen_chains, gen_color_counting, load_dataset, load_graph, save_dataset)
+from msignn.errors import DataFormatError, ShapeError
+
+from conftest import random_undirected_graph
 
 
 def test_chains_default_counts():
@@ -290,6 +292,68 @@ def test_load_dataset_rejects_overlapping_masks(tmp_path):
     (tmp_path / "masks.json").write_text(json.dumps(sidecar))
     with pytest.raises(DataFormatError, match=r"masks\.json: train and test masks overlap"):
         load_dataset(tmp_path)
+
+
+def _graph_dataset(**changes):
+    """Six graphs, two per split, with valid labels; ``changes`` replace fields."""
+    rng = np.random.default_rng(0)
+    fields = dict(graphs=[random_undirected_graph(rng, 3) for _ in range(6)],
+                  labels=np.array([0, 1, 2, 0, 1, 2]),
+                  train_mask=np.arange(6) < 2, val_mask=np.arange(6) // 2 == 1,
+                  test_mask=np.arange(6) >= 4)
+    return GraphDataset(**{**fields, **changes})
+
+
+def test_graph_dataset_stores_integral_labels_as_int64():
+    data = _graph_dataset(labels=[0.0, 1.0, 2.0, 0.0, 1.0, 2.0])
+    assert data.labels.dtype == np.int64
+    npt.assert_array_equal(data.labels, [0, 1, 2, 0, 1, 2])
+
+
+def test_graph_dataset_rejects_a_negative_label():
+    # cross_entropy would index the last class with it
+    with pytest.raises(ValueError, match="class labels must be non-negative, got -1 at graph 3"):
+        _graph_dataset(labels=np.array([0, 1, 2, -1, 1, 2]))
+
+
+def test_graph_dataset_rejects_a_float_label():
+    with pytest.raises(ValueError, match=r"class labels must be integers, got 0\.5 at graph 4"):
+        _graph_dataset(labels=np.array([0.0, 1.0, 2.0, 0.0, 0.5, 2.0]))
+
+
+@pytest.mark.parametrize("labels", [np.zeros(5, dtype=int), np.zeros((1, 6), dtype=int)],
+                         ids=["short", "matrix"])
+def test_graph_dataset_needs_one_label_per_graph(labels):
+    with pytest.raises(ShapeError, match=rf"one entry per graph, got shape "
+                                         rf"\({labels.shape[0]},.*for 6 graphs"):
+        _graph_dataset(labels=labels)
+
+
+def test_graph_dataset_rejects_overlapping_masks():
+    # validation would score a training graph
+    with pytest.raises(ValueError, match=r"train and val masks overlap \(graph 1 is in both\)"):
+        _graph_dataset(val_mask=np.isin(np.arange(6), [1, 2, 3]))
+
+
+def test_graph_dataset_rejects_a_mask_shorter_than_the_graph_list():
+    with pytest.raises(ShapeError, match=r"test mask must hold one entry per graph, "
+                                         r"got shape \(5,\) for 6 graphs"):
+        _graph_dataset(test_mask=np.arange(5) >= 4)
+
+
+def test_node_dataset_rejects_overlapping_masks():
+    ds = gen_chains(ChainsSpec(length=4))
+    k = np.flatnonzero(ds.train_mask)[0]
+    with pytest.raises(ValueError, match=rf"train and val masks overlap \(node {k} is in both\)"):
+        replace(ds, val_mask=ds.val_mask | ds.train_mask)
+
+
+def test_node_dataset_rejects_a_mask_shorter_than_the_graph():
+    graph = random_undirected_graph(np.random.default_rng(1), 40)
+    with pytest.raises(ShapeError, match=r"train mask must hold one entry per node, "
+                                         r"got shape \(5,\) for 40 nodes"):
+        Dataset(graph=graph, train_mask=np.ones(5, dtype=bool), val_mask=np.zeros(40, bool),
+                test_mask=np.zeros(40, bool), spec_echo={})
 
 
 @pytest.mark.parametrize("key", ["directed", "train", "val", "test"])

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msignn import batch, build_graph, hop_distance
+from msignn import GraphBatch, batch, build_graph, hop_distance
 from msignn.errors import ShapeError
 
 from conftest import power_iteration_norm, random_undirected_graph
@@ -151,6 +151,27 @@ def test_batch_single_graph_identity():
     npt.assert_array_equal(b.graph_of_node, np.zeros(7, dtype=int))
     npt.assert_array_equal(b.s.toarray(), g.s.toarray())
     npt.assert_array_equal(b.features, g.features)
+
+
+def test_a_built_graph_is_a_batch_of_one():
+    g = random_undirected_graph(np.random.default_rng(3), 7)
+    assert isinstance(g, GraphBatch)
+    assert g.num_graphs == 1
+    assert g.graph_of_node.dtype == np.int64
+    npt.assert_array_equal(g.graph_of_node, np.zeros(7))
+
+
+def test_batch_membership_skips_empty_members():
+    rng = np.random.default_rng(8)
+    empty = build_graph(sp.csr_array((0, 0)), np.zeros((3, 0)))
+    assert empty.n == 0
+    graphs = [random_undirected_graph(rng, 3), empty, random_undirected_graph(rng, 2),
+              empty, empty, random_undirected_graph(rng, 4), empty]
+    b = batch(graphs)
+    assert b.num_graphs == 7 and b.graph_of_node.dtype == np.int64
+    npt.assert_array_equal(b.graph_of_node, np.concatenate(
+        [np.full(g.n, i, dtype=np.int64) for i, g in enumerate(graphs)]))
+    npt.assert_array_equal(b.graph_of_node, [0, 0, 0, 2, 2, 5, 5, 5, 5])
 
 
 def test_batch_two_graphs_block_structure():

@@ -10,7 +10,7 @@ from msignn import (Adam, ChainsSpec, ColorCountingSpec, ScaleModule, SolverConf
                     TrainConfig, accuracy, batch, bce_with_logits, build_graph, cross_entropy,
                     gen_chains, gen_color_counting, history_to_csv, init_model, micro_f1,
                     train_loop)
-from msignn.errors import EmptySelectionError
+from msignn.errors import EmptySelectionError, ShapeError
 from msignn.model import MultiscaleImplicitGNN
 from msignn.train import HISTORY_COLUMNS, evaluate
 
@@ -189,8 +189,8 @@ def test_train_loop_loss_decreases_on_toy():
     rng = np.random.default_rng(4)
     g = random_undirected_graph(rng, 12, num_classes=2)
     from msignn.datasets import Dataset
-    masks = np.ones(12, dtype=bool)
-    ds = Dataset(graph=g, train_mask=masks, val_mask=masks, test_mask=masks,
+    masks = [np.arange(12) // 4 == k for k in range(3)]
+    ds = Dataset(graph=g, train_mask=masks[0], val_mask=masks[1], test_mask=masks[2],
                  spec_echo={})
     model = init_model(rng, g.feature_dim, 4, 2, scale_exponents=(1,),
                        gamma=0.0, encoder_layers=1)
@@ -338,6 +338,39 @@ def test_an_empty_split_is_named_before_any_epoch(monkeypatch, task, split):
     with pytest.raises(EmptySelectionError, match=f"^{split} split selects no {unit}$"):
         train_loop(make_model(), data, TrainConfig(epochs=3, **cfg))
     assert forwards == []
+
+
+def _three_colors(kind):
+    """A 3-color node dataset, its labels int classes or a 3-row multi-hot matrix."""
+    ds = gen_color_counting(ColorCountingSpec(num_colors=3, num_chains=6, length=5, seed=0))
+    if kind == "multi-hot":
+        g = ds.graph
+        multi_hot = (np.arange(3)[:, None] == g.labels).astype(float)
+        ds = replace(ds, graph=build_graph(g.adjacency, g.features, multi_hot))
+    return ds
+
+
+@pytest.mark.parametrize("kind, shown", [
+    ("class", "largest label 2 names a class the model lacks: it has 2 classes"),
+    ("multi-hot", "labels have 3 multi-hot rows, but the model has 2 classes")],
+    ids=["class", "multi-hot"])
+def test_labels_naming_a_class_the_model_lacks_are_named_before_any_epoch(
+        monkeypatch, kind, shown):
+    ds = _three_colors(kind)
+    model = init_model(np.random.default_rng(0), ds.graph.feature_dim, 4, 2)
+    forwards = []
+    monkeypatch.setattr(MultiscaleImplicitGNN, "forward",
+                        lambda *args, **kwargs: forwards.append(args))
+    with pytest.raises(ShapeError, match=f"^{shown}$"):
+        train_loop(model, ds, TrainConfig(epochs=3))
+    assert forwards == []
+
+
+def test_graph_labels_naming_a_class_the_model_lacks_are_named_before_any_epoch():
+    data, make_model, cfg = _graph_problem()
+    data = replace(data, labels=data.labels * 2)  # classes 0 and 2 of a 2-class model
+    with pytest.raises(ShapeError, match="largest label 2 names a class the model lacks"):
+        train_loop(make_model(), data, TrainConfig(epochs=3, **cfg))
 
 
 def test_graph_task_merges_each_evaluation_split_once(monkeypatch):
