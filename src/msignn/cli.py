@@ -209,7 +209,8 @@ def _cmd_train(cfg) -> int:
                        num_classes=graph.num_classes, scale_exponents=scales,
                        gamma=cfg["gamma"], eps_f=cfg["eps_f"],
                        encoder_layers=cfg["encoder_layers"], dropout=cfg["dropout"],
-                       encoder_bias=cfg["encoder_bias"], solver_cfg=solver)
+                       encoder_bias=cfg["encoder_bias"], solver_cfg=solver,
+                       multilabel=graph.multilabel)
     tcfg = train.TrainConfig(epochs=cfg["epochs"], lr=cfg["lr"], weight_decay=cfg["wd"],
                              seed=cfg["seed"], patience=cfg["patience"])
     history = train.train_loop(model, data, tcfg)
@@ -227,7 +228,7 @@ def _node_metrics(model, data) -> dict:
     graph = data.graph
     scores = train.evaluate(model, graph, graph.labels,
                             (data.train_mask, data.val_mask, data.test_mask))
-    return {"task": model.task, "metric": "micro_f1" if graph.multilabel else "accuracy",
+    return {"task": model.task, "metric": "micro_f1" if model.multilabel else "accuracy",
             **dict(zip(("train", "val", "test"), scores))}
 
 

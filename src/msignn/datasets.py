@@ -148,10 +148,10 @@ def _split_masks(n: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _chain_edges(num_chains: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    starts = np.arange(num_chains) * length
-    src = np.concatenate([s + np.arange(length - 1) for s in starts]) \
-        if length > 1 else np.empty(0, dtype=np.int64)
-    return src.astype(np.int64), (src + 1).astype(np.int64)
+    """The (src, dst) edges of ``num_chains`` directed paths of ``length`` nodes each."""
+    starts = np.arange(num_chains, dtype=np.int64) * length
+    src = (starts[:, None] + np.arange(length - 1)).ravel()
+    return src, src + 1
 
 
 def gen_chains(spec: ChainsSpec) -> Dataset:
@@ -181,23 +181,25 @@ def gen_color_counting(spec: ColorCountingSpec) -> Dataset:
     cols = np.concatenate([dst, src])
     adjacency = sp.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     num_colored = max(1, int(round(spec.colored_fraction * spec.length)))
-    features = np.zeros((spec.num_colors, n))
-    labels = np.empty(n, dtype=np.int64)
+    positions, colors, majority = [], [], []
     for c in range(spec.num_chains):
-        start = c * spec.length
-        positions = start + rng.choice(spec.length, size=num_colored, replace=False)
+        positions.append(rng.choice(spec.length, size=num_colored, replace=False))
         for _ in range(MAX_COLOR_RESAMPLES):
-            colors = rng.integers(spec.num_colors, size=num_colored)
-            counts = np.bincount(colors, minlength=spec.num_colors)
-            top = counts.max()
-            if np.sum(counts == top) == 1:
+            drawn = rng.integers(spec.num_colors, size=num_colored)
+            counts = np.bincount(drawn, minlength=spec.num_colors).tolist()
+            top = max(counts)
+            if counts.count(top) == 1:
                 break
         else:
             raise GenerationError(
                 f"no strict majority color for chain {c} after {MAX_COLOR_RESAMPLES} resamples")
-        features[:, positions] = 0.0
-        features[colors, positions] = 1.0
-        labels[start:start + spec.length] = int(np.argmax(counts))
+        colors.append(drawn)
+        majority.append(counts.index(top))
+    # A chain's colored positions are distinct, so each node is written once.
+    starts = np.arange(spec.num_chains) * spec.length
+    features = np.zeros((spec.num_colors, n))
+    features[np.concatenate(colors), (starts[:, None] + np.array(positions)).ravel()] = 1.0
+    labels = np.repeat(np.array(majority, dtype=np.int64), spec.length)
     graph = build_graph(adjacency, features, labels, directed=False)
     train, val, test = _split_masks(n, rng)
     return Dataset(graph=graph, train_mask=train, val_mask=val, test_mask=test,

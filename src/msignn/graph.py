@@ -16,12 +16,14 @@ S = D^{-1/2} (A + I) D^{-1/2}, a directed graph no self-loops and
 S = D_out^{-1/2} A D_in^{-1/2} (directed chains must not short-circuit
 their own information-passing test). ``build_graph``, which the
 generators and loaders go through, validates and canonicalizes its
-adjacency once with ``numerics.as_csr``, which drops explicitly stored
-zeros, so a Graph's adjacency, its hop distances and its saved edge list
-agree with S. Weights must be non-negative, which the contraction bound
-of ``equilibrium`` rests on. What the library derives from a validated
-matrix, the normalized S and the block-diagonal merges of ``batch``, is
-canonical by construction and not checked again.
+adjacency once with ``numerics.as_csr``. That checks a compressed input's
+``indptr`` and ``indices`` itself, with numpy, before scipy reads them,
+and drops explicitly stored zeros, so a Graph's adjacency, its hop
+distances and its saved edge list agree with S. Weights must be
+non-negative, which the contraction bound of ``equilibrium`` rests on.
+What the library derives from a validated matrix, the normalized S and
+the block-diagonal merges of ``batch``, is canonical by construction and
+not checked again.
 
 Every S, merged ones included, is assembled from numpy arrays by one
 ``sp.csr_array((data, indices, indptr))`` call: on small graphs scipy's
@@ -268,7 +270,10 @@ def _normalize(indptr, indices, data, rows, directed: bool) -> sp.csr_array:
     # Each stored entry a_ij is scaled by left_i * right_j, the arithmetic of
     # the products with two diagonal matrices; an entry that underflows goes.
     data = data * left[rows] * right[indices]
-    indptr, indices, data = _kept(indptr, indices, data, data != 0)
+    if data.all():  # S still takes index arrays of its own, of the indices' dtype
+        indptr, indices = indptr.astype(indices.dtype), indices.copy()
+    else:
+        indptr, indices, data = _kept(indptr, indices, data, data != 0)
     return _read_only(sp.csr_array((data, indices, indptr), shape=(n, n)))
 
 

@@ -38,9 +38,10 @@ CHECKPOINT_FORMAT = "msignn-checkpoint"
 CHECKPOINT_VERSION = 1
 # What ``save_checkpoint`` writes, as a ``jsonio`` schema. Older files may
 # carry ``attention_dim`` (always the hidden dim) and ``solver.strict``, keys
-# no longer written; they are ignored.
+# no longer written; they are ignored. Files written before ``multilabel``
+# was recorded load as class-label models.
 CHECKPOINT_SCHEMA = {"format": "string", "version": "integer", "params": "object", "config": {
-    "task": "string", "hidden_dim": "count", "num_classes": "count",
+    "task": "string", "multilabel?": "boolean", "hidden_dim": "count", "num_classes": "count",
     "encoder_dims": ["count"], "encoder_bias": "boolean", "dropout": "number",
     "scales": [{"m": "integer", "gamma": "number", "eps_f": "number"}],
     "solver": {"tol": "number", "max_iters": "integer", "strict?": "boolean"},
@@ -165,14 +166,19 @@ class ForwardTrace:
 class MultiscaleImplicitGNN:
     """Encoder + parallel implicit scale modules + attention fusion + decoder.
 
-    The scale exponents must be pairwise distinct.
+    The scale exponents must be pairwise distinct. ``multilabel`` fixes the
+    kind of labels the model predicts and trains on: multi-hot, one 0/1
+    per class, or one class per column. Only a node task can be multilabel.
     """
 
     def __init__(self, encoder: MlpEncoder, scales: list[ScaleModule],
                  attention: AttentionParams, decoder_weight: np.ndarray,
-                 task: str = "node", solver_cfg: SolverConfig = SolverConfig()):
+                 task: str = "node", solver_cfg: SolverConfig = SolverConfig(),
+                 multilabel: bool = False):
         if task not in ("node", "graph"):
             raise ValueError(f"task must be 'node' or 'graph', got {task!r}")
+        if multilabel and task == "graph":
+            raise ValueError("a graph task has one class per graph; it cannot be multilabel")
         if not scales:
             raise ValueError("need at least one scale module")
         hidden = scales[0].hidden_dim
@@ -193,6 +199,7 @@ class MultiscaleImplicitGNN:
         self.attention = attention
         self.decoder_weight = decoder_weight
         self.task = task
+        self.multilabel = multilabel
         self.solver_cfg = solver_cfg
 
     # -- plumbing ---------------------------------------------------------
@@ -303,7 +310,8 @@ class MultiscaleImplicitGNN:
     # -- inference --------------------------------------------------------
 
     def predict(self, data: GraphBatch, trace: ForwardTrace | None = None) -> np.ndarray:
-        """Class per column (argmax, ties to the lower index) or multi-hot at logit > 0.
+        """Multi-hot at logit > 0 (a multilabel model) or class per column
+        (argmax, ties to the lower index), whatever labels ``data`` carries.
 
         ``trace``, a forward of ``data`` at the current parameters, stands in
         for running one; its logits must have one column per node (node
@@ -313,7 +321,7 @@ class MultiscaleImplicitGNN:
         width = data.n if self.task == "node" else data.num_graphs
         if logits.shape[1] != width:
             raise ShapeError(f"trace has logits for {logits.shape[1]} columns, data has {width}")
-        if data.multilabel and self.task == "node":
+        if self.multilabel:
             return (logits > 0.0).astype(np.int64)
         return np.argmax(logits, axis=0)
 
@@ -349,13 +357,15 @@ def init_model(rng, feature_dim: int, hidden_dim: int, num_classes: int,
                scale_exponents=(1,), gamma: float = 0.8, eps_f: float = 1e-5,
                encoder_layers: int = 2, dropout: float = 0.0,
                encoder_bias: bool = True, task: str = "node",
-               solver_cfg: SolverConfig = SolverConfig()) -> MultiscaleImplicitGNN:
+               solver_cfg: SolverConfig = SolverConfig(),
+               multilabel: bool = False) -> MultiscaleImplicitGNN:
     """Build a model with Glorot-uniform weights and zero biases.
 
     F matrices use the same init scaled by 0.5, keeping the initial ||g(F)||
     comfortably away from the eps-dominated regime. The attention width is
     the hidden dim. ``encoder_bias=False`` drops the encoder bias terms
     entirely (useful when zero feature columns must stay exactly zero).
+    ``multilabel=True`` makes a node-task model predict multi-hot labels.
     """
     if encoder_layers < 1:
         raise ValueError(f"encoder needs at least one layer, got {encoder_layers}")
@@ -373,7 +383,7 @@ def init_model(rng, feature_dim: int, hidden_dim: int, num_classes: int,
         q=rng.uniform(-q_limit, q_limit, size=hidden_dim))
     decoder = glorot_uniform(rng, num_classes, hidden_dim)
     return MultiscaleImplicitGNN(encoder, scales, attention, decoder, task=task,
-                                 solver_cfg=solver_cfg)
+                                 solver_cfg=solver_cfg, multilabel=multilabel)
 
 
 # -- checkpointing --------------------------------------------------------
@@ -386,6 +396,7 @@ def save_checkpoint(model: MultiscaleImplicitGNN, path) -> None:
         "version": CHECKPOINT_VERSION,
         "config": {
             "task": model.task,
+            "multilabel": model.multilabel,
             "hidden_dim": model.hidden_dim,
             "num_classes": model.num_classes,
             "encoder_dims": [model.encoder.in_dim]
@@ -431,7 +442,8 @@ def load_checkpoint(path) -> MultiscaleImplicitGNN:
         solver = SolverConfig(tol=cfg["solver"]["tol"], max_iters=cfg["solver"]["max_iters"])
         model = MultiscaleImplicitGNN(encoder, scales, attention,
                                       np.zeros((cfg["num_classes"], hidden)),
-                                      task=cfg["task"], solver_cfg=solver)
+                                      task=cfg["task"], solver_cfg=solver,
+                                      multilabel=cfg.get("multilabel", False))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     expected, params = model.parameters(), payload["params"]

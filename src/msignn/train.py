@@ -190,14 +190,16 @@ def train_loop(model: MultiscaleImplicitGNN, data, cfg: TrainConfig) -> list[dic
     node task without dropout runs ``epochs + 1`` forwards in all, with
     losses and gradients bit-identical to a fresh forward per step. A
     row's ``iters_per_scale`` holds the forward iteration counts of the
-    epoch's (last) step. An empty train or val split, and labels naming a
-    class the model lacks, are named before the first epoch.
+    epoch's (last) step. An empty train or val split, labels of the other
+    kind than the model's (multi-hot or class) and labels naming a class
+    the model lacks are named before the first epoch.
     """
     for split in ("train", "val"):
         if not np.any(getattr(data, f"{split}_mask")):
             raise EmptySelectionError(f"{split} split selects no "
                                       f"{'graphs' if model.task == 'graph' else 'nodes'}")
     labels = data.labels if model.task == "graph" else data.graph.labels
+    _check_label_kind(model, labels)
     if labels.ndim == 2 and labels.shape[0] != model.num_classes:
         raise ShapeError(f"labels have {labels.shape[0]} multi-hot rows, but the model "
                          f"has {model.num_classes} classes")
@@ -296,11 +298,20 @@ def evaluate(model: MultiscaleImplicitGNN, data, labels: np.ndarray, masks,
     """One ``model.predict`` on ``data``; micro-F1 (multi-hot labels) or accuracy per mask.
 
     ``trace``, a forward of ``data`` at the current parameters, spares the
-    predict its own.
+    predict its own. The labels must be of the model's kind.
     """
+    _check_label_kind(model, labels)
     preds = model.predict(data, trace)
     metric = micro_f1 if labels.ndim == 2 else accuracy
     return [metric(preds, labels, mask) for mask in masks]
+
+
+def _check_label_kind(model: MultiscaleImplicitGNN, labels: np.ndarray) -> None:
+    """Raise ``ShapeError`` unless ``labels`` are multi-hot exactly when the model is."""
+    if (labels.ndim == 2) != model.multilabel:
+        kinds = ("class labels", "multi-hot labels")
+        raise ShapeError(f"the data has {kinds[labels.ndim == 2]}, but the model "
+                         f"predicts {kinds[model.multilabel]}")
 
 
 # -- history serialization ---------------------------------------------------

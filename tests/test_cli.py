@@ -1,10 +1,12 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from msignn import errors, init_model, load_dataset, save_checkpoint
+from msignn import (build_graph, errors, init_model, load_dataset, save_checkpoint,
+                    save_dataset)
 from msignn.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, OUT_DIR_ENV, main
 
 
@@ -356,6 +358,25 @@ def test_eval_rejects_a_graph_task_checkpoint(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", data)
     assert code == EXIT_DATA
     assert str(ckpt) in err and "graph-task" in err
+
+
+def test_a_multi_hot_model_trains_saves_and_scores_only_multi_hot_labels(tmp_path, capsys):
+    classes, multi_hot = tmp_path / "classes", tmp_path / "multi-hot"
+    run(capsys, "gen-colors", "--chains", "4", "--length", "6", "--out", str(classes))
+    ds = load_dataset(classes)
+    g = ds.graph
+    save_dataset(replace(ds, graph=build_graph(g.adjacency, g.features,
+                                               np.eye(3)[:, g.labels])), multi_hot)
+    out = tmp_path / "run"
+    code, stdout, _ = run(capsys, "train", "--data", str(multi_hot), "--epochs", "2",
+                          "--hidden", "4", "--out", str(out))
+    assert code == EXIT_OK and json.loads(stdout)["metric"] == "micro_f1"
+    ckpt = str(out / "checkpoint.json")
+    code, stdout2, _ = run(capsys, "eval", "--checkpoint", ckpt, "--data", str(multi_hot))
+    assert code == EXIT_OK and json.loads(stdout2)["test"] == json.loads(stdout)["test"]
+    code, _, err = run(capsys, "eval", "--checkpoint", ckpt, "--data", str(classes))
+    assert code == EXIT_DATA
+    assert "the data has class labels, but the model predicts multi-hot labels" in err
 
 
 def test_eval_on_malformed_dataset_is_data_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -405,3 +406,57 @@ def test_load_dataset_requires_boolean_sidecar_flags(tmp_path, key, value):
     (tmp_path / "masks.json").write_text(json.dumps(sidecar))
     with pytest.raises(DataFormatError, match=rf"masks\.json: {key} must be a JSON boolean"):
         load_dataset(tmp_path)
+
+
+# SHA-256 of each generated array, dtype and shape included, recorded from
+# the generators before their loops were vectorized: any change to seeded
+# data, or to the RNG calls that make it, shows here.
+GOLDEN_DIGESTS = {
+    "colors-default": (gen_color_counting, ColorCountingSpec(), {
+        "features": "66190a06ffa3e020b3ed080f07ccc5c9c952e7abc61d2870ccae531fbc87c00d",
+        "labels": "59952d5953d72c3fee31bbef6cdf87c1c2b8aed9b06d37f9b97629f82eacf6f9",
+        "s.data": "bf942e87569341744e12cc59fa1aaa29a701e5dae71b69e1130e496841c9491f",
+        "s.indices": "05ecbcede675d7aa78465aca9cfe3b529a0489711d83266841fe94fb7a700372",
+        "s.indptr": "06da30977328e7ab4ab18cfe182895ca41ec7548574d1c7119ff8d8a5bff4df2",
+        "train_mask": "078bea3577fe110cd64c6989cff7207f3be45f68f7c1ce6ebe343b92549a1333",
+        "val_mask": "419ceb34fc2fdcb17b4c4d7de50f992078ca31458002cf1552e925cc82725c39",
+        "test_mask": "9207fd1aa34d8b04879583de25ab822f5a886443b1c227d3164d55b70615199e",
+    }),
+    "colors-320x30-seed3": (gen_color_counting,
+                            ColorCountingSpec(num_chains=320, length=30, seed=3), {
+        "features": "b89276300de9dfe232280109f306bc07e1272db9f6a1c3c524339b2af733b20f",
+        "labels": "32cd36cd697bf3045f6d6ffe474dd674d3281b98feda041e6134acc2fed527bc",
+        "s.data": "07e88160316f7e88dbac02fcdad5113082c69a83bf2c4a4fd4534269f75b17d9",
+        "s.indices": "96848ff25a3af73b1a98c0cb32f3542bbd7d1df5e837e396c04391197384d24b",
+        "s.indptr": "3cdc3bc3719bb247a541ce6b6d36f537ebbe8bdecfad6be74de4f25da665f833",
+        "train_mask": "2d42e9b60fca77ca0c24069c8e2cac0e037685985a3f48af8875048d4a6da9f2",
+        "val_mask": "91ebeb369fe3fa0dbab15fe368977e95b16012dab3b44d5b344f59a8c2beb24d",
+        "test_mask": "d02abec9c6d1771fda585c81bcf99785c54e231eba8d0e7c805b0301886a9ad7",
+    }),
+    "chains-default": (gen_chains, ChainsSpec(), {
+        "features": "8ef9b92f73f8b811b398b0b269e32c2b08f5609de28b24b57f5c6e13817b3487",
+        "labels": "b955188f0b98a6fe1d3e1915b19ca6ee30d39fb2639e6bc6546c695cf2c09ad4",
+        "s.data": "128e2c581ac0e1f9c0fed9397153c9d23694aaa3fd968608a185ec8045eba6b5",
+        "s.indices": "6c8be8a183bc1916d1725c2752fe7b0b23148c5b5a3e037ea78b237a1f232195",
+        "s.indptr": "f4b56a4f9fbbc4c191961aeacf2c270b8181d0eef41afc5541e5a5309f02f1aa",
+        "train_mask": "e681a2644e0a9ede400071dbbf21227887dc6e61f8ed85ea70355fcfb7b11db0",
+        "val_mask": "f350055f032941e84c61dbe386f493f1824ee29fd0fc5fdbfa1812c8e021d169",
+        "test_mask": "6dfae8ff18400a3e12b8dd5055e056a2017b170924e877dbf6af8694fbddc6bc",
+    }),
+}
+
+
+def _digest(a: np.ndarray) -> str:
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_DIGESTS))
+def test_generated_data_matches_its_golden_digests(name):
+    generate, spec, expected = GOLDEN_DIGESTS[name]
+    ds = generate(spec)
+    g = ds.graph
+    arrays = {"features": g.features, "labels": g.labels, "s.data": g.s.data,
+              "s.indices": g.s.indices, "s.indptr": g.s.indptr,
+              "train_mask": ds.train_mask, "val_mask": ds.val_mask, "test_mask": ds.test_mask}
+    assert {key: _digest(a) for key, a in arrays.items()} == expected

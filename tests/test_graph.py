@@ -349,6 +349,27 @@ def test_s_is_bit_identical_to_the_scipy_formula(drawn):
     assert s.data.tobytes() == expected.data.tobytes()
 
 
+@pytest.mark.parametrize("tiny", [1.0, 5e-324], ids=["kept", "underflows"])
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_s_drops_an_entry_that_underflows_and_owns_its_arrays(directed, tiny):
+    # Edge 0-1 weighs tiny and nodes 0 and 1 each have a 1e300 edge to node 2,
+    # so with tiny = 5e-324 the S entry of 0-1 underflows to 0.
+    a = np.zeros((3, 3))
+    a[0, 1] = a[1, 0] = tiny
+    a[0, 2] = a[2, 0] = a[1, 2] = a[2, 1] = 1e300
+    adjacency = sp.csr_array(a)
+    s = build_graph(adjacency, np.zeros((1, 3)), directed=directed).s
+    expected = _reference_s(adjacency, directed)
+    assert (s.indptr.dtype, s.indices.dtype) == (expected.indptr.dtype, expected.indices.dtype)
+    npt.assert_array_equal(s.indptr, expected.indptr)
+    npt.assert_array_equal(s.indices, expected.indices)
+    assert s.data.tobytes() == expected.data.tobytes()
+    assert (s[0, 1] == 0) == (tiny < 1)
+    for own, given_ in [(s.indices, adjacency.indices), (s.indptr, adjacency.indptr)]:
+        assert not np.shares_memory(own, given_)
+    assert adjacency.indices.flags.writeable and adjacency.indptr.flags.writeable
+
+
 @PROPERTY
 @given(adjacencies(directed=False), st.sampled_from(["none", "ulp", "drop"]),
        st.integers(0, 2**16))

@@ -292,9 +292,29 @@ def test_predict_argmax_and_threshold():
 
     multi = build_graph(g.adjacency, g.features,
                         (rng.random((3, g.n)) < 0.5).astype(float))
-    model_ml = small_model(rng, multi, scales=(1,))
+    model_ml = small_model(rng, multi, scales=(1,), multilabel=True)
     logits = model_ml.forward(multi).logits
     npt.assert_array_equal(model_ml.predict(multi), (logits > 0).astype(int))
+
+
+@pytest.mark.parametrize("multilabel", [False, True], ids=["class", "multi-hot"])
+def test_predict_output_kind_follows_the_model_not_the_data(multilabel):
+    rng = np.random.default_rng(12)
+    g = random_undirected_graph(rng, 5)
+    unlabeled = build_graph(g.adjacency, g.features)
+    multi_hot = build_graph(g.adjacency, g.features, np.eye(2)[:, [0, 1, 1, 0, 1]])
+    model = small_model(rng, g, scales=(1,), multilabel=multilabel)
+    logits = model.forward(g).logits
+    expected = (logits > 0).astype(int) if multilabel else np.argmax(logits, axis=0)
+    for data in (g, unlabeled, multi_hot):  # the same S and features, other labels
+        npt.assert_array_equal(model.predict(data), expected)
+
+
+def test_a_graph_task_cannot_be_multilabel():
+    rng = np.random.default_rng(0)
+    g = random_undirected_graph(rng, 5)
+    with pytest.raises(ValueError, match="a graph task .* cannot be multilabel"):
+        small_model(rng, g, task="graph", multilabel=True)
 
 
 def test_predict_from_a_trace_matches_and_rejects_another_inputs_trace():
@@ -337,7 +357,7 @@ def test_checkpoint_round_trip_exact(tmp_path):
     assert orig.keys() == back.keys()
     for name in orig:
         npt.assert_array_equal(orig[name], back[name], err_msg=name)
-    assert restored.task == model.task
+    assert restored.task == model.task and not restored.multilabel
     assert [m.scale_m for m in restored.scales] == [1, 3]
     assert restored.solver_cfg == model.solver_cfg
     npt.assert_array_equal(restored.forward(g).logits, model.forward(g).logits)
@@ -383,6 +403,30 @@ def test_checkpoint_rejects_repeated_scales(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="pairwise distinct"):
         load_checkpoint(path)
+
+
+def test_checkpoint_round_trips_the_label_kind(tmp_path):
+    rng = np.random.default_rng(16)
+    g = random_undirected_graph(rng, 5)
+    model = small_model(rng, g, scales=(1,), multilabel=True)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(model, path)
+    payload = json.loads(path.read_text())
+    assert payload["config"]["multilabel"] is True
+    restored = load_checkpoint(path)
+    assert restored.multilabel
+    npt.assert_array_equal(restored.predict(g), model.predict(g))
+    assert restored.predict(g).shape == (g.num_classes, g.n)
+
+    del payload["config"]["multilabel"]  # a file from before the field
+    path.write_text(json.dumps(payload))
+    assert not load_checkpoint(path).multilabel
+
+    payload["config"].update(task="graph", multilabel=True)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="cannot be multilabel") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
 
 
 def test_checkpoint_rejects_params_its_config_does_not_imply(tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -7,8 +8,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from msignn import numerics
+from msignn import build_graph, numerics
 from msignn.errors import ShapeError
 
 
@@ -134,6 +137,21 @@ def test_build_graph_rejects_non_monotone_indptr():
     assert all(line.startswith("ShapeError corrupt CSR") for line in lines), lines
 
 
+def test_build_graph_rejects_a_decreasing_indptr_that_ends_at_zero():
+    # scipy's full check scans indptr only when indptr[-1] > 0; unchecked,
+    # these raised RuntimeError or a bare ValueError, or built an empty graph.
+    lines = _build_graph_apart("""
+def raw(indptr, indices, n):
+    a = sp.csr_array(np.eye(n))
+    a.indptr, a.indices = np.array(indptr, dtype=np.int32), np.array(indices, dtype=np.int32)
+    a.data = np.ones(len(indices))
+    return a
+cases = [raw([0, 2, 0], [0, 1], 2), raw([0, 3, 0], [], 2), raw([0, -1, 0], [], 2)]
+""")
+    assert lines == ["ShapeError corrupt CSR: index pointer must be a non-decreasing "
+                     "sequence"] * 3, lines
+
+
 def test_build_graph_rejects_corrupt_csc_bsr_and_coo():
     lines = _build_graph_apart("""
 csc = sp.csc_array(np.eye(3))
@@ -214,3 +232,88 @@ def test_as_csr_leaves_input_unchanged():
     npt.assert_array_equal(a.data, data)
     npt.assert_array_equal(out.indices, [0, 2])
     npt.assert_array_equal(out.toarray(), a.toarray())
+
+
+@st.composite
+def raw_compressed(draw):
+    """A CSR, CSC or BSR array over drawn index arrays, sound or damaged once.
+
+    ``indptr`` is drawn as cumulative counts and ``indices`` within range;
+    then one kind of damage, or none, is applied.
+    """
+    fmt = draw(st.sampled_from(["csr", "csc", "bsr"]))
+    major, minor = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    block = (draw(st.integers(1, 2)), draw(st.integers(1, 2))) if fmt == "bsr" else (1, 1)
+    damage = draw(st.sampled_from(["none", "shift", "swap", "indptr-length", "index-range",
+                                   "indices-length", "data-length", "data-rank"]))
+    indptr = np.cumsum([0] + draw(st.lists(st.integers(0, 3), min_size=major,
+                                           max_size=major)))
+    if damage == "shift":
+        indptr[draw(st.integers(0, major))] += draw(st.sampled_from([-3, -2, -1, 1, 2]))
+    elif damage == "swap" and major >= 2:
+        i = draw(st.integers(1, major - 1))
+        indptr[[i, i + 1]] = indptr[[i + 1, i]]
+    elif damage == "indptr-length":
+        indptr = indptr[:-1] if draw(st.booleans()) else np.append(indptr, indptr[-1])
+    size = max(int(indptr[-1]), 0) if len(indptr) else 0
+    if damage == "indices-length":
+        size = max(size + draw(st.sampled_from([-1, 1])), 0)
+    low, high = (-1, minor) if damage == "index-range" else (0, max(minor - 1, 0))
+    indices = np.array(draw(st.lists(st.integers(low, high), min_size=size,
+                                     max_size=size)), dtype=np.int64)
+    stored = len(indices)
+    if damage == "data-length":
+        stored = max(stored + draw(st.sampled_from([-1, 1])), 0)
+    data = np.ones((stored,) + (block if fmt == "bsr" else ()))
+    if damage == "data-rank":
+        data = data.reshape(-1) if fmt == "bsr" else data[:, None]
+    shape = (major * block[0], minor * block[1]) if fmt != "csc" else (minor, major)
+    if fmt == "bsr":
+        a = sp.bsr_array((np.zeros((0,) + block), np.zeros(0, dtype=np.int32),
+                          np.zeros(major + 1, dtype=np.int32)), shape=shape)
+    else:
+        a = sp.csr_array(shape) if fmt == "csr" else sp.csc_array(shape)
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    a.indptr, a.indices, a.data = indptr.astype(dtype), indices.astype(dtype), data
+    return a
+
+
+def _raises(check, a) -> bool:
+    try:
+        check(a)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(raw_compressed())
+@example(_raw_csr([0, 2, 0], [0, 1], (2, 2)))
+@example(_raw_csr([0, 5, 2, 3], [2, 1, 0], (3, 3)))
+@example(_raw_csr([0, 1, 2, 3], [0, -1, 2], (3, 3)))
+def test_compressed_check_raises_where_scipys_full_check_does(a):
+    """``_check_compressed`` raises exactly where ``check_format(full_check=True)``
+    does on a copy, and also on a decreasing ``indptr`` that scipy's check
+    leaves unscanned because it ends at or below 0."""
+    scipy_raises = _raises(lambda x: copy.copy(x).check_format(full_check=True), a)
+    decreasing = a.indptr.ndim == 1 and bool(np.any(np.diff(a.indptr) < 0))
+    assert _raises(numerics._check_compressed, a) == (scipy_raises or decreasing)
+
+
+@pytest.mark.parametrize("fmt", ["csr", "csc", "bsr"])
+def test_as_csr_never_runs_scipys_full_check(monkeypatch, fmt):
+    checks = []
+    for cls in (sp._compressed._cs_matrix, sp._bsr._bsr_base):
+        def spy(self, full_check=True, _check=cls.check_format):
+            checks.append(full_check)
+            return _check(self, full_check=full_check)
+        monkeypatch.setattr(cls, "check_format", spy)
+    a = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]])).asformat(fmt)
+    checks.clear()
+    build_graph(a, np.ones((1, 2)))
+    assert checks and not any(checks)  # scipy's constructors run the cheap check
+
+
+def test_as_csr_rejects_a_matrix_that_is_not_2d():
+    with pytest.raises(ShapeError, match="expected a 2-D matrix, got ndim=1"):
+        numerics.as_csr(sp.csr_array(np.ones(3)))

@@ -357,13 +357,33 @@ def _three_colors(kind):
 def test_labels_naming_a_class_the_model_lacks_are_named_before_any_epoch(
         monkeypatch, kind, shown):
     ds = _three_colors(kind)
-    model = init_model(np.random.default_rng(0), ds.graph.feature_dim, 4, 2)
+    model = init_model(np.random.default_rng(0), ds.graph.feature_dim, 4, 2,
+                       multilabel=kind == "multi-hot")
     forwards = []
     monkeypatch.setattr(MultiscaleImplicitGNN, "forward",
                         lambda *args, **kwargs: forwards.append(args))
     with pytest.raises(ShapeError, match=f"^{shown}$"):
         train_loop(model, ds, TrainConfig(epochs=3))
     assert forwards == []
+
+
+@pytest.mark.parametrize("kind, shown", [
+    ("class", "the data has class labels, but the model predicts multi-hot labels"),
+    ("multi-hot", "the data has multi-hot labels, but the model predicts class labels")],
+    ids=["class", "multi-hot"])
+def test_labels_of_the_other_kind_are_named_before_any_epoch(monkeypatch, kind, shown):
+    ds = _three_colors(kind)
+    model = init_model(np.random.default_rng(0), ds.graph.feature_dim, 4, 3,
+                       multilabel=kind == "class")
+    forwards = []
+    monkeypatch.setattr(MultiscaleImplicitGNN, "forward",
+                        lambda *args, **kwargs: forwards.append(args))
+    with pytest.raises(ShapeError, match=f"^{shown}$"):
+        train_loop(model, ds, TrainConfig(epochs=3))
+    assert forwards == []
+    g = ds.graph
+    with pytest.raises(ShapeError, match=f"^{shown}$"):
+        evaluate(model, g, g.labels, [ds.train_mask])
 
 
 def test_graph_labels_naming_a_class_the_model_lacks_are_named_before_any_epoch():
@@ -492,7 +512,8 @@ def test_reused_evaluation_forward_trains_bit_identically(multi_hot):
 
     def make_model():
         return init_model(np.random.default_rng(5), ds.graph.feature_dim, 6,
-                          ds.graph.num_classes, scale_exponents=(1, 3), gamma=0.9)
+                          ds.graph.num_classes, scale_exponents=(1, 3), gamma=0.9,
+                          multilabel=multi_hot)
 
     model = make_model()
     history = train_loop(model, ds, cfg)
