@@ -30,7 +30,7 @@ import numpy as np
 
 from . import datasets, probe, train
 from .equilibrium import ScaleModule, SolverConfig
-from .errors import DivergenceError
+from .errors import DivergenceError, ShapeError
 from .jsonio import read_json, write_json
 from .model import init_model, load_checkpoint, save_checkpoint
 
@@ -240,6 +240,11 @@ def _cmd_eval(cfg) -> int:
         raise ValueError(f"{cfg['checkpoint']}: checkpoint of a {model.task}-task model; "
                          "eval scores node-task models on a dataset's node masks")
     data = datasets.load_dataset(cfg["data"])
+    if (data.graph.multilabel and not model.multilabel
+            and "multilabel" not in read_json(cfg["checkpoint"], "object")["config"]):
+        raise ShapeError(f"{cfg['checkpoint']}: the data has multi-hot labels, but the "
+                         "checkpoint predates its \"multilabel\" field and loads as a "
+                         "class-label model; re-save it from a model made with multilabel=True")
     metrics = _node_metrics(model, data)
     print(json.dumps(metrics, sort_keys=True))
     return EXIT_OK

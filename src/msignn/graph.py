@@ -270,10 +270,7 @@ def _normalize(indptr, indices, data, rows, directed: bool) -> sp.csr_array:
     # Each stored entry a_ij is scaled by left_i * right_j, the arithmetic of
     # the products with two diagonal matrices; an entry that underflows goes.
     data = data * left[rows] * right[indices]
-    if data.all():  # S still takes index arrays of its own, of the indices' dtype
-        indptr, indices = indptr.astype(indices.dtype), indices.copy()
-    else:
-        indptr, indices, data = _kept(indptr, indices, data, data != 0)
+    indptr, indices, data = _kept(indptr, indices, data, data != 0)
     return _read_only(sp.csr_array((data, indices, indptr), shape=(n, n)))
 
 

@@ -379,6 +379,27 @@ def test_a_multi_hot_model_trains_saves_and_scores_only_multi_hot_labels(tmp_pat
     assert "the data has class labels, but the model predicts multi-hot labels" in err
 
 
+def test_eval_names_a_multi_hot_checkpoint_that_predates_its_label_kind(tmp_path, capsys):
+    classes, multi_hot = tmp_path / "classes", tmp_path / "multi-hot"
+    run(capsys, "gen-colors", "--chains", "4", "--length", "6", "--out", str(classes))
+    ds = load_dataset(classes)
+    g = ds.graph
+    save_dataset(replace(ds, graph=build_graph(g.adjacency, g.features,
+                                               np.eye(3)[:, g.labels])), multi_hot)
+    out = tmp_path / "run"
+    run(capsys, "train", "--data", str(multi_hot), "--epochs", "0", "--hidden", "4",
+        "--out", str(out))
+    ckpt = out / "checkpoint.json"
+    payload = json.loads(ckpt.read_text())
+    del payload["config"]["multilabel"]  # as written before the field was recorded
+    ckpt.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(multi_hot))
+    assert code == EXIT_DATA
+    assert "predates its \"multilabel\" field" in err
+    code, stdout, _ = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(classes))
+    assert code == EXIT_OK and json.loads(stdout)["metric"] == "accuracy"
+
+
 def test_eval_on_malformed_dataset_is_data_error(tmp_path, capsys):
     data = tmp_path / "data"
     run(capsys, "gen-chains", "--length", "3", "--out", str(data))
