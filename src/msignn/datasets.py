@@ -49,7 +49,7 @@ SPLIT_MIN_NODES = 3  # the fewest nodes whose split gives train, val and test a 
 
 @dataclass(frozen=True)
 class Dataset:
-    """A node-task dataset: graph plus disjoint train/val/test node masks.
+    """A node-task dataset: a labelled graph plus disjoint train/val/test node masks.
 
     Each mask must hold one entry per node, and no node may be in two.
     """
@@ -61,6 +61,9 @@ class Dataset:
     spec_echo: dict
 
     def __post_init__(self):
+        if self.graph.labels is None:
+            raise ValueError("a node-task dataset needs a graph with labels, got one "
+                             "without")
         _check_masks(self, self.graph.n, "node")
 
 

@@ -62,6 +62,7 @@ cross-check for tests.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +91,7 @@ class ScaleModule:
         object.__setattr__(self, "f_weight", f)
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
+        _set_integer(self, "scale_m")
         if self.scale_m < 1:
             raise ValueError(f"scale exponent must be >= 1, got {self.scale_m}")
         if not 0.0 < self.eps_f < np.inf:
@@ -108,8 +110,21 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        _set_integer(self, "max_iters")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+
+
+def _set_integer(settings, name: str) -> None:
+    """Require the field ``name`` to be an integer, not a bool, and store it as an int.
+
+    numpy integers pass, so a value drawn with numpy is stored as the JSON
+    number a checkpoint records.
+    """
+    value = getattr(settings, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    object.__setattr__(settings, name, int(value))
 
 
 @dataclass(frozen=True)

@@ -374,7 +374,7 @@ def init_model(rng, feature_dim: int, hidden_dim: int, num_classes: int,
     biases = [np.zeros(dims[i + 1]) for i in range(encoder_layers)] if encoder_bias else None
     encoder = MlpEncoder(weights, biases, dropout_rate=dropout)
     scales = [ScaleModule(f_weight=glorot_uniform(rng, hidden_dim, hidden_dim, gain=0.5),
-                          gamma=gamma, scale_m=int(m), eps_f=eps_f)
+                          gamma=gamma, scale_m=m, eps_f=eps_f)
               for m in scale_exponents]
     q_limit = np.sqrt(6.0 / (hidden_dim + 1))
     attention = AttentionParams(

@@ -4,8 +4,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import settings
+from hypothesis import strategies as st
 
-from msignn import SolverConfig, build_graph, equilibrium, forward_solve
+from msignn import (EquilibriumResult, SolverConfig, build_graph, equilibrium,
+                    forward_solve)
+
+# Property tests draw the same examples on every run and keep no example
+# database; a test's own ``settings`` sets only how many it draws.
+settings.register_profile("msignn", deadline=None, derandomize=True, database=None)
+settings.load_profile("msignn")
 
 
 def random_undirected_graph(rng, n, density=0.3, feat_dim=3, num_classes=2):
@@ -18,22 +26,71 @@ def random_undirected_graph(rng, n, density=0.3, feat_dim=3, num_classes=2):
     return build_graph(sp.csr_array(a), features, labels, directed=False)
 
 
-def random_normalized_csr(rng, n, density=0.3):
-    """Symmetric-normalized random adjacency (spectral norm <= 1)."""
-    a = (rng.random((n, n)) < density).astype(float)
-    a = np.maximum(a, a.T)
-    np.fill_diagonal(a, 0.0)
-    return build_graph(sp.csr_array(a), np.zeros((1, n)), directed=False).s
+def undirected_graph(seed, sizes, density=0.5):
+    """An undirected graph whose nodes fall into components of the given sizes.
+
+    Each component is a random graph on its nodes (so it may split further;
+    a size-1 component is an isolated node), and node ids are shuffled, so
+    components are not contiguous ranges. ``seed`` may be a Generator,
+    whose draws it then advances.
+    """
+    rng = np.random.default_rng(seed)
+    a = _upper_blocks(rng, sizes, density)
+    return _shuffled(rng, a + a.T, directed=False)
 
 
-def random_directed_csr(rng, n, density=0.4):
-    """Degree-normalized random directed adjacency with the edge 0 -> 1 but not 1 -> 0."""
-    a = (rng.random((n, n)) < density).astype(float)
-    np.fill_diagonal(a, 0.0)
-    a[0, 1], a[1, 0] = 1.0, 0.0
-    s = build_graph(sp.csr_array(a), np.zeros((1, n)), directed=True).s
-    assert (s != s.T).nnz > 0
-    return s
+def directed_graph(seed, sizes, density=0.5, cyclic=False):
+    """A directed graph on components of the given sizes and one isolated node.
+
+    In each component, node i links to each later node with probability
+    ``density``, so the graph is acyclic, with sources and sinks; a size-1
+    component is an isolated node. The first component is widened to three
+    nodes if smaller and holds the path 0 -> 1 -> 2, which ``cyclic``
+    closes with 2 -> 0. No edge on it is reversed, so S is not symmetric.
+    Node ids are shuffled.
+    """
+    rng = np.random.default_rng(seed)
+    a = _upper_blocks(rng, [max(sizes[0], 3), *sizes[1:], 1], density)
+    a[0, 1] = a[1, 2] = 1.0
+    if cyclic:
+        a[2, 0], a[0, 2] = 1.0, 0.0
+    return _shuffled(rng, a, directed=True)
+
+
+def _upper_blocks(rng, sizes, density):
+    """A block-diagonal 0/1 matrix, each block strictly upper-triangular."""
+    a = np.zeros((sum(sizes), sum(sizes)))
+    start = 0
+    for k in sizes:
+        a[start:start + k, start:start + k] = np.triu(rng.random((k, k)) < density, 1)
+        start += k
+    return a
+
+
+def _shuffled(rng, a, directed):
+    perm = rng.permutation(a.shape[0])
+    return build_graph(sp.csr_array(a[np.ix_(perm, perm)]),
+                       rng.standard_normal((2, a.shape[0])), directed=directed)
+
+
+seeds = st.integers(0, 2**32 - 1)
+# The arguments of ``undirected_graph`` and ``directed_graph``: a seed,
+# component sizes and an edge density.
+graph_specs = st.tuples(seeds, st.lists(st.integers(1, 7), min_size=1, max_size=5),
+                        st.floats(0.0, 1.0))
+undirected_graphs = graph_specs.map(lambda spec: undirected_graph(*spec))
+# F -> 0 covers g(F) = 0 and the eps-dominated regime of g.
+f_scales = st.sampled_from([0.0, 1e-9, 1e-3, 0.3, 1.0, 3.0])
+
+
+def rel_error(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def hopping_result(z_star):
+    """A forward result holding only Z*, so ``weight_gradient`` hops from it."""
+    return EquilibriumResult(z_star=z_star, iterations=0, residual=0.0, converged=True,
+                             path="picard")
 
 
 def picard_steps(module, injected, s, count):

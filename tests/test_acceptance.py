@@ -12,7 +12,6 @@ minute on a 2-vCPU VM.
 import time
 
 import numpy as np
-import pytest
 
 from msignn import (ChainsSpec, ColorCountingSpec, ScaleModule, SolverConfig,
                     TrainConfig, accuracy, batch, empirical_range, forward_solve,
@@ -24,8 +23,7 @@ from msignn.graph import build_graph
 from msignn.model import MlpEncoder, MultiscaleImplicitGNN, glorot_uniform
 from msignn.train import cross_entropy
 
-from conftest import (counting_hops, picard_steps, random_normalized_csr,
-                      random_undirected_graph)
+from conftest import counting_hops, picard_steps, random_undirected_graph, undirected_graph
 
 import scipy.sparse as sp
 
@@ -172,7 +170,7 @@ def test_criterion_5_oracle_equivalence():
         n = int(rng.integers(4, 13))
         h = int(rng.integers(4, 9))
         gamma = (0.5, 0.8, 0.95)[trial % 3]
-        s = random_normalized_csr(rng, n)
+        s = undirected_graph(rng, [n]).s
         module = ScaleModule(f_weight=rng.standard_normal((h, h)) * 0.5,
                              gamma=gamma, scale_m=int(rng.integers(1, 4)))
         injected = rng.standard_normal((h, n))

@@ -1,13 +1,14 @@
-"""The closed-form solves on undirected S against Picard and the oracle.
+"""The spectrum of undirected S and what only the closed form has.
 
-``build_graph`` gives the S of an undirected graph a spectrum, so
-``forward_solve`` and ``adjoint_solve`` on it take the closed form. A plain
-``sp.csr_array`` copy of the same S has none, so the same call on the copy
-runs Picard iteration: the solve properties below compare the two paths
-on one matrix, and both against the dense Kronecker oracle.
+``build_graph`` gives the S of an undirected graph a spectrum, one
+eigendecomposition per connected component, so ``forward_solve`` and
+``adjoint_solve`` on it take the closed form. These tests cover that
+kernel's own properties: batches solve like their members, component
+labels, the spectrum's reassembly, caching and read-only arrays, the cap
+on component size, a wrong spectrum, and the residual bound. Its
+agreement with Picard and the oracle, and that of every other solve
+path, is checked in ``test_solve_matrix``.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -18,43 +19,16 @@ from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
 from msignn import (Graph, ScaleModule, SolverConfig, adjoint_solve, batch, build_graph,
-                    forward_solve, normalized_gram, oracle_solve, weight_gradient)
+                    forward_solve, normalized_gram, oracle_solve)
 from msignn import graph as graph_mod
 from msignn.graph import component_labels, spectrum
 
-from conftest import counting_hops
+from conftest import (counting_hops, f_scales, rel_error, seeds, undirected_graph,
+                      undirected_graphs)
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=40)
 # Picard stops on the step size; its error is up to tol / (1 - contraction).
 PICARD = SolverConfig(tol=1e-12, max_iters=20000)
-
-
-def _random_graph(seed, sizes, density):
-    """An undirected graph whose nodes fall into components of the given sizes.
-
-    Each component is a random graph on its nodes (so it may split further;
-    a size-1 component is an isolated node), and node ids are shuffled, so
-    components are not contiguous ranges.
-    """
-    rng = np.random.default_rng(seed)
-    n = sum(sizes)
-    a = np.zeros((n, n))
-    start = 0
-    for k in sizes:
-        block = (rng.random((k, k)) < density).astype(float)
-        block = np.triu(block, 1)
-        a[start:start + k, start:start + k] = block + block.T
-        start += k
-    perm = rng.permutation(n)
-    a = a[np.ix_(perm, perm)]
-    return build_graph(sp.csr_array(a), rng.standard_normal((2, n)))
-
-
-graphs = st.builds(_random_graph, st.integers(0, 2**32 - 1),
-                   st.lists(st.integers(1, 7), min_size=1, max_size=5),
-                   st.floats(0.0, 1.0))
-# F -> 0 covers g(F) = 0 and the eps-dominated regime of g.
-f_scales = st.sampled_from([0.0, 1e-9, 1e-3, 0.3, 1.0, 3.0])
 
 
 def _module(seed, h, f_scale, gamma, m):
@@ -63,40 +37,8 @@ def _module(seed, h, f_scale, gamma, m):
                        scale_m=m)
 
 
-modules = st.builds(_module, st.integers(0, 2**32 - 1), st.integers(1, 5), f_scales,
-                    st.floats(0.01, 0.99), st.integers(1, 8))
-
-
-def _rel(a, b):
-    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
-
-
-@PROPERTY
-@given(graphs, modules, st.integers(0, 2**32 - 1))
-def test_forward_closed_form_matches_picard_and_oracle(g, module, seed):
-    injected = np.random.default_rng(seed).standard_normal((module.hidden_dim, g.n))
-    with counting_hops() as hops:
-        closed = forward_solve(module, injected, g.s)
-    assert closed.iterations == 0 and closed.converged and hops.calls == 0
-    assert closed.path == "closed form"
-    assert closed.residual <= 1e-13
-    picard = forward_solve(module, injected, sp.csr_array(g.s), PICARD)
-    assert picard.converged and picard.iterations >= 1
-    exact = oracle_solve(module, injected, g.s)
-    assert _rel(closed.z_star, exact) <= 1e-11
-    assert _rel(closed.z_star, picard.z_star) <= 10 * PICARD.tol / (1 - module.gamma)
-
-
-@PROPERTY
-@given(graphs, modules, st.integers(0, 2**32 - 1))
-def test_adjoint_closed_form_matches_picard_and_oracle(g, module, seed):
-    grad = np.random.default_rng(seed).standard_normal((module.hidden_dim, g.n))
-    closed = adjoint_solve(module, g.s, grad)
-    picard = adjoint_solve(module, sp.csr_array(g.s), grad, PICARD)
-    # U = gamma g U (S^m)^T + grad is the forward equation on S^T.
-    exact = oracle_solve(module, grad, sp.csr_array(g.s.T))
-    assert _rel(closed, exact) <= 1e-11
-    assert _rel(closed, picard) <= 10 * PICARD.tol / (1 - module.gamma)
+modules = st.builds(_module, seeds, st.integers(1, 5), f_scales, st.floats(0.01, 0.99),
+                    st.integers(1, 8))
 
 
 def _assert_blocks_equal(blocks, expected):
@@ -107,9 +49,8 @@ def _assert_blocks_equal(blocks, expected):
 
 
 @PROPERTY
-@given(st.lists(graphs, min_size=1, max_size=4), st.lists(st.booleans(), min_size=4,
-                                                          max_size=4),
-       st.booleans(), modules, st.integers(0, 2**32 - 1))
+@given(st.lists(undirected_graphs, min_size=1, max_size=4),
+       st.lists(st.booleans(), min_size=4, max_size=4), st.booleans(), modules, seeds)
 def test_batch_solves_like_its_members_alone(members, decomposed, repeat, module, seed):
     # Members have several components of mixed sizes. Some are decomposed
     # before the batch is made and the rest are pending; one may appear twice.
@@ -142,7 +83,7 @@ def test_batch_solves_like_its_members_alone(members, decomposed, repeat, module
 
 
 @PROPERTY
-@given(graphs)
+@given(undirected_graphs)
 def test_component_labels_match_scipy(g):
     # On S (self-loops on every row) and on the raw adjacency, whose rows
     # are empty at isolated nodes.
@@ -156,7 +97,7 @@ def test_component_labels_match_scipy(g):
 
 
 @PROPERTY
-@given(graphs)
+@given(undirected_graphs)
 def test_spectrum_reassembles_s(g):
     dense = np.zeros((g.n, g.n))
     covered = []
@@ -166,45 +107,6 @@ def test_spectrum_reassembles_s(g):
             covered.extend(nodes)
     assert sorted(covered) == list(range(g.n))
     npt.assert_allclose(dense, g.s.toarray(), atol=1e-13)
-
-
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(graphs, st.integers(0, 2**32 - 1), st.integers(1, 3), f_scales,
-       st.floats(0.05, 0.9), st.integers(1, 8), st.booleans())
-def test_weight_gradient_matches_finite_differences_on_both_paths(g, seed, h, f_scale,
-                                                                  gamma, m, picard):
-    # loss(F) = <R, Z*(F)>, checked against central differences
-    rng = np.random.default_rng(seed)
-    s = sp.csr_array(g.s) if picard else g.s
-    injected = rng.standard_normal((h, g.n))
-    r = rng.standard_normal((h, g.n))
-    f = f_scale * rng.standard_normal((h, h))
-    # Picard stops on its step, so it is asked for 1e-14. The closed form's
-    # answer does not depend on tol, which must only lie above its residual
-    # bound (up to ~3e-14 on these graphs), or the solve goes on as Picard.
-    cfg = SolverConfig(tol=1e-14 if picard else 1e-12, max_iters=20000)
-
-    def solve(f_mat):
-        return forward_solve(ScaleModule(f_weight=f_mat, gamma=gamma, scale_m=m),
-                             injected, s, cfg)
-
-    module = ScaleModule(f_weight=f, gamma=gamma, scale_m=m)
-    with counting_hops() as hops:
-        z = solve(f)
-        analytic = weight_gradient(module, adjoint_solve(module, s, r, cfg), z, s)
-    assert z.path == ("picard" if picard else "closed form")
-    assert (hops.calls == 0) != picard
-    # g(F) bends on the scale of F, so the step shrinks with F to keep the
-    # differences' truncation error below rtol; its floor bounds rounding.
-    step = 1e-5 * min(1.0, max(f_scale, 1e-2))
-    numeric = np.zeros_like(f)
-    for i in range(h):
-        for j in range(h):
-            fp = f.copy(); fp[i, j] += step
-            fm = f.copy(); fm[i, j] -= step
-            numeric[i, j] = (np.sum(r * solve(fp).z_star)
-                             - np.sum(r * solve(fm).z_star)) / (2 * step)
-    npt.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
 
 
 def test_plain_copies_and_directed_graphs_have_no_spectrum():
@@ -227,7 +129,7 @@ def test_plain_copies_and_directed_graphs_have_no_spectrum():
     res = forward_solve(module, injected, mixed.s, PICARD)
     assert res.iterations > 1 and res.converged
     assert res.path == "picard"
-    assert _rel(res.z_star, oracle_solve(module, injected, mixed.s)) <= 1e-9
+    assert rel_error(res.z_star, oracle_solve(module, injected, mixed.s)) <= 1e-9
 
 
 def test_spectrum_is_lazy_cached_and_never_decomposed_per_batch(monkeypatch):
@@ -236,7 +138,7 @@ def test_spectrum_is_lazy_cached_and_never_decomposed_per_batch(monkeypatch):
     monkeypatch.setattr(graph_mod, "_decompose",
                         lambda s: calls.append(s.shape[0]) or decompose(s))
     rng = np.random.default_rng(0)
-    members = [_random_graph(int(seed), [3, 4, 1], 0.6) for seed in rng.integers(0, 99, 4)]
+    members = [undirected_graph(int(seed), [3, 4, 1], 0.6) for seed in rng.integers(0, 99, 4)]
     assert calls == []
     spectrum(members[0].s)
     spectrum(members[0].s)
@@ -259,22 +161,11 @@ def test_spectrum_is_lazy_cached_and_never_decomposed_per_batch(monkeypatch):
 def test_component_above_the_cap_falls_back_to_picard(monkeypatch):
     monkeypatch.setattr(graph_mod, "SPECTRUM_MAX_COMPONENT", 4)
     module = ScaleModule(f_weight=np.eye(3), gamma=0.9, scale_m=2)
-    # complete components, one per size; a batch with a member above the cap
-    # has no spectrum either
-    small, large = _random_graph(1, [4, 4, 2], 1.0), _random_graph(1, [5, 1], 1.0)
-    for g, closed in ((small, True), (large, False), (batch([small, large]), False)):
-        injected = np.random.default_rng(2).standard_normal((3, g.n))
-        assert (spectrum(g.s) is not None) == closed
-        with counting_hops() as hops:
-            res = forward_solve(module, injected, g.s, SolverConfig(tol=1e-12, max_iters=5000))
-        assert (res.iterations == 0) == closed == (hops.calls == 0) and res.converged
-        assert res.path == ("closed form" if closed else "picard")
-        assert _rel(res.z_star, oracle_solve(module, injected, g.s)) <= 1e-9
     # Pending members under the cap batched with one above it: the batch's
     # decomposition fails, so the small members stay pending, and on first
     # use each gets the spectrum it would have had alone.
-    pending = [_random_graph(seed, [4, 2, 3], 1.0) for seed in (5, 6)]
-    merged = batch(pending + [_random_graph(7, [5], 1.0)])
+    pending = [undirected_graph(seed, [4, 2, 3], 1.0) for seed in (5, 6)]
+    merged = batch(pending + [undirected_graph(7, [5], 1.0)])
     assert spectrum(merged.s) is None
     for g in pending:
         assert getattr(g.s, graph_mod._SPECTRUM) is graph_mod._PENDING
@@ -283,7 +174,7 @@ def test_component_above_the_cap_falls_back_to_picard(monkeypatch):
     res = forward_solve(module, injected, merged.s, SolverConfig(tol=1e-12, max_iters=5000))
     assert res.iterations > 1 and res.converged
     assert res.path == "picard"
-    assert _rel(res.z_star, oracle_solve(module, injected, merged.s)) <= 1e-9
+    assert rel_error(res.z_star, oracle_solve(module, injected, merged.s)) <= 1e-9
 
 
 def test_a_wrong_closed_form_continues_as_picard(monkeypatch):
@@ -296,7 +187,7 @@ def test_a_wrong_closed_form_continues_as_picard(monkeypatch):
         values, vectors = eigh(a)
         return values / 2, vectors
 
-    g = _random_graph(3, [5, 3], 0.7)
+    g = undirected_graph(3, [5, 3], 0.7)
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "eigh", halved)
         blocks = spectrum(g.s)
@@ -306,7 +197,7 @@ def test_a_wrong_closed_form_continues_as_picard(monkeypatch):
     res = forward_solve(module, injected, g.s, SolverConfig(tol=1e-10, max_iters=2000))
     assert res.path == "picard" and res.converged and res.iterations > 0
     assert res.coefficients is None
-    assert _rel(res.z_star, oracle_solve(module, injected, g.s)) <= 1e-8
+    assert rel_error(res.z_star, oracle_solve(module, injected, g.s)) <= 1e-8
     stalled = forward_solve(module, injected, g.s, SolverConfig(tol=1e-10, max_iters=2))
     assert not stalled.converged and stalled.iterations == 2
 
@@ -315,14 +206,13 @@ def _true_residual(module, z, injected, s):
     """||gamma g(F) Z S^m + H - Z||_F / ||Z||_F, from a dense S^m."""
     s_m = np.linalg.matrix_power(s.toarray(), module.scale_m)
     g = normalized_gram(module.f_weight, module.eps_f)
-    mapped = module.gamma * (g @ z @ s_m) + injected
-    return np.linalg.norm(mapped - z) / max(np.linalg.norm(z), 1e-300)
+    return rel_error(module.gamma * (g @ z @ s_m) + injected, z)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(graphs, st.builds(_module, st.integers(0, 2**32 - 1), st.integers(1, 5), f_scales,
-                         st.floats(0.01, 0.99), st.sampled_from([1, 2, 4, 8])),
-       st.integers(0, 2**32 - 1))
+@settings(max_examples=100)
+@given(undirected_graphs, st.builds(_module, seeds, st.integers(1, 5), f_scales,
+                                   st.floats(0.01, 0.99), st.sampled_from([1, 2, 4, 8])),
+       seeds)
 def test_the_closed_form_reports_a_bound_on_its_true_residual(g, module, seed):
     # The reported residual bounds the true one, recomputed here from Z*
     # alone, and certifies the default tol.
@@ -331,32 +221,6 @@ def test_the_closed_form_reports_a_bound_on_its_true_residual(g, module, seed):
     assert res.path == "closed form"
     assert _true_residual(module, res.z_star, injected, g.s) <= res.residual
     assert res.residual <= SolverConfig().tol
-
-
-@pytest.mark.parametrize("m", [1, 4, 8])
-def test_hop_free_weight_gradient_matches_the_hop_path(monkeypatch, m):
-    # The same graph built twice: once with a spectrum (closed-form solves and
-    # the hop-free gradient) and once with the spectrum cap below its
-    # components (Picard solves and Z* hopped m times). Picard, asked for
-    # 1e-14, stops within tol/(1 - gamma) ~ 3e-14 of Z* and U, so the
-    # gradients agree to 1e-12.
-    rng = np.random.default_rng(30 + m)
-    a = _random_graph(m, [6, 4, 3, 1], 0.6).adjacency
-    injected, r = rng.standard_normal((2, 3, 14))
-    module = ScaleModule(f_weight=rng.standard_normal((3, 3)), gamma=0.7, scale_m=m)
-    gradients = []
-    for cap, tol in ((graph_mod.SPECTRUM_MAX_COMPONENT, 1e-12), (1, 1e-14)):
-        cfg = SolverConfig(tol=tol, max_iters=20000)
-        monkeypatch.setattr(graph_mod, "SPECTRUM_MAX_COMPONENT", cap)
-        s = build_graph(a, np.zeros((1, 14))).s
-        z = forward_solve(module, injected, s, cfg)
-        assert z.path == ("closed form" if cap > 1 else "picard")
-        u = adjoint_solve(module, s, r, cfg)
-        gradients.append(weight_gradient(module, u, z, s))
-        if cap > 1:  # from the same Z*, the two ways of forming Z* S^m agree to rounding
-            hopped = replace(z, basis=None, coefficients=None)
-            assert _rel(weight_gradient(module, u, hopped, s), gradients[0]) <= 1e-14
-    assert _rel(*gradients) <= 1e-12
 
 
 def _writes(array):
@@ -368,7 +232,7 @@ def test_s_and_its_spectrum_are_read_only():
     # What the spectrum was measured on, and the spectrum itself, cannot be
     # changed in place: a graph's S, a batch's S, a graph's blocks and the
     # blocks a batch stacks from its decomposed members.
-    members = [_random_graph(seed, [3, 2], 0.8) for seed in (1, 2)]
+    members = [undirected_graph(seed, [3, 2], 0.8) for seed in (1, 2)]
     merged = batch(members)  # both pending: the batch decomposes its own S
     stacked = batch(members[::-1])  # both decomposed: their blocks are stacked
     for s in [g.s for g in members] + [merged.s, stacked.s]:

@@ -357,6 +357,15 @@ def test_node_dataset_rejects_a_mask_shorter_than_the_graph():
                 test_mask=np.zeros(40, bool), spec_echo={})
 
 
+
+def test_node_dataset_rejects_a_graph_without_labels():
+    # Rejected when made: training and saving would fail only part-way through.
+    graph = build_graph(sp.csr_array(np.ones((3, 3)) - np.eye(3)), np.ones((1, 3)))
+    mask = np.arange(3) == 0
+    with pytest.raises(ValueError, match="needs a graph with labels"):
+        Dataset(graph=graph, train_mask=mask, val_mask=~mask, test_mask=mask & ~mask,
+                spec_echo={})
+
 @pytest.mark.parametrize("key", ["directed", "train", "val", "test"])
 def test_load_dataset_names_missing_sidecar_key(tmp_path, key):
     save_dataset(gen_chains(ChainsSpec(length=3)), tmp_path)

@@ -10,7 +10,7 @@ from msignn.errors import ShapeError
 
 from conftest import power_iteration_norm, random_undirected_graph
 
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=150)
 
 
 def _s(dense, directed=False):

@@ -58,6 +58,15 @@ def test_duplicate_scales_rejected_by_default():
         small_model(rng, g, scales=(1, 1))
 
 
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True], ids=["1.5", "2.0", "True"])
+def test_a_scale_exponent_that_is_not_an_integer_is_rejected(bad):
+    rng = np.random.default_rng(2)
+    with pytest.raises(ValueError, match=r"^scale_m must be an integer, got "):
+        small_model(rng, random_undirected_graph(rng, 4), scales=(bad,))
+    model = small_model(rng, random_undirected_graph(rng, 4), scales=np.array([1, 4]))
+    assert [type(mod.scale_m) for mod in model.scales] == [int, int]
+
 def test_gamma_zero_reduces_to_mlp():
     rng = np.random.default_rng(3)
     g = random_undirected_graph(rng, 6)

@@ -286,7 +286,7 @@ def _raises(check, a) -> bool:
     return False
 
 
-@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@settings(max_examples=600)
 @given(raw_compressed())
 @example(_raw_csr([0, 2, 0], [0, 1], (2, 2)))
 @example(_raw_csr([0, 5, 2, 3], [2, 1, 0], (3, 3)))

@@ -1,11 +1,14 @@
-"""Every name a package module imports is used in it, or listed in its ``__all__``."""
+"""Every name a package module, test module or demo imports is used in it, or
+listed in its ``__all__``."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "msignn"
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = [path for folder in ("src/msignn", "tests", "demos")
+           for path in sorted((ROOT / folder).glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,6 +37,6 @@ def test_the_guard_sees_an_import_left_behind():
     assert unused_imports("import numpy as np\n__all__ = ['np']\n") == []
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
