@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from . import numerics
 from .errors import DataFormatError, GenerationError, ShapeError
 from .graph import Graph, build_graph, class_labels
 from .jsonio import read_json, write_json
@@ -114,8 +115,11 @@ class ChainsSpec:
     seed: int = 0
 
     def __post_init__(self):
+        numerics.set_integers(self, "num_classes", "chains_per_class", "length", "seed")
         if min(self.num_classes, self.chains_per_class, self.length) < 1:
             raise ValueError("chain spec counts must all be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -127,12 +131,15 @@ class ColorCountingSpec:
     seed: int = 0
 
     def __post_init__(self):
+        numerics.set_integers(self, "num_colors", "num_chains", "length", "seed")
         if self.num_colors < 2:
             raise ValueError("need at least two colors")
         if self.num_chains < 1 or self.length < 1:
             raise ValueError("chain counts must be >= 1")
         if not 0.0 < self.colored_fraction <= 1.0:
             raise ValueError("colored_fraction must lie in (0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _split_masks(n: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -36,11 +36,17 @@ The input decides how they are solved, and the result's ``path`` names it:
   connected component (undirected graphs and their batches): W = V C with
   eigen-coefficients C = (V^T R) / (1 - sigma^m c^T), whose denominators
   are all >= 1 - gamma. Such a solve reports 0 iterations and makes no
-  sparse product. Its residual is a bound (``_residual_bound``) on the
-  true relative residual, derived from the decomposition errors that each
-  spectrum block measured once and from the rounding of the closed form's
-  own arithmetic; S and its spectrum are read-only, so the blocks describe
-  the S being solved. The result keeps Q and C, from which
+  sparse product. A block whose nodes are one run of consecutive ids (its
+  ``rows`` a slice, as in a generated dataset or a batch of connected
+  graphs of one size) reads R and writes W as a (c, k, h) view of their
+  rows, with no gather or scatter; a block of interleaved components
+  gathers and scatters its rows. The arithmetic is the same either way, so
+  the results are bit-identical. The residual is a bound
+  (``_residual_bound``) on the true relative residual, derived from the
+  decomposition errors and the largest |sigma| that each spectrum block
+  measured once, and from the rounding of the closed form's own
+  arithmetic; S and its spectrum are read-only, so the blocks describe the
+  S being solved. The result keeps Q and C, from which
   ``weight_gradient`` forms Z* S^m without a hop;
 - "picard" for every other S (directed graphs, components above
   ``graph.SPECTRUM_MAX_COMPONENT`` nodes, any S made outside ``graph``),
@@ -62,7 +68,6 @@ cross-check for tests.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +96,7 @@ class ScaleModule:
         object.__setattr__(self, "f_weight", f)
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
-        _set_integer(self, "scale_m")
+        numerics.set_integers(self, "scale_m")
         if self.scale_m < 1:
             raise ValueError(f"scale exponent must be >= 1, got {self.scale_m}")
         if not 0.0 < self.eps_f < np.inf:
@@ -110,21 +115,9 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        _set_integer(self, "max_iters")
+        numerics.set_integers(self, "max_iters")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-
-
-def _set_integer(settings, name: str) -> None:
-    """Require the field ``name`` to be an integer, not a bool, and store it as an int.
-
-    numpy integers pass, so a value drawn with numpy is stored as the JSON
-    number a checkpoint records.
-    """
-    value = getattr(settings, name)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    object.__setattr__(settings, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -211,13 +204,22 @@ def _closed_form(c: np.ndarray, blocks, m: int,
     w = np.empty_like(rhs)
     coefficients = []
     for b in blocks:  # blocks partition the nodes, so together they write every row
-        coeffs = np.matmul(b.vectors.transpose(0, 2, 1), rhs[b.nodes])
+        coeffs = np.matmul(b.vectors.transpose(0, 2, 1), b.slab(rhs))
         denominators = _power(b.values, m)[:, :, None] * -c
         denominators += 1.0
         coeffs /= denominators
-        w[b.nodes] = np.matmul(b.vectors, coeffs)
+        _write_rows(w, b, coeffs)
         coefficients.append(coeffs)
     return w, coefficients
+
+
+def _write_rows(out: np.ndarray, b, coeffs: np.ndarray) -> None:
+    """out[b's nodes] = V C, written in place through the block's slab when its
+    rows are a slice: ``out=`` on a gathered copy would be lost."""
+    if isinstance(b.rows, slice):
+        np.matmul(b.vectors, coeffs, out=b.slab(out))
+    else:
+        out[b.nodes] = np.matmul(b.vectors, coeffs)
 
 
 def _power(values: np.ndarray, m: int) -> np.ndarray:
@@ -233,7 +235,7 @@ def _residual_bound(c: np.ndarray, blocks, m: int) -> float:
 
     Per component, with E = S V - V Sigma and F = V^T V - I (their norms
     are at most the block's ``error`` delta and ``drift`` eps), ||S|| <= 1,
-    s = max(1, max |sigma|), gamma_bar = max |c| and
+    s = max(1, max |sigma|) (the block's ``radius``), gamma_bar = max |c| and
     omega = 1 + gamma_bar s^m >= |1 - sigma^m c|, the exact coefficients
     C = (V^T R) / (1 - sigma^m c^T) leave the residual
 
@@ -258,7 +260,7 @@ def _residual_bound(c: np.ndarray, blocks, m: int) -> float:
         if not b.drift < 1.0:
             return np.inf
         k = b.nodes.shape[1]
-        s = max(1.0, float(np.abs(b.values).max()))
+        s = max(1.0, b.radius)
         omega = 1.0 + gamma_bar * s ** m
         exact = (gamma_bar * m * s ** (m - 1) * b.error
                  + omega * b.drift / np.sqrt(1.0 - b.drift)) / np.sqrt(1.0 - b.drift)
@@ -352,8 +354,7 @@ def weight_gradient(module: ScaleModule, u: np.ndarray, forward: EquilibriumResu
     else:
         propagated = np.empty((u.shape[1], u.shape[0]))
         for b, coeffs in zip(blocks, forward.coefficients):
-            scaled = _power(b.values, m)[:, :, None] * coeffs
-            propagated[b.nodes] = np.matmul(b.vectors, scaled)
+            _write_rows(propagated, b, _power(b.values, m)[:, :, None] * coeffs)
         m_up = module.gamma * ((u @ propagated) @ forward.basis.T)
     gram = module.f_weight.T @ module.f_weight
     r = np.linalg.norm(gram)

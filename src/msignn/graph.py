@@ -47,7 +47,11 @@ per component size, and each pending member keeps its own rows of the
 result. When none is, the batch decomposes nothing and stacks its
 members' blocks. Directed graphs, and undirected ones with a component
 above ``SPECTRUM_MAX_COMPONENT`` nodes, have no spectrum, nor has a
-batch with such a member.
+batch with such a member. A block's components are ordered by their
+smallest node, so where the components of each size are adjacent runs of
+consecutive ids, as in a generated dataset or a batch of connected graphs
+of one size, each block's nodes form one run and its ``rows`` are a
+slice, which the solves read and write as a slab of an n x h array.
 
 What a spectrum was measured on must not change under it, so the arrays
 of every S that ``build_graph`` or ``batch`` makes (``data``, ``indices``,
@@ -57,7 +61,7 @@ raises ``ValueError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -121,6 +125,12 @@ class SpectrumBlock:
     measured when the block is decomposed, each the largest Frobenius norm
     over its components (an upper bound on the spectral norm). The arrays
     are made read-only.
+
+    When the block is made it also records ``rows``, where its nodes sit
+    in an (n, ...) array: a ``slice`` when ``nodes`` is one run of
+    consecutive node ids, as in a generated dataset or a batch of connected
+    graphs of one size, else ``nodes`` flattened. ``slab`` reads through
+    it. ``radius``, its largest |eigenvalue|, is recorded with it.
     """
 
     nodes: np.ndarray    # (c, k) node indices
@@ -128,10 +138,25 @@ class SpectrumBlock:
     vectors: np.ndarray  # (c, k, k) orthonormal eigenvectors, one per column
     error: float         # max_i ||S_i V_i - V_i diag(values[i])||
     drift: float         # max_i ||V_i^T V_i - I||, how far V_i is from orthonormal
+    rows: slice | np.ndarray = field(init=False, repr=False)
+    radius: float = field(init=False)  # max |values|, the components' spectral radius
 
     def __post_init__(self):
         for a in (self.nodes, self.values, self.vectors):
             a.flags.writeable = False
+        flat = self.nodes.reshape(-1)
+        first = int(flat[0])
+        run = np.array_equal(flat, np.arange(first, first + flat.size))
+        object.__setattr__(self, "rows", slice(first, first + flat.size) if run else flat)
+        object.__setattr__(self, "radius", float(np.abs(self.values).max()))
+
+    def slab(self, a: np.ndarray) -> np.ndarray:
+        """The block's rows of an (n, h) array as (c, k, h): a view of ``a``
+        when ``rows`` is a slice (splitting the leading axis of a row range
+        never copies), else a gathered copy."""
+        if isinstance(self.rows, slice):
+            return a[self.rows].reshape(*self.nodes.shape, a.shape[1])
+        return a[self.nodes]
 
 
 def spectrum(s) -> list[SpectrumBlock] | None:

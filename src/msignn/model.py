@@ -10,7 +10,14 @@ Forward pass (node task):
     Yhat   = W_dec Z'                        linear decoder, no bias
 
 Graph tasks sum-pool Z' per graph (a Graph is a batch of one) before the
-decoder. The backward pass is hand-written: the loss gradient on each Z*_t
+decoder. Per-node, per-scale values (beta, alpha and their gradients) are
+(k, n) arrays, one row per scale, so each step over them runs along the n
+nodes, not along the few scales of one node; ``ForwardTrace.alphas`` is
+the (n, k) transpose of that array, a view. The attention writes the
+n x h temporaries it does not keep into one reused buffer, and every
+product keeps the association of the formulas above.
+
+The backward pass is hand-written: the loss gradient on each Z*_t
 (through both the attention weights and the weighted sum) enters the
 adjoint solve of ``equilibrium``, whose output backpropagates into F_t
 and, summed across scales, through the encoder. No autodiff framework is
@@ -157,7 +164,7 @@ class ForwardTrace:
     encoder_cache: tuple
     scale_results: list[EquilibriumResult]
     tanh_acts: list[np.ndarray]
-    alphas: np.ndarray         # (n, k) softmax weights, rows sum to 1
+    alphas: np.ndarray         # (n, k) softmax weights, rows sum to 1; a view of (k, n)
     z_prime: np.ndarray        # (h, n) fused equilibrium
     pooled: np.ndarray | None  # (h, num_graphs) for graph tasks
     logits: np.ndarray
@@ -234,23 +241,26 @@ class MultiscaleImplicitGNN:
         injected, enc_cache = self.encoder.forward(data.features, train_mode, rng)
         results = [forward_solve(mod, injected, data.s, self.solver_cfg)
                    for mod in self.scales]
-        k = len(self.scales)
-        betas = np.empty((data.n, k))
+        betas = np.empty((len(self.scales), data.n))
         tanh_acts = []
         att = self.attention
         for t, res in enumerate(results):
-            acts = np.tanh(att.w_a @ res.z_star + att.b_a[:, None])
+            acts = att.w_a @ res.z_star
+            acts += att.b_a[:, None]
+            np.tanh(acts, out=acts)
             tanh_acts.append(acts)
-            betas[:, t] = acts.T @ att.q
-        alphas = numerics.softmax_rows(betas)
+            betas[t] = acts.T @ att.q
+        alphas = numerics.softmax_scales(betas)
         z_prime = np.zeros_like(results[0].z_star)
+        weighted = np.empty_like(z_prime)
         for t, res in enumerate(results):
-            z_prime += res.z_star * alphas[:, t][None, :]
+            z_prime += np.multiply(res.z_star, alphas[t], out=weighted)
+        del weighted  # freed before sum_pool allocates its own n x h arrays
         pooled = sum_pool(z_prime, data) if self.task == "graph" else None
         logits = self.decoder_weight @ (z_prime if pooled is None else pooled)
         return ForwardTrace(injected=injected, encoder_cache=enc_cache,
                             scale_results=results, tanh_acts=tanh_acts,
-                            alphas=alphas, z_prime=z_prime,
+                            alphas=alphas.T, z_prime=z_prime,
                             pooled=pooled, logits=logits)
 
     # -- backward ---------------------------------------------------------
@@ -267,17 +277,21 @@ class MultiscaleImplicitGNN:
         grads["decoder.w"] = grad_logits @ readout.T
         d_zp = self.decoder_weight.T @ grad_logits
         if self.task == "graph":
-            d_zp = d_zp[:, data.graph_of_node]  # each node takes its graph's gradient
+            # Each node takes its graph's gradient. take() returns it in C order,
+            # so the column sums below add in row order, as on a node task;
+            # d_zp[:, index] would be in F order, and so would products with it.
+            d_zp = np.take(d_zp, data.graph_of_node, axis=1)
 
-        k = len(self.scales)
+        alphas = trace.alphas.T  # (k, n), scale-major as the forward made it
+        scratch = np.empty_like(d_zp)  # each n x h temporary below is written here
         # Value path: Z' = sum_t alpha_t * Z_t, so each scale sees alpha-scaled d_zp
         # and each alpha sees the inner product of d_zp with its equilibrium.
-        d_alpha = np.empty((data.n, k))
-        for t in range(k):
-            d_alpha[:, t] = np.sum(d_zp * trace.scale_results[t].z_star, axis=0)
-        # Softmax backward per node (rows of alpha sum to 1).
-        inner = np.sum(d_alpha * trace.alphas, axis=1, keepdims=True)
-        d_beta = trace.alphas * (d_alpha - inner)
+        d_alpha = np.empty_like(alphas)
+        for t, res in enumerate(trace.scale_results):
+            d_alpha[t] = np.multiply(d_zp, res.z_star, out=scratch).sum(axis=0)
+        # Softmax backward per node (each column of alphas sums to 1).
+        inner = np.sum(d_alpha * alphas, axis=0, keepdims=True)
+        d_beta = alphas * (d_alpha - inner)
 
         d_q = np.zeros_like(att.q)
         d_wa = np.zeros_like(att.w_a)
@@ -287,12 +301,16 @@ class MultiscaleImplicitGNN:
             res = trace.scale_results[t]
             z_t = res.z_star
             acts = trace.tanh_acts[t]
-            db = d_beta[:, t]
+            db = d_beta[t]
             d_q += acts @ db
-            d_pre = (att.q[:, None] * db[None, :]) * (1.0 - acts * acts)
+            d_pre = acts * acts
+            np.subtract(1.0, d_pre, out=d_pre)
+            # (q (x) db) * (1 - a^2); ((1 - a^2) * q) * db would round differently
+            d_pre *= np.multiply(att.q[:, None], db[None, :], out=scratch)
             d_wa += d_pre @ z_t.T
             d_ba += d_pre.sum(axis=1)
-            d_zt = d_zp * trace.alphas[:, t][None, :] + att.w_a.T @ d_pre
+            d_zt = d_zp * alphas[t]
+            d_zt += np.matmul(att.w_a.T, d_pre, out=scratch)
             u = adjoint_solve(mod, data.s, d_zt, self.solver_cfg)
             grads[f"scales.{t}.f"] = weight_gradient(mod, u, res, data.s)
             d_injected += u  # the map is the identity in H

@@ -1,13 +1,16 @@
 """Dense and sparse linear-algebra kernels used by every other module.
 
-What is here: coercion and validation (``as_dense``, ``as_csr``), the
-dense-times-CSR product ``spmm_right`` and ``softmax_rows``. Plain numpy
-calls (norms included) are used directly everywhere else.
+What is here: coercion and validation (``as_dense``, ``as_csr``,
+``set_integers``), the dense-times-CSR product ``spmm_right`` and
+``softmax_scales``, the model's softmax over the leading (scale) axis of
+a (k, n) array. Plain numpy calls (norms included) are used directly
+everywhere else.
 
 Dense matrices are 2-D float64 C-order ndarrays; sparse matrices are
 scipy CSR arrays in canonical form (sorted column indices, no duplicates,
-no stored zeros). Everything here is a pure function: inputs are never
-mutated, so values can be shared freely across threads.
+no stored zeros). Everything here but ``set_integers``, which a frozen
+settings dataclass calls on itself while it is made, is a pure function:
+inputs are never mutated, so values can be shared freely across threads.
 
 ``as_csr`` is the one place a sparse matrix from outside the library is
 coerced, validated and canonicalized. ``graph.build_graph``, which the
@@ -23,6 +26,8 @@ scipy's check lets through when it ends at 0.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -31,8 +36,9 @@ from .errors import ShapeError
 __all__ = [
     "as_dense",
     "as_csr",
+    "set_integers",
     "spmm_right",
-    "softmax_rows",
+    "softmax_scales",
 ]
 
 
@@ -119,6 +125,21 @@ def _check_compressed(a) -> None:
         raise ValueError(f"indices must lie in [0, {minor})")
 
 
+def set_integers(settings, *names: str) -> None:
+    """Require each named field of a frozen dataclass to be an integer, not a
+    bool, and store it as an int.
+
+    numpy integers pass, so a value drawn with numpy is stored as the JSON
+    number a checkpoint or a dataset's spec records. The error is a
+    ``ValueError`` naming the first bad field.
+    """
+    for name in names:
+        value = getattr(settings, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(settings, name, int(value))
+
+
 def spmm_right(z: np.ndarray, s: sp.csr_array) -> np.ndarray:
     """Dense-times-CSR product Z*S.
 
@@ -130,8 +151,13 @@ def spmm_right(z: np.ndarray, s: sp.csr_array) -> np.ndarray:
     return np.asarray(z @ s)
 
 
-def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, max-subtracted for overflow safety."""
-    shifted = m - m.max(axis=1, keepdims=True)
+def softmax_scales(m: np.ndarray) -> np.ndarray:
+    """Softmax over axis 0 of a (k, n) array, max-subtracted for overflow safety.
+
+    Each column, one node's k scale logits, maps to weights that sum to 1.
+    The reductions run along the rows, n entries at a time, and add the k
+    rows in order.
+    """
+    shifted = m - m.max(axis=0, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=0, keepdims=True)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .errors import EmptySelectionError, ShapeError
 from .graph import batch as batch_graphs
 from .model import MultiscaleImplicitGNN
@@ -170,8 +171,11 @@ class TrainConfig:
     batch_size: int = 32
 
     def __post_init__(self):
+        numerics.set_integers(self, "epochs", "seed", "patience", "batch_size")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.lr < np.inf:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not 0 <= self.weight_decay < np.inf:

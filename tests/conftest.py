@@ -39,6 +39,38 @@ def undirected_graph(seed, sizes, density=0.5):
     return _shuffled(rng, a + a.T, directed=False)
 
 
+def contiguous_graph(seed, sizes, density=0.5, interleave=False):
+    """An undirected graph of connected components of the given sizes, each
+    on a run of consecutive node ids, in ascending size order.
+
+    That is how ``batch`` and the generators lay out their components, so
+    every spectrum block's rows are one slice. Each component holds the path
+    through its nodes in order, plus random edges. ``interleave=True``
+    gives the same graph with its nodes dealt out to the components in turn
+    (``interleaving``), each component's nodes kept in order.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = sorted(sizes)
+    a = _upper_blocks(rng, sizes, density)
+    a[np.arange(sum(sizes) - 1), np.arange(1, sum(sizes))] = 1.0
+    a[np.cumsum(sizes)[:-1] - 1, np.cumsum(sizes)[:-1]] = 0.0  # no path across components
+    a += a.T
+    if interleave:
+        position = interleaving(sizes)
+        a[np.ix_(position, position)] = a.copy()
+    return build_graph(sp.csr_array(a), rng.standard_normal((2, a.shape[0])))
+
+
+def interleaving(sizes):
+    """Where node j of ``contiguous_graph(..., sorted(sizes))`` sits when
+    ``interleave`` deals the nodes out: the first node of every component,
+    then the second of every component with one, and so on."""
+    sizes = sorted(sizes)
+    start = np.cumsum([0] + sizes[:-1])
+    order = [start[c] + i for i in range(max(sizes)) for c, k in enumerate(sizes) if i < k]
+    return np.argsort(order)
+
+
 def directed_graph(seed, sizes, density=0.5, cyclic=False):
     """A directed graph on components of the given sizes and one isolated node.
 

@@ -5,10 +5,13 @@ eigendecomposition per connected component, so ``forward_solve`` and
 ``adjoint_solve`` on it take the closed form. These tests cover that
 kernel's own properties: batches solve like their members, component
 labels, the spectrum's reassembly, caching and read-only arrays, the cap
-on component size, a wrong spectrum, and the residual bound. Its
+on component size, a wrong spectrum, the residual bound, and the rows a
+block reads as one slab or gathers, which give bit-identical results. Its
 agreement with Picard and the oracle, and that of every other solve
 path, is checked in ``test_solve_matrix``.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -19,12 +22,12 @@ from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
 from msignn import (Graph, ScaleModule, SolverConfig, adjoint_solve, batch, build_graph,
-                    forward_solve, normalized_gram, oracle_solve)
+                    forward_solve, normalized_gram, oracle_solve, weight_gradient)
 from msignn import graph as graph_mod
 from msignn.graph import component_labels, spectrum
 
-from conftest import (counting_hops, f_scales, rel_error, seeds, undirected_graph,
-                      undirected_graphs)
+from conftest import (contiguous_graph, counting_hops, f_scales, interleaving, rel_error,
+                      seeds, undirected_graph, undirected_graphs)
 
 PROPERTY = settings(max_examples=40)
 # Picard stops on the step size; its error is up to tol / (1 - contraction).
@@ -221,6 +224,71 @@ def test_the_closed_form_reports_a_bound_on_its_true_residual(g, module, seed):
     assert res.path == "closed form"
     assert _true_residual(module, res.z_star, injected, g.s) <= res.residual
     assert res.residual <= SolverConfig().tol
+
+
+def _gathering(s):
+    """A plain copy of S holding S's spectrum blocks with their ``rows`` made
+    index arrays, so that its closed form gathers and scatters every block."""
+    copy = sp.csr_array(s)
+    blocks = [replace(b) for b in spectrum(s)]
+    for b in blocks:
+        object.__setattr__(b, "rows", b.nodes.reshape(-1))
+    setattr(copy, graph_mod._SPECTRUM, blocks)
+    return copy
+
+
+@PROPERTY
+@given(st.lists(st.integers(2, 7), min_size=2, max_size=5), st.floats(0.0, 1.0), modules,
+       seeds)
+def test_interleaved_components_solve_bit_identically_to_contiguous_ones(sizes, density,
+                                                                        module, seed):
+    # One graph twice: its components on runs of consecutive ids, whose blocks
+    # read and write slabs, and dealt out in turn, each component's nodes kept
+    # in order, whose blocks gather and scatter. Each row is the same
+    # arithmetic on the same numbers, so Z* and U agree exactly, un-permuted.
+    contiguous = contiguous_graph(seed, sizes, density)
+    interleaved = contiguous_graph(seed, sizes, density, interleave=True)
+    assert all(isinstance(b.rows, slice) for b in spectrum(contiguous.s))
+    assert all(isinstance(b.rows, np.ndarray) for b in spectrum(interleaved.s))
+    position = interleaving(sizes)
+    rng = np.random.default_rng(seed)
+    injected, grad = rng.standard_normal((2, module.hidden_dim, contiguous.n))
+    z = forward_solve(module, injected, contiguous.s)
+    u = adjoint_solve(module, contiguous.s, grad)
+    z_mixed = forward_solve(module, injected[:, np.argsort(position)], interleaved.s)
+    u_mixed = adjoint_solve(module, interleaved.s, grad[:, np.argsort(position)])
+    assert z.path == z_mixed.path == "closed form"
+    assert np.array_equal(z_mixed.z_star[:, position], z.z_star)
+    assert np.array_equal(u_mixed[:, position], u)
+    # The weight gradient sums over the nodes in node order, which a
+    # permutation changes, so its slabs are checked against gathering on one
+    # layout: the same blocks, made to gather.
+    gathering = _gathering(contiguous.s)
+    z_gathered = forward_solve(module, injected, gathering)
+    assert np.array_equal(z_gathered.z_star, z.z_star)
+    assert np.array_equal(weight_gradient(module, u, z_gathered, gathering),
+                          weight_gradient(module, u, z, contiguous.s))
+
+
+def test_block_rows_are_a_slice_where_components_are_consecutive():
+    # A batch of connected graphs in ascending size order, an empty one among
+    # them, has one run of ids per size, whether the batch decomposes its S
+    # (members pending) or stacks its members' blocks; so have the members.
+    # Components of one size that are not adjacent gather, as interleaved ones do.
+    empty = build_graph(sp.csr_array((0, 0)), np.zeros((2, 0)))
+    members = [contiguous_graph(seed, [k], 0.5) for seed, k in enumerate([2, 3, 3, 5])]
+    members.insert(2, empty)
+    for merged in (batch(members), batch(members)):  # pending, then stacked
+        blocks = spectrum(merged.s)
+        assert [b.rows for b in blocks] == [slice(0, 2), slice(2, 8), slice(8, 13)]
+    assert all(isinstance(b.rows, slice) for g in members for b in spectrum(g.s))
+    unsorted = spectrum(batch([members[1], members[0], members[3]]).s)
+    assert [type(b.rows) for b in unsorted] == [slice, np.ndarray]
+    npt.assert_array_equal(unsorted[1].rows, [0, 1, 2, 5, 6, 7])
+    mixed = spectrum(contiguous_graph(0, [2, 2, 3], 0.5, interleave=True).s)
+    npt.assert_array_equal(mixed[0].rows, [0, 3, 1, 4])
+    for b in unsorted + mixed:  # the largest |eigenvalue|, recorded once
+        assert b.radius == np.abs(b.values).max()
 
 
 def _writes(array):

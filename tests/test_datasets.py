@@ -90,6 +90,22 @@ def test_chains_deterministic_per_seed():
     assert not np.array_equal(a.train_mask, c.train_mask)
 
 
+@pytest.mark.parametrize("spec, field", [
+    (ChainsSpec, "num_classes"), (ChainsSpec, "chains_per_class"), (ChainsSpec, "length"),
+    (ChainsSpec, "seed"), (ColorCountingSpec, "num_colors"), (ColorCountingSpec, "num_chains"),
+    (ColorCountingSpec, "length"), (ColorCountingSpec, "seed"),
+])
+def test_generator_spec_counts_and_seed_take_integers_only(spec, field):
+    # Rejected when made: 4.5 failed only inside numpy, and True acted as 1.
+    for bad in (4.5, 4.0, True, np.True_, "4"):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+            spec(**{field: bad})
+    value = getattr(spec(**{field: np.int64(4)}), field)
+    assert value == 4 and type(value) is int
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        spec(seed=-1)
+
+
 def test_color_counting_single_full_chain():
     # 1 chain, fraction 1.0: every node colored; strict majority enforced
     ds = gen_color_counting(ColorCountingSpec(num_colors=2, num_chains=1,

@@ -53,29 +53,29 @@ def test_spmm_shape_error():
         numerics.spmm_right(np.zeros((2, 4)), s)
 
 
-def test_softmax_rows_uniform():
-    npt.assert_allclose(numerics.softmax_rows(np.zeros((1, 3))),
-                        np.full((1, 3), 1.0 / 3.0), rtol=1e-15)
+def test_softmax_scales_uniform():
+    npt.assert_allclose(numerics.softmax_scales(np.zeros((3, 1))),
+                        np.full((3, 1), 1.0 / 3.0), rtol=1e-15)
 
 
-def test_softmax_rows_exact_exponentials():
-    out = numerics.softmax_rows(np.array([[np.log(2.0), 0.0]]))
-    npt.assert_allclose(out, [[2.0 / 3.0, 1.0 / 3.0]], rtol=1e-14)
+def test_softmax_scales_exact_exponentials():
+    out = numerics.softmax_scales(np.array([[np.log(2.0)], [0.0]]))
+    npt.assert_allclose(out, [[2.0 / 3.0], [1.0 / 3.0]], rtol=1e-14)
 
 
-def test_softmax_rows_overflow_safe():
-    out = numerics.softmax_rows(np.array([[1000.0, 0.0]]))
+def test_softmax_scales_overflow_safe():
+    out = numerics.softmax_scales(np.array([[1000.0], [0.0]]))
     assert np.all(np.isfinite(out))
     npt.assert_allclose(out[0, 0], 1.0, atol=1e-12)
-    npt.assert_allclose(out[0, 1], 0.0, atol=1e-12)
+    npt.assert_allclose(out[1, 0], 0.0, atol=1e-12)
 
 
-def test_softmax_rows_sum_and_shift_invariance():
+def test_softmax_scales_sum_and_shift_invariance():
     rng = np.random.default_rng(2)
-    m = rng.standard_normal((10, 7)) * 5
-    out = numerics.softmax_rows(m)
-    npt.assert_allclose(out.sum(axis=1), np.ones(10), atol=1e-12)
-    shifted = numerics.softmax_rows(m + 3.7)
+    m = rng.standard_normal((10, 7)).T * 5
+    out = numerics.softmax_scales(m)
+    npt.assert_allclose(out.sum(axis=0), np.ones(10), atol=1e-12)
+    shifted = numerics.softmax_scales(m + 3.7)
     npt.assert_allclose(out, shifted, atol=1e-12)
     assert np.all(out > 0) and np.all(out < 1)
 

@@ -1,6 +1,6 @@
 """Every solve kernel against the oracle and against Picard, on every kind of graph.
 
-A matrix of cells: four kinds of graph, each with the path its solves
+A matrix of cells: five kinds of graph, each with the path its solves
 are expected to take, by three solves (forward, adjoint and the weight
 gradient). Each cell asserts the path taken, agreement with the dense
 Kronecker ``oracle_solve``, agreement with forced Picard (the same solve
@@ -30,8 +30,8 @@ from msignn import (ScaleModule, SolverConfig, adjoint_solve, forward_solve, ora
 from msignn import graph as graph_mod
 from msignn.graph import component_labels, spectrum
 
-from conftest import (counting_hops, directed_graph, f_scales, graph_specs, hopping_result,
-                      rel_error, seeds, undirected_graph)
+from conftest import (contiguous_graph, counting_hops, directed_graph, f_scales, graph_specs,
+                      hopping_result, rel_error, seeds, undirected_graph)
 
 CFG = SolverConfig(tol=1e-12, max_iters=20000)
 
@@ -54,8 +54,13 @@ class Kind(NamedTuple):
     path: str  # the path every solve on these graphs takes
 
 
+# The closed form reads and writes a spectrum block's rows as one slab when
+# they are a run of consecutive ids ("contiguous", the layout of ``batch`` and
+# of the generators), and gathers them when components interleave (some
+# "undirected" graphs, whose ids are shuffled).
 KINDS = {
     "undirected": Kind(undirected_graph, "closed form"),
+    "contiguous": Kind(contiguous_graph, "closed form"),
     "over-the-cap": Kind(_over_the_cap, "picard"),
     "directed-acyclic": Kind(directed_graph, "picard"),
     "directed-cyclic": Kind(partial(directed_graph, cyclic=True), "picard"),

@@ -163,6 +163,21 @@ def test_train_config_rejects_out_of_range_fields(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["epochs", "patience", "batch_size", "seed"])
+def test_train_config_integer_fields_take_integers_only(field):
+    # Rejected when made: 2.5 failed only inside numpy, and 1.5 and True acted as 1.
+    for bad in (2.5, 2.0, True, np.True_, "2"):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+            TrainConfig(**{field: bad})
+    value = getattr(TrainConfig(**{field: np.int64(3)}), field)
+    assert value == 3 and type(value) is int
+
+
+def test_train_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        TrainConfig(seed=-1)
+
+
 def test_train_loop_zero_epochs_is_noop():
     rng = np.random.default_rng(3)
     ds = gen_chains(ChainsSpec(length=3, seed=0))
