@@ -128,7 +128,9 @@ class EquilibriumResult:
     converged: bool
     path: str  # "closed form" when the closed form alone is the answer, else "picard"
     # After a closed form: the basis Q of g(F) and, per spectrum block, the
-    # eigen-coefficients C, (c, k, h) each, so that Z*^T = [V C] Q^T.
+    # eigen-coefficients C, (c, k, h) each, so that Z*^T = [V C] Q^T. Only
+    # ``weight_gradient`` reads them; an inference forward drops them as soon
+    # as the solve returns.
     basis: np.ndarray | None = None
     coefficients: list[np.ndarray] | None = None
 

@@ -17,6 +17,16 @@ the (n, k) transpose of that array, a view. The attention writes the
 n x h temporaries it does not keep into one reused buffer, and every
 product keeps the association of the formulas above.
 
+``predict`` without a trace runs the same forward loop in inference mode,
+which keeps only what the logits need: the encoder cache goes once H is
+made, each solve's basis and eigen-coefficients once it returns (so the
+next solve reuses their memory), every scale's tanh activations share one
+buffer, since only beta is read, and H goes after the last solve. The k Z*
+stay until the fusion, because the softmax needs every beta first. The
+operations and their order are those of ``forward``, so the logits are
+bit-identical; on a 900-node graph with h = 16 and three scales the peak
+falls from ~14 to ~8 n x h arrays.
+
 The backward pass is hand-written: the loss gradient on each Z*_t
 (through both the attention weights and the weighted sum) enters the
 adjoint solve of ``equilibrium``, whose output backpropagates into F_t
@@ -158,7 +168,10 @@ class AttentionParams:
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass and the diagnostics need from one forward."""
+    """Everything the backward pass and the diagnostics need from one forward.
+
+    An inference forward (``predict`` without a trace) builds none of it.
+    """
 
     injected: np.ndarray
     encoder_cache: tuple
@@ -238,26 +251,52 @@ class MultiscaleImplicitGNN:
 
     def forward(self, data: GraphBatch, train_mode: bool = False,
                 rng=None) -> ForwardTrace:
+        """The full forward: its trace holds all that ``backward`` reads."""
+        return self._forward(data, train_mode, rng, keep=True)
+
+    def _forward(self, data: GraphBatch, train_mode: bool, rng,
+                 keep: bool) -> ForwardTrace | np.ndarray:
+        """The one forward loop: a ``ForwardTrace`` when ``keep``, else the logits.
+
+        Without ``keep`` it is an inference forward. Nothing a backward reads
+        outlives its use, and the operations and their order are the same, so
+        the logits are bit-identical.
+        """
         injected, enc_cache = self.encoder.forward(data.features, train_mode, rng)
-        results = [forward_solve(mod, injected, data.s, self.solver_cfg)
-                   for mod in self.scales]
+        if not keep:
+            enc_cache = None
+        results, z_stars = [], []
+        for mod in self.scales:
+            res = forward_solve(mod, injected, data.s, self.solver_cfg)
+            z_stars.append(res.z_star)
+            if keep:
+                results.append(res)
+            del res  # without keep, Q and C go before the next solve makes its own
+        if not keep:
+            injected = None
         betas = np.empty((len(self.scales), data.n))
         tanh_acts = []
+        acts = None
         att = self.attention
-        for t, res in enumerate(results):
-            acts = att.w_a @ res.z_star
+        for t, z_t in enumerate(z_stars):
+            # Only beta outlives an inference forward, so its scales share one buffer.
+            acts = np.matmul(att.w_a, z_t, out=None if keep else acts)
             acts += att.b_a[:, None]
             np.tanh(acts, out=acts)
-            tanh_acts.append(acts)
+            if keep:
+                tanh_acts.append(acts)
             betas[t] = acts.T @ att.q
+        del acts  # without keep, the shared buffer goes before the fusion allocates
         alphas = numerics.softmax_scales(betas)
-        z_prime = np.zeros_like(results[0].z_star)
+        z_prime = np.zeros_like(z_stars[0])
         weighted = np.empty_like(z_prime)
-        for t, res in enumerate(results):
-            z_prime += np.multiply(res.z_star, alphas[t], out=weighted)
+        for t, z_t in enumerate(z_stars):
+            z_prime += np.multiply(z_t, alphas[t], out=weighted)
         del weighted  # freed before sum_pool allocates its own n x h arrays
         pooled = sum_pool(z_prime, data) if self.task == "graph" else None
         logits = self.decoder_weight @ (z_prime if pooled is None else pooled)
+        if not keep:
+            return logits
         return ForwardTrace(injected=injected, encoder_cache=enc_cache,
                             scale_results=results, tanh_acts=tanh_acts,
                             alphas=alphas.T, z_prime=z_prime,
@@ -333,9 +372,15 @@ class MultiscaleImplicitGNN:
 
         ``trace``, a forward of ``data`` at the current parameters, stands in
         for running one; its logits must have one column per node (node
-        task) or per graph (graph task) of ``data``.
+        task) or per graph (graph task) of ``data``. Without it, predict runs
+        an inference forward: it keeps no ``ForwardTrace``, only the arrays
+        the logits still need (see the module docstring), and its logits
+        equal ``forward(data).logits`` bit for bit.
         """
-        logits = (self.forward(data) if trace is None else trace).logits
+        if trace is None:
+            logits = self._forward(data, False, None, keep=False)
+        else:
+            logits = trace.logits
         width = data.n if self.task == "node" else data.num_graphs
         if logits.shape[1] != width:
             raise ShapeError(f"trace has logits for {logits.shape[1]} columns, data has {width}")

@@ -6,7 +6,10 @@ one, the whole graph under its train mask; a graph task one per shuffled
 minibatch of ``batch_size`` training graphs, merged under an all-true
 mask. ``evaluate`` makes one ``model.predict`` per input and scores each
 of its masks; graph tasks merge each split into one batch once per call.
-A node task without dropout runs one forward per epoch: each step after
+Such a predict is an inference forward, which keeps nothing for a
+backward: every graph-task evaluation is one, and so is every node-task
+evaluation with dropout. A node task without dropout runs one full
+forward per epoch and no inference forward: each step after
 the first starts from the previous epoch's evaluation ``ForwardTrace``,
 since nothing changes the parameters in between and without dropout the
 train-mode forward equals the evaluation's. Both tasks select weights the

@@ -1,21 +1,25 @@
 import copy
 import json
 import re
+import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from msignn import (SolverConfig, batch, build_graph, init_model,
-                    load_checkpoint, save_checkpoint, sum_pool)
+from msignn import (ColorCountingSpec, SolverConfig, batch, build_graph, gen_color_counting,
+                    init_model, load_checkpoint, save_checkpoint, sum_pool)
+from msignn import graph as graph_mod
+from msignn import model as model_mod
 from msignn.errors import ShapeError
 from msignn.graph import GraphBatch
 from msignn.model import AttentionParams, MlpEncoder, MultiscaleImplicitGNN
 from msignn.train import cross_entropy
 
-from conftest import random_undirected_graph
+from conftest import contiguous_graph, directed_graph, random_undirected_graph, undirected_graph
 
 TIGHT = SolverConfig(tol=1e-12, max_iters=5000)
 
@@ -202,6 +206,15 @@ def test_sum_pool_cases():
         bad = replace(unsorted, graph_of_node=np.where(graph_of_node == 2, outside, 0))
         with pytest.raises(IndexError, match=f"node 2 is in graph {outside}"):
             sum_pool(z, bad)
+    # h = 16 and 10 nodes per graph, where a pairwise or unrolled sum would
+    # add in another order; magnitudes e^-30 to e^30 make any reordering show.
+    z = rng.standard_normal((16, 40)) * np.exp(rng.uniform(-30.0, 30.0, (16, 40)))
+    graph_of_node = rng.permutation(np.repeat(np.arange(4), 10))
+    reference = np.zeros((16, 4))
+    np.add.at(reference.T, graph_of_node, z.T)
+    wide = GraphBatch(s=None, features=None, labels=None, graph_of_node=graph_of_node,
+                      num_graphs=4)
+    assert np.array_equal(sum_pool(z, wide), reference)
 
 
 def test_graph_task_forward_and_gradcheck():
@@ -340,6 +353,69 @@ def test_predict_from_a_trace_matches_and_rejects_another_inputs_trace():
                            graph_model.predict(merged))
     with pytest.raises(ShapeError, match="logits for 1 columns, data has 2"):
         graph_model.predict(merged, graph_model.forward(other))
+
+
+# Each solve path a forward takes: the closed form on gathered rows and on
+# slabs, and Picard on an undirected S over the spectrum cap and on a
+# directed cyclic S.
+SOLVE_PATHS = {
+    "closed form, gathered": (undirected_graph, "closed form"),
+    "closed form, slabs": (contiguous_graph, "closed form"),
+    "over the cap": (undirected_graph, "picard"),
+    "directed cyclic": (partial(directed_graph, cyclic=True), "picard"),
+}
+MODELS = {
+    "node": {}, "multilabel": {"multilabel": True}, "graph": {"task": "graph"},
+    "dropout": {"dropout": 0.5},
+}
+
+
+@pytest.mark.parametrize("variant", MODELS.values(), ids=MODELS)
+@pytest.mark.parametrize("build, path", SOLVE_PATHS.values(), ids=SOLVE_PATHS)
+def test_predict_runs_an_inference_forward_bit_identical_to_the_full_one(
+        monkeypatch, build, path, variant):
+    if path == "picard":  # components of 4 nodes are then over the cap
+        monkeypatch.setattr(graph_mod, "SPECTRUM_MAX_COMPONENT", 2)
+    graphs = [build(seed, [4, 3, 1]) for seed in (1, 2)]
+    data = batch(graphs) if variant.get("task") == "graph" else graphs[0]
+    model = init_model(np.random.default_rng(5), data.feature_dim, 4, 3,
+                       scale_exponents=(1, 2, 4), solver_cfg=TIGHT, **variant)
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("forward_solve", "adjoint_solve", "weight_gradient"):
+        monkeypatch.setattr(model_mod, name, counting(name, getattr(model_mod, name)))
+    preds = model.predict(data)
+    assert calls == ["forward_solve"] * 3  # one per scale, and nothing for a backward
+    trace = model.forward(data)
+    assert {res.path for res in trace.scale_results} == {path}
+    assert np.array_equal(model._forward(data, False, None, keep=False), trace.logits)
+    assert np.array_equal(preds, model.predict(data, trace))
+
+
+def test_predict_keeps_at_most_two_thirds_of_a_forwards_working_set():
+    # The peak during each call. A predict keeps no ForwardTrace, but only a
+    # lower peak shows that the encoder cache, each solve's basis and
+    # coefficients and all but one scale's tanh activations go early.
+    g = gen_color_counting(ColorCountingSpec(num_chains=30, length=30, seed=0)).graph
+    model = init_model(np.random.default_rng(0), g.feature_dim, 16, g.num_classes,
+                       scale_exponents=(1, 4, 8))
+    model.forward(g)  # S's spectrum is decomposed and cached on first use
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: model.predict(g)) <= 2 / 3 * peak(lambda: model.forward(g))
 
 
 def test_dropout_only_in_train_mode():

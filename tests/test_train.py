@@ -460,29 +460,31 @@ def test_graph_task_decomposes_each_evaluation_split_and_test_batch_once(monkeyp
 def test_node_task_without_dropout_runs_one_forward_per_epoch(monkeypatch, dropout):
     ds = gen_chains(ChainsSpec(length=4, seed=0))
     forwards, predicts = [], []
-    forward, predict = MultiscaleImplicitGNN.forward, MultiscaleImplicitGNN.predict
+    forward, predict = MultiscaleImplicitGNN._forward, MultiscaleImplicitGNN.predict
 
-    def counting_forward(model, data, train_mode=False, rng=None):
-        forwards.append(train_mode)
-        return forward(model, data, train_mode, rng)
+    def counting_forward(model, data, train_mode, rng, keep):
+        forwards.append((train_mode, keep))
+        return forward(model, data, train_mode, rng, keep)
 
     def counting_predict(model, data, trace=None):
         predicts.append(trace is None)
         return predict(model, data, trace)
 
-    monkeypatch.setattr(MultiscaleImplicitGNN, "forward", counting_forward)
+    # Both the public forward and predict's inference forward run _forward.
+    monkeypatch.setattr(MultiscaleImplicitGNN, "_forward", counting_forward)
     monkeypatch.setattr(MultiscaleImplicitGNN, "predict", counting_predict)
     model = init_model(np.random.default_rng(0), ds.graph.feature_dim, 4, 2,
                        scale_exponents=(1, 2), dropout=dropout)
     epochs = 5
     history = train_loop(model, ds, TrainConfig(epochs=epochs, lr=0.1, patience=epochs))
     assert len(history) == epochs and len(predicts) == epochs
+    step, evaluation, inference = (True, True), (False, True), (False, False)
     if dropout:
-        # each step draws its own dropout masks, and each predict runs its own forward
-        assert forwards == [True, False] * epochs and all(predicts)
+        # each step draws its own dropout masks, and each predict runs an inference forward
+        assert forwards == [step, inference] * epochs and all(predicts)
     else:
         # only the first step runs a forward; each later one starts from the evaluation's
-        assert forwards == [True] + [False] * epochs and not any(predicts)
+        assert forwards == [step] + [evaluation] * epochs and not any(predicts)
 
 
 def _reference_loop(model, data, cfg):
