@@ -288,11 +288,9 @@ def _cmd_probe_range(cfg) -> int:
                 "range_bound": bounds[gamma, m],
                 "file": name,
             })
-    with open(out / "summary.csv", "w", encoding="utf-8") as fh:
-        fh.write("gamma,m,theta,empirical_range,range_bound,file\n")
-        for row in summary:
-            fh.write(f"{row['gamma']!r},{row['m']},{row['theta']!r},"
-                     f"{row['empirical_range']},{row['range_bound']},{row['file']}\n")
+    columns = ["gamma", "m", "theta", "empirical_range", "range_bound", "file"]
+    datasets.write_rows(out / "summary.csv",
+                        [columns] + [[row[c] for c in columns] for row in summary])
     _echo_config(cfg, out)
     for row in summary:
         print(f"gamma={row['gamma']!r} m={row['m']}: empirical range "

@@ -236,19 +236,9 @@ def save_dataset(ds: Dataset, out_dir) -> None:
                          f"{coo.col[k]}) has weight {float(coo.data[k])!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / EDGE_FILE, "w", encoding="utf-8") as fh:
-        for r, c in zip(coo.row[order], coo.col[order]):
-            fh.write(f"{r}\t{c}\n")
-    with open(out / FEATURE_FILE, "w", encoding="utf-8") as fh:
-        for col in g.features.T:
-            fh.write(",".join(repr(float(v)) for v in col) + "\n")
-    with open(out / LABEL_FILE, "w", encoding="utf-8") as fh:
-        if g.multilabel:
-            for col in g.labels.T:
-                fh.write(",".join(repr(float(v)) for v in col) + "\n")
-        else:
-            for i, label in enumerate(g.labels):
-                fh.write(f"{i},{int(label)}\n")
+    write_rows(out / EDGE_FILE, zip(coo.row[order], coo.col[order]), sep="\t")
+    write_rows(out / FEATURE_FILE, g.features.T)
+    write_rows(out / LABEL_FILE, g.labels.T if g.multilabel else enumerate(g.labels))
     sidecar = {
         "directed": g.directed,
         "multilabel": g.multilabel,
@@ -364,6 +354,16 @@ def _read_rows(path, sep, dtype, width=None):
         raise DataFormatError(f"{path}:{linenos[r]}: field {c + 1} is "
                               f"{float(rows[r, c])!r}, not a finite number")
     return rows, linenos
+
+
+def write_rows(path, rows, sep=",") -> None:
+    """Write each row as one LF-terminated line of fields joined by ``sep``, the
+    mirror of ``_read_rows``: a float (numpy's too) as the ``repr`` of its
+    Python float, which reads back exactly, any other field as its ``str``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for row in rows:
+            fh.write(sep.join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
 def _check_node_ids(ids, linenos, n, path):

@@ -339,10 +339,13 @@ def weight_gradient(module: ScaleModule, u: np.ndarray, forward: EquilibriumResu
     ``s.T``. Pulling M back through the Frobenius normalization and the
     Gram map F^T F gives
 
-        dG = M/r_eps - (<M, G> / (r * r_eps^2)) G,   dF = F (dG + dG^T)
+        dG = (M - a G_hat)/r_eps + a G_hat eps_f/r_eps^2,   dF = F (dG + dG^T)
 
-    with G = F^T F, r = ||G||_F, r_eps = r + eps_f. The second term is the
-    normalization's own derivative and is dropped in the r -> 0 limit.
+    with G = F^T F, r = ||G||_F, r_eps = r + eps_f, G_hat = G/r and
+    a = <M, G_hat>. That is M/r_eps - (<M, G>/(r r_eps^2)) G, split so that
+    the part of M along G keeps its eps_f/r_eps^2 factor instead of being
+    the remainder of two cancelling terms (all of M when h = 1). The
+    normalization's own derivative is dropped in the r -> 0 limit.
     Validated against central finite differences before any training run
     is trusted.
     """
@@ -361,9 +364,12 @@ def weight_gradient(module: ScaleModule, u: np.ndarray, forward: EquilibriumResu
     gram = module.f_weight.T @ module.f_weight
     r = np.linalg.norm(gram)
     r_eps = r + module.eps_f
-    d_gram = m_up / r_eps
-    if r >= 1e-30:
-        d_gram = d_gram - (float(np.sum(m_up * gram)) / (r * r_eps ** 2)) * gram
+    if r < 1e-30:
+        d_gram = m_up / r_eps
+    else:
+        g_hat = gram / r
+        along = float(np.sum(m_up * g_hat))
+        d_gram = (m_up - along * g_hat) / r_eps + (along * module.eps_f / r_eps ** 2) * g_hat
     return module.f_weight @ (d_gram + d_gram.T)
 
 

@@ -483,8 +483,10 @@ def load_checkpoint(path) -> MultiscaleImplicitGNN:
     ``CHECKPOINT_SCHEMA``: its config holds every key ``save_checkpoint``
     writes, each of the kind it writes, every size a count and every number
     finite. Its parameters are exactly those its config implies, each an
-    array of finite numbers of the implied shape. Every error is a
-    ``ValueError`` naming the file and any key or parameter.
+    array of finite numbers of the implied shape; they are checked before
+    anything is allocated, so a size in the config can only be as large
+    as the arrays the file holds. Every error is a ``ValueError`` naming
+    the file and any key or parameter.
     """
     payload = read_json(path, "object")
     if payload.get("format") != CHECKPOINT_FORMAT:
@@ -492,27 +494,11 @@ def load_checkpoint(path) -> MultiscaleImplicitGNN:
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
     check_json(payload, CHECKPOINT_SCHEMA, path)
-    cfg = payload["config"]
-    dims, hidden = cfg["encoder_dims"], cfg["hidden_dim"]
-    try:  # a well-typed value can still be out of its domain
-        encoder = MlpEncoder([np.zeros((dims[i + 1], dims[i])) for i in range(len(dims) - 1)],
-                             [np.zeros(d) for d in dims[1:]] if cfg["encoder_bias"] else None,
-                             dropout_rate=cfg["dropout"])
-        scales = [ScaleModule(f_weight=np.zeros((hidden, hidden)), gamma=sc["gamma"],
-                              scale_m=sc["m"], eps_f=sc["eps_f"]) for sc in cfg["scales"]]
-        attention = AttentionParams(w_a=np.zeros((hidden, hidden)), b_a=np.zeros(hidden),
-                                    q=np.zeros(hidden))
-        solver = SolverConfig(tol=cfg["solver"]["tol"], max_iters=cfg["solver"]["max_iters"])
-        model = MultiscaleImplicitGNN(encoder, scales, attention,
-                                      np.zeros((cfg["num_classes"], hidden)),
-                                      task=cfg["task"], solver_cfg=solver,
-                                      multilabel=cfg.get("multilabel", False))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    expected, params = model.parameters(), payload["params"]
-    for name in sorted(expected.keys() | params.keys()):
-        if name not in params or name not in expected:
-            kind = "missing" if name in expected else "unknown"
+    cfg, params = payload["config"], payload["params"]
+    shapes, values = _parameter_shapes(cfg), {}
+    for name in sorted(shapes.keys() | params.keys()):
+        if name not in params or name not in shapes:
+            kind = "missing" if name in shapes else "unknown"
             raise ValueError(f"{path}: {kind} parameter {name!r}")
         try:
             value = np.asarray(params[name])
@@ -521,8 +507,39 @@ def load_checkpoint(path) -> MultiscaleImplicitGNN:
         if value.dtype.kind not in "iuf" or not np.all(np.isfinite(value)):
             raise ValueError(f"{path}: parameter {name!r} must be a rectangular "
                              f"array of JSON numbers, all finite")
-        if value.shape != expected[name].shape:
+        if value.shape != shapes[name]:
             raise ValueError(f"{path}: parameter {name!r} has shape {value.shape}, "
-                             f"expected {expected[name].shape}")
-        expected[name][...] = value
-    return model
+                             f"expected {shapes[name]}")
+        values[name] = value.astype(np.float64)
+    layers = range(len(cfg["encoder_dims"]) - 1)
+    try:  # a well-typed value can still be out of its domain
+        encoder = MlpEncoder([values[f"encoder.w{i}"] for i in layers],
+                             [values[f"encoder.b{i}"] for i in layers]
+                             if cfg["encoder_bias"] else None, dropout_rate=cfg["dropout"])
+        scales = [ScaleModule(f_weight=values[f"scales.{t}.f"], gamma=sc["gamma"],
+                              scale_m=sc["m"], eps_f=sc["eps_f"])
+                  for t, sc in enumerate(cfg["scales"])]
+        attention = AttentionParams(w_a=values["attention.w_a"], b_a=values["attention.b_a"],
+                                    q=values["attention.q"])
+        solver = SolverConfig(tol=cfg["solver"]["tol"], max_iters=cfg["solver"]["max_iters"])
+        return MultiscaleImplicitGNN(encoder, scales, attention, values["decoder.w"],
+                                     task=cfg["task"], solver_cfg=solver,
+                                     multilabel=cfg.get("multilabel", False))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _parameter_shapes(cfg) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter a checkpoint's config implies, named
+    as ``MultiscaleImplicitGNN.parameters`` names them."""
+    dims, hidden = cfg["encoder_dims"], cfg["hidden_dim"]
+    shapes = {}
+    for i in range(len(dims) - 1):
+        shapes[f"encoder.w{i}"] = (dims[i + 1], dims[i])
+        if cfg["encoder_bias"]:
+            shapes[f"encoder.b{i}"] = (dims[i + 1],)
+    for t in range(len(cfg["scales"])):
+        shapes[f"scales.{t}.f"] = (hidden, hidden)
+    shapes.update({"attention.w_a": (hidden, hidden), "attention.b_a": (hidden,),
+                   "attention.q": (hidden,), "decoder.w": (cfg["num_classes"], hidden)})
+    return shapes

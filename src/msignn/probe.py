@@ -14,12 +14,12 @@ upper bound scales linearly in the propagation scale m.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from math import ceil, floor, log
 
 import numpy as np
 
+from .datasets import write_rows
 from .equilibrium import ScaleModule, SolverConfig, forward_solve, normalized_gram
 from .errors import DomainError
 from .graph import Graph, hop_distance
@@ -123,9 +123,6 @@ def empirical_range(curve: DecayCurve, theta: float) -> int:
 
 
 def write_curve_csv(curve: DecayCurve, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hop", "measured", "bound", "gamma", "m"])
-        for h, meas, bnd in zip(curve.hops, curve.measured, curve.bound):
-            writer.writerow([int(h), repr(float(meas)), repr(float(bnd)),
-                             repr(curve.gamma), curve.scale_m])
+    write_rows(path, [["hop", "measured", "bound", "gamma", "m"]] + [
+        [int(h), float(meas), float(bnd), curve.gamma, curve.scale_m]
+        for h, meas, bnd in zip(curve.hops, curve.measured, curve.bound)])

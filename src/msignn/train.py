@@ -23,13 +23,13 @@ task), so equilibrium cost stays visible.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
+from .datasets import write_rows
 from .errors import EmptySelectionError, ShapeError
 from .graph import batch as batch_graphs
 from .model import MultiscaleImplicitGNN
@@ -325,9 +325,6 @@ def _check_label_kind(model: MultiscaleImplicitGNN, labels: np.ndarray) -> None:
 
 
 def history_to_csv(history: list[dict], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_COLUMNS)
-        for row in history:
-            writer.writerow([row[c] if c in ("epoch", "iters_per_scale")
-                             else repr(float(row[c])) for c in HISTORY_COLUMNS])
+    write_rows(path, [HISTORY_COLUMNS] + [
+        [row[c] if c in ("epoch", "iters_per_scale") else float(row[c])
+         for c in HISTORY_COLUMNS] for row in history])

@@ -2,6 +2,7 @@ from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 from hypothesis import settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from msignn import (EquilibriumResult, SolverConfig, build_graph, equilibrium,
                     forward_solve)
+from msignn.train import bce_with_logits, cross_entropy
 
 # Property tests draw the same examples on every run and keep no example
 # database; a test's own ``settings`` sets only how many it draws.
@@ -159,23 +161,65 @@ def power_iteration_norm(dense, iters=200):
 
 @contextmanager
 def counting_hops():
-    """Counts ``equilibrium._propagate`` calls, the solves' only sparse hops.
+    """Counts ``equilibrium._propagate`` calls, the solves' only sparse hops,
+    and the CSR transposes, such as the ``S^T`` a forward solve hops with.
 
-    Yields a counter whose ``calls`` is the number of calls so far; a
-    closed-form solve and a hop-free weight gradient make none.
+    Yields a counter whose ``calls`` and ``transposes`` are the numbers of
+    each so far; a closed-form solve and a hop-free weight gradient make
+    neither.
     """
-    propagate = equilibrium._propagate
-    counter = SimpleNamespace(calls=0)
+    propagate, transpose = equilibrium._propagate, sp.csr_array.transpose
+    counter = SimpleNamespace(calls=0, transposes=0)
 
     def counted(y, op, m):
         counter.calls += 1
         return propagate(y, op, m)
 
-    equilibrium._propagate = counted
+    def counted_transpose(s, *args, **kwargs):
+        counter.transposes += 1
+        return transpose(s, *args, **kwargs)
+
+    equilibrium._propagate, sp.csr_array.transpose = counted, counted_transpose
     try:
         yield counter
     finally:
-        equilibrium._propagate = propagate
+        equilibrium._propagate, sp.csr_array.transpose = propagate, transpose
+
+
+def check_gradients(model, data, labels):
+    """Assert that ``model.backward`` gives every parameter's gradient of the
+    task's loss to central differences.
+
+    The loss is the multi-hot BCE (a multilabel model) or the cross-entropy
+    over every column of the logits. Every forward is a train-mode one with
+    a fresh ``default_rng(0)``, so dropout draws the same mask each time.
+    Each entry is stepped by 1e-5 either way, and the gradient must match
+    within rtol 1e-3 / atol 1e-6. Returns the trace of the analytic forward
+    and the ``counting_hops`` counter of that forward and its backward.
+    """
+    loss_fn = bce_with_logits if model.multilabel else cross_entropy
+    mask = np.ones(labels.shape[-1], dtype=bool)
+
+    def forward():
+        return model.forward(data, train_mode=True, rng=np.random.default_rng(0))
+
+    with counting_hops() as counter:
+        trace = forward()
+        grads = model.backward(data, trace, loss_fn(trace.logits, labels, mask)[1])
+    step = 1e-5
+    for name, p in model.parameters().items():
+        numeric = np.zeros_like(p)
+        for idx in np.ndindex(p.shape):
+            orig = p[idx]
+            p[idx] = orig + step
+            lp = loss_fn(forward().logits, labels, mask)[0]
+            p[idx] = orig - step
+            lm = loss_fn(forward().logits, labels, mask)[0]
+            p[idx] = orig
+            numeric[idx] = (lp - lm) / (2 * step)
+        npt.assert_allclose(grads[name], numeric, rtol=1e-3, atol=1e-6,
+                            err_msg=f"parameter {name}")
+    return trace, counter
 
 
 @pytest.fixture

@@ -21,9 +21,9 @@ from msignn import (ChainsSpec, ColorCountingSpec, ScaleModule, SolverConfig,
 from msignn.cli import main
 from msignn.graph import build_graph
 from msignn.model import MlpEncoder, MultiscaleImplicitGNN, glorot_uniform
-from msignn.train import cross_entropy
 
-from conftest import counting_hops, picard_steps, random_undirected_graph, undirected_graph
+from conftest import (check_gradients, counting_hops, picard_steps, random_undirected_graph,
+                      undirected_graph)
 
 import scipy.sparse as sp
 
@@ -200,33 +200,14 @@ def test_criterion_5_oracle_equivalence():
 # -- 6. implicit gradients match finite differences ---------------------------
 
 def test_criterion_6_implicit_gradients():
-    step = 1e-5
     groups_checked = set()
     for seed in range(5):
         rng = np.random.default_rng(seed)
         graph = random_undirected_graph(rng, 6, feat_dim=3, num_classes=2)
         model = init_model(rng, 3, 4, 2, scale_exponents=(1, 2),
                            solver_cfg=SolverConfig(tol=1e-12, max_iters=5000))
-        mask = np.ones(6, dtype=bool)
-        trace = model.forward(graph)
-        _, grad_logits = cross_entropy(trace.logits, graph.labels, mask)
-        grads = model.backward(graph, trace, grad_logits)
-        for name, p in model.parameters().items():
-            numeric = np.zeros_like(p)
-            it = np.nditer(p, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = p[idx]
-                p[idx] = orig + step
-                lp = cross_entropy(model.forward(graph).logits, graph.labels, mask)[0]
-                p[idx] = orig - step
-                lm = cross_entropy(model.forward(graph).logits, graph.labels, mask)[0]
-                p[idx] = orig
-                numeric[idx] = (lp - lm) / (2 * step)
-                it.iternext()
-            np.testing.assert_allclose(grads[name], numeric, rtol=1e-3, atol=1e-6,
-                                       err_msg=f"seed {seed}, parameter {name}")
-            groups_checked.add(name)
+        check_gradients(model, graph, graph.labels)
+        groups_checked.update(model.parameters())
     report(6, f"all parameter groups ({sorted(groups_checked)}) match central "
               f"differences at rtol 1e-3 / atol 1e-6 on 5 seeds")
 

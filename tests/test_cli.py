@@ -7,7 +7,8 @@ import pytest
 
 from msignn import (build_graph, errors, init_model, load_dataset, save_checkpoint,
                     save_dataset)
-from msignn.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, OUT_DIR_ENV, main
+from msignn.cli import (EXIT_DATA, EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_USAGE, OUT_DIR_ENV,
+                        main)
 
 
 def run(capsys, *argv):
@@ -347,6 +348,29 @@ def test_eval_on_mismatched_features_is_data_error(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "--checkpoint", str(out / "checkpoint.json"),
                        "--data", str(colors))
     assert code == EXIT_DATA
+
+
+@pytest.mark.parametrize("keys, value, code, message", [
+    (("config", "hidden_dim"), 10**7, EXIT_DATA,
+     "error: {ckpt}: parameter 'attention.b_a' has shape (4,), expected (10000000,)\n"),
+    (("params", "scales.0.f", 0, 0), 1e200, EXIT_DIVERGED,
+     "error: divergence: forward solve: g(F) is not finite; check F for NaN, Inf or "
+     "entries whose Gram matrix F^T F overflows\n"),
+], ids=["oversized", "diverging"])
+def test_eval_on_an_edited_checkpoint(tmp_path, capsys, keys, value, code, message):
+    # exit 4 before anything of the edited size is allocated; exit 5 once F^T F overflows
+    data, out = gen_chains_dir(tmp_path, capsys, 4), tmp_path / "run"
+    run(capsys, "train", "--data", data, "--epochs", "1", "--hidden", "4", "--out", str(out))
+    ckpt = out / "checkpoint.json"
+    payload = json.loads(ckpt.read_text())
+    *parents, last = keys
+    node = payload
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    ckpt.write_text(json.dumps(payload))
+    exit_code, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", data)
+    assert (exit_code, err) == (code, message.format(ckpt=ckpt))
 
 
 def test_eval_rejects_a_graph_task_checkpoint(tmp_path, capsys):

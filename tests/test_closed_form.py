@@ -180,21 +180,27 @@ def test_component_above_the_cap_falls_back_to_picard(monkeypatch):
     assert rel_error(res.z_star, oracle_solve(module, injected, merged.s)) <= 1e-9
 
 
-def test_a_wrong_closed_form_continues_as_picard(monkeypatch):
-    # Decompose S with an eigh that halves the eigenvalues: the block measures
-    # its decomposition error, the residual bound exceeds tol, and the solve
-    # iterates on from the wrong closed form to the oracle.
+@pytest.mark.parametrize("wrong", ["halved values", "doubled vectors"])
+def test_a_wrong_closed_form_continues_as_picard(monkeypatch, wrong):
+    # Decompose S with an eigh that halves the eigenvalues, so the block
+    # measures a decomposition error, or one that doubles the eigenvectors,
+    # so it measures a drift above 1 while its error stays tiny: either way
+    # the residual bound exceeds tol, and the solve iterates on from the
+    # wrong closed form to the oracle.
     eigh = np.linalg.eigh
 
-    def halved(a):
+    def wrong_eigh(a):
         values, vectors = eigh(a)
-        return values / 2, vectors
+        return (values / 2, vectors) if wrong == "halved values" else (values, 2 * vectors)
 
     g = undirected_graph(3, [5, 3], 0.7)
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "eigh", halved)
+        patch.setattr(np.linalg, "eigh", wrong_eigh)
         blocks = spectrum(g.s)
-    assert max(b.error for b in blocks) > 0.1
+    if wrong == "halved values":
+        assert max(b.error for b in blocks) > 0.1
+    else:
+        assert max(b.drift for b in blocks) > 1.0
     module = ScaleModule(f_weight=np.eye(2), gamma=0.8)
     injected = np.random.default_rng(4).standard_normal((2, g.n))
     res = forward_solve(module, injected, g.s, SolverConfig(tol=1e-10, max_iters=2000))

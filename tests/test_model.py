@@ -17,9 +17,9 @@ from msignn import model as model_mod
 from msignn.errors import ShapeError
 from msignn.graph import GraphBatch
 from msignn.model import AttentionParams, MlpEncoder, MultiscaleImplicitGNN
-from msignn.train import cross_entropy
 
-from conftest import contiguous_graph, directed_graph, random_undirected_graph, undirected_graph
+from conftest import (check_gradients, contiguous_graph, directed_graph, random_undirected_graph,
+                      undirected_graph)
 
 TIGHT = SolverConfig(tol=1e-12, max_iters=5000)
 
@@ -138,50 +138,6 @@ def test_backward_zero_grad_logits():
         npt.assert_array_equal(grad, np.zeros_like(grad), err_msg=name)
 
 
-def _fd_check(seed, task="node", encoder_bias=True, dropout=0.0):
-    rng = np.random.default_rng(seed)
-    g = random_undirected_graph(rng, 6, feat_dim=3, num_classes=2)
-    model = small_model(rng, g, scales=(1, 2), encoder_bias=encoder_bias,
-                        dropout=dropout)
-    mask = np.ones(g.n, dtype=bool)
-
-    def loss_only():
-        trace = model.forward(g)
-        return cross_entropy(trace.logits, g.labels, mask)[0]
-
-    trace = model.forward(g)
-    loss, grad_logits = cross_entropy(trace.logits, g.labels, mask)
-    grads = model.backward(g, trace, grad_logits)
-    params = model.parameters()
-    step = 1e-5
-    failures = []
-    for name, p in params.items():
-        numeric = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + step
-            lp = loss_only()
-            p[idx] = orig - step
-            lm = loss_only()
-            p[idx] = orig
-            numeric[idx] = (lp - lm) / (2 * step)
-            it.iternext()
-        if not np.allclose(grads[name], numeric, rtol=1e-3, atol=1e-6):
-            failures.append(name)
-    return failures
-
-
-def test_full_model_gradients_match_finite_differences():
-    for seed in range(3):
-        assert _fd_check(seed) == []
-
-
-def test_gradients_without_encoder_bias():
-    assert _fd_check(11, encoder_bias=False) == []
-
-
 def test_sum_pool_cases():
     z = np.array([[1.0, 2.0, 3.0, 4.0],
                   [5.0, 6.0, 7.0, 8.0]])
@@ -217,44 +173,6 @@ def test_sum_pool_cases():
     assert np.array_equal(sum_pool(z, wide), reference)
 
 
-def test_graph_task_forward_and_gradcheck():
-    rng = np.random.default_rng(10)
-    graphs = [random_undirected_graph(rng, 4, num_classes=2) for _ in range(3)]
-    mb = batch(graphs)
-    model = init_model(rng, graphs[0].feature_dim, 4, 2, scale_exponents=(1, 2),
-                       task="graph", solver_cfg=TIGHT)
-    labels = np.array([0, 1, 0])
-    mask = np.ones(3, dtype=bool)
-
-    trace = model.forward(mb)
-    assert trace.logits.shape == (2, 3)
-    # pooled columns match brute-force per-graph sums
-    for gi in range(3):
-        npt.assert_allclose(trace.pooled[:, gi],
-                            trace.z_prime[:, mb.graph_of_node == gi].sum(axis=1),
-                            atol=1e-12)
-
-    loss, grad_logits = cross_entropy(trace.logits, labels, mask)
-    grads = model.backward(mb, trace, grad_logits)
-    params = model.parameters()
-    step = 1e-5
-    for name in ("decoder.w", "scales.0.f", "encoder.w0", "attention.q"):
-        p = params[name]
-        numeric = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + step
-            lp = cross_entropy(model.forward(mb).logits, labels, mask)[0]
-            p[idx] = orig - step
-            lm = cross_entropy(model.forward(mb).logits, labels, mask)[0]
-            p[idx] = orig
-            numeric[idx] = (lp - lm) / (2 * step)
-            it.iternext()
-        npt.assert_allclose(grads[name], numeric, rtol=1e-3, atol=1e-6, err_msg=name)
-
-
 @pytest.mark.parametrize("directed", [False, True])  # closed-form and Picard solves
 def test_graph_task_on_a_plain_graph_is_a_batch_of_one(directed):
     rng = np.random.default_rng(11)
@@ -270,37 +188,6 @@ def test_graph_task_on_a_plain_graph_is_a_batch_of_one(directed):
     assert grads_plain.keys() == model.parameters().keys()
     for name, grad in grads_plain.items():
         npt.assert_array_equal(grad, grads_one[name], err_msg=name)
-
-
-@pytest.mark.parametrize("directed", [False, True])
-@pytest.mark.parametrize("task", ["node", "graph"])
-def test_a_training_step_hops_only_on_directed_graphs(monkeypatch, hops, task, directed):
-    # On an undirected graph or batch every solve is the closed form and the
-    # weight gradient forms Z* S^m in the eigenbasis: a step's forward and
-    # backward make no sparse hop and build no S^T. A directed S has no
-    # spectrum; its solves iterate and hop.
-    rng = np.random.default_rng(21)
-    graphs = [random_undirected_graph(rng, 6) for _ in range(3)]
-    graphs = [build_graph(g.adjacency, g.features, g.labels, directed=directed)
-              for g in graphs]
-    if task == "node":
-        data, labels = graphs[0], graphs[0].labels
-    else:
-        data, labels = batch(graphs), np.array([0, 1, 1])
-    model = init_model(rng, data.feature_dim, 4, 2, scale_exponents=(1, 2, 4), task=task)
-    transposes = []
-    transpose = sp.csr_array.transpose
-    monkeypatch.setattr(sp.csr_array, "transpose",
-                        lambda s, *args, **kwargs: transposes.append(s)
-                        or transpose(s, *args, **kwargs))
-    trace = model.forward(data, train_mode=True, rng=rng)
-    _, grad_logits = cross_entropy(trace.logits, labels, np.ones(labels.size, dtype=bool))
-    model.backward(data, trace, grad_logits)
-    paths = {res.path for res in trace.scale_results}
-    if directed:
-        assert paths == {"picard"} and hops.calls > 0 and transposes
-    else:
-        assert paths == {"closed form"} and hops.calls == 0 and not transposes
 
 
 def test_predict_argmax_and_threshold():
@@ -355,9 +242,10 @@ def test_predict_from_a_trace_matches_and_rejects_another_inputs_trace():
         graph_model.predict(merged, graph_model.forward(other))
 
 
-# Each solve path a forward takes: the closed form on gathered rows and on
-# slabs, and Picard on an undirected S over the spectrum cap and on a
-# directed cyclic S.
+# The model cross-check matrix: each model variant on each solve path a
+# forward takes, the closed form on gathered rows and on slabs, and Picard on
+# an undirected S over the spectrum cap and on a directed cyclic S. A new
+# model variant adds its column to MODELS, a new solve path its row.
 SOLVE_PATHS = {
     "closed form, gathered": (undirected_graph, "closed form"),
     "closed form, slabs": (contiguous_graph, "closed form"),
@@ -366,20 +254,29 @@ SOLVE_PATHS = {
 }
 MODELS = {
     "node": {}, "multilabel": {"multilabel": True}, "graph": {"task": "graph"},
-    "dropout": {"dropout": 0.5},
+    "dropout": {"dropout": 0.5}, "no encoder bias": {"encoder_bias": False},
 }
 
 
 @pytest.mark.parametrize("variant", MODELS.values(), ids=MODELS)
 @pytest.mark.parametrize("build, path", SOLVE_PATHS.values(), ids=SOLVE_PATHS)
-def test_predict_runs_an_inference_forward_bit_identical_to_the_full_one(
-        monkeypatch, build, path, variant):
-    if path == "picard":  # components of 4 nodes are then over the cap
+def test_model_cross_check(monkeypatch, build, path, variant):
+    closed = path == "closed form"
+    if not closed:  # components of 4 nodes are then over the cap
         monkeypatch.setattr(graph_mod, "SPECTRUM_MAX_COMPONENT", 2)
     graphs = [build(seed, [4, 3, 1]) for seed in (1, 2)]
-    data = batch(graphs) if variant.get("task") == "graph" else graphs[0]
-    model = init_model(np.random.default_rng(5), data.feature_dim, 4, 3,
-                       scale_exponents=(1, 2, 4), solver_cfg=TIGHT, **variant)
+    rng = np.random.default_rng(5)
+    if variant.get("task") == "graph":
+        data, labels = batch(graphs), np.array([2, 0])
+    elif variant.get("multilabel"):
+        data, labels = graphs[0], (rng.random((3, graphs[0].n)) < 0.5).astype(float)
+    else:
+        data, labels = graphs[0], rng.integers(0, 3, graphs[0].n)
+    # At tol 1e-14 the merged batch's closed-form residual bound is above
+    # tol, and its solves would go on as Picard.
+    cfg = SolverConfig(tol=1e-12 if closed else 1e-14, max_iters=5000)
+    model = init_model(rng, data.feature_dim, 2, 3, scale_exponents=(1, 4),
+                       solver_cfg=cfg, **variant)
     calls = []
 
     def counting(name, fn):
@@ -388,14 +285,24 @@ def test_predict_runs_an_inference_forward_bit_identical_to_the_full_one(
             return fn(*args, **kwargs)
         return counted
 
-    for name in ("forward_solve", "adjoint_solve", "weight_gradient"):
-        monkeypatch.setattr(model_mod, name, counting(name, getattr(model_mod, name)))
-    preds = model.predict(data)
-    assert calls == ["forward_solve"] * 3  # one per scale, and nothing for a backward
-    trace = model.forward(data)
+    with monkeypatch.context() as patch:
+        for name in ("forward_solve", "adjoint_solve", "weight_gradient"):
+            patch.setattr(model_mod, name, counting(name, getattr(model_mod, name)))
+        preds = model.predict(data)
+    assert calls == ["forward_solve"] * 2  # one per scale, and nothing for a backward
+    full = model.forward(data)
+    assert np.array_equal(model._forward(data, False, None, keep=False), full.logits)
+    assert np.array_equal(preds, model.predict(data, full))
+
+    trace, counter = check_gradients(model, data, labels)
     assert {res.path for res in trace.scale_results} == {path}
-    assert np.array_equal(model._forward(data, False, None, keep=False), trace.logits)
-    assert np.array_equal(preds, model.predict(data, trace))
+    # The closed form's solves and weight gradient neither hop nor build S^T.
+    assert (counter.calls > 0, counter.transposes > 0) == (not closed, not closed)
+    if trace.pooled is not None:
+        for gi in range(data.num_graphs):
+            npt.assert_allclose(trace.pooled[:, gi],
+                                trace.z_prime[:, data.graph_of_node == gi].sum(axis=1),
+                                atol=1e-12)
 
 
 def test_predict_keeps_at_most_two_thirds_of_a_forwards_working_set():
@@ -573,9 +480,12 @@ NOT_AN_ARRAY = "parameter 'decoder.w' must be a rectangular array of JSON number
     (("params", "decoder.w"), "abc", NOT_AN_ARRAY),
     (("params", "decoder.w"), [[True] * 4] * 2, NOT_AN_ARRAY),
     (("params", "decoder.w"), [[1.0, 2.0, float("nan"), 4.0]] * 2, NOT_AN_ARRAY),
+    # checked before anything of that size is allocated
+    (("config", "hidden_dim"), 10**7,
+     r"parameter 'attention\.b_a' has shape \(4,\), expected \(10000000,\)"),
 ], ids=["dims", "hidden", "m", "bias", "solver", "gamma", "negative-hidden",
         "negative-dim", "zero-classes", "nan-tol", "inf-eps", "unknown", "ragged",
-        "string", "booleans", "nan-param"])
+        "string", "booleans", "nan-param", "huge-hidden"])
 def test_checkpoint_names_a_malformed_value(tmp_path, keys, value, message):
     _, path, payload = _saved_payload(tmp_path)
     *parents, last = keys

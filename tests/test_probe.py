@@ -105,6 +105,7 @@ def test_curve_csv_layout(tmp_path):
                        bound=np.array([2.0, 0.5]), gamma=0.5, scale_m=2)
     path = tmp_path / "curve.csv"
     write_curve_csv(curve, path)
+    assert b"\r" not in path.read_bytes()  # LF line ends, as every file written
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "hop,measured,bound,gamma,m"
     assert lines[1].split(",") == ["0", "1.0", "2.0", "0.5", "2"]

@@ -261,6 +261,7 @@ def test_history_csv_layout(tmp_path):
                 "iters_per_scale": "12;13", "seconds": 0.01}]
     path = tmp_path / "history.csv"
     history_to_csv(history, path)
+    assert b"\r" not in path.read_bytes()  # LF line ends, as every file written
     lines = path.read_text().strip().split("\n")
     assert lines[0] == ",".join(HISTORY_COLUMNS)
     fields = lines[1].split(",")
