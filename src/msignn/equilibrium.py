@@ -60,6 +60,16 @@ The input decides how they are solved, and the result's ``path`` names it:
   made once per solve: ``s.T``, a CSC view sharing S's arrays, or S
   itself. Powers of S are never materialized.
 
+Working memory: a solve makes R in an n x h array that the calling thread
+reuses on its next solve of the same shape (only the last shape's array is
+kept), and a closed form writes W over R, since the blocks partition the
+rows and each reads its rows of R before it writes them; a closed form
+that goes on as Picard makes R again. Each block's denominators are
+written into the array that then receives Z. So the pages of R are not
+handed back to the system and faulted in again between the solves of a
+training step. A reused array never outlives the call that filled it:
+nothing returned (Z*, Q, C, U) or kept in a trace is one.
+
 gamma = 0 needs no special case: a closed form reports 0 iterations and a
 solve from zeros 2. ``oracle_solve`` solves the vectorized system
 (I - gamma*(S^m)^T (x) g(F)) densely by LU, a capacity-guarded
@@ -68,6 +78,7 @@ cross-check for tests.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +89,9 @@ from .errors import CapacityError, DivergenceError, ShapeError
 
 RESIDUAL_FLOOR = 1e-12  # guards the relative residual against a zero iterate
 ORACLE_MAX_UNKNOWNS = 4096
+# Holds ``_reused``'s array. Its contents never outlive the call that wrote
+# them, so one caller cannot see another's values through it.
+_thread = threading.local()
 
 
 @dataclass(frozen=True)
@@ -157,7 +171,8 @@ def _solve(module: ScaleModule, s, injected: np.ndarray, cfg: SolverConfig,
     """Solve Y = gamma op^m Y g(F) + injected^T for W = Y Q; returns Z = Y^T.
 
     ``op`` is S for the adjoint and S^T for the forward solve. S carries
-    the spectrum when there is one.
+    the spectrum when there is one. R = injected^T Q is the thread's
+    reused array (``_reused``); the closed form writes W over it.
     """
     what = "adjoint solve" if adjoint else "forward solve"
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are named below
@@ -177,22 +192,24 @@ def _solve(module: ScaleModule, s, injected: np.ndarray, cfg: SolverConfig,
             raise ShapeError(f"{what}: z0 shape {z.shape} != {injected.shape}")
         lam, q = np.linalg.eigh(g)
         c = module.gamma * lam
-        rhs = injected.T @ q
+        rhs = np.matmul(injected.T, q, out=_reused((s.shape[0], g.shape[0])))
         blocks = graph.spectrum(s)
-        coefficients = None
+        coefficients = z_star = None
         if blocks is None:
             w = np.zeros_like(rhs) if z is None else z.T @ q
         else:
-            w, coefficients = _closed_form(c, blocks, module.scale_m, rhs)
+            z_star = np.empty(injected.shape)  # first the denominators, then Z
+            w, coefficients = _closed_form(c, blocks, module.scale_m, rhs, z_star)
             iterations, residual = 0, _residual_bound(c, blocks, module.scale_m)
             # A non-finite W, from H or an overflow, is for Picard to name.
             if not (residual <= cfg.tol and np.isfinite(np.sum(w))):
                 coefficients = None
+                w = w.copy()  # W was written over R, which Picard reads: make R again
+                np.matmul(injected.T, q, out=rhs)
         if coefficients is None:
             w, iterations, residual = _picard(c, s if adjoint else s.T, module.scale_m,
                                               rhs, w, cfg, what)
-        del rhs  # one n x h array fewer while the back-transform makes Z
-        z_star = q @ w.T
+        z_star = np.matmul(q, w.T, out=z_star)
     return EquilibriumResult(z_star=z_star, iterations=iterations, residual=residual,
                              converged=residual <= cfg.tol,
                              path="picard" if coefficients is None else "closed form",
@@ -200,19 +217,24 @@ def _solve(module: ScaleModule, s, injected: np.ndarray, cfg: SolverConfig,
                              coefficients=coefficients)
 
 
-def _closed_form(c: np.ndarray, blocks, m: int,
-                 rhs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """W = V C, C = (V^T R) / (1 - sigma^m c^T), block by block; returns W and each C."""
-    w = np.empty_like(rhs)
+def _closed_form(c: np.ndarray, blocks, m: int, rhs: np.ndarray,
+                 spare: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """W = V C, C = (V^T R) / (1 - sigma^m c^T), block by block; returns W and each C.
+
+    W is written over R: the blocks partition the rows, and each reads its
+    rows of R before it writes them. Each block's denominators go into the
+    front of ``spare``, a C-ordered array of R's size.
+    """
     coefficients = []
-    for b in blocks:  # blocks partition the nodes, so together they write every row
+    for b in blocks:
         coeffs = np.matmul(b.vectors.transpose(0, 2, 1), b.slab(rhs))
-        denominators = _power(b.values, m)[:, :, None] * -c
+        denominators = spare.reshape(-1)[:coeffs.size].reshape(coeffs.shape)
+        np.multiply(_power(b.values, m)[:, :, None], -c, out=denominators)
         denominators += 1.0
         coeffs /= denominators
-        _write_rows(w, b, coeffs)
+        _write_rows(rhs, b, coeffs)
         coefficients.append(coeffs)
-    return w, coefficients
+    return rhs, coefficients
 
 
 def _write_rows(out: np.ndarray, b, coeffs: np.ndarray) -> None:
@@ -222,6 +244,17 @@ def _write_rows(out: np.ndarray, b, coeffs: np.ndarray) -> None:
         np.matmul(b.vectors, coeffs, out=b.slab(out))
     else:
         out[b.nodes] = np.matmul(b.vectors, coeffs)
+
+
+def _reused(shape: tuple[int, int]) -> np.ndarray:
+    """An uninitialized C-ordered float64 array of ``shape``, private to the
+    calling thread. It is the same array on the thread's next call with the
+    same shape; only the last shape's array is kept."""
+    buffer = getattr(_thread, "buffer", None)
+    if buffer is None or buffer.shape != shape:
+        _thread.buffer = None  # the old array goes before the new one is made
+        buffer = _thread.buffer = np.empty(shape)
+    return buffer
 
 
 def _power(values: np.ndarray, m: int) -> np.ndarray:

@@ -13,9 +13,9 @@ Graph tasks sum-pool Z' per graph (a Graph is a batch of one) before the
 decoder. Per-node, per-scale values (beta, alpha and their gradients) are
 (k, n) arrays, one row per scale, so each step over them runs along the n
 nodes, not along the few scales of one node; ``ForwardTrace.alphas`` is
-the (n, k) transpose of that array, a view. The attention writes the
-n x h temporaries it does not keep into one reused buffer, and every
-product keeps the association of the formulas above.
+the (n, k) transpose of that array, a view. The fusion writes each
+scale's alpha-weighted Z* into one buffer, and every product keeps the
+association of the formulas above.
 
 ``predict`` without a trace runs the same forward loop in inference mode,
 which keeps only what the logits need: the encoder cache goes once H is
@@ -25,14 +25,21 @@ buffer, since only beta is read, and H goes after the last solve. The k Z*
 stay until the fusion, because the softmax needs every beta first. The
 operations and their order are those of ``forward``, so the logits are
 bit-identical; on a 900-node graph with h = 16 and three scales the peak
-falls from ~14 to ~8 n x h arrays.
+falls from ~14 to ~6 n x h arrays once the solves' reused right-hand side
+array (see ``equilibrium``) is made.
 
 The backward pass is hand-written: the loss gradient on each Z*_t
 (through both the attention weights and the weighted sum) enters the
 adjoint solve of ``equilibrium``, whose output backpropagates into F_t
 and, summed across scales, through the encoder. No autodiff framework is
 involved, so every formula here is covered by finite-difference checks in
-the test suite.
+the test suite. The backward writes its three per-scale n x h temporaries
+into arrays the model keeps and reuses from step to step while n does not
+change, as each solve reuses its right-hand side array (see
+``equilibrium``), so a training step does not hand their pages back to
+the system and fault them in again. A reused array never outlives the call
+that filled it: nothing in a ``ForwardTrace`` or a gradient dict is one.
+One model's backward must not run in two threads at once.
 
 Parameters are exposed as a flat name -> ndarray dict of live references;
 the optimizer updates them in place between forward/backward passes.
@@ -221,6 +228,7 @@ class MultiscaleImplicitGNN:
         self.task = task
         self.multilabel = multilabel
         self.solver_cfg = solver_cfg
+        self._buffers: tuple[np.ndarray, ...] = ()
 
     # -- plumbing ---------------------------------------------------------
 
@@ -246,6 +254,14 @@ class MultiscaleImplicitGNN:
         params["attention.q"] = self.attention.q
         params["decoder.w"] = self.decoder_weight
         return params
+
+    def _scratch(self, shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
+        """Three uninitialized C-ordered (h, n) arrays for ``backward``'s
+        per-scale temporaries, the same three while ``shape`` does not change."""
+        if not self._buffers or self._buffers[0].shape != shape:
+            self._buffers = ()  # the old arrays go before the new ones are made
+            self._buffers = tuple(np.empty(shape) for _ in range(3))
+        return self._buffers
 
     # -- forward ----------------------------------------------------------
 
@@ -322,7 +338,7 @@ class MultiscaleImplicitGNN:
             d_zp = np.take(d_zp, data.graph_of_node, axis=1)
 
         alphas = trace.alphas.T  # (k, n), scale-major as the forward made it
-        scratch = np.empty_like(d_zp)  # each n x h temporary below is written here
+        scratch, d_pre, d_zt = self._scratch(d_zp.shape)
         # Value path: Z' = sum_t alpha_t * Z_t, so each scale sees alpha-scaled d_zp
         # and each alpha sees the inner product of d_zp with its equilibrium.
         d_alpha = np.empty_like(alphas)
@@ -342,13 +358,13 @@ class MultiscaleImplicitGNN:
             acts = trace.tanh_acts[t]
             db = d_beta[t]
             d_q += acts @ db
-            d_pre = acts * acts
+            np.multiply(acts, acts, out=d_pre)
             np.subtract(1.0, d_pre, out=d_pre)
             # (q (x) db) * (1 - a^2); ((1 - a^2) * q) * db would round differently
             d_pre *= np.multiply(att.q[:, None], db[None, :], out=scratch)
             d_wa += d_pre @ z_t.T
             d_ba += d_pre.sum(axis=1)
-            d_zt = d_zp * alphas[t]
+            np.multiply(d_zp, alphas[t], out=d_zt)
             d_zt += np.matmul(att.w_a.T, d_pre, out=scratch)
             u = adjoint_solve(mod, data.s, d_zt, self.solver_cfg)
             grads[f"scales.{t}.f"] = weight_gradient(mod, u, res, data.s)

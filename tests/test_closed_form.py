@@ -186,27 +186,36 @@ def test_a_wrong_closed_form_continues_as_picard(monkeypatch, wrong):
     # measures a decomposition error, or one that doubles the eigenvectors,
     # so it measures a drift above 1 while its error stays tiny: either way
     # the residual bound exceeds tol, and the solve iterates on from the
-    # wrong closed form to the oracle.
+    # wrong closed form to the oracle. The closed form's W was written over
+    # the right-hand side, so the forward and the adjoint solve reach the
+    # oracle only if Picard made it again, on slabs and on gathered rows.
     eigh = np.linalg.eigh
 
     def wrong_eigh(a):
         values, vectors = eigh(a)
         return (values / 2, vectors) if wrong == "halved values" else (values, 2 * vectors)
 
-    g = undirected_graph(3, [5, 3], 0.7)
-    with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "eigh", wrong_eigh)
-        blocks = spectrum(g.s)
-    if wrong == "halved values":
-        assert max(b.error for b in blocks) > 0.1
-    else:
-        assert max(b.drift for b in blocks) > 1.0
     module = ScaleModule(f_weight=np.eye(2), gamma=0.8)
-    injected = np.random.default_rng(4).standard_normal((2, g.n))
-    res = forward_solve(module, injected, g.s, SolverConfig(tol=1e-10, max_iters=2000))
-    assert res.path == "picard" and res.converged and res.iterations > 0
-    assert res.coefficients is None
-    assert rel_error(res.z_star, oracle_solve(module, injected, g.s)) <= 1e-8
+    cfg = SolverConfig(tol=1e-10, max_iters=2000)
+    for interleave in (False, True):
+        g = contiguous_graph(3, [5, 3], 0.7, interleave=interleave)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", wrong_eigh)
+            blocks = spectrum(g.s)
+        assert all(isinstance(b.rows, slice) for b in blocks) != interleave
+        if wrong == "halved values":
+            assert max(b.error for b in blocks) > 0.1
+        else:
+            assert max(b.drift for b in blocks) > 1.0
+        injected = np.random.default_rng(4).standard_normal((2, g.n))
+        res = forward_solve(module, injected, g.s, cfg)
+        assert res.path == "picard" and res.converged and res.iterations > 0
+        assert res.coefficients is None
+        assert rel_error(res.z_star, oracle_solve(module, injected, g.s)) <= 1e-8
+        with counting_hops() as counter:
+            u = adjoint_solve(module, g.s, injected, cfg)
+        assert counter.calls > 0  # a closed form alone would not hop
+        assert rel_error(u, oracle_solve(module, injected, sp.csr_array(g.s.T))) <= 1e-8
     stalled = forward_solve(module, injected, g.s, SolverConfig(tol=1e-10, max_iters=2))
     assert not stalled.converged and stalled.iterations == 2
 

@@ -2,7 +2,7 @@ import copy
 import json
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -17,6 +17,7 @@ from msignn import model as model_mod
 from msignn.errors import ShapeError
 from msignn.graph import GraphBatch
 from msignn.model import AttentionParams, MlpEncoder, MultiscaleImplicitGNN
+from msignn.train import cross_entropy
 
 from conftest import (check_gradients, contiguous_graph, directed_graph, random_undirected_graph,
                       undirected_graph)
@@ -323,6 +324,80 @@ def test_predict_keeps_at_most_two_thirds_of_a_forwards_working_set():
             tracemalloc.stop()
 
     assert peak(lambda: model.predict(g)) <= 2 / 3 * peak(lambda: model.forward(g))
+
+
+def test_a_training_step_reuses_its_scratch_arrays():
+    # The model's three backward temporaries and the solves' right-hand side
+    # array are made by the first step and reused by the next, so tracemalloc
+    # sees them only in the first step's peak.
+    g = gen_color_counting(ColorCountingSpec(num_chains=30, length=30, seed=0)).graph
+    model = init_model(np.random.default_rng(0), g.feature_dim, 16, g.num_classes,
+                       scale_exponents=(1, 4, 8))
+    graph_mod.spectrum(g.s)  # decomposed and cached outside the measured steps
+    mask = np.ones(g.n, dtype=bool)
+
+    def step_peak():
+        tracemalloc.start()
+        try:
+            trace = model.forward(g, train_mode=True)
+            model.backward(g, trace, cross_entropy(trace.logits, g.labels, mask)[1])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n_by_h = g.n * model.hidden_dim * 8
+    assert step_peak() - step_peak() >= 3 * n_by_h
+
+
+def _arrays(obj):
+    """Every ndarray in a trace, a solve result, a gradient dict, or lists of them."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item)
+    elif isinstance(obj, dict):
+        yield from _arrays(list(obj.values()))
+    elif is_dataclass(obj):
+        yield from _arrays([getattr(obj, f.name) for f in fields(obj)])
+
+
+@pytest.mark.parametrize("row", SOLVE_PATHS)
+def test_no_reused_array_is_handed_out(monkeypatch, row):
+    # Two training steps, with an SGD step between them: nothing the first
+    # returned (its trace, each scale's Z*, basis and coefficients, its
+    # gradients) shares memory with what the second returned, and the first
+    # trace is unchanged by the second step.
+    build, path = SOLVE_PATHS[row]
+    if path == "picard":  # components of 4 nodes are then over the cap
+        monkeypatch.setattr(graph_mod, "SPECTRUM_MAX_COMPONENT", 2)
+    g = build(1, [4, 3, 1])
+    if path == "closed form":
+        slabs = [isinstance(b.rows, slice) for b in graph_mod.spectrum(g.s)]
+        assert all(slabs) == row.endswith("slabs")
+    rng = np.random.default_rng(5)
+    labels = rng.integers(0, 3, g.n)
+    model = init_model(rng, g.feature_dim, 2, 3, scale_exponents=(1, 4))
+    mask = np.ones(g.n, dtype=bool)
+
+    def step():
+        trace = model.forward(g, train_mode=True)
+        grads = model.backward(g, trace, cross_entropy(trace.logits, labels, mask)[1])
+        assert {res.path for res in trace.scale_results} == {path}
+        return trace, grads
+
+    first = step()
+    kept = copy.deepcopy(first)
+    for name, p in model.parameters().items():
+        p -= 0.1 * first[1][name]
+    second = step()
+    # The encoder's input is the data's own feature array in both traces.
+    made = [[a for a in _arrays(out) if not np.shares_memory(a, g.features)]
+            for out in (first, second)]
+    assert not [(a.shape, b.shape) for a in made[0] for b in made[1] if np.shares_memory(a, b)]
+    assert not np.array_equal(first[0].logits, second[0].logits)
+    for now, then in zip(_arrays(first), _arrays(kept), strict=True):
+        assert np.array_equal(now, then)
 
 
 def test_dropout_only_in_train_mode():
