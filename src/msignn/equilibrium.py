@@ -61,14 +61,15 @@ The input decides how they are solved, and the result's ``path`` names it:
   itself. Powers of S are never materialized.
 
 Working memory: a solve makes R in an n x h array that the calling thread
-reuses on its next solve of the same shape (only the last shape's array is
-kept), and a closed form writes W over R, since the blocks partition the
-rows and each reads its rows of R before it writes them; a closed form
-that goes on as Picard makes R again. Each block's denominators are
-written into the array that then receives Z. So the pages of R are not
-handed back to the system and faulted in again between the solves of a
-training step. A reused array never outlives the call that filled it:
-nothing returned (Z*, Q, C, U) or kept in a trace is one.
+reuses on its next solve of the same shape (``numerics.reused``, whose
+"solve" slot keeps only the last shape's array), and a closed form writes
+W over R, since the blocks partition the rows and each reads its rows of R
+before it writes them; a closed form that goes on as Picard makes R again.
+Each block's denominators are written into the array that then receives
+Z. So the pages of R are not handed back to the system and faulted in
+again between the solves of a training step. A reused array never
+outlives the call that filled it: nothing returned (Z*, Q, C, U) or kept
+in a trace is one.
 
 gamma = 0 needs no special case: a closed form reports 0 iterations and a
 solve from zeros 2. ``oracle_solve`` solves the vectorized system
@@ -78,7 +79,6 @@ cross-check for tests.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,9 +89,6 @@ from .errors import CapacityError, DivergenceError, ShapeError
 
 RESIDUAL_FLOOR = 1e-12  # guards the relative residual against a zero iterate
 ORACLE_MAX_UNKNOWNS = 4096
-# Holds ``_reused``'s array. Its contents never outlive the call that wrote
-# them, so one caller cannot see another's values through it.
-_thread = threading.local()
 
 
 @dataclass(frozen=True)
@@ -172,7 +169,7 @@ def _solve(module: ScaleModule, s, injected: np.ndarray, cfg: SolverConfig,
 
     ``op`` is S for the adjoint and S^T for the forward solve. S carries
     the spectrum when there is one. R = injected^T Q is the thread's
-    reused array (``_reused``); the closed form writes W over it.
+    reused array (``numerics.reused``); the closed form writes W over it.
     """
     what = "adjoint solve" if adjoint else "forward solve"
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are named below
@@ -192,7 +189,7 @@ def _solve(module: ScaleModule, s, injected: np.ndarray, cfg: SolverConfig,
             raise ShapeError(f"{what}: z0 shape {z.shape} != {injected.shape}")
         lam, q = np.linalg.eigh(g)
         c = module.gamma * lam
-        rhs = np.matmul(injected.T, q, out=_reused((s.shape[0], g.shape[0])))
+        rhs = np.matmul(injected.T, q, out=numerics.reused("solve", (s.shape[0], g.shape[0]))[0])
         blocks = graph.spectrum(s)
         coefficients = z_star = None
         if blocks is None:
@@ -244,17 +241,6 @@ def _write_rows(out: np.ndarray, b, coeffs: np.ndarray) -> None:
         np.matmul(b.vectors, coeffs, out=b.slab(out))
     else:
         out[b.nodes] = np.matmul(b.vectors, coeffs)
-
-
-def _reused(shape: tuple[int, int]) -> np.ndarray:
-    """An uninitialized C-ordered float64 array of ``shape``, private to the
-    calling thread. It is the same array on the thread's next call with the
-    same shape; only the last shape's array is kept."""
-    buffer = getattr(_thread, "buffer", None)
-    if buffer is None or buffer.shape != shape:
-        _thread.buffer = None  # the old array goes before the new one is made
-        buffer = _thread.buffer = np.empty(shape)
-    return buffer
 
 
 def _power(values: np.ndarray, m: int) -> np.ndarray:

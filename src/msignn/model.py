@@ -34,12 +34,13 @@ adjoint solve of ``equilibrium``, whose output backpropagates into F_t
 and, summed across scales, through the encoder. No autodiff framework is
 involved, so every formula here is covered by finite-difference checks in
 the test suite. The backward writes its three per-scale n x h temporaries
-into arrays the model keeps and reuses from step to step while n does not
-change, as each solve reuses its right-hand side array (see
-``equilibrium``), so a training step does not hand their pages back to
-the system and fault them in again. A reused array never outlives the call
-that filled it: nothing in a ``ForwardTrace`` or a gradient dict is one.
-One model's backward must not run in two threads at once.
+into three arrays the calling thread reuses from step to step while n does
+not change (the "backward" slot of ``numerics.reused``, as each solve
+reuses its right-hand side array), so a training step does not hand
+their pages back to the system and fault them in again; ``train_loop``
+releases them when it ends. A reused array never outlives the
+call that filled it: nothing in a ``ForwardTrace`` or a gradient dict is
+one.
 
 Parameters are exposed as a flat name -> ndarray dict of live references;
 the optimizer updates them in place between forward/backward passes.
@@ -228,7 +229,6 @@ class MultiscaleImplicitGNN:
         self.task = task
         self.multilabel = multilabel
         self.solver_cfg = solver_cfg
-        self._buffers: tuple[np.ndarray, ...] = ()
 
     # -- plumbing ---------------------------------------------------------
 
@@ -254,14 +254,6 @@ class MultiscaleImplicitGNN:
         params["attention.q"] = self.attention.q
         params["decoder.w"] = self.decoder_weight
         return params
-
-    def _scratch(self, shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
-        """Three uninitialized C-ordered (h, n) arrays for ``backward``'s
-        per-scale temporaries, the same three while ``shape`` does not change."""
-        if not self._buffers or self._buffers[0].shape != shape:
-            self._buffers = ()  # the old arrays go before the new ones are made
-            self._buffers = tuple(np.empty(shape) for _ in range(3))
-        return self._buffers
 
     # -- forward ----------------------------------------------------------
 
@@ -338,7 +330,7 @@ class MultiscaleImplicitGNN:
             d_zp = np.take(d_zp, data.graph_of_node, axis=1)
 
         alphas = trace.alphas.T  # (k, n), scale-major as the forward made it
-        scratch, d_pre, d_zt = self._scratch(d_zp.shape)
+        scratch, d_pre, d_zt = numerics.reused("backward", d_zp.shape, 3)
         # Value path: Z' = sum_t alpha_t * Z_t, so each scale sees alpha-scaled d_zp
         # and each alpha sees the inner product of d_zp with its equilibrium.
         d_alpha = np.empty_like(alphas)

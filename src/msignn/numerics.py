@@ -1,16 +1,18 @@
 """Dense and sparse linear-algebra kernels used by every other module.
 
 What is here: coercion and validation (``as_dense``, ``as_csr``,
-``set_integers``), the dense-times-CSR product ``spmm_right`` and
+``set_integers``), the dense-times-CSR product ``spmm_right``,
 ``softmax_scales``, the model's softmax over the leading (scale) axis of
-a (k, n) array. Plain numpy calls (norms included) are used directly
-everywhere else.
+a (k, n) array, and ``reused`` and ``release``, the per-thread working
+arrays of the solves and the backward. Plain numpy calls (norms included) are used
+directly everywhere else.
 
 Dense matrices are 2-D float64 C-order ndarrays; sparse matrices are
 scipy CSR arrays in canonical form (sorted column indices, no duplicates,
 no stored zeros). Everything here but ``set_integers``, which a frozen
-settings dataclass calls on itself while it is made, is a pure function:
-inputs are never mutated, so values can be shared freely across threads.
+settings dataclass calls on itself while it is made, ``reused`` and
+``release`` is a pure function: inputs are never mutated, so values can be shared freely
+across threads.
 
 ``as_csr`` is the one place a sparse matrix from outside the library is
 coerced, validated and canonicalized. ``graph.build_graph``, which the
@@ -27,16 +29,23 @@ scipy's check lets through when it ends at 0.
 from __future__ import annotations
 
 import numbers
+import threading
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ShapeError
 
+# Holds ``reused``'s arrays, one per slot. Their contents never outlive the
+# call that wrote them, so one caller cannot see another's values through them.
+_thread = threading.local()
+
 __all__ = [
     "as_dense",
     "as_csr",
     "set_integers",
+    "reused",
+    "release",
     "spmm_right",
     "softmax_scales",
 ]
@@ -138,6 +147,29 @@ def set_integers(settings, *names: str) -> None:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         object.__setattr__(settings, name, int(value))
+
+
+def reused(slot: str, shape: tuple[int, ...], count: int = 1) -> tuple[np.ndarray, ...]:
+    """``count`` uninitialized C-ordered float64 arrays of ``shape``, private
+    to the calling thread and to ``slot``.
+
+    They are the same arrays on the thread's next call with the same slot
+    and shape; only the last shape of each slot is kept. So the pages of a
+    working array are not handed back to the system and faulted in again
+    between the steps of a training run. Whoever fills one must not let it
+    outlive the call that filled it.
+    """
+    pool = vars(_thread).setdefault("pool", {})
+    arrays = pool.get(slot)
+    if arrays is None or arrays[0].shape != shape:
+        pool[slot] = None  # the old arrays go before the new ones are made
+        arrays = pool[slot] = tuple(np.empty(shape) for _ in range(count))
+    return arrays
+
+
+def release(slot: str) -> None:
+    """Drop the calling thread's arrays of ``slot``, if it holds any."""
+    vars(_thread).get("pool", {}).pop(slot, None)
 
 
 def spmm_right(z: np.ndarray, s: sp.csr_array) -> np.ndarray:

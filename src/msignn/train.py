@@ -18,7 +18,8 @@ validation metric, ties broken by the lower train loss, and restores them
 when it finishes. ``patience`` counts epochs without a strict improvement
 of the validation metric. Each history row records the epoch's wall time
 and the forward iteration counts of its step (its last one, for a graph
-task), so equilibrium cost stays visible.
+task), so equilibrium cost stays visible. When the loop ends it hands back
+the thread's backward working arrays, which its steps reused.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def bce_with_logits(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray):
     per = np.log1p(np.exp(-np.abs(logits))) + np.maximum(logits, 0.0) - logits * labels
     denom = count * logits.shape[0]
     loss = float(per[:, mask].sum()) / denom
-    sig = 1.0 / (1.0 + np.exp(-logits))
+    with np.errstate(over="ignore"):  # e^-x overflows below x ~ -709, and 1/(1+inf) is 0
+        sig = 1.0 / (1.0 + np.exp(-logits))
     grad = (sig - labels) / denom
     grad[:, ~mask] = 0.0
     return loss, grad
@@ -271,6 +273,7 @@ def train_loop(model: MultiscaleImplicitGNN, data, cfg: TrainConfig) -> list[dic
     if best_params is not None:
         for k, v in params.items():
             v[...] = best_params[k]
+    numerics.release("backward")  # the steps' working arrays (see model) go with the run
     return history
 
 

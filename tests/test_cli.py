@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from msignn import (build_graph, errors, init_model, load_dataset, save_checkpoint,
-                    save_dataset)
-from msignn.cli import (EXIT_DATA, EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_USAGE, OUT_DIR_ENV,
-                        main)
+from msignn import build_graph, errors, load_dataset, save_dataset
+from msignn.cli import EXIT_DATA, EXIT_OK, OUT_DIR_ENV, main
+
+from conftest import former
+from test_rejections import CALLS, CHECKPOINTS, CLI, FILES, SETTINGS
 
 
 def run(capsys, *argv):
@@ -87,60 +88,6 @@ def test_train_epochs_zero_untrained_checkpoint(tmp_path, capsys):
     assert payload["config"]["hidden_dim"] == 4
 
 
-def test_train_rejects_duplicate_scales(tmp_path, capsys):
-    code, _, err = run(capsys, "train", "--data", gen_chains_dir(tmp_path, capsys, 3),
-                       "--scales", "1,1", "--epochs", "1",
-                       "--out", str(tmp_path / "x"))
-    assert code == EXIT_DATA
-    assert "distinct" in err
-
-
-@pytest.mark.parametrize("command, flag, named", [
-    ("train", "--encoder-layers", "at least one layer, got 0"),
-    ("train", "--hidden", "got 0 x"),
-    ("probe-range", "--hidden", "got 0 x"),
-])
-def test_zero_model_size_is_data_error(tmp_path, capsys, command, flag, named):
-    data = ["--data", gen_chains_dir(tmp_path, capsys, 3)] if command == "train" else []
-    code, _, err = run(capsys, command, *data, flag, "0", "--out", str(tmp_path / "x"))
-    assert code == EXIT_DATA
-    assert named in err
-
-
-def test_train_names_a_negative_encoder_layer_count(tmp_path, capsys):
-    code, _, err = run(capsys, "train", "--data", gen_chains_dir(tmp_path, capsys, 3),
-                       "--encoder-layers", "-1", "--out", str(tmp_path / "x"))
-    assert code == EXIT_DATA
-    assert "at least one layer, got -1" in err
-
-
-@pytest.mark.parametrize("flag, value, named", [
-    ("--patience", "-3", "patience must be >= 0"),
-    ("--wd", "-1", "weight_decay must be >= 0"),
-    ("--wd", "inf", "weight_decay must be >= 0 and finite, got inf"),
-    ("--tol", "nan", "tol must be positive and finite, got nan"),
-    ("--lr", "nan", "lr must be positive and finite, got nan"),
-    ("--eps-f", "inf", "eps_f must be positive and finite, got inf"),
-])
-def test_train_rejects_negative_settings(tmp_path, capsys, flag, value, named):
-    code, _, err = run(capsys, "train", "--data", gen_chains_dir(tmp_path, capsys, 3),
-                       "--epochs", "3", flag, value, "--out", str(tmp_path / "x"))
-    assert code == EXIT_DATA
-    assert named in err
-
-
-def test_train_names_an_empty_train_split(tmp_path, capsys):
-    data = gen_chains_dir(tmp_path, capsys, 3)
-    sidecar_path = tmp_path / "data" / "masks.json"
-    sidecar = json.loads(sidecar_path.read_text())
-    sidecar["train"] = []
-    sidecar_path.write_text(json.dumps(sidecar))
-    code, _, err = run(capsys, "train", "--data", data, "--epochs", "2",
-                       "--out", str(tmp_path / "x"))
-    assert code == EXIT_DATA
-    assert "train split selects no nodes" in err
-
-
 def test_a_ten_node_dataset_trains(tmp_path, capsys):
     # 5% of 10 nodes rounds to none; the split still gives train a node
     data = tmp_path / "data"
@@ -182,12 +129,6 @@ def test_every_library_error_has_an_exit_code():
     assert len(classes) >= 2
     for cls in classes:
         assert issubclass(cls, ValueError) or cls is errors.DivergenceError, cls.__name__
-
-
-def test_train_without_data_is_data_error(tmp_path, capsys):
-    code, _, err = run(capsys, "train", "--epochs", "0", "--out", str(tmp_path / "x"))
-    assert code == EXIT_DATA
-    assert "train needs --data DIR" in err
 
 
 def test_train_rerun_byte_identical(tmp_path, capsys):
@@ -284,36 +225,11 @@ def test_bound_prints_reference_values(capsys):
     assert stdout.strip() == "152"
 
 
-def test_bound_domain_error_exit_code(capsys):
-    code, _, err = run(capsys, "bound", "--gamma", "1.5", "--theta", "1e-6")
-    assert code == EXIT_DATA
-
-
-def test_usage_error_exit_code(capsys):
-    assert main(["no-such-command"]) == EXIT_USAGE
-    assert main([]) == EXIT_USAGE
-
-
-def test_missing_out_dir_is_data_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(OUT_DIR_ENV, raising=False)
-    code, _, err = run(capsys, "gen-chains", "--length", "3")
-    assert code == EXIT_DATA
-    assert OUT_DIR_ENV in err
-
-
 def test_env_var_supplies_out_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path / "envout"))
     code, _, _ = run(capsys, "gen-chains", "--length", "3")
     assert code == EXIT_OK
     assert (tmp_path / "envout" / "edges.tsv").exists()
-
-
-def test_io_error_exit_code(tmp_path, capsys):
-    target = tmp_path / "blocked"
-    target.write_text("a file, not a directory")
-    code, _, err = run(capsys, "gen-chains", "--length", "3", "--out",
-                       str(target / "sub"))
-    assert code == EXIT_IO
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -326,62 +242,6 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     echoed = json.loads((out / "config.json").read_text())
     assert echoed["length"] == 4   # flag overrides file
     assert echoed["seed"] == 9     # file overrides default
-
-
-def test_config_file_unknown_key_rejected(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"lenght": 6}))
-    code, _, err = run(capsys, "gen-chains", "--config", str(cfg_path),
-                       "--out", str(tmp_path / "o"))
-    assert code == EXIT_DATA
-    assert f"{cfg_path}: unknown key 'lenght'" in err
-
-
-def test_eval_on_mismatched_features_is_data_error(tmp_path, capsys):
-    chains = tmp_path / "chains"
-    colors = tmp_path / "colors"
-    run(capsys, "gen-chains", "--length", "4", "--out", str(chains))
-    run(capsys, "gen-colors", "--chains", "4", "--length", "4", "--out", str(colors))
-    out = tmp_path / "run"
-    run(capsys, "train", "--data", str(chains), "--epochs", "1", "--hidden", "4",
-        "--out", str(out))
-    code, _, err = run(capsys, "eval", "--checkpoint", str(out / "checkpoint.json"),
-                       "--data", str(colors))
-    assert code == EXIT_DATA
-
-
-@pytest.mark.parametrize("keys, value, code, message", [
-    (("config", "hidden_dim"), 10**7, EXIT_DATA,
-     "error: {ckpt}: parameter 'attention.b_a' has shape (4,), expected (10000000,)\n"),
-    (("params", "scales.0.f", 0, 0), 1e200, EXIT_DIVERGED,
-     "error: divergence: forward solve: g(F) is not finite; check F for NaN, Inf or "
-     "entries whose Gram matrix F^T F overflows\n"),
-], ids=["oversized", "diverging"])
-def test_eval_on_an_edited_checkpoint(tmp_path, capsys, keys, value, code, message):
-    # exit 4 before anything of the edited size is allocated; exit 5 once F^T F overflows
-    data, out = gen_chains_dir(tmp_path, capsys, 4), tmp_path / "run"
-    run(capsys, "train", "--data", data, "--epochs", "1", "--hidden", "4", "--out", str(out))
-    ckpt = out / "checkpoint.json"
-    payload = json.loads(ckpt.read_text())
-    *parents, last = keys
-    node = payload
-    for key in parents:
-        node = node[key]
-    node[last] = value
-    ckpt.write_text(json.dumps(payload))
-    exit_code, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", data)
-    assert (exit_code, err) == (code, message.format(ckpt=ckpt))
-
-
-def test_eval_rejects_a_graph_task_checkpoint(tmp_path, capsys):
-    data = gen_chains_dir(tmp_path, capsys, 4)
-    feature_dim = load_dataset(data).graph.feature_dim
-    ckpt = tmp_path / "graph.json"
-    save_checkpoint(init_model(np.random.default_rng(0), feature_dim, 4, 2, task="graph"),
-                    ckpt)
-    code, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", data)
-    assert code == EXIT_DATA
-    assert str(ckpt) in err and "graph-task" in err
 
 
 def test_a_multi_hot_model_trains_saves_and_scores_only_multi_hot_labels(tmp_path, capsys):
@@ -422,30 +282,6 @@ def test_eval_names_a_multi_hot_checkpoint_that_predates_its_label_kind(tmp_path
     assert "predates its \"multilabel\" field" in err
     code, stdout, _ = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(classes))
     assert code == EXIT_OK and json.loads(stdout)["metric"] == "accuracy"
-
-
-def test_eval_on_malformed_dataset_is_data_error(tmp_path, capsys):
-    data = tmp_path / "data"
-    run(capsys, "gen-chains", "--length", "3", "--out", str(data))
-    out = tmp_path / "run"
-    run(capsys, "train", "--data", str(data), "--epochs", "0", "--hidden", "4",
-        "--out", str(out))
-    sidecar_path = data / "masks.json"
-    sidecar = json.loads(sidecar_path.read_text())
-
-    def eval_err():
-        code, _, err = run(capsys, "eval", "--checkpoint", str(out / "checkpoint.json"),
-                           "--data", str(data))
-        assert code == EXIT_DATA
-        return err
-
-    overlapping = dict(sidecar, test=sidecar["test"] + sidecar["val"][:1])
-    sidecar_path.write_text(json.dumps(overlapping))
-    assert "val and test masks overlap" in eval_err()
-
-    sidecar_path.write_text(json.dumps(dict(sidecar, multilabel=True)))
-    (data / "labels.csv").write_text("1,0,1\n0,1\n")
-    assert "labels.csv:2" in eval_err()
 
 
 def test_config_file_out_key_only_where_out_is_a_flag(tmp_path, capsys):
@@ -502,34 +338,6 @@ def test_encoder_bias_flag_overrides_config_file(tmp_path, capsys):
         assert json.loads((out / "config.json").read_text())["encoder_bias"] is expected
 
 
-@pytest.mark.parametrize("key, value", [("encoder_dims", 5), ("hidden_dim", "16")])
-def test_eval_on_a_malformed_checkpoint_value_is_data_error(tmp_path, capsys, key, value):
-    data = gen_chains_dir(tmp_path, capsys, 3)
-    out = tmp_path / "run"
-    run(capsys, "train", "--data", data, "--epochs", "0", "--hidden", "4", "--out", str(out))
-    ckpt = out / "checkpoint.json"
-    payload = json.loads(ckpt.read_text())
-    payload["config"][key] = value
-    ckpt.write_text(json.dumps(payload))
-    code, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", data)
-    assert code == EXIT_DATA
-    assert str(ckpt) in err and f"config.{key}" in err
-
-
-@pytest.mark.parametrize("command, key, value", [
-    ("train", "hidden", 2.5), ("train", "epochs", 1.5), ("train", "hidden", "4"),
-    ("train", "encoder_bias", "false"), ("train", "gamma", True), ("train", "scales", 1),
-    ("gen-colors", "fraction", "0.5"), ("bound", "gamma", None),
-])
-def test_config_value_of_the_wrong_json_type_is_data_error(tmp_path, capsys, command,
-                                                           key, value):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({key: value}))
-    code, _, err = run(capsys, command, "--config", str(cfg_path))
-    assert code == EXIT_DATA
-    assert f"{cfg_path}: {key} must be a " in err
-
-
 def test_config_values_of_each_flag_type_are_accepted(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg = {"hidden": 4, "lr": 1, "dropout": 0.25, "encoder_bias": False, "scales": "1,2",
@@ -543,55 +351,46 @@ def test_config_values_of_each_flag_type_are_accepted(tmp_path, capsys):
     assert {k: echoed[k] for k in cfg} == cfg
 
 
-@pytest.mark.parametrize("text", ["5", '"abc"', "[]"])
-def test_eval_on_a_sidecar_that_is_not_an_object_is_data_error(tmp_path, capsys, text):
-    data = gen_chains_dir(tmp_path, capsys, 3)
-    out = tmp_path / "run"
-    run(capsys, "train", "--data", data, "--epochs", "0", "--hidden", "4", "--out", str(out))
-    sidecar = tmp_path / "data" / "masks.json"
-    sidecar.write_text(text)
-    code, _, err = run(capsys, "eval", "--checkpoint", str(out / "checkpoint.json"),
-                       "--data", data)
-    assert code == EXIT_DATA
-    assert f"{sidecar}: top level must be a JSON object, got {text}" in err
-
-
-# Each JSON file the CLI reads, and the keys of a number in it.
-JSON_FILES = {
-    "checkpoint": ("run/checkpoint.json", ("config", "dropout")),
-    "sidecar": ("data/masks.json", ("train", 0)),
-    "config": ("cfg.json", ("tol",)),
-}
-MALFORMED = {"invalid-json": "invalid JSON", "not-an-object": "top level must be a JSON object",
-             "nan": "got NaN", "unknown-key": "unknown key 'bogus'"}
-
-
-@pytest.mark.parametrize("malformed", MALFORMED)
-@pytest.mark.parametrize("which", JSON_FILES)
-def test_every_json_file_rejects_the_same_malformed_input(tmp_path, capsys, which,
-                                                          malformed):
-    data = gen_chains_dir(tmp_path, capsys, 3)
-    ckpt = tmp_path / "run" / "checkpoint.json"
-    run(capsys, "train", "--data", data, "--epochs", "0", "--hidden", "4",
-        "--out", str(ckpt.parent))
-    (tmp_path / "cfg.json").write_text(json.dumps({"tol": 1e-6}))
-    name, (*parents, last) = JSON_FILES[which]
-    path = tmp_path / name
-    payload = json.loads(path.read_text())
-    with_nan = json.loads(path.read_text())
-    node = with_nan
-    for key in parents:
-        node = node[key]
-    node[last] = float("nan")
-    path.write_text({"invalid-json": "{", "not-an-object": "[1, 2]",
-                     "nan": json.dumps(with_nan),
-                     "unknown-key": json.dumps({"bogus": 1, **payload})}[malformed])
-    if which == "config":
-        argv = ["train", "--config", str(path), "--data", data, "--epochs", "0",
-                "--out", str(tmp_path / "again")]
-    else:
-        argv = ["eval", "--checkpoint", str(ckpt), "--data", data]
-    code, _, err = run(capsys, *argv)
-    assert code == EXIT_DATA
-    assert f"{path}: " in err and MALFORMED[malformed] in err
-
+# Tests of one rule each, now rows of the tables in test_rejections, under their names.
+test_usage_error_exit_code = former(CLI, ["usage-unknown-command", "usage-no-command"])
+test_io_error_exit_code = former(CLI, "io-error")
+test_bound_domain_error_exit_code = former(CLI, "bound-gamma-above-one")
+test_missing_out_dir_is_data_error = former(CLI, "no-out-dir")
+test_train_without_data_is_data_error = former(CLI, "train-without-data")
+test_eval_rejects_a_graph_task_checkpoint = former(CLI, "eval-graph-task-checkpoint")
+test_config_file_unknown_key_rejected = former(CLI, "config-unknown-key")
+test_config_value_of_the_wrong_json_type_is_data_error = former(CLI, {
+    name: f"config-{name}" for name in (
+        "train-hidden-2.5", "train-epochs-1.5", "train-hidden-4", "train-encoder_bias-false",
+        "train-gamma-True", "train-scales-1", "gen-colors-fraction-0.5", "bound-gamma-None")})
+test_every_json_file_rejects_the_same_malformed_input = former((CHECKPOINTS, FILES, CLI), {
+    f"{which}-{malformed}": rule for which, rules in (
+        ("checkpoint", ["not-json", "array", "nan-tol", "unknown"]),
+        ("sidecar", ["sidecar-invalid-json", "sidecar-top-level-array", "mask-entry-nan",
+                     "sidecar-unknown-key"]),
+        ("config", ["config-invalid-json", "config-not-an-object", "config-nan",
+                    "config-unknown-key"]))
+    for malformed, rule in zip(("invalid-json", "not-an-object", "nan", "unknown-key"), rules)})
+test_eval_on_an_edited_checkpoint = former((CHECKPOINTS, CLI), {
+    "oversized": "huge-hidden", "diverging": "divergence"})
+test_eval_on_malformed_dataset_is_data_error = former(FILES, ["masks-overlap", "multi-hot-ragged"])
+test_eval_on_a_malformed_checkpoint_value_is_data_error = former(CHECKPOINTS, {
+    "encoder_dims-5": "dims", "hidden_dim-16": "hidden"})
+test_eval_on_a_sidecar_that_is_not_an_object_is_data_error = former(FILES, {
+    "5": "sidecar-top-level-number", '"abc"': "sidecar-top-level-string",
+    "[]": "sidecar-top-level-array"})
+test_eval_on_mismatched_features_is_data_error = former(CALLS, "encoder-features")
+test_train_names_an_empty_train_split = former(CALLS, "node-train-split-empty")
+test_train_rejects_duplicate_scales = former(SETTINGS, "init-scales-repeated")
+test_zero_model_size_is_data_error = former(SETTINGS, {
+    "train---encoder-layers-at least one layer, got 0": "init-encoder-layers-0",
+    "train---hidden-got 0 x": "init-hidden-zero",
+    "probe-range---hidden-got 0 x": "init-hidden-zero"})
+test_train_names_a_negative_encoder_layer_count = former(SETTINGS, "init-encoder-layers--1")
+test_train_rejects_negative_settings = former(SETTINGS, {
+    "--patience--3-patience must be >= 0": "patience-negative",
+    "--wd--1-weight_decay must be >= 0": "weight-decay--1.0",
+    "--wd-inf-weight_decay must be >= 0 and finite, got inf": "weight-decay-inf",
+    "--tol-nan-tol must be positive and finite, got nan": "tol-nan",
+    "--lr-nan-lr must be positive and finite, got nan": "lr-nan",
+    "--eps-f-inf-eps_f must be positive and finite, got inf": "eps-f-inf"})

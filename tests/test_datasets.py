@@ -9,9 +9,9 @@ import scipy.sparse as sp
 
 from msignn import (ChainsSpec, ColorCountingSpec, Dataset, GraphDataset, build_graph,
                     gen_chains, gen_color_counting, load_dataset, load_graph, save_dataset)
-from msignn.errors import DataFormatError, ShapeError
 
-from conftest import random_undirected_graph
+from conftest import former, random_undirected_graph
+from test_rejections import DATASETS, FILES
 
 
 def test_chains_default_counts():
@@ -96,14 +96,9 @@ def test_chains_deterministic_per_seed():
     (ColorCountingSpec, "length"), (ColorCountingSpec, "seed"),
 ])
 def test_generator_spec_counts_and_seed_take_integers_only(spec, field):
-    # Rejected when made: 4.5 failed only inside numpy, and True acted as 1.
-    for bad in (4.5, 4.0, True, np.True_, "4"):
-        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
-            spec(**{field: bad})
+    # Other values are rows of test_rejections.SETTINGS.
     value = getattr(spec(**{field: np.int64(4)}), field)
     assert value == 4 and type(value) is int
-    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
-        spec(seed=-1)
 
 
 def test_color_counting_single_full_chain():
@@ -216,20 +211,6 @@ def test_load_graph_deduplicates_edges(tmp_path):
     assert g.adjacency.data.max() == 1.0
 
 
-def test_load_graph_reports_line_numbers(tmp_path):
-    (tmp_path / "edges.tsv").write_text("0\t1\nbroken\n")
-    (tmp_path / "features.csv").write_text("1.0\n2.0\n")
-    with pytest.raises(DataFormatError, match="edges.tsv:2"):
-        load_graph(tmp_path / "edges.tsv", tmp_path / "features.csv")
-
-
-def test_load_graph_rejects_dangling_ids(tmp_path):
-    (tmp_path / "edges.tsv").write_text("0\t5\n")
-    (tmp_path / "features.csv").write_text("1.0\n2.0\n")
-    with pytest.raises(DataFormatError, match="out of range"):
-        load_graph(tmp_path / "edges.tsv", tmp_path / "features.csv")
-
-
 def test_load_multihot_labels(tmp_path):
     (tmp_path / "edges.tsv").write_text("0\t1\n1\t0\n")
     (tmp_path / "features.csv").write_text("1.0\n2.0\n")
@@ -238,44 +219,6 @@ def test_load_multihot_labels(tmp_path):
                    tmp_path / "labels.csv", multilabel=True)
     assert g.multilabel
     npt.assert_array_equal(g.labels, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-
-
-def test_load_multihot_labels_rejects_ragged_rows(tmp_path):
-    (tmp_path / "edges.tsv").write_text("0\t1\n1\t0\n")
-    (tmp_path / "features.csv").write_text("1.0\n2.0\n")
-    (tmp_path / "labels.csv").write_text("1,0,1\n0,1\n")
-    with pytest.raises(DataFormatError, match="labels.csv:2"):
-        load_graph(tmp_path / "edges.tsv", tmp_path / "features.csv",
-                   tmp_path / "labels.csv", multilabel=True)
-
-
-@pytest.mark.parametrize("features, labels, message", [
-    ("1.0,0.5\n\n2.0,nan\n", None, r"features\.csv:3: field 2 is nan, not a finite"),
-    ("1.0\n-inf\n", None, r"features\.csv:2: field 1 is -inf, not a finite"),
-    ("1.0\n2.0\n", "1,0,NaN\n0,1,1\n", r"labels\.csv:1: field 3 is nan, not a finite"),
-    ("1.0\n2.0\n", "1,0,1\n0,1e999,1\n", r"labels\.csv:2: field 2 is inf, not a finite"),
-], ids=["features-nan", "features-inf", "multi-hot-nan", "multi-hot-overflow"])
-def test_load_graph_names_the_line_of_a_non_finite_field(tmp_path, features, labels, message):
-    (tmp_path / "edges.tsv").write_text("0\t1\n1\t0\n")
-    (tmp_path / "features.csv").write_text(features)
-    label_path = None
-    if labels is not None:
-        label_path = tmp_path / "labels.csv"
-        label_path.write_text(labels)
-    with pytest.raises(DataFormatError, match=message):
-        load_graph(tmp_path / "edges.tsv", tmp_path / "features.csv", label_path,
-                   multilabel=labels is not None)
-
-
-@pytest.mark.parametrize("text, message", [
-    ("0,1\n1,-1\n", r"labels\.csv:2: negative label -1"),
-    ("0,1\n1,0\n0,2\n", r"labels\.csv:3: node 0 labelled twice")])
-def test_load_labels_names_the_line_of_a_bad_label(tmp_path, text, message):
-    (tmp_path / "edges.tsv").write_text("0\t1\n1\t0\n")
-    (tmp_path / "features.csv").write_text("1.0\n2.0\n")
-    (tmp_path / "labels.csv").write_text(text)
-    with pytest.raises(DataFormatError, match=message):
-        load_graph(tmp_path / "edges.tsv", tmp_path / "features.csv", tmp_path / "labels.csv")
 
 
 def test_save_dataset_refuses_edge_weights(tmp_path):
@@ -288,27 +231,6 @@ def test_save_dataset_refuses_edge_weights(tmp_path):
     with pytest.raises(ValueError, match=r"edge \(0, 1\) has weight 2\.0"):
         save_dataset(ds, out)
     assert not out.exists()
-
-
-@pytest.mark.parametrize("ids", [[0.7], [True], 0])
-def test_load_dataset_rejects_a_mask_entry_that_is_not_an_integer(tmp_path, ids):
-    save_dataset(gen_chains(ChainsSpec(length=3)), tmp_path)
-    sidecar = json.loads((tmp_path / "masks.json").read_text())
-    sidecar["val"] = ids
-    (tmp_path / "masks.json").write_text(json.dumps(sidecar))
-    shown = ("val must be a JSON array, got 0" if ids == 0
-             else rf"val\[0\] must be a JSON integer, got {json.dumps(ids[0])}")
-    with pytest.raises(DataFormatError, match=rf"masks\.json: {shown}"):
-        load_dataset(tmp_path)
-
-
-def test_load_dataset_rejects_overlapping_masks(tmp_path):
-    save_dataset(gen_chains(ChainsSpec(length=3)), tmp_path)
-    sidecar = json.loads((tmp_path / "masks.json").read_text())
-    sidecar["test"].append(sidecar["train"][0])
-    (tmp_path / "masks.json").write_text(json.dumps(sidecar))
-    with pytest.raises(DataFormatError, match=r"masks\.json: train and test masks overlap"):
-        load_dataset(tmp_path)
 
 
 def _graph_dataset(**changes):
@@ -327,81 +249,6 @@ def test_graph_dataset_stores_integral_labels_as_int64():
     npt.assert_array_equal(data.labels, [0, 1, 2, 0, 1, 2])
 
 
-def test_graph_dataset_rejects_a_negative_label():
-    # cross_entropy would index the last class with it
-    with pytest.raises(ValueError, match="class labels must be non-negative, got -1 at graph 3"):
-        _graph_dataset(labels=np.array([0, 1, 2, -1, 1, 2]))
-
-
-def test_graph_dataset_rejects_a_float_label():
-    with pytest.raises(ValueError, match=r"class labels must be integers, got 0\.5 at graph 4"):
-        _graph_dataset(labels=np.array([0.0, 1.0, 2.0, 0.0, 0.5, 2.0]))
-
-
-@pytest.mark.parametrize("labels", [np.zeros(5, dtype=int), np.zeros((1, 6), dtype=int)],
-                         ids=["short", "matrix"])
-def test_graph_dataset_needs_one_label_per_graph(labels):
-    with pytest.raises(ShapeError, match=rf"one entry per graph, got shape "
-                                         rf"\({labels.shape[0]},.*for 6 graphs"):
-        _graph_dataset(labels=labels)
-
-
-def test_graph_dataset_rejects_overlapping_masks():
-    # validation would score a training graph
-    with pytest.raises(ValueError, match=r"train and val masks overlap \(graph 1 is in both\)"):
-        _graph_dataset(val_mask=np.isin(np.arange(6), [1, 2, 3]))
-
-
-def test_graph_dataset_rejects_a_mask_shorter_than_the_graph_list():
-    with pytest.raises(ShapeError, match=r"test mask must hold one entry per graph, "
-                                         r"got shape \(5,\) for 6 graphs"):
-        _graph_dataset(test_mask=np.arange(5) >= 4)
-
-
-def test_node_dataset_rejects_overlapping_masks():
-    ds = gen_chains(ChainsSpec(length=4))
-    k = np.flatnonzero(ds.train_mask)[0]
-    with pytest.raises(ValueError, match=rf"train and val masks overlap \(node {k} is in both\)"):
-        replace(ds, val_mask=ds.val_mask | ds.train_mask)
-
-
-def test_node_dataset_rejects_a_mask_shorter_than_the_graph():
-    graph = random_undirected_graph(np.random.default_rng(1), 40)
-    with pytest.raises(ShapeError, match=r"train mask must hold one entry per node, "
-                                         r"got shape \(5,\) for 40 nodes"):
-        Dataset(graph=graph, train_mask=np.ones(5, dtype=bool), val_mask=np.zeros(40, bool),
-                test_mask=np.zeros(40, bool), spec_echo={})
-
-
-
-def test_node_dataset_rejects_a_graph_without_labels():
-    # Rejected when made: training and saving would fail only part-way through.
-    graph = build_graph(sp.csr_array(np.ones((3, 3)) - np.eye(3)), np.ones((1, 3)))
-    mask = np.arange(3) == 0
-    with pytest.raises(ValueError, match="needs a graph with labels"):
-        Dataset(graph=graph, train_mask=mask, val_mask=~mask, test_mask=mask & ~mask,
-                spec_echo={})
-
-@pytest.mark.parametrize("key", ["directed", "train", "val", "test"])
-def test_load_dataset_names_missing_sidecar_key(tmp_path, key):
-    save_dataset(gen_chains(ChainsSpec(length=3)), tmp_path)
-    sidecar = json.loads((tmp_path / "masks.json").read_text())
-    del sidecar[key]
-    (tmp_path / "masks.json").write_text(json.dumps(sidecar))
-    with pytest.raises(DataFormatError, match=rf"masks\.json: missing key '{key}'"):
-        load_dataset(tmp_path)
-
-
-def test_load_dataset_rejects_a_misspelled_sidecar_key(tmp_path):
-    # a misspelled multilabel used to load silently as single-label
-    save_dataset(gen_chains(ChainsSpec(length=3)), tmp_path)
-    sidecar = json.loads((tmp_path / "masks.json").read_text())
-    sidecar["multilable"] = sidecar.pop("multilabel")
-    (tmp_path / "masks.json").write_text(json.dumps(sidecar))
-    with pytest.raises(DataFormatError, match=r"masks\.json: unknown key 'multilable'"):
-        load_dataset(tmp_path)
-
-
 def test_load_dataset_needs_no_optional_sidecar_key(tmp_path):
     save_dataset(gen_chains(ChainsSpec(length=3)), tmp_path)
     sidecar = json.loads((tmp_path / "masks.json").read_text())
@@ -410,27 +257,6 @@ def test_load_dataset_needs_no_optional_sidecar_key(tmp_path):
     ds = load_dataset(tmp_path)
     assert not ds.graph.multilabel and ds.spec_echo == {}
     assert ds.train_mask.sum() == len(sidecar["train"])
-
-
-@pytest.mark.parametrize("ids", [[-1], [120], [2 ** 70]])
-def test_load_dataset_rejects_a_mask_index_out_of_range(tmp_path, ids):
-    save_dataset(gen_chains(ChainsSpec(length=3)), tmp_path)  # 120 nodes
-    sidecar = json.loads((tmp_path / "masks.json").read_text())
-    sidecar["test"] = ids
-    (tmp_path / "masks.json").write_text(json.dumps(sidecar))
-    with pytest.raises(DataFormatError, match=r"masks\.json: test mask index out of range"):
-        load_dataset(tmp_path)
-
-
-@pytest.mark.parametrize("key, value", [("directed", "false"), ("directed", 0),
-                                        ("multilabel", "true"), ("multilabel", None)])
-def test_load_dataset_requires_boolean_sidecar_flags(tmp_path, key, value):
-    save_dataset(gen_color_counting(ColorCountingSpec(num_chains=2, length=4)), tmp_path)
-    sidecar = json.loads((tmp_path / "masks.json").read_text())
-    sidecar[key] = value
-    (tmp_path / "masks.json").write_text(json.dumps(sidecar))
-    with pytest.raises(DataFormatError, match=rf"masks\.json: {key} must be a JSON boolean"):
-        load_dataset(tmp_path)
 
 
 # SHA-256 of each generated array, dtype and shape included, recorded from
@@ -485,3 +311,36 @@ def test_generated_data_matches_its_golden_digests(name):
               "s.indices": g.s.indices, "s.indptr": g.s.indptr,
               "train_mask": ds.train_mask, "val_mask": ds.val_mask, "test_mask": ds.test_mask}
     assert {key: _digest(a) for key, a in arrays.items()} == expected
+
+
+# Tests of one rule each, now rows of the tables in test_rejections, under their names.
+test_load_graph_reports_line_numbers = former(FILES, "edge-field-count")
+test_load_graph_rejects_dangling_ids = former(FILES, "edge-id-out-of-range")
+test_load_multihot_labels_rejects_ragged_rows = former(FILES, "multi-hot-ragged")
+test_load_graph_names_the_line_of_a_non_finite_field = former(FILES, {
+    name: name for name in ("features-nan", "features-inf", "multi-hot-nan",
+                            "multi-hot-overflow")})
+test_load_labels_names_the_line_of_a_bad_label = former(FILES, {
+    "0,1\n1,-1\n-labels\\.csv:2: negative label -1": "label-negative",
+    "0,1\n1,0\n0,2\n-labels\\.csv:3: node 0 labelled twice": "label-twice"})
+test_load_dataset_rejects_a_mask_entry_that_is_not_an_integer = former(FILES, {
+    "ids0": "mask-entry-float", "ids1": "mask-entry-boolean", "0": "mask-not-an-array"})
+test_load_dataset_rejects_overlapping_masks = former(FILES, "masks-overlap")
+test_load_dataset_names_missing_sidecar_key = former(FILES, {
+    key: f"sidecar-missing-{key}" for key in ("directed", "train", "val", "test")})
+test_load_dataset_rejects_a_misspelled_sidecar_key = former(FILES, "sidecar-unknown-key")
+test_load_dataset_rejects_a_mask_index_out_of_range = former(FILES, {
+    "ids0": "mask-index-negative", "ids1": "mask-index-past-the-end", "ids2": "mask-index-huge"})
+test_load_dataset_requires_boolean_sidecar_flags = former(FILES, {
+    "directed-false": "sidecar-directed-string", "directed-0": "sidecar-directed-zero",
+    "multilabel-true": "sidecar-multilabel-string", "multilabel-None": "sidecar-multilabel-null"})
+test_graph_dataset_rejects_a_negative_label = former(DATASETS, "graph-label-negative")
+test_graph_dataset_rejects_a_float_label = former(DATASETS, "graph-label-float")
+test_graph_dataset_needs_one_label_per_graph = former(DATASETS, {
+    "short": "graph-labels-short", "matrix": "graph-labels-matrix"})
+test_graph_dataset_rejects_overlapping_masks = former(DATASETS, "graph-masks-overlap")
+test_graph_dataset_rejects_a_mask_shorter_than_the_graph_list = former(DATASETS,
+                                                                        "graph-mask-short")
+test_node_dataset_rejects_overlapping_masks = former(DATASETS, "node-masks-overlap")
+test_node_dataset_rejects_a_mask_shorter_than_the_graph = former(DATASETS, "node-mask-short")
+test_node_dataset_rejects_a_graph_without_labels = former(DATASETS, "node-without-labels")

@@ -15,11 +15,12 @@ import scipy.sparse as sp
 
 from msignn import (ScaleModule, SolverConfig, adjoint_solve, forward_solve,
                     normalized_gram, oracle_solve, weight_gradient)
-from msignn.errors import CapacityError, DivergenceError
+from msignn.errors import DivergenceError
 from msignn.graph import spectrum
 from msignn.numerics import as_csr
 
-from conftest import directed_graph, hopping_result, picard_steps, undirected_graph
+from conftest import former, hopping_result, picard_steps, undirected_graph
+from test_rejections import CALLS
 
 
 def scalar_setup(gamma_times_g=0.4):
@@ -102,38 +103,6 @@ def test_forward_divergence_error_on_bad_s():
         with pytest.raises(DivergenceError, match=what):
             solve()
         assert np.geterr() == before
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
-def test_nonfinite_right_hand_side_is_named(directed, bad):
-    # Under the error::RuntimeWarning filter a warning from the first product
-    # with an Inf would surface in place of the DivergenceError.
-    rng = np.random.default_rng(4)
-    s = (directed_graph(rng, [5], cyclic=True) if directed else undirected_graph(rng, [6])).s
-    module = ScaleModule(f_weight=rng.standard_normal((3, 3)))
-    rhs = rng.standard_normal((3, 6))
-    rhs[1, 2] = bad
-    with pytest.raises(DivergenceError, match=r"^forward solve: .* H is not finite"):
-        forward_solve(module, rhs, s)
-    with pytest.raises(DivergenceError, match=r"^adjoint solve: .* dL/dZ\* is not finite"):
-        adjoint_solve(module, s, rhs)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200],
-                         ids=["nan", "inf", "-inf", "gram-overflow"])
-def test_nonfinite_f_is_named(bad):
-    # Training updates F in place, after ScaleModule validated it. A finite
-    # 1e200 makes F^T F overflow.
-    rng = np.random.default_rng(5)
-    s = undirected_graph(rng, [6]).s
-    module = ScaleModule(f_weight=rng.standard_normal((3, 3)))
-    module.f_weight[0, 1] = bad
-    rhs = rng.standard_normal((3, 6))
-    with pytest.raises(DivergenceError, match=r"^forward solve: g\(F\) is not finite"):
-        forward_solve(module, rhs, s)
-    with pytest.raises(DivergenceError, match=r"^adjoint solve: g\(F\) is not finite"):
-        adjoint_solve(module, s, rhs)
 
 
 def test_forward_residual_contracts_geometrically():
@@ -245,21 +214,22 @@ def test_oracle_scalar_closed_form():
     npt.assert_allclose(out[0, 0], 1.0 / 0.6, rtol=1e-12)
 
 
-def test_oracle_capacity_guard():
-    module = ScaleModule(f_weight=np.eye(64), gamma=0.5)
-    s = as_csr(sp.eye_array(65, format="csr"))
-    with pytest.raises(CapacityError):
-        oracle_solve(module, np.zeros((64, 65)), s)
-
-
 @pytest.mark.parametrize("make, field", [
     (lambda v: ScaleModule(f_weight=np.eye(2), scale_m=v), "scale_m"),
     (lambda v: SolverConfig(max_iters=v), "max_iters"),
 ], ids=["scale_m", "max_iters"])
 def test_integer_settings_take_integers_only(make, field):
-    # Rejected when made: a float would fail only inside a solve, and True read as 1.
-    for bad in (2.5, 2.0, True, np.True_, "2"):
-        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
-            make(bad)
+    # Other values are rows of test_rejections.SETTINGS.
     value = getattr(make(np.int64(3)), field)  # stored as the int a checkpoint writes
     assert value == 3 and type(value) is int
+
+
+# Tests of one rule each, now rows of test_rejections.CALLS, under their names.
+test_nonfinite_right_hand_side_is_named = former(CALLS, {
+    f"{kind}-{bad}": [f"{what}-{kind}-rhs-{bad}" for what in ("forward", "adjoint")]
+    for kind in ("undirected", "directed") for bad in ("nan", "inf", "-inf")})
+test_nonfinite_f_is_named = former(CALLS, {
+    name: [f"{what}-f-{bad}" for what in ("forward", "adjoint")]
+    for name, bad in (("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"),
+                      ("gram-overflow", "1e+200"))})
+test_oracle_capacity_guard = former(CALLS, "oracle-capacity")

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from msignn import GraphBatch, batch, build_graph, hop_distance
 from msignn.errors import ShapeError
 
-from conftest import power_iteration_norm, random_undirected_graph
+from conftest import former, power_iteration_norm, random_undirected_graph
+from test_rejections import CALLS, GRAPHS
 
 PROPERTY = settings(max_examples=150)
 
@@ -37,11 +38,6 @@ def test_normalize_empty_adjacency():
     # undirected: only the self-loops, each of degree 1; directed: nothing
     npt.assert_array_equal(_s(np.zeros((4, 4))).toarray(), np.eye(4))
     assert _s(np.zeros((4, 4)), directed=True).nnz == 0
-
-
-def test_normalize_rejects_non_square():
-    with pytest.raises(ShapeError, match="square"):
-        build_graph(sp.csr_array(np.zeros((2, 3))), np.zeros((1, 3)))
 
 
 def test_normalize_symmetric_and_contractive():
@@ -129,12 +125,6 @@ def test_hop_distance_cycle():
     npt.assert_array_equal(hop_distance(g, 0), [0, 1, 2, 1])
 
 
-def test_hop_distance_out_of_range():
-    g = random_undirected_graph(np.random.default_rng(1), 5)
-    with pytest.raises(IndexError):
-        hop_distance(g, 5)
-
-
 def test_hop_distance_triangle_inequality():
     rng = np.random.default_rng(2)
     g = random_undirected_graph(rng, 20, density=0.2)
@@ -207,52 +197,16 @@ def test_batch_round_trip_exact():
         start = stop
 
 
-def test_batch_rejects_mixed_feature_dims():
-    rng = np.random.default_rng(7)
-    g1 = random_undirected_graph(rng, 3, feat_dim=2)
-    g2 = random_undirected_graph(rng, 3, feat_dim=5)
-    with pytest.raises(ShapeError):
-        batch([g1, g2])
-
-
-def test_build_graph_rejects_asymmetric_undirected():
-    a = sp.csr_array((np.ones(1), ([0], [1])), shape=(2, 2))
-    with pytest.raises(ShapeError):
-        build_graph(a, np.zeros((1, 2)), directed=False)
-
-
-@pytest.mark.parametrize("directed", [False, True])
-def test_build_graph_rejects_negative_weights_naming_the_first(directed):
-    # At the parent this S had ||S||_2 = 3, and the closed form reported
-    # convergence on a map that does not contract.
-    a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, -0.5], [0.0, -0.5, 0.0]])
-    with pytest.raises(ValueError, match=r"non-negative, got -0\.5 at \(1, 2\)"):
-        build_graph(a, np.zeros((1, 3)), directed=directed)
-
-
-def test_build_graph_rejects_a_negative_class_label():
-    a = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(ValueError, match="non-negative, got -1 at node 0"):
-        build_graph(a, np.ones((1, 2)), labels=[-1, 0])
-
-
 def test_build_graph_rejects_a_class_label_that_is_not_an_integer():
+    # Labels that are not integers are rows of test_rejections.GRAPHS.
     a = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    for labels, message in (([0.5, 1.7], "got 0.5 at node 0"),
-                            ([1.0, np.nan], "got nan at node 1")):
-        with pytest.raises(ValueError, match=f"must be integers, {message}"):
-            build_graph(a, np.ones((1, 2)), labels=labels)
     g = build_graph(a, np.ones((1, 2)), labels=[0.0, 1.0])
     assert g.labels.dtype == np.int64 and g.labels.tolist() == [0, 1]
 
 
 def test_build_graph_rejects_a_multi_hot_label_other_than_0_or_1():
+    # Other values are rows of test_rejections.GRAPHS.
     a = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    for labels, message in (([[0.5, 2.0], [np.nan, 1.0]], "got 0.5 for class 0 at node 0"),
-                            ([[0.0, 1.0], [np.nan, 1.0]], "got nan for class 1 at node 0"),
-                            ([[1.0, 0.0], [1.0, -1.0]], "got -1.0 for class 1 at node 1")):
-        with pytest.raises(ValueError, match=f"must be 0 or 1, {message}"):
-            build_graph(a, np.ones((1, 2)), labels=labels)
     g = build_graph(a, np.ones((1, 2)), labels=[[0, 1], [True, False]])
     assert g.multilabel and g.labels.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
@@ -402,3 +356,13 @@ def test_batch_merges_like_block_diag(drawn):
     npt.assert_array_equal(s.indptr, expected.indptr)
     npt.assert_array_equal(s.indices, expected.indices)
     npt.assert_array_equal(s.data, expected.data)
+
+
+# Tests of one rule each, now rows of the tables in test_rejections, under their names.
+test_normalize_rejects_non_square = former(GRAPHS, "adjacency-not-square")
+test_hop_distance_out_of_range = former(CALLS, "hop-node-out-of-range")
+test_batch_rejects_mixed_feature_dims = former(GRAPHS, "batch-feature-dims")
+test_build_graph_rejects_asymmetric_undirected = former(GRAPHS, "asymmetric")
+test_build_graph_rejects_negative_weights_naming_the_first = former(GRAPHS, {
+    "False": "negative-weight-undirected", "True": "negative-weight-directed"})
+test_build_graph_rejects_a_negative_class_label = former(GRAPHS, "label-negative")

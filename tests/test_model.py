@@ -1,6 +1,7 @@
 import copy
 import json
-import re
+import sys
+import threading
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 from functools import partial
@@ -10,17 +11,18 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from msignn import (ColorCountingSpec, SolverConfig, batch, build_graph, gen_color_counting,
-                    init_model, load_checkpoint, save_checkpoint, sum_pool)
+from msignn import (ColorCountingSpec, Dataset, SolverConfig, TrainConfig, batch, build_graph,
+                    gen_color_counting, init_model, load_checkpoint, numerics, save_checkpoint,
+                    sum_pool, train_loop)
 from msignn import graph as graph_mod
 from msignn import model as model_mod
-from msignn.errors import ShapeError
 from msignn.graph import GraphBatch
-from msignn.model import AttentionParams, MlpEncoder, MultiscaleImplicitGNN
+from msignn.model import MultiscaleImplicitGNN
 from msignn.train import cross_entropy
 
-from conftest import (check_gradients, contiguous_graph, directed_graph, random_undirected_graph,
-                      undirected_graph)
+from conftest import (check_gradients, contiguous_graph, directed_graph, former,
+                      random_undirected_graph, undirected_graph)
+from test_rejections import CHECKPOINTS, SETTINGS
 
 TIGHT = SolverConfig(tol=1e-12, max_iters=5000)
 
@@ -55,22 +57,6 @@ def test_duplicate_scales_split_attention_evenly():
     npt.assert_array_equal(trace.alphas, np.full((g.n, 2), 0.5))
     npt.assert_array_equal(trace.z_prime, trace.scale_results[0].z_star)
 
-
-def test_duplicate_scales_rejected_by_default():
-    rng = np.random.default_rng(2)
-    g = random_undirected_graph(rng, 4)
-    with pytest.raises(ValueError):
-        small_model(rng, g, scales=(1, 1))
-
-
-
-@pytest.mark.parametrize("bad", [1.5, 2.0, True], ids=["1.5", "2.0", "True"])
-def test_a_scale_exponent_that_is_not_an_integer_is_rejected(bad):
-    rng = np.random.default_rng(2)
-    with pytest.raises(ValueError, match=r"^scale_m must be an integer, got "):
-        small_model(rng, random_undirected_graph(rng, 4), scales=(bad,))
-    model = small_model(rng, random_undirected_graph(rng, 4), scales=np.array([1, 4]))
-    assert [type(mod.scale_m) for mod in model.scales] == [int, int]
 
 def test_gamma_zero_reduces_to_mlp():
     rng = np.random.default_rng(3)
@@ -159,10 +145,6 @@ def test_sum_pool_cases():
     unsorted = GraphBatch(s=None, features=None, labels=None,
                           graph_of_node=graph_of_node, num_graphs=5)
     assert np.array_equal(sum_pool(z, unsorted), reference)
-    for outside in (5, -1):
-        bad = replace(unsorted, graph_of_node=np.where(graph_of_node == 2, outside, 0))
-        with pytest.raises(IndexError, match=f"node 2 is in graph {outside}"):
-            sum_pool(z, bad)
     # h = 16 and 10 nodes per graph, where a pairwise or unrolled sum would
     # add in another order; magnitudes e^-30 to e^30 make any reordering show.
     z = rng.standard_normal((16, 40)) * np.exp(rng.uniform(-30.0, 30.0, (16, 40)))
@@ -220,27 +202,16 @@ def test_predict_output_kind_follows_the_model_not_the_data(multilabel):
         npt.assert_array_equal(model.predict(data), expected)
 
 
-def test_a_graph_task_cannot_be_multilabel():
-    rng = np.random.default_rng(0)
-    g = random_undirected_graph(rng, 5)
-    with pytest.raises(ValueError, match="a graph task .* cannot be multilabel"):
-        small_model(rng, g, task="graph", multilabel=True)
-
-
 def test_predict_from_a_trace_matches_and_rejects_another_inputs_trace():
     rng = np.random.default_rng(14)
     g, other = random_undirected_graph(rng, 6), random_undirected_graph(rng, 4)
     model = small_model(rng, g, scales=(1, 2))
     npt.assert_array_equal(model.predict(g, model.forward(g)), model.predict(g))
-    with pytest.raises(ShapeError, match="logits for 4 columns, data has 6"):
-        model.predict(g, model.forward(other))
 
     graph_model = small_model(rng, g, scales=(1,), task="graph")
     merged = batch([g, other])
     npt.assert_array_equal(graph_model.predict(merged, graph_model.forward(merged)),
                            graph_model.predict(merged))
-    with pytest.raises(ShapeError, match="logits for 1 columns, data has 2"):
-        graph_model.predict(merged, graph_model.forward(other))
 
 
 # The model cross-check matrix: each model variant on each solve path a
@@ -327,9 +298,9 @@ def test_predict_keeps_at_most_two_thirds_of_a_forwards_working_set():
 
 
 def test_a_training_step_reuses_its_scratch_arrays():
-    # The model's three backward temporaries and the solves' right-hand side
-    # array are made by the first step and reused by the next, so tracemalloc
-    # sees them only in the first step's peak.
+    # The backward's three temporaries and the solves' right-hand side array
+    # are made by a thread's first step and reused by its next, so tracemalloc
+    # sees them only in the first step's peak. A new thread starts with none.
     g = gen_color_counting(ColorCountingSpec(num_chains=30, length=30, seed=0)).graph
     model = init_model(np.random.default_rng(0), g.feature_dim, 16, g.num_classes,
                        scale_exponents=(1, 4, 8))
@@ -345,8 +316,57 @@ def test_a_training_step_reuses_its_scratch_arrays():
         finally:
             tracemalloc.stop()
 
-    n_by_h = g.n * model.hidden_dim * 8
-    assert step_peak() - step_peak() >= 3 * n_by_h
+    peaks = []
+    worker = threading.Thread(target=lambda: peaks.extend([step_peak(), step_peak()]))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and peaks[0] - peaks[1] >= 3 * g.n * model.hidden_dim * 8
+
+
+def test_training_hands_back_the_backward_arrays():
+    # Kept past the run, they sat under the next run's set-up and raised its peak.
+    g = gen_color_counting(ColorCountingSpec(num_chains=4, length=5, seed=0)).graph
+    model = init_model(np.random.default_rng(0), g.feature_dim, 4, g.num_classes)
+    split = np.arange(g.n) % 3
+    data = Dataset(graph=g, train_mask=split == 0, val_mask=split == 1, test_mask=split == 2,
+                   spec_echo={})
+    trace = model.forward(g)
+    model.backward(g, trace, np.ones_like(trace.logits))
+    assert "backward" in vars(numerics._thread)["pool"]
+    train_loop(model, data, TrainConfig(epochs=1))
+    assert "backward" not in vars(numerics._thread)["pool"]
+
+
+def test_backwards_in_two_threads_give_the_serial_gradients():
+    # Each thread has its own reused arrays, so one model's backward can run
+    # in several threads at once; four threads and a short switch interval
+    # make their steps interleave.
+    g = gen_color_counting(ColorCountingSpec(num_chains=10, length=30, seed=0)).graph
+    model = init_model(np.random.default_rng(0), g.feature_dim, 16, g.num_classes,
+                       scale_exponents=(1, 4))
+    trace = model.forward(g)
+    grad_logits = cross_entropy(trace.logits, g.labels, np.ones(g.n, dtype=bool))[1]
+    serial = model.backward(g, trace, grad_logits)
+    results = [[] for _ in range(4)]
+
+    def run(out):
+        for _ in range(10):
+            out.append(model.backward(g, trace, grad_logits))
+
+    workers = [threading.Thread(target=run, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert [len(out) for out in results] == [10] * 4
+    for grads in sum(results, []):
+        assert all(np.array_equal(grads[name], serial[name]) for name in serial)
 
 
 def _arrays(obj):
@@ -409,8 +429,6 @@ def test_dropout_only_in_train_mode():
     npt.assert_array_equal(eval_a, eval_b)  # eval is deterministic
     train_a = model.forward(g, train_mode=True, rng=np.random.default_rng(0)).logits
     assert not np.allclose(train_a, eval_a)
-    with pytest.raises(ValueError):
-        model.forward(g, train_mode=True)  # dropout needs an rng
 
 
 def test_checkpoint_round_trip_exact(tmp_path):
@@ -430,31 +448,6 @@ def test_checkpoint_round_trip_exact(tmp_path):
     npt.assert_array_equal(restored.forward(g).logits, model.forward(g).logits)
 
 
-def test_checkpoint_rejects_foreign_payloads(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"format": "something-else", "version": 1}')
-    with pytest.raises(ValueError, match="not a model checkpoint") as info:
-        load_checkpoint(bad)
-    assert str(bad) in str(info.value)
-    wrong_version = tmp_path / "v999.json"
-    wrong_version.write_text('{"format": "msignn-checkpoint", "version": 999}')
-    with pytest.raises(ValueError, match="unsupported checkpoint version 999") as info:
-        load_checkpoint(wrong_version)
-    assert str(info.value).startswith(f"{wrong_version}: ")
-
-
-@pytest.mark.parametrize("text, message", [
-    ("not json", "invalid JSON: Expecting value"),
-    ("[]", r"top level must be a JSON object, got \[\]"),
-], ids=["not-json", "array"])
-def test_checkpoint_that_is_no_json_object_names_the_file(tmp_path, text, message):
-    bad = tmp_path / "bad.json"
-    bad.write_text(text)
-    with pytest.raises(ValueError, match=message) as info:
-        load_checkpoint(bad)
-    assert str(info.value).startswith(f"{bad}: ")
-
-
 def _saved_payload(tmp_path):
     rng = np.random.default_rng(15)
     g = random_undirected_graph(rng, 5)
@@ -462,14 +455,6 @@ def _saved_payload(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, path)
     return model, path, json.loads(path.read_text())
-
-
-def test_checkpoint_rejects_repeated_scales(tmp_path):
-    _, path, payload = _saved_payload(tmp_path)
-    payload["config"]["scales"][1]["m"] = 1
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="pairwise distinct"):
-        load_checkpoint(path)
 
 
 def test_checkpoint_round_trips_the_label_kind(tmp_path):
@@ -488,90 +473,6 @@ def test_checkpoint_round_trips_the_label_kind(tmp_path):
     del payload["config"]["multilabel"]  # a file from before the field
     path.write_text(json.dumps(payload))
     assert not load_checkpoint(path).multilabel
-
-    payload["config"].update(task="graph", multilabel=True)
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="cannot be multilabel") as info:
-        load_checkpoint(path)
-    assert str(path) in str(info.value)
-
-
-def test_checkpoint_rejects_params_its_config_does_not_imply(tmp_path):
-    _, path, payload = _saved_payload(tmp_path)
-    cut = copy.deepcopy(payload)
-    cut["params"]["decoder.w"] = cut["params"]["decoder.w"][:1]   # num_classes is 2
-    missing = copy.deepcopy(payload)
-    del missing["params"]["scales.0.f"]
-    unknown = copy.deepcopy(payload)
-    unknown["params"]["scales.2.f"] = unknown["params"]["scales.0.f"]
-    for bad, message in ((cut, r"'decoder\.w' has shape \(1, 4\), expected \(2, 4\)"),
-                         (missing, r"missing parameter 'scales\.0\.f'"),
-                         (unknown, r"unknown parameter 'scales\.2\.f'")):
-        path.write_text(json.dumps(bad))
-        with pytest.raises(ValueError, match=message) as info:
-            load_checkpoint(path)
-        assert str(path) in str(info.value)
-
-
-def test_checkpoint_names_a_missing_config_key(tmp_path):
-    _, path, payload = _saved_payload(tmp_path)
-    for keys, shown in ((("config", "hidden_dim"), "config.hidden_dim"),
-                        (("config", "solver", "tol"), "config.solver.tol"),
-                        (("config", "scales", 1, "gamma"), "config.scales[1].gamma"),
-                        (("params",), "params")):
-        bad = copy.deepcopy(payload)
-        *parents, last = keys
-        node = bad
-        for key in parents:
-            node = node[key]
-        del node[last]
-        path.write_text(json.dumps(bad))
-        with pytest.raises(ValueError, match=re.escape(f"missing key '{shown}'")) as info:
-            load_checkpoint(path)
-        assert str(path) in str(info.value)
-
-
-NOT_AN_ARRAY = "parameter 'decoder.w' must be a rectangular array of JSON numbers, all finite"
-
-
-@pytest.mark.parametrize("keys, value, message", [
-    (("config", "encoder_dims"), 5, "config.encoder_dims must be a JSON array, got 5"),
-    (("config", "hidden_dim"), "16",
-     'config.hidden_dim must be a JSON integer >= 1, got "16"'),
-    (("config", "scales", 0, "m"), 1.5, r"config.scales\[0\].m must be a JSON integer"),
-    (("config", "encoder_bias"), "false", "config.encoder_bias must be a JSON boolean"),
-    (("config", "solver"), [], "config.solver must be a JSON object"),
-    (("config", "scales", 0, "gamma"), 1.5, r"gamma must lie in \[0, 1\)"),
-    (("config", "hidden_dim"), -2, "config.hidden_dim must be a JSON integer >= 1, got -2"),
-    (("config", "encoder_dims"), [8, -4],
-     r"config.encoder_dims\[1\] must be a JSON integer >= 1, got -4"),
-    (("config", "num_classes"), 0, "config.num_classes must be a JSON integer >= 1, got 0"),
-    (("config", "solver", "tol"), float("nan"),
-     "config.solver.tol must be a finite JSON number, got NaN"),
-    (("config", "scales", 1, "eps_f"), float("inf"),
-     r"config.scales\[1\].eps_f must be a finite JSON number, got Infinity"),
-    (("config", "hidden_size"), 4, "unknown key 'config.hidden_size'"),
-    (("params", "decoder.w"), [[1.0, 2.0], [3.0]], NOT_AN_ARRAY),
-    (("params", "decoder.w"), "abc", NOT_AN_ARRAY),
-    (("params", "decoder.w"), [[True] * 4] * 2, NOT_AN_ARRAY),
-    (("params", "decoder.w"), [[1.0, 2.0, float("nan"), 4.0]] * 2, NOT_AN_ARRAY),
-    # checked before anything of that size is allocated
-    (("config", "hidden_dim"), 10**7,
-     r"parameter 'attention\.b_a' has shape \(4,\), expected \(10000000,\)"),
-], ids=["dims", "hidden", "m", "bias", "solver", "gamma", "negative-hidden",
-        "negative-dim", "zero-classes", "nan-tol", "inf-eps", "unknown", "ragged",
-        "string", "booleans", "nan-param", "huge-hidden"])
-def test_checkpoint_names_a_malformed_value(tmp_path, keys, value, message):
-    _, path, payload = _saved_payload(tmp_path)
-    *parents, last = keys
-    node = payload
-    for key in parents:
-        node = node[key]
-    node[last] = value
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=message) as info:
-        load_checkpoint(path)
-    assert str(path) in str(info.value)
 
 
 def test_checkpoint_with_strict_solver_key_loads(tmp_path):
@@ -592,18 +493,24 @@ def test_checkpoint_with_strict_solver_key_loads(tmp_path):
             npt.assert_array_equal(restored.parameters()[name], value)
 
 
-def test_encoder_shape_validation():
-    with pytest.raises(ShapeError):
-        MlpEncoder([np.zeros((4, 3)), np.zeros((4, 5))])
-    with pytest.raises(ShapeError):
-        MlpEncoder([np.zeros((4, 3))], [np.zeros(5)])
-    with pytest.raises(ShapeError):
-        AttentionParams(w_a=np.zeros((4, 4)), b_a=np.zeros(3), q=np.zeros(4))
-
-
-def test_attention_width_is_the_hidden_dim():
-    # checkpoints record no attention width, so a model with another one could not reload
-    model = init_model(np.random.default_rng(0), 3, 4, 2)
-    wide = AttentionParams(w_a=np.zeros((8, 4)), b_a=np.zeros(8), q=np.zeros(8))
-    with pytest.raises(ShapeError, match="hidden x hidden"):
-        MultiscaleImplicitGNN(model.encoder, model.scales, wide, model.decoder_weight)
+# Tests of one rule each, now rows of the tables in test_rejections, under their names.
+test_duplicate_scales_rejected_by_default = former(SETTINGS, "init-scales-repeated")
+test_a_scale_exponent_that_is_not_an_integer_is_rejected = former(SETTINGS, {
+    bad: f"init-scale-{bad}" for bad in ("1.5", "2.0", "True")})
+test_a_graph_task_cannot_be_multilabel = former(SETTINGS, "init-graph-multilabel")
+test_encoder_shape_validation = former(SETTINGS, [
+    "encoder-layers-chain", "encoder-bias-shape", "attention-b_a-short"])
+test_attention_width_is_the_hidden_dim = former(SETTINGS, "attention-width")
+test_checkpoint_rejects_foreign_payloads = former(CHECKPOINTS, ["foreign-format",
+                                                                "unsupported-version"])
+test_checkpoint_that_is_no_json_object_names_the_file = former(CHECKPOINTS, {
+    "not-json": "not-json", "array": "array"})
+test_checkpoint_rejects_repeated_scales = former(CHECKPOINTS, "repeated-scales")
+test_checkpoint_rejects_params_its_config_does_not_imply = former(CHECKPOINTS, [
+    "param-shape", "param-missing", "param-unknown"])
+test_checkpoint_names_a_missing_config_key = former(CHECKPOINTS, [
+    "missing-hidden", "missing-tol", "missing-gamma", "missing-params"])
+test_checkpoint_names_a_malformed_value = former(CHECKPOINTS, {name: name for name in (
+    "dims", "hidden", "m", "bias", "solver", "gamma", "negative-hidden", "negative-dim",
+    "zero-classes", "nan-tol", "inf-eps", "unknown", "ragged", "string", "booleans",
+    "nan-param", "huge-hidden")})

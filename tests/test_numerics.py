@@ -12,7 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msignn import build_graph, numerics
-from msignn.errors import ShapeError
+
+from conftest import former
+from test_rejections import CALLS, GRAPHS
 
 
 def test_spmm_identity():
@@ -47,12 +49,6 @@ def test_spmm_matches_dense_product():
         npt.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
 
 
-def test_spmm_shape_error():
-    s = numerics.as_csr(sp.eye_array(3, format="csr"))
-    with pytest.raises(ShapeError):
-        numerics.spmm_right(np.zeros((2, 4)), s)
-
-
 def test_softmax_scales_uniform():
     npt.assert_allclose(numerics.softmax_scales(np.zeros((3, 1))),
                         np.full((3, 1), 1.0 / 3.0), rtol=1e-15)
@@ -78,11 +74,6 @@ def test_softmax_scales_sum_and_shift_invariance():
     shifted = numerics.softmax_scales(m + 3.7)
     npt.assert_allclose(out, shifted, atol=1e-12)
     assert np.all(out > 0) and np.all(out < 1)
-
-
-def test_as_dense_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        numerics.as_dense(np.array([[np.nan, 0.0]]))
 
 
 def _raw_csr(indptr, indices, shape, data=None):
@@ -183,13 +174,6 @@ def test_as_csr_agrees_across_formats_and_leaves_input_unchanged():
             npt.assert_array_equal(attrs[key], value)
 
 
-@pytest.mark.parametrize("indices", [[0, 3, 2], [0, -1, 2]], ids=["too-large", "negative"])
-def test_as_csr_rejects_column_out_of_range(indices):
-    a = _raw_csr([0, 1, 2, 3], indices, (3, 3))
-    with pytest.raises(ShapeError, match="corrupt CSR"):
-        numerics.as_csr(a)
-
-
 @pytest.mark.parametrize("indptr, indices, data", [
     ([0, 2, 3, 3], [2, 0, 1], [1.0, 2.0, 3.0]),
     ([0, 1, 3, 3], [0, 1, 1], [1.0, 2.0, 3.0]),
@@ -206,12 +190,6 @@ def test_as_csr_canonicalizes(indptr, indices, data):
         npt.assert_array_equal(getattr(out, attr), getattr(canonical, attr))
     npt.assert_array_equal(a.indices, indices)  # canonicalized in a private copy
     npt.assert_array_equal(a.data, data)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_as_csr_rejects_nonfinite(bad):
-    with pytest.raises(ValueError, match="NaN or Inf"):
-        numerics.as_csr(_raw_csr([0, 1, 2, 3], [0, 1, 2], (3, 3), [1.0, bad, 1.0]))
 
 
 def test_as_csr_accepts_row_boundaries():
@@ -314,6 +292,11 @@ def test_as_csr_never_runs_scipys_full_check(monkeypatch, fmt):
     assert checks and not any(checks)  # scipy's constructors run the cheap check
 
 
-def test_as_csr_rejects_a_matrix_that_is_not_2d():
-    with pytest.raises(ShapeError, match="expected a 2-D matrix, got ndim=1"):
-        numerics.as_csr(sp.csr_array(np.ones(3)))
+# Tests of one rule each, now rows of the tables in test_rejections, under their names.
+test_spmm_shape_error = former(CALLS, "spmm-inner-dimensions")
+test_as_dense_rejects_nonfinite = former(GRAPHS, "features-nan")
+test_as_csr_rejects_column_out_of_range = former(GRAPHS, {
+    "too-large": "csr-column-too-large", "negative": "csr-column-negative"})
+test_as_csr_rejects_nonfinite = former(GRAPHS, {bad: f"csr-value-{bad}"
+                                                for bad in ("nan", "inf", "-inf")})
+test_as_csr_rejects_a_matrix_that_is_not_2d = former(GRAPHS, "adjacency-not-2d")

@@ -5,9 +5,11 @@ import pytest
 from msignn import (ChainsSpec, ScaleModule, SolverConfig, gen_chains,
                     empirical_range, measure_decay, range_bound,
                     range_bound_exact, write_curve_csv)
-from msignn.errors import DomainError
 from msignn.model import MlpEncoder, glorot_uniform
 from msignn.probe import DecayCurve
+
+from conftest import former
+from test_rejections import CALLS
 
 
 def chain_probe_setup(length=40, hidden=6, seed=0, feature_dim=None):
@@ -51,13 +53,6 @@ def test_measure_decay_larger_scale_reaches_further():
     assert ranges[4] >= ranges[1]
 
 
-def test_measure_decay_rejects_bad_node():
-    g, encode, f, cfg = chain_probe_setup(length=5)
-    module = ScaleModule(f_weight=f, gamma=0.5)
-    with pytest.raises(IndexError):
-        measure_decay(module, g, encode, p=99, cfg=cfg)
-
-
 def test_range_bound_reference_values():
     assert range_bound(0.5, 1e-6, 1) == 20
     assert range_bound(0.5, 1e-6, 4) == 83
@@ -71,20 +66,6 @@ def test_range_bound_scales_linearly_in_m():
     assert x4 / x1 == 4.0  # exact: power-of-two multiple
 
 
-def test_range_bound_domain_errors():
-    with pytest.raises(DomainError):
-        range_bound(0.0, 1e-6, 1)
-    with pytest.raises(DomainError):
-        range_bound(0.5, 0.0, 1)
-    with pytest.raises(DomainError):
-        range_bound(0.5, 1.5, 1)
-    with pytest.raises(DomainError):
-        range_bound(0.5, 1e-6, 0)
-    for scale_m in (0, -2):
-        with pytest.raises(DomainError, match="scale m must be >= 1"):
-            range_bound_exact(0.5, 1e-6, scale_m)
-
-
 def test_empirical_range_cases():
     hops = np.arange(20)
     flat = DecayCurve(hops=hops, measured=np.full(20, 1e-3),
@@ -95,9 +76,7 @@ def test_empirical_range_cases():
     crossing = DecayCurve(hops=hops, measured=np.geomspace(1.0, 1e-12, 20),
                           bound=np.ones(20), gamma=0.5, scale_m=1)
     theta = crossing.measured[12] * 0.99  # between hop 12 and hop 13
-    assert empirical_range(crossing, theta) == 12
-    with pytest.raises(DomainError):
-        empirical_range(flat, 0.0)
+    assert empirical_range(crossing, theta) == 12  # theta 0: test_rejections.CALLS
 
 
 def test_curve_csv_layout(tmp_path):
@@ -135,3 +114,10 @@ def test_clamping_below_denormal_floor():
     curve = measure_decay(module, g, encode, p=0, cfg=cfg)
     tail = curve.measured[curve.hops > 30]
     assert np.all((tail == 0.0) | (tail >= 1e-300))
+
+
+# Tests of one rule each, now rows of the tables in test_rejections, under their names.
+test_measure_decay_rejects_bad_node = former(CALLS, "decay-node-out-of-range")
+test_range_bound_domain_errors = former(CALLS, [
+    "bound-gamma-zero", "bound-theta-zero", "bound-theta-above-one", "bound-scale-zero",
+    "exact-bound-scale-negative"])
