@@ -38,8 +38,8 @@ into three arrays the calling thread reuses from step to step while n does
 not change (the "backward" slot of ``numerics.reused``, as each solve
 reuses its right-hand side array), so a training step does not hand
 their pages back to the system and fault them in again; ``train_loop``
-releases them when it ends. A reused array never outlives the
-call that filled it: nothing in a ``ForwardTrace`` or a gradient dict is
+releases them when it ends, by return or by error. A reused array never
+outlives the call that filled it: nothing in a ``ForwardTrace`` or a gradient dict is
 one.
 
 Parameters are exposed as a flat name -> ndarray dict of live references;

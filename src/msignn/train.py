@@ -18,8 +18,9 @@ validation metric, ties broken by the lower train loss, and restores them
 when it finishes. ``patience`` counts epochs without a strict improvement
 of the validation metric. Each history row records the epoch's wall time
 and the forward iteration counts of its step (its last one, for a graph
-task), so equilibrium cost stays visible. When the loop ends it hands back
-the thread's backward working arrays, which its steps reused.
+task), so equilibrium cost stays visible. When the loop ends, by return or
+by error, it hands back the thread's backward working arrays, which its
+steps reused.
 """
 
 from __future__ import annotations
@@ -243,37 +244,39 @@ def train_loop(model: MultiscaleImplicitGNN, data, cfg: TrainConfig) -> list[dic
     best_params = None
     stale = 0
     trace = None  # the last evaluation's forward, at the current parameters
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        loss, iter_counts = _train_pass(model, batches(rng), rng, opt, params, trace)
-        trace = None  # spent; at most one trace is alive at a time
-        if reuse_evaluation:
-            trace = model.forward(data.graph)
-        train_metric, val_metric = [score for eval_set in eval_sets
-                                    for score in evaluate(model, *eval_set, trace)]
-        seconds = time.perf_counter() - t0
-        history.append({
-            "epoch": epoch,
-            "train_loss": loss,
-            "train_acc": train_metric,
-            "val_acc": val_metric,
-            "iters_per_scale": ";".join(str(c) for c in iter_counts),
-            "seconds": seconds,
-        })
-        improved_val = val_metric > best_key[0]
-        if (val_metric, -loss) > best_key:
-            best_key = (val_metric, -loss)
-            best_params = {k: v.copy() for k, v in params.items()}
-        if improved_val:
-            stale = 0
-        else:
-            stale += 1
-            if stale > cfg.patience:
-                break
-    if best_params is not None:
-        for k, v in params.items():
-            v[...] = best_params[k]
-    numerics.release("backward")  # the steps' working arrays (see model) go with the run
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            t0 = time.perf_counter()
+            loss, iter_counts = _train_pass(model, batches(rng), rng, opt, params, trace)
+            trace = None  # spent; at most one trace is alive at a time
+            if reuse_evaluation:
+                trace = model.forward(data.graph)
+            train_metric, val_metric = [score for eval_set in eval_sets
+                                        for score in evaluate(model, *eval_set, trace)]
+            seconds = time.perf_counter() - t0
+            history.append({
+                "epoch": epoch,
+                "train_loss": loss,
+                "train_acc": train_metric,
+                "val_acc": val_metric,
+                "iters_per_scale": ";".join(str(c) for c in iter_counts),
+                "seconds": seconds,
+            })
+            improved_val = val_metric > best_key[0]
+            if (val_metric, -loss) > best_key:
+                best_key = (val_metric, -loss)
+                best_params = {k: v.copy() for k, v in params.items()}
+            if improved_val:
+                stale = 0
+            else:
+                stale += 1
+                if stale > cfg.patience:
+                    break
+        if best_params is not None:
+            for k, v in params.items():
+                v[...] = best_params[k]
+    finally:  # the steps' working arrays (see model) go with the run, or its error
+        numerics.release("backward")
     return history
 
 

@@ -1,6 +1,8 @@
 import inspect
 import io
 import json
+import os
+import pickle
 import re
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from types import SimpleNamespace
@@ -302,25 +304,29 @@ def edited_sidecar(edit: Callable) -> Callable:
     return edited_json(edit, "masks.json")
 
 
-def former(tables, rules) -> Callable:
-    """A test that runs rows of a table, or of a tuple of tables, under the name
-    of a test they replaced.
+def apart(call: Callable) -> Callable:
+    """``call`` run in a forked process, raising here what it raised there.
 
-    ``rules`` names the row or rows, or maps each parameter id of the former
-    test to the row or rows that replaced that case.
+    scipy converts a corrupt sparse structure unchecked, and that can crash
+    the interpreter: a check of one that regresses then fails its own test,
+    not the whole run.
     """
-    tables = tables if isinstance(tables, tuple) else (tables,)
-    table = {rule: row for t in tables for rule, row in t.items()}
-    assert len(table) == sum(map(len, tables)), "row ids repeat across the tables"
-
-    def run(names, request):
-        for name in [names] if isinstance(names, str) else names:
-            rejects(table[name], request, name)
-
-    if isinstance(rules, dict):
-        return pytest.mark.parametrize("names", list(rules.values()), ids=list(rules))(run)
-
-    def test(request):
-        run(rules, request)
-
-    return test
+    def run(**kwargs):
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child ends here, whatever happens
+            try:
+                call(**kwargs)
+                os.write(write, pickle.dumps(None))
+            except Exception as exc:
+                os.write(write, pickle.dumps(exc))
+            finally:
+                os._exit(0)
+        os.close(write)
+        with os.fdopen(read, "rb") as pipe:
+            sent = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        assert (status, bool(sent)) == (0, True), f"the forked call ended with status {status}"
+        if (error := pickle.loads(sent)) is not None:
+            raise error
+    return run

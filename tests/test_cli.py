@@ -8,8 +8,7 @@ import pytest
 from msignn import build_graph, errors, load_dataset, save_dataset
 from msignn.cli import EXIT_DATA, EXIT_OK, OUT_DIR_ENV, main
 
-from conftest import former
-from test_rejections import CALLS, CHECKPOINTS, CLI, FILES, SETTINGS
+from test_rejections import former_tests
 
 
 def run(capsys, *argv):
@@ -351,46 +350,5 @@ def test_config_values_of_each_flag_type_are_accepted(tmp_path, capsys):
     assert {k: echoed[k] for k in cfg} == cfg
 
 
-# Tests of one rule each, now rows of the tables in test_rejections, under their names.
-test_usage_error_exit_code = former(CLI, ["usage-unknown-command", "usage-no-command"])
-test_io_error_exit_code = former(CLI, "io-error")
-test_bound_domain_error_exit_code = former(CLI, "bound-gamma-above-one")
-test_missing_out_dir_is_data_error = former(CLI, "no-out-dir")
-test_train_without_data_is_data_error = former(CLI, "train-without-data")
-test_eval_rejects_a_graph_task_checkpoint = former(CLI, "eval-graph-task-checkpoint")
-test_config_file_unknown_key_rejected = former(CLI, "config-unknown-key")
-test_config_value_of_the_wrong_json_type_is_data_error = former(CLI, {
-    name: f"config-{name}" for name in (
-        "train-hidden-2.5", "train-epochs-1.5", "train-hidden-4", "train-encoder_bias-false",
-        "train-gamma-True", "train-scales-1", "gen-colors-fraction-0.5", "bound-gamma-None")})
-test_every_json_file_rejects_the_same_malformed_input = former((CHECKPOINTS, FILES, CLI), {
-    f"{which}-{malformed}": rule for which, rules in (
-        ("checkpoint", ["not-json", "array", "nan-tol", "unknown"]),
-        ("sidecar", ["sidecar-invalid-json", "sidecar-top-level-array", "mask-entry-nan",
-                     "sidecar-unknown-key"]),
-        ("config", ["config-invalid-json", "config-not-an-object", "config-nan",
-                    "config-unknown-key"]))
-    for malformed, rule in zip(("invalid-json", "not-an-object", "nan", "unknown-key"), rules)})
-test_eval_on_an_edited_checkpoint = former((CHECKPOINTS, CLI), {
-    "oversized": "huge-hidden", "diverging": "divergence"})
-test_eval_on_malformed_dataset_is_data_error = former(FILES, ["masks-overlap", "multi-hot-ragged"])
-test_eval_on_a_malformed_checkpoint_value_is_data_error = former(CHECKPOINTS, {
-    "encoder_dims-5": "dims", "hidden_dim-16": "hidden"})
-test_eval_on_a_sidecar_that_is_not_an_object_is_data_error = former(FILES, {
-    "5": "sidecar-top-level-number", '"abc"': "sidecar-top-level-string",
-    "[]": "sidecar-top-level-array"})
-test_eval_on_mismatched_features_is_data_error = former(CALLS, "encoder-features")
-test_train_names_an_empty_train_split = former(CALLS, "node-train-split-empty")
-test_train_rejects_duplicate_scales = former(SETTINGS, "init-scales-repeated")
-test_zero_model_size_is_data_error = former(SETTINGS, {
-    "train---encoder-layers-at least one layer, got 0": "init-encoder-layers-0",
-    "train---hidden-got 0 x": "init-hidden-zero",
-    "probe-range---hidden-got 0 x": "init-hidden-zero"})
-test_train_names_a_negative_encoder_layer_count = former(SETTINGS, "init-encoder-layers--1")
-test_train_rejects_negative_settings = former(SETTINGS, {
-    "--patience--3-patience must be >= 0": "patience-negative",
-    "--wd--1-weight_decay must be >= 0": "weight-decay--1.0",
-    "--wd-inf-weight_decay must be >= 0 and finite, got inf": "weight-decay-inf",
-    "--tol-nan-tol must be positive and finite, got nan": "tol-nan",
-    "--lr-nan-lr must be positive and finite, got nan": "lr-nan",
-    "--eps-f-inf-eps_f must be positive and finite, got inf": "eps-f-inf"})
+# Its tests of one rule each are rows now; test_rejections.FORMER names them.
+globals().update(former_tests(__name__))

@@ -10,8 +10,8 @@ import scipy.sparse as sp
 from msignn import (ChainsSpec, ColorCountingSpec, Dataset, GraphDataset, build_graph,
                     gen_chains, gen_color_counting, load_dataset, load_graph, save_dataset)
 
-from conftest import former, random_undirected_graph
-from test_rejections import DATASETS, FILES
+from conftest import random_undirected_graph
+from test_rejections import former_tests
 
 
 def test_chains_default_counts():
@@ -313,34 +313,5 @@ def test_generated_data_matches_its_golden_digests(name):
     assert {key: _digest(a) for key, a in arrays.items()} == expected
 
 
-# Tests of one rule each, now rows of the tables in test_rejections, under their names.
-test_load_graph_reports_line_numbers = former(FILES, "edge-field-count")
-test_load_graph_rejects_dangling_ids = former(FILES, "edge-id-out-of-range")
-test_load_multihot_labels_rejects_ragged_rows = former(FILES, "multi-hot-ragged")
-test_load_graph_names_the_line_of_a_non_finite_field = former(FILES, {
-    name: name for name in ("features-nan", "features-inf", "multi-hot-nan",
-                            "multi-hot-overflow")})
-test_load_labels_names_the_line_of_a_bad_label = former(FILES, {
-    "0,1\n1,-1\n-labels\\.csv:2: negative label -1": "label-negative",
-    "0,1\n1,0\n0,2\n-labels\\.csv:3: node 0 labelled twice": "label-twice"})
-test_load_dataset_rejects_a_mask_entry_that_is_not_an_integer = former(FILES, {
-    "ids0": "mask-entry-float", "ids1": "mask-entry-boolean", "0": "mask-not-an-array"})
-test_load_dataset_rejects_overlapping_masks = former(FILES, "masks-overlap")
-test_load_dataset_names_missing_sidecar_key = former(FILES, {
-    key: f"sidecar-missing-{key}" for key in ("directed", "train", "val", "test")})
-test_load_dataset_rejects_a_misspelled_sidecar_key = former(FILES, "sidecar-unknown-key")
-test_load_dataset_rejects_a_mask_index_out_of_range = former(FILES, {
-    "ids0": "mask-index-negative", "ids1": "mask-index-past-the-end", "ids2": "mask-index-huge"})
-test_load_dataset_requires_boolean_sidecar_flags = former(FILES, {
-    "directed-false": "sidecar-directed-string", "directed-0": "sidecar-directed-zero",
-    "multilabel-true": "sidecar-multilabel-string", "multilabel-None": "sidecar-multilabel-null"})
-test_graph_dataset_rejects_a_negative_label = former(DATASETS, "graph-label-negative")
-test_graph_dataset_rejects_a_float_label = former(DATASETS, "graph-label-float")
-test_graph_dataset_needs_one_label_per_graph = former(DATASETS, {
-    "short": "graph-labels-short", "matrix": "graph-labels-matrix"})
-test_graph_dataset_rejects_overlapping_masks = former(DATASETS, "graph-masks-overlap")
-test_graph_dataset_rejects_a_mask_shorter_than_the_graph_list = former(DATASETS,
-                                                                        "graph-mask-short")
-test_node_dataset_rejects_overlapping_masks = former(DATASETS, "node-masks-overlap")
-test_node_dataset_rejects_a_mask_shorter_than_the_graph = former(DATASETS, "node-mask-short")
-test_node_dataset_rejects_a_graph_without_labels = former(DATASETS, "node-without-labels")
+# Its tests of one rule each are rows now; test_rejections.FORMER names them.
+globals().update(former_tests(__name__))

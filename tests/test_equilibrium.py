@@ -19,8 +19,8 @@ from msignn.errors import DivergenceError
 from msignn.graph import spectrum
 from msignn.numerics import as_csr
 
-from conftest import former, hopping_result, picard_steps, undirected_graph
-from test_rejections import CALLS
+from conftest import hopping_result, picard_steps, undirected_graph
+from test_rejections import former_tests
 
 
 def scalar_setup(gamma_times_g=0.4):
@@ -224,12 +224,5 @@ def test_integer_settings_take_integers_only(make, field):
     assert value == 3 and type(value) is int
 
 
-# Tests of one rule each, now rows of test_rejections.CALLS, under their names.
-test_nonfinite_right_hand_side_is_named = former(CALLS, {
-    f"{kind}-{bad}": [f"{what}-{kind}-rhs-{bad}" for what in ("forward", "adjoint")]
-    for kind in ("undirected", "directed") for bad in ("nan", "inf", "-inf")})
-test_nonfinite_f_is_named = former(CALLS, {
-    name: [f"{what}-f-{bad}" for what in ("forward", "adjoint")]
-    for name, bad in (("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"),
-                      ("gram-overflow", "1e+200"))})
-test_oracle_capacity_guard = former(CALLS, "oracle-capacity")
+# Its tests of one rule each are rows now; test_rejections.FORMER names them.
+globals().update(former_tests(__name__))

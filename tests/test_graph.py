@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from msignn import GraphBatch, batch, build_graph, hop_distance
 from msignn.errors import ShapeError
 
-from conftest import former, power_iteration_norm, random_undirected_graph
-from test_rejections import CALLS, GRAPHS
+from conftest import power_iteration_norm, random_undirected_graph
+from test_rejections import former_tests
 
 PROPERTY = settings(max_examples=150)
 
@@ -358,11 +358,5 @@ def test_batch_merges_like_block_diag(drawn):
     npt.assert_array_equal(s.data, expected.data)
 
 
-# Tests of one rule each, now rows of the tables in test_rejections, under their names.
-test_normalize_rejects_non_square = former(GRAPHS, "adjacency-not-square")
-test_hop_distance_out_of_range = former(CALLS, "hop-node-out-of-range")
-test_batch_rejects_mixed_feature_dims = former(GRAPHS, "batch-feature-dims")
-test_build_graph_rejects_asymmetric_undirected = former(GRAPHS, "asymmetric")
-test_build_graph_rejects_negative_weights_naming_the_first = former(GRAPHS, {
-    "False": "negative-weight-undirected", "True": "negative-weight-directed"})
-test_build_graph_rejects_a_negative_class_label = former(GRAPHS, "label-negative")
+# Its tests of one rule each are rows now; test_rejections.FORMER names them.
+globals().update(former_tests(__name__))

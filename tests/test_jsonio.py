@@ -2,8 +2,7 @@ import json
 
 from msignn.jsonio import read_json, write_json
 
-from conftest import former
-from test_rejections import CHECKPOINTS, SCHEMA
+from test_rejections import SCHEMA, former_tests
 
 
 def read(tmp_path, text, schema=SCHEMA):
@@ -35,19 +34,5 @@ def test_write_json_round_trips_with_sorted_keys(tmp_path):
     assert read_json(tmp_path / "f.json", SCHEMA) == value
 
 
-# Tests of one rule each, now rows of test_rejections.CHECKPOINTS, under their names.
-test_read_json_names_the_file_and_key_of_a_misfit = former(CHECKPOINTS, {
-    name: f"json-{name}" for name in (
-        "zero-count", "float-count", "bool-count", "bool-number", "string-number", "null",
-        "object-for-array", "nested-integer", "nested-boolean", "nested-unknown",
-        "nested-missing", "unknown")})
-test_read_json_names_a_missing_required_key = former(CHECKPOINTS, "json-missing")
-test_read_json_rejects_a_number_that_is_not_finite = former(CHECKPOINTS, {
-    literal: f"json-{literal}" for literal in ("NaN", "Infinity", "-Infinity", "1e999")})
-test_read_json_rejects_a_file_that_is_no_object = former(CHECKPOINTS, {
-    "{-invalid JSON": "json-invalid",
-    "5-top level must be a JSON object, got 5": "json-top-level-number",
-    '"abc"-top level must be a JSON object, got "abc"': "json-top-level-string",
-    r"[]-top level must be a JSON object, got \[\]": "json-top-level-array"})
-test_read_json_rejects_bytes_that_are_not_utf8 = former(CHECKPOINTS, "json-not-utf8")
-test_read_json_reports_a_missing_file_as_os_error = former(CHECKPOINTS, "json-absent")
+# Its tests of one rule each are rows now; test_rejections.FORMER names them.
+globals().update(former_tests(__name__))

@@ -16,13 +16,14 @@ from msignn import (ColorCountingSpec, Dataset, SolverConfig, TrainConfig, batch
                     sum_pool, train_loop)
 from msignn import graph as graph_mod
 from msignn import model as model_mod
+from msignn.errors import DivergenceError
 from msignn.graph import GraphBatch
 from msignn.model import MultiscaleImplicitGNN
 from msignn.train import cross_entropy
 
-from conftest import (check_gradients, contiguous_graph, directed_graph, former,
+from conftest import (check_gradients, contiguous_graph, directed_graph,
                       random_undirected_graph, undirected_graph)
-from test_rejections import CHECKPOINTS, SETTINGS
+from test_rejections import former_tests
 
 TIGHT = SolverConfig(tol=1e-12, max_iters=5000)
 
@@ -335,6 +336,11 @@ def test_training_hands_back_the_backward_arrays():
     assert "backward" in vars(numerics._thread)["pool"]
     train_loop(model, data, TrainConfig(epochs=1))
     assert "backward" not in vars(numerics._thread)["pool"]
+    model.backward(g, trace, np.ones_like(trace.logits))
+    model.scales[0].f_weight[0, 0] = np.inf  # a run that fails hands them back too
+    with pytest.raises(DivergenceError, match=r"forward solve: g\(F\) is not finite"):
+        train_loop(model, data, TrainConfig(epochs=1))
+    assert "backward" not in vars(numerics._thread)["pool"]
 
 
 def test_backwards_in_two_threads_give_the_serial_gradients():
@@ -493,24 +499,5 @@ def test_checkpoint_with_strict_solver_key_loads(tmp_path):
             npt.assert_array_equal(restored.parameters()[name], value)
 
 
-# Tests of one rule each, now rows of the tables in test_rejections, under their names.
-test_duplicate_scales_rejected_by_default = former(SETTINGS, "init-scales-repeated")
-test_a_scale_exponent_that_is_not_an_integer_is_rejected = former(SETTINGS, {
-    bad: f"init-scale-{bad}" for bad in ("1.5", "2.0", "True")})
-test_a_graph_task_cannot_be_multilabel = former(SETTINGS, "init-graph-multilabel")
-test_encoder_shape_validation = former(SETTINGS, [
-    "encoder-layers-chain", "encoder-bias-shape", "attention-b_a-short"])
-test_attention_width_is_the_hidden_dim = former(SETTINGS, "attention-width")
-test_checkpoint_rejects_foreign_payloads = former(CHECKPOINTS, ["foreign-format",
-                                                                "unsupported-version"])
-test_checkpoint_that_is_no_json_object_names_the_file = former(CHECKPOINTS, {
-    "not-json": "not-json", "array": "array"})
-test_checkpoint_rejects_repeated_scales = former(CHECKPOINTS, "repeated-scales")
-test_checkpoint_rejects_params_its_config_does_not_imply = former(CHECKPOINTS, [
-    "param-shape", "param-missing", "param-unknown"])
-test_checkpoint_names_a_missing_config_key = former(CHECKPOINTS, [
-    "missing-hidden", "missing-tol", "missing-gamma", "missing-params"])
-test_checkpoint_names_a_malformed_value = former(CHECKPOINTS, {name: name for name in (
-    "dims", "hidden", "m", "bias", "solver", "gamma", "negative-hidden", "negative-dim",
-    "zero-classes", "nan-tol", "inf-eps", "unknown", "ragged", "string", "booleans",
-    "nan-param", "huge-hidden")})
+# Its tests of one rule each are rows now; test_rejections.FORMER names them.
+globals().update(former_tests(__name__))

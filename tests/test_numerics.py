@@ -1,8 +1,4 @@
 import copy
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -13,8 +9,8 @@ from hypothesis import strategies as st
 
 from msignn import build_graph, numerics
 
-from conftest import former
-from test_rejections import CALLS, GRAPHS
+from conftest import apart
+from test_rejections import former_tests
 
 
 def test_spmm_identity():
@@ -95,35 +91,21 @@ NON_MONOTONE_INDPTR = [
 # bounds: run on corrupt input unchecked, they raise RuntimeError, segfault,
 # corrupt the heap and abort the interpreter, or silently build a different
 # graph. So build_graph meets such input in a process of its own.
-BUILD_GRAPH_SCRIPT = """
-import numpy as np
-import scipy.sparse as sp
-from msignn import build_graph
-{make_cases}
-for a in cases:
-    try:
-        build_graph(a, np.ones((1, a.shape[0])), directed=True)
-        print("accepted")
-    except Exception as exc:
-        print(type(exc).__name__, exc)
-"""
-
-
-def _build_graph_apart(make_cases: str) -> list[str]:
-    """One output line per input in ``cases``, which ``make_cases`` defines."""
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    result = subprocess.run(
-        [sys.executable, "-c", BUILD_GRAPH_SCRIPT.format(make_cases=make_cases)],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    return result.stdout.splitlines()
+def _build_graph_apart(cases) -> list[str]:
+    """What ``build_graph`` raised on each adjacency in ``cases``, or "accepted"."""
+    lines = []
+    for a in cases:
+        try:
+            apart(build_graph)(adjacency=a, features=np.ones((1, a.shape[0])), directed=True)
+            lines.append("accepted")
+        except Exception as exc:
+            lines.append(f"{type(exc).__name__} {exc}")
+    return lines
 
 
 def test_build_graph_rejects_non_monotone_indptr():
-    lines = _build_graph_apart(
-        "cases = [sp.csr_array((np.ones(3), np.array(indices, dtype=np.int32),\n"
-        "                       np.array(indptr, dtype=np.int32)), shape=(3, 3))\n"
-        f"         for indptr, indices in {NON_MONOTONE_INDPTR!r}]")
+    lines = _build_graph_apart(_raw_csr(indptr, indices, (3, 3))
+                               for indptr, indices in NON_MONOTONE_INDPTR)
     assert len(lines) == len(NON_MONOTONE_INDPTR)
     assert all(line.startswith("ShapeError corrupt CSR") for line in lines), lines
 
@@ -131,28 +113,21 @@ def test_build_graph_rejects_non_monotone_indptr():
 def test_build_graph_rejects_a_decreasing_indptr_that_ends_at_zero():
     # scipy's full check scans indptr only when indptr[-1] > 0; unchecked,
     # these raised RuntimeError or a bare ValueError, or built an empty graph.
-    lines = _build_graph_apart("""
-def raw(indptr, indices, n):
-    a = sp.csr_array(np.eye(n))
-    a.indptr, a.indices = np.array(indptr, dtype=np.int32), np.array(indices, dtype=np.int32)
-    a.data = np.ones(len(indices))
-    return a
-cases = [raw([0, 2, 0], [0, 1], 2), raw([0, 3, 0], [], 2), raw([0, -1, 0], [], 2)]
-""")
+    lines = _build_graph_apart([_raw_csr([0, 2, 0], [0, 1], (2, 2)),
+                                _raw_csr([0, 3, 0], [], (2, 2)), _raw_csr([0, -1, 0], [], (2, 2))])
     assert lines == ["ShapeError corrupt CSR: index pointer must be a non-decreasing "
                      "sequence"] * 3, lines
 
 
 def test_build_graph_rejects_corrupt_csc_bsr_and_coo():
-    lines = _build_graph_apart("""
-csc = sp.csc_array(np.eye(3))
-csc.indices[1] = 7
-bsr = sp.bsr_array(np.eye(4), blocksize=(2, 2))
-bsr.indptr = np.array([0, 2, 1], dtype=bsr.indptr.dtype)
-coo = sp.coo_array(np.eye(3))
-coo.row[0] = 9
-cases = [csc, bsr, sp.csc_array((np.ones(3), [0, 1, 2], [0, 2, 1, 3]), shape=(3, 3)), coo]
-""")
+    csc = sp.csc_array(np.eye(3))
+    csc.indices[1] = 7
+    bsr = sp.bsr_array(np.eye(4), blocksize=(2, 2))
+    bsr.indptr = np.array([0, 2, 1], dtype=bsr.indptr.dtype)
+    coo = sp.coo_array(np.eye(3))
+    coo.row[0] = 9
+    lines = _build_graph_apart(
+        [csc, bsr, sp.csc_array((np.ones(3), [0, 1, 2], [0, 2, 1, 3]), shape=(3, 3)), coo])
     assert [line.split(":")[0] for line in lines] == [
         "ShapeError corrupt CSC", "ShapeError corrupt BSR", "ShapeError corrupt CSC",
         "ShapeError corrupt COO"], lines
@@ -292,11 +267,5 @@ def test_as_csr_never_runs_scipys_full_check(monkeypatch, fmt):
     assert checks and not any(checks)  # scipy's constructors run the cheap check
 
 
-# Tests of one rule each, now rows of the tables in test_rejections, under their names.
-test_spmm_shape_error = former(CALLS, "spmm-inner-dimensions")
-test_as_dense_rejects_nonfinite = former(GRAPHS, "features-nan")
-test_as_csr_rejects_column_out_of_range = former(GRAPHS, {
-    "too-large": "csr-column-too-large", "negative": "csr-column-negative"})
-test_as_csr_rejects_nonfinite = former(GRAPHS, {bad: f"csr-value-{bad}"
-                                                for bad in ("nan", "inf", "-inf")})
-test_as_csr_rejects_a_matrix_that_is_not_2d = former(GRAPHS, "adjacency-not-2d")
+# Its tests of one rule each are rows now; test_rejections.FORMER names them.
+globals().update(former_tests(__name__))

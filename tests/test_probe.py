@@ -8,8 +8,7 @@ from msignn import (ChainsSpec, ScaleModule, SolverConfig, gen_chains,
 from msignn.model import MlpEncoder, glorot_uniform
 from msignn.probe import DecayCurve
 
-from conftest import former
-from test_rejections import CALLS
+from test_rejections import former_tests
 
 
 def chain_probe_setup(length=40, hidden=6, seed=0, feature_dim=None):
@@ -116,8 +115,5 @@ def test_clamping_below_denormal_floor():
     assert np.all((tail == 0.0) | (tail >= 1e-300))
 
 
-# Tests of one rule each, now rows of the tables in test_rejections, under their names.
-test_measure_decay_rejects_bad_node = former(CALLS, "decay-node-out-of-range")
-test_range_bound_domain_errors = former(CALLS, [
-    "bound-gamma-zero", "bound-theta-zero", "bound-theta-above-one", "bound-scale-zero",
-    "exact-bound-scale-negative"])
+# Its tests of one rule each are rows now; test_rejections.FORMER names them.
+globals().update(former_tests(__name__))

@@ -5,6 +5,8 @@ exit code, and a fragment of the message that names the rule; its key is the
 row's id. ``rows`` gives a group of rows one builder and a default error, and
 ``test_builders_are_accepted`` checks that every builder, left unedited, is
 accepted. Where two raises share a message, their rows differ in the call.
+A row runs under the name of each former test of its rule (``FORMER``), or
+else in its table's test.
 """
 
 import json
@@ -32,8 +34,8 @@ from msignn.model import AttentionParams, MlpEncoder, MultiscaleImplicitGNN
 from msignn.probe import DecayCurve
 from msignn.train import evaluate
 
-from conftest import (Row, directed_graph, directory, edited_json, edited_sidecar, rejects,
-                      takes_directory, undirected_graph)
+from conftest import (Row, apart, directed_graph, directory, edited_json, edited_sidecar,
+                      rejects, takes_directory, undirected_graph)
 
 
 def rows(build, error, table):
@@ -231,23 +233,6 @@ GRAPHS = {
         **{f"csr-value-{bad}": ({"adjacency": _raw(data=[1, 1, bad, 1])}, ValueError,
                                 "CSR values contain NaN or Inf")
            for bad in (np.nan, np.inf, -np.inf)},
-        **{f"csr-column-{name}": ({"adjacency": _raw(indices=[1, 0, column, 1])},
-                                  "corrupt CSR: indices must lie in [0, 3)")
-           for name, column in (("too-large", 3), ("negative", -1))},
-        **{f"csr-{name}": ({"adjacency": _raw(**{array: value})}, f"corrupt CSR: {message}")
-           for name, array, value, message in (
-               ("data-not-1d", "data", np.ones((4, 1)), "data, indices, and indptr should be 1-D"),
-               ("indices-not-1d", "indices", [[1, 0, 2, 1]], "indices and indptr should be 1-D"),
-               ("indptr-size", "indptr", [0, 1, 3], "index pointer size 3 should be 4"),
-               ("indptr-start", "indptr", [1, 1, 3, 4], "index pointer should start with 0"),
-               ("data-size", "data", [1.0] * 3, "indices and data should have the same size"),
-               ("indptr-past-the-end", "indptr", [0, 1, 3, 5],
-                "last value of index pointer should be at most the size of index and data"),
-               ("indptr-decreasing", "indptr", [0, 3, 1, 4],
-                "index pointer must be a non-decreasing sequence"))},
-        "bsr-data-not-3d": ({"adjacency": _bsr_with_2d_data()}, "corrupt BSR: data should be 3-D"),
-        "coo-index-out-of-range": ({"adjacency": _coo_with_row_9()},
-                                   "corrupt COO: axis 0 index outside [0, 3)"),
         "features-columns": ({"features": np.ones((1, 2))},
                              "features must have one column per node: 2 != 3"),
         "features-not-2d": ({"features": np.ones(3)}, "expected a 2-D matrix, got ndim=1"),
@@ -270,6 +255,27 @@ GRAPHS = {
                ("negative", [[1, 0, 0], [1, -1, 0]], "-1.0 for class 1 at node 1"))},
         "labels-3d": ({"labels": np.zeros((1, 1, 3))},
                       "labels must be a vector or a multi-hot matrix"),
+    }),
+    # scipy converts a corrupt structure unchecked, and that can crash the
+    # interpreter, so these rows build their graph in a process of their own.
+    **rows(given(apart(build_graph), adjacency=_path(), features=np.ones((1, 3))), ShapeError, {
+        **{f"csr-column-{name}": ({"adjacency": _raw(indices=[1, 0, column, 1])},
+                                  "corrupt CSR: indices must lie in [0, 3)")
+           for name, column in (("too-large", 3), ("negative", -1))},
+        **{f"csr-{name}": ({"adjacency": _raw(**{array: value})}, f"corrupt CSR: {message}")
+           for name, array, value, message in (
+               ("data-not-1d", "data", np.ones((4, 1)), "data, indices, and indptr should be 1-D"),
+               ("indices-not-1d", "indices", [[1, 0, 2, 1]], "indices and indptr should be 1-D"),
+               ("indptr-size", "indptr", [0, 1, 3], "index pointer size 3 should be 4"),
+               ("indptr-start", "indptr", [1, 1, 3, 4], "index pointer should start with 0"),
+               ("data-size", "data", [1.0] * 3, "indices and data should have the same size"),
+               ("indptr-past-the-end", "indptr", [0, 1, 3, 5],
+                "last value of index pointer should be at most the size of index and data"),
+               ("indptr-decreasing", "indptr", [0, 3, 1, 4],
+                "index pointer must be a non-decreasing sequence"))},
+        "bsr-data-not-3d": ({"adjacency": _bsr_with_2d_data()}, "corrupt BSR: data should be 3-D"),
+        "coo-index-out-of-range": ({"adjacency": _coo_with_row_9()},
+                                   "corrupt COO: axis 0 index outside [0, 3)"),
     }),
     **rows(given(batch, **_member(labels=[0, 1, 0])), ShapeError, {
         "batch-empty": ({"graphs": []}, ValueError, "cannot batch an empty graph list"),
@@ -843,6 +849,30 @@ CLI = {rule: Row(cli(*argv) if isinstance(argv, tuple) else cli(argv), {}, code,
                                                        '"multilabel"'),
     "bound-without-theta": ("bound --gamma 0.5", EXIT_DATA,
                             "error: bound needs --gamma and --theta"),
+    # Each flag reaches its setting, whose own rule names the flag's value.
+    **{f"train-{flag}-{value}": (f"train --data {{data}} --{flag} {value} --out {{out}}",
+                                 EXIT_DATA, f"error: {message}\n")
+       for flag, value, message in (
+           ("patience", "-3", "patience must be >= 0, got -3"),
+           ("wd", "-1", "weight_decay must be >= 0 and finite, got -1.0"),
+           ("wd", "inf", "weight_decay must be >= 0 and finite, got inf"),
+           ("tol", "nan", "tol must be positive and finite, got nan"),
+           ("lr", "nan", "lr must be positive and finite, got nan"),
+           ("eps-f", "inf", "eps_f must be positive and finite, got inf"),
+           ("hidden", "0", "weight sizes must be positive, got 0 x 2"),
+           ("encoder-layers", "0", "encoder needs at least one layer, got 0"),
+           ("encoder-layers", "-1", "encoder needs at least one layer, got -1"),
+           ("scales", "1,1", "scale exponents must be pairwise distinct, got [1, 1]"))},
+    "probe-range-hidden-0": ("probe-range --hidden 0 --out {out}", EXIT_DATA,
+                             "error: weight sizes must be positive, got 0 x 1\n"),
+    # train reads its split from the sidecar; eval hands the data to the checkpoint's model.
+    "train-split-empty": (("train --data {data} --out {out}",
+                           _in("data/masks.json", lambda sidecar: sidecar.update(train=[]))),
+                          EXIT_DATA, "error: train split selects no nodes\n"),
+    "eval-features-mismatch": (("eval --checkpoint {tmp}/wide.json --data {data}",
+                                lambda tmp_path: save_checkpoint(init_model(
+                                    np.random.default_rng(0), 3, 4, 2), tmp_path / "wide.json")),
+                               EXIT_DATA, "error: encoder expects 3 features, got 2\n"),
     **{f"config-{name}": ((f"{command} --config {{tmp}}/cfg.json --out {{out}}", _config(text)),
                           EXIT_DATA, f"{{tmp}}/cfg.json: {message}")
        for name, command, text, message in (
@@ -874,12 +904,221 @@ def test_builders_are_accepted(table, tmp_path):
             call(**kwargs)
 
 
+# -- former one-rule tests ------------------------------------------------------
+
+
+# The tests of one rule each that became rows keep their names in their
+# modules: module -> test -> its row, its rows (a list), or {parameter id:
+# row or rows} for a parametrized one. A row runs under each former test
+# that names it; the table tests below run the others.
+FORMER = {
+    "test_datasets": {
+        "test_load_graph_reports_line_numbers": FILES["edge-field-count"],
+        "test_load_graph_rejects_dangling_ids": FILES["edge-id-out-of-range"],
+        "test_load_multihot_labels_rejects_ragged_rows": FILES["multi-hot-ragged"],
+        "test_load_graph_names_the_line_of_a_non_finite_field": {name: FILES[name] for name in (
+            "features-nan", "features-inf", "multi-hot-nan", "multi-hot-overflow")},
+        "test_load_labels_names_the_line_of_a_bad_label": {
+            "0,1\n1,-1\n-labels\\.csv:2: negative label -1": FILES["label-negative"],
+            "0,1\n1,0\n0,2\n-labels\\.csv:3: node 0 labelled twice": FILES["label-twice"]},
+        "test_load_dataset_rejects_a_mask_entry_that_is_not_an_integer": {
+            "ids0": FILES["mask-entry-float"], "ids1": FILES["mask-entry-boolean"],
+            "0": FILES["mask-not-an-array"]},
+        "test_load_dataset_rejects_overlapping_masks": FILES["masks-overlap"],
+        "test_load_dataset_names_missing_sidecar_key": {
+            key: FILES[f"sidecar-missing-{key}"] for key in ("directed", "train", "val", "test")},
+        "test_load_dataset_rejects_a_misspelled_sidecar_key": FILES["sidecar-unknown-key"],
+        "test_load_dataset_rejects_a_mask_index_out_of_range": {
+            "ids0": FILES["mask-index-negative"], "ids1": FILES["mask-index-past-the-end"],
+            "ids2": FILES["mask-index-huge"]},
+        "test_load_dataset_requires_boolean_sidecar_flags": {
+            "directed-false": FILES["sidecar-directed-string"],
+            "directed-0": FILES["sidecar-directed-zero"],
+            "multilabel-true": FILES["sidecar-multilabel-string"],
+            "multilabel-None": FILES["sidecar-multilabel-null"]},
+        "test_graph_dataset_rejects_a_negative_label": DATASETS["graph-label-negative"],
+        "test_graph_dataset_rejects_a_float_label": DATASETS["graph-label-float"],
+        "test_graph_dataset_needs_one_label_per_graph": {
+            "short": DATASETS["graph-labels-short"], "matrix": DATASETS["graph-labels-matrix"]},
+        "test_graph_dataset_rejects_overlapping_masks": DATASETS["graph-masks-overlap"],
+        "test_graph_dataset_rejects_a_mask_shorter_than_the_graph_list":
+            DATASETS["graph-mask-short"],
+        "test_node_dataset_rejects_overlapping_masks": DATASETS["node-masks-overlap"],
+        "test_node_dataset_rejects_a_mask_shorter_than_the_graph": DATASETS["node-mask-short"],
+        "test_node_dataset_rejects_a_graph_without_labels": DATASETS["node-without-labels"],
+    },
+    "test_graph": {
+        "test_normalize_rejects_non_square": GRAPHS["adjacency-not-square"],
+        "test_hop_distance_out_of_range": CALLS["hop-node-out-of-range"],
+        "test_batch_rejects_mixed_feature_dims": GRAPHS["batch-feature-dims"],
+        "test_build_graph_rejects_asymmetric_undirected": GRAPHS["asymmetric"],
+        "test_build_graph_rejects_negative_weights_naming_the_first": {
+            "False": GRAPHS["negative-weight-undirected"],
+            "True": GRAPHS["negative-weight-directed"]},
+        "test_build_graph_rejects_a_negative_class_label": GRAPHS["label-negative"],
+    },
+    "test_numerics": {
+        "test_spmm_shape_error": CALLS["spmm-inner-dimensions"],
+        "test_as_dense_rejects_nonfinite": GRAPHS["features-nan"],
+        "test_as_csr_rejects_column_out_of_range": {
+            name: GRAPHS[f"csr-column-{name}"] for name in ("too-large", "negative")},
+        "test_as_csr_rejects_nonfinite": {
+            bad: GRAPHS[f"csr-value-{bad}"] for bad in ("nan", "inf", "-inf")},
+        "test_as_csr_rejects_a_matrix_that_is_not_2d": GRAPHS["adjacency-not-2d"],
+    },
+    "test_jsonio": {
+        "test_read_json_names_the_file_and_key_of_a_misfit": {name: CHECKPOINTS[f"json-{name}"]
+                                                              for name in (
+            "zero-count", "float-count", "bool-count", "bool-number", "string-number", "null",
+            "object-for-array", "nested-integer", "nested-boolean", "nested-unknown",
+            "nested-missing", "unknown")},
+        "test_read_json_names_a_missing_required_key": CHECKPOINTS["json-missing"],
+        "test_read_json_rejects_a_number_that_is_not_finite": {
+            literal: CHECKPOINTS[f"json-{literal}"]
+            for literal in ("NaN", "Infinity", "-Infinity", "1e999")},
+        "test_read_json_rejects_a_file_that_is_no_object": {
+            "{-invalid JSON": CHECKPOINTS["json-invalid"],
+            "5-top level must be a JSON object, got 5": CHECKPOINTS["json-top-level-number"],
+            '"abc"-top level must be a JSON object, got "abc"':
+                CHECKPOINTS["json-top-level-string"],
+            r"[]-top level must be a JSON object, got \[\]": CHECKPOINTS["json-top-level-array"]},
+        "test_read_json_rejects_bytes_that_are_not_utf8": CHECKPOINTS["json-not-utf8"],
+        "test_read_json_reports_a_missing_file_as_os_error": CHECKPOINTS["json-absent"],
+    },
+    "test_equilibrium": {
+        "test_nonfinite_right_hand_side_is_named": {
+            f"{kind}-{bad}": [CALLS[f"{what}-{kind}-rhs-{bad}"] for what in ("forward", "adjoint")]
+            for kind in ("undirected", "directed") for bad in ("nan", "inf", "-inf")},
+        "test_nonfinite_f_is_named": {
+            name: [CALLS[f"{what}-f-{bad}"] for what in ("forward", "adjoint")]
+            for name, bad in (("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"),
+                              ("gram-overflow", "1e+200"))},
+        "test_oracle_capacity_guard": CALLS["oracle-capacity"],
+    },
+    "test_model": {
+        "test_duplicate_scales_rejected_by_default": SETTINGS["init-scales-repeated"],
+        "test_a_scale_exponent_that_is_not_an_integer_is_rejected": {
+            bad: SETTINGS[f"init-scale-{bad}"] for bad in ("1.5", "2.0", "True")},
+        "test_a_graph_task_cannot_be_multilabel": SETTINGS["init-graph-multilabel"],
+        "test_encoder_shape_validation": [SETTINGS[rule] for rule in (
+            "encoder-layers-chain", "encoder-bias-shape", "attention-b_a-short")],
+        "test_attention_width_is_the_hidden_dim": SETTINGS["attention-width"],
+        "test_checkpoint_rejects_foreign_payloads": [CHECKPOINTS["foreign-format"],
+                                                     CHECKPOINTS["unsupported-version"]],
+        "test_checkpoint_that_is_no_json_object_names_the_file": {
+            name: CHECKPOINTS[name] for name in ("not-json", "array")},
+        "test_checkpoint_rejects_repeated_scales": CHECKPOINTS["repeated-scales"],
+        "test_checkpoint_rejects_params_its_config_does_not_imply": [CHECKPOINTS[rule] for rule in (
+            "param-shape", "param-missing", "param-unknown")],
+        "test_checkpoint_names_a_missing_config_key": [CHECKPOINTS[rule] for rule in (
+            "missing-hidden", "missing-tol", "missing-gamma", "missing-params")],
+        "test_checkpoint_names_a_malformed_value": {name: CHECKPOINTS[name] for name in (
+            "dims", "hidden", "m", "bias", "solver", "gamma", "negative-hidden", "negative-dim",
+            "zero-classes", "nan-tol", "inf-eps", "unknown", "ragged", "string", "booleans",
+            "nan-param", "huge-hidden")},
+    },
+    "test_probe": {
+        "test_measure_decay_rejects_bad_node": CALLS["decay-node-out-of-range"],
+        "test_range_bound_domain_errors": [CALLS[rule] for rule in (
+            "bound-gamma-zero", "bound-theta-zero", "bound-theta-above-one", "bound-scale-zero",
+            "exact-bound-scale-negative")],
+    },
+    "test_train": {
+        "test_cross_entropy_empty_mask": CALLS["cross-entropy-empty-mask"],
+        "test_graph_labels_naming_a_class_the_model_lacks_are_named_before_any_epoch":
+            CALLS["graph-label-beyond-classes"],
+        "test_train_config_rejects_out_of_range_fields": {
+            "epochs--1": SETTINGS["epochs-negative"], "lr-0.0": SETTINGS["lr-0.0"],
+            "weight_decay--1.0": SETTINGS["weight-decay--1.0"],
+            "patience--3": SETTINGS["patience-negative"],
+            "batch_size-0": SETTINGS["batch-size-zero"]},
+        "test_train_config_rejects_a_negative_seed": SETTINGS["train-seed-negative"],
+        "test_settings_that_are_not_finite_are_rejected": {
+            f"{name}-{value}": SETTINGS[f"{name.replace('_', '-')}-{value}"]
+            for name in ("tol", "lr", "weight_decay", "eps_f") for value in ("nan", "inf", "-inf")},
+    },
+    "test_cli": {
+        "test_usage_error_exit_code": [CLI["usage-unknown-command"], CLI["usage-no-command"]],
+        "test_io_error_exit_code": CLI["io-error"],
+        "test_bound_domain_error_exit_code": CLI["bound-gamma-above-one"],
+        "test_missing_out_dir_is_data_error": CLI["no-out-dir"],
+        "test_train_without_data_is_data_error": CLI["train-without-data"],
+        "test_eval_rejects_a_graph_task_checkpoint": CLI["eval-graph-task-checkpoint"],
+        "test_config_file_unknown_key_rejected": CLI["config-unknown-key"],
+        "test_config_value_of_the_wrong_json_type_is_data_error": {name: CLI[f"config-{name}"]
+                                                                   for name in (
+            "train-hidden-2.5", "train-epochs-1.5", "train-hidden-4", "train-encoder_bias-false",
+            "train-gamma-True", "train-scales-1", "gen-colors-fraction-0.5", "bound-gamma-None")},
+        # The files eval and --config read; the rows of eval's two run load_checkpoint
+        # and load_dataset, whose errors the CLI maps as it maps those of --config.
+        "test_every_json_file_rejects_the_same_malformed_input": {
+            f"{which}-{malformed}": table[rule] for which, table, rules in (
+                ("checkpoint", CHECKPOINTS, ["not-json", "array", "nan-tol", "unknown"]),
+                ("sidecar", FILES, ["sidecar-invalid-json", "sidecar-top-level-array",
+                                    "mask-entry-nan", "sidecar-unknown-key"]),
+                ("config", CLI, ["config-invalid-json", "config-not-an-object", "config-nan",
+                                 "config-unknown-key"]))
+            for malformed, rule in zip(("invalid-json", "not-an-object", "nan", "unknown-key"),
+                                       rules)},
+        "test_eval_on_an_edited_checkpoint": {"oversized": CHECKPOINTS["huge-hidden"],
+                                              "diverging": CLI["divergence"]},
+        "test_eval_on_malformed_dataset_is_data_error": [FILES["masks-overlap"],
+                                                         FILES["multi-hot-ragged"]],
+        "test_eval_on_a_malformed_checkpoint_value_is_data_error": {
+            "encoder_dims-5": CHECKPOINTS["dims"], "hidden_dim-16": CHECKPOINTS["hidden"]},
+        "test_eval_on_a_sidecar_that_is_not_an_object_is_data_error": {
+            "5": FILES["sidecar-top-level-number"], '"abc"': FILES["sidecar-top-level-string"],
+            "[]": FILES["sidecar-top-level-array"]},
+        "test_eval_on_mismatched_features_is_data_error": CLI["eval-features-mismatch"],
+        "test_train_names_an_empty_train_split": CLI["train-split-empty"],
+        "test_train_rejects_duplicate_scales": CLI["train-scales-1,1"],
+        "test_zero_model_size_is_data_error": {
+            "train---encoder-layers-at least one layer, got 0": CLI["train-encoder-layers-0"],
+            "train---hidden-got 0 x": CLI["train-hidden-0"],
+            "probe-range---hidden-got 0 x": CLI["probe-range-hidden-0"]},
+        "test_train_names_a_negative_encoder_layer_count": CLI["train-encoder-layers--1"],
+        "test_train_rejects_negative_settings": {
+            "--patience--3-patience must be >= 0": CLI["train-patience--3"],
+            "--wd--1-weight_decay must be >= 0": CLI["train-wd--1"],
+            "--wd-inf-weight_decay must be >= 0 and finite, got inf": CLI["train-wd-inf"],
+            "--tol-nan-tol must be positive and finite, got nan": CLI["train-tol-nan"],
+            "--lr-nan-lr must be positive and finite, got nan": CLI["train-lr-nan"],
+            "--eps-f-inf-eps_f must be positive and finite, got inf": CLI["train-eps-f-inf"]},
+    },
+}
+
+
+def _cases(rows):
+    """The rows of each case of a former test: one list, or one per parameter id."""
+    cases = rows.values() if isinstance(rows, dict) else [rows]
+    return [case if isinstance(case, list) else [case] for case in cases]
+
+
+def former_tests(module):
+    """The former tests of ``module``, by name, to put in its namespace."""
+    def former(rows):
+        def test(case, request):
+            for k, row in enumerate(case):
+                rejects(row, request, str(k))
+        if isinstance(rows, dict):
+            return pytest.mark.parametrize("case", _cases(rows), ids=list(rows))(test)
+        return lambda request: test(_cases(rows)[0], request)
+
+    return {name: former(rows) for name, rows in FORMER[module].items()}
+
+
+RUN_BY_FORMER = {id(row) for tests in FORMER.values() for rows in tests.values()
+                 for case in _cases(rows) for row in case}
+
+
 def _table(table):
-    @pytest.mark.parametrize("rule", table)
+    @pytest.mark.parametrize("rule", [rule for rule, row in table.items()
+                                      if id(row) not in RUN_BY_FORMER])
     def test(rule, request):
         rejects(table[rule], request)
     return test
 
 
-(test_dataset_files, test_datasets, test_graphs, test_checkpoints_and_json, test_settings,
- test_calls, test_cli) = map(_table, TABLES.values())
+# test_files, test_graphs, ...: one test per table with rows that no former test runs.
+globals().update({f"test_{name.lower()}": _table(table) for name, table in TABLES.items()
+                  if not {id(row) for row in table.values()} <= RUN_BY_FORMER})

@@ -13,8 +13,8 @@ from msignn.errors import EmptySelectionError, ShapeError
 from msignn.model import MultiscaleImplicitGNN
 from msignn.train import HISTORY_COLUMNS, evaluate
 
-from conftest import former, random_undirected_graph
-from test_rejections import CALLS, SETTINGS
+from conftest import random_undirected_graph
+from test_rejections import former_tests
 
 
 def test_cross_entropy_uniform_logits():
@@ -522,14 +522,5 @@ def test_reused_evaluation_forward_trains_bit_identically(multi_hot):
         npt.assert_array_equal(value, kept[name], err_msg=name)
 
 
-# Tests of one rule each, now rows of the tables in test_rejections, under their names.
-test_cross_entropy_empty_mask = former(CALLS, "cross-entropy-empty-mask")
-test_graph_labels_naming_a_class_the_model_lacks_are_named_before_any_epoch = former(
-    CALLS, "graph-label-beyond-classes")
-test_train_config_rejects_out_of_range_fields = former(SETTINGS, {
-    "epochs--1": "epochs-negative", "lr-0.0": "lr-0.0", "weight_decay--1.0": "weight-decay--1.0",
-    "patience--3": "patience-negative", "batch_size-0": "batch-size-zero"})
-test_train_config_rejects_a_negative_seed = former(SETTINGS, "train-seed-negative")
-test_settings_that_are_not_finite_are_rejected = former(SETTINGS, {
-    f"{name}-{value}": f"{name.replace('_', '-')}-{value}"
-    for name in ("tol", "lr", "weight_decay", "eps_f") for value in ("nan", "inf", "-inf")})
+# Its tests of one rule each are rows now; test_rejections.FORMER names them.
+globals().update(former_tests(__name__))
