@@ -119,7 +119,7 @@ class ChainsSpec:
         if min(self.num_classes, self.chains_per_class, self.length) < 1:
             raise ValueError("chain spec counts must all be >= 1")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"chains seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ class ColorCountingSpec:
         if not 0.0 < self.colored_fraction <= 1.0:
             raise ValueError("colored_fraction must lie in (0, 1]")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"color-counting seed must be >= 0, got {self.seed}")
 
 
 def _split_masks(n: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

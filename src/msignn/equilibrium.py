@@ -47,7 +47,8 @@ The input decides how they are solved, and the result's ``path`` names it:
   measured once, and from the rounding of the closed form's own
   arithmetic; S and its spectrum are read-only, so the blocks describe the
   S being solved. The result keeps Q and C, from which
-  ``weight_gradient`` forms Z* S^m without a hop;
+  ``weight_gradient`` forms Z* S^m without a hop, and the spectrum they
+  belong to, which the S handed to ``weight_gradient`` must carry;
 - "picard" for every other S (directed graphs, components above
   ``graph.SPECTRUM_MAX_COMPONENT`` nodes, any S made outside ``graph``),
   and when a closed form's bound is above tol (a wrong spectrum, or a tol
@@ -60,16 +61,33 @@ The input decides how they are solved, and the result's ``path`` names it:
   made once per solve: ``s.T``, a CSC view sharing S's arrays, or S
   itself. Powers of S are never materialized.
 
+Shared state: what the solves of one scale share depends on F and S,
+never on H or dL/dZ*, so each ``ScaleModule`` keeps it (``_Basis``): a
+copy of F's bytes, F^T F and its norm, c and Q, and, for the last spectrum
+it solved on, that spectrum (held by reference, so a freed one's id cannot
+name a new one), each block's sigma^m and denominators 1 - sigma^m c^T
+and the closed form's residual bound. Every solve and ``weight_gradient``
+compares F's bytes with the copy and makes the state again only when they
+differ or S's spectrum is another; F is edited in place (by the
+optimizer, by ``train_loop``'s restore of the best epoch, by
+finite-difference checks), so neither identity nor a counter would do. A
+non-finite g(F) raises before anything is kept. The state is built whole,
+its arrays read-only, and published by one assignment, so solves of one
+module may run in several threads. It keeps K n x h arrays of denominators
+alive for a K-scale model, those of the last graph each scale solved on.
+Within a training step at one F, a scale's forward solve, adjoint solve
+and weight gradient so run one ``eigh`` between them, and a predict of a
+graph already solved at that F runs none.
+
 Working memory: a solve makes R in an n x h array that the calling thread
 reuses on its next solve of the same shape (``numerics.reused``, whose
 "solve" slot keeps only the last shape's array), and a closed form writes
 W over R, since the blocks partition the rows and each reads its rows of R
 before it writes them; a closed form that goes on as Picard makes R again.
-Each block's denominators are written into the array that then receives
-Z. So the pages of R are not handed back to the system and faulted in
-again between the solves of a training step. A reused array never
-outlives the call that filled it: nothing returned (Z*, Q, C, U) or kept
-in a trace is one.
+So the pages of R are not handed back to the system and faulted in again
+between the solves of a training step. A reused array never outlives the
+call that filled it: nothing returned (Z*, Q, C, U) or kept in a trace is
+one.
 
 gamma = 0 needs no special case: a closed form reports 0 iterations and a
 solve from zeros 2. ``oracle_solve`` solves the vectorized system
@@ -79,7 +97,7 @@ cross-check for tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -99,6 +117,8 @@ class ScaleModule:
     gamma: float = 0.8
     scale_m: int = 1
     eps_f: float = 1e-5
+    # What the solves share at the current F (see the module docstring).
+    _basis: _Basis | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = numerics.as_dense(self.f_weight)
@@ -138,12 +158,34 @@ class EquilibriumResult:
     residual: float
     converged: bool
     path: str  # "closed form" when the closed form alone is the answer, else "picard"
-    # After a closed form: the basis Q of g(F) and, per spectrum block, the
-    # eigen-coefficients C, (c, k, h) each, so that Z*^T = [V C] Q^T. Only
-    # ``weight_gradient`` reads them; an inference forward drops them as soon
-    # as the solve returns.
+    # After a closed form: the basis Q of g(F) (the module's, read-only), per
+    # spectrum block the eigen-coefficients C, (c, k, h) each, so that
+    # Z*^T = [V C] Q^T, and the spectrum they were solved on. Only
+    # ``weight_gradient`` reads them; an inference forward drops C as soon as
+    # the solve returns.
     basis: np.ndarray | None = None
     coefficients: list[np.ndarray] | None = None
+    spectrum: list[graph.SpectrumBlock] | None = None
+
+
+@dataclass(frozen=True)
+class _Basis:
+    """What a scale's solves share at one content of F: g(F)'s eigenbasis,
+    and the closed form's constants on the last spectrum solved on.
+
+    Never changed once made: a new F or spectrum makes a new one. Its
+    arrays are read-only.
+    """
+
+    key: bytes          # F's bytes, the content all else was computed from
+    gram: np.ndarray    # F^T F
+    norm: np.float64    # ||F^T F||_F
+    c: np.ndarray       # gamma * the eigenvalues of g(F), ascending
+    q: np.ndarray       # the eigenvectors of g(F), one per column
+    blocks: list[graph.SpectrumBlock] | None = None  # the spectrum of the fields below
+    powers: tuple[np.ndarray, ...] = ()        # sigma^m per block, (c, k)
+    denominators: tuple[np.ndarray, ...] = ()  # 1 - sigma^m c^T per block, (c, k, h)
+    bound: float = np.inf  # ``_residual_bound`` of the closed form on ``blocks``
 
 
 def normalized_gram(f_weight: np.ndarray, eps_f: float) -> np.ndarray:
@@ -163,6 +205,54 @@ def _propagate(y: np.ndarray, op, m: int) -> np.ndarray:
     return y
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _shared(module: ScaleModule, what: str, blocks) -> _Basis:
+    """The module's ``_Basis`` at its current F, with the closed form's
+    constants on ``blocks`` unless they are None; made and published again
+    if F's content or the spectrum changed since the last call."""
+    basis = module._basis
+    f = module.f_weight
+    key = f.tobytes()
+    same_s = basis is not None and basis.blocks is blocks
+    if basis is not None and basis.key == key:
+        if blocks is None or same_s:
+            return basis
+        gram, norm, c, q = basis.gram, basis.norm, basis.c, basis.q
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite g is named below
+            gram = f.T @ f
+            norm = np.linalg.norm(gram)
+            g = gram / (norm + module.eps_f)  # ``normalized_gram``, keeping its parts
+        if not np.all(np.isfinite(g)):
+            # Training updates F in place, so an exploded step can leave it non-finite.
+            raise DivergenceError(f"{what}: g(F) is not finite; check F for NaN, Inf "
+                                  "or entries whose Gram matrix F^T F overflows")
+        lam, q = np.linalg.eigh(g)
+        c = module.gamma * lam
+        _read_only(gram, c, q)
+    powers = denominators = ()
+    bound = np.inf
+    if blocks is not None:
+        # sigma^m depends on S alone, so a new F on the same S keeps it.
+        powers = basis.powers if same_s else tuple(_power(b.values, module.scale_m)
+                                                   for b in blocks)
+        # einsum's outer product runs one long loop; broadcasting sigma^m
+        # against -c would run an inner loop of length h per node, ~1.6x slower.
+        denominators = tuple(np.einsum("ij,k->ijk", p, -c) for p in powers)
+        for d in denominators:
+            d += 1.0
+        _read_only(*powers, *denominators)
+        bound = _residual_bound(c, blocks, module.scale_m)
+    basis = _Basis(key=key, gram=gram, norm=norm, c=c, q=q, blocks=blocks, powers=powers,
+                   denominators=denominators, bound=bound)
+    object.__setattr__(module, "_basis", basis)  # whole, so other threads see all or none
+    return basis
+
+
 def _solve(module: ScaleModule, s, injected: np.ndarray, cfg: SolverConfig,
            z0: np.ndarray | None, adjoint: bool) -> EquilibriumResult:
     """Solve Y = gamma op^m Y g(F) + injected^T for W = Y Q; returns Z = Y^T.
@@ -172,62 +262,52 @@ def _solve(module: ScaleModule, s, injected: np.ndarray, cfg: SolverConfig,
     reused array (``numerics.reused``); the closed form writes W over it.
     """
     what = "adjoint solve" if adjoint else "forward solve"
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are named below
-        g = normalized_gram(module.f_weight, module.eps_f)
-        if not np.all(np.isfinite(g)):
-            # Training updates F in place, so an exploded step can leave it non-finite.
-            raise DivergenceError(f"{what}: g(F) is not finite; check F for NaN, Inf "
-                                  "or entries whose Gram matrix F^T F overflows")
-        if injected.shape[0] != g.shape[0]:
-            raise ShapeError(
-                f"{what}: injected rows {injected.shape[0]} != hidden dim {g.shape[0]}")
-        if injected.shape[1] != s.shape[0]:
-            raise ShapeError(
-                f"{what}: injected cols {injected.shape[1]} != node count {s.shape[0]}")
-        z = None if z0 is None else numerics.as_dense(z0)
-        if z is not None and z.shape != injected.shape:
-            raise ShapeError(f"{what}: z0 shape {z.shape} != {injected.shape}")
-        lam, q = np.linalg.eigh(g)
-        c = module.gamma * lam
-        rhs = np.matmul(injected.T, q, out=numerics.reused("solve", (s.shape[0], g.shape[0]))[0])
-        blocks = graph.spectrum(s)
-        coefficients = z_star = None
+    if injected.shape[0] != module.hidden_dim:
+        raise ShapeError(
+            f"{what}: injected rows {injected.shape[0]} != hidden dim {module.hidden_dim}")
+    if injected.shape[1] != s.shape[0]:
+        raise ShapeError(
+            f"{what}: injected cols {injected.shape[1]} != node count {s.shape[0]}")
+    z = None if z0 is None else numerics.as_dense(z0)
+    if z is not None and z.shape != injected.shape:
+        raise ShapeError(f"{what}: z0 shape {z.shape} != {injected.shape}")
+    blocks = graph.spectrum(s)
+    basis = _shared(module, what, blocks)
+    q = basis.q
+    with np.errstate(over="ignore", invalid="ignore"):  # Picard names non-finite values
+        rhs = np.matmul(injected.T, q, out=numerics.reused("solve", (s.shape[0], q.shape[0]))[0])
+        coefficients = None
         if blocks is None:
             w = np.zeros_like(rhs) if z is None else z.T @ q
         else:
-            z_star = np.empty(injected.shape)  # first the denominators, then Z
-            w, coefficients = _closed_form(c, blocks, module.scale_m, rhs, z_star)
-            iterations, residual = 0, _residual_bound(c, blocks, module.scale_m)
+            w, coefficients = _closed_form(basis, rhs)
+            iterations, residual = 0, basis.bound
             # A non-finite W, from H or an overflow, is for Picard to name.
             if not (residual <= cfg.tol and np.isfinite(np.sum(w))):
                 coefficients = None
                 w = w.copy()  # W was written over R, which Picard reads: make R again
                 np.matmul(injected.T, q, out=rhs)
         if coefficients is None:
-            w, iterations, residual = _picard(c, s if adjoint else s.T, module.scale_m,
+            w, iterations, residual = _picard(basis.c, s if adjoint else s.T, module.scale_m,
                                               rhs, w, cfg, what)
-        z_star = np.matmul(q, w.T, out=z_star)
+        z_star = q @ w.T
+    closed = coefficients is not None
     return EquilibriumResult(z_star=z_star, iterations=iterations, residual=residual,
                              converged=residual <= cfg.tol,
-                             path="picard" if coefficients is None else "closed form",
-                             basis=None if coefficients is None else q,
-                             coefficients=coefficients)
+                             path="closed form" if closed else "picard",
+                             basis=q if closed else None, coefficients=coefficients,
+                             spectrum=blocks if closed else None)
 
 
-def _closed_form(c: np.ndarray, blocks, m: int, rhs: np.ndarray,
-                 spare: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def _closed_form(basis: _Basis, rhs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """W = V C, C = (V^T R) / (1 - sigma^m c^T), block by block; returns W and each C.
 
     W is written over R: the blocks partition the rows, and each reads its
-    rows of R before it writes them. Each block's denominators go into the
-    front of ``spare``, a C-ordered array of R's size.
+    rows of R before it writes them.
     """
     coefficients = []
-    for b in blocks:
+    for b, denominators in zip(basis.blocks, basis.denominators):
         coeffs = np.matmul(b.vectors.transpose(0, 2, 1), b.slab(rhs))
-        denominators = spare.reshape(-1)[:coeffs.size].reshape(coeffs.shape)
-        np.multiply(_power(b.values, m)[:, :, None], -c, out=denominators)
-        denominators += 1.0
         coeffs /= denominators
         _write_rows(rhs, b, coeffs)
         coefficients.append(coeffs)
@@ -353,10 +433,13 @@ def weight_gradient(module: ScaleModule, u: np.ndarray, forward: EquilibriumResu
     adjoint was taken at. The upstream gradient at g(F) is
     M = gamma * U (Z* S^m)^T. After a closed-form solve
     (Z* S^m)^T = [V (sigma^m * C)] Q^T per spectrum block, from the
-    result's coefficients and basis, with no sparse hop; after a Picard
-    solve, or on an S without the spectrum, Z* is hopped m times with
-    ``s.T``. Pulling M back through the Frobenius normalization and the
-    Gram map F^T F gives
+    result's coefficients and basis, with no sparse hop, and an S whose
+    spectrum is not the one the result was solved on is a ``ShapeError``;
+    after a Picard solve, or on an S without a spectrum, Z* is hopped m
+    times with ``s.T``. F^T F and sigma^m come from the state the module's
+    solves share, which is made again, and F checked, if F has changed.
+    Pulling M back through the Frobenius normalization and the Gram map
+    F^T F gives
 
         dG = (M - a G_hat)/r_eps + a G_hat eps_f/r_eps^2,   dF = F (dG + dG^T)
 
@@ -371,17 +454,19 @@ def weight_gradient(module: ScaleModule, u: np.ndarray, forward: EquilibriumResu
     if u.shape != forward.z_star.shape:
         raise ShapeError(
             f"adjoint shape {u.shape} != equilibrium shape {forward.z_star.shape}")
-    m = module.scale_m
     blocks = None if forward.coefficients is None else graph.spectrum(s)
+    if blocks is not None and blocks is not forward.spectrum:
+        raise ShapeError("weight gradient: the forward solve's closed form is on another "
+                         "S's spectrum than the S given")
+    basis = _shared(module, "weight gradient", blocks)
     if blocks is None:  # a Picard solve, or an S (a plain copy) without the spectrum
-        m_up = module.gamma * (u @ _propagate(forward.z_star.T, s.T, m))
+        m_up = module.gamma * (u @ _propagate(forward.z_star.T, s.T, module.scale_m))
     else:
         propagated = np.empty((u.shape[1], u.shape[0]))
-        for b, coeffs in zip(blocks, forward.coefficients):
-            _write_rows(propagated, b, _power(b.values, m)[:, :, None] * coeffs)
+        for b, power, coeffs in zip(blocks, basis.powers, forward.coefficients):
+            _write_rows(propagated, b, power[:, :, None] * coeffs)
         m_up = module.gamma * ((u @ propagated) @ forward.basis.T)
-    gram = module.f_weight.T @ module.f_weight
-    r = np.linalg.norm(gram)
+    gram, r = basis.gram, basis.norm
     r_eps = r + module.eps_f
     if r < 1e-30:
         d_gram = m_up / r_eps

@@ -380,7 +380,7 @@ def hop_distance(g: Graph, p: int) -> np.ndarray:
     Follows edge direction on directed graphs.
     """
     if not 0 <= p < g.n:
-        raise IndexError(f"node {p} out of range for {g.n} nodes")
+        raise IndexError(f"source node {p} out of range for {g.n} nodes")
     # Imported on first use: loading csgraph adds ~10 MB of resident memory,
     # which training and inference never need.
     from scipy.sparse import csgraph

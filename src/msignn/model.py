@@ -19,8 +19,8 @@ association of the formulas above.
 
 ``predict`` without a trace runs the same forward loop in inference mode,
 which keeps only what the logits need: the encoder cache goes once H is
-made, each solve's basis and eigen-coefficients once it returns (so the
-next solve reuses their memory), every scale's tanh activations share one
+made, each solve's eigen-coefficients once it returns (so the next solve
+reuses their memory), every scale's tanh activations share one
 buffer, since only beta is read, and H goes after the last solve. The k Z*
 stay until the fusion, because the softmax needs every beta first. The
 operations and their order are those of ``forward``, so the logits are
@@ -86,7 +86,7 @@ class MlpEncoder:
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray] | None = None,
                  dropout_rate: float = 0.0):
         if not weights:
-            raise ValueError("encoder needs at least one layer, got 0")
+            raise ValueError("encoder needs at least one weight matrix, got 0")
         if biases is not None and len(weights) != len(biases):
             raise ShapeError("encoder needs one bias per weight matrix")
         for i in range(1, len(weights)):
@@ -439,7 +439,7 @@ def init_model(rng, feature_dim: int, hidden_dim: int, num_classes: int,
     ``multilabel=True`` makes a node-task model predict multi-hot labels.
     """
     if encoder_layers < 1:
-        raise ValueError(f"encoder needs at least one layer, got {encoder_layers}")
+        raise ValueError(f"encoder_layers must be >= 1, got {encoder_layers}")
     dims = [feature_dim] + [hidden_dim] * encoder_layers
     weights = [glorot_uniform(rng, dims[i + 1], dims[i]) for i in range(encoder_layers)]
     biases = [np.zeros(dims[i + 1]) for i in range(encoder_layers)] if encoder_bias else None

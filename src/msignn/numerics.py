@@ -55,7 +55,7 @@ def as_dense(a) -> np.ndarray:
     """Coerce to a 2-D float64 array; reject non-finite entries."""
     out = np.asarray(a, dtype=np.float64)
     if out.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={out.ndim}")
+        raise ShapeError(f"expected a 2-D dense matrix, got ndim={out.ndim}")
     if not np.isfinite(out).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return out
@@ -73,7 +73,7 @@ def as_csr(a) -> sp.csr_array:
     if not sp.issparse(a):
         a = sp.csr_array(a)  # a (data, indices, indptr) tuple is checked below
     if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
+        raise ShapeError(f"expected a 2-D sparse matrix, got ndim={a.ndim}")
     try:
         if a.format in ("csr", "csc", "bsr"):
             _check_compressed(a)

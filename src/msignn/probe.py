@@ -48,7 +48,7 @@ def measure_decay(module: ScaleModule, graph: Graph, encode, p: int,
     is exactly one node per hop.
     """
     if not 0 <= p < graph.n:
-        raise IndexError(f"node {p} out of range for {graph.n} nodes")
+        raise IndexError(f"perturbed node {p} out of range for {graph.n} nodes")
     injected = encode(graph.features)
     perturbed_x = graph.features.copy()
     perturbed_x[:, p] = 0.0

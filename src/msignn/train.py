@@ -54,7 +54,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray):
     mask = np.asarray(mask, dtype=bool)
     count = int(mask.sum())
     if count == 0:
-        raise EmptySelectionError("loss mask selects no nodes")
+        raise EmptySelectionError("cross-entropy mask selects no nodes")
     if logits.shape[1] != mask.shape[0] or labels.shape[0] != mask.shape[0]:
         raise ShapeError("logits, labels and mask disagree on node count")
     shifted = logits - logits.max(axis=0, keepdims=True)
@@ -75,7 +75,7 @@ def bce_with_logits(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray):
     mask = np.asarray(mask, dtype=bool)
     count = int(mask.sum())
     if count == 0:
-        raise EmptySelectionError("loss mask selects no nodes")
+        raise EmptySelectionError("BCE mask selects no nodes")
     if logits.shape != labels.shape or logits.shape[1] != mask.shape[0]:
         raise ShapeError("logits/labels must be (classes, nodes) matching the mask")
     # log(1 + e^{-|x|}) + max(x, 0) - x*y is the overflow-safe form.
@@ -181,7 +181,7 @@ class TrainConfig:
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"training seed must be >= 0, got {self.seed}")
         if not 0 < self.lr < np.inf:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not 0 <= self.weight_decay < np.inf:

@@ -5,6 +5,7 @@ import os
 import pickle
 import re
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from dataclasses import replace
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
@@ -15,8 +16,8 @@ import scipy.sparse as sp
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from msignn import (EquilibriumResult, SolverConfig, build_graph, equilibrium,
-                    forward_solve)
+from msignn import (EquilibriumResult, SolverConfig, adjoint_solve, build_graph, equilibrium,
+                    forward_solve, weight_gradient)
 from msignn.train import bce_with_logits, cross_entropy
 
 # Property tests draw the same examples on every run and keep no example
@@ -132,6 +133,19 @@ def hopping_result(z_star):
     """A forward result holding only Z*, so ``weight_gradient`` hops from it."""
     return EquilibriumResult(z_star=z_star, iterations=0, residual=0.0, converged=True,
                              path="picard")
+
+
+def assert_solves_as_if_new(module, s):
+    """Assert that ``module``'s weight gradient, adjoint solve and forward
+    solve on S, in that order, each equal bit for bit those of a module made
+    anew from a copy of its F: nothing kept from an earlier F shows."""
+    injected, grad = np.random.default_rng(0).standard_normal((2, module.hidden_dim, s.shape[0]))
+    new = replace(module, f_weight=module.f_weight.copy())
+    z = forward_solve(new, injected, s)
+    u = adjoint_solve(new, s, grad)
+    assert np.array_equal(weight_gradient(module, u, z, s), weight_gradient(new, u, z, s))
+    assert np.array_equal(adjoint_solve(module, s, grad), u)
+    assert np.array_equal(forward_solve(module, injected, s).z_star, z.z_star)
 
 
 def picard_steps(module, injected, s, count):

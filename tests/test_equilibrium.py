@@ -3,7 +3,8 @@
 The scalar geometric series, gamma = 0, divergence and non-finite inputs
 named, geometric contraction, one fixed point from any start, inputs left
 unchanged, permutation equivariance, the weight gradient's zero and
-symmetric cases, integer settings, and the oracle's own checks. The
+symmetric cases, integer settings, what the solves share at one F made
+again after F is edited in place, and the oracle's own checks. The
 agreement of every solve path with the oracle, with Picard and with
 central differences is checked in ``test_solve_matrix``.
 """
@@ -13,13 +14,14 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from msignn import (ScaleModule, SolverConfig, adjoint_solve, forward_solve,
+from msignn import (Adam, ScaleModule, SolverConfig, adjoint_solve, forward_solve,
                     normalized_gram, oracle_solve, weight_gradient)
 from msignn.errors import DivergenceError
 from msignn.graph import spectrum
 from msignn.numerics import as_csr
 
-from conftest import hopping_result, picard_steps, undirected_graph
+from conftest import (assert_solves_as_if_new, contiguous_graph, directed_graph, hopping_result,
+                      picard_steps, undirected_graph)
 from test_rejections import former_tests
 
 
@@ -226,3 +228,30 @@ def test_integer_settings_take_integers_only(make, field):
 
 # Its tests of one rule each are rows now; test_rejections.FORMER names them.
 globals().update(former_tests(__name__))
+
+
+@pytest.mark.parametrize("kind", ["closed form", "picard"])
+def test_every_solve_sees_an_in_place_edit_of_f(kind):
+    # The solves share g(F)'s eigenbasis and the closed form's denominators
+    # while F's content stays; the optimizer, train_loop's restore of the
+    # best epoch and a central difference's step each change it in place.
+    s = contiguous_graph(0, [3, 5]).s if kind == "closed form" else directed_graph(0, [5]).s
+    rng = np.random.default_rng(1)
+    module = ScaleModule(f_weight=rng.standard_normal((3, 3)), gamma=0.7, scale_m=2)
+    saved = module.f_weight.copy()
+    params = {"f": module.f_weight}
+    assert_solves_as_if_new(module, s)
+    Adam(params, lr=0.1).step(params, {"f": rng.standard_normal((3, 3))})
+    assert_solves_as_if_new(module, s)
+    module.f_weight[1, 2] += 1e-5
+    assert_solves_as_if_new(module, s)
+    module.f_weight[...] = saved
+    assert_solves_as_if_new(module, s)
+    z = forward_solve(module, np.ones((3, s.shape[0])), s)
+    module.f_weight[0, 0] = np.nan  # nothing made from a non-finite F is kept
+    for what, call in (("forward solve", lambda: forward_solve(module, z.z_star, s)),
+                       ("adjoint solve", lambda: adjoint_solve(module, s, z.z_star)),
+                       ("weight gradient", lambda: weight_gradient(module, z.z_star, z, s))):
+        for _ in range(2):
+            with pytest.raises(DivergenceError, match=rf"^{what}: g\(F\) is not finite"):
+                call()

@@ -165,10 +165,11 @@ def test_graph_task_on_a_plain_graph_is_a_batch_of_one(directed):
     model = init_model(rng, g.feature_dim, 4, 2, scale_exponents=(1, 2), task="graph",
                        solver_cfg=TIGHT)
     grad_logits = rng.standard_normal((2, 1))
-    plain, one = model.forward(g), model.forward(batch([g]))
+    merged = batch([g])
+    plain, one = model.forward(g), model.forward(merged)
     npt.assert_array_equal(plain.logits, one.logits)
     grads_plain = model.backward(g, plain, grad_logits)
-    grads_one = model.backward(batch([g]), one, grad_logits)
+    grads_one = model.backward(merged, one, grad_logits)
     assert grads_plain.keys() == model.parameters().keys()
     for name, grad in grads_plain.items():
         npt.assert_array_equal(grad, grads_one[name], err_msg=name)
@@ -280,8 +281,8 @@ def test_model_cross_check(monkeypatch, build, path, variant):
 
 def test_predict_keeps_at_most_two_thirds_of_a_forwards_working_set():
     # The peak during each call. A predict keeps no ForwardTrace, but only a
-    # lower peak shows that the encoder cache, each solve's basis and
-    # coefficients and all but one scale's tanh activations go early.
+    # lower peak shows that the encoder cache, each solve's coefficients and
+    # all but one scale's tanh activations go early.
     g = gen_color_counting(ColorCountingSpec(num_chains=30, length=30, seed=0)).graph
     model = init_model(np.random.default_rng(0), g.feature_dim, 16, g.num_classes,
                        scale_exponents=(1, 4, 8))
@@ -344,20 +345,30 @@ def test_training_hands_back_the_backward_arrays():
 
 
 def test_backwards_in_two_threads_give_the_serial_gradients():
-    # Each thread has its own reused arrays, so one model's backward can run
-    # in several threads at once; four threads and a short switch interval
-    # make their steps interleave.
-    g = gen_color_counting(ColorCountingSpec(num_chains=10, length=30, seed=0)).graph
-    model = init_model(np.random.default_rng(0), g.feature_dim, 16, g.num_classes,
-                       scale_exponents=(1, 4))
-    trace = model.forward(g)
-    grad_logits = cross_entropy(trace.logits, g.labels, np.ones(g.n, dtype=bool))[1]
-    serial = model.backward(g, trace, grad_logits)
+    # Each thread has its own reused arrays, and each scale publishes what its
+    # solves share whole, so one model's forward and backward can run in
+    # several threads at once; four threads and a short switch interval make
+    # their steps interleave. They take turns on two graphs, so each scale's
+    # shared state is made again and again while other threads read it.
+    graphs = [gen_color_counting(ColorCountingSpec(num_chains=chains, length=30, seed=0)).graph
+              for chains in (10, 7)]
+    model = init_model(np.random.default_rng(0), graphs[0].feature_dim, 16,
+                       graphs[0].num_classes, scale_exponents=(1, 4))
+    serial = []
+    for g in graphs:
+        trace = model.forward(g)
+        grad_logits = cross_entropy(trace.logits, g.labels, np.ones(g.n, dtype=bool))[1]
+        serial.append((trace.logits, grad_logits, model.backward(g, trace, grad_logits)))
     results = [[] for _ in range(4)]
 
     def run(out):
-        for _ in range(10):
-            out.append(model.backward(g, trace, grad_logits))
+        for k in range(10):
+            g = graphs[k % 2]
+            trace = model.forward(g)
+            logits, grad_logits, grads = serial[k % 2]
+            out.append(np.array_equal(trace.logits, logits) and all(
+                np.array_equal(value, grads[name])
+                for name, value in model.backward(g, trace, grad_logits).items()))
 
     workers = [threading.Thread(target=run, args=(out,)) for out in results]
     interval = sys.getswitchinterval()
@@ -370,9 +381,32 @@ def test_backwards_in_two_threads_give_the_serial_gradients():
     finally:
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
-    assert [len(out) for out in results] == [10] * 4
-    for grads in sum(results, []):
-        assert all(np.array_equal(grads[name], serial[name]) for name in serial)
+    assert results == [[True] * 10] * 4
+
+
+def test_each_scale_decomposes_g_once_per_weight_state(monkeypatch):
+    # A scale's forward solve, adjoint solve and weight gradient at one F share
+    # one eigh of g(F); a predict of a graph already solved at that F runs none.
+    g = gen_color_counting(ColorCountingSpec(num_chains=4, length=5, seed=0)).graph
+    model = init_model(np.random.default_rng(0), g.feature_dim, 4, g.num_classes,
+                       scale_exponents=(1, 2, 4))
+    graph_mod.spectrum(g.s)  # S is decomposed before counting
+    eigh, sizes = np.linalg.eigh, []
+
+    def counted(a):
+        sizes.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    trace = model.forward(g, train_mode=True)
+    grads = model.backward(g, trace, np.ones_like(trace.logits))
+    assert sizes == [(4, 4)] * 3
+    for name, p in model.parameters().items():
+        p -= 0.1 * grads[name]
+    model.predict(g)
+    assert sizes == [(4, 4)] * 6
+    model.predict(g)
+    assert sizes == [(4, 4)] * 6
 
 
 def _arrays(obj):
@@ -417,8 +451,10 @@ def test_no_reused_array_is_handed_out(monkeypatch, row):
     for name, p in model.parameters().items():
         p -= 0.1 * first[1][name]
     second = step()
-    # The encoder's input is the data's own feature array in both traces.
-    made = [[a for a in _arrays(out) if not np.shares_memory(a, g.features)]
+    # The encoder's input is the data's own feature array in both traces, and
+    # each closed-form result names the data's own spectrum.
+    own = [g.features, *_arrays(graph_mod.spectrum(g.s))]
+    made = [[a for a in _arrays(out) if not any(np.shares_memory(a, b) for b in own)]
             for out in (first, second)]
     assert not [(a.shape, b.shape) for a in made[0] for b in made[1] if np.shares_memory(a, b)]
     assert not np.array_equal(first[0].logits, second[0].logits)

@@ -4,9 +4,9 @@ A row (``conftest.Row``) is a valid builder, one edit, the error type or
 exit code, and a fragment of the message that names the rule; its key is the
 row's id. ``rows`` gives a group of rows one builder and a default error, and
 ``test_builders_are_accepted`` checks that every builder, left unedited, is
-accepted. Where two raises share a message, their rows differ in the call.
-A row runs under the name of each former test of its rule (``FORMER``), or
-else in its table's test.
+accepted. No two raises share a message, so a row's fragment names the check
+that fired. A row runs under the name of each former test of its rule
+(``FORMER``), or else in its table's test.
 """
 
 import json
@@ -223,7 +223,7 @@ GRAPHS = {
         "adjacency-not-square": ({"adjacency": sp.csr_array(np.zeros((2, 3)))},
                                  "adjacency must be square, got (2, 3)"),
         "adjacency-not-2d": ({"adjacency": sp.csr_array(np.ones(3))},
-                             "expected a 2-D matrix, got ndim=1"),
+                             "expected a 2-D sparse matrix, got ndim=1"),
         **{f"negative-weight-{kind}": ({"adjacency": NEGATIVE, "directed": kind == "directed"},
                                        ValueError, "adjacency weights must be non-negative, "
                                                    "got -0.5 at (1, 2)")
@@ -235,7 +235,7 @@ GRAPHS = {
            for bad in (np.nan, np.inf, -np.inf)},
         "features-columns": ({"features": np.ones((1, 2))},
                              "features must have one column per node: 2 != 3"),
-        "features-not-2d": ({"features": np.ones(3)}, "expected a 2-D matrix, got ndim=1"),
+        "features-not-2d": ({"features": np.ones(3)}, "expected a 2-D dense matrix, got ndim=1"),
         "features-nan": ({"features": np.array([[1.0, np.nan, 1.0]])}, ValueError,
                          "matrix contains NaN or Inf entries"),
         "label-vector-length": ({"labels": [0, 1]}, "label vector length must equal node count"),
@@ -449,7 +449,8 @@ SETTINGS = {
        for kind, value in NOT_INTEGERS.items()},
     **rows(given(ScaleModule, f_weight=np.eye(2)), ValueError, {
         "f-not-square": ({"f_weight": np.ones((2, 3))}, ShapeError, "F must be square, got (2, 3)"),
-        "f-not-2d": ({"f_weight": np.ones(2)}, ShapeError, "expected a 2-D matrix, got ndim=1"),
+        "f-not-2d": ({"f_weight": np.ones(2)}, ShapeError,
+                     "expected a 2-D dense matrix, got ndim=1"),
         "f-nan": ({"f_weight": np.diag([1.0, np.nan])}, "matrix contains NaN or Inf entries"),
         "gamma-one": ({"gamma": 1.0}, "gamma must lie in [0, 1), got 1.0"),
         "gamma-negative": ({"gamma": -0.1}, "gamma must lie in [0, 1), got -0.1"),
@@ -462,7 +463,7 @@ SETTINGS = {
     }),
     **rows(given(TrainConfig), ValueError, {
         "epochs-negative": ({"epochs": -1}, "epochs must be >= 0"),
-        "train-seed-negative": ({"seed": -1}, "seed must be >= 0, got -1"),
+        "train-seed-negative": ({"seed": -1}, "training seed must be >= 0, got -1"),
         **_out_of_range("lr"),
         **_out_of_range("weight_decay", (-1.0, np.nan, np.inf, -np.inf), ">= 0 and finite"),
         "patience-negative": ({"patience": -3}, "patience must be >= 0, got -3"),
@@ -470,13 +471,13 @@ SETTINGS = {
     }),
     **rows(given(ChainsSpec), ValueError, {
         "chain-count-zero": ({"length": 0}, "chain spec counts must all be >= 1"),
-        "chains-seed-negative": ({"seed": -1}, "seed must be >= 0, got -1"),
+        "chains-seed-negative": ({"seed": -1}, "chains seed must be >= 0, got -1"),
     }),
     **rows(given(ColorCountingSpec), ValueError, {
         "one-color": ({"num_colors": 1}, "need at least two colors"),
         "color-chains-zero": ({"num_chains": 0}, "chain counts must be >= 1"),
         "colored-fraction-zero": ({"colored_fraction": 0.0}, "colored_fraction must lie in (0, 1]"),
-        "colors-seed-negative": ({"seed": -1}, "seed must be >= 0, got -1"),
+        "colors-seed-negative": ({"seed": -1}, "color-counting seed must be >= 0, got -1"),
     }),
     # Two colored nodes of 1000 colors: a tie-free draw has odds 1 in 1000.
     "no-strict-majority": Row(
@@ -486,7 +487,7 @@ SETTINGS = {
     **rows(given(MlpEncoder, weights=[np.zeros((4, 3)), np.zeros((4, 4))],
                  biases=[np.zeros(4), np.zeros(4)]), ShapeError, {
         "encoder-no-layers": ({"weights": [], "biases": None}, ValueError,
-                              "encoder needs at least one layer, got 0"),
+                              "encoder needs at least one weight matrix, got 0"),
         "encoder-bias-count": ({"biases": [np.zeros(4)]},
                                "encoder needs one bias per weight matrix"),
         "encoder-layers-chain": ({"weights": [np.zeros((4, 3)), np.zeros((4, 5))]},
@@ -524,7 +525,7 @@ SETTINGS = {
     **rows(given(init_model, rng=np.random.default_rng(0), feature_dim=3, hidden_dim=4,
                  num_classes=2), ValueError, {
         **{f"init-encoder-layers-{layers}": ({"encoder_layers": layers},
-                                             f"encoder needs at least one layer, got {layers}")
+                                             f"encoder_layers must be >= 1, got {layers}")
            for layers in (0, -1)},
         "init-hidden-zero": ({"hidden_dim": 0}, "weight sizes must be positive, got 0 x 3"),
         **{f"init-scale-{value}": ({"scale_exponents": (value,)},
@@ -670,6 +671,16 @@ CALLS = {
        for what in ("forward", "adjoint")},
     "gradient-adjoint-shape": Row(gradient, {"u": np.ones((3, 5))}, ShapeError,
                                   "adjoint shape (3, 5) != equilibrium shape (3, 6)"),
+    # The forward's eigen-coefficients are of its own S's spectrum; paired with
+    # another's, the gradient was wrong and nothing said so.
+    "gradient-another-spectrum": Row(gradient, {"s": build_graph(_path(6), np.ones((1, 6))).s},
+                                     ShapeError, "weight gradient: the forward solve's closed "
+                                                 "form is on another S's spectrum"),
+    # The builder's forward solve made the module's shared state at the finite F.
+    **{f"gradient-f-{bad}": Row(gradient,
+                                lambda kwargs, bad=bad: np.put(kwargs["module"].f_weight, 1, bad),
+                                DivergenceError, "weight gradient: g(F) is not finite")
+       for bad in (np.nan, 1e200)},
     **rows(lambda: (oracle_solve, solve()()[1]), ShapeError, {
         "oracle-injected-shape": ({"injected": np.ones((3, 5))}, "injected shape (3, 5) != (3, 6)"),
         "oracle-capacity": ({"module": ScaleModule(np.eye(64), 0.5), "injected": np.zeros((64, 65)),
@@ -679,13 +690,13 @@ CALLS = {
     **rows(given(cross_entropy, logits=np.zeros((2, 3)), labels=np.zeros(3, int), mask=ALL),
            ShapeError, {
         "cross-entropy-empty-mask": ({"mask": EMPTY}, EmptySelectionError,
-                                     "loss mask selects no nodes"),
+                                     "cross-entropy mask selects no nodes"),
         "cross-entropy-node-count": ({"labels": np.zeros(2, int)},
                                      "logits, labels and mask disagree on node count"),
     }),
     **rows(given(bce_with_logits, logits=np.zeros((2, 3)), labels=np.zeros((2, 3)), mask=ALL),
            ShapeError, {
-        "bce-empty-mask": ({"mask": EMPTY}, EmptySelectionError, "loss mask selects no nodes"),
+        "bce-empty-mask": ({"mask": EMPTY}, EmptySelectionError, "BCE mask selects no nodes"),
         "bce-shapes": ({"labels": np.zeros((2, 2))},
                        "logits/labels must be (classes, nodes) matching the mask"),
     }),
@@ -739,9 +750,9 @@ CALLS = {
     "decay-node-out-of-range": Row(
         given(measure_decay, module=ScaleModule(np.eye(1), 0.5), encode=lambda x: x, p=0,
               graph=gen_chains(ChainsSpec(num_classes=1, chains_per_class=1, length=5)).graph),
-        {"p": 99}, IndexError, "node 99 out of range for 5 nodes"),
+        {"p": 99}, IndexError, "perturbed node 99 out of range for 5 nodes"),
     "hop-node-out-of-range": Row(given(hop_distance, g=_labelled(), p=0), {"p": 3}, IndexError,
-                                 "node 3 out of range for 3 nodes"),
+                                 "source node 3 out of range for 3 nodes"),
     **rows(given(range_bound, gamma=0.5, theta=1e-6, scale_m=1), DomainError, {
         "bound-gamma-zero": ({"gamma": 0.0}, "gamma must lie in (0, 1), got 0.0"),
         "bound-theta-zero": ({"theta": 0.0}, "theta must lie in (0, 1), got 0.0"),
@@ -860,8 +871,8 @@ CLI = {rule: Row(cli(*argv) if isinstance(argv, tuple) else cli(argv), {}, code,
            ("lr", "nan", "lr must be positive and finite, got nan"),
            ("eps-f", "inf", "eps_f must be positive and finite, got inf"),
            ("hidden", "0", "weight sizes must be positive, got 0 x 2"),
-           ("encoder-layers", "0", "encoder needs at least one layer, got 0"),
-           ("encoder-layers", "-1", "encoder needs at least one layer, got -1"),
+           ("encoder-layers", "0", "encoder_layers must be >= 1, got 0"),
+           ("encoder-layers", "-1", "encoder_layers must be >= 1, got -1"),
            ("scales", "1,1", "scale exponents must be pairwise distinct, got [1, 1]"))},
     "probe-range-hidden-0": ("probe-range --hidden 0 --out {out}", EXIT_DATA,
                              "error: weight sizes must be positive, got 0 x 1\n"),

@@ -13,7 +13,8 @@ from msignn.errors import EmptySelectionError, ShapeError
 from msignn.model import MultiscaleImplicitGNN
 from msignn.train import HISTORY_COLUMNS, evaluate
 
-from conftest import random_undirected_graph
+from conftest import (assert_solves_as_if_new, contiguous_graph, directed_graph,
+                      random_undirected_graph)
 from test_rejections import former_tests
 
 
@@ -325,6 +326,10 @@ def test_train_loop_restores_best_epoch_weights(task):
     before_best = weights_after(best_epoch - 1)
     assert any(not np.array_equal(value, before_best[name])
                for name, value in restored.items())
+    # The last epoch's evaluation solved at its own F; the solves see the restored F.
+    for module in model.scales:
+        for s in (contiguous_graph(0, [2, 3]).s, directed_graph(0, [4]).s):
+            assert_solves_as_if_new(module, s)
 
 
 @pytest.mark.parametrize("task", sorted(PROBLEMS))
