@@ -47,8 +47,8 @@ The input decides how they are solved, and the result's ``path`` names it:
   measured once, and from the rounding of the closed form's own
   arithmetic; S and its spectrum are read-only, so the blocks describe the
   S being solved. The result keeps Q and C, from which
-  ``weight_gradient`` forms Z* S^m without a hop, and the spectrum they
-  belong to, which the S handed to ``weight_gradient`` must carry;
+  ``weight_gradient`` forms Z* S^m without a hop; the S handed to it must
+  carry the spectrum they belong to;
 - "picard" for every other S (directed graphs, components above
   ``graph.SPECTRUM_MAX_COMPONENT`` nodes, any S made outside ``graph``),
   and when a closed form's bound is above tol (a wrong spectrum, or a tol
@@ -60,6 +60,10 @@ The input decides how they are solved, and the result's ``path`` names it:
   series. Each hop is one sparse-times-dense product with an operator
   made once per solve: ``s.T``, a CSC view sharing S's arrays, or S
   itself. Powers of S are never materialized.
+
+Every result records the S it was solved on. ``weight_gradient`` rejects
+an S that does not carry that S's spectrum after a closed form, and
+otherwise an S whose entries differ from that S's.
 
 Shared state: what the solves of one scale share depends on F and S,
 never on H or dL/dZ*, so each ``ScaleModule`` keeps it (``_Basis``): a
@@ -158,14 +162,13 @@ class EquilibriumResult:
     residual: float
     converged: bool
     path: str  # "closed form" when the closed form alone is the answer, else "picard"
-    # After a closed form: the basis Q of g(F) (the module's, read-only), per
-    # spectrum block the eigen-coefficients C, (c, k, h) each, so that
-    # Z*^T = [V C] Q^T, and the spectrum they were solved on. Only
-    # ``weight_gradient`` reads them; an inference forward drops C as soon as
-    # the solve returns.
+    # After a closed form: the basis Q of g(F) (the module's, read-only) and,
+    # per spectrum block of S, the eigen-coefficients C, (c, k, h) each, so
+    # that Z*^T = [V C] Q^T. Only ``weight_gradient`` reads them and ``s``;
+    # an inference forward drops C as soon as the solve returns.
     basis: np.ndarray | None = None
     coefficients: list[np.ndarray] | None = None
-    spectrum: list[graph.SpectrumBlock] | None = None
+    s: sp.csr_array | None = None  # the S solved on; None in a result made by hand
 
 
 @dataclass(frozen=True)
@@ -295,8 +298,7 @@ def _solve(module: ScaleModule, s, injected: np.ndarray, cfg: SolverConfig,
     return EquilibriumResult(z_star=z_star, iterations=iterations, residual=residual,
                              converged=residual <= cfg.tol,
                              path="closed form" if closed else "picard",
-                             basis=q if closed else None, coefficients=coefficients,
-                             spectrum=blocks if closed else None)
+                             basis=q if closed else None, coefficients=coefficients, s=s)
 
 
 def _closed_form(basis: _Basis, rhs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -436,8 +438,10 @@ def weight_gradient(module: ScaleModule, u: np.ndarray, forward: EquilibriumResu
     result's coefficients and basis, with no sparse hop, and an S whose
     spectrum is not the one the result was solved on is a ``ShapeError``;
     after a Picard solve, or on an S without a spectrum, Z* is hopped m
-    times with ``s.T``. F^T F and sigma^m come from the state the module's
-    solves share, which is made again, and F checked, if F has changed.
+    times with ``s.T``, and an S whose entries differ from those of the S
+    the result was solved on is a ``ShapeError``. F^T F and sigma^m come
+    from the state the module's solves share, which is made again, and F
+    checked, if F has changed.
     Pulling M back through the Frobenius normalization and the Gram map
     F^T F gives
 
@@ -455,9 +459,11 @@ def weight_gradient(module: ScaleModule, u: np.ndarray, forward: EquilibriumResu
         raise ShapeError(
             f"adjoint shape {u.shape} != equilibrium shape {forward.z_star.shape}")
     blocks = None if forward.coefficients is None else graph.spectrum(s)
-    if blocks is not None and blocks is not forward.spectrum:
+    if blocks is not None and blocks is not graph.spectrum(forward.s):
         raise ShapeError("weight gradient: the forward solve's closed form is on another "
                          "S's spectrum than the S given")
+    if blocks is None and not _same_matrix(forward.s, s):
+        raise ShapeError("weight gradient: the forward solve is on another S than the S given")
     basis = _shared(module, "weight gradient", blocks)
     if blocks is None:  # a Picard solve, or an S (a plain copy) without the spectrum
         m_up = module.gamma * (u @ _propagate(forward.z_star.T, s.T, module.scale_m))
@@ -475,6 +481,15 @@ def weight_gradient(module: ScaleModule, u: np.ndarray, forward: EquilibriumResu
         along = float(np.sum(m_up * g_hat))
         d_gram = (m_up - along * g_hat) / r_eps + (along * module.eps_f / r_eps ** 2) * g_hat
     return module.f_weight @ (d_gram + d_gram.T)
+
+
+def _same_matrix(solved_on, s) -> bool:
+    """Whether S is the one a result was solved on, or equal to it entry for
+    entry; a result made by hand names none, and is trusted."""
+    return (solved_on is None or solved_on is s
+            or (solved_on.shape == s.shape
+                and all(np.array_equal(getattr(solved_on, name), getattr(s, name))
+                        for name in ("indptr", "indices", "data"))))
 
 
 def oracle_solve(module: ScaleModule, injected: np.ndarray,

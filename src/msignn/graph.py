@@ -33,25 +33,44 @@ to the formula evaluated with scipy's sparse operations.
 
 The S of an undirected graph is symmetric, and ``spectrum(s)`` gives its
 eigendecomposition, one dense ``eigh`` per connected component, which
-gives ``equilibrium`` its closed form. Each block also keeps the error of
-its decomposition, measured once from the dense blocks it is made from,
-from which the solves bound a closed form's residual without touching S
-again. ``build_graph`` marks such an
-S, and the eigendecomposition is computed on the first call and cached
-on S itself, so it is paid once per graph and only by graphs that are
-solved or batched. ``batch`` gives the merged S its spectrum when it
-makes S, one block per component size, so a solve on a batch loops over
-sizes, not members. It gets that spectrum one of two ways. While any
-member is still pending, the batch decomposes its own S, by one ``eigh``
-per component size, and each pending member keeps its own rows of the
-result. When none is, the batch decomposes nothing and stacks its
-members' blocks. Directed graphs, and undirected ones with a component
-above ``SPECTRUM_MAX_COMPONENT`` nodes, have no spectrum, nor has a
-batch with such a member. A block's components are ordered by their
-smallest node, so where the components of each size are adjacent runs of
-consecutive ids, as in a generated dataset or a batch of connected graphs
-of one size, each block's nodes form one run and its ``rows`` are a
-slice, which the solves read and write as a slab of an n x h array.
+gives ``equilibrium`` its closed form. Each block also keeps the errors of
+its decomposition, measured once per component from the dense blocks it
+is made from, from which the solves bound a closed form's residual
+without touching S again.
+
+``build_graph`` marks such an S, and the eigendecomposition is computed
+on the first call and cached on S itself, so it is paid once per graph
+and only by graphs that are solved or batched. ``batch`` gives the
+merged S its spectrum when it makes S, one block per component size, so
+a solve on a batch loops over sizes, not members. It gets that spectrum
+one of two ways. While any member is still pending, the batch decomposes
+its own S, by one ``eigh`` per component size, and each pending member
+keeps its own rows of the result, with the largest errors of its own
+components: views that cost only their slicing, as a block computes its
+``rows`` and ``radius`` on first read. When none is, the batch
+decomposes nothing and stacks its members' blocks. Directed graphs, and
+undirected ones with a component above ``SPECTRUM_MAX_COMPONENT`` nodes,
+have no spectrum, nor has a batch with such a member. A block's
+components are ordered by their smallest node, so where the components
+of each size are adjacent runs of consecutive ids, as in a generated
+dataset or a batch of connected graphs of one size, each block's nodes
+form one run and its ``rows`` are a slice, which the solves read and
+write as a slab of an n x h array.
+
+The components of one size are decomposed as one (c, k, k) stack, split
+into P contiguous chunks, P = min(the CPUs in the process's affinity, c,
+c k^3 // ``_CHUNK_WORK``): a chunk is given a thread only if its ``eigh``
+takes longer than starting and joining one. Each chunk writes its
+``eigh`` and its components' errors into its rows of arrays made before
+the split. The first chunk runs in the calling thread and the others in
+threads started and joined within the call; numpy's ``eigh`` releases
+the GIL, so they run at once, and a worker's exception is raised in the
+caller. No pool is kept and no thread outlives the call, so a process may
+fork after it. Each ``eigh`` runs with the process's BLAS thread count
+(``OPENBLAS_NUM_THREADS`` and the like), so P chunks may use P times that
+many threads. The results are bit-identical to one ``eigh`` of the whole
+stack; run the process on one CPU (``taskset -c 0``) to keep the
+decomposition in one thread.
 
 What a spectrum was measured on must not change under it, so the arrays
 of every S that ``build_graph`` or ``batch`` makes (``data``, ``indices``,
@@ -61,7 +80,10 @@ raises ``ValueError``.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,6 +96,12 @@ from .errors import ShapeError
 SPECTRUM_MAX_COMPONENT = 512
 _SPECTRUM = "_msignn_spectrum"  # the attribute of S that holds its spectrum
 _PENDING = object()  # a graph's S before its first ``spectrum`` call
+# The least c k^3 of a chunk of a stack's ``eigh`` that is given a thread of
+# its own. Starting and joining a thread cost 45-100 us on a 2-vCPU x86 host,
+# and a chunk this large took ~130 us at k = 30 (~2 ns per c k^3), more at
+# smaller k. There, over k = 3..120, every stack this splits ran 8-47%
+# faster than in one thread.
+_CHUNK_WORK = 65536
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -122,15 +150,26 @@ class SpectrumBlock:
 
     S restricted to the nodes ``nodes[i]``, S_i, equals
     ``vectors[i] @ diag(values[i]) @ vectors[i].T`` up to two errors
-    measured when the block is decomposed, each the largest Frobenius norm
-    over its components (an upper bound on the spectral norm). The arrays
-    are made read-only.
+    measured per component when the block is decomposed, each a Frobenius
+    norm (an upper bound on the spectral norm); ``error`` and ``drift`` are
+    their largest over the block's components. A decomposed block keeps
+    each component's pair in ``norms``, from which a batch gives each
+    member's rows the largest of its own components. The arrays are made
+    read-only.
 
-    When the block is made it also records ``rows``, where its nodes sit
-    in an (n, ...) array: a ``slice`` when ``nodes`` is one run of
-    consecutive node ids, as in a generated dataset or a batch of connected
-    graphs of one size, else ``nodes`` flattened. ``slab`` reads through
-    it. ``radius``, its largest |eigenvalue|, is recorded with it.
+    ``rows``, where its nodes sit in an (n, ...) array, is computed on first
+    read: a ``slice`` when ``nodes`` is one run of consecutive node ids, as
+    in a generated dataset or a batch of connected graphs of one size, else
+    ``nodes`` flattened. ``slab`` reads through it. ``radius``, its largest
+    |eigenvalue|, is computed on first read too, so a block that is never
+    solved on, such as a batch member's rows of the batch's decomposition,
+    costs only the slicing that made it.
+
+    A decomposition splits a block's components into at most P contiguous
+    chunks, P = min(the process's CPUs, c, c k^3 // ``_CHUNK_WORK``), and
+    decomposes each in a thread of its own, whose ``eigh`` uses the
+    process's BLAS thread count; the arrays are bit-identical to those of
+    one ``eigh`` of all c components.
     """
 
     nodes: np.ndarray    # (c, k) node indices
@@ -138,17 +177,25 @@ class SpectrumBlock:
     vectors: np.ndarray  # (c, k, k) orthonormal eigenvectors, one per column
     error: float         # max_i ||S_i V_i - V_i diag(values[i])||
     drift: float         # max_i ||V_i^T V_i - I||, how far V_i is from orthonormal
-    rows: slice | np.ndarray = field(init=False, repr=False)
-    radius: float = field(init=False)  # max |values|, the components' spectral radius
+    # (c, 2): each component's error and drift, kept by a decomposition only.
+    norms: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        for a in (self.nodes, self.values, self.vectors):
-            a.flags.writeable = False
+        for a in (self.nodes, self.values, self.vectors, self.norms):
+            if a is not None:
+                a.flags.writeable = False
+
+    @cached_property
+    def radius(self) -> float:
+        """max |values|, the components' spectral radius."""
+        return float(np.abs(self.values).max())
+
+    @cached_property
+    def rows(self) -> slice | np.ndarray:
         flat = self.nodes.reshape(-1)
         first = int(flat[0])
         run = np.array_equal(flat, np.arange(first, first + flat.size))
-        object.__setattr__(self, "rows", slice(first, first + flat.size) if run else flat)
-        object.__setattr__(self, "radius", float(np.abs(self.values).max()))
+        return slice(first, first + flat.size) if run else flat
 
     def slab(self, a: np.ndarray) -> np.ndarray:
         """The block's rows of an (n, h) array as (c, k, h): a view of ``a``
@@ -203,8 +250,63 @@ def component_labels(s) -> np.ndarray:
         label = hooked
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunks(c: int, k: int) -> list[slice]:
+    """P contiguous runs of a stack of c k x k blocks, as even as can be, with
+    P = min(CPUs, c, c k^3 // ``_CHUNK_WORK``), at least 1."""
+    p = max(1, min(_cpu_count(), c, c * k ** 3 // _CHUNK_WORK))
+    return [slice(c * i // p, c * (i + 1) // p) for i in range(p)]
+
+
+def _in_threads(run, parts: list) -> None:
+    """``run(part)`` for every part: the first in this thread, each other in a
+    thread started here and joined before this returns. The first exception
+    a thread raised is raised here."""
+    failed = []
+
+    def work(part):
+        try:
+            run(part)
+        except BaseException as exc:  # an unfilled chunk must not pass unnoticed
+            failed.append(exc)
+
+    threads = []
+    try:
+        for part in parts[1:]:
+            thread = threading.Thread(target=work, args=(part,))
+            thread.start()
+            threads.append(thread)
+        run(parts[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[0]
+
+
+def _eigh_into(dense, values, vectors, norms, part: slice) -> None:
+    """``eigh`` of the components ``dense[part]``, and each one's error and
+    drift, written into the same rows of the arrays after ``dense``."""
+    values[part], vectors[part] = np.linalg.eigh(dense[part])
+    lam, v = values[part], vectors[part]
+    # In place, one array for both, so a worker's heap keeps fewer pages.
+    residual = np.matmul(dense[part], v)
+    residual -= v * lam[:, None, :]
+    norms[part, 0] = np.linalg.norm(residual, axis=(1, 2))
+    gram = np.matmul(v.transpose(0, 2, 1), v, out=residual)
+    gram -= np.eye(v.shape[1])
+    norms[part, 1] = np.linalg.norm(gram, axis=(1, 2))
+
+
 def _decompose(s) -> list[SpectrumBlock] | None:
-    """Dense ``eigh`` of every component, stacked by component size."""
+    """Dense ``eigh`` of every component, stacked by component size, each
+    size's stack split into ``_chunks`` that run in threads (``_in_threads``)."""
     n = s.shape[0]
     _, comp, sizes = np.unique(component_labels(s), return_inverse=True,
                                return_counts=True)
@@ -219,18 +321,17 @@ def _decompose(s) -> list[SpectrumBlock] | None:
     blocks = []
     for k in np.unique(sizes):
         members = np.flatnonzero(sizes == k)
+        c = members.size
         slot = np.full(sizes.size, -1)
-        slot[members] = np.arange(members.size)
+        slot[members] = np.arange(c)
         sel = slot[entry_comp] >= 0
-        dense = np.zeros((members.size, k, k))
+        dense = np.zeros((c, k, k))
         dense[slot[entry_comp[sel]], pos[rows[sel]], pos[s.indices[sel]]] = s.data[sel]
-        values, vectors = np.linalg.eigh(dense)
+        values, vectors, norms = np.empty((c, k)), np.empty((c, k, k)), np.empty((c, 2))
+        _in_threads(partial(_eigh_into, dense, values, vectors, norms), _chunks(c, k))
         nodes = order[starts[members][:, None] + np.arange(k)]
-        error = np.matmul(dense, vectors) - vectors * values[:, None, :]
-        drift = np.matmul(vectors.transpose(0, 2, 1), vectors) - np.eye(k)
-        blocks.append(SpectrumBlock(nodes, values, vectors,
-                                    float(np.linalg.norm(error, axis=(1, 2)).max()),
-                                    float(np.linalg.norm(drift, axis=(1, 2)).max())))
+        blocks.append(SpectrumBlock(nodes, values, vectors, *norms.max(axis=0).tolist(),
+                                    norms=norms))
     return blocks
 
 
@@ -403,12 +504,24 @@ def _block_diagonal(matrices) -> tuple[sp.csr_array, np.ndarray]:
     return _read_only(s), offsets
 
 
+def _run_maxima(norms: np.ndarray, cut: np.ndarray) -> list:
+    """The column maxima of each run of rows ``norms[cut[i]:cut[i + 1]]``,
+    one list each, or None for an empty run; ``cut`` ends at ``len(norms)``."""
+    filled = np.flatnonzero(cut[:-1] < cut[1:])
+    out = [None] * (cut.size - 1)
+    # An empty run has no rows, so each filled run ends where the next begins.
+    for i, largest in zip(filled.tolist(), np.maximum.reduceat(norms, cut[filled]).tolist()):
+        out[i] = largest
+    return out
+
+
 def _batch_spectrum(graphs: list[Graph], s, offsets) -> list[SpectrumBlock] | None:
     """The spectrum of the merged S of undirected ``graphs``, one block per component size.
 
     While any member is pending, the batch decomposes its own S with one
     ``_decompose`` call, and each pending member caches its rows of the
-    result: views of the same arrays, node indices shifted back. A member
+    result: views of the same arrays, node indices shifted back, with the
+    largest error and drift of its own components. A member
     repeated in the batch is no longer pending at its second occurrence.
     If S has a component above the cap, the batch has no spectrum and its
     pending members stay pending. When no member is pending, the members'
@@ -421,26 +534,33 @@ def _batch_spectrum(graphs: list[Graph], s, offsets) -> list[SpectrumBlock] | No
             # nodes[:, 0], so each member's components are one run of rows.
             ends = np.append(offsets, s.shape[0])
             cuts = [np.searchsorted(b.nodes[:, 0], ends) for b in blocks]
+            worst = [_run_maxima(b.norms, cut) for b, cut in zip(blocks, cuts)]
             for i, g in enumerate(graphs):
                 if getattr(g.s, _SPECTRUM, None) is _PENDING:
                     rows = [slice(cut[i], cut[i + 1]) for cut in cuts]
                     setattr(g.s, _SPECTRUM, [
                         SpectrumBlock(b.nodes[r] - offsets[i], b.values[r], b.vectors[r],
-                                      b.error, b.drift)
-                        for b, r in zip(blocks, rows) if r.start < r.stop])
+                                      *largest[i])
+                        for b, r, largest in zip(blocks, rows, worst) if r.start < r.stop])
         return blocks
     parts = [spectrum(g.s) for g in graphs]
     if any(own is None for own in parts):
         return None
-    by_size: dict[int, list[tuple[SpectrumBlock, int]]] = {}
+    by_size: dict[int, tuple[list[SpectrumBlock], list[int]]] = {}
     for own, offset in zip(parts, offsets):
         for b in own:
-            by_size.setdefault(b.nodes.shape[1], []).append((b, offset))
-    return [SpectrumBlock(np.concatenate([b.nodes + offset for b, offset in group]),
-                          np.concatenate([b.values for b, _ in group]),
-                          np.concatenate([b.vectors for b, _ in group]),
-                          max(b.error for b, _ in group), max(b.drift for b, _ in group))
-            for _, group in sorted(by_size.items())]
+            group, shifts = by_size.setdefault(b.nodes.shape[1], ([], []))
+            group.append(b)
+            shifts.append(offset)
+    blocks = []
+    for _, (group, shifts) in sorted(by_size.items()):
+        # One shift of all node indices, not one per member.
+        nodes = np.concatenate([b.nodes for b in group])
+        nodes += np.repeat(shifts, [len(b.nodes) for b in group])[:, None]
+        blocks.append(SpectrumBlock(nodes, np.concatenate([b.values for b in group]),
+                                    np.concatenate([b.vectors for b in group]),
+                                    max(b.error for b in group), max(b.drift for b in group)))
+    return blocks
 
 
 def batch(graphs: list[Graph]) -> GraphBatch:

@@ -5,12 +5,15 @@ eigendecomposition per connected component, so ``forward_solve`` and
 ``adjoint_solve`` on it take the closed form. These tests cover that
 kernel's own properties: batches solve like their members, component
 labels, the spectrum's reassembly, caching and read-only arrays, the cap
-on component size, a wrong spectrum, the residual bound, and the rows a
-block reads as one slab or gathers, which give bit-identical results. Its
+on component size, a wrong spectrum, the residual bound, the rows a
+block reads as one slab or gathers, which give bit-identical results, and
+a decomposition split across threads, which equals the serial one. Its
 agreement with Picard and the oracle, and that of every other solve
 path, is checked in ``test_solve_matrix``.
 """
 
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +29,7 @@ from msignn import (Graph, ScaleModule, SolverConfig, adjoint_solve, batch, buil
 from msignn import graph as graph_mod
 from msignn.graph import component_labels, spectrum
 
-from conftest import (contiguous_graph, counting_hops, f_scales, interleaving, rel_error,
+from conftest import (apart, contiguous_graph, counting_hops, f_scales, interleaving, rel_error,
                       seeds, undirected_graph, undirected_graphs)
 
 PROPERTY = settings(max_examples=40)
@@ -47,8 +50,9 @@ modules = st.builds(_module, seeds, st.integers(1, 5), f_scales, st.floats(0.01,
 def _assert_blocks_equal(blocks, expected):
     assert len(blocks) == len(expected)
     for b, e in zip(blocks, expected):
-        for got, want in zip((b.nodes, b.values, b.vectors), (e.nodes, e.values, e.vectors)):
-            assert np.array_equal(got, want)
+        assert type(b.rows) is type(e.rows)
+        for name in ("nodes", "values", "vectors", "error", "drift", "radius", "rows"):
+            assert np.array_equal(getattr(b, name), getattr(e, name)), name
 
 
 @PROPERTY
@@ -302,7 +306,7 @@ def test_block_rows_are_a_slice_where_components_are_consecutive():
     npt.assert_array_equal(unsorted[1].rows, [0, 1, 2, 5, 6, 7])
     mixed = spectrum(contiguous_graph(0, [2, 2, 3], 0.5, interleave=True).s)
     npt.assert_array_equal(mixed[0].rows, [0, 3, 1, 4])
-    for b in unsorted + mixed:  # the largest |eigenvalue|, recorded once
+    for b in unsorted + mixed:  # the largest |eigenvalue|, computed on first read
         assert b.radius == np.abs(b.values).max()
 
 
@@ -324,3 +328,75 @@ def test_s_and_its_spectrum_are_read_only():
         for b in spectrum(s):
             for array in (b.nodes, b.values, b.vectors):
                 _writes(array)
+    for b in spectrum(merged.s):
+        _writes(b.norms)
+
+
+def _split(monkeypatch, cpus=3):
+    """Make ``_decompose`` split every stack of two or more components into
+    up to ``cpus`` chunks; returns the list of each call's chunk counts."""
+    monkeypatch.setattr(graph_mod, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(graph_mod, "_CHUNK_WORK", 1)
+    counts = []
+    chunks = graph_mod._chunks
+    monkeypatch.setattr(graph_mod, "_chunks",
+                        lambda c, k: counts.append(len(chunks(c, k))) or chunks(c, k))
+    return counts
+
+
+def _in_workers(monkeypatch, action):
+    """Make ``eigh`` run ``action()`` first whenever a worker thread calls it."""
+    eigh = np.linalg.eigh
+
+    def patched(a):
+        if threading.current_thread() is not threading.main_thread():
+            action()
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", patched)
+
+
+def _fail():
+    raise np.linalg.LinAlgError("a worker's chunk failed")
+
+
+# Sizes 2, 3 and 4 have several components each, size 6 a single one.
+SPLIT_SIZES = [2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 6]
+
+
+@pytest.mark.parametrize("interleave", [False, True])
+def test_a_split_decomposition_equals_the_serial_one(monkeypatch, interleave):
+    # Each chunk's eigh and norms are those of its components alone, so the
+    # blocks equal the one-thread decomposition's bit for bit. The workers
+    # finish after the caller's own chunk, which must wait for them.
+    g = contiguous_graph(8, SPLIT_SIZES, 0.6, interleave=interleave)
+    serial = graph_mod._decompose(g.s)
+    counts = _split(monkeypatch)
+    _in_workers(monkeypatch, lambda: time.sleep(0.02))
+    before = threading.active_count()
+    split = graph_mod._decompose(g.s)
+    assert threading.active_count() == before  # every worker was joined
+    assert counts == [2, 3, 3, 1]
+    _assert_blocks_equal(split, serial)
+    for b, e in zip(split, serial):
+        assert np.array_equal(b.norms, e.norms)
+
+
+def test_a_failing_chunk_raises_in_the_caller(monkeypatch):
+    _split(monkeypatch)
+    _in_workers(monkeypatch, _fail)
+    before = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError, match="a worker's chunk failed"):
+        graph_mod._decompose(contiguous_graph(8, SPLIT_SIZES, 0.6).s)
+    assert threading.active_count() == before
+
+
+def test_a_forked_child_decomposes_after_its_parent(monkeypatch):
+    # No worker outlives a decomposition, so a process forked after one can
+    # start its own.
+    g = contiguous_graph(8, SPLIT_SIZES, 0.6)
+    serial = graph_mod._decompose(g.s)
+    counts = _split(monkeypatch)
+    _assert_blocks_equal(spectrum(g.s), serial)
+    assert counts == [2, 3, 3, 1]
+    apart(lambda: _assert_blocks_equal(graph_mod._decompose(g.s), serial))()

@@ -1,9 +1,12 @@
-"""Training and prediction load none of scipy's heavier submodules.
+"""Training and prediction load none of scipy's heavier submodules, and
+leave no thread behind.
 
-Each of these raises a process's peak RSS by several MB on import, and the
-benchmark bounds peak RSS, so a refactor that reaches for one of them (say
-``csgraph.connected_components`` for ``graph.component_labels``) should be
-a deliberate, measured choice.
+Each of these modules raises a process's peak RSS by several MB on import,
+and the benchmark bounds peak RSS, so a refactor that reaches for one of
+them (say ``csgraph.connected_components`` for ``graph.component_labels``)
+should be a deliberate, measured choice. The threads that ``graph`` splits
+a decomposition across are joined before it returns; one left running
+would make a later fork unsafe.
 """
 
 import os
@@ -18,6 +21,7 @@ HEAVY_MODULES = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg",
 
 SCRIPT = """
 import sys
+import threading
 import numpy as np
 from msignn import (ChainsSpec, ColorCountingSpec, GraphDataset, SolverConfig,
                     TrainConfig, batch, build_graph, gen_chains, gen_color_counting,
@@ -25,7 +29,9 @@ from msignn import (ChainsSpec, ColorCountingSpec, GraphDataset, SolverConfig,
 
 cfg = TrainConfig(epochs=2)
 solver = SolverConfig(tol=1e-6, max_iters=300)
-for ds in (gen_color_counting(ColorCountingSpec(num_chains=6, length=12, seed=1)),
+# Six 30-node chains are enough work for ``graph`` to split their decomposition
+# across two threads, where the process may run on two CPUs.
+for ds in (gen_color_counting(ColorCountingSpec(num_chains=6, length=30, seed=1)),
            gen_chains(ChainsSpec(chains_per_class=3, length=8, seed=1))):
     g = ds.graph
     model = init_model(np.random.default_rng(0), g.feature_dim, 4, g.num_classes,
@@ -45,6 +51,7 @@ model = init_model(np.random.default_rng(0), x.shape[0], 4, 3, scale_exponents=(
 train_loop(model, data, TrainConfig(epochs=2, batch_size=2))
 model.predict(batch([graphs[i] for i in np.flatnonzero(masks[2])]))
 
+assert threading.active_count() == 1, threading.enumerate()
 print(",".join(sorted(m for m in sys.argv[1:] if m in sys.modules)))
 """
 
