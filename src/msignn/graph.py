@@ -32,11 +32,11 @@ are summed in the order scipy's sparse sums use, so S is bit-identical
 to the formula evaluated with scipy's sparse operations.
 
 The S of an undirected graph is symmetric, and ``spectrum(s)`` gives its
-eigendecomposition, one dense ``eigh`` per connected component, which
-gives ``equilibrium`` its closed form. Each block also keeps the errors of
-its decomposition, measured once per component from the dense blocks it
-is made from, from which the solves bound a closed form's residual
-without touching S again.
+eigendecomposition, one dense ``eigh`` per distinct connected component,
+which gives ``equilibrium`` its closed form. Each block also keeps the
+errors of its decomposition, measured once per distinct component from
+the dense blocks it is made from, from which the solves bound a closed
+form's residual without touching S again.
 
 ``build_graph`` marks such an S, and the eigendecomposition is computed
 on the first call and cached on S itself, so it is paid once per graph
@@ -57,20 +57,26 @@ dataset or a batch of connected graphs of one size, each block's nodes
 form one run and its ``rows`` are a slice, which the solves read and
 write as a slab of an n x h array.
 
-The components of one size are decomposed as one (c, k, k) stack, split
-into P contiguous chunks, P = min(the CPUs in the process's affinity, c,
-c k^3 // ``_CHUNK_WORK``): a chunk is given a thread only if its ``eigh``
-takes longer than starting and joining one. Each chunk writes its
-``eigh`` and its components' errors into its rows of arrays made before
-the split. The first chunk runs in the calling thread and the others in
-threads started and joined within the call; numpy's ``eigh`` releases
-the GIL, so they run at once, and a worker's exception is raised in the
-caller. No pool is kept and no thread outlives the call, so a process may
-fork after it. Each ``eigh`` runs with the process's BLAS thread count
-(``OPENBLAS_NUM_THREADS`` and the like), so P chunks may use P times that
-many threads. The results are bit-identical to one ``eigh`` of the whole
-stack; run the process on one CPU (``taskset -c 0``) to keep the
-decomposition in one thread.
+The components of one size form a (c, k, k) stack of dense blocks. Blocks
+that are bit for bit the same, as the 0/1 chains of one length that the
+generators make are, are decomposed once: ``_distinct`` groups them by a
+fingerprint and compares each with the first of its group bit for bit,
+and every copy takes that first block's eigenvalues, eigenvectors and
+errors, so the result is bit-identical to decomposing each. Nothing is
+kept between decompositions, so separate graphs share no work. The u
+distinct blocks are split into P contiguous chunks, P = min(the CPUs in
+the process's affinity, u, u k^3 // ``_CHUNK_WORK``): a chunk is given a
+thread only if its ``eigh`` takes longer than starting and joining one.
+Each chunk writes its ``eigh`` and its components' errors into its rows
+of arrays made before the split. The first chunk runs in the calling
+thread and the others in threads started and joined within the call;
+numpy's ``eigh`` releases the GIL, so they run at once, and a worker's
+exception is raised in the caller. No pool is kept and no thread
+outlives the call, so a process may fork after it. Each ``eigh`` runs
+with the process's BLAS thread count (``OPENBLAS_NUM_THREADS`` and the
+like), so P chunks may use P times that many threads. The results are
+bit-identical to one ``eigh`` of the whole stack; run the process on one
+CPU (``taskset -c 0``) to keep the decomposition in one thread.
 
 What a spectrum was measured on must not change under it, so the arrays
 of every S that ``build_graph`` or ``batch`` makes (``data``, ``indices``,
@@ -102,6 +108,11 @@ _PENDING = object()  # a graph's S before its first ``spectrum`` call
 # smaller k. There, over k = 3..120, every stack this splits ran 8-47%
 # faster than in one thread.
 _CHUNK_WORK = 65536
+# The most words of a stack's bits that ``_distinct`` gathers for one compare.
+# On a 2-vCPU x86 host, comparing 223 copies of a 30 x 30 block with the first
+# took 1.0 ms at once, most of it page faults in arrays that malloc maps afresh,
+# 0.2 ms in runs of this size, 0.34 ms in runs of 2^12 and 0.67 ms of 2^17.
+_COMPARE_WORDS = 2 ** 15
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -150,12 +161,12 @@ class SpectrumBlock:
 
     S restricted to the nodes ``nodes[i]``, S_i, equals
     ``vectors[i] @ diag(values[i]) @ vectors[i].T`` up to two errors
-    measured per component when the block is decomposed, each a Frobenius
-    norm (an upper bound on the spectral norm); ``error`` and ``drift`` are
-    their largest over the block's components. A decomposed block keeps
-    each component's pair in ``norms``, from which a batch gives each
-    member's rows the largest of its own components. The arrays are made
-    read-only.
+    measured per distinct component when the block is decomposed, each a
+    Frobenius norm (an upper bound on the spectral norm); ``error`` and
+    ``drift`` are their largest over the block's components. A decomposed
+    block keeps each component's pair in ``norms``, from which a batch
+    gives each member's rows the largest of its own components. The arrays
+    are made read-only.
 
     ``rows``, where its nodes sit in an (n, ...) array, is computed on first
     read: a ``slice`` when ``nodes`` is one run of consecutive node ids, as
@@ -165,11 +176,13 @@ class SpectrumBlock:
     solved on, such as a batch member's rows of the batch's decomposition,
     costs only the slicing that made it.
 
-    A decomposition splits a block's components into at most P contiguous
-    chunks, P = min(the process's CPUs, c, c k^3 // ``_CHUNK_WORK``), and
-    decomposes each in a thread of its own, whose ``eigh`` uses the
-    process's BLAS thread count; the arrays are bit-identical to those of
-    one ``eigh`` of all c components.
+    A decomposition runs ``eigh`` on the u distinct ones of a block's
+    components only, and a component that repeats another bit for bit
+    takes its rows of the arrays. It splits the u into at most P
+    contiguous chunks, P = min(the process's CPUs, u, u k^3 //
+    ``_CHUNK_WORK``), and decomposes each in a thread of its own, whose
+    ``eigh`` uses the process's BLAS thread count; the arrays are
+    bit-identical to those of one ``eigh`` of all c components.
     """
 
     nodes: np.ndarray    # (c, k) node indices
@@ -304,9 +317,48 @@ def _eigh_into(dense, values, vectors, norms, part: slice) -> None:
     norms[part, 1] = np.linalg.norm(gram, axis=(1, 2))
 
 
+def _fingerprint(c: int, block: np.ndarray, place: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One uint64 for each of c blocks: the sum of its entries' bits, each
+    times an odd multiplier fixed by the entry's place in the block, modulo
+    2^64. Entries are given as ``x`` at ``place`` of ``block``; an entry of
+    0.0 adds nothing, so blocks equal bit for bit have equal sums."""
+    # In place, one array, as each fresh array of this size costs page faults.
+    term = place.astype(np.uint64)
+    term <<= np.uint64(1)
+    term |= np.uint64(1)
+    term *= np.uint64(0x9E3779B97F4A7C15)
+    term *= x.view(np.uint64)
+    out = np.zeros(c, dtype=np.uint64)
+    np.add.at(out, block, term)
+    return out
+
+
+def _distinct(dense: np.ndarray, fingerprint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of a (c, k, k) stack that differ bit for bit: the index of
+    each one's first occurrence, ascending, and each block's place among them.
+
+    Blocks are grouped by ``fingerprint`` and each is compared bit for bit
+    with the first of its group. One that differs, as a collision allows,
+    stands for itself, so sharing never rests on the fingerprint.
+    """
+    c = len(dense)
+    bits = dense.reshape(c, -1).view(np.uint64)
+    _, first, group = np.unique(fingerprint, return_index=True, return_inverse=True)
+    rep = first[group]
+    copies = np.flatnonzero(rep != np.arange(c))
+    step = max(1, _COMPARE_WORDS // bits.shape[1])
+    for i in range(0, copies.size, step):
+        part = copies[i:i + step]
+        differ = part[(bits[part] != bits[rep[part]]).any(axis=1)]
+        rep[differ] = differ
+    distinct = np.flatnonzero(rep == np.arange(c))
+    return distinct, np.searchsorted(distinct, rep)
+
+
 def _decompose(s) -> list[SpectrumBlock] | None:
-    """Dense ``eigh`` of every component, stacked by component size, each
-    size's stack split into ``_chunks`` that run in threads (``_in_threads``)."""
+    """Dense ``eigh`` of every distinct component, stacked by component size,
+    each size's distinct blocks split into ``_chunks`` that run in threads
+    (``_in_threads``); a repeated component takes its first copy's rows."""
     n = s.shape[0]
     _, comp, sizes = np.unique(component_labels(s), return_inverse=True,
                                return_counts=True)
@@ -326,9 +378,20 @@ def _decompose(s) -> list[SpectrumBlock] | None:
         slot[members] = np.arange(c)
         sel = slot[entry_comp] >= 0
         dense = np.zeros((c, k, k))
-        dense[slot[entry_comp[sel]], pos[rows[sel]], pos[s.indices[sel]]] = s.data[sel]
-        values, vectors, norms = np.empty((c, k)), np.empty((c, k, k)), np.empty((c, 2))
-        _in_threads(partial(_eigh_into, dense, values, vectors, norms), _chunks(c, k))
+        block, i, j, x = slot[entry_comp[sel]], pos[rows[sel]], pos[s.indices[sel]], s.data[sel]
+        dense[block, i, j] = x
+        distinct, copy_of = _distinct(dense, _fingerprint(c, block, i * k + j, x))
+        # The entries are made after ``dense`` and freed before the eigh: kept
+        # through it, or made first, they cost 154 more page faults (~0.12 ms
+        # on a 2-vCPU x86 host) per decomposition of 224 distinct 30-node chains.
+        del block, i, j, x
+        u = distinct.size
+        if u < c:
+            dense = dense[distinct]
+        values, vectors, norms = np.empty((u, k)), np.empty((u, k, k)), np.empty((u, 2))
+        _in_threads(partial(_eigh_into, dense, values, vectors, norms), _chunks(u, k))
+        if u < c:
+            values, vectors, norms = values[copy_of], vectors[copy_of], norms[copy_of]
         nodes = order[starts[members][:, None] + np.arange(k)]
         blocks.append(SpectrumBlock(nodes, values, vectors, *norms.max(axis=0).tolist(),
                                     norms=norms))

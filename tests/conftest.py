@@ -49,7 +49,7 @@ def undirected_graph(seed, sizes, density=0.5):
     return _shuffled(rng, a + a.T, directed=False)
 
 
-def contiguous_graph(seed, sizes, density=0.5, interleave=False):
+def contiguous_graph(seed, sizes, density=0.5, interleave=False, weighted=False):
     """An undirected graph of connected components of the given sizes, each
     on a run of consecutive node ids, in ascending size order.
 
@@ -58,12 +58,16 @@ def contiguous_graph(seed, sizes, density=0.5, interleave=False):
     through its nodes in order, plus random edges. ``interleave=True``
     gives the same graph with its nodes dealt out to the components in turn
     (``interleaving``), each component's nodes kept in order.
+    ``weighted=True`` draws each edge's weight from [0.5, 1.5), so no two
+    components of one size are alike, as 0/1 ones of size 2 always are.
     """
     rng = np.random.default_rng(seed)
     sizes = sorted(sizes)
     a = _upper_blocks(rng, sizes, density)
     a[np.arange(sum(sizes) - 1), np.arange(1, sum(sizes))] = 1.0
     a[np.cumsum(sizes)[:-1] - 1, np.cumsum(sizes)[:-1]] = 0.0  # no path across components
+    if weighted:
+        a *= rng.uniform(0.5, 1.5, a.shape)
     a += a.T
     if interleave:
         position = interleaving(sizes)

@@ -6,8 +6,10 @@ eigendecomposition per connected component, so ``forward_solve`` and
 kernel's own properties: batches solve like their members, component
 labels, the spectrum's reassembly, caching and read-only arrays, the cap
 on component size, a wrong spectrum, the residual bound, the rows a
-block reads as one slab or gathers, which give bit-identical results, and
-a decomposition split across threads, which equals the serial one. Its
+block reads as one slab or gathers, which give bit-identical results, a
+decomposition split across threads, which equals the serial one, and
+components alike bit for bit, which share one ``eigh``, while components
+that differ, even by one ulp or under a colliding fingerprint, do not. Its
 agreement with Picard and the oracle, and that of every other solve
 path, is checked in ``test_solve_matrix``.
 """
@@ -24,8 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
-from msignn import (Graph, ScaleModule, SolverConfig, adjoint_solve, batch, build_graph,
-                    forward_solve, normalized_gram, oracle_solve, weight_gradient)
+from msignn import (ColorCountingSpec, Graph, ScaleModule, SolverConfig, adjoint_solve, batch,
+                    build_graph, forward_solve, gen_color_counting, normalized_gram, oracle_solve,
+                    weight_gradient)
 from msignn import graph as graph_mod
 from msignn.graph import component_labels, spectrum
 
@@ -360,8 +363,18 @@ def _fail():
     raise np.linalg.LinAlgError("a worker's chunk failed")
 
 
-# Sizes 2, 3 and 4 have several components each, size 6 a single one.
-SPLIT_SIZES = [2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 6]
+def _split_graph(interleave=False):
+    """Sizes 2, 3 and 4 have several components each, size 6 a single one,
+    and no two components are alike, so each size's stack splits as
+    ``_chunks`` splits c components."""
+    return contiguous_graph(8, [2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 6], 0.6,
+                            interleave=interleave, weighted=True)
+
+
+def _assert_decomposed_alike(blocks, expected):
+    _assert_blocks_equal(blocks, expected)
+    for b, e in zip(blocks, expected):
+        assert np.array_equal(b.norms, e.norms)
 
 
 @pytest.mark.parametrize("interleave", [False, True])
@@ -369,7 +382,7 @@ def test_a_split_decomposition_equals_the_serial_one(monkeypatch, interleave):
     # Each chunk's eigh and norms are those of its components alone, so the
     # blocks equal the one-thread decomposition's bit for bit. The workers
     # finish after the caller's own chunk, which must wait for them.
-    g = contiguous_graph(8, SPLIT_SIZES, 0.6, interleave=interleave)
+    g = _split_graph(interleave)
     serial = graph_mod._decompose(g.s)
     counts = _split(monkeypatch)
     _in_workers(monkeypatch, lambda: time.sleep(0.02))
@@ -377,9 +390,7 @@ def test_a_split_decomposition_equals_the_serial_one(monkeypatch, interleave):
     split = graph_mod._decompose(g.s)
     assert threading.active_count() == before  # every worker was joined
     assert counts == [2, 3, 3, 1]
-    _assert_blocks_equal(split, serial)
-    for b, e in zip(split, serial):
-        assert np.array_equal(b.norms, e.norms)
+    _assert_decomposed_alike(split, serial)
 
 
 def test_a_failing_chunk_raises_in_the_caller(monkeypatch):
@@ -387,16 +398,96 @@ def test_a_failing_chunk_raises_in_the_caller(monkeypatch):
     _in_workers(monkeypatch, _fail)
     before = threading.active_count()
     with pytest.raises(np.linalg.LinAlgError, match="a worker's chunk failed"):
-        graph_mod._decompose(contiguous_graph(8, SPLIT_SIZES, 0.6).s)
+        graph_mod._decompose(_split_graph().s)
     assert threading.active_count() == before
 
 
 def test_a_forked_child_decomposes_after_its_parent(monkeypatch):
     # No worker outlives a decomposition, so a process forked after one can
     # start its own.
-    g = contiguous_graph(8, SPLIT_SIZES, 0.6)
+    g = _split_graph()
     serial = graph_mod._decompose(g.s)
     counts = _split(monkeypatch)
     _assert_blocks_equal(spectrum(g.s), serial)
     assert counts == [2, 3, 3, 1]
     apart(lambda: _assert_blocks_equal(graph_mod._decompose(g.s), serial))()
+
+
+def _counting_eigh(monkeypatch):
+    """Record the shape of every stack passed to ``np.linalg.eigh``."""
+    eigh, shapes = np.linalg.eigh, []
+
+    def counted(a):
+        shapes.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return shapes
+
+
+def _ungrouped(monkeypatch, s):
+    """``_decompose(s)`` with every component decomposed as if unlike the others."""
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_mod, "_distinct", lambda dense, _: (np.arange(len(dense)),) * 2)
+        return graph_mod._decompose(s)
+
+
+def test_identical_components_share_one_eigh_and_start_no_thread(monkeypatch):
+    # Eight chains of 30 nodes are work enough to split three ways on four
+    # CPUs, but they are alike, so one matrix reaches eigh, in this thread.
+    g = gen_color_counting(ColorCountingSpec(num_chains=8, length=30, seed=0)).graph
+    expected = _ungrouped(monkeypatch, g.s)
+    monkeypatch.setattr(graph_mod, "_cpu_count", lambda: 4)
+    start, started = threading.Thread.start, []
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    shapes = _counting_eigh(monkeypatch)
+    _assert_decomposed_alike(graph_mod._decompose(g.s), expected)
+    assert shapes == [(1, 30, 30)] and started == []
+
+
+def _graph_of(blocks):
+    """An undirected graph whose components are the given adjacency blocks, in order."""
+    a = sp.block_diag(blocks, format="csr")
+    return build_graph(a, np.zeros((1, a.shape[0])))
+
+
+def _path(*weights):
+    k = len(weights) + 1
+    return sp.diags([weights, weights], [1, -1], shape=(k, k))
+
+
+# Paths on 4 nodes. B is A reversed, so its S holds A's entries in other places.
+A, B, C = _path(1.0, 2.0, 3.0), _path(3.0, 2.0, 1.0), _path(1.0, 1.0, 1.0)
+
+
+def _one_ulp_apart(s):
+    """A copy of S with both entries of the edge (4, 5), in the second
+    component, one ulp larger."""
+    data = s.data.copy()
+    rows = np.repeat(np.arange(s.shape[0]), np.diff(s.indptr))
+    edge = ((rows == 4) & (s.indices == 5)) | ((rows == 5) & (s.indices == 4))
+    data[edge] = np.nextafter(data[edge], np.inf)
+    return sp.csr_array((data, s.indices, s.indptr), shape=s.shape)
+
+
+@pytest.mark.parametrize("case, collide, shapes", [
+    ("repeats", False, [(1, 2, 2), (3, 4, 4)]),
+    ("repeats", True, [(1, 2, 2), (4, 4, 4)]),
+    ("one ulp", True, [(2, 4, 4)])], ids=["repeats", "collision", "one-ulp"])
+def test_only_bit_identical_components_share_an_eigh(monkeypatch, case, collide, shapes):
+    # The blocks equal those of decomposing every component on its own. With
+    # a fingerprint that collides for all blocks, the copies of A still
+    # share an eigh, but B, C and B, which differ from A, each stand alone;
+    # so do two copies of A, one edge of the second one ulp heavier in S.
+    if case == "one ulp":
+        s = _one_ulp_apart(_graph_of([A, A]).s)
+    else:
+        s = _graph_of([_path(1.0), _path(1.0), A, B, A, C, B, A]).s
+    if collide:
+        monkeypatch.setattr(graph_mod, "_fingerprint",
+                            lambda c, *entries: np.zeros(c, dtype=np.uint64))
+    expected = _ungrouped(monkeypatch, s)
+    counted = _counting_eigh(monkeypatch)
+    _assert_decomposed_alike(graph_mod._decompose(s), expected)
+    assert counted == shapes
