@@ -62,21 +62,9 @@ that are bit for bit the same, as the 0/1 chains of one length that the
 generators make are, are decomposed once: ``_distinct`` groups them by a
 fingerprint and compares each with the first of its group bit for bit,
 and every copy takes that first block's eigenvalues, eigenvectors and
-errors, so the result is bit-identical to decomposing each. Nothing is
-kept between decompositions, so separate graphs share no work. The u
-distinct blocks are split into P contiguous chunks, P = min(the CPUs in
-the process's affinity, u, u k^3 // ``_CHUNK_WORK``): a chunk is given a
-thread only if its ``eigh`` takes longer than starting and joining one.
-Each chunk writes its ``eigh`` and its components' errors into its rows
-of arrays made before the split. The first chunk runs in the calling
-thread and the others in threads started and joined within the call;
-numpy's ``eigh`` releases the GIL, so they run at once, and a worker's
-exception is raised in the caller. No pool is kept and no thread
-outlives the call, so a process may fork after it. Each ``eigh`` runs
-with the process's BLAS thread count (``OPENBLAS_NUM_THREADS`` and the
-like), so P chunks may use P times that many threads. The results are
-bit-identical to one ``eigh`` of the whole stack; run the process on one
-CPU (``taskset -c 0``) to keep the decomposition in one thread.
+errors, so the result is bit-identical to decomposing each. The distinct
+blocks go through one ``eigh`` call. Nothing is kept between
+decompositions, so separate graphs share no work.
 
 What a spectrum was measured on must not change under it, so the arrays
 of every S that ``build_graph`` or ``batch`` makes (``data``, ``indices``,
@@ -86,10 +74,8 @@ raises ``ValueError``.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,12 +88,6 @@ from .errors import ShapeError
 SPECTRUM_MAX_COMPONENT = 512
 _SPECTRUM = "_msignn_spectrum"  # the attribute of S that holds its spectrum
 _PENDING = object()  # a graph's S before its first ``spectrum`` call
-# The least c k^3 of a chunk of a stack's ``eigh`` that is given a thread of
-# its own. Starting and joining a thread cost 45-100 us on a 2-vCPU x86 host,
-# and a chunk this large took ~130 us at k = 30 (~2 ns per c k^3), more at
-# smaller k. There, over k = 3..120, every stack this splits ran 8-47%
-# faster than in one thread.
-_CHUNK_WORK = 65536
 # The most words of a stack's bits that ``_distinct`` gathers for one compare.
 # On a 2-vCPU x86 host, comparing 223 copies of a 30 x 30 block with the first
 # took 1.0 ms at once, most of it page faults in arrays that malloc maps afresh,
@@ -176,13 +156,9 @@ class SpectrumBlock:
     solved on, such as a batch member's rows of the batch's decomposition,
     costs only the slicing that made it.
 
-    A decomposition runs ``eigh`` on the u distinct ones of a block's
+    A decomposition runs ``eigh`` on the distinct ones of a block's
     components only, and a component that repeats another bit for bit
-    takes its rows of the arrays. It splits the u into at most P
-    contiguous chunks, P = min(the process's CPUs, u, u k^3 //
-    ``_CHUNK_WORK``), and decomposes each in a thread of its own, whose
-    ``eigh`` uses the process's BLAS thread count; the arrays are
-    bit-identical to those of one ``eigh`` of all c components.
+    takes its rows of the arrays.
     """
 
     nodes: np.ndarray    # (c, k) node indices
@@ -263,58 +239,17 @@ def component_labels(s) -> np.ndarray:
         label = hooked
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _chunks(c: int, k: int) -> list[slice]:
-    """P contiguous runs of a stack of c k x k blocks, as even as can be, with
-    P = min(CPUs, c, c k^3 // ``_CHUNK_WORK``), at least 1."""
-    p = max(1, min(_cpu_count(), c, c * k ** 3 // _CHUNK_WORK))
-    return [slice(c * i // p, c * (i + 1) // p) for i in range(p)]
-
-
-def _in_threads(run, parts: list) -> None:
-    """``run(part)`` for every part: the first in this thread, each other in a
-    thread started here and joined before this returns. The first exception
-    a thread raised is raised here."""
-    failed = []
-
-    def work(part):
-        try:
-            run(part)
-        except BaseException as exc:  # an unfilled chunk must not pass unnoticed
-            failed.append(exc)
-
-    threads = []
-    try:
-        for part in parts[1:]:
-            thread = threading.Thread(target=work, args=(part,))
-            thread.start()
-            threads.append(thread)
-        run(parts[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if failed:
-        raise failed[0]
-
-
-def _eigh_into(dense, values, vectors, norms, part: slice) -> None:
-    """``eigh`` of the components ``dense[part]``, and each one's error and
-    drift, written into the same rows of the arrays after ``dense``."""
-    values[part], vectors[part] = np.linalg.eigh(dense[part])
-    lam, v = values[part], vectors[part]
-    # In place, one array for both, so a worker's heap keeps fewer pages.
-    residual = np.matmul(dense[part], v)
-    residual -= v * lam[:, None, :]
-    norms[part, 0] = np.linalg.norm(residual, axis=(1, 2))
-    gram = np.matmul(v.transpose(0, 2, 1), v, out=residual)
-    gram -= np.eye(v.shape[1])
-    norms[part, 1] = np.linalg.norm(gram, axis=(1, 2))
+def _measured_eigh(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``eigh`` of a (u, k, k) stack: its values, its vectors, and each
+    block's error and drift as a (u, 2) array."""
+    values, vectors = np.linalg.eigh(dense)
+    # In place, one array for both, as each fresh array of this size costs page faults.
+    residual = np.matmul(dense, vectors)
+    residual -= vectors * values[:, None, :]
+    error = np.linalg.norm(residual, axis=(1, 2))
+    gram = np.matmul(vectors.transpose(0, 2, 1), vectors, out=residual)
+    gram -= np.eye(vectors.shape[1])
+    return values, vectors, np.stack([error, np.linalg.norm(gram, axis=(1, 2))], axis=1)
 
 
 def _fingerprint(c: int, block: np.ndarray, place: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -356,9 +291,8 @@ def _distinct(dense: np.ndarray, fingerprint: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _decompose(s) -> list[SpectrumBlock] | None:
-    """Dense ``eigh`` of every distinct component, stacked by component size,
-    each size's distinct blocks split into ``_chunks`` that run in threads
-    (``_in_threads``); a repeated component takes its first copy's rows."""
+    """Dense ``eigh`` of every distinct component, one call per component
+    size; a repeated component takes its first copy's rows."""
     n = s.shape[0]
     _, comp, sizes = np.unique(component_labels(s), return_inverse=True,
                                return_counts=True)
@@ -385,12 +319,10 @@ def _decompose(s) -> list[SpectrumBlock] | None:
         # through it, or made first, they cost 154 more page faults (~0.12 ms
         # on a 2-vCPU x86 host) per decomposition of 224 distinct 30-node chains.
         del block, i, j, x
-        u = distinct.size
-        if u < c:
+        if distinct.size < c:
             dense = dense[distinct]
-        values, vectors, norms = np.empty((u, k)), np.empty((u, k, k)), np.empty((u, 2))
-        _in_threads(partial(_eigh_into, dense, values, vectors, norms), _chunks(u, k))
-        if u < c:
+        values, vectors, norms = _measured_eigh(dense)
+        if distinct.size < c:
             values, vectors, norms = values[copy_of], vectors[copy_of], norms[copy_of]
         nodes = order[starts[members][:, None] + np.arange(k)]
         blocks.append(SpectrumBlock(nodes, values, vectors, *norms.max(axis=0).tolist(),

@@ -7,7 +7,7 @@ kernel's own properties: batches solve like their members, component
 labels, the spectrum's reassembly, caching and read-only arrays, the cap
 on component size, a wrong spectrum, the residual bound, the rows a
 block reads as one slab or gathers, which give bit-identical results, a
-decomposition split across threads, which equals the serial one, and
+stack's decomposition, which gives each component the bits of its own, and
 components alike bit for bit, which share one ``eigh``, while components
 that differ, even by one ulp or under a colliding fingerprint, do not. Its
 agreement with Picard and the oracle, and that of every other solve
@@ -15,7 +15,6 @@ path, is checked in ``test_solve_matrix``.
 """
 
 import threading
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -32,8 +31,8 @@ from msignn import (ColorCountingSpec, Graph, ScaleModule, SolverConfig, adjoint
 from msignn import graph as graph_mod
 from msignn.graph import component_labels, spectrum
 
-from conftest import (apart, contiguous_graph, counting_hops, f_scales, interleaving, rel_error,
-                      seeds, undirected_graph, undirected_graphs)
+from conftest import (contiguous_graph, counting_hops, f_scales, interleaving, rel_error, seeds,
+                      undirected_graph, undirected_graphs)
 
 PROPERTY = settings(max_examples=40)
 # Picard stops on the step size; its error is up to tol / (1 - contraction).
@@ -335,38 +334,9 @@ def test_s_and_its_spectrum_are_read_only():
         _writes(b.norms)
 
 
-def _split(monkeypatch, cpus=3):
-    """Make ``_decompose`` split every stack of two or more components into
-    up to ``cpus`` chunks; returns the list of each call's chunk counts."""
-    monkeypatch.setattr(graph_mod, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(graph_mod, "_CHUNK_WORK", 1)
-    counts = []
-    chunks = graph_mod._chunks
-    monkeypatch.setattr(graph_mod, "_chunks",
-                        lambda c, k: counts.append(len(chunks(c, k))) or chunks(c, k))
-    return counts
-
-
-def _in_workers(monkeypatch, action):
-    """Make ``eigh`` run ``action()`` first whenever a worker thread calls it."""
-    eigh = np.linalg.eigh
-
-    def patched(a):
-        if threading.current_thread() is not threading.main_thread():
-            action()
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", patched)
-
-
-def _fail():
-    raise np.linalg.LinAlgError("a worker's chunk failed")
-
-
-def _split_graph(interleave=False):
+def _mixed_graph(interleave=False):
     """Sizes 2, 3 and 4 have several components each, size 6 a single one,
-    and no two components are alike, so each size's stack splits as
-    ``_chunks`` splits c components."""
+    and no two components are alike, so no two share an ``eigh``."""
     return contiguous_graph(8, [2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 6], 0.6,
                             interleave=interleave, weighted=True)
 
@@ -378,39 +348,18 @@ def _assert_decomposed_alike(blocks, expected):
 
 
 @pytest.mark.parametrize("interleave", [False, True])
-def test_a_split_decomposition_equals_the_serial_one(monkeypatch, interleave):
-    # Each chunk's eigh and norms are those of its components alone, so the
-    # blocks equal the one-thread decomposition's bit for bit. The workers
-    # finish after the caller's own chunk, which must wait for them.
-    g = _split_graph(interleave)
-    serial = graph_mod._decompose(g.s)
-    counts = _split(monkeypatch)
-    _in_workers(monkeypatch, lambda: time.sleep(0.02))
-    before = threading.active_count()
-    split = graph_mod._decompose(g.s)
-    assert threading.active_count() == before  # every worker was joined
-    assert counts == [2, 3, 3, 1]
-    _assert_decomposed_alike(split, serial)
-
-
-def test_a_failing_chunk_raises_in_the_caller(monkeypatch):
-    _split(monkeypatch)
-    _in_workers(monkeypatch, _fail)
-    before = threading.active_count()
-    with pytest.raises(np.linalg.LinAlgError, match="a worker's chunk failed"):
-        graph_mod._decompose(_split_graph().s)
-    assert threading.active_count() == before
-
-
-def test_a_forked_child_decomposes_after_its_parent(monkeypatch):
-    # No worker outlives a decomposition, so a process forked after one can
-    # start its own.
-    g = _split_graph()
-    serial = graph_mod._decompose(g.s)
-    counts = _split(monkeypatch)
-    _assert_blocks_equal(spectrum(g.s), serial)
-    assert counts == [2, 3, 3, 1]
-    apart(lambda: _assert_blocks_equal(graph_mod._decompose(g.s), serial))()
+def test_each_component_decomposes_as_it_would_alone(interleave):
+    # One eigh of a size's stack gives each component, consecutive or dealt
+    # out, the bits of an eigh of its own dense block, and its own norms.
+    s = _mixed_graph(interleave).s
+    blocks = graph_mod._decompose(s)
+    assert [b.nodes.shape for b in blocks] == [(2, 2), (4, 3), (5, 4), (1, 6)]
+    dense = s.toarray()
+    for b in blocks:
+        for nodes, values, vectors, norms in zip(b.nodes, b.values, b.vectors, b.norms):
+            alone = dense[np.ix_(nodes, nodes)]
+            assert all(map(np.array_equal, (values, vectors), np.linalg.eigh(alone)))
+            assert np.array_equal(norms, graph_mod._measured_eigh(alone[None])[2][0])
 
 
 def _counting_eigh(monkeypatch):
@@ -433,11 +382,9 @@ def _ungrouped(monkeypatch, s):
 
 
 def test_identical_components_share_one_eigh_and_start_no_thread(monkeypatch):
-    # Eight chains of 30 nodes are work enough to split three ways on four
-    # CPUs, but they are alike, so one matrix reaches eigh, in this thread.
+    # Eight chains of 30 nodes are alike, so one matrix reaches eigh, in this thread.
     g = gen_color_counting(ColorCountingSpec(num_chains=8, length=30, seed=0)).graph
     expected = _ungrouped(monkeypatch, g.s)
-    monkeypatch.setattr(graph_mod, "_cpu_count", lambda: 4)
     start, started = threading.Thread.start, []
     monkeypatch.setattr(threading.Thread, "start",
                         lambda thread: started.append(thread) or start(thread))

@@ -4,9 +4,9 @@ leave no thread behind.
 Each of these modules raises a process's peak RSS by several MB on import,
 and the benchmark bounds peak RSS, so a refactor that reaches for one of
 them (say ``csgraph.connected_components`` for ``graph.component_labels``)
-should be a deliberate, measured choice. The threads that ``graph`` splits
-a decomposition across are joined before it returns; one left running
-would make a later fork unsafe.
+should be a deliberate, measured choice. The library starts no thread of
+its own, so none but the main thread runs after training and prediction;
+one left running would make a later fork unsafe.
 """
 
 import os
@@ -22,7 +22,6 @@ HEAVY_MODULES = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg",
 SCRIPT = """
 import sys
 import threading
-from dataclasses import replace
 import numpy as np
 from msignn import (ChainsSpec, ColorCountingSpec, GraphDataset, SolverConfig,
                     TrainConfig, batch, build_graph, gen_chains, gen_color_counting,
@@ -30,14 +29,8 @@ from msignn import (ChainsSpec, ColorCountingSpec, GraphDataset, SolverConfig,
 
 cfg = TrainConfig(epochs=2)
 solver = SolverConfig(tol=1e-6, max_iters=300)
-# Six 30-node chains, each with its own edge weight, are enough work for
-# ``graph`` to split their decomposition across two threads, where the
-# process may run on two CPUs; alike chains would share one ``eigh``.
-colors = gen_color_counting(ColorCountingSpec(num_chains=6, length=30, seed=1))
-weight = np.repeat(np.arange(1.0, 7.0), 30)
-colors = replace(colors, graph=build_graph(colors.graph.adjacency * weight[:, None],
-                                           colors.graph.features, colors.graph.labels))
-for ds in (colors, gen_chains(ChainsSpec(chains_per_class=3, length=8, seed=1))):
+for ds in (gen_color_counting(ColorCountingSpec(num_chains=6, length=12, seed=1)),
+           gen_chains(ChainsSpec(chains_per_class=3, length=8, seed=1))):
     g = ds.graph
     model = init_model(np.random.default_rng(0), g.feature_dim, 4, g.num_classes,
                        scale_exponents=(1, 2), solver_cfg=solver)
