@@ -47,8 +47,7 @@ The input decides how they are solved, and the result's ``path`` names it:
   measured once, and from the rounding of the closed form's own
   arithmetic; S and its spectrum are read-only, so the blocks describe the
   S being solved. The result keeps Q and C, from which
-  ``weight_gradient`` forms Z* S^m without a hop; the S handed to it must
-  carry the spectrum they belong to;
+  ``weight_gradient`` forms Z* S^m without a hop;
 - "picard" for every other S (directed graphs, components above
   ``graph.SPECTRUM_MAX_COMPONENT`` nodes, any S made outside ``graph``),
   and when a closed form's bound is above tol (a wrong spectrum, or a tol
@@ -61,9 +60,9 @@ The input decides how they are solved, and the result's ``path`` names it:
   made once per solve: ``s.T``, a CSC view sharing S's arrays, or S
   itself. Powers of S are never materialized.
 
-Every result records the S it was solved on. ``weight_gradient`` rejects
-an S that does not carry that S's spectrum after a closed form, and
-otherwise an S whose entries differ from that S's.
+Every result records the S it was solved on, and ``weight_gradient``
+reads S from it: the spectrum whose blocks a closed form's C belongs to,
+or the S that a Picard result's Z* is hopped on.
 
 Shared state: what the solves of one scale share depends on F and S,
 never on H or dL/dZ*, so each ``ScaleModule`` keeps it (``_Basis``): a
@@ -162,13 +161,13 @@ class EquilibriumResult:
     residual: float
     converged: bool
     path: str  # "closed form" when the closed form alone is the answer, else "picard"
+    s: sp.csr_array  # the S solved on
     # After a closed form: the basis Q of g(F) (the module's, read-only) and,
     # per spectrum block of S, the eigen-coefficients C, (c, k, h) each, so
     # that Z*^T = [V C] Q^T. Only ``weight_gradient`` reads them and ``s``;
     # an inference forward drops C as soon as the solve returns.
     basis: np.ndarray | None = None
     coefficients: list[np.ndarray] | None = None
-    s: sp.csr_array | None = None  # the S solved on; None in a result made by hand
 
 
 @dataclass(frozen=True)
@@ -427,20 +426,17 @@ def adjoint_solve(module: ScaleModule, s: sp.csr_array, grad_z: np.ndarray,
     return _solve(module, s, grad_z, cfg, None, adjoint=True).z_star  # g^T = g
 
 
-def weight_gradient(module: ScaleModule, u: np.ndarray, forward: EquilibriumResult,
-                    s: sp.csr_array) -> np.ndarray:
+def weight_gradient(module: ScaleModule, u: np.ndarray,
+                    forward: EquilibriumResult) -> np.ndarray:
     """Gradient of the loss with respect to F, given the adjoint U and the forward solve.
 
-    ``forward`` is the ``forward_solve`` result on the same S whose Z* the
-    adjoint was taken at. The upstream gradient at g(F) is
+    ``forward`` is the ``forward_solve`` result whose Z* the adjoint was
+    taken at, and S is the one it records. The upstream gradient at g(F) is
     M = gamma * U (Z* S^m)^T. After a closed-form solve
-    (Z* S^m)^T = [V (sigma^m * C)] Q^T per spectrum block, from the
-    result's coefficients and basis, with no sparse hop, and an S whose
-    spectrum is not the one the result was solved on is a ``ShapeError``;
-    after a Picard solve, or on an S without a spectrum, Z* is hopped m
-    times with ``s.T``, and an S whose entries differ from those of the S
-    the result was solved on is a ``ShapeError``. F^T F and sigma^m come
-    from the state the module's solves share, which is made again, and F
+    (Z* S^m)^T = [V (sigma^m * C)] Q^T per block of S's spectrum, from the
+    result's coefficients and basis, with no sparse hop; after a Picard
+    solve Z* is hopped m times with ``s.T``. F^T F and sigma^m come from
+    the state the module's solves share, which is made again, and F
     checked, if F has changed.
     Pulling M back through the Frobenius normalization and the Gram map
     F^T F gives
@@ -458,15 +454,10 @@ def weight_gradient(module: ScaleModule, u: np.ndarray, forward: EquilibriumResu
     if u.shape != forward.z_star.shape:
         raise ShapeError(
             f"adjoint shape {u.shape} != equilibrium shape {forward.z_star.shape}")
-    blocks = None if forward.coefficients is None else graph.spectrum(s)
-    if blocks is not None and blocks is not graph.spectrum(forward.s):
-        raise ShapeError("weight gradient: the forward solve's closed form is on another "
-                         "S's spectrum than the S given")
-    if blocks is None and not _same_matrix(forward.s, s):
-        raise ShapeError("weight gradient: the forward solve is on another S than the S given")
+    blocks = None if forward.coefficients is None else graph.spectrum(forward.s)
     basis = _shared(module, "weight gradient", blocks)
-    if blocks is None:  # a Picard solve, or an S (a plain copy) without the spectrum
-        m_up = module.gamma * (u @ _propagate(forward.z_star.T, s.T, module.scale_m))
+    if blocks is None:
+        m_up = module.gamma * (u @ _propagate(forward.z_star.T, forward.s.T, module.scale_m))
     else:
         propagated = np.empty((u.shape[1], u.shape[0]))
         for b, power, coeffs in zip(blocks, basis.powers, forward.coefficients):
@@ -481,15 +472,6 @@ def weight_gradient(module: ScaleModule, u: np.ndarray, forward: EquilibriumResu
         along = float(np.sum(m_up * g_hat))
         d_gram = (m_up - along * g_hat) / r_eps + (along * module.eps_f / r_eps ** 2) * g_hat
     return module.f_weight @ (d_gram + d_gram.T)
-
-
-def _same_matrix(solved_on, s) -> bool:
-    """Whether S is the one a result was solved on, or equal to it entry for
-    entry; a result made by hand names none, and is trusted."""
-    return (solved_on is None or solved_on is s
-            or (solved_on.shape == s.shape
-                and all(np.array_equal(getattr(solved_on, name), getattr(s, name))
-                        for name in ("indptr", "indices", "data"))))
 
 
 def oracle_solve(module: ScaleModule, injected: np.ndarray,

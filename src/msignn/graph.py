@@ -34,9 +34,9 @@ to the formula evaluated with scipy's sparse operations.
 The S of an undirected graph is symmetric, and ``spectrum(s)`` gives its
 eigendecomposition, one dense ``eigh`` per distinct connected component,
 which gives ``equilibrium`` its closed form. Each block also keeps the
-errors of its decomposition, measured once per distinct component from
-the dense blocks it is made from, from which the solves bound a closed
-form's residual without touching S again.
+errors of each of its components' decomposition, its ``norms``, measured
+once per distinct component from the dense blocks it is made from, from
+which the solves bound a closed form's residual without touching S again.
 
 ``build_graph`` marks such an S, and the eigendecomposition is computed
 on the first call and cached on S itself, so it is paid once per graph
@@ -45,9 +45,9 @@ merged S its spectrum when it makes S, one block per component size, so
 a solve on a batch loops over sizes, not members. It gets that spectrum
 one of two ways. While any member is still pending, the batch decomposes
 its own S, by one ``eigh`` per component size, and each pending member
-keeps its own rows of the result, with the largest errors of its own
-components: views that cost only their slicing, as a block computes its
-``rows`` and ``radius`` on first read. When none is, the batch
+keeps its own rows of the result, ``norms`` included: views that cost
+only their slicing, as a block computes its ``rows``, ``radius``,
+``error`` and ``drift`` on first read. When none is, the batch
 decomposes nothing and stacks its members' blocks. Directed graphs, and
 undirected ones with a component above ``SPECTRUM_MAX_COMPONENT`` nodes,
 have no spectrum, nor has a batch with such a member. A block's
@@ -74,7 +74,7 @@ raises ``ValueError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -142,19 +142,17 @@ class SpectrumBlock:
     S restricted to the nodes ``nodes[i]``, S_i, equals
     ``vectors[i] @ diag(values[i]) @ vectors[i].T`` up to two errors
     measured per distinct component when the block is decomposed, each a
-    Frobenius norm (an upper bound on the spectral norm); ``error`` and
-    ``drift`` are their largest over the block's components. A decomposed
-    block keeps each component's pair in ``norms``, from which a batch
-    gives each member's rows the largest of its own components. The arrays
-    are made read-only.
+    Frobenius norm (an upper bound on the spectral norm), kept per
+    component in ``norms``; ``error`` and ``drift`` are their largest over
+    the block's components. The arrays are made read-only.
 
     ``rows``, where its nodes sit in an (n, ...) array, is computed on first
     read: a ``slice`` when ``nodes`` is one run of consecutive node ids, as
     in a generated dataset or a batch of connected graphs of one size, else
     ``nodes`` flattened. ``slab`` reads through it. ``radius``, its largest
-    |eigenvalue|, is computed on first read too, so a block that is never
-    solved on, such as a batch member's rows of the batch's decomposition,
-    costs only the slicing that made it.
+    |eigenvalue|, ``error`` and ``drift`` are computed on first read too, so
+    a block that is never solved on, such as a batch member's rows of the
+    batch's decomposition, costs only the slicing that made it.
 
     A decomposition runs ``eigh`` on the distinct ones of a block's
     components only, and a component that repeats another bit for bit
@@ -164,15 +162,23 @@ class SpectrumBlock:
     nodes: np.ndarray    # (c, k) node indices
     values: np.ndarray   # (c, k) eigenvalues, ascending per component
     vectors: np.ndarray  # (c, k, k) orthonormal eigenvectors, one per column
-    error: float         # max_i ||S_i V_i - V_i diag(values[i])||
-    drift: float         # max_i ||V_i^T V_i - I||, how far V_i is from orthonormal
-    # (c, 2): each component's error and drift, kept by a decomposition only.
-    norms: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # (c, 2): each component's ||S_i V_i - V_i diag(values[i])|| and
+    # ||V_i^T V_i - I||, how far V_i is from orthonormal
+    norms: np.ndarray
 
     def __post_init__(self):
         for a in (self.nodes, self.values, self.vectors, self.norms):
-            if a is not None:
-                a.flags.writeable = False
+            a.flags.writeable = False
+
+    @cached_property
+    def error(self) -> float:
+        """max_i ||S_i V_i - V_i diag(values[i])||."""
+        return float(self.norms[:, 0].max())
+
+    @cached_property
+    def drift(self) -> float:
+        """max_i ||V_i^T V_i - I||."""
+        return float(self.norms[:, 1].max())
 
     @cached_property
     def radius(self) -> float:
@@ -325,8 +331,7 @@ def _decompose(s) -> list[SpectrumBlock] | None:
         if distinct.size < c:
             values, vectors, norms = values[copy_of], vectors[copy_of], norms[copy_of]
         nodes = order[starts[members][:, None] + np.arange(k)]
-        blocks.append(SpectrumBlock(nodes, values, vectors, *norms.max(axis=0).tolist(),
-                                    norms=norms))
+        blocks.append(SpectrumBlock(nodes, values, vectors, norms))
     return blocks
 
 
@@ -499,24 +504,12 @@ def _block_diagonal(matrices) -> tuple[sp.csr_array, np.ndarray]:
     return _read_only(s), offsets
 
 
-def _run_maxima(norms: np.ndarray, cut: np.ndarray) -> list:
-    """The column maxima of each run of rows ``norms[cut[i]:cut[i + 1]]``,
-    one list each, or None for an empty run; ``cut`` ends at ``len(norms)``."""
-    filled = np.flatnonzero(cut[:-1] < cut[1:])
-    out = [None] * (cut.size - 1)
-    # An empty run has no rows, so each filled run ends where the next begins.
-    for i, largest in zip(filled.tolist(), np.maximum.reduceat(norms, cut[filled]).tolist()):
-        out[i] = largest
-    return out
-
-
 def _batch_spectrum(graphs: list[Graph], s, offsets) -> list[SpectrumBlock] | None:
     """The spectrum of the merged S of undirected ``graphs``, one block per component size.
 
     While any member is pending, the batch decomposes its own S with one
     ``_decompose`` call, and each pending member caches its rows of the
-    result: views of the same arrays, node indices shifted back, with the
-    largest error and drift of its own components. A member
+    result: views of the same arrays, node indices shifted back. A member
     repeated in the batch is no longer pending at its second occurrence.
     If S has a component above the cap, the batch has no spectrum and its
     pending members stay pending. When no member is pending, the members'
@@ -529,14 +522,13 @@ def _batch_spectrum(graphs: list[Graph], s, offsets) -> list[SpectrumBlock] | No
             # nodes[:, 0], so each member's components are one run of rows.
             ends = np.append(offsets, s.shape[0])
             cuts = [np.searchsorted(b.nodes[:, 0], ends) for b in blocks]
-            worst = [_run_maxima(b.norms, cut) for b, cut in zip(blocks, cuts)]
             for i, g in enumerate(graphs):
                 if getattr(g.s, _SPECTRUM, None) is _PENDING:
                     rows = [slice(cut[i], cut[i + 1]) for cut in cuts]
                     setattr(g.s, _SPECTRUM, [
                         SpectrumBlock(b.nodes[r] - offsets[i], b.values[r], b.vectors[r],
-                                      *largest[i])
-                        for b, r, largest in zip(blocks, rows, worst) if r.start < r.stop])
+                                      b.norms[r])
+                        for b, r in zip(blocks, rows) if r.start < r.stop])
         return blocks
     parts = [spectrum(g.s) for g in graphs]
     if any(own is None for own in parts):
@@ -554,7 +546,7 @@ def _batch_spectrum(graphs: list[Graph], s, offsets) -> list[SpectrumBlock] | No
         nodes += np.repeat(shifts, [len(b.nodes) for b in group])[:, None]
         blocks.append(SpectrumBlock(nodes, np.concatenate([b.values for b in group]),
                                     np.concatenate([b.vectors for b in group]),
-                                    max(b.error for b in group), max(b.drift for b in group)))
+                                    np.concatenate([b.norms for b in group])))
     return blocks
 
 
@@ -577,6 +569,9 @@ def batch(graphs: list[Graph]) -> GraphBatch:
                 f"feature dims differ across graphs: {g.feature_dim} != {feat_dim}")
         if g.directed != directed or g.multilabel != multilabel:
             raise ShapeError("all graphs in a batch must share directedness and label kind")
+        if multilabel and g.num_classes != graphs[0].num_classes:
+            raise ShapeError("multi-hot class counts differ across graphs: "
+                             f"{g.num_classes} != {graphs[0].num_classes}")
     s, offsets = _block_diagonal([g.s for g in graphs])
     if not directed:
         setattr(s, _SPECTRUM, _batch_spectrum(graphs, s, offsets))

@@ -359,7 +359,7 @@ class MultiscaleImplicitGNN:
             np.multiply(d_zp, alphas[t], out=d_zt)
             d_zt += np.matmul(att.w_a.T, d_pre, out=scratch)
             u = adjoint_solve(mod, data.s, d_zt, self.solver_cfg)
-            grads[f"scales.{t}.f"] = weight_gradient(mod, u, res, data.s)
+            grads[f"scales.{t}.f"] = weight_gradient(mod, u, res)
             d_injected += u  # the map is the identity in H
         grads["attention.q"] = d_q
         grads["attention.w_a"] = d_wa

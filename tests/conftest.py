@@ -133,10 +133,10 @@ def rel_error(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
 
-def hopping_result(z_star):
-    """A forward result holding only Z*, so ``weight_gradient`` hops from it."""
+def hopping_result(z_star, s):
+    """A forward result holding only Z* and S, so ``weight_gradient`` hops from it."""
     return EquilibriumResult(z_star=z_star, iterations=0, residual=0.0, converged=True,
-                             path="picard")
+                             path="picard", s=s)
 
 
 def assert_solves_as_if_new(module, s):
@@ -147,7 +147,7 @@ def assert_solves_as_if_new(module, s):
     new = replace(module, f_weight=module.f_weight.copy())
     z = forward_solve(new, injected, s)
     u = adjoint_solve(new, s, grad)
-    assert np.array_equal(weight_gradient(module, u, z, s), weight_gradient(new, u, z, s))
+    assert np.array_equal(weight_gradient(module, u, z), weight_gradient(new, u, z))
     assert np.array_equal(adjoint_solve(module, s, grad), u)
     assert np.array_equal(forward_solve(module, injected, s).z_star, z.z_star)
 

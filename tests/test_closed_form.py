@@ -53,7 +53,8 @@ def _assert_blocks_equal(blocks, expected):
     assert len(blocks) == len(expected)
     for b, e in zip(blocks, expected):
         assert type(b.rows) is type(e.rows)
-        for name in ("nodes", "values", "vectors", "error", "drift", "radius", "rows"):
+        for name in ("nodes", "values", "vectors", "norms", "error", "drift", "radius",
+                     "rows"):
             assert np.array_equal(getattr(b, name), getattr(e, name)), name
 
 
@@ -287,14 +288,15 @@ def test_interleaved_components_solve_bit_identically_to_contiguous_ones(sizes, 
     gathering = _gathering(contiguous.s)
     z_gathered = forward_solve(module, injected, gathering)
     assert np.array_equal(z_gathered.z_star, z.z_star)
-    assert np.array_equal(weight_gradient(module, u, z_gathered, gathering),
-                          weight_gradient(module, u, z, contiguous.s))
+    assert np.array_equal(weight_gradient(module, u, z_gathered),
+                          weight_gradient(module, u, z))
 
 
 def test_block_rows_are_a_slice_where_components_are_consecutive():
     # A batch of connected graphs in ascending size order, an empty one among
     # them, has one run of ids per size, whether the batch decomposes its S
     # (members pending) or stacks its members' blocks; so have the members.
+    # Either way its blocks, norms included, are those of decomposing its S.
     # Components of one size that are not adjacent gather, as interleaved ones do.
     empty = build_graph(sp.csr_array((0, 0)), np.zeros((2, 0)))
     members = [contiguous_graph(seed, [k], 0.5) for seed, k in enumerate([2, 3, 3, 5])]
@@ -302,6 +304,7 @@ def test_block_rows_are_a_slice_where_components_are_consecutive():
     for merged in (batch(members), batch(members)):  # pending, then stacked
         blocks = spectrum(merged.s)
         assert [b.rows for b in blocks] == [slice(0, 2), slice(2, 8), slice(8, 13)]
+        _assert_blocks_equal(blocks, graph_mod._decompose(merged.s))
     assert all(isinstance(b.rows, slice) for g in members for b in spectrum(g.s))
     unsorted = spectrum(batch([members[1], members[0], members[3]]).s)
     assert [type(b.rows) for b in unsorted] == [slice, np.ndarray]
@@ -328,10 +331,8 @@ def test_s_and_its_spectrum_are_read_only():
         for array in (s.data, s.indices, s.indptr):
             _writes(array)
         for b in spectrum(s):
-            for array in (b.nodes, b.values, b.vectors):
+            for array in (b.nodes, b.values, b.vectors, b.norms):
                 _writes(array)
-    for b in spectrum(merged.s):
-        _writes(b.norms)
 
 
 def _mixed_graph(interleave=False):
@@ -339,12 +340,6 @@ def _mixed_graph(interleave=False):
     and no two components are alike, so no two share an ``eigh``."""
     return contiguous_graph(8, [2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 6], 0.6,
                             interleave=interleave, weighted=True)
-
-
-def _assert_decomposed_alike(blocks, expected):
-    _assert_blocks_equal(blocks, expected)
-    for b, e in zip(blocks, expected):
-        assert np.array_equal(b.norms, e.norms)
 
 
 @pytest.mark.parametrize("interleave", [False, True])
@@ -389,7 +384,7 @@ def test_identical_components_share_one_eigh_and_start_no_thread(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start",
                         lambda thread: started.append(thread) or start(thread))
     shapes = _counting_eigh(monkeypatch)
-    _assert_decomposed_alike(graph_mod._decompose(g.s), expected)
+    _assert_blocks_equal(graph_mod._decompose(g.s), expected)
     assert shapes == [(1, 30, 30)] and started == []
 
 
@@ -436,5 +431,5 @@ def test_only_bit_identical_components_share_an_eigh(monkeypatch, case, collide,
                             lambda c, *entries: np.zeros(c, dtype=np.uint64))
     expected = _ungrouped(monkeypatch, s)
     counted = _counting_eigh(monkeypatch)
-    _assert_decomposed_alike(graph_mod._decompose(s), expected)
+    _assert_blocks_equal(graph_mod._decompose(s), expected)
     assert counted == shapes

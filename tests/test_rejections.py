@@ -283,6 +283,9 @@ GRAPHS = {
                                "feature dims differ across graphs: 5 != 2"),
         "batch-directedness": (_member(labels=[0, 1, 0], directed=True), KINDS_DIFFER),
         "batch-label-kind": (_member(labels=np.eye(3)), KINDS_DIFFER),
+        "batch-class-count": ({"graphs": [build_graph(_path(), np.ones((2, 3)), np.eye(k, 3))
+                                          for k in (2, 3)]},
+                              "multi-hot class counts differ across graphs: 3 != 2"),
     }),
 }
 
@@ -568,22 +571,7 @@ def gradient():
     """``weight_gradient`` of a forward solve and an adjoint U of its shape."""
     call, kwargs = solve()()
     return weight_gradient, dict(module=kwargs["module"], u=np.ones((3, 6)),
-                                 forward=call(**kwargs), s=kwargs["s"])
-
-
-def _directed_path(forward=True):
-    """The S of the directed path through 6 nodes, 0 -> 1 -> ... -> 5 or back."""
-    return build_graph(sp.csr_array(np.eye(6, k=1 if forward else -1)), np.ones((1, 6)),
-                       directed=True).s
-
-
-def picard_gradient():
-    """``weight_gradient`` of a Picard forward solve, m = 2, on the forward
-    directed path, and an adjoint U of its shape."""
-    rng = np.random.default_rng(4)
-    module, s = ScaleModule(rng.standard_normal((3, 3)), scale_m=2), _directed_path()
-    return weight_gradient, dict(module=module, u=np.ones((3, 6)), s=s,
-                                 forward=forward_solve(module, rng.standard_normal((3, 6)), s))
+                                 forward=call(**kwargs))
 
 
 def _entry(bad):
@@ -686,16 +674,6 @@ CALLS = {
        for what in ("forward", "adjoint")},
     "gradient-adjoint-shape": Row(gradient, {"u": np.ones((3, 5))}, ShapeError,
                                   "adjoint shape (3, 5) != equilibrium shape (3, 6)"),
-    # The forward's eigen-coefficients are of its own S's spectrum; paired with
-    # another's, the gradient was wrong and nothing said so.
-    "gradient-another-spectrum": Row(gradient, {"s": build_graph(_path(6), np.ones((1, 6))).s},
-                                     ShapeError, "weight gradient: the forward solve's closed "
-                                                 "form is on another S's spectrum"),
-    # A Picard result hops Z* on the S it is given; on the reversed path, the
-    # gradient was wrong and nothing said so.
-    "gradient-picard-another-s": Row(picard_gradient, {"s": _directed_path(forward=False)},
-                                     ShapeError, "weight gradient: the forward solve is on "
-                                                 "another S than the S given"),
     # The builder's forward solve made the module's shared state at the finite F.
     **{f"gradient-f-{bad}": Row(gradient,
                                 lambda kwargs, bad=bad: np.put(kwargs["module"].f_weight, 1, bad),

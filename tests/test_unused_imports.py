@@ -1,5 +1,5 @@
-"""Every name a package module, test module or demo imports is used in it, or
-listed in its ``__all__``."""
+"""Every name a package module, test module, demo or benchmark script imports
+is used in it, or listed in its ``__all__``."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = [path for folder in ("src/msignn", "tests", "demos")
+MODULES = [path for folder in ("src/msignn", "tests", "demos", "perfbench")
            for path in sorted((ROOT / folder).glob("*.py"))]
 
 
