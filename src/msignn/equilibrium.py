@@ -76,8 +76,11 @@ optimizer, by ``train_loop``'s restore of the best epoch, by
 finite-difference checks), so neither identity nor a counter would do. A
 non-finite g(F) raises before anything is kept. The state is built whole,
 its arrays read-only, and published by one assignment, so solves of one
-module may run in several threads. It keeps K n x h arrays of denominators
-alive for a K-scale model, those of the last graph each scale solved on.
+module may run in several threads. It keeps K sets of denominators alive
+for a K-scale model, those of the last graph each scale solved on: n x h
+floats each, but k x h for a block whose c components repeat one (its
+arrays stride-0 views, see ``graph``), whose sigma^m and denominators are
+computed on that one's row and broadcast.
 Within a training step at one F, a scale's forward solve, adjoint solve
 and weight gradient so run one ``eigh`` between them, and a predict of a
 graph already solved at that F runs none.
@@ -185,8 +188,10 @@ class _Basis:
     c: np.ndarray       # gamma * the eigenvalues of g(F), ascending
     q: np.ndarray       # the eigenvectors of g(F), one per column
     blocks: list[graph.SpectrumBlock] | None = None  # the spectrum of the fields below
-    powers: tuple[np.ndarray, ...] = ()        # sigma^m per block, (c, k)
-    denominators: tuple[np.ndarray, ...] = ()  # 1 - sigma^m c^T per block, (c, k, h)
+    # Per block, sigma^m, (c, k), and 1 - sigma^m c^T, (c, k, h); of a block
+    # that repeats one component's decomposition, one row broadcast.
+    powers: tuple[np.ndarray, ...] = ()
+    denominators: tuple[np.ndarray, ...] = ()
     bound: float = np.inf  # ``_residual_bound`` of the closed form on ``blocks``
 
 
@@ -240,19 +245,33 @@ def _shared(module: ScaleModule, what: str, blocks) -> _Basis:
     bound = np.inf
     if blocks is not None:
         # sigma^m depends on S alone, so a new F on the same S keeps it.
-        powers = basis.powers if same_s else tuple(_power(b.values, module.scale_m)
-                                                   for b in blocks)
-        # einsum's outer product runs one long loop; broadcasting sigma^m
-        # against -c would run an inner loop of length h per node, ~1.6x slower.
-        denominators = tuple(np.einsum("ij,k->ijk", p, -c) for p in powers)
-        for d in denominators:
-            d += 1.0
-        _read_only(*powers, *denominators)
+        powers = basis.powers if same_s else tuple(
+            _per_component(_power, b.values, module.scale_m) for b in blocks)
+        denominators = tuple(_per_component(_denominators, p, c) for p in powers)
         bound = _residual_bound(c, blocks, module.scale_m)
     basis = _Basis(key=key, gram=gram, norm=norm, c=c, q=q, blocks=blocks, powers=powers,
                    denominators=denominators, bound=bound)
     object.__setattr__(module, "_basis", basis)  # whole, so other threads see all or none
     return basis
+
+
+def _per_component(f, a: np.ndarray, arg) -> np.ndarray:
+    """``f(a, arg)``, read-only, for an ``f`` that maps each component's row
+    of ``a`` on its own. Where ``a`` repeats one row (stride 0 on its first
+    axis, as a block of one decomposition does), ``f`` maps that row only
+    and its result is broadcast, so it is stored once."""
+    out = f(a[:1] if a.strides[0] == 0 else a, arg)
+    _read_only(out)
+    return np.broadcast_to(out, (len(a), *out.shape[1:])) if a.strides[0] == 0 else out
+
+
+def _denominators(powers: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """1 - sigma^m c^T per component, (c, k, h) from sigma^m, (c, k)."""
+    # einsum's outer product runs one long loop; broadcasting sigma^m
+    # against -c would run an inner loop of length h per node, ~1.6x slower.
+    out = np.einsum("ij,k->ijk", powers, -c)
+    out += 1.0
+    return out
 
 
 def _solve(module: ScaleModule, s, injected: np.ndarray, cfg: SolverConfig,

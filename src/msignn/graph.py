@@ -63,8 +63,12 @@ generators make are, are decomposed once: ``_distinct`` groups them by a
 fingerprint and compares each with the first of its group bit for bit,
 and every copy takes that first block's eigenvalues, eigenvectors and
 errors, so the result is bit-identical to decomposing each. The distinct
-blocks go through one ``eigh`` call. Nothing is kept between
-decompositions, so separate graphs share no work.
+blocks go through one ``eigh`` call. Where they are one block, as in a
+dataset of one chain length, each array of the size's spectrum block is
+that one result seen c times, a stride-0 view of it, stored once; where
+there are several, each component gets a copy of its own. Members that
+keep rows of one such result stack to a stride-0 view again. Nothing is
+kept between decompositions, so separate graphs share no work.
 
 What a spectrum was measured on must not change under it, so the arrays
 of every S that ``build_graph`` or ``batch`` makes (``data``, ``indices``,
@@ -156,7 +160,9 @@ class SpectrumBlock:
 
     A decomposition runs ``eigh`` on the distinct ones of a block's
     components only, and a component that repeats another bit for bit
-    takes its rows of the arrays.
+    takes its rows of the arrays. When all of them repeat one, ``values``,
+    ``vectors`` and ``norms`` are stride-0 views of that one's result:
+    every row is the same memory.
     """
 
     nodes: np.ndarray    # (c, k) node indices
@@ -298,7 +304,8 @@ def _distinct(dense: np.ndarray, fingerprint: np.ndarray) -> tuple[np.ndarray, n
 
 def _decompose(s) -> list[SpectrumBlock] | None:
     """Dense ``eigh`` of every distinct component, one call per component
-    size; a repeated component takes its first copy's rows."""
+    size; a repeated component takes its first copy's rows, as a stride-0
+    view of them when that is the size's only distinct component."""
     n = s.shape[0]
     _, comp, sizes = np.unique(component_labels(s), return_inverse=True,
                                return_counts=True)
@@ -328,7 +335,13 @@ def _decompose(s) -> list[SpectrumBlock] | None:
         if distinct.size < c:
             dense = dense[distinct]
         values, vectors, norms = _measured_eigh(dense)
-        if distinct.size < c:
+        # One distinct block: every component's rows are a stride-0 view of its
+        # one result. Of several, each component keeps a gathered copy, as a
+        # shared one would need an index that every reader of a block follows.
+        if distinct.size == 1 < c:
+            values, vectors, norms = (np.broadcast_to(a, (c, *a.shape[1:]))
+                                      for a in (values, vectors, norms))
+        elif distinct.size < c:
             values, vectors, norms = values[copy_of], vectors[copy_of], norms[copy_of]
         nodes = order[starts[members][:, None] + np.arange(k)]
         blocks.append(SpectrumBlock(nodes, values, vectors, norms))
@@ -513,7 +526,9 @@ def _batch_spectrum(graphs: list[Graph], s, offsets) -> list[SpectrumBlock] | No
     repeated in the batch is no longer pending at its second occurrence.
     If S has a component above the cap, the batch has no spectrum and its
     pending members stay pending. When no member is pending, the members'
-    blocks are concatenated per size, node indices offset.
+    blocks are concatenated per size, node indices offset, unless they are
+    all rows of one decomposition's stride-0 views, which are then viewed
+    at the stack's size instead.
     """
     if any(getattr(g.s, _SPECTRUM, None) is _PENDING for g in graphs):
         blocks = _decompose(s)
@@ -544,10 +559,28 @@ def _batch_spectrum(graphs: list[Graph], s, offsets) -> list[SpectrumBlock] | No
         # One shift of all node indices, not one per member.
         nodes = np.concatenate([b.nodes for b in group])
         nodes += np.repeat(shifts, [len(b.nodes) for b in group])[:, None]
-        blocks.append(SpectrumBlock(nodes, np.concatenate([b.values for b in group]),
-                                    np.concatenate([b.vectors for b in group]),
-                                    np.concatenate([b.norms for b in group])))
+        if _one_decomposition(group):
+            first = group[0]
+            arrays = [np.broadcast_to(a[:1], (len(nodes), *a.shape[1:]))
+                      for a in (first.values, first.vectors, first.norms)]
+        else:
+            arrays = [np.concatenate([getattr(b, name) for b in group])
+                      for name in ("values", "vectors", "norms")]
+        blocks.append(SpectrumBlock(nodes, *arrays))
     return blocks
+
+
+def _one_decomposition(group: list[SpectrumBlock]) -> bool:
+    """Whether every block's values, vectors and norms are stride-0 views of
+    the same three arrays: rows of one result that ``_decompose`` broadcast.
+
+    Only strides and ``base`` are read: reading the data pointer, through
+    ``__array_interface__``, costs ~2 us per array and member.
+    """
+    first = group[0]
+    return all(b.values.strides[0] == b.vectors.strides[0] == b.norms.strides[0] == 0
+               and b.values.base is first.values.base and b.vectors.base is first.vectors.base
+               and b.norms.base is first.norms.base for b in group)
 
 
 def batch(graphs: list[Graph]) -> GraphBatch:
@@ -556,10 +589,14 @@ def batch(graphs: list[Graph]) -> GraphBatch:
     The merged S of undirected members gets one spectrum block per
     component size: if any member is still pending, from decomposing the
     merged S, whose rows each pending member keeps; otherwise stacked from
-    the members' blocks.
+    the members' blocks. Each member must be a ``Graph``: a ``GraphBatch``
+    keeps no directedness to check, so an already merged batch is refused.
     """
     if not graphs:
         raise ValueError("cannot batch an empty graph list")
+    for i, g in enumerate(graphs):
+        if not isinstance(g, Graph):
+            raise TypeError(f"batch merges Graphs, got {type(g).__name__} at index {i}")
     feat_dim = graphs[0].feature_dim
     directed = graphs[0].directed
     multilabel = graphs[0].multilabel

@@ -153,15 +153,15 @@ def reused(slot: str, shape: tuple[int, ...], count: int = 1) -> tuple[np.ndarra
     """``count`` uninitialized C-ordered float64 arrays of ``shape``, private
     to the calling thread and to ``slot``.
 
-    They are the same arrays on the thread's next call with the same slot
-    and shape; only the last shape of each slot is kept. So the pages of a
-    working array are not handed back to the system and faulted in again
-    between the steps of a training run. Whoever fills one must not let it
-    outlive the call that filled it.
+    They are the same arrays on the thread's next call with the same slot,
+    shape and count; only the last shape and count of each slot are kept.
+    So the pages of a working array are not handed back to the system and
+    faulted in again between the steps of a training run. Whoever fills
+    one must not let it outlive the call that filled it.
     """
     pool = vars(_thread).setdefault("pool", {})
     arrays = pool.get(slot)
-    if arrays is None or arrays[0].shape != shape:
+    if arrays is None or len(arrays) != count or arrays[0].shape != shape:
         pool[slot] = None  # the old arrays go before the new ones are made
         arrays = pool[slot] = tuple(np.empty(shape) for _ in range(count))
     return arrays

@@ -4,6 +4,7 @@ import json
 import os
 import pickle
 import re
+import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from dataclasses import replace
 from types import SimpleNamespace
@@ -182,6 +183,22 @@ def power_iteration_norm(dense, iters=200):
             return 0.0
         v = w / nw
     return float(np.sqrt(v @ ata @ v))
+
+
+class Traced(NamedTuple):
+    peak: int  # the most bytes allocated at once while the call ran
+    held: int  # the bytes still allocated when it returned, its result included
+
+
+def traced_peak(fn: Callable) -> Traced:
+    """What ``fn()`` allocates, as tracemalloc counts it from the call's start."""
+    tracemalloc.start()
+    try:
+        result = fn()  # kept alive while the memory it holds is read
+        held, peak = tracemalloc.get_traced_memory()
+        return Traced(peak, held)
+    finally:
+        tracemalloc.stop()
 
 
 @contextmanager

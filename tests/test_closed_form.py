@@ -7,9 +7,11 @@ kernel's own properties: batches solve like their members, component
 labels, the spectrum's reassembly, caching and read-only arrays, the cap
 on component size, a wrong spectrum, the residual bound, the rows a
 block reads as one slab or gathers, which give bit-identical results, a
-stack's decomposition, which gives each component the bits of its own, and
+stack's decomposition, which gives each component the bits of its own,
 components alike bit for bit, which share one ``eigh``, while components
-that differ, even by one ulp or under a colliding fingerprint, do not. Its
+that differ, even by one ulp or under a colliding fingerprint, do not, and
+a size whose components all repeat one, whose decomposition, stacks and
+denominators hold that one's row once and solve as copies of it do. Its
 agreement with Picard and the oracle, and that of every other solve
 path, is checked in ``test_solve_matrix``.
 """
@@ -32,7 +34,7 @@ from msignn import graph as graph_mod
 from msignn.graph import component_labels, spectrum
 
 from conftest import (contiguous_graph, counting_hops, f_scales, interleaving, rel_error, seeds,
-                      undirected_graph, undirected_graphs)
+                      traced_peak, undirected_graph, undirected_graphs)
 
 PROPERTY = settings(max_examples=40)
 # Picard stops on the step size; its error is up to tol / (1 - contraction).
@@ -323,11 +325,16 @@ def _writes(array):
 def test_s_and_its_spectrum_are_read_only():
     # What the spectrum was measured on, and the spectrum itself, cannot be
     # changed in place: a graph's S, a batch's S, a graph's blocks and the
-    # blocks a batch stacks from its decomposed members.
+    # blocks a batch stacks from its decomposed members, whether they hold a
+    # row per component or one row repeated.
     members = [undirected_graph(seed, [3, 2], 0.8) for seed in (1, 2)]
     merged = batch(members)  # both pending: the batch decomposes its own S
     stacked = batch(members[::-1])  # both decomposed: their blocks are stacked
-    for s in [g.s for g in members] + [merged.s, stacked.s]:
+    repeated = [_graph_of([C, C]) for _ in range(2)]
+    batch(repeated)
+    graphs = [*members, merged, stacked, *repeated, batch(repeated)]
+    assert _repeats(spectrum(graphs[-1].s)[0].vectors)
+    for s in [g.s for g in graphs]:
         for array in (s.data, s.indices, s.indptr):
             _writes(array)
         for b in spectrum(s):
@@ -433,3 +440,97 @@ def test_only_bit_identical_components_share_an_eigh(monkeypatch, case, collide,
     counted = _counting_eigh(monkeypatch)
     _assert_blocks_equal(graph_mod._decompose(s), expected)
     assert counted == shapes
+
+
+def _repeats(a):
+    """Whether every row of ``a`` is one row seen again: stride 0 on its first axis."""
+    return a.strides[0] == 0
+
+
+def _arrays(b):
+    return b.values, b.vectors, b.norms
+
+
+def test_a_repeated_component_is_stored_once():
+    # A size whose components all repeat one is one row of each array, seen
+    # c times. A size that mixes decompositions, and distinct chains, keep a
+    # row per component.
+    colors = gen_color_counting(ColorCountingSpec(num_chains=8, length=30, seed=0)).graph
+    [chains] = graph_mod._decompose(colors.s)
+    assert chains.vectors.shape == (8, 30, 30)
+    assert all(map(_repeats, _arrays(chains))) and chains.vectors.base.shape == (1, 30, 30)
+    pairs, mixed = graph_mod._decompose(_graph_of([_path(1.0), _path(1.0), A, B, A, C, B, A]).s)
+    assert all(map(_repeats, _arrays(pairs))) and not any(map(_repeats, _arrays(mixed)))
+    weights = np.random.default_rng(0).uniform(0.5, 1.5, (224, 29))
+    [distinct] = graph_mod._decompose(_graph_of([_path(*w) for w in weights]).s)
+    assert distinct.vectors.shape == (224, 30, 30) and not any(map(_repeats, _arrays(distinct)))
+
+
+def test_a_batch_of_one_decompositions_rows_stacks_them_as_one_row():
+    # Members that kept their rows of one decomposition stack to one row of
+    # it; members from two decompositions, or decomposed alone, concatenate.
+    # Either way the blocks are those of decomposing the merged S.
+    one = [_graph_of([C, C]) for _ in range(4)]
+    batch(one)  # all pending: each member keeps its rows of the batch's decomposition
+    two = [_graph_of([C, C]) for _ in range(4)]
+    batch(two[:2]), batch(two[2:])
+    alone = _graph_of([C])
+    spectrum(alone.s)
+    for members, stacked in ((one, True), (two, False), (one + [alone], False)):
+        merged = batch(members)
+        [block] = spectrum(merged.s)
+        assert all(_repeats(a) == stacked for a in _arrays(block))
+        _assert_blocks_equal([block], graph_mod._decompose(merged.s))
+
+
+def test_a_repeated_blocks_denominators_are_stored_once():
+    # Per scale, k x h floats for a block that repeats one component, and
+    # c x k x h for a block that mixes decompositions.
+    s = _graph_of([_path(1.0), _path(1.0), A, B, A, C, B, A]).s
+    module = ScaleModule(f_weight=np.random.default_rng(0).standard_normal((3, 3)), scale_m=2)
+    forward_solve(module, np.ones((3, s.shape[0])), s)
+    pairs, mixed = module._basis.denominators
+    assert pairs.shape == (2, 2, 3) and _repeats(pairs) and pairs.base.size == 2 * 3
+    assert mixed.shape == (6, 4, 3) and mixed.base is None
+
+
+def _materialized(s):
+    """A plain copy of S holding S's spectrum blocks with their arrays copied,
+    so that none repeats a row by stride 0."""
+    copy = sp.csr_array(s)
+    blocks = [graph_mod.SpectrumBlock(b.nodes, *map(np.ascontiguousarray, _arrays(b)))
+              for b in spectrum(s)]
+    assert not any(_repeats(a) for b in blocks for a in _arrays(b))
+    setattr(copy, graph_mod._SPECTRUM, blocks)
+    return copy
+
+
+@pytest.mark.parametrize("interleave", [False, True])
+@pytest.mark.parametrize("m", [1, 3])
+def test_repeated_blocks_solve_bit_identically_to_copied_ones(interleave, m):
+    # The closed form reads a repeated block's stride-0 arrays, and the
+    # constants computed on its one row, as it reads copies of them.
+    g = contiguous_graph(0, [2] * 5 + [3] * 4, 0.0, interleave=interleave)
+    assert all(_repeats(b.vectors) for b in spectrum(g.s))
+    rng = np.random.default_rng(m)
+    injected, grad = rng.standard_normal((2, 3, g.n))
+    f = rng.standard_normal((3, 3))
+    results = []
+    for s in (g.s, _materialized(g.s)):
+        module = ScaleModule(f_weight=f.copy(), scale_m=m)
+        z = forward_solve(module, injected, s)
+        u = adjoint_solve(module, s, grad)
+        assert z.path == "closed form"
+        results.append((z.z_star, u, weight_gradient(module, u, z)))
+    assert all(map(np.array_equal, *results))
+
+
+def test_a_merge_of_repeated_chains_holds_one_decomposition():
+    # 224 alike 30-node chains, merged while pending (the batch decomposes
+    # them) and again once decomposed (it stacks them): either merge holds
+    # less than one chain's eigenvectors per chain would take alone.
+    path = sp.csr_array(_path(*np.ones(29)))
+    features = np.random.default_rng(0).standard_normal((3, 30))
+    chains = [build_graph(path, features) for _ in range(224)]
+    for _ in ("decomposed", "stacked"):
+        assert traced_peak(lambda: batch(chains)).held < 224 * 30 * 30 * 8

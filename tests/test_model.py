@@ -2,7 +2,6 @@ import copy
 import json
 import sys
 import threading
-import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 from functools import partial
 
@@ -22,7 +21,7 @@ from msignn.model import MultiscaleImplicitGNN
 from msignn.train import cross_entropy
 
 from conftest import (check_gradients, contiguous_graph, directed_graph,
-                      random_undirected_graph, undirected_graph)
+                      random_undirected_graph, traced_peak, undirected_graph)
 from test_rejections import former_tests
 
 TIGHT = SolverConfig(tol=1e-12, max_iters=5000)
@@ -287,16 +286,8 @@ def test_predict_keeps_at_most_two_thirds_of_a_forwards_working_set():
     model = init_model(np.random.default_rng(0), g.feature_dim, 16, g.num_classes,
                        scale_exponents=(1, 4, 8))
     model.forward(g)  # S's spectrum is decomposed and cached on first use
-
-    def peak(fn):
-        tracemalloc.start()
-        try:
-            fn()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert peak(lambda: model.predict(g)) <= 2 / 3 * peak(lambda: model.forward(g))
+    assert (traced_peak(lambda: model.predict(g)).peak
+            <= 2 / 3 * traced_peak(lambda: model.forward(g)).peak)
 
 
 def test_a_training_step_reuses_its_scratch_arrays():
@@ -309,17 +300,13 @@ def test_a_training_step_reuses_its_scratch_arrays():
     graph_mod.spectrum(g.s)  # decomposed and cached outside the measured steps
     mask = np.ones(g.n, dtype=bool)
 
-    def step_peak():
-        tracemalloc.start()
-        try:
-            trace = model.forward(g, train_mode=True)
-            model.backward(g, trace, cross_entropy(trace.logits, g.labels, mask)[1])
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def step():
+        trace = model.forward(g, train_mode=True)
+        model.backward(g, trace, cross_entropy(trace.logits, g.labels, mask)[1])
 
     peaks = []
-    worker = threading.Thread(target=lambda: peaks.extend([step_peak(), step_peak()]))
+    worker = threading.Thread(
+        target=lambda: peaks.extend([traced_peak(step).peak, traced_peak(step).peak]))
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive() and peaks[0] - peaks[1] >= 3 * g.n * model.hidden_dim * 8

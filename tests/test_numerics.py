@@ -267,5 +267,14 @@ def test_as_csr_never_runs_scipys_full_check(monkeypatch, fmt):
     assert checks and not any(checks)  # scipy's constructors run the cheap check
 
 
+def test_reused_arrays_follow_slot_shape_and_count():
+    first = numerics.reused("test", (2, 2))
+    assert numerics.reused("test", (2, 2)) is first
+    three = numerics.reused("test", (2, 2), 3)
+    assert len(three) == 3 and numerics.reused("test", (2, 2), 3) is three
+    assert numerics.reused("test", (3, 2), 3)[0].shape == (3, 2)
+    numerics.release("test")
+
+
 # Its tests of one rule each are rows now; test_rejections.FORMER names them.
 globals().update(former_tests(__name__))

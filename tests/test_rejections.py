@@ -286,6 +286,9 @@ GRAPHS = {
         "batch-class-count": ({"graphs": [build_graph(_path(), np.ones((2, 3)), np.eye(k, 3))
                                           for k in (2, 3)]},
                               "multi-hot class counts differ across graphs: 3 != 2"),
+        "batch-not-a-graph": (lambda kwargs: kwargs.update(graphs=[
+                                  *kwargs["graphs"], batch(kwargs["graphs"])]),
+                              TypeError, "batch merges Graphs, got GraphBatch at index 2"),
     }),
 }
 
