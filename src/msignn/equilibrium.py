@@ -224,9 +224,8 @@ def _shared(module: ScaleModule, what: str, blocks) -> _Basis:
     basis = module._basis
     f = module.f_weight
     key = f.tobytes()
-    same_s = basis is not None and basis.blocks is blocks
     if basis is not None and basis.key == key:
-        if blocks is None or same_s:
+        if blocks is None or basis.blocks is blocks:
             return basis
         gram, norm, c, q = basis.gram, basis.norm, basis.c, basis.q
     else:
@@ -244,9 +243,7 @@ def _shared(module: ScaleModule, what: str, blocks) -> _Basis:
     powers = denominators = ()
     bound = np.inf
     if blocks is not None:
-        # sigma^m depends on S alone, so a new F on the same S keeps it.
-        powers = basis.powers if same_s else tuple(
-            _per_component(_power, b.values, module.scale_m) for b in blocks)
+        powers = tuple(_per_component(_power, b.values, module.scale_m) for b in blocks)
         denominators = tuple(_per_component(_denominators, p, c) for p in powers)
         bound = _residual_bound(c, blocks, module.scale_m)
     basis = _Basis(key=key, gram=gram, norm=norm, c=c, q=q, blocks=blocks, powers=powers,
@@ -283,6 +280,9 @@ def _solve(module: ScaleModule, s, injected: np.ndarray, cfg: SolverConfig,
     reused array (``numerics.reused``); the closed form writes W over it.
     """
     what = "adjoint solve" if adjoint else "forward solve"
+    if injected.ndim != 2:
+        raise ShapeError(f"{what}: right-hand side must be 2-D (hidden dim x nodes), "
+                         f"got shape {injected.shape}")
     if injected.shape[0] != module.hidden_dim:
         raise ShapeError(
             f"{what}: injected rows {injected.shape[0]} != hidden dim {module.hidden_dim}")

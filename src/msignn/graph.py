@@ -59,16 +59,17 @@ write as a slab of an n x h array.
 
 The components of one size form a (c, k, k) stack of dense blocks. Blocks
 that are bit for bit the same, as the 0/1 chains of one length that the
-generators make are, are decomposed once: ``_distinct`` groups them by a
-fingerprint and compares each with the first of its group bit for bit,
-and every copy takes that first block's eigenvalues, eigenvectors and
-errors, so the result is bit-identical to decomposing each. The distinct
-blocks go through one ``eigh`` call. Where they are one block, as in a
-dataset of one chain length, each array of the size's spectrum block is
-that one result seen c times, a stride-0 view of it, stored once; where
-there are several, each component gets a copy of its own. Members that
-keep rows of one such result stack to a stride-0 view again. Nothing is
-kept between decompositions, so separate graphs share no work.
+generators make are, are decomposed once. ``_distinct`` groups them in a
+dict keyed by each block's bytes: exact, as a dict compares keys of equal
+hash byte for byte, and with no constant to tune. Every copy takes the
+first block's eigenvalues, eigenvectors and errors, so the result is
+bit-identical to decomposing each. The distinct blocks go through one
+``eigh`` call. Where they are one block, as in a dataset of one chain
+length, each array of the size's spectrum block is that one result seen c
+times, a stride-0 view of it, stored once; where there are several, each
+component gets a copy of its own. Members that keep rows of one such
+result stack to a stride-0 view again. Nothing is kept between
+decompositions, so separate graphs share no work.
 
 What a spectrum was measured on must not change under it, so the arrays
 of every S that ``build_graph`` or ``batch`` makes (``data``, ``indices``,
@@ -92,11 +93,6 @@ from .errors import ShapeError
 SPECTRUM_MAX_COMPONENT = 512
 _SPECTRUM = "_msignn_spectrum"  # the attribute of S that holds its spectrum
 _PENDING = object()  # a graph's S before its first ``spectrum`` call
-# The most words of a stack's bits that ``_distinct`` gathers for one compare.
-# On a 2-vCPU x86 host, comparing 223 copies of a 30 x 30 block with the first
-# took 1.0 ms at once, most of it page faults in arrays that malloc maps afresh,
-# 0.2 ms in runs of this size, 0.34 ms in runs of 2^12 and 0.67 ms of 2^17.
-_COMPARE_WORDS = 2 ** 15
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -264,47 +260,23 @@ def _measured_eigh(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return values, vectors, np.stack([error, np.linalg.norm(gram, axis=(1, 2))], axis=1)
 
 
-def _fingerprint(c: int, block: np.ndarray, place: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One uint64 for each of c blocks: the sum of its entries' bits, each
-    times an odd multiplier fixed by the entry's place in the block, modulo
-    2^64. Entries are given as ``x`` at ``place`` of ``block``; an entry of
-    0.0 adds nothing, so blocks equal bit for bit have equal sums."""
-    # In place, one array, as each fresh array of this size costs page faults.
-    term = place.astype(np.uint64)
-    term <<= np.uint64(1)
-    term |= np.uint64(1)
-    term *= np.uint64(0x9E3779B97F4A7C15)
-    term *= x.view(np.uint64)
-    out = np.zeros(c, dtype=np.uint64)
-    np.add.at(out, block, term)
-    return out
-
-
-def _distinct(dense: np.ndarray, fingerprint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distinct(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The blocks of a (c, k, k) stack that differ bit for bit: the index of
     each one's first occurrence, ascending, and each block's place among them.
 
-    Blocks are grouped by ``fingerprint`` and each is compared bit for bit
-    with the first of its group. One that differs, as a collision allows,
-    stands for itself, so sharing never rests on the fingerprint.
+    Blocks are grouped by a dict keyed by their bytes, which compares keys
+    byte for byte once their hashes match, so sharing never rests on a hash.
     """
-    c = len(dense)
-    bits = dense.reshape(c, -1).view(np.uint64)
-    _, first, group = np.unique(fingerprint, return_index=True, return_inverse=True)
-    rep = first[group]
-    copies = np.flatnonzero(rep != np.arange(c))
-    step = max(1, _COMPARE_WORDS // bits.shape[1])
-    for i in range(0, copies.size, step):
-        part = copies[i:i + step]
-        differ = part[(bits[part] != bits[rep[part]]).any(axis=1)]
-        rep[differ] = differ
-    distinct = np.flatnonzero(rep == np.arange(c))
+    first: dict[bytes, int] = {}
+    rep = np.array([first.setdefault(block.tobytes(), i) for i, block in enumerate(dense)])
+    distinct = np.array(list(first.values()))  # in insertion order, so ascending
     return distinct, np.searchsorted(distinct, rep)
 
 
 def _decompose(s) -> list[SpectrumBlock] | None:
     """Dense ``eigh`` of every distinct component, one call per component
-    size; a repeated component takes its first copy's rows, as a stride-0
+    size. ``_distinct`` finds the repeats exactly, by a dict of the blocks'
+    bytes; a repeated component takes its first copy's rows, as a stride-0
     view of them when that is the size's only distinct component."""
     n = s.shape[0]
     _, comp, sizes = np.unique(component_labels(s), return_inverse=True,
@@ -325,13 +297,8 @@ def _decompose(s) -> list[SpectrumBlock] | None:
         slot[members] = np.arange(c)
         sel = slot[entry_comp] >= 0
         dense = np.zeros((c, k, k))
-        block, i, j, x = slot[entry_comp[sel]], pos[rows[sel]], pos[s.indices[sel]], s.data[sel]
-        dense[block, i, j] = x
-        distinct, copy_of = _distinct(dense, _fingerprint(c, block, i * k + j, x))
-        # The entries are made after ``dense`` and freed before the eigh: kept
-        # through it, or made first, they cost 154 more page faults (~0.12 ms
-        # on a 2-vCPU x86 host) per decomposition of 224 distinct 30-node chains.
-        del block, i, j, x
+        dense[slot[entry_comp[sel]], pos[rows[sel]], pos[s.indices[sel]]] = s.data[sel]
+        distinct, copy_of = _distinct(dense)
         if distinct.size < c:
             dense = dense[distinct]
         values, vectors, norms = _measured_eigh(dense)

@@ -399,6 +399,8 @@ class MultiscaleImplicitGNN:
 
 def sum_pool(z: np.ndarray, batch: GraphBatch) -> np.ndarray:
     """Sum node columns within each graph: output column g = sum of z[:, i] with i in g."""
+    if z.ndim != 2:
+        raise ShapeError(f"z must be 2-D (hidden dim x nodes), got shape {z.shape}")
     if z.shape[1] != batch.graph_of_node.shape[0]:
         raise ShapeError(
             f"z has {z.shape[1]} columns but the batch has {batch.graph_of_node.shape[0]} nodes")

@@ -9,11 +9,11 @@ on component size, a wrong spectrum, the residual bound, the rows a
 block reads as one slab or gathers, which give bit-identical results, a
 stack's decomposition, which gives each component the bits of its own,
 components alike bit for bit, which share one ``eigh``, while components
-that differ, even by one ulp or under a colliding fingerprint, do not, and
-a size whose components all repeat one, whose decomposition, stacks and
-denominators hold that one's row once and solve as copies of it do. Its
-agreement with Picard and the oracle, and that of every other solve
-path, is checked in ``test_solve_matrix``.
+that differ, even by one ulp, do not, and a size whose components all
+repeat one, whose decomposition, stacks and denominators hold that one's
+row once and solve as copies of it do. Its agreement with Picard and the
+oracle, and that of every other solve path, is checked in
+``test_solve_matrix``.
 """
 
 import threading
@@ -379,7 +379,7 @@ def _counting_eigh(monkeypatch):
 def _ungrouped(monkeypatch, s):
     """``_decompose(s)`` with every component decomposed as if unlike the others."""
     with monkeypatch.context() as patch:
-        patch.setattr(graph_mod, "_distinct", lambda dense, _: (np.arange(len(dense)),) * 2)
+        patch.setattr(graph_mod, "_distinct", lambda dense: (np.arange(len(dense)),) * 2)
         return graph_mod._decompose(s)
 
 
@@ -420,22 +420,17 @@ def _one_ulp_apart(s):
     return sp.csr_array((data, s.indices, s.indptr), shape=s.shape)
 
 
-@pytest.mark.parametrize("case, collide, shapes", [
-    ("repeats", False, [(1, 2, 2), (3, 4, 4)]),
-    ("repeats", True, [(1, 2, 2), (4, 4, 4)]),
-    ("one ulp", True, [(2, 4, 4)])], ids=["repeats", "collision", "one-ulp"])
-def test_only_bit_identical_components_share_an_eigh(monkeypatch, case, collide, shapes):
-    # The blocks equal those of decomposing every component on its own. With
-    # a fingerprint that collides for all blocks, the copies of A still
-    # share an eigh, but B, C and B, which differ from A, each stand alone;
-    # so do two copies of A, one edge of the second one ulp heavier in S.
+@pytest.mark.parametrize("case, shapes", [
+    ("repeats", [(1, 2, 2), (3, 4, 4)]),
+    ("one ulp", [(2, 4, 4)])], ids=["repeats", "one-ulp"])
+def test_only_bit_identical_components_share_an_eigh(monkeypatch, case, shapes):
+    # The blocks equal those of decomposing every component on its own. The
+    # copies of A share an eigh, B and C each stand alone, and so do two
+    # copies of A, one edge of the second one ulp heavier in S.
     if case == "one ulp":
         s = _one_ulp_apart(_graph_of([A, A]).s)
     else:
         s = _graph_of([_path(1.0), _path(1.0), A, B, A, C, B, A]).s
-    if collide:
-        monkeypatch.setattr(graph_mod, "_fingerprint",
-                            lambda c, *entries: np.zeros(c, dtype=np.uint64))
     expected = _ungrouped(monkeypatch, s)
     counted = _counting_eigh(monkeypatch)
     _assert_blocks_equal(graph_mod._decompose(s), expected)

@@ -657,7 +657,15 @@ CALLS = {
         "forward-injected-cols": ({"injected": np.ones((3, 5))},
                                   "forward solve: injected cols 5 != node count 6"),
         "forward-z0-shape": ({"z0": np.ones((3, 5))}, "forward solve: z0 shape (3, 5) != (3, 6)"),
+        # A trailing axis of one was solved as if absent, and read no error.
+        **{f"forward-injected-{len(shape)}d": (
+            {"injected": np.ones(shape)},
+            f"forward solve: right-hand side must be 2-D (hidden dim x nodes), got shape {shape}")
+           for shape in ((3,), (3, 6, 1))},
     }),
+    "adjoint-grad-z-1d": Row(solve(adjoint=True), {"grad_z": np.ones(3)}, ShapeError,
+                             "adjoint solve: right-hand side must be 2-D (hidden dim x nodes), "
+                             "got shape (3,)"),
     **{f"{what}-{kind}-rhs-{bad}": Row(solve(what == "adjoint", kind == "directed"), _entry(bad),
                                        DivergenceError,
                                        f"{what} solve: its right-hand side {name} is not finite")
@@ -712,6 +720,8 @@ CALLS = {
     **rows(given(sum_pool, z=np.zeros((2, 4)), batch=POOLED), IndexError, {
         "sum-pool-columns": ({"z": np.zeros((2, 3))}, ShapeError,
                              "z has 3 columns but the batch has 4 nodes"),
+        "sum-pool-1d": ({"z": np.zeros(4)}, ShapeError,
+                        "z must be 2-D (hidden dim x nodes), got shape (4,)"),
         **{f"sum-pool-graph-{graph}": (
             {"batch": replace(POOLED, graph_of_node=np.array([0, 0, graph, 0]))},
             f"node 2 is in graph {graph}, outside the batch's 5 graphs") for graph in (5, -1)},
