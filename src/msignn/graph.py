@@ -27,9 +27,16 @@ not checked again.
 
 Every S, merged ones included, is assembled from numpy arrays by one
 ``sp.csr_array((data, indices, indptr))`` call: on small graphs scipy's
-sparse operations cost more in bookkeeping than in arithmetic. Degrees
-are summed in the order scipy's sparse sums use, so S is bit-identical
-to the formula evaluated with scipy's sparse operations.
+sparse operations cost more in bookkeeping than in arithmetic. It is the
+one scipy construction of a ``build_graph`` call whose adjacency is
+already a canonical float64 CSR array, which ``as_csr`` keeps as it is.
+The diagonal of A + I is put in place by one stable sort of (row,
+column) keys; every row of A + I holds its diagonal, so its degrees are
+one ``np.add.reduceat`` with no zero to guard; and the entries are
+filtered only when one underflowed to 0. Degrees are summed in the order
+scipy's sparse sums use, so S is bit-identical to the formula evaluated
+with scipy's sparse operations. S owns its arrays: none is the
+adjacency's.
 
 The S of an undirected graph is symmetric, and ``spectrum(s)`` gives its
 eigendecomposition, one dense ``eigh`` per distinct connected component,
@@ -79,6 +86,7 @@ raises ``ValueError``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -341,8 +349,8 @@ def _is_symmetric(rows, indices, data) -> bool:
     """Whether canonical CSR entries equal those of the transpose, whose
     canonical order is theirs sorted by (column, row)."""
     o = np.lexsort((rows, indices))
-    return (np.array_equal(indices[o], rows) and np.array_equal(rows[o], indices)
-            and np.array_equal(data[o], data))
+    return bool((indices[o] == rows).all() and (rows[o] == indices).all()
+                and (data[o] == data).all())
 
 
 def _normalize(indptr, indices, data, rows, directed: bool) -> sp.csr_array:
@@ -352,31 +360,40 @@ def _normalize(indptr, indices, data, rows, directed: bool) -> sp.csr_array:
     directed graph) get a normalization factor of 0, so those nodes stay
     decoupled instead of raising a division error. Row sums are reduced
     with ``np.add.reduceat``, as scipy's ``sum(axis=1)`` does, and column
-    sums accumulated entry by entry, as ``ones @ A`` does.
+    sums accumulated entry by entry, as ``ones @ A`` does. S's arrays are
+    its own, never the adjacency's.
     """
     n = indptr.size - 1
     if directed:
         left = _inv_sqrt(_row_sums(indptr, data))
         right = _inv_sqrt(np.bincount(indices, weights=data, minlength=n))
     else:
-        # A + I: a stored diagonal entry becomes a_ii + 1, and a missing one
-        # is appended, then put in place by restoring the (row, column) order.
+        # A + I: a stored diagonal entry becomes a_ii + 1 (an off-diagonal
+        # weight w > 0 stays w + 0.0 = w), and a missing one is appended, then
+        # put in place by a stable sort of (row, column) keys, which merges
+        # two runs sorted already.
         diag = rows == indices
-        data = np.where(diag, data + 1.0, data)
+        data = data + diag
         missing = np.ones(n, dtype=bool)
-        missing[rows[diag]] = False
+        missing[indices[diag]] = False
         nodes = np.flatnonzero(missing)
-        order = np.lexsort((np.concatenate((indices, nodes)),
-                            np.concatenate((rows, nodes))))
+        order = np.argsort(np.concatenate((rows * n + indices, nodes * (n + 1))),
+                           kind="stable")
         indices = np.concatenate((indices, nodes.astype(indices.dtype)))[order]
         rows = np.concatenate((rows, nodes))[order]
         data = np.concatenate((data, np.ones(nodes.size)))[order]
-        indptr = indptr + np.concatenate(([0], np.cumsum(missing)))
-        left = right = _inv_sqrt(_row_sums(indptr, data))
+        # Every row of A + I holds its diagonal: no row is empty, no degree 0.
+        indptr = np.searchsorted(rows, np.arange(n + 1))
+        left = right = 1.0 / np.sqrt(np.add.reduceat(data, indptr[:-1]))
     # Each stored entry a_ij is scaled by left_i * right_j, the arithmetic of
     # the products with two diagonal matrices; an entry that underflows goes.
     data = data * left[rows] * right[indices]
-    indptr, indices, data = _kept(indptr, indices, data, data != 0)
+    if data.all():
+        indptr = indptr.astype(indices.dtype)
+        if directed:  # the adjacency's own array
+            indices = indices.copy()
+    else:
+        indptr, indices, data = _kept(indptr, indices, data, data != 0)
     return _read_only(sp.csr_array((data, indices, indptr), shape=(n, n)))
 
 
@@ -388,31 +405,47 @@ def _read_only(s: sp.csr_array) -> sp.csr_array:
 
 
 def class_labels(labels: np.ndarray, unit: str) -> np.ndarray:
-    """A vector of class labels as int64, each a non-negative integer.
+    """A vector of class labels as int64, each a non-negative integer below 2**63.
 
-    An error names the first bad label's position, as ``unit`` (node or
-    graph) and index.
+    Every check reads the labels as given, before the cast, so an error
+    names the first bad label as the caller gave it, and its position, as
+    ``unit`` (node or graph) and index.
     """
+    if labels.dtype.kind not in "biuf":
+        labels = np.array(labels.tolist())  # an object array of plain numbers gets their dtype
+    if labels.dtype.kind not in "biuf":
+        # A string, None, or an integer that no 64-bit dtype holds.
+        for k, x in enumerate(labels.tolist()):
+            if not (isinstance(x, numbers.Integral) and 0 <= x < 2**63):
+                raise ValueError(f"class labels must be integers in [0, 2**63), got {x!r} "
+                                 f"at {unit} {k}")
     if labels.dtype.kind == "f":
         k = np.flatnonzero(~np.isfinite(labels) | (labels != np.trunc(labels)))
         if k.size:
             raise ValueError(f"class labels must be integers, got "
                              f"{float(labels[k[0]])!r} at {unit} {k[0]}")
-    labels = labels.astype(np.int64)
-    negative = np.flatnonzero(labels < 0)
-    if negative.size:
-        k = negative[0]
-        raise ValueError(f"class labels must be non-negative, got {labels[k]} at {unit} {k}")
-    return labels
+    k = np.flatnonzero(labels < 0)
+    if k.size:
+        raise ValueError(f"class labels must be non-negative, got {labels[k[0]]} at {unit} {k[0]}")
+    if labels.dtype.kind in "uf":
+        k = np.flatnonzero(labels >= 2**63)
+        if k.size:
+            raise ValueError(f"class labels must be below 2**63, got {labels[k[0]]} "
+                             f"at {unit} {k[0]}")
+    return labels.astype(np.int64)
 
 
 def build_graph(adjacency, features, labels=None, directed: bool = False) -> Graph:
     """Assemble a Graph, normalizing the adjacency (self-loops only if undirected).
 
     Adjacency weights must be non-negative; ``numerics.as_csr`` drops
-    explicitly stored zeros, from S and the Graph's adjacency alike. The S
-    of an undirected graph is marked to carry its ``spectrum``.
+    explicitly stored zeros, from S and the Graph's adjacency alike.
+    ``directed`` must be a Python or numpy bool. The S of an undirected
+    graph is marked to carry its ``spectrum``.
     """
+    if not isinstance(directed, (bool, np.bool_)):
+        raise ValueError(f"directed must be a bool, got {directed!r}")
+    directed = bool(directed)
     adjacency = numerics.as_csr(adjacency)
     n = adjacency.shape[0]
     if adjacency.shape[1] != n:
@@ -423,9 +456,8 @@ def build_graph(adjacency, features, labels=None, directed: bool = False) -> Gra
             f"features must have one column per node: {features.shape[1]} != {n}")
     indptr, indices, data = adjacency.indptr, adjacency.indices, adjacency.data
     rows = np.repeat(np.arange(n), np.diff(indptr))
-    negative = np.flatnonzero(data < 0)
-    if negative.size:
-        k = negative[0]
+    if data.size and data.min() < 0:
+        k = np.flatnonzero(data < 0)[0]
         raise ValueError(f"adjacency weights must be non-negative, got "
                          f"{float(data[k])!r} at ({rows[k]}, {indices[k]})")
     if not directed and not _is_symmetric(rows, indices, data):

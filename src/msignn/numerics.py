@@ -23,7 +23,11 @@ of the solves) are never re-validated. The structure of a compressed
 its index arrays, not by scipy's ``check_format``: the check enforces
 what scipy's full check does, at under half its cost on small graphs and
 without its copies, and also rejects a decreasing ``indptr`` that
-scipy's check lets through when it ends at 0.
+scipy's check lets through when it ends at 0. An input that passes and is
+already a canonical float64 CSR array with no stored zeros is returned
+as it is, not wrapped in a second scipy array; it is still never
+mutated. ``as_dense`` and ``as_csr`` reject a complex input rather than
+drop its imaginary part.
 """
 
 from __future__ import annotations
@@ -52,8 +56,11 @@ __all__ = [
 
 
 def as_dense(a) -> np.ndarray:
-    """Coerce to a 2-D float64 array; reject non-finite entries."""
-    out = np.asarray(a, dtype=np.float64)
+    """Coerce to a 2-D float64 array; reject complex and non-finite entries."""
+    out = np.asarray(a)
+    if out.dtype.kind == "c":
+        raise ValueError(f"dense matrix entries must be real, got dtype {out.dtype}")
+    out = out.astype(np.float64, copy=False)
     if out.ndim != 2:
         raise ShapeError(f"expected a 2-D dense matrix, got ndim={out.ndim}")
     if not np.isfinite(out).all():
@@ -64,11 +71,15 @@ def as_dense(a) -> np.ndarray:
 def as_csr(a) -> sp.csr_array:
     """Coerce to a validated canonical float64 CSR array with no stored zeros.
 
-    The input must be 2-D. A CSR, CSC or BSR input's compressed structure
-    is checked by ``_check_compressed`` and a COO input's coordinates are
-    bounded, before scipy converts or canonicalizes it: its compiled
-    routines assume a monotone ``indptr`` and in-range indices. ``a`` is
-    never mutated.
+    The input must be 2-D and real. A CSR, CSC or BSR input's compressed
+    structure is checked by ``_check_compressed`` and a COO input's
+    coordinates are bounded, before scipy converts or canonicalizes it: its
+    compiled routines assume a monotone ``indptr`` and in-range indices.
+    A ``csr_array`` of float64 that scipy records as canonical
+    (``has_canonical_format``), with no stored zeros and no entries past
+    ``indptr[-1]``, is returned itself; any other input gets a new array,
+    a private canonical copy where scipy's conversion is not canonical.
+    ``a`` is never mutated.
     """
     if not sp.issparse(a):
         a = sp.csr_array(a)  # a (data, indices, indptr) tuple is checked below
@@ -83,9 +94,14 @@ def as_csr(a) -> sp.csr_array:
                     raise ValueError(f"axis {axis} index outside [0, {size})")
     except ValueError as exc:
         raise ShapeError(f"corrupt {a.format.upper()}: {exc}") from None
-    out = sp.csr_array(a, dtype=np.float64)
+    if a.dtype.kind == "c":
+        raise ValueError(f"sparse matrix values must be real, got dtype {a.dtype}")
+    # A float64 CSR array with no entries past indptr[-1] is already what
+    # csr_array(a, dtype=np.float64) would make of it: a view of a's arrays.
+    kept = type(a) is sp.csr_array and a.dtype == np.float64 and a.data.size == a.nnz
+    out = a if kept else sp.csr_array(a, dtype=np.float64)
     if not out.has_canonical_format or not out.data.all():
-        # csr_array(a) may share a's arrays; canonicalize a private copy.
+        # out may be a or share its arrays; canonicalize a private copy.
         out = out.copy()
         out.sum_duplicates()
         out.eliminate_zeros()
@@ -128,7 +144,7 @@ def _check_compressed(a) -> None:
     if nnz > len(indices):
         raise ValueError("last value of index pointer should be at most "
                          "the size of index and data arrays")
-    if np.any(indptr[1:] < indptr[:-1]):
+    if (indptr[1:] < indptr[:-1]).any():
         raise ValueError("index pointer must be a non-decreasing sequence")
     if nnz and not 0 <= indices[:nnz].min() <= indices[:nnz].max() < minor:
         raise ValueError(f"indices must lie in [0, {minor})")

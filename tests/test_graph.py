@@ -286,21 +286,47 @@ def adjacencies(draw, directed, max_cells=60):
                         shape=(n, n))
 
 
+def _unsorted_csr(coo):
+    """A COO input as a non-canonical CSR array: each row's entries, duplicates
+    and stored zeros included, in descending column order."""
+    order = np.lexsort((-coo.col, coo.row))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(coo.row, minlength=coo.shape[0]))))
+    return sp.csr_array((coo.data[order], coo.col[order], indptr.astype(coo.col.dtype)),
+                        shape=coo.shape)
+
+
 @PROPERTY
 @given(st.booleans().flatmap(lambda d: st.tuples(adjacencies(d), st.just(d))))
 def test_s_is_bit_identical_to_the_scipy_formula(drawn):
     a, directed = drawn
-    s = build_graph(a, np.zeros((1, a.shape[0])), directed=directed).s
-    # S is a function of the matrix, not of its storage: the reference gets
-    # the input with duplicates summed and stored zeros dropped.
     canonical = sp.csr_array(a)
     canonical.eliminate_zeros()
-    expected = _reference_s(canonical, directed)
-    assert s.shape == expected.shape
-    assert (s.indptr.dtype, s.indices.dtype) == (expected.indptr.dtype, expected.indices.dtype)
-    npt.assert_array_equal(s.indptr, expected.indptr)
-    npt.assert_array_equal(s.indices, expected.indices)
-    assert s.data.tobytes() == expected.data.tobytes()
+    # The COO input, its canonical CSR array (which as_csr keeps as it is),
+    # and an unsorted CSR array with duplicates (which it canonicalizes).
+    for given_ in (a, canonical, _unsorted_csr(a)):
+        s = build_graph(given_, np.zeros((1, a.shape[0])), directed=directed).s
+        # S is a function of the matrix, not of its storage: the reference
+        # gets the input with duplicates summed and stored zeros dropped.
+        summed = sp.csr_array(given_, copy=True)
+        summed.sum_duplicates()
+        summed.eliminate_zeros()
+        expected = _reference_s(summed, directed)
+        assert s.shape == expected.shape
+        assert (s.indptr.dtype, s.indices.dtype) == (expected.indptr.dtype,
+                                                      expected.indices.dtype)
+        npt.assert_array_equal(s.indptr, expected.indptr)
+        npt.assert_array_equal(s.indices, expected.indices)
+        assert s.data.tobytes() == expected.data.tobytes()
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_a_canonical_float_csr_input_is_the_adjacency_and_s_owns_its_arrays(directed):
+    a = sp.csr_array(np.eye(4, k=1) + np.eye(4, k=-1))
+    g = build_graph(a, np.zeros((1, 4)), directed=directed)
+    assert g.adjacency is a
+    for own in (g.s.data, g.s.indices, g.s.indptr):
+        assert not any(np.shares_memory(own, given_) for given_ in (a.data, a.indices, a.indptr))
+    assert a.data.flags.writeable and a.indices.flags.writeable and a.indptr.flags.writeable
 
 
 @pytest.mark.parametrize("tiny", [1.0, 5e-324], ids=["kept", "underflows"])

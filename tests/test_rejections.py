@@ -182,6 +182,13 @@ DATASETS = {
                                  "class labels must be non-negative, got -1 at graph 3"),
         "graph-label-float": ({"labels": np.array([0, 1, 2, 0, 0.5, 2])}, ValueError,
                               "class labels must be integers, got 0.5 at graph 4"),
+        "graph-label-past-int64": ({"labels": np.array([0, 1, 2, 1e30, 1, 2])}, ValueError,
+                                   "class labels must be below 2**63, got 1e+30 at graph 3"),
+        "graph-label-none": ({"labels": np.array([0, 1, None, 0, 1, 2], dtype=object)},
+                             ValueError, "class labels must be integers in [0, 2**63), "
+                                         "got None at graph 2"),
+        "graph-label-string": ({"labels": np.array(list("abcdef"))}, ValueError,
+                               "class labels must be integers in [0, 2**63), got 'a' at graph 0"),
         "graph-labels-short": ({"labels": np.zeros(5, dtype=int)}, "graph labels must be a vector "
                                "with one entry per graph, got shape (5,) for 6 graphs"),
         "graph-labels-matrix": ({"labels": np.zeros((1, 6), dtype=int)},
@@ -230,6 +237,13 @@ GRAPHS = {
            for kind in ("undirected", "directed")},
         "asymmetric": ({"adjacency": sp.csr_array(np.eye(3, k=1))},
                        "undirected graph requires a symmetric adjacency"),
+        **{f"directed-{name}": ({"directed": value}, ValueError,
+                                f"directed must be a bool, got {value!r}")
+           for name, value in (("string", "no"), ("integer", 1))},
+        "adjacency-complex": ({"adjacency": sp.csr_array(np.eye(3) * (1 + 1j))}, ValueError,
+                              "sparse matrix values must be real, got dtype complex128"),
+        "features-complex": ({"features": np.ones((1, 3)) * (1 + 2j)}, ValueError,
+                             "dense matrix entries must be real, got dtype complex128"),
         **{f"csr-value-{bad}": ({"adjacency": _raw(data=[1, 1, bad, 1])}, ValueError,
                                 "CSR values contain NaN or Inf")
            for bad in (np.nan, np.inf, -np.inf)},
@@ -245,6 +259,16 @@ GRAPHS = {
                            "class labels must be integers, got 0.5 at node 0"),
         "label-nan": ({"labels": [1.0, np.nan, 0]}, ValueError,
                       "class labels must be integers, got nan at node 1"),
+        # Cast to int64 before they were checked, these read as -2**63.
+        "label-past-int64-float": ({"labels": [1.0, 1e30, 2.0]}, ValueError,
+                                   "class labels must be below 2**63, got 1e+30 at node 1"),
+        "label-past-int64-uint": ({"labels": np.array([1, 2**63 + 5, 2], dtype=np.uint64)},
+                                  ValueError, "class labels must be below 2**63, "
+                                              "got 9223372036854775813 at node 1"),
+        "label-string": ({"labels": ["a", "b", "c"]}, ValueError,
+                         "class labels must be integers in [0, 2**63), got 'a' at node 0"),
+        "label-none": ({"labels": [1, None, 2]}, ValueError,
+                       "class labels must be integers in [0, 2**63), got None at node 1"),
         "multi-hot-columns": ({"labels": np.zeros((2, 2))},
                               "multi-hot labels must have one column per node"),
         **{f"multi-hot-{name}": ({"labels": labels}, ValueError,
@@ -458,6 +482,8 @@ SETTINGS = {
         "f-not-2d": ({"f_weight": np.ones(2)}, ShapeError,
                      "expected a 2-D dense matrix, got ndim=1"),
         "f-nan": ({"f_weight": np.diag([1.0, np.nan])}, "matrix contains NaN or Inf entries"),
+        "f-complex": ({"f_weight": np.eye(2) * (1 + 1j)},
+                      "dense matrix entries must be real, got dtype complex128"),
         "gamma-one": ({"gamma": 1.0}, "gamma must lie in [0, 1), got 1.0"),
         "gamma-negative": ({"gamma": -0.1}, "gamma must lie in [0, 1), got -0.1"),
         "scale-m-zero": ({"scale_m": 0}, "scale exponent must be >= 1, got 0"),
