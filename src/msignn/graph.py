@@ -471,6 +471,15 @@ def build_graph(adjacency, features, labels=None, directed: bool = False) -> Gra
         elif labels.ndim == 2:
             if labels.shape[1] != n:
                 raise ShapeError("multi-hot labels must have one column per node")
+            if labels.dtype.kind not in "biuf":
+                labels = np.array(labels.tolist())  # as in ``class_labels``
+            if labels.dtype.kind not in "biuf":
+                # A string, a complex number or None; the cast would drop or misread it.
+                for c, row in enumerate(labels.tolist()):
+                    for k, x in enumerate(row):
+                        if not isinstance(x, numbers.Real):
+                            raise ValueError(f"multi-hot labels must be real numbers, got "
+                                             f"{x!r} for class {c} at node {k}")
             labels = labels.astype(np.float64)
             bad = np.argwhere((labels != 0) & (labels != 1))  # nan included
             if bad.size:

@@ -5,14 +5,16 @@ labels, mask) triple, is the unit of one optimizer step: a node task has
 one, the whole graph under its train mask; a graph task one per shuffled
 minibatch of ``batch_size`` training graphs, merged under an all-true
 mask. ``evaluate`` makes one ``model.predict`` per input and scores each
-of its masks; graph tasks merge each split into one batch once per call.
-Such a predict is an inference forward, which keeps nothing for a
-backward: every graph-task evaluation is one, and so is every node-task
-evaluation with dropout. A node task without dropout runs one full
-forward per epoch and no inference forward: each step after
-the first starts from the previous epoch's evaluation ``ForwardTrace``,
-since nothing changes the parameters in between and without dropout the
-train-mode forward equals the evaluation's. Both tasks select weights the
+of its masks. A graph task merges each evaluation split once per call, in
+consecutive chunks of ``batch_size`` graphs, and scores it by one predict
+per chunk, so no forward spans more than a minibatch of graphs. Such a
+predict is an inference forward, which keeps nothing for a backward: every
+graph-task evaluation is one, and so is every node-task evaluation with
+dropout. A node task without dropout runs one full forward per epoch and no
+inference forward: each step after the first starts from the previous
+epoch's evaluation ``ForwardTrace``, since nothing changes the parameters
+in between and without dropout the train-mode forward equals the
+evaluation's. Both tasks select weights the
 same way: the loop keeps the parameters of the epoch with the highest
 validation metric, ties broken by the lower train loss, and restores them
 when it finishes. ``patience`` counts epochs without a strict improvement
@@ -141,6 +143,7 @@ def accuracy(preds: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise EmptySelectionError("accuracy mask selects no nodes")
+    _check_lengths("accuracy", preds, labels, mask)
     return float(np.mean(preds[mask] == labels[mask]))
 
 
@@ -149,6 +152,7 @@ def micro_f1(preds: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise EmptySelectionError("micro-F1 mask selects no nodes")
+    _check_lengths("micro-F1", preds, labels, mask)
     p = preds[:, mask].astype(bool)
     y = labels[:, mask].astype(bool)
     tp = int(np.sum(p & y))
@@ -158,6 +162,14 @@ def micro_f1(preds: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
     return 1.0 if denom == 0 else 2.0 * tp / denom
 
 
+def _check_lengths(metric: str, preds: np.ndarray, labels: np.ndarray,
+                   mask: np.ndarray) -> None:
+    """Raise ``ShapeError`` unless predictions, labels and mask cover as many columns."""
+    p, y, m = preds.shape[-1], labels.shape[-1], mask.shape[0]
+    if not p == y == m:
+        raise ShapeError(f"{metric}: predictions, labels and mask have {p}, {y} and {m} columns")
+
+
 # -- training loop ---------------------------------------------------------
 
 
@@ -165,8 +177,10 @@ def micro_f1(preds: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
 class TrainConfig:
     """Settings of ``train_loop``; ``batch_size`` applies to graph tasks only.
 
-    Training stops early once ``patience`` consecutive epochs bring no
-    strict improvement of the validation metric.
+    ``batch_size`` graphs make one training minibatch, and also one chunk
+    of an evaluation split, so it bounds what every forward of a graph task
+    holds. Training stops early once ``patience`` consecutive epochs bring
+    no strict improvement of the validation metric.
     """
 
     epochs: int = 500
@@ -218,14 +232,16 @@ def train_loop(model: MultiscaleImplicitGNN, data, cfg: TrainConfig) -> list[dic
                          f"it has {model.num_classes} classes")
     if model.task == "graph":
         train_idx, val_idx = np.flatnonzero(data.train_mask), np.flatnonzero(data.val_mask)
-        # The splits never change, so each is merged into one batch once.
-        eval_sets = [(merged, labels, [mask]) for merged, labels, mask
-                     in (_graph_batch(data, train_idx), _graph_batch(data, val_idx))]
+        # The splits never change, so each is merged once, in chunks of a
+        # minibatch's size: an evaluation forward holds no more than a step's.
+        eval_sets = [([batch_graphs([data.graphs[i] for i in chunk])
+                       for chunk in _chunks(idx, cfg.batch_size)],
+                      data.labels[idx], [np.ones(len(idx), dtype=bool)])
+                     for idx in (train_idx, val_idx)]
 
         def batches(rng):
-            order = rng.permutation(train_idx)
-            for start in range(0, len(order), cfg.batch_size):
-                yield _graph_batch(data, order[start:start + cfg.batch_size])
+            for chunk in _chunks(rng.permutation(train_idx), cfg.batch_size):
+                yield _graph_batch(data, chunk)
     else:
         graph = data.graph
         eval_sets = [(graph, graph.labels, (data.train_mask, data.val_mask))]
@@ -300,6 +316,11 @@ def _train_pass(model, batches, rng, opt, params, trace):
     return float(np.mean(losses)), iter_counts
 
 
+def _chunks(idx: np.ndarray, size: int) -> list[np.ndarray]:
+    """``idx`` cut into consecutive pieces of ``size``, the last one shorter."""
+    return [idx[start:start + size] for start in range(0, len(idx), size)]
+
+
 def _graph_batch(data, idx) -> tuple:
     """(merged batch, labels, all-true mask) of the graphs ``idx`` selects."""
     return (batch_graphs([data.graphs[i] for i in idx]), data.labels[idx],
@@ -308,13 +329,21 @@ def _graph_batch(data, idx) -> tuple:
 
 def evaluate(model: MultiscaleImplicitGNN, data, labels: np.ndarray, masks,
              trace=None) -> list[float]:
-    """One ``model.predict`` on ``data``; micro-F1 (multi-hot labels) or accuracy per mask.
+    """``model.predict`` on ``data``; micro-F1 (multi-hot labels) or accuracy per mask.
 
-    ``trace``, a forward of ``data`` at the current parameters, spares the
+    ``data`` is a graph or batch, or a list of batches whose predictions
+    concatenate in order, one predict each: a split scored in chunks. A
+    merge is block-diagonal, so a graph's logits depend only on its own
+    rows, but for two tests that read the whole chunk: a Picard solve's
+    stopping test and the closed form's residual bound. ``trace``, a
+    forward of a single ``data`` at the current parameters, spares the
     predict its own. The labels must be of the model's kind.
     """
     _check_label_kind(model, labels)
-    preds = model.predict(data, trace)
+    if isinstance(data, list):
+        preds = np.concatenate([model.predict(chunk) for chunk in data], axis=-1)
+    else:
+        preds = model.predict(data, trace)
     metric = micro_f1 if labels.ndim == 2 else accuracy
     return [metric(preds, labels, mask) for mask in masks]
 

@@ -277,6 +277,13 @@ GRAPHS = {
                ("fraction", [[0.5, 2, 0], [np.nan, 1, 0]], "0.5 for class 0 at node 0"),
                ("nan", [[0, 1, 0], [np.nan, 1, 0]], "nan for class 1 at node 0"),
                ("negative", [[1, 0, 0], [1, -1, 0]], "-1.0 for class 1 at node 1"))},
+        # The cast to float kept a complex label's real part and read a string's number.
+        **{f"multi-hot-{name}": ({"labels": labels}, ValueError,
+                                 f"multi-hot labels must be real numbers, got {shown}")
+           for name, labels, shown in (
+               ("complex", np.eye(2)[:, [0, 1, 0]] * (1 + 1j), "(1+1j) for class 0 at node 0"),
+               ("string", [["1", "0", "1"], ["0", "1", "0"]], "'1' for class 0 at node 0"),
+               ("none", [[1, 0, 0], [0, None, 1]], "None for class 1 at node 1"))},
         "labels-3d": ({"labels": np.zeros((1, 1, 3))},
                       "labels must be a vector or a multi-hot matrix"),
     }),
@@ -784,6 +791,16 @@ CALLS = {
     "evaluate-multi-hot-labels": Row(scoring, {"labels": MULTI_HOT}, ShapeError,
                                      "the data has multi-hot labels, but the model predicts "
                                      "class labels"),
+    # Unequal lengths raised numpy's IndexError from the boolean index.
+    "evaluate-mask-length": Row(scoring, {"masks": [np.ones(4, dtype=bool)]}, ShapeError,
+                                "accuracy: predictions, labels and mask have 3, 3 and 4 columns"),
+    "accuracy-labels-length": Row(given(accuracy, preds=np.arange(3), labels=np.arange(3),
+                                        mask=ALL), {"labels": np.arange(2)}, ShapeError,
+                                  "accuracy: predictions, labels and mask have 3, 2 and 3 "
+                                  "columns"),
+    "micro-f1-mask-length": Row(given(micro_f1, preds=np.eye(3), labels=np.eye(3), mask=ALL),
+                                {"mask": np.ones(2, dtype=bool)}, ShapeError,
+                                "micro-F1: predictions, labels and mask have 3, 3 and 2 columns"),
     "decay-node-out-of-range": Row(
         given(measure_decay, module=ScaleModule(np.eye(1), 0.5), encode=lambda x: x, p=0,
               graph=gen_chains(ChainsSpec(num_classes=1, chains_per_class=1, length=5)).graph),

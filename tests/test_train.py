@@ -392,8 +392,16 @@ def test_labels_of_the_other_kind_are_named_before_any_epoch(monkeypatch, kind, 
         evaluate(model, g, g.labels, [ds.train_mask])
 
 
+def _chunk_ids(data, mask, size):
+    """The graph ids of ``mask``'s split, in consecutive chunks of ``size``."""
+    idx = np.flatnonzero(mask)
+    return [{id(data.graphs[i]) for i in idx[start:start + size]}
+            for start in range(0, len(idx), size)]
+
+
 def test_graph_task_merges_each_evaluation_split_once(monkeypatch):
     data, make_model, cfg = _graph_problem()
+    cfg["batch_size"] = 4  # 6 training graphs: a full chunk and a short one
     train_ids = {id(data.graphs[i]) for i in np.flatnonzero(data.train_mask)}
     merges, predicts = [], []
     merge, predict = msignn.train.batch_graphs, MultiscaleImplicitGNN.predict
@@ -411,33 +419,53 @@ def test_graph_task_merges_each_evaluation_split_once(monkeypatch):
     epochs = 5
     history = train_loop(make_model(), data, TrainConfig(epochs=epochs, patience=epochs, **cfg))
     assert len(history) == epochs
-    # training minibatches are proper subsets of the training split
-    minibatches = [ids for ids in merges if ids < train_ids]
+    # before the first epoch, each split is merged once, in chunks in split order
+    chunks = _chunk_ids(data, data.train_mask, 4) + _chunk_ids(data, data.val_mask, 4)
+    assert merges[:3] == chunks
+    # then two training minibatches per epoch, which together cover the split
+    minibatches = merges[3:]
     assert len(minibatches) == 2 * epochs
-    assert len(merges) - len(minibatches) == 2
-    # still one evaluation forward per split per epoch
-    assert predicts == [6, 3] * epochs
+    assert all(a | b == train_ids and not a & b
+               for a, b in zip(minibatches[::2], minibatches[1::2]))
+    # one evaluation forward per chunk per epoch
+    assert predicts == [4, 2, 3] * epochs
 
 
 def test_graph_task_decomposes_each_evaluation_split_and_test_batch_once(monkeypatch):
     data, make_model, cfg = _graph_problem()
+    cfg["batch_size"] = 4
     sizes = []
     decompose = msignn.graph._decompose
     monkeypatch.setattr(msignn.graph, "_decompose",
                         lambda s: sizes.append(s.shape[0]) or decompose(s))
     model = make_model()
-    assert cfg["batch_size"] < data.train_mask.sum()
     train_loop(model, data, TrainConfig(epochs=3, patience=3, **cfg))
     test = batch([data.graphs[i] for i in np.flatnonzero(data.test_mask)])
     npt.assert_array_equal(model.predict(test), model.predict(test))
 
-    def nodes(mask):
-        return sum(data.graphs[i].n for i in np.flatnonzero(mask))
+    def nodes(idx):
+        return sum(data.graphs[i].n for i in idx)
 
-    # The evaluation batches and the test batch hold only pending members, so
+    train_idx, val_idx = np.flatnonzero(data.train_mask), np.flatnonzero(data.val_mask)
+    # The evaluation chunks and the test batch hold only pending members, so
     # each decomposes its own S; minibatches and the repeat predict stack or
     # reuse blocks already made.
-    assert sizes == [nodes(data.train_mask), nodes(data.val_mask), nodes(data.test_mask)]
+    assert sizes == [nodes(train_idx[:4]), nodes(train_idx[4:]), nodes(val_idx),
+                     nodes(np.flatnonzero(data.test_mask))]
+
+
+def test_a_split_scored_in_chunks_scores_as_one_predict_of_it():
+    rng = np.random.default_rng(11)
+    graphs = [random_undirected_graph(rng, int(n)) for n in rng.integers(2, 9, size=11)]
+    labels = rng.integers(0, 3, size=11)
+    model = init_model(np.random.default_rng(2), graphs[0].feature_dim, 4, 3,
+                       scale_exponents=(1, 2), task="graph")
+    whole = batch(graphs)
+    chunks = [batch(graphs[start:start + 4]) for start in range(0, 11, 4)]  # 4, 4 and 3
+    masks = [rng.random(11) < 0.6, np.ones(11, dtype=bool)]
+    npt.assert_array_equal(np.concatenate([model.predict(c) for c in chunks], axis=-1),
+                           model.predict(whole))
+    assert evaluate(model, chunks, labels, masks) == evaluate(model, whole, labels, masks)
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.3])
