@@ -1,14 +1,10 @@
-import inspect
-import io
-import json
 import os
 import pickle
-import re
 import tracemalloc
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from contextlib import contextmanager
 from dataclasses import replace
 from types import SimpleNamespace
-from typing import Any, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import numpy.testing as npt
@@ -270,73 +266,9 @@ def hops():
         yield counter
 
 
-class Row(NamedTuple):
-    """One rejected input, a row of a table in ``test_rejections``.
-
-    ``build()`` returns a boundary (a callable) and keyword arguments it
-    accepts; a builder that writes files takes the row's directory,
-    ``build(directory)``. ``edit`` is the one change: a dict of replaced arguments, or
-    a function that edits the arguments or the files they name. The edited
-    call then raises exactly ``error``, no subclass of it, with ``fragment``
-    in its message (``{tmp}`` in it stands for the directory); or, when
-    ``error`` is an exit code, the boundary is ``cli.main``, returns that code
-    and writes ``fragment`` to stderr.
-    """
-
-    build: Callable
-    edit: Any
-    error: Any
-    fragment: str
-
-
-def takes_directory(build: Callable) -> bool:
-    return bool(inspect.signature(build).parameters)
-
-
-def directory(parent, name: str):
-    """A new directory ``name`` under ``parent``."""
-    (parent / name).mkdir()
-    return parent / name
-
-
-def rejects(row: Row, request, name: str | None = None) -> None:
-    """Run ``row`` in the test ``request`` asks for; a builder that takes a
-    directory gets the test's ``tmp_path``, or its subdirectory ``name``."""
-    tmp_path = None
-    if takes_directory(row.build):
-        tmp_path = request.getfixturevalue("tmp_path")
-        tmp_path = directory(tmp_path, name) if name else tmp_path
-    call, kwargs = row.build(tmp_path) if tmp_path else row.build()
-    if callable(row.edit):
-        row.edit(kwargs)
-    else:
-        kwargs.update(row.edit)
-    fragment = row.fragment.replace("{tmp}", str(tmp_path))
-    if isinstance(row.error, int):
-        with redirect_stderr(io.StringIO()) as err, redirect_stdout(io.StringIO()):
-            code = call(**kwargs)
-        assert (code, fragment in err.getvalue()) == (row.error, True), err.getvalue()
-        return
-    with pytest.raises(row.error, match=re.escape(fragment)) as info:
-        call(**kwargs)
-    assert type(info.value) is row.error
-
-
-def edited_json(edit: Callable, name: str | None = None) -> Callable:
-    """A row's edit that rewrites a JSON file after ``edit(value)`` changes its
-    parsed value in place: the file the arguments name (``path``), or the
-    file ``name`` in the directory they name (``in_dir``)."""
-    def apply(kwargs):
-        path = kwargs["in_dir"] / name if name else kwargs["path"]
-        value = json.loads(path.read_text())
-        edit(value)
-        path.write_text(json.dumps(value))
-    return apply
-
-
-def edited_sidecar(edit: Callable) -> Callable:
-    """A row's edit of a saved dataset's ``masks.json``; see ``edited_json``."""
-    return edited_json(edit, "masks.json")
+# The schema of ``read_json``'s own tests and of the JSON rows of ``test_rejections``.
+SCHEMA = {"name": "string", "size": "count", "rate?": "number",
+          "items": [{"m": "integer", "on?": "boolean"}]}
 
 
 def apart(call: Callable) -> Callable:

@@ -2,7 +2,8 @@ import json
 
 from msignn.jsonio import read_json, write_json
 
-from test_rejections import SCHEMA, former_tests
+from conftest import SCHEMA
+from test_rejections import former_tests
 
 
 def read(tmp_path, text, schema=SCHEMA):

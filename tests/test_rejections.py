@@ -1,17 +1,27 @@
 """Every rule an input boundary enforces, one table per boundary.
 
-A row (``conftest.Row``) is a valid builder, one edit, the error type or
-exit code, and a fragment of the message that names the rule; its key is the
-row's id. ``rows`` gives a group of rows one builder and a default error, and
+Seven tables: dataset files and ``masks.json`` (``FILES``), dataset objects
+(``DATASETS``), graphs and batches (``GRAPHS``), checkpoints and JSON files
+(``CHECKPOINTS``), settings objects (``SETTINGS``), call-time arguments
+(``CALLS``) and the command line (``CLI``). A row (``Row``) is a valid
+builder, one edit, the error type or exit code, and a fragment of the
+message that names the rule; its key is the row's id. ``rows`` gives a
+group of rows one builder and a default error, and
 ``test_builders_are_accepted`` checks that every builder, left unedited, is
-accepted. No two raises share a message, so a row's fragment names the check
-that fired. A row runs under the name of each former test of its rule
-(``FORMER``), or else in its table's test.
+accepted. No two raises share a message, so a row's fragment names the
+check that fired. A row runs under the name of each older one-rule test
+that checked it (``FORMER``, put into that test's module), or else in its
+table's test, ``test_files`` ... ``test_cli``.
 """
 
+import inspect
+import io
 import json
 import os
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from typing import Any, Callable, NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -34,8 +44,76 @@ from msignn.model import AttentionParams, MlpEncoder, MultiscaleImplicitGNN
 from msignn.probe import DecayCurve
 from msignn.train import evaluate
 
-from conftest import (Row, apart, directed_graph, directory, edited_json, edited_sidecar,
-                      rejects, takes_directory, undirected_graph)
+from conftest import SCHEMA, apart, directed_graph, undirected_graph
+
+
+class Row(NamedTuple):
+    """One rejected input, a row of a table.
+
+    ``build()`` returns a boundary (a callable) and keyword arguments it
+    accepts; a builder that writes files takes the row's directory,
+    ``build(directory)``. ``edit`` is the one change: a dict of replaced arguments, or
+    a function that edits the arguments or the files they name. The edited
+    call then raises exactly ``error``, no subclass of it, with ``fragment``
+    in its message (``{tmp}`` in it stands for the directory); or, when
+    ``error`` is an exit code, the boundary is ``cli.main``, returns that code
+    and writes ``fragment`` to stderr.
+    """
+
+    build: Callable
+    edit: Any
+    error: Any
+    fragment: str
+
+
+def takes_directory(build: Callable) -> bool:
+    return bool(inspect.signature(build).parameters)
+
+
+def directory(parent, name: str):
+    """A new directory ``name`` under ``parent``."""
+    (parent / name).mkdir()
+    return parent / name
+
+
+def rejects(row: Row, request, name: str | None = None) -> None:
+    """Run ``row`` in the test ``request`` asks for; a builder that takes a
+    directory gets the test's ``tmp_path``, or its subdirectory ``name``."""
+    tmp_path = None
+    if takes_directory(row.build):
+        tmp_path = request.getfixturevalue("tmp_path")
+        tmp_path = directory(tmp_path, name) if name else tmp_path
+    call, kwargs = row.build(tmp_path) if tmp_path else row.build()
+    if callable(row.edit):
+        row.edit(kwargs)
+    else:
+        kwargs.update(row.edit)
+    fragment = row.fragment.replace("{tmp}", str(tmp_path))
+    if isinstance(row.error, int):
+        with redirect_stderr(io.StringIO()) as err, redirect_stdout(io.StringIO()):
+            code = call(**kwargs)
+        assert (code, fragment in err.getvalue()) == (row.error, True), err.getvalue()
+        return
+    with pytest.raises(row.error, match=re.escape(fragment)) as info:
+        call(**kwargs)
+    assert type(info.value) is row.error
+
+
+def edited_json(edit: Callable, name: str | None = None) -> Callable:
+    """A row's edit that rewrites a JSON file after ``edit(value)`` changes its
+    parsed value in place: the file the arguments name (``path``), or the
+    file ``name`` in the directory they name (``in_dir``)."""
+    def apply(kwargs):
+        path = kwargs["in_dir"] / name if name else kwargs["path"]
+        value = json.loads(path.read_text())
+        edit(value)
+        path.write_text(json.dumps(value))
+    return apply
+
+
+def edited_sidecar(edit: Callable) -> Callable:
+    """A row's edit of a saved dataset's ``masks.json``; see ``edited_json``."""
+    return edited_json(edit, "masks.json")
 
 
 def rows(build, error, table):
@@ -357,8 +435,6 @@ def _text(text):
     return lambda kwargs: kwargs["path"].write_text(text)
 
 
-SCHEMA = {"name": "string", "size": "count", "rate?": "number",
-          "items": [{"m": "integer", "on?": "boolean"}]}
 NOT_AN_ARRAY = "{tmp}/ckpt.json: parameter 'decoder.w' must be a rectangular array of JSON numbers"
 CHECKPOINTS = {
     **rows(saved_model, ValueError, {
