@@ -36,64 +36,48 @@ The input decides how they are solved, and the result's ``path`` names it:
   connected component (undirected graphs and their batches): W = V C with
   eigen-coefficients C = (V^T R) / (1 - sigma^m c^T), whose denominators
   are all >= 1 - gamma. Such a solve reports 0 iterations and makes no
-  sparse product. A block whose nodes are one run of consecutive ids (its
-  ``rows`` a slice, as in a generated dataset or a batch of connected
-  graphs of one size) reads R and writes W as a (c, k, h) view of their
-  rows, with no gather or scatter; a block of interleaved components
-  gathers and scatters its rows. The arithmetic is the same either way, so
-  the results are bit-identical. The residual is a bound
-  (``_residual_bound``) on the true relative residual, derived from the
-  decomposition errors and the largest |sigma| that each spectrum block
-  measured once, and from the rounding of the closed form's own
-  arithmetic; S and its spectrum are read-only, so the blocks describe the
+  sparse product. A block reads and writes its rows as one slab where they
+  are consecutive ids and gathers them where components interleave, with
+  bit-identical results (``_closed_form``). The residual is a bound
+  (``_residual_bound``) on the true relative residual, from the errors
+  each spectrum block measured once and from the closed form's own
+  rounding; S and its spectrum are read-only, so the blocks describe the
   S being solved. The result keeps Q and C, from which
   ``weight_gradient`` forms Z* S^m without a hop;
 - "picard" for every other S (directed graphs, components above
   ``graph.SPECTRUM_MAX_COMPONENT`` nodes, any S made outside ``graph``),
   and when a closed form's bound is above tol (a wrong spectrum, or a tol
-  below what its rounding can certify): Picard iteration
-  W <- (op^m W) diag(c) + R until
-  ||W_next - W||_F / (||W||_F + 1e-12) <= tol, the same ratio in Z as Q
-  is orthogonal, from that closed form, from ``z0`` (forward solves) or
-  from zeros. From zeros the iterates are partial sums of the geometric
-  series. Each hop is one sparse-times-dense product with an operator
-  made once per solve: ``s.T``, a CSC view sharing S's arrays, or S
-  itself. Powers of S are never materialized.
+  below what its rounding can certify): Picard iteration (``_picard``)
+  from that closed form, from ``z0`` (forward solves) or from zeros, whose
+  iterates are then partial sums of the geometric series. Each hop is one
+  sparse-times-dense product; powers of S are never materialized.
 
 Every result records the S it was solved on, and ``weight_gradient``
 reads S from it: the spectrum whose blocks a closed form's C belongs to,
 or the S that a Picard result's Z* is hopped on.
 
 Shared state: what the solves of one scale share depends on F and S,
-never on H or dL/dZ*, so each ``ScaleModule`` keeps it (``_Basis``): a
-copy of F's bytes, F^T F and its norm, c and Q, and, for the last spectrum
-it solved on, that spectrum (held by reference, so a freed one's id cannot
-name a new one), each block's sigma^m and denominators 1 - sigma^m c^T
-and the closed form's residual bound. Every solve and ``weight_gradient``
-compares F's bytes with the copy and makes the state again only when they
-differ or S's spectrum is another; F is edited in place (by the
-optimizer, by ``train_loop``'s restore of the best epoch, by
-finite-difference checks), so neither identity nor a counter would do. A
-non-finite g(F) raises before anything is kept. The state is built whole,
-its arrays read-only, and published by one assignment, so solves of one
-module may run in several threads. It keeps K sets of denominators alive
-for a K-scale model, those of the last graph each scale solved on: n x h
-floats each, but k x h for a block whose c components repeat one (its
-arrays stride-0 views, see ``graph``), whose sigma^m and denominators are
-computed on that one's row and broadcast.
-Within a training step at one F, a scale's forward solve, adjoint solve
-and weight gradient so run one ``eigh`` between them, and a predict of a
-graph already solved at that F runs none.
+never on H or dL/dZ*, so each ``ScaleModule`` keeps it (``_Basis``).
+Every solve and ``weight_gradient`` compares F's bytes with the state's
+copy and makes the state again only when they differ or S's spectrum is
+another; F is edited in place (by the optimizer, by ``train_loop``'s
+restore of the best epoch, by finite-difference checks), so neither
+identity nor a counter would do. A non-finite g(F) raises before
+anything is kept. The state is built whole, its arrays read-only, and
+published by one assignment, so solves of one module may run in several
+threads. It keeps K sets of denominators alive for a K-scale model, those
+of the last graph each scale solved on: n x h floats each, but k x h for
+a block whose components repeat one (``_per_component``). Within a
+training step at one F, a scale's forward solve, adjoint solve and weight
+gradient so run one ``eigh`` between them, and a predict of a graph
+already solved at that F runs none.
 
 Working memory: a solve makes R in an n x h array that the calling thread
-reuses on its next solve of the same shape (``numerics.reused``, whose
-"solve" slot keeps only the last shape's array), and a closed form writes
-W over R, since the blocks partition the rows and each reads its rows of R
-before it writes them; a closed form that goes on as Picard makes R again.
-So the pages of R are not handed back to the system and faulted in again
-between the solves of a training step. A reused array never outlives the
-call that filled it: nothing returned (Z*, Q, C, U) or kept in a trace is
-one.
+reuses on its next solve of the same shape (``numerics.reused``), and a
+closed form writes W over R, so the pages of R are not handed back to the
+system and faulted in again between the solves of a training step. A
+reused array never outlives the call that filled it: nothing returned
+(Z*, Q, C, U) or kept in a trace is one.
 
 gamma = 0 needs no special case: a closed form reports 0 iterations and a
 solve from zeros 2. ``oracle_solve`` solves the vectorized system
@@ -175,8 +159,11 @@ class EquilibriumResult:
 
 @dataclass(frozen=True)
 class _Basis:
-    """What a scale's solves share at one content of F: g(F)'s eigenbasis,
-    and the closed form's constants on the last spectrum solved on.
+    """What a scale's solves share at one content of F: a copy of F's bytes,
+    F^T F and its norm, c and Q, and, for the last spectrum solved on, that
+    spectrum (held by reference, so a freed one's id cannot name a new
+    one), each block's sigma^m and denominators 1 - sigma^m c^T, and the
+    closed form's residual bound.
 
     Never changed once made: a new F or spectrum makes a new one. Its
     arrays are read-only.
@@ -212,11 +199,6 @@ def _propagate(y: np.ndarray, op, m: int) -> np.ndarray:
     return y
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.flags.writeable = False
-
-
 def _shared(module: ScaleModule, what: str, blocks) -> _Basis:
     """The module's ``_Basis`` at its current F, with the closed form's
     constants on ``blocks`` unless they are None; made and published again
@@ -239,7 +221,7 @@ def _shared(module: ScaleModule, what: str, blocks) -> _Basis:
                                   "or entries whose Gram matrix F^T F overflows")
         lam, q = np.linalg.eigh(g)
         c = module.gamma * lam
-        _read_only(gram, c, q)
+        numerics.read_only(gram, c, q)
     powers = denominators = ()
     bound = np.inf
     if blocks is not None:
@@ -258,7 +240,7 @@ def _per_component(f, a: np.ndarray, arg) -> np.ndarray:
     axis, as a block of one decomposition does), ``f`` maps that row only
     and its result is broadcast, so it is stored once."""
     out = f(a[:1] if a.strides[0] == 0 else a, arg)
-    _read_only(out)
+    numerics.read_only(out)
     return np.broadcast_to(out, (len(a), *out.shape[1:])) if a.strides[0] == 0 else out
 
 
@@ -275,9 +257,12 @@ def _solve(module: ScaleModule, s, injected: np.ndarray, cfg: SolverConfig,
            z0: np.ndarray | None, adjoint: bool) -> EquilibriumResult:
     """Solve Y = gamma op^m Y g(F) + injected^T for W = Y Q; returns Z = Y^T.
 
-    ``op`` is S for the adjoint and S^T for the forward solve. S carries
+    ``op`` is S for the adjoint and S^T for the forward solve, made once per
+    solve: ``s.T``, a CSC view sharing S's arrays, or S itself. S carries
     the spectrum when there is one. R = injected^T Q is the thread's
-    reused array (``numerics.reused``); the closed form writes W over it.
+    reused array (the "solve" slot of ``numerics.reused``, which keeps only
+    the last shape's array); the closed form writes W over it, and one
+    that goes on as Picard makes R again.
     """
     what = "adjoint solve" if adjoint else "forward solve"
     if injected.ndim != 2:
@@ -323,7 +308,12 @@ def _closed_form(basis: _Basis, rhs: np.ndarray) -> tuple[np.ndarray, list[np.nd
     """W = V C, C = (V^T R) / (1 - sigma^m c^T), block by block; returns W and each C.
 
     W is written over R: the blocks partition the rows, and each reads its
-    rows of R before it writes them.
+    rows of R before it writes them. A block whose ``rows`` are a slice (its
+    nodes one run of consecutive ids, as in a generated dataset or a batch
+    of connected graphs of one size) reads R and writes W as a (c, k, h)
+    view of those rows, with no gather or scatter; a block of interleaved
+    components gathers and scatters them. The arithmetic is the same
+    either way, so the results are bit-identical.
     """
     coefficients = []
     for b, denominators in zip(basis.blocks, basis.denominators):
@@ -392,7 +382,11 @@ def _residual_bound(c: np.ndarray, blocks, m: int) -> float:
 
 def _picard(c: np.ndarray, op, m: int, rhs: np.ndarray, w: np.ndarray,
             cfg: SolverConfig, what: str) -> tuple[np.ndarray, int, float]:
-    """Iterate W <- (op^m W) diag(c) + R from W = w (overwritten); returns W, steps, residual."""
+    """Iterate W <- (op^m W) diag(c) + R from W = w (overwritten); returns W, steps, residual.
+
+    It stops once ||W_next - W||_F / (||W||_F + 1e-12) <= tol, the same
+    ratio in Z as Q is orthogonal.
+    """
     # diag(c) is one flat multiply by c tiled per row: broadcasting c over the
     # rows would run an inner loop of length h once per row.
     tiled = np.tile(c, rhs.shape[0])

@@ -16,72 +16,52 @@ S = D^{-1/2} (A + I) D^{-1/2}, a directed graph no self-loops and
 S = D_out^{-1/2} A D_in^{-1/2} (directed chains must not short-circuit
 their own information-passing test). ``build_graph``, which the
 generators and loaders go through, validates and canonicalizes its
-adjacency once with ``numerics.as_csr``. That checks a compressed input's
-``indptr`` and ``indices`` itself, with numpy, before scipy reads them,
-and drops explicitly stored zeros, so a Graph's adjacency, its hop
-distances and its saved edge list agree with S. Weights must be
-non-negative, which the contraction bound of ``equilibrium`` rests on.
-What the library derives from a validated matrix, the normalized S and
-the block-diagonal merges of ``batch``, is canonical by construction and
-not checked again.
+adjacency once with ``numerics.as_csr``, which drops explicitly stored
+zeros, so a Graph's adjacency, its hop distances and its saved edge list
+agree with S. Weights must be non-negative, which the contraction bound
+of ``equilibrium`` rests on. What the library derives from a validated
+matrix, the normalized S and the block-diagonal merges of ``batch``, is
+canonical by construction and not checked again.
 
 Every S, merged ones included, is assembled from numpy arrays by one
 ``sp.csr_array((data, indices, indptr))`` call: on small graphs scipy's
-sparse operations cost more in bookkeeping than in arithmetic. It is the
-one scipy construction of a ``build_graph`` call whose adjacency is
-already a canonical float64 CSR array, which ``as_csr`` keeps as it is.
-The diagonal of A + I is put in place by one stable sort of (row,
-column) keys; every row of A + I holds its diagonal, so its degrees are
-one ``np.add.reduceat`` with no zero to guard; and the entries are
-filtered only when one underflowed to 0. Degrees are summed in the order
-scipy's sparse sums use, so S is bit-identical to the formula evaluated
-with scipy's sparse operations. S owns its arrays: none is the
-adjacency's.
+sparse operations cost more in bookkeeping than in arithmetic. S is
+bit-identical to the formula evaluated with scipy's sparse operations
+(``_normalize`` says how), and owns its arrays: none is the adjacency's.
 
 The S of an undirected graph is symmetric, and ``spectrum(s)`` gives its
 eigendecomposition, one dense ``eigh`` per distinct connected component,
 which gives ``equilibrium`` its closed form. Each block also keeps the
-errors of each of its components' decomposition, its ``norms``, measured
-once per distinct component from the dense blocks it is made from, from
+measured errors of its components' decompositions, its ``norms``, from
 which the solves bound a closed form's residual without touching S again.
 
-``build_graph`` marks such an S, and the eigendecomposition is computed
-on the first call and cached on S itself, so it is paid once per graph
-and only by graphs that are solved or batched. ``batch`` gives the
-merged S its spectrum when it makes S, one block per component size, so
-a solve on a batch loops over sizes, not members. It gets that spectrum
-one of two ways. While any member is still pending, the batch decomposes
-its own S, by one ``eigh`` per component size, and each pending member
-keeps its own rows of the result, ``norms`` included: views that cost
-only their slicing, as a block computes its ``rows``, ``radius``,
-``error`` and ``drift`` on first read. When none is, the batch
-decomposes nothing and stacks its members' blocks. Directed graphs, and
-undirected ones with a component above ``SPECTRUM_MAX_COMPONENT`` nodes,
-have no spectrum, nor has a batch with such a member. A block's
-components are ordered by their smallest node, so where the components
-of each size are adjacent runs of consecutive ids, as in a generated
-dataset or a batch of connected graphs of one size, each block's nodes
-form one run and its ``rows`` are a slice, which the solves read and
-write as a slab of an n x h array.
+``build_graph`` marks such an S pending, and the eigendecomposition is
+computed on the first call and cached on S itself, so it is paid once per
+graph and only by graphs that are solved or batched. ``batch`` gives the
+merged S its spectrum when it makes S, one block per component size, so a
+solve on a batch loops over sizes, not members: while any member is
+pending, by decomposing its own S, whose rows each pending member keeps;
+otherwise by stacking its members' blocks (``_batch_spectrum``). Directed
+graphs, and undirected ones with a component above
+``SPECTRUM_MAX_COMPONENT`` nodes, have no spectrum, nor has a batch with
+such a member. A block's components are ordered by their smallest node,
+so where the components of each size are adjacent runs of consecutive
+ids, as in a generated dataset or a batch of connected graphs of one
+size, each block's ``rows`` are a slice, which the solves read and write
+as a slab of an n x h array.
 
-The components of one size form a (c, k, k) stack of dense blocks. Blocks
-that are bit for bit the same, as the 0/1 chains of one length that the
-generators make are, are decomposed once. ``_distinct`` groups them in a
-dict keyed by each block's bytes: exact, as a dict compares keys of equal
-hash byte for byte, and with no constant to tune. Every copy takes the
-first block's eigenvalues, eigenvectors and errors, so the result is
-bit-identical to decomposing each. The distinct blocks go through one
-``eigh`` call. Where they are one block, as in a dataset of one chain
-length, each array of the size's spectrum block is that one result seen c
-times, a stride-0 view of it, stored once; where there are several, each
-component gets a copy of its own. Members that keep rows of one such
+Components that are bit for bit the same, as the 0/1 chains of one length
+that the generators make are, are decomposed once, with a result
+bit-identical to decomposing each (``_decompose``). Where all of a size's
+components repeat one, each array of its block is that one result seen c
+times, a stride-0 view stored once, and members holding rows of one such
 result stack to a stride-0 view again. Nothing is kept between
 decompositions, so separate graphs share no work.
 
 What a spectrum was measured on must not change under it, so the arrays
 of every S that ``build_graph`` or ``batch`` makes (``data``, ``indices``,
-``indptr``) and of every spectrum block are read-only: writing to one
-raises ``ValueError``.
+``indptr``) and of every spectrum block are read-only
+(``numerics.read_only``): writing to one raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -177,8 +157,7 @@ class SpectrumBlock:
     norms: np.ndarray
 
     def __post_init__(self):
-        for a in (self.nodes, self.values, self.vectors, self.norms):
-            a.flags.writeable = False
+        numerics.read_only(self.nodes, self.values, self.vectors, self.norms)
 
     @cached_property
     def error(self) -> float:
@@ -360,8 +339,13 @@ def _normalize(indptr, indices, data, rows, directed: bool) -> sp.csr_array:
     directed graph) get a normalization factor of 0, so those nodes stay
     decoupled instead of raising a division error. Row sums are reduced
     with ``np.add.reduceat``, as scipy's ``sum(axis=1)`` does, and column
-    sums accumulated entry by entry, as ``ones @ A`` does. S's arrays are
-    its own, never the adjacency's.
+    sums accumulated entry by entry, as ``ones @ A`` does, so S is
+    bit-identical to the formula evaluated with scipy's sparse operations.
+    The diagonal of A + I is put in place by one stable sort, and the
+    entries are filtered only when one underflowed to 0. S's arrays are
+    its own, never the adjacency's; for an adjacency that ``as_csr`` kept
+    as it was given, the one ``sp.csr_array`` call here is the only scipy
+    construction of its ``build_graph`` call.
     """
     n = indptr.size - 1
     if directed:
@@ -394,13 +378,8 @@ def _normalize(indptr, indices, data, rows, directed: bool) -> sp.csr_array:
             indices = indices.copy()
     else:
         indptr, indices, data = _kept(indptr, indices, data, data != 0)
-    return _read_only(sp.csr_array((data, indices, indptr), shape=(n, n)))
-
-
-def _read_only(s: sp.csr_array) -> sp.csr_array:
-    """S with its three arrays, which it owns, made read-only."""
-    for a in (s.data, s.indices, s.indptr):
-        a.flags.writeable = False
+    s = sp.csr_array((data, indices, indptr), shape=(n, n))
+    numerics.read_only(s.data, s.indices, s.indptr)  # S owns them
     return s
 
 
@@ -522,7 +501,8 @@ def _block_diagonal(matrices) -> tuple[sp.csr_array, np.ndarray]:
         np.cumsum([0] + nnz[:-1]), sizes)
     s = sp.csr_array((np.concatenate([a.data for a in matrices]), indices.astype(idx),
                       np.concatenate(([0], indptr)).astype(idx)), shape=(n, n))
-    return _read_only(s), offsets
+    numerics.read_only(s.data, s.indices, s.indptr)
+    return s, offsets
 
 
 def _batch_spectrum(graphs: list[Graph], s, offsets) -> list[SpectrumBlock] | None:

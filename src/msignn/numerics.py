@@ -3,15 +3,16 @@
 What is here: coercion and validation (``as_dense``, ``as_csr``,
 ``set_integers``), the dense-times-CSR product ``spmm_right``,
 ``softmax_scales``, the model's softmax over the leading (scale) axis of
-a (k, n) array, and ``reused`` and ``release``, the per-thread working
-arrays of the solves and the backward. Plain numpy calls (norms included) are used
+a (k, n) array, ``reused`` and ``release``, the per-thread working
+arrays of the solves and the backward, and ``read_only``, which freezes
+arrays that results share. Plain numpy calls (norms included) are used
 directly everywhere else.
 
 Dense matrices are 2-D float64 C-order ndarrays; sparse matrices are
 scipy CSR arrays in canonical form (sorted column indices, no duplicates,
 no stored zeros). Everything here but ``set_integers``, which a frozen
-settings dataclass calls on itself while it is made, ``reused`` and
-``release`` is a pure function: inputs are never mutated, so values can be shared freely
+settings dataclass calls on itself while it is made, ``reused``,
+``release`` and ``read_only`` is a pure function: inputs are never mutated, so values can be shared freely
 across threads.
 
 ``as_csr`` is the one place a sparse matrix from outside the library is
@@ -50,6 +51,7 @@ __all__ = [
     "set_integers",
     "reused",
     "release",
+    "read_only",
     "spmm_right",
     "softmax_scales",
 ]
@@ -186,6 +188,13 @@ def reused(slot: str, shape: tuple[int, ...], count: int = 1) -> tuple[np.ndarra
 def release(slot: str) -> None:
     """Drop the calling thread's arrays of ``slot``, if it holds any."""
     vars(_thread).get("pool", {}).pop(slot, None)
+
+
+def read_only(*arrays: np.ndarray) -> None:
+    """Make each array read-only, so that no caller can change in place what
+    a cached result, such as S, its spectrum or g(F)'s eigenbasis, shares."""
+    for a in arrays:
+        a.flags.writeable = False
 
 
 def spmm_right(z: np.ndarray, s: sp.csr_array) -> np.ndarray:

@@ -1,8 +1,12 @@
 import os
 import pickle
+import re
+import subprocess
+import sys
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -13,14 +17,18 @@ import scipy.sparse as sp
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from msignn import (EquilibriumResult, SolverConfig, adjoint_solve, build_graph, equilibrium,
-                    forward_solve, weight_gradient)
+from msignn import (ChainsSpec, EquilibriumResult, ScaleModule, SolverConfig, adjoint_solve,
+                    build_graph, equilibrium, forward_solve, gen_chains, measure_decay,
+                    weight_gradient)
+from msignn.model import MlpEncoder, glorot_uniform
 from msignn.train import bce_with_logits, cross_entropy
 
 # Property tests draw the same examples on every run and keep no example
 # database; a test's own ``settings`` sets only how many it draws.
 settings.register_profile("msignn", deadline=None, derandomize=True, database=None)
 settings.load_profile("msignn")
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_undirected_graph(rng, n, density=0.3, feat_dim=3, num_classes=2):
@@ -124,6 +132,52 @@ graph_specs = st.tuples(seeds, st.lists(st.integers(1, 7), min_size=1, max_size=
 undirected_graphs = graph_specs.map(lambda spec: undirected_graph(*spec))
 # F -> 0 covers g(F) = 0 and the eps-dominated regime of g.
 f_scales = st.sampled_from([0.0, 1e-9, 1e-3, 0.3, 1.0, 3.0])
+
+
+def consecutive_splits(train, val, test):
+    """``Dataset`` keywords of split masks that are runs of consecutive ids, in order."""
+    split = np.repeat([0, 1, 2], [train, val, test])
+    return {f"{name}_mask": split == k for k, name in enumerate(("train", "val", "test"))}
+
+
+def relabelled(ds, labels):
+    """Node dataset ``ds`` with its graph's labels replaced by ``labels``."""
+    g = ds.graph
+    return replace(ds, graph=build_graph(g.adjacency, g.features, labels))
+
+
+def probe_encoder(rng, feature_dim, hidden):
+    """A two-layer MLP encoder's forward, and an F of gain 0.5, drawn in that order."""
+    encoder = MlpEncoder([glorot_uniform(rng, hidden, feature_dim),
+                          glorot_uniform(rng, hidden, hidden)])
+    return (lambda x: encoder.forward(x)[0]), glorot_uniform(rng, hidden, hidden, gain=0.5)
+
+
+def chain_probe_setup(length, hidden=6, seed=0):
+    """One chain, a ``probe_encoder`` and F, and a solver config that resolves every hop."""
+    rng = np.random.default_rng(seed)
+    g = gen_chains(ChainsSpec(num_classes=1, chains_per_class=1, length=length,
+                              seed=seed)).graph
+    encode, f_weight = probe_encoder(rng, g.feature_dim, hidden)
+    return g, encode, f_weight, SolverConfig(tol=1e-15, max_iters=length + 50)
+
+
+def assert_trained_alike(out_a, out_b):
+    """Two ``train`` runs wrote byte-identical checkpoints, metrics and history,
+    but for the history's last column, the measured wall time."""
+    for name in ("checkpoint.json", "metrics.json"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    history = [[",".join(r.split(",")[:-1])
+                for r in (out / "history.csv").read_text().strip().split("\n")]
+               for out in (out_a, out_b)]
+    assert history[0] == history[1]
+
+
+def chain_decay(length, hidden=6, **module):
+    """``measure_decay`` from node 0 of ``chain_probe_setup(length, hidden)``'s
+    chain, through a scale module of ``module`` on its F."""
+    g, encode, f_weight, cfg = chain_probe_setup(length, hidden)
+    return measure_decay(ScaleModule(f_weight=f_weight, **module), g, encode, p=0, cfg=cfg)
 
 
 def rel_error(a, b):
@@ -260,6 +314,33 @@ def check_gradients(model, data, labels):
     return trace, counter
 
 
+def recording(patch, owner, name: str, note: Callable = lambda *args, **kwargs: args,
+              calls: list | None = None) -> list:
+    """Patch ``owner.name`` to run as before, after appending ``note`` of
+    each call's arguments to ``calls`` (a new list if None), which it returns."""
+    calls = [] if calls is None else calls
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(note(*args, **kwargs))
+        return original(*args, **kwargs)
+
+    patch.setattr(owner, name, recorded)
+    return calls
+
+
+def pytest_collectstart(collector):
+    """Put a module's former one-rule tests (``test_rejections.FORMER``) in its namespace."""
+    if isinstance(collector, pytest.Module):
+        try:
+            from test_rejections import FORMER, former_tests
+            module = collector.obj
+        except Exception:  # the failed import is reported where the module is collected
+            return
+        if module.__name__ in FORMER:
+            vars(module).update(former_tests(module.__name__))
+
+
 @pytest.fixture
 def hops():
     with counting_hops() as counter:
@@ -269,6 +350,24 @@ def hops():
 # The schema of ``read_json``'s own tests and of the JSON rows of ``test_rejections``.
 SCHEMA = {"name": "string", "size": "count", "rate?": "number",
           "items": [{"m": "integer", "on?": "boolean"}]}
+
+
+def sources(*folders: str) -> list[Path]:
+    """The ``.py`` files of each folder under the repository root, sorted by name."""
+    return [path for folder in folders for path in sorted((ROOT / folder).glob("*.py"))]
+
+
+def matching_lines(pattern: re.Pattern, source: str) -> list[str]:
+    """Each line of ``source`` that ``pattern`` matches, as ``line N: text``."""
+    return [f"line {number}: {line.strip()}"
+            for number, line in enumerate(source.splitlines(), start=1)
+            if pattern.search(line)]
+
+
+def run_python(*args: str, cwd) -> subprocess.CompletedProcess:
+    """``python *args`` run in ``cwd``, importing the package from ``src``."""
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120)
 
 
 def apart(call: Callable) -> Callable:

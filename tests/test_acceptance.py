@@ -20,10 +20,10 @@ from msignn import (ChainsSpec, ColorCountingSpec, ScaleModule, SolverConfig,
                     train_loop)
 from msignn.cli import main
 from msignn.graph import build_graph
-from msignn.model import MlpEncoder, MultiscaleImplicitGNN, glorot_uniform
+from msignn.model import MultiscaleImplicitGNN
 
-from conftest import (check_gradients, counting_hops, picard_steps, random_undirected_graph,
-                      undirected_graph)
+from conftest import (assert_trained_alike, chain_decay, check_gradients, counting_hops,
+                      picard_steps, probe_encoder, random_undirected_graph, undirected_graph)
 
 import scipy.sparse as sp
 
@@ -63,22 +63,8 @@ def test_criterion_1_chains_full_accuracy():
 
 # -- 2. decay reproduction ---------------------------------------------------
 
-def probe_setup(length, hidden=10, seed=0):
-    rng = np.random.default_rng(seed)
-    chain = gen_chains(ChainsSpec(num_classes=1, chains_per_class=1,
-                                  length=length, seed=seed))
-    graph = chain.graph
-    encoder = MlpEncoder([glorot_uniform(rng, hidden, graph.feature_dim),
-                          glorot_uniform(rng, hidden, hidden)])
-    f_weight = glorot_uniform(rng, hidden, hidden, gain=0.5)
-    cfg = SolverConfig(tol=1e-15, max_iters=length + 50)
-    return graph, (lambda x: encoder.forward(x)[0]), f_weight, cfg
-
-
 def test_criterion_2_decay_reproduction():
-    graph, encode, f_weight, cfg = probe_setup(length=60)
-    curve = measure_decay(ScaleModule(f_weight=f_weight, gamma=0.5, scale_m=1),
-                          graph, encode, p=0, cfg=cfg)
+    curve = chain_decay(60, hidden=10, gamma=0.5, scale_m=1)
     below = curve.hops[curve.measured < 1e-12]
     first_below = int(below.min())
     assert 20 <= first_below <= 30, \
@@ -87,8 +73,7 @@ def test_criterion_2_decay_reproduction():
     theta = 1e-8
     ranges = []
     for gamma in (0.3, 0.5, 0.7, 0.9):
-        c = measure_decay(ScaleModule(f_weight=f_weight, gamma=gamma, scale_m=1),
-                          graph, encode, p=0, cfg=cfg)
+        c = chain_decay(60, hidden=10, gamma=gamma, scale_m=1)
         ranges.append(empirical_range(c, theta))
     assert ranges == sorted(ranges) and len(set(ranges)) == 4, \
         f"ranges not strictly ordered in gamma: {ranges}"
@@ -121,15 +106,11 @@ def test_criterion_3_bound_soundness():
             graph = chain.graph
         else:
             graph = random_directed_tree(rng, n)
-        hidden = int(rng.integers(3, 12))
-        encoder = MlpEncoder([glorot_uniform(rng, hidden, graph.feature_dim),
-                              glorot_uniform(rng, hidden, hidden)])
-        module = ScaleModule(f_weight=glorot_uniform(rng, hidden, hidden, gain=0.5),
-                             gamma=float(rng.uniform(0.3, 0.95)),
+        encode, f_weight = probe_encoder(rng, graph.feature_dim, int(rng.integers(3, 12)))
+        module = ScaleModule(f_weight=f_weight, gamma=float(rng.uniform(0.3, 0.95)),
                              scale_m=int(rng.integers(1, 5)))
         cfg = SolverConfig(tol=1e-15, max_iters=n + 50)
-        curve = measure_decay(module, graph, lambda x: encoder.forward(x)[0],
-                              p=0, cfg=cfg)
+        curve = measure_decay(module, graph, encode, p=0, cfg=cfg)
         violations = np.sum(curve.measured > curve.bound + 1e-12)
         assert violations == 0, \
             f"trial {trial}: {violations} hops violate the decay bound"
@@ -141,12 +122,10 @@ def test_criterion_3_bound_soundness():
 # -- 4. range expansion with the scale exponent ------------------------------
 
 def test_criterion_4_range_expansion():
-    graph, encode, f_weight, cfg = probe_setup(length=200)
     theta = 1e-8
     ranges = {}
     for m in (1, 4):
-        curve = measure_decay(ScaleModule(f_weight=f_weight, gamma=0.5, scale_m=m),
-                              graph, encode, p=0, cfg=cfg)
+        curve = chain_decay(200, hidden=10, gamma=0.5, scale_m=m)
         ranges[m] = empirical_range(curve, theta)
     assert ranges[4] >= 3 * ranges[1], f"m=4 range {ranges[4]} < 3x m=1 range {ranges[1]}"
     # the closed-form bound scales exactly linearly in m before flooring
@@ -299,15 +278,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
     out_a, out_b = tmp_path / "ta", tmp_path / "tb"
     assert main(train_args + ["--out", str(out_a)]) == 0
     assert main(train_args + ["--out", str(out_b)]) == 0
-    assert (out_a / "checkpoint.json").read_bytes() == (out_b / "checkpoint.json").read_bytes()
-    assert (out_a / "metrics.json").read_bytes() == (out_b / "metrics.json").read_bytes()
-
-    def without_seconds(path):
-        rows = path.read_text().strip().split("\n")
-        return [",".join(r.split(",")[:-1]) for r in rows]
-
-    # the seconds column is measured wall time; everything else is exact
-    assert without_seconds(out_a / "history.csv") == without_seconds(out_b / "history.csv")
+    assert_trained_alike(out_a, out_b)
 
     probe_args = ["probe-range", "--gammas", "0.5,0.7", "--scales", "1,2",
                   "--length", "25", "--seed", "9"]

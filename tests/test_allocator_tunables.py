@@ -6,21 +6,18 @@ environment variable) would hide heap churn from the benchmark instead of
 removing it, so none of those names may appear in the sources."""
 
 import re
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-SOURCES = [path for folder in ("src/msignn", "perfbench")
-           for path in sorted((ROOT / folder).glob("*.py"))]
+from conftest import matching_lines, sources
+
+SOURCES = sources("src/msignn", "perfbench")
 TUNABLE = re.compile(r"mallopt|ctypes|MALLOC_")
 
 
 def tunables(source: str) -> list[str]:
     """Each line of ``source`` that names an allocator tunable, with its number."""
-    return [f"line {number}: {line.strip()}"
-            for number, line in enumerate(source.splitlines(), start=1)
-            if TUNABLE.search(line)]
+    return matching_lines(TUNABLE, source)
 
 
 def test_the_guard_sees_a_tunable():

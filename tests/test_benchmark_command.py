@@ -10,11 +10,11 @@ timing is taken.
 
 import json
 import subprocess
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT
+
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 

@@ -12,7 +12,7 @@ import msignn.model
 from msignn import TrainConfig, batch, init_model, train_loop
 from msignn.datasets import Dataset, GraphDataset
 
-from conftest import random_undirected_graph
+from conftest import consecutive_splits, random_undirected_graph
 
 
 @pytest.fixture
@@ -38,9 +38,7 @@ def test_tracer_restores_every_patched_name(tracing):
 
 def _node_problem(rng):
     graph = random_undirected_graph(rng, 8)
-    data = Dataset(graph=graph, train_mask=np.arange(8) < 4,
-                   val_mask=(np.arange(8) >= 4) & (np.arange(8) < 6),
-                   test_mask=np.arange(8) >= 6, spec_echo={})
+    data = Dataset(graph=graph, spec_echo={}, **consecutive_splits(4, 2, 2))
     model = init_model(rng, graph.feature_dim, 4, 2, scale_exponents=(1, 2))
     return model, data, graph, set()
 
@@ -48,9 +46,7 @@ def _node_problem(rng):
 def _graph_problem(rng):
     graphs = [random_undirected_graph(rng, 4) for _ in range(4)]
     data = GraphDataset(graphs=graphs, labels=np.array([0, 1, 0, 1]),
-                        train_mask=np.array([True, True, False, False]),
-                        val_mask=np.array([False, False, True, False]),
-                        test_mask=np.array([False, False, False, True]))
+                        **consecutive_splits(2, 1, 1))
     model = init_model(rng, graphs[0].feature_dim, 4, 2, scale_exponents=(1, 2),
                        task="graph")
     return model, data, batch(graphs), {"graph.batch", "model.sum_pool"}

@@ -1,14 +1,13 @@
 import json
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from msignn import build_graph, errors, load_dataset, save_dataset
+from msignn import errors, load_dataset, save_dataset
 from msignn.cli import EXIT_DATA, EXIT_OK, OUT_DIR_ENV, main
 
-from test_rejections import former_tests
+from conftest import assert_trained_alike, relabelled
 
 
 def run(capsys, *argv):
@@ -53,8 +52,7 @@ def test_gen_colors(tmp_path, capsys):
 
 
 def test_train_und_eval_round_trip(tmp_path, capsys):
-    data_dir = tmp_path / "data"
-    run(capsys, "gen-chains", "--length", "5", "--out", str(data_dir))
+    data_dir = gen_chains_dir(tmp_path, capsys, 5)
     out = tmp_path / "run"
     code, stdout, _ = run(capsys, "train", "--data", str(data_dir),
                           "--epochs", "5", "--hidden", "4", "--out", str(out))
@@ -136,15 +134,7 @@ def test_train_rerun_byte_identical(tmp_path, capsys):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     run(capsys, *args, "--out", str(out_a))
     run(capsys, *args, "--out", str(out_b))
-    assert (out_a / "checkpoint.json").read_bytes() == (out_b / "checkpoint.json").read_bytes()
-    assert (out_a / "metrics.json").read_bytes() == (out_b / "metrics.json").read_bytes()
-
-    def strip_seconds(path):
-        rows = path.read_text().strip().split("\n")
-        return ["," .join(r.split(",")[:-1]) for r in rows]
-
-    # wall-time column is measured, everything else must match exactly
-    assert strip_seconds(out_a / "history.csv") == strip_seconds(out_b / "history.csv")
+    assert_trained_alike(out_a, out_b)
 
 
 def test_probe_range_outputs_and_determinism(tmp_path, capsys):
@@ -243,13 +233,17 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert echoed["seed"] == 9     # file overrides default
 
 
-def test_a_multi_hot_model_trains_saves_and_scores_only_multi_hot_labels(tmp_path, capsys):
+def _classes_and_multi_hot(tmp_path, capsys):
+    """A small color-counting dataset's directory, and that of its copy with one-hot labels."""
     classes, multi_hot = tmp_path / "classes", tmp_path / "multi-hot"
     run(capsys, "gen-colors", "--chains", "4", "--length", "6", "--out", str(classes))
     ds = load_dataset(classes)
-    g = ds.graph
-    save_dataset(replace(ds, graph=build_graph(g.adjacency, g.features,
-                                               np.eye(3)[:, g.labels])), multi_hot)
+    save_dataset(relabelled(ds, np.eye(3)[:, ds.graph.labels]), multi_hot)
+    return classes, multi_hot
+
+
+def test_a_multi_hot_model_trains_saves_and_scores_only_multi_hot_labels(tmp_path, capsys):
+    classes, multi_hot = _classes_and_multi_hot(tmp_path, capsys)
     out = tmp_path / "run"
     code, stdout, _ = run(capsys, "train", "--data", str(multi_hot), "--epochs", "2",
                           "--hidden", "4", "--out", str(out))
@@ -263,12 +257,7 @@ def test_a_multi_hot_model_trains_saves_and_scores_only_multi_hot_labels(tmp_pat
 
 
 def test_eval_names_a_multi_hot_checkpoint_that_predates_its_label_kind(tmp_path, capsys):
-    classes, multi_hot = tmp_path / "classes", tmp_path / "multi-hot"
-    run(capsys, "gen-colors", "--chains", "4", "--length", "6", "--out", str(classes))
-    ds = load_dataset(classes)
-    g = ds.graph
-    save_dataset(replace(ds, graph=build_graph(g.adjacency, g.features,
-                                               np.eye(3)[:, g.labels])), multi_hot)
+    classes, multi_hot = _classes_and_multi_hot(tmp_path, capsys)
     out = tmp_path / "run"
     run(capsys, "train", "--data", str(multi_hot), "--epochs", "0", "--hidden", "4",
         "--out", str(out))
@@ -348,7 +337,3 @@ def test_config_values_of_each_flag_type_are_accepted(tmp_path, capsys):
     assert code == EXIT_OK
     echoed = json.loads((out / "config.json").read_text())
     assert {k: echoed[k] for k in cfg} == cfg
-
-
-# Its tests of one rule each are rows now; test_rejections.FORMER names them.
-globals().update(former_tests(__name__))

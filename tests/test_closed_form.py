@@ -2,22 +2,21 @@
 
 ``build_graph`` gives the S of an undirected graph a spectrum, one
 eigendecomposition per connected component, so ``forward_solve`` and
-``adjoint_solve`` on it take the closed form. These tests cover that
+``adjoint_solve`` on it take the closed form. The first tests cover that
 kernel's own properties: batches solve like their members, component
-labels, the spectrum's reassembly, caching and read-only arrays, the cap
-on component size, a wrong spectrum, the residual bound, the rows a
-block reads as one slab or gathers, which give bit-identical results, a
-stack's decomposition, which gives each component the bits of its own,
-components alike bit for bit, which share one ``eigh``, while components
-that differ, even by one ulp, do not, and a size whose components all
-repeat one, whose decomposition, stacks and denominators hold that one's
-row once and solve as copies of it do. Its agreement with Picard and the
-oracle, and that of every other solve path, is checked in
-``test_solve_matrix``.
+labels, the spectrum's reassembly, caching, the cap on component size, a
+wrong spectrum and the residual bound. The rest check how the spectrum is
+laid out. Each spectrum-layout row (``LAYOUTS``, and the batches ``_merged``
+makes) builds an S laid out one way, and a layout test calls shared checks
+on rows: blocks equal ``_decompose`` of the same S, each component its own
+``eigh``, the stacks that reach ``eigh`` and no thread, read-only arrays,
+a block stored once exactly when every component repeats one, and solves
+bit-identical to a copy laid out anew. A new layout adds its row and calls
+the checks. Agreement with Picard and the oracle, of this and every other
+solve path, is checked in ``test_solve_matrix``.
 """
 
 import threading
-from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -33,8 +32,8 @@ from msignn import (ColorCountingSpec, Graph, ScaleModule, SolverConfig, adjoint
 from msignn import graph as graph_mod
 from msignn.graph import component_labels, spectrum
 
-from conftest import (contiguous_graph, counting_hops, f_scales, interleaving, rel_error, seeds,
-                      traced_peak, undirected_graph, undirected_graphs)
+from conftest import (contiguous_graph, counting_hops, f_scales, interleaving, recording,
+                      rel_error, seeds, traced_peak, undirected_graph, undirected_graphs)
 
 PROPERTY = settings(max_examples=40)
 # Picard stops on the step size; its error is up to tol / (1 - contraction).
@@ -145,10 +144,7 @@ def test_plain_copies_and_directed_graphs_have_no_spectrum():
 
 
 def test_spectrum_is_lazy_cached_and_never_decomposed_per_batch(monkeypatch):
-    calls = []
-    decompose = graph_mod._decompose
-    monkeypatch.setattr(graph_mod, "_decompose",
-                        lambda s: calls.append(s.shape[0]) or decompose(s))
+    calls = recording(monkeypatch, graph_mod, "_decompose", lambda s: s.shape[0])
     rng = np.random.default_rng(0)
     members = [undirected_graph(int(seed), [3, 4, 1], 0.6) for seed in rng.integers(0, 99, 4)]
     assert calls == []
@@ -181,7 +177,7 @@ def test_component_above_the_cap_falls_back_to_picard(monkeypatch):
     assert spectrum(merged.s) is None
     for g in pending:
         assert getattr(g.s, graph_mod._SPECTRUM) is graph_mod._PENDING
-        _assert_blocks_equal(spectrum(g.s), graph_mod._decompose(g.s))
+        _assert_as_decomposed(g.s)
     injected = np.random.default_rng(3).standard_normal((3, merged.n))
     res = forward_solve(module, injected, merged.s, SolverConfig(tol=1e-12, max_iters=5000))
     assert res.iterations > 1 and res.converged
@@ -250,15 +246,140 @@ def test_the_closed_form_reports_a_bound_on_its_true_residual(g, module, seed):
     assert res.residual <= SolverConfig().tol
 
 
-def _gathering(s):
-    """A plain copy of S holding S's spectrum blocks with their ``rows`` made
-    index arrays, so that its closed form gathers and scatters every block."""
-    copy = sp.csr_array(s)
-    blocks = [replace(b) for b in spectrum(s)]
+def _graph_of(blocks):
+    """An undirected graph whose components are the given adjacency blocks, in order."""
+    a = sp.block_diag(blocks, format="csr")
+    return build_graph(a, np.zeros((1, a.shape[0])))
+
+
+def _path(*weights):
+    k = len(weights) + 1
+    return sp.diags([weights, weights], [1, -1], shape=(k, k))
+
+
+# Paths on 4 nodes. B is A reversed, so its S holds A's entries in other places.
+A, B, C = _path(1.0, 2.0, 3.0), _path(3.0, 2.0, 1.0), _path(1.0, 1.0, 1.0)
+
+
+def _one_ulp_apart(s):
+    """A copy of S with both entries of the edge (4, 5), in the second
+    component, one ulp larger."""
+    data = s.data.copy()
+    rows = np.repeat(np.arange(s.shape[0]), np.diff(s.indptr))
+    edge = ((rows == 4) & (s.indices == 5)) | ((rows == 5) & (s.indices == 4))
+    data[edge] = np.nextafter(data[edge], np.inf)
+    return sp.csr_array((data, s.indices, s.indptr), shape=s.shape)
+
+
+# The spectrum-layout rows. In "pending" sizes 2, 3 and 4 have several
+# components each, size 6 a single one, and no two are alike, so no two share
+# an eigh; "interleaved" deals them out in turn. "all-repeat" is eight alike
+# 30-node chains; in "some-repeat" the 2-node paths, A and B repeat.
+UNLIKE = [2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 6]
+CHAINS = ColorCountingSpec(num_chains=8, length=30, seed=0)
+LAYOUTS = {
+    "pending": lambda: contiguous_graph(8, UNLIKE, 0.6, weighted=True).s,
+    "interleaved": lambda: contiguous_graph(8, UNLIKE, 0.6, interleave=True, weighted=True).s,
+    "all-repeat": lambda: gen_color_counting(CHAINS).graph.s,
+    "some-repeat": lambda: _graph_of([_path(1.0), _path(1.0), A, B, A, C, B, A]).s,
+    "one-ulp": lambda: _one_ulp_apart(_graph_of([A, A]).s),
+}
+
+
+def _merged(members, pending=False):
+    """A batch of members all pending, which decomposes its S and gives each
+    member its rows of the result, or all decomposed, whose blocks it stacks."""
+    assert all((getattr(g.s, graph_mod._SPECTRUM) is graph_mod._PENDING) == pending
+               for g in members)
+    return batch(members)
+
+
+def _merged_rows_of_one(members):
+    """A batch of members that hold their rows of one decomposition, their first batch's."""
+    _merged(members, pending=True)
+    return _merged(members)
+
+
+def _assert_as_decomposed(s):
+    _assert_blocks_equal(spectrum(s), graph_mod._decompose(s))
+
+
+def _assert_each_component_decomposes_alone(s, blocks):
+    """Each component of S's ``blocks`` has the bits of an eigh of its own block, and norms."""
+    dense = s.toarray()
     for b in blocks:
-        object.__setattr__(b, "rows", b.nodes.reshape(-1))
-    setattr(copy, graph_mod._SPECTRUM, blocks)
-    return copy
+        for nodes, values, vectors, norms in zip(b.nodes, b.values, b.vectors, b.norms):
+            alone = dense[np.ix_(nodes, nodes)]
+            assert all(map(np.array_equal, (values, vectors), np.linalg.eigh(alone)))
+            assert np.array_equal(norms, graph_mod._measured_eigh(alone[None])[2][0])
+
+
+def _assert_eighs(monkeypatch, s, shapes):
+    """S decomposes as if no component were alike, from eigh stacks ``shapes``, in this thread."""
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_mod, "_distinct", lambda dense: (np.arange(len(dense)),) * 2)
+        expected = graph_mod._decompose(s)
+    started = recording(monkeypatch, threading.Thread, "start")
+    counted = recording(monkeypatch, np.linalg, "eigh", lambda a: a.shape)
+    _assert_blocks_equal(graph_mod._decompose(s), expected)
+    assert counted == shapes and started == []
+
+
+def _assert_read_only(s):
+    for array in (s.data, s.indices, s.indptr,
+                  *(a for b in spectrum(s) for a in (b.nodes, *_arrays(b)))):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def _repeats(a):
+    """Whether every row of ``a`` is one row seen again: stride 0 on its first axis."""
+    return a.strides[0] == 0
+
+
+def _arrays(b):
+    return b.values, b.vectors, b.norms
+
+
+def _stored_once(b):
+    """Whether block b holds one row of each of its arrays, never of only some."""
+    [once] = {_repeats(a) for a in _arrays(b)}
+    return once
+
+
+def _relaid(s, gather=False, copy=False):
+    """A plain copy of S holding S's blocks anew, the one place a test sets
+    them: with ``gather`` their ``rows`` made index arrays, so that its closed
+    form gathers and scatters every block; with ``copy`` their arrays copied."""
+    relaid = sp.csr_array(s)
+    blocks = [graph_mod.SpectrumBlock(b.nodes, *(map(np.ascontiguousarray, _arrays(b))
+                                                 if copy else _arrays(b))) for b in spectrum(s)]
+    if gather:
+        for b in blocks:
+            object.__setattr__(b, "rows", b.nodes.reshape(-1))
+    assert not (copy and any(_repeats(a) for b in blocks for a in _arrays(b)))
+    setattr(relaid, graph_mod._SPECTRUM, blocks)
+    return relaid
+
+
+def _gathering(s):
+    return _relaid(s, gather=True)
+
+
+def _assert_solves_as_relaid(s, m, **layout):
+    """Z*, U and the weight gradient of a scale-m module on S equal bit for bit
+    those on ``_relaid(s, **layout)``."""
+    rng = np.random.default_rng(m)
+    injected, grad = rng.standard_normal((2, 3, s.shape[0]))
+    f = rng.standard_normal((3, 3))
+    results = []
+    for on in (s, _relaid(s, **layout)):
+        module = ScaleModule(f_weight=f.copy(), scale_m=m)
+        z = forward_solve(module, injected, on)
+        u = adjoint_solve(module, on, grad)
+        assert z.path == "closed form"
+        results.append((z.z_star, u, weight_gradient(module, u, z)))
+    assert all(map(np.array_equal, *results))
 
 
 @PROPERTY
@@ -303,12 +424,11 @@ def test_block_rows_are_a_slice_where_components_are_consecutive():
     empty = build_graph(sp.csr_array((0, 0)), np.zeros((2, 0)))
     members = [contiguous_graph(seed, [k], 0.5) for seed, k in enumerate([2, 3, 3, 5])]
     members.insert(2, empty)
-    for merged in (batch(members), batch(members)):  # pending, then stacked
-        blocks = spectrum(merged.s)
-        assert [b.rows for b in blocks] == [slice(0, 2), slice(2, 8), slice(8, 13)]
-        _assert_blocks_equal(blocks, graph_mod._decompose(merged.s))
+    for merged in (_merged(members, pending=True), _merged(members)):
+        assert [b.rows for b in spectrum(merged.s)] == [slice(0, 2), slice(2, 8), slice(8, 13)]
+        _assert_as_decomposed(merged.s)
     assert all(isinstance(b.rows, slice) for g in members for b in spectrum(g.s))
-    unsorted = spectrum(batch([members[1], members[0], members[3]]).s)
+    unsorted = spectrum(_merged([members[1], members[0], members[3]]).s)
     assert [type(b.rows) for b in unsorted] == [slice, np.ndarray]
     npt.assert_array_equal(unsorted[1].rows, [0, 1, 2, 5, 6, 7])
     mixed = spectrum(contiguous_graph(0, [2, 2, 3], 0.5, interleave=True).s)
@@ -317,107 +437,33 @@ def test_block_rows_are_a_slice_where_components_are_consecutive():
         assert b.radius == np.abs(b.values).max()
 
 
-def _writes(array):
-    with pytest.raises(ValueError, match="read-only"):
-        array[...] = 0
-
-
 def test_s_and_its_spectrum_are_read_only():
     # What the spectrum was measured on, and the spectrum itself, cannot be
     # changed in place: a graph's S, a batch's S, a graph's blocks and the
     # blocks a batch stacks from its decomposed members, whether they hold a
     # row per component or one row repeated.
     members = [undirected_graph(seed, [3, 2], 0.8) for seed in (1, 2)]
-    merged = batch(members)  # both pending: the batch decomposes its own S
-    stacked = batch(members[::-1])  # both decomposed: their blocks are stacked
+    merged = _merged(members, pending=True)
+    stacked = _merged(members[::-1])
     repeated = [_graph_of([C, C]) for _ in range(2)]
-    batch(repeated)
-    graphs = [*members, merged, stacked, *repeated, batch(repeated)]
-    assert _repeats(spectrum(graphs[-1].s)[0].vectors)
-    for s in [g.s for g in graphs]:
-        for array in (s.data, s.indices, s.indptr):
-            _writes(array)
-        for b in spectrum(s):
-            for array in (b.nodes, b.values, b.vectors, b.norms):
-                _writes(array)
-
-
-def _mixed_graph(interleave=False):
-    """Sizes 2, 3 and 4 have several components each, size 6 a single one,
-    and no two components are alike, so no two share an ``eigh``."""
-    return contiguous_graph(8, [2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 6], 0.6,
-                            interleave=interleave, weighted=True)
+    one = _merged_rows_of_one(repeated)
+    assert _stored_once(spectrum(one.s)[0])
+    for g in [*members, merged, stacked, *repeated, one]:
+        _assert_read_only(g.s)
 
 
 @pytest.mark.parametrize("interleave", [False, True])
 def test_each_component_decomposes_as_it_would_alone(interleave):
-    # One eigh of a size's stack gives each component, consecutive or dealt
-    # out, the bits of an eigh of its own dense block, and its own norms.
-    s = _mixed_graph(interleave).s
+    # Consecutive or dealt out, one eigh per size.
+    s = LAYOUTS["interleaved" if interleave else "pending"]()
     blocks = graph_mod._decompose(s)
     assert [b.nodes.shape for b in blocks] == [(2, 2), (4, 3), (5, 4), (1, 6)]
-    dense = s.toarray()
-    for b in blocks:
-        for nodes, values, vectors, norms in zip(b.nodes, b.values, b.vectors, b.norms):
-            alone = dense[np.ix_(nodes, nodes)]
-            assert all(map(np.array_equal, (values, vectors), np.linalg.eigh(alone)))
-            assert np.array_equal(norms, graph_mod._measured_eigh(alone[None])[2][0])
-
-
-def _counting_eigh(monkeypatch):
-    """Record the shape of every stack passed to ``np.linalg.eigh``."""
-    eigh, shapes = np.linalg.eigh, []
-
-    def counted(a):
-        shapes.append(a.shape)
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return shapes
-
-
-def _ungrouped(monkeypatch, s):
-    """``_decompose(s)`` with every component decomposed as if unlike the others."""
-    with monkeypatch.context() as patch:
-        patch.setattr(graph_mod, "_distinct", lambda dense: (np.arange(len(dense)),) * 2)
-        return graph_mod._decompose(s)
+    _assert_each_component_decomposes_alone(s, blocks)
 
 
 def test_identical_components_share_one_eigh_and_start_no_thread(monkeypatch):
     # Eight chains of 30 nodes are alike, so one matrix reaches eigh, in this thread.
-    g = gen_color_counting(ColorCountingSpec(num_chains=8, length=30, seed=0)).graph
-    expected = _ungrouped(monkeypatch, g.s)
-    start, started = threading.Thread.start, []
-    monkeypatch.setattr(threading.Thread, "start",
-                        lambda thread: started.append(thread) or start(thread))
-    shapes = _counting_eigh(monkeypatch)
-    _assert_blocks_equal(graph_mod._decompose(g.s), expected)
-    assert shapes == [(1, 30, 30)] and started == []
-
-
-def _graph_of(blocks):
-    """An undirected graph whose components are the given adjacency blocks, in order."""
-    a = sp.block_diag(blocks, format="csr")
-    return build_graph(a, np.zeros((1, a.shape[0])))
-
-
-def _path(*weights):
-    k = len(weights) + 1
-    return sp.diags([weights, weights], [1, -1], shape=(k, k))
-
-
-# Paths on 4 nodes. B is A reversed, so its S holds A's entries in other places.
-A, B, C = _path(1.0, 2.0, 3.0), _path(3.0, 2.0, 1.0), _path(1.0, 1.0, 1.0)
-
-
-def _one_ulp_apart(s):
-    """A copy of S with both entries of the edge (4, 5), in the second
-    component, one ulp larger."""
-    data = s.data.copy()
-    rows = np.repeat(np.arange(s.shape[0]), np.diff(s.indptr))
-    edge = ((rows == 4) & (s.indices == 5)) | ((rows == 5) & (s.indices == 4))
-    data[edge] = np.nextafter(data[edge], np.inf)
-    return sp.csr_array((data, s.indices, s.indptr), shape=s.shape)
+    _assert_eighs(monkeypatch, LAYOUTS["all-repeat"](), [(1, 30, 30)])
 
 
 @pytest.mark.parametrize("case, shapes", [
@@ -425,40 +471,24 @@ def _one_ulp_apart(s):
     ("one ulp", [(2, 4, 4)])], ids=["repeats", "one-ulp"])
 def test_only_bit_identical_components_share_an_eigh(monkeypatch, case, shapes):
     # The blocks equal those of decomposing every component on its own. The
-    # copies of A share an eigh, B and C each stand alone, and so do two
-    # copies of A, one edge of the second one ulp heavier in S.
-    if case == "one ulp":
-        s = _one_ulp_apart(_graph_of([A, A]).s)
-    else:
-        s = _graph_of([_path(1.0), _path(1.0), A, B, A, C, B, A]).s
-    expected = _ungrouped(monkeypatch, s)
-    counted = _counting_eigh(monkeypatch)
-    _assert_blocks_equal(graph_mod._decompose(s), expected)
-    assert counted == shapes
-
-
-def _repeats(a):
-    """Whether every row of ``a`` is one row seen again: stride 0 on its first axis."""
-    return a.strides[0] == 0
-
-
-def _arrays(b):
-    return b.values, b.vectors, b.norms
+    # copies of A share an eigh, as do those of B, and C stands alone; two
+    # copies of A, one edge of the second one ulp heavier in S, do not share one.
+    _assert_eighs(monkeypatch, LAYOUTS["one-ulp" if case == "one ulp" else "some-repeat"](),
+                  shapes)
 
 
 def test_a_repeated_component_is_stored_once():
     # A size whose components all repeat one is one row of each array, seen
     # c times. A size that mixes decompositions, and distinct chains, keep a
     # row per component.
-    colors = gen_color_counting(ColorCountingSpec(num_chains=8, length=30, seed=0)).graph
-    [chains] = graph_mod._decompose(colors.s)
+    [chains] = graph_mod._decompose(LAYOUTS["all-repeat"]())
     assert chains.vectors.shape == (8, 30, 30)
-    assert all(map(_repeats, _arrays(chains))) and chains.vectors.base.shape == (1, 30, 30)
-    pairs, mixed = graph_mod._decompose(_graph_of([_path(1.0), _path(1.0), A, B, A, C, B, A]).s)
-    assert all(map(_repeats, _arrays(pairs))) and not any(map(_repeats, _arrays(mixed)))
+    assert _stored_once(chains) and chains.vectors.base.shape == (1, 30, 30)
+    pairs, mixed = graph_mod._decompose(LAYOUTS["some-repeat"]())
+    assert _stored_once(pairs) and not _stored_once(mixed)
     weights = np.random.default_rng(0).uniform(0.5, 1.5, (224, 29))
     [distinct] = graph_mod._decompose(_graph_of([_path(*w) for w in weights]).s)
-    assert distinct.vectors.shape == (224, 30, 30) and not any(map(_repeats, _arrays(distinct)))
+    assert distinct.vectors.shape == (224, 30, 30) and not _stored_once(distinct)
 
 
 def test_a_batch_of_one_decompositions_rows_stacks_them_as_one_row():
@@ -466,38 +496,26 @@ def test_a_batch_of_one_decompositions_rows_stacks_them_as_one_row():
     # it; members from two decompositions, or decomposed alone, concatenate.
     # Either way the blocks are those of decomposing the merged S.
     one = [_graph_of([C, C]) for _ in range(4)]
-    batch(one)  # all pending: each member keeps its rows of the batch's decomposition
     two = [_graph_of([C, C]) for _ in range(4)]
-    batch(two[:2]), batch(two[2:])
+    _merged(two[:2], pending=True), _merged(two[2:], pending=True)
     alone = _graph_of([C])
     spectrum(alone.s)
-    for members, stacked in ((one, True), (two, False), (one + [alone], False)):
-        merged = batch(members)
+    for merged, stacked in ((_merged_rows_of_one(one), True), (_merged(two), False),
+                            (_merged(one + [alone]), False)):
         [block] = spectrum(merged.s)
-        assert all(_repeats(a) == stacked for a in _arrays(block))
-        _assert_blocks_equal([block], graph_mod._decompose(merged.s))
+        assert _stored_once(block) == stacked
+        _assert_as_decomposed(merged.s)
 
 
 def test_a_repeated_blocks_denominators_are_stored_once():
     # Per scale, k x h floats for a block that repeats one component, and
     # c x k x h for a block that mixes decompositions.
-    s = _graph_of([_path(1.0), _path(1.0), A, B, A, C, B, A]).s
+    s = LAYOUTS["some-repeat"]()
     module = ScaleModule(f_weight=np.random.default_rng(0).standard_normal((3, 3)), scale_m=2)
     forward_solve(module, np.ones((3, s.shape[0])), s)
     pairs, mixed = module._basis.denominators
     assert pairs.shape == (2, 2, 3) and _repeats(pairs) and pairs.base.size == 2 * 3
     assert mixed.shape == (6, 4, 3) and mixed.base is None
-
-
-def _materialized(s):
-    """A plain copy of S holding S's spectrum blocks with their arrays copied,
-    so that none repeats a row by stride 0."""
-    copy = sp.csr_array(s)
-    blocks = [graph_mod.SpectrumBlock(b.nodes, *map(np.ascontiguousarray, _arrays(b)))
-              for b in spectrum(s)]
-    assert not any(_repeats(a) for b in blocks for a in _arrays(b))
-    setattr(copy, graph_mod._SPECTRUM, blocks)
-    return copy
 
 
 @pytest.mark.parametrize("interleave", [False, True])
@@ -507,17 +525,7 @@ def test_repeated_blocks_solve_bit_identically_to_copied_ones(interleave, m):
     # constants computed on its one row, as it reads copies of them.
     g = contiguous_graph(0, [2] * 5 + [3] * 4, 0.0, interleave=interleave)
     assert all(_repeats(b.vectors) for b in spectrum(g.s))
-    rng = np.random.default_rng(m)
-    injected, grad = rng.standard_normal((2, 3, g.n))
-    f = rng.standard_normal((3, 3))
-    results = []
-    for s in (g.s, _materialized(g.s)):
-        module = ScaleModule(f_weight=f.copy(), scale_m=m)
-        z = forward_solve(module, injected, s)
-        u = adjoint_solve(module, s, grad)
-        assert z.path == "closed form"
-        results.append((z.z_star, u, weight_gradient(module, u, z)))
-    assert all(map(np.array_equal, *results))
+    _assert_solves_as_relaid(g.s, m, copy=True)
 
 
 def test_a_merge_of_repeated_chains_holds_one_decomposition():
@@ -527,5 +535,5 @@ def test_a_merge_of_repeated_chains_holds_one_decomposition():
     path = sp.csr_array(_path(*np.ones(29)))
     features = np.random.default_rng(0).standard_normal((3, 30))
     chains = [build_graph(path, features) for _ in range(224)]
-    for _ in ("decomposed", "stacked"):
-        assert traced_peak(lambda: batch(chains)).held < 224 * 30 * 30 * 8
+    for pending in (True, False):
+        assert traced_peak(lambda: _merged(chains, pending)).held < 224 * 30 * 30 * 8

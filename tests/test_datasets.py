@@ -1,6 +1,5 @@
 import hashlib
 import json
-from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -10,8 +9,7 @@ import scipy.sparse as sp
 from msignn import (ChainsSpec, ColorCountingSpec, Dataset, GraphDataset, build_graph,
                     gen_chains, gen_color_counting, load_dataset, load_graph, save_dataset)
 
-from conftest import random_undirected_graph
-from test_rejections import former_tests
+from conftest import consecutive_splits, random_undirected_graph, relabelled
 
 
 def test_chains_default_counts():
@@ -175,9 +173,8 @@ def test_save_load_round_trip_empty_edge_list(tmp_path):
 
 def test_save_load_round_trip_multihot(tmp_path):
     ds = gen_color_counting(ColorCountingSpec(num_chains=4, length=5, seed=2))
-    g = ds.graph
-    multi_hot = np.random.default_rng(3).integers(0, 2, size=(3, g.n)).astype(float)
-    ds = replace(ds, graph=build_graph(g.adjacency, g.features, multi_hot, directed=False))
+    multi_hot = np.random.default_rng(3).integers(0, 2, size=(3, ds.graph.n)).astype(float)
+    ds = relabelled(ds, multi_hot)
     assert ds.graph.multilabel
     _assert_round_trip(ds, tmp_path)
 
@@ -187,9 +184,7 @@ def test_save_load_round_trip_drops_stored_zeros(tmp_path):
     a = sp.csr_array((np.array([1.0, 1.0, 0.0, 0.0]), ([0, 1, 1, 2], [1, 0, 2, 1])),
                      shape=(3, 3))
     graph = build_graph(a, np.eye(3), np.array([0, 1, 0]))
-    mask = np.array([True, False, False])
-    ds = Dataset(graph=graph, train_mask=mask, val_mask=np.roll(mask, 1),
-                 test_mask=np.roll(mask, 2), spec_echo={})
+    ds = Dataset(graph=graph, spec_echo={}, **consecutive_splits(1, 1, 1))
     _assert_round_trip(ds, tmp_path)
     assert (tmp_path / "edges.tsv").read_text() == "0\t1\n1\t0\n"
 
@@ -224,9 +219,8 @@ def test_load_multihot_labels(tmp_path):
 def test_save_dataset_refuses_edge_weights(tmp_path):
     # edges.tsv holds src<TAB>dst only: reloading would give every edge weight 1.
     a = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
-    masks = [np.arange(3) == k for k in range(3)]
-    ds = Dataset(graph=build_graph(a, np.ones((1, 3)), np.zeros(3, dtype=int)),
-                 train_mask=masks[0], val_mask=masks[1], test_mask=masks[2], spec_echo={})
+    ds = Dataset(graph=build_graph(a, np.ones((1, 3)), np.zeros(3, dtype=int)), spec_echo={},
+                 **consecutive_splits(1, 1, 1))
     out = tmp_path / "out"
     with pytest.raises(ValueError, match=r"edge \(0, 1\) has weight 2\.0"):
         save_dataset(ds, out)
@@ -237,9 +231,7 @@ def _graph_dataset(**changes):
     """Six graphs, two per split, with valid labels; ``changes`` replace fields."""
     rng = np.random.default_rng(0)
     fields = dict(graphs=[random_undirected_graph(rng, 3) for _ in range(6)],
-                  labels=np.array([0, 1, 2, 0, 1, 2]),
-                  train_mask=np.arange(6) < 2, val_mask=np.arange(6) // 2 == 1,
-                  test_mask=np.arange(6) >= 4)
+                  labels=np.array([0, 1, 2, 0, 1, 2]), **consecutive_splits(2, 2, 2))
     return GraphDataset(**{**fields, **changes})
 
 
@@ -311,7 +303,3 @@ def test_generated_data_matches_its_golden_digests(name):
               "s.indices": g.s.indices, "s.indptr": g.s.indptr,
               "train_mask": ds.train_mask, "val_mask": ds.val_mask, "test_mask": ds.test_mask}
     assert {key: _digest(a) for key, a in arrays.items()} == expected
-
-
-# Its tests of one rule each are rows now; test_rejections.FORMER names them.
-globals().update(former_tests(__name__))

@@ -1,21 +1,13 @@
 """Each demo runs to completion against the current library API."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT, run_python
 
 
 @pytest.mark.parametrize("name", ["01_equilibrium_basics", "02_effective_range",
                                   "03_train_chains", "04_color_counting_multiscale",
                                   "05_graph_batching"])
 def test_demo_runs(name, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
-                            cwd=tmp_path, env=env, capture_output=True, text=True,
-                            timeout=120)
+    result = run_python(str(ROOT / "demos" / f"{name}.py"), cwd=tmp_path)
     assert result.returncode == 0, result.stderr

@@ -22,7 +22,6 @@ from msignn.numerics import as_csr
 
 from conftest import (assert_solves_as_if_new, contiguous_graph, directed_graph, hopping_result,
                       picard_steps, undirected_graph)
-from test_rejections import former_tests
 
 
 def scalar_setup(gamma_times_g=0.4):
@@ -223,10 +222,6 @@ def test_integer_settings_take_integers_only(make, field):
     # Other values are rows of test_rejections.SETTINGS.
     value = getattr(make(np.int64(3)), field)  # stored as the int a checkpoint writes
     assert value == 3 and type(value) is int
-
-
-# Its tests of one rule each are rows now; test_rejections.FORMER names them.
-globals().update(former_tests(__name__))
 
 
 @pytest.mark.parametrize("kind", ["closed form", "picard"])

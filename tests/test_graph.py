@@ -9,7 +9,6 @@ from msignn import GraphBatch, batch, build_graph, hop_distance
 from msignn.errors import ShapeError
 
 from conftest import power_iteration_norm, random_undirected_graph
-from test_rejections import former_tests
 
 PROPERTY = settings(max_examples=150)
 
@@ -50,15 +49,25 @@ def test_normalize_symmetric_and_contractive():
         assert power_iteration_norm(dense) <= 1.0 + 1e-10
 
 
-def test_normalize_directed_chain_columns():
-    n = 6
+def _directed_path(n):
+    """The directed path 0 -> 1 -> ... -> n - 1."""
     rows = np.arange(n - 1)
     a = sp.csr_array((np.ones(n - 1), (rows, rows + 1)), shape=(n, n))
-    s = build_graph(a, np.zeros((1, n)), directed=True).s.toarray()
-    for j in range(n):
+    return build_graph(a, np.zeros((1, n)), directed=True)
+
+
+def test_normalize_directed_chain_columns():
+    s = _directed_path(6).s.toarray()
+    for j in range(6):
         col = s[:, j]
         assert np.count_nonzero(col) <= 1
         assert col.max() <= 1.0 + 1e-15
+
+
+def _inv_sqrt(deg):
+    out = np.zeros_like(deg)
+    out[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
+    return out
 
 
 def _dense_normalized(a, directed):
@@ -68,14 +77,8 @@ def _dense_normalized(a, directed):
     """
     if not directed:
         a = a + np.eye(len(a))
-
-    def inv_sqrt(deg):
-        out = np.zeros_like(deg)
-        out[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
-        return out
-
-    left = inv_sqrt(a.sum(axis=1))
-    right = inv_sqrt(a.sum(axis=0)) if directed else left
+    left = _inv_sqrt(a.sum(axis=1))
+    right = _inv_sqrt(a.sum(axis=0)) if directed else left
     return left[:, None] * a * right[None, :]
 
 
@@ -102,11 +105,7 @@ def test_normalize_matches_dense_formula_exactly(directed, self_loops):
 
 
 def test_hop_distance_chain():
-    n = 4
-    rows = np.arange(n - 1)
-    a = sp.csr_array((np.ones(n - 1), (rows, rows + 1)), shape=(n, n))
-    g = build_graph(a, np.zeros((1, n)), directed=True)
-    npt.assert_array_equal(hop_distance(g, 0), [0, 1, 2, 3])
+    npt.assert_array_equal(hop_distance(_directed_path(4), 0), [0, 1, 2, 3])
 
 
 def test_hop_distance_unreachable():
@@ -228,12 +227,6 @@ def test_stored_zeros_are_dropped_from_the_adjacency():
 
 def test_hop_distance_does_not_follow_stored_zeros():
     npt.assert_array_equal(hop_distance(_path_with_stored_zeros(), 0), [0, 1, np.inf])
-
-
-def _inv_sqrt(deg):
-    out = np.zeros_like(deg)
-    out[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
-    return out
 
 
 def _reference_s(a, directed):
@@ -382,7 +375,3 @@ def test_batch_merges_like_block_diag(drawn):
     npt.assert_array_equal(s.indptr, expected.indptr)
     npt.assert_array_equal(s.indices, expected.indices)
     npt.assert_array_equal(s.data, expected.data)
-
-
-# Its tests of one rule each are rows now; test_rejections.FORMER names them.
-globals().update(former_tests(__name__))

@@ -9,12 +9,7 @@ its own, so none but the main thread runs after training and prediction;
 one left running would make a later fork unsafe.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import run_python
 
 HEAVY_MODULES = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg",
                  "scipy.special")
@@ -55,8 +50,6 @@ print(",".join(sorted(m for m in sys.argv[1:] if m in sys.modules)))
 
 
 def test_training_and_predict_load_no_heavy_scipy_module(tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run([sys.executable, "-c", SCRIPT, *HEAVY_MODULES], cwd=tmp_path,
-                            env=env, capture_output=True, text=True, timeout=120)
+    result = run_python("-c", SCRIPT, *HEAVY_MODULES, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""

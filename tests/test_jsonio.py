@@ -3,7 +3,6 @@ import json
 from msignn.jsonio import read_json, write_json
 
 from conftest import SCHEMA
-from test_rejections import former_tests
 
 
 def read(tmp_path, text, schema=SCHEMA):
@@ -33,7 +32,3 @@ def test_write_json_round_trips_with_sorted_keys(tmp_path):
     write_json(tmp_path / "f.json", value)
     assert (tmp_path / "f.json").read_text() == json.dumps(value, sort_keys=True) + "\n"
     assert read_json(tmp_path / "f.json", SCHEMA) == value
-
-
-# Its tests of one rule each are rows now; test_rejections.FORMER names them.
-globals().update(former_tests(__name__))

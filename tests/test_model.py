@@ -21,8 +21,7 @@ from msignn.model import MultiscaleImplicitGNN
 from msignn.train import cross_entropy
 
 from conftest import (check_gradients, contiguous_graph, directed_graph,
-                      random_undirected_graph, traced_peak, undirected_graph)
-from test_rejections import former_tests
+                      random_undirected_graph, recording, traced_peak, undirected_graph)
 
 TIGHT = SolverConfig(tol=1e-12, max_iters=5000)
 
@@ -33,10 +32,15 @@ def small_model(rng, graph, scales=(1, 2), hidden=4, **kwargs):
                       scale_exponents=scales, **kwargs)
 
 
+def _graph_and_model(seed, n, **kwargs):
+    """A random n-node graph and a ``small_model`` of ``kwargs`` for it, drawn in that order."""
+    rng = np.random.default_rng(seed)
+    g = random_undirected_graph(rng, n)
+    return g, small_model(rng, g, **kwargs)
+
+
 def test_single_scale_attention_is_one():
-    rng = np.random.default_rng(0)
-    g = random_undirected_graph(rng, 6)
-    model = small_model(rng, g, scales=(1,))
+    g, model = _graph_and_model(0, 6, scales=(1,))
     trace = model.forward(g)
     npt.assert_allclose(trace.alphas, np.ones((g.n, 1)), atol=1e-15)
     npt.assert_allclose(trace.z_prime, trace.scale_results[0].z_star, atol=1e-15)
@@ -59,27 +63,21 @@ def test_duplicate_scales_split_attention_evenly():
 
 
 def test_gamma_zero_reduces_to_mlp():
-    rng = np.random.default_rng(3)
-    g = random_undirected_graph(rng, 6)
-    model = small_model(rng, g, scales=(1, 2), gamma=0.0)
+    g, model = _graph_and_model(3, 6, scales=(1, 2), gamma=0.0)
     trace = model.forward(g)
     for res in trace.scale_results:
         npt.assert_allclose(res.z_star, trace.injected, atol=1e-15)
 
 
 def test_attention_rows_sum_to_one():
-    rng = np.random.default_rng(4)
-    g = random_undirected_graph(rng, 8)
-    model = small_model(rng, g, scales=(1, 2, 3))
+    g, model = _graph_and_model(4, 8, scales=(1, 2, 3))
     trace = model.forward(g)
     npt.assert_allclose(trace.alphas.sum(axis=1), np.ones(g.n), atol=1e-12)
     assert np.all(trace.alphas > 0) and np.all(trace.alphas < 1)
 
 
 def test_scale_order_permutation_invariance():
-    rng = np.random.default_rng(5)
-    g = random_undirected_graph(rng, 7)
-    model = small_model(rng, g, scales=(1, 2, 3))
+    g, model = _graph_and_model(5, 7, scales=(1, 2, 3))
     trace = model.forward(g)
     permuted = MultiscaleImplicitGNN(model.encoder,
                                      [model.scales[2], model.scales[0], model.scales[1]],
@@ -116,9 +114,7 @@ def test_batch_forward_matches_concatenation():
 
 
 def test_backward_zero_grad_logits():
-    rng = np.random.default_rng(8)
-    g = random_undirected_graph(rng, 5)
-    model = small_model(rng, g)
+    g, model = _graph_and_model(8, 5)
     trace = model.forward(g)
     grads = model.backward(g, trace, np.zeros_like(trace.logits))
     for name, grad in grads.items():
@@ -192,11 +188,9 @@ def test_predict_argmax_and_threshold():
 
 @pytest.mark.parametrize("multilabel", [False, True], ids=["class", "multi-hot"])
 def test_predict_output_kind_follows_the_model_not_the_data(multilabel):
-    rng = np.random.default_rng(12)
-    g = random_undirected_graph(rng, 5)
+    g, model = _graph_and_model(12, 5, scales=(1,), multilabel=multilabel)
     unlabeled = build_graph(g.adjacency, g.features)
     multi_hot = build_graph(g.adjacency, g.features, np.eye(2)[:, [0, 1, 1, 0, 1]])
-    model = small_model(rng, g, scales=(1,), multilabel=multilabel)
     logits = model.forward(g).logits
     expected = (logits > 0).astype(int) if multilabel else np.argmax(logits, axis=0)
     for data in (g, unlabeled, multi_hot):  # the same S and features, other labels
@@ -251,16 +245,9 @@ def test_model_cross_check(monkeypatch, build, path, variant):
     model = init_model(rng, data.feature_dim, 2, 3, scale_exponents=(1, 4),
                        solver_cfg=cfg, **variant)
     calls = []
-
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return counted
-
     with monkeypatch.context() as patch:
         for name in ("forward_solve", "adjoint_solve", "weight_gradient"):
-            patch.setattr(model_mod, name, counting(name, getattr(model_mod, name)))
+            recording(patch, model_mod, name, lambda *args, name=name, **kwargs: name, calls)
         preds = model.predict(data)
     assert calls == ["forward_solve"] * 2  # one per scale, and nothing for a backward
     full = model.forward(data)
@@ -378,13 +365,7 @@ def test_each_scale_decomposes_g_once_per_weight_state(monkeypatch):
     model = init_model(np.random.default_rng(0), g.feature_dim, 4, g.num_classes,
                        scale_exponents=(1, 2, 4))
     graph_mod.spectrum(g.s)  # S is decomposed before counting
-    eigh, sizes = np.linalg.eigh, []
-
-    def counted(a):
-        sizes.append(a.shape)
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sizes = recording(monkeypatch, np.linalg, "eigh", lambda a: a.shape)
     trace = model.forward(g, train_mode=True)
     grads = model.backward(g, trace, np.ones_like(trace.logits))
     assert sizes == [(4, 4)] * 3
@@ -450,9 +431,7 @@ def test_no_reused_array_is_handed_out(monkeypatch, row):
 
 
 def test_dropout_only_in_train_mode():
-    rng = np.random.default_rng(13)
-    g = random_undirected_graph(rng, 6)
-    model = small_model(rng, g, dropout=0.5)
+    g, model = _graph_and_model(13, 6, dropout=0.5)
     eval_a = model.forward(g).logits
     eval_b = model.forward(g).logits
     npt.assert_array_equal(eval_a, eval_b)  # eval is deterministic
@@ -461,9 +440,7 @@ def test_dropout_only_in_train_mode():
 
 
 def test_checkpoint_round_trip_exact(tmp_path):
-    rng = np.random.default_rng(14)
-    g = random_undirected_graph(rng, 6)
-    model = small_model(rng, g, scales=(1, 3), dropout=0.25)
+    g, model = _graph_and_model(14, 6, scales=(1, 3), dropout=0.25)
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, path)
     restored = load_checkpoint(path)
@@ -477,22 +454,17 @@ def test_checkpoint_round_trip_exact(tmp_path):
     npt.assert_array_equal(restored.forward(g).logits, model.forward(g).logits)
 
 
-def _saved_payload(tmp_path):
-    rng = np.random.default_rng(15)
-    g = random_undirected_graph(rng, 5)
-    model = small_model(rng, g, scales=(1, 2))
+def _saved(tmp_path, seed, **kwargs):
+    """A ``small_model`` of ``kwargs`` on a random 5-node graph, saved: the
+    graph, the model, the checkpoint's path and its parsed JSON."""
+    g, model = _graph_and_model(seed, 5, **kwargs)
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, path)
-    return model, path, json.loads(path.read_text())
+    return g, model, path, json.loads(path.read_text())
 
 
 def test_checkpoint_round_trips_the_label_kind(tmp_path):
-    rng = np.random.default_rng(16)
-    g = random_undirected_graph(rng, 5)
-    model = small_model(rng, g, scales=(1,), multilabel=True)
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(model, path)
-    payload = json.loads(path.read_text())
+    g, model, path, payload = _saved(tmp_path, 16, scales=(1,), multilabel=True)
     assert payload["config"]["multilabel"] is True
     restored = load_checkpoint(path)
     assert restored.multilabel
@@ -507,7 +479,7 @@ def test_checkpoint_round_trips_the_label_kind(tmp_path):
 def test_checkpoint_with_strict_solver_key_loads(tmp_path):
     # files from before the solver's strict setting and the checkpoint's
     # attention_dim key were removed carry those keys
-    model, path, payload = _saved_payload(tmp_path)
+    _, model, path, payload = _saved(tmp_path, 15, scales=(1, 2))
     assert "strict" not in payload["config"]["solver"]
     assert "attention_dim" not in payload["config"]
     strict = copy.deepcopy(payload)
@@ -520,7 +492,3 @@ def test_checkpoint_with_strict_solver_key_loads(tmp_path):
         assert restored.solver_cfg == model.solver_cfg
         for name, value in model.parameters().items():
             npt.assert_array_equal(restored.parameters()[name], value)
-
-
-# Its tests of one rule each are rows now; test_rejections.FORMER names them.
-globals().update(former_tests(__name__))

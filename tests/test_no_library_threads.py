@@ -7,12 +7,12 @@ unsafe, so none of the names that start one may appear in the sources.
 nothing and stays allowed."""
 
 import re
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src/msignn").glob("*.py"))
+from conftest import matching_lines, sources
+
+SOURCES = sources("src/msignn")
 STARTS = re.compile(r"threading\.Thread|\bThread\(|concurrent\.futures|multiprocessing"
                     r"|subprocess|os\.fork")
 
@@ -20,9 +20,7 @@ STARTS = re.compile(r"threading\.Thread|\bThread\(|concurrent\.futures|multiproc
 def starters(source: str) -> list[str]:
     """Each line of ``source`` that names a way to start a thread or a process,
     with its number."""
-    return [f"line {number}: {line.strip()}"
-            for number, line in enumerate(source.splitlines(), start=1)
-            if STARTS.search(line)]
+    return matching_lines(STARTS, source)
 
 
 def test_the_guard_sees_a_thread_or_a_process():

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from msignn import build_graph, numerics
 
-from conftest import apart
-from test_rejections import former_tests
+from conftest import apart, recording
 
 
 def test_spmm_identity():
@@ -257,10 +256,8 @@ def test_compressed_check_raises_where_scipys_full_check_does(a):
 def test_as_csr_never_runs_scipys_full_check(monkeypatch, fmt):
     checks = []
     for cls in (sp._compressed._cs_matrix, sp._bsr._bsr_base):
-        def spy(self, full_check=True, _check=cls.check_format):
-            checks.append(full_check)
-            return _check(self, full_check=full_check)
-        monkeypatch.setattr(cls, "check_format", spy)
+        recording(monkeypatch, cls, "check_format", lambda self, full_check=True: full_check,
+                  checks)
     a = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]])).asformat(fmt)
     checks.clear()
     build_graph(a, np.ones((1, 2)))
@@ -274,7 +271,3 @@ def test_reused_arrays_follow_slot_shape_and_count():
     assert len(three) == 3 and numerics.reused("test", (2, 2), 3) is three
     assert numerics.reused("test", (3, 2), 3)[0].shape == (3, 2)
     numerics.release("test")
-
-
-# Its tests of one rule each are rows now; test_rejections.FORMER names them.
-globals().update(former_tests(__name__))

@@ -2,51 +2,31 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from msignn import (ChainsSpec, ScaleModule, SolverConfig, gen_chains,
-                    empirical_range, measure_decay, range_bound,
+from msignn import (ScaleModule, empirical_range, measure_decay, range_bound,
                     range_bound_exact, write_curve_csv)
-from msignn.model import MlpEncoder, glorot_uniform
 from msignn.probe import DecayCurve
 
-from test_rejections import former_tests
-
-
-def chain_probe_setup(length=40, hidden=6, seed=0, feature_dim=None):
-    rng = np.random.default_rng(seed)
-    ds = gen_chains(ChainsSpec(num_classes=1, chains_per_class=1, length=length,
-                               seed=seed))
-    g = ds.graph
-    encoder = MlpEncoder([glorot_uniform(rng, hidden, g.feature_dim),
-                          glorot_uniform(rng, hidden, hidden)])
-    f_weight = glorot_uniform(rng, hidden, hidden, gain=0.5)
-    cfg = SolverConfig(tol=1e-15, max_iters=length + 50)
-    return g, (lambda x: encoder.forward(x)[0]), f_weight, cfg
+from conftest import chain_decay, chain_probe_setup
 
 
 def test_measure_decay_gamma_zero_local_only():
-    g, encode, f, cfg = chain_probe_setup(length=10)
-    module = ScaleModule(f_weight=f, gamma=0.0)
-    curve = measure_decay(module, g, encode, p=0, cfg=cfg)
+    curve = chain_decay(10, gamma=0.0)
     assert curve.measured[0] > 0.0
     npt.assert_array_equal(curve.measured[1:], np.zeros(len(curve.hops) - 1))
 
 
 def test_measure_decay_soundness_and_monotonicity():
-    g, encode, f, cfg = chain_probe_setup(length=40)
-    module = ScaleModule(f_weight=f, gamma=0.5, scale_m=1)
-    curve = measure_decay(module, g, encode, p=0, cfg=cfg)
+    curve = chain_decay(40, gamma=0.5, scale_m=1)
     assert np.all(curve.measured <= curve.bound + 1e-12)
     assert np.all(np.diff(curve.measured) <= 1e-18)  # non-increasing on a chain
     npt.assert_array_equal(curve.hops, np.arange(40))
 
 
 def test_measure_decay_larger_scale_reaches_further():
-    g, encode, f, cfg = chain_probe_setup(length=120)
     theta = 1e-8
     ranges = {}
     for m in (1, 4):
-        module = ScaleModule(f_weight=f, gamma=0.5, scale_m=m)
-        curve = measure_decay(module, g, encode, p=0, cfg=cfg)
+        curve = chain_decay(120, gamma=0.5, scale_m=m)
         assert np.all(curve.measured <= curve.bound + 1e-12)
         ranges[m] = empirical_range(curve, theta)
     assert ranges[4] >= ranges[1]
@@ -113,7 +93,3 @@ def test_clamping_below_denormal_floor():
     curve = measure_decay(module, g, encode, p=0, cfg=cfg)
     tail = curve.measured[curve.hops > 30]
     assert np.all((tail == 0.0) | (tail >= 1e-300))
-
-
-# Its tests of one rule each are rows now; test_rejections.FORMER names them.
-globals().update(former_tests(__name__))

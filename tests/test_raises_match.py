@@ -2,11 +2,12 @@
 check it expects to fire and not only the error type."""
 
 import ast
-from pathlib import Path
 
 import pytest
 
-MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+from conftest import sources
+
+MODULES = sources("tests")
 
 
 def raises_without_match(source: str) -> list[int]:

@@ -7,15 +7,14 @@ import pytest
 import msignn.graph
 import msignn.train
 from msignn import (Adam, ChainsSpec, ColorCountingSpec, SolverConfig, TrainConfig, accuracy,
-                    batch, bce_with_logits, build_graph, cross_entropy, gen_chains,
+                    batch, bce_with_logits, cross_entropy, gen_chains,
                     gen_color_counting, history_to_csv, init_model, micro_f1, train_loop)
 from msignn.errors import EmptySelectionError, ShapeError
 from msignn.model import MultiscaleImplicitGNN
 from msignn.train import HISTORY_COLUMNS, evaluate
 
-from conftest import (assert_solves_as_if_new, contiguous_graph, directed_graph,
-                      random_undirected_graph)
-from test_rejections import former_tests
+from conftest import (assert_solves_as_if_new, consecutive_splits, contiguous_graph,
+                      directed_graph, random_undirected_graph, recording, relabelled)
 
 
 def test_cross_entropy_uniform_logits():
@@ -190,9 +189,7 @@ def test_train_loop_loss_decreases_on_toy():
     rng = np.random.default_rng(4)
     g = random_undirected_graph(rng, 12, num_classes=2)
     from msignn.datasets import Dataset
-    masks = [np.arange(12) // 4 == k for k in range(3)]
-    ds = Dataset(graph=g, train_mask=masks[0], val_mask=masks[1], test_mask=masks[2],
-                 spec_echo={})
+    ds = Dataset(graph=g, spec_echo={}, **consecutive_splits(4, 4, 4))
     model = init_model(rng, g.feature_dim, 4, 2, scale_exponents=(1,),
                        gamma=0.0, encoder_layers=1)
     history = train_loop(model, ds, TrainConfig(epochs=3, lr=1e-3, seed=0))
@@ -217,19 +214,22 @@ def test_train_loop_deterministic():
         npt.assert_array_equal(params_a[k], params_b[k])
 
 
-def test_train_loop_graph_task():
+def _graph_data(train, val, test):
+    """Random graphs of 3 to 5 nodes with labels 0, 1, 0, ..., split in runs."""
     rng = np.random.default_rng(5)
+    count = train + val + test
     graphs = [random_undirected_graph(rng, int(rng.integers(3, 6)), num_classes=2)
-              for _ in range(8)]
-    labels = np.array([0, 1] * 4)
+              for _ in range(count)]
     from msignn.datasets import GraphDataset
-    data = GraphDataset(graphs=graphs, labels=labels,
-                        train_mask=np.array([True] * 6 + [False] * 2),
-                        val_mask=np.array([False] * 6 + [True, False]),
-                        test_mask=np.array([False] * 7 + [True]))
+    return GraphDataset(graphs=graphs, labels=np.arange(count) % 2,
+                        **consecutive_splits(train, val, test))
+
+
+def test_train_loop_graph_task():
+    data = _graph_data(6, 1, 1)
 
     def run():
-        model = init_model(np.random.default_rng(1), graphs[0].feature_dim, 4, 2,
+        model = init_model(np.random.default_rng(1), data.graphs[0].feature_dim, 4, 2,
                            scale_exponents=(1,), task="graph")
         hist = train_loop(model, data, TrainConfig(epochs=4, lr=0.01, seed=1,
                                                    batch_size=3))
@@ -264,17 +264,10 @@ def _node_problem():
 
 
 def _graph_problem():
-    rng = np.random.default_rng(5)
-    graphs = [random_undirected_graph(rng, int(rng.integers(3, 6)), num_classes=2)
-              for _ in range(10)]
-    from msignn.datasets import GraphDataset
-    data = GraphDataset(graphs=graphs, labels=np.array([0, 1] * 5),
-                        train_mask=np.array([True] * 6 + [False] * 4),
-                        val_mask=np.array([False] * 6 + [True] * 3 + [False]),
-                        test_mask=np.array([False] * 9 + [True]))
+    data = _graph_data(6, 3, 1)
     cfg = dict(lr=0.1, seed=3, batch_size=3)
-    return data, (lambda: init_model(np.random.default_rng(1), graphs[0].feature_dim, 4, 2,
-                                     scale_exponents=(1,), task="graph")), cfg
+    return data, (lambda: init_model(np.random.default_rng(1), data.graphs[0].feature_dim, 4,
+                                     2, scale_exponents=(1,), task="graph")), cfg
 
 
 PROBLEMS = {"node": _node_problem, "graph": _graph_problem}
@@ -337,9 +330,7 @@ def test_train_loop_restores_best_epoch_weights(task):
 def test_an_empty_split_is_named_before_any_epoch(monkeypatch, task, split):
     data, make_model, cfg = PROBLEMS[task]()
     data = replace(data, **{f"{split}_mask": np.zeros_like(data.train_mask)})
-    forwards = []
-    monkeypatch.setattr(MultiscaleImplicitGNN, "forward",
-                        lambda *args, **kwargs: forwards.append(args))
+    forwards = recording(monkeypatch, MultiscaleImplicitGNN, "forward")
     unit = "graphs" if task == "graph" else "nodes"
     with pytest.raises(EmptySelectionError, match=f"^{split} split selects no {unit}$"):
         train_loop(make_model(), data, TrainConfig(epochs=3, **cfg))
@@ -350,9 +341,7 @@ def _three_colors(kind):
     """A 3-color node dataset, its labels int classes or a 3-row multi-hot matrix."""
     ds = gen_color_counting(ColorCountingSpec(num_colors=3, num_chains=6, length=5, seed=0))
     if kind == "multi-hot":
-        g = ds.graph
-        multi_hot = (np.arange(3)[:, None] == g.labels).astype(float)
-        ds = replace(ds, graph=build_graph(g.adjacency, g.features, multi_hot))
+        ds = relabelled(ds, (np.arange(3)[:, None] == ds.graph.labels).astype(float))
     return ds
 
 
@@ -365,9 +354,7 @@ def test_labels_naming_a_class_the_model_lacks_are_named_before_any_epoch(
     ds = _three_colors(kind)
     model = init_model(np.random.default_rng(0), ds.graph.feature_dim, 4, 2,
                        multilabel=kind == "multi-hot")
-    forwards = []
-    monkeypatch.setattr(MultiscaleImplicitGNN, "forward",
-                        lambda *args, **kwargs: forwards.append(args))
+    forwards = recording(monkeypatch, MultiscaleImplicitGNN, "forward")
     with pytest.raises(ShapeError, match=f"^{shown}$"):
         train_loop(model, ds, TrainConfig(epochs=3))
     assert forwards == []
@@ -381,9 +368,7 @@ def test_labels_of_the_other_kind_are_named_before_any_epoch(monkeypatch, kind, 
     ds = _three_colors(kind)
     model = init_model(np.random.default_rng(0), ds.graph.feature_dim, 4, 3,
                        multilabel=kind == "class")
-    forwards = []
-    monkeypatch.setattr(MultiscaleImplicitGNN, "forward",
-                        lambda *args, **kwargs: forwards.append(args))
+    forwards = recording(monkeypatch, MultiscaleImplicitGNN, "forward")
     with pytest.raises(ShapeError, match=f"^{shown}$"):
         train_loop(model, ds, TrainConfig(epochs=3))
     assert forwards == []
@@ -403,19 +388,10 @@ def test_graph_task_merges_each_evaluation_split_once(monkeypatch):
     data, make_model, cfg = _graph_problem()
     cfg["batch_size"] = 4  # 6 training graphs: a full chunk and a short one
     train_ids = {id(data.graphs[i]) for i in np.flatnonzero(data.train_mask)}
-    merges, predicts = [], []
-    merge, predict = msignn.train.batch_graphs, MultiscaleImplicitGNN.predict
-
-    def counting_merge(graphs):
-        merges.append({id(g) for g in graphs})
-        return merge(graphs)
-
-    def counting_predict(model, data, trace=None):
-        predicts.append(data.num_graphs)
-        return predict(model, data, trace)
-
-    monkeypatch.setattr(msignn.train, "batch_graphs", counting_merge)
-    monkeypatch.setattr(MultiscaleImplicitGNN, "predict", counting_predict)
+    merges = recording(monkeypatch, msignn.train, "batch_graphs",
+                       lambda graphs: {id(g) for g in graphs})
+    predicts = recording(monkeypatch, MultiscaleImplicitGNN, "predict",
+                         lambda model, data, trace=None: data.num_graphs)
     epochs = 5
     history = train_loop(make_model(), data, TrainConfig(epochs=epochs, patience=epochs, **cfg))
     assert len(history) == epochs
@@ -434,10 +410,7 @@ def test_graph_task_merges_each_evaluation_split_once(monkeypatch):
 def test_graph_task_decomposes_each_evaluation_split_and_test_batch_once(monkeypatch):
     data, make_model, cfg = _graph_problem()
     cfg["batch_size"] = 4
-    sizes = []
-    decompose = msignn.graph._decompose
-    monkeypatch.setattr(msignn.graph, "_decompose",
-                        lambda s: sizes.append(s.shape[0]) or decompose(s))
+    sizes = recording(monkeypatch, msignn.graph, "_decompose", lambda s: s.shape[0])
     model = make_model()
     train_loop(model, data, TrainConfig(epochs=3, patience=3, **cfg))
     test = batch([data.graphs[i] for i in np.flatnonzero(data.test_mask)])
@@ -471,20 +444,11 @@ def test_a_split_scored_in_chunks_scores_as_one_predict_of_it():
 @pytest.mark.parametrize("dropout", [0.0, 0.3])
 def test_node_task_without_dropout_runs_one_forward_per_epoch(monkeypatch, dropout):
     ds = gen_chains(ChainsSpec(length=4, seed=0))
-    forwards, predicts = [], []
-    forward, predict = MultiscaleImplicitGNN._forward, MultiscaleImplicitGNN.predict
-
-    def counting_forward(model, data, train_mode, rng, keep):
-        forwards.append((train_mode, keep))
-        return forward(model, data, train_mode, rng, keep)
-
-    def counting_predict(model, data, trace=None):
-        predicts.append(trace is None)
-        return predict(model, data, trace)
-
     # Both the public forward and predict's inference forward run _forward.
-    monkeypatch.setattr(MultiscaleImplicitGNN, "_forward", counting_forward)
-    monkeypatch.setattr(MultiscaleImplicitGNN, "predict", counting_predict)
+    forwards = recording(monkeypatch, MultiscaleImplicitGNN, "_forward",
+                         lambda model, data, train_mode, rng, keep: (train_mode, keep))
+    predicts = recording(monkeypatch, MultiscaleImplicitGNN, "predict",
+                         lambda model, data, trace=None: trace is None)
     model = init_model(np.random.default_rng(0), ds.graph.feature_dim, 4, 2,
                        scale_exponents=(1, 2), dropout=dropout)
     epochs = 5
@@ -524,18 +488,12 @@ def _reference_loop(model, data, cfg):
     return rows, snapshots[keys.index(max(keys))]
 
 
-def _colors(multi_hot):
-    ds = gen_color_counting(ColorCountingSpec(num_chains=6, length=8, seed=2))
-    if multi_hot:
-        g = ds.graph
-        labels = np.random.default_rng(3).integers(0, 2, size=(3, g.n)).astype(float)
-        ds = replace(ds, graph=build_graph(g.adjacency, g.features, labels))
-    return ds
-
-
 @pytest.mark.parametrize("multi_hot", [False, True], ids=["cross_entropy", "bce"])
 def test_reused_evaluation_forward_trains_bit_identically(multi_hot):
-    ds = _colors(multi_hot)
+    ds = gen_color_counting(ColorCountingSpec(num_chains=6, length=8, seed=2))
+    if multi_hot:
+        labels = np.random.default_rng(3).integers(0, 2, size=(3, ds.graph.n)).astype(float)
+        ds = relabelled(ds, labels)
     epochs = 8
     cfg = TrainConfig(epochs=epochs, lr=0.05, weight_decay=1e-3, seed=4, patience=epochs)
 
@@ -553,7 +511,3 @@ def test_reused_evaluation_forward_trains_bit_identically(multi_hot):
     assert len({row["train_loss"] for row in rows}) == epochs  # the model does train
     for name, value in model.parameters().items():
         npt.assert_array_equal(value, kept[name], err_msg=name)
-
-
-# Its tests of one rule each are rows now; test_rejections.FORMER names them.
-globals().update(former_tests(__name__))

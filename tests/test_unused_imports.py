@@ -3,13 +3,12 @@ is used in it, or listed in its ``__all__``; every private name the package
 defines at module level is loaded somewhere in the package."""
 
 import ast
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-MODULES = [path for folder in ("src/msignn", "tests", "demos", "perfbench")
-           for path in sorted((ROOT / folder).glob("*.py"))]
+from conftest import sources
+
+MODULES = sources("src/msignn", "tests", "demos", "perfbench")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -70,4 +69,4 @@ def unloaded_private_names(sources: dict[str, str]) -> list[str]:
 def test_every_private_name_of_the_package_is_loaded_in_it():
     assert unloaded_private_names({"a": "_K = 1\ndef _f(): pass\n", "b": "f = a._f\n"}) == ["a:_K"]
     assert unloaded_private_names({path.stem: path.read_text(encoding="utf-8")
-                                   for path in (ROOT / "src/msignn").glob("*.py")}) == []
+                                   for path in sources("src/msignn")}) == []
