@@ -67,10 +67,11 @@ anything is kept. The state is built whole, its arrays read-only, and
 published by one assignment, so solves of one module may run in several
 threads. It keeps K sets of denominators alive for a K-scale model, those
 of the last graph each scale solved on: n x h floats each, but k x h for
-a block whose components repeat one (``_per_component``). Within a
-training step at one F, a scale's forward solve, adjoint solve and weight
-gradient so run one ``eigh`` between them, and a predict of a graph
-already solved at that F runs none.
+a block that holds one row for all its components, as they are computed
+on the block's arrays as they are. Within a training step at one F, a
+scale's forward solve, adjoint solve and weight gradient so run one
+``eigh`` between them, and a predict of a graph already solved at that F
+runs none.
 
 Working memory: a solve makes R in an n x h array that the calling thread
 reuses on its next solve of the same shape (``numerics.reused``), and a
@@ -176,7 +177,7 @@ class _Basis:
     q: np.ndarray       # the eigenvectors of g(F), one per column
     blocks: list[graph.SpectrumBlock] | None = None  # the spectrum of the fields below
     # Per block, sigma^m, (c, k), and 1 - sigma^m c^T, (c, k, h); of a block
-    # that repeats one component's decomposition, one row broadcast.
+    # that holds one row for all its components, one row, (1, k) and (1, k, h).
     powers: tuple[np.ndarray, ...] = ()
     denominators: tuple[np.ndarray, ...] = ()
     bound: float = np.inf  # ``_residual_bound`` of the closed form on ``blocks``
@@ -225,23 +226,14 @@ def _shared(module: ScaleModule, what: str, blocks) -> _Basis:
     powers = denominators = ()
     bound = np.inf
     if blocks is not None:
-        powers = tuple(_per_component(_power, b.values, module.scale_m) for b in blocks)
-        denominators = tuple(_per_component(_denominators, p, c) for p in powers)
+        powers = tuple(_power(b.values, module.scale_m) for b in blocks)
+        denominators = tuple(_denominators(p, c) for p in powers)
+        numerics.read_only(*powers, *denominators)
         bound = _residual_bound(c, blocks, module.scale_m)
     basis = _Basis(key=key, gram=gram, norm=norm, c=c, q=q, blocks=blocks, powers=powers,
                    denominators=denominators, bound=bound)
     object.__setattr__(module, "_basis", basis)  # whole, so other threads see all or none
     return basis
-
-
-def _per_component(f, a: np.ndarray, arg) -> np.ndarray:
-    """``f(a, arg)``, read-only, for an ``f`` that maps each component's row
-    of ``a`` on its own. Where ``a`` repeats one row (stride 0 on its first
-    axis, as a block of one decomposition does), ``f`` maps that row only
-    and its result is broadcast, so it is stored once."""
-    out = f(a[:1] if a.strides[0] == 0 else a, arg)
-    numerics.read_only(out)
-    return np.broadcast_to(out, (len(a), *out.shape[1:])) if a.strides[0] == 0 else out
 
 
 def _denominators(powers: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -313,24 +305,16 @@ def _closed_form(basis: _Basis, rhs: np.ndarray) -> tuple[np.ndarray, list[np.nd
     of connected graphs of one size) reads R and writes W as a (c, k, h)
     view of those rows, with no gather or scatter; a block of interleaved
     components gathers and scatters them. The arithmetic is the same
-    either way, so the results are bit-identical.
+    either way, so the results are bit-identical. A block's one row of V,
+    and of the denominators, broadcasts over its c components.
     """
     coefficients = []
     for b, denominators in zip(basis.blocks, basis.denominators):
         coeffs = np.matmul(b.vectors.transpose(0, 2, 1), b.slab(rhs))
         coeffs /= denominators
-        _write_rows(rhs, b, coeffs)
+        b.put(rhs, coeffs)
         coefficients.append(coeffs)
     return rhs, coefficients
-
-
-def _write_rows(out: np.ndarray, b, coeffs: np.ndarray) -> None:
-    """out[b's nodes] = V C, written in place through the block's slab when its
-    rows are a slice: ``out=`` on a gathered copy would be lost."""
-    if isinstance(b.rows, slice):
-        np.matmul(b.vectors, coeffs, out=b.slab(out))
-    else:
-        out[b.nodes] = np.matmul(b.vectors, coeffs)
 
 
 def _power(values: np.ndarray, m: int) -> np.ndarray:
@@ -474,7 +458,7 @@ def weight_gradient(module: ScaleModule, u: np.ndarray,
     else:
         propagated = np.empty((u.shape[1], u.shape[0]))
         for b, power, coeffs in zip(blocks, basis.powers, forward.coefficients):
-            _write_rows(propagated, b, power[:, :, None] * coeffs)
+            b.put(propagated, power[:, :, None] * coeffs)
         m_up = module.gamma * ((u @ propagated) @ forward.basis.T)
     gram, r = basis.gram, basis.norm
     r_eps = r + module.eps_f

@@ -53,10 +53,10 @@ as a slab of an n x h array.
 Components that are bit for bit the same, as the 0/1 chains of one length
 that the generators make are, are decomposed once, with a result
 bit-identical to decomposing each (``_decompose``). Where all of a size's
-components repeat one, each array of its block is that one result seen c
-times, a stride-0 view stored once, and members holding rows of one such
-result stack to a stride-0 view again. Nothing is kept between
-decompositions, so separate graphs share no work.
+components repeat one, each array of its block is that one result, one
+row that numpy broadcasts over the c components, and members holding that
+row stack to it again. Nothing is kept between decompositions, so
+separate graphs share no work.
 
 What a spectrum was measured on must not change under it, so the arrays
 of every S that ``build_graph`` or ``batch`` makes (``data``, ``indices``,
@@ -137,27 +137,29 @@ class SpectrumBlock:
     ``rows``, where its nodes sit in an (n, ...) array, is computed on first
     read: a ``slice`` when ``nodes`` is one run of consecutive node ids, as
     in a generated dataset or a batch of connected graphs of one size, else
-    ``nodes`` flattened. ``slab`` reads through it. ``radius``, its largest
-    |eigenvalue|, ``error`` and ``drift`` are computed on first read too, so
-    a block that is never solved on, such as a batch member's rows of the
-    batch's decomposition, costs only the slicing that made it.
+    ``nodes`` flattened. ``slab`` reads through it, and ``put`` writes.
+    ``radius``, its largest |eigenvalue|, ``error`` and ``drift`` are
+    computed on first read too, so a block that is never solved on, such as
+    a batch member's rows of the batch's decomposition, costs only the
+    slicing that made it.
 
     A decomposition runs ``eigh`` on the distinct ones of a block's
     components only, and a component that repeats another bit for bit
-    takes its rows of the arrays. When all of them repeat one, ``values``,
-    ``vectors`` and ``norms`` are stride-0 views of that one's result:
-    every row is the same memory.
+    takes its rows of the arrays. ``values``, ``vectors`` and ``norms``
+    each have one row per component, or, when all of them repeat one, one
+    row for all of them, which numpy broadcasts over the c components; a
+    reader that takes rows one by one broadcasts first.
     """
 
     nodes: np.ndarray    # (c, k) node indices
-    values: np.ndarray   # (c, k) eigenvalues, ascending per component
-    vectors: np.ndarray  # (c, k, k) orthonormal eigenvectors, one per column
-    # (c, 2): each component's ||S_i V_i - V_i diag(values[i])|| and
+    values: np.ndarray   # (c or 1, k) eigenvalues, ascending per component
+    vectors: np.ndarray  # (c or 1, k, k) orthonormal eigenvectors, one per column
+    # (c or 1, 2): each component's ||S_i V_i - V_i diag(values[i])|| and
     # ||V_i^T V_i - I||, how far V_i is from orthonormal
     norms: np.ndarray
 
     def __post_init__(self):
-        numerics.read_only(self.nodes, self.values, self.vectors, self.norms)
+        numerics.read_only(self.nodes, *self.arrays)
 
     @cached_property
     def error(self) -> float:
@@ -188,6 +190,20 @@ class SpectrumBlock:
         if isinstance(self.rows, slice):
             return a[self.rows].reshape(*self.nodes.shape, a.shape[1])
         return a[self.nodes]
+
+    def put(self, out: np.ndarray, coeffs: np.ndarray) -> None:
+        """Write V C, (c, k, h), to the block's rows of an (n, h) array: the
+        write half of ``slab``, in place through its view when ``rows`` is a
+        slice, as ``out=`` on a gathered copy would be lost."""
+        if isinstance(self.rows, slice):
+            np.matmul(self.vectors, coeffs, out=self.slab(out))
+        else:
+            out[self.nodes] = np.matmul(self.vectors, coeffs)
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``values``, ``vectors`` and ``norms``, the arrays of one decomposition."""
+        return self.values, self.vectors, self.norms
 
 
 def spectrum(s) -> list[SpectrumBlock] | None:
@@ -263,8 +279,9 @@ def _distinct(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _decompose(s) -> list[SpectrumBlock] | None:
     """Dense ``eigh`` of every distinct component, one call per component
     size. ``_distinct`` finds the repeats exactly, by a dict of the blocks'
-    bytes; a repeated component takes its first copy's rows, as a stride-0
-    view of them when that is the size's only distinct component."""
+    bytes; a repeated component takes a copy of its first copy's rows, or,
+    when that is the size's only distinct component, the block keeps its
+    one row for all."""
     n = s.shape[0]
     _, comp, sizes = np.unique(component_labels(s), return_inverse=True,
                                return_counts=True)
@@ -289,13 +306,10 @@ def _decompose(s) -> list[SpectrumBlock] | None:
         if distinct.size < c:
             dense = dense[distinct]
         values, vectors, norms = _measured_eigh(dense)
-        # One distinct block: every component's rows are a stride-0 view of its
-        # one result. Of several, each component keeps a gathered copy, as a
+        # One distinct block stays one row, which numpy broadcasts over the c
+        # components. Of several, each component keeps a gathered copy, as a
         # shared one would need an index that every reader of a block follows.
-        if distinct.size == 1 < c:
-            values, vectors, norms = (np.broadcast_to(a, (c, *a.shape[1:]))
-                                      for a in (values, vectors, norms))
-        elif distinct.size < c:
+        if 1 < distinct.size < c:
             values, vectors, norms = values[copy_of], vectors[copy_of], norms[copy_of]
         nodes = order[starts[members][:, None] + np.arange(k)]
         blocks.append(SpectrumBlock(nodes, values, vectors, norms))
@@ -513,10 +527,11 @@ def _batch_spectrum(graphs: list[Graph], s, offsets) -> list[SpectrumBlock] | No
     result: views of the same arrays, node indices shifted back. A member
     repeated in the batch is no longer pending at its second occurrence.
     If S has a component above the cap, the batch has no spectrum and its
-    pending members stay pending. When no member is pending, the members'
-    blocks are concatenated per size, node indices offset, unless they are
-    all rows of one decomposition's stride-0 views, which are then viewed
-    at the stack's size instead.
+    pending members stay pending; a block's one row for all its components
+    is every pending member's row, as it is. When no member is pending, the
+    members' blocks are concatenated per size, node indices offset, a
+    member's one row expanded to one per component; but members that all
+    hold the same one row, of one decomposition, stack to that row.
     """
     if any(getattr(g.s, _SPECTRUM, None) is _PENDING for g in graphs):
         blocks = _decompose(s)
@@ -529,8 +544,8 @@ def _batch_spectrum(graphs: list[Graph], s, offsets) -> list[SpectrumBlock] | No
                 if getattr(g.s, _SPECTRUM, None) is _PENDING:
                     rows = [slice(cut[i], cut[i + 1]) for cut in cuts]
                     setattr(g.s, _SPECTRUM, [
-                        SpectrumBlock(b.nodes[r] - offsets[i], b.values[r], b.vectors[r],
-                                      b.norms[r])
+                        SpectrumBlock(b.nodes[r] - offsets[i],
+                                      *(a if len(a) == 1 else a[r] for a in b.arrays))
                         for b, r in zip(blocks, rows) if r.start < r.stop])
         return blocks
     parts = [spectrum(g.s) for g in graphs]
@@ -547,28 +562,17 @@ def _batch_spectrum(graphs: list[Graph], s, offsets) -> list[SpectrumBlock] | No
         # One shift of all node indices, not one per member.
         nodes = np.concatenate([b.nodes for b in group])
         nodes += np.repeat(shifts, [len(b.nodes) for b in group])[:, None]
-        if _one_decomposition(group):
-            first = group[0]
-            arrays = [np.broadcast_to(a[:1], (len(nodes), *a.shape[1:]))
-                      for a in (first.values, first.vectors, first.norms)]
+        first = group[0]
+        if len(first.vectors) == 1 and all(b.vectors is first.vectors for b in group):
+            arrays = first.arrays
         else:
-            arrays = [np.concatenate([getattr(b, name) for b in group])
-                      for name in ("values", "vectors", "norms")]
+            # A member's one row for all its components is expanded to one each.
+            arrays = [np.concatenate([a if len(a) == len(b.nodes)
+                                      else np.broadcast_to(a, (len(b.nodes), *a.shape[1:]))
+                                      for a, b in zip(column, group)])
+                      for column in zip(*(b.arrays for b in group))]
         blocks.append(SpectrumBlock(nodes, *arrays))
     return blocks
-
-
-def _one_decomposition(group: list[SpectrumBlock]) -> bool:
-    """Whether every block's values, vectors and norms are stride-0 views of
-    the same three arrays: rows of one result that ``_decompose`` broadcast.
-
-    Only strides and ``base`` are read: reading the data pointer, through
-    ``__array_interface__``, costs ~2 us per array and member.
-    """
-    first = group[0]
-    return all(b.values.strides[0] == b.vectors.strides[0] == b.norms.strides[0] == 0
-               and b.values.base is first.values.base and b.vectors.base is first.vectors.base
-               and b.norms.base is first.norms.base for b in group)
 
 
 def batch(graphs: list[Graph]) -> GraphBatch:

@@ -124,7 +124,9 @@ def _check_compressed(a) -> None:
     first ``indptr[-1]`` indices, those in use, lie in ``[0, minor)``. The
     ``indptr`` order is checked by comparison, not by ``np.diff``, which
     can wrap around, and also when ``indptr[-1]`` is 0, which scipy's
-    check skips.
+    check skips. The indices in use are bounded by one ``max`` over an
+    unsigned view of the same width, in which a negative signed index reads
+    as at least 2**(bits - 1), above every non-negative one.
     """
     indptr, indices, data = a.indptr, a.indices, a.data
     major, minor = a.shape if a.format != "csc" else a.shape[::-1]
@@ -148,7 +150,9 @@ def _check_compressed(a) -> None:
                          "the size of index and data arrays")
     if (indptr[1:] < indptr[:-1]).any():
         raise ValueError("index pointer must be a non-decreasing sequence")
-    if nnz and not 0 <= indices[:nnz].min() <= indices[:nnz].max() < minor:
+    # Read unsigned, an index in range is below both, and a negative one is not.
+    above = min(minor, 2 ** (8 * indices.itemsize - (indices.dtype.kind == "i")))
+    if nnz and indices[:nnz].view(f"u{indices.itemsize}").max() >= above:
         raise ValueError(f"indices must lie in [0, {minor})")
 
 

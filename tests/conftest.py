@@ -24,7 +24,11 @@ from msignn.model import MlpEncoder, glorot_uniform
 from msignn.train import bce_with_logits, cross_entropy
 
 # Property tests draw the same examples on every run and keep no example
-# database; a test's own ``settings`` sets only how many it draws.
+# database; a test's own ``settings`` sets only how many it draws. The draw
+# is seeded from the test's source, so editing a property test's body draws
+# new examples: before trusting a tight bound in an edited test, run it
+# under a profile with ``derandomize=False`` and a few ``--hypothesis-seed``
+# values.
 settings.register_profile("msignn", deadline=None, derandomize=True, database=None)
 settings.load_profile("msignn")
 

@@ -50,12 +50,21 @@ modules = st.builds(_module, seeds, st.integers(1, 5), f_scales, st.floats(0.01,
                     st.integers(1, 8))
 
 
+def _per_row(b):
+    """Block b's values, vectors and norms with a row per component, a row
+    stored once for all c components broadcast. Each holds 1 or c rows: a
+    ``zip`` over other rows would stop short of the components unnoticed."""
+    c = len(b.nodes)
+    assert all(len(a) in (1, c) for a in b.arrays)
+    return [np.broadcast_to(a, (c, *a.shape[1:])) for a in b.arrays]
+
+
 def _assert_blocks_equal(blocks, expected):
     assert len(blocks) == len(expected)
     for b, e in zip(blocks, expected):
         assert type(b.rows) is type(e.rows)
-        for name in ("nodes", "values", "vectors", "norms", "error", "drift", "radius",
-                     "rows"):
+        assert all(map(np.array_equal, _per_row(b), _per_row(e)))
+        for name in ("nodes", "error", "drift", "radius", "rows"):
             assert np.array_equal(getattr(b, name), getattr(e, name)), name
 
 
@@ -113,7 +122,7 @@ def test_spectrum_reassembles_s(g):
     dense = np.zeros((g.n, g.n))
     covered = []
     for b in spectrum(g.s):
-        for nodes, values, vectors in zip(b.nodes, b.values, b.vectors):
+        for nodes, values, vectors, _ in zip(b.nodes, *_per_row(b)):
             dense[np.ix_(nodes, nodes)] = (vectors * values) @ vectors.T
             covered.extend(nodes)
     assert sorted(covered) == list(range(g.n))
@@ -308,7 +317,7 @@ def _assert_each_component_decomposes_alone(s, blocks):
     """Each component of S's ``blocks`` has the bits of an eigh of its own block, and norms."""
     dense = s.toarray()
     for b in blocks:
-        for nodes, values, vectors, norms in zip(b.nodes, b.values, b.vectors, b.norms):
+        for nodes, values, vectors, norms in zip(b.nodes, *_per_row(b)):
             alone = dense[np.ix_(nodes, nodes)]
             assert all(map(np.array_equal, (values, vectors), np.linalg.eigh(alone)))
             assert np.array_equal(norms, graph_mod._measured_eigh(alone[None])[2][0])
@@ -327,37 +336,30 @@ def _assert_eighs(monkeypatch, s, shapes):
 
 def _assert_read_only(s):
     for array in (s.data, s.indices, s.indptr,
-                  *(a for b in spectrum(s) for a in (b.nodes, *_arrays(b)))):
+                  *(a for b in spectrum(s) for a in (b.nodes, *b.arrays))):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
 
 
-def _repeats(a):
-    """Whether every row of ``a`` is one row seen again: stride 0 on its first axis."""
-    return a.strides[0] == 0
-
-
-def _arrays(b):
-    return b.values, b.vectors, b.norms
-
-
 def _stored_once(b):
-    """Whether block b holds one row of each of its arrays, never of only some."""
-    [once] = {_repeats(a) for a in _arrays(b)}
+    """Whether block b holds one row of each of its arrays for its several
+    components, never of only some."""
+    [once] = {len(a) == 1 < len(b.nodes) for a in b.arrays}
     return once
 
 
 def _relaid(s, gather=False, copy=False):
     """A plain copy of S holding S's blocks anew, the one place a test sets
     them: with ``gather`` their ``rows`` made index arrays, so that its closed
-    form gathers and scatters every block; with ``copy`` their arrays copied."""
+    form gathers and scatters every block; with ``copy`` their arrays copied,
+    a row per component."""
     relaid = sp.csr_array(s)
-    blocks = [graph_mod.SpectrumBlock(b.nodes, *(map(np.ascontiguousarray, _arrays(b))
-                                                 if copy else _arrays(b))) for b in spectrum(s)]
+    blocks = [graph_mod.SpectrumBlock(b.nodes, *(map(np.ascontiguousarray, _per_row(b))
+                                                 if copy else b.arrays)) for b in spectrum(s)]
     if gather:
         for b in blocks:
             object.__setattr__(b, "rows", b.nodes.reshape(-1))
-    assert not (copy and any(_repeats(a) for b in blocks for a in _arrays(b)))
+    assert not copy or all(len(a) == len(b.nodes) for b in blocks for a in b.arrays)
     setattr(relaid, graph_mod._SPECTRUM, blocks)
     return relaid
 
@@ -367,19 +369,20 @@ def _gathering(s):
 
 
 def _assert_solves_as_relaid(s, m, **layout):
-    """Z*, U and the weight gradient of a scale-m module on S equal bit for bit
-    those on ``_relaid(s, **layout)``."""
+    """Z*, U and the weight gradient of a scale-m module of 3 or 1 hidden
+    units on S equal bit for bit those on ``_relaid(s, **layout)``."""
     rng = np.random.default_rng(m)
-    injected, grad = rng.standard_normal((2, 3, s.shape[0]))
-    f = rng.standard_normal((3, 3))
-    results = []
-    for on in (s, _relaid(s, **layout)):
-        module = ScaleModule(f_weight=f.copy(), scale_m=m)
-        z = forward_solve(module, injected, on)
-        u = adjoint_solve(module, on, grad)
-        assert z.path == "closed form"
-        results.append((z.z_star, u, weight_gradient(module, u, z)))
-    assert all(map(np.array_equal, *results))
+    for h in (3, 1):
+        injected, grad = rng.standard_normal((2, h, s.shape[0]))
+        f = rng.standard_normal((h, h))
+        results = []
+        for on in (s, _relaid(s, **layout)):
+            module = ScaleModule(f_weight=f.copy(), scale_m=m)
+            z = forward_solve(module, injected, on)
+            u = adjoint_solve(module, on, grad)
+            assert z.path == "closed form"
+            results.append((z.z_star, u, weight_gradient(module, u, z)))
+        assert all(map(np.array_equal, *results)), h
 
 
 @PROPERTY
@@ -478,12 +481,12 @@ def test_only_bit_identical_components_share_an_eigh(monkeypatch, case, shapes):
 
 
 def test_a_repeated_component_is_stored_once():
-    # A size whose components all repeat one is one row of each array, seen
-    # c times. A size that mixes decompositions, and distinct chains, keep a
-    # row per component.
+    # A size whose components all repeat one is one row of each array, which
+    # numpy broadcasts over its c components. A size that mixes
+    # decompositions, and distinct chains, keep a row per component.
     [chains] = graph_mod._decompose(LAYOUTS["all-repeat"]())
-    assert chains.vectors.shape == (8, 30, 30)
-    assert _stored_once(chains) and chains.vectors.base.shape == (1, 30, 30)
+    assert chains.nodes.shape == (8, 30) and chains.vectors.shape == (1, 30, 30)
+    assert _stored_once(chains)
     pairs, mixed = graph_mod._decompose(LAYOUTS["some-repeat"]())
     assert _stored_once(pairs) and not _stored_once(mixed)
     weights = np.random.default_rng(0).uniform(0.5, 1.5, (224, 29))
@@ -493,38 +496,46 @@ def test_a_repeated_component_is_stored_once():
 
 def test_a_batch_of_one_decompositions_rows_stacks_them_as_one_row():
     # Members that kept their rows of one decomposition stack to one row of
-    # it; members from two decompositions, or decomposed alone, concatenate.
-    # Either way the blocks are those of decomposing the merged S.
+    # it; members from two decompositions, or decomposed alone, concatenate,
+    # as does a graph of two unlike 3-node paths batched with itself: its one
+    # decomposition holds a row per component. Either way the blocks are
+    # those of decomposing the merged S, and solve as the oracle does.
     one = [_graph_of([C, C]) for _ in range(4)]
     two = [_graph_of([C, C]) for _ in range(4)]
     _merged(two[:2], pending=True), _merged(two[2:], pending=True)
     alone = _graph_of([C])
-    spectrum(alone.s)
+    unlike = _graph_of([_path(1.0, 2.0), _path(1.0, 0.5)])
+    spectrum(alone.s), spectrum(unlike.s)
+    module = ScaleModule(f_weight=np.eye(2), gamma=0.8, scale_m=2)
     for merged, stacked in ((_merged_rows_of_one(one), True), (_merged(two), False),
-                            (_merged(one + [alone]), False)):
+                            (_merged(one + [alone]), False), (_merged([unlike] * 2), False)):
         [block] = spectrum(merged.s)
         assert _stored_once(block) == stacked
+        assert len(block.vectors) == (1 if stacked else len(block.nodes))
         _assert_as_decomposed(merged.s)
+        injected = np.random.default_rng(5).standard_normal((2, merged.n))
+        res = forward_solve(module, injected, merged.s)
+        assert res.path == "closed form"
+        assert rel_error(res.z_star, oracle_solve(module, injected, merged.s)) <= 1e-12
 
 
 def test_a_repeated_blocks_denominators_are_stored_once():
-    # Per scale, k x h floats for a block that repeats one component, and
+    # Per scale, one k x h row for a block that repeats one component, and
     # c x k x h for a block that mixes decompositions.
     s = LAYOUTS["some-repeat"]()
     module = ScaleModule(f_weight=np.random.default_rng(0).standard_normal((3, 3)), scale_m=2)
     forward_solve(module, np.ones((3, s.shape[0])), s)
     pairs, mixed = module._basis.denominators
-    assert pairs.shape == (2, 2, 3) and _repeats(pairs) and pairs.base.size == 2 * 3
-    assert mixed.shape == (6, 4, 3) and mixed.base is None
+    assert pairs.shape == (1, 2, 3) and mixed.shape == (6, 4, 3)
 
 
 @pytest.mark.parametrize("interleave", [False, True])
 @pytest.mark.parametrize("m", [1, 3])
 def test_repeated_blocks_solve_bit_identically_to_copied_ones(interleave, m):
-    # The closed form reads a repeated block's stride-0 arrays, and the
-    # constants computed on its one row, as it reads copies of them.
+    # The closed form broadcasts a repeated block's one row, and the
+    # constants computed on it, as it reads a copy per component.
     g = contiguous_graph(0, [2] * 5 + [3] * 4, 0.0, interleave=interleave)
-    assert all(_repeats(b.vectors) for b in spectrum(g.s))
+    assert all(_stored_once(b) for b in spectrum(g.s))
     _assert_solves_as_relaid(g.s, m, copy=True)
 
 
