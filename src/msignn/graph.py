@@ -30,8 +30,8 @@ bit-identical to the formula evaluated with scipy's sparse operations
 (``_normalize`` says how), and owns its arrays: none is the adjacency's.
 
 The S of an undirected graph is symmetric, and ``spectrum(s)`` gives its
-eigendecomposition, one dense ``eigh`` per distinct connected component,
-which gives ``equilibrium`` its closed form. Each block also keeps the
+eigendecomposition per connected component, which gives ``equilibrium``
+its closed form. Each block also keeps the
 measured errors of its components' decompositions, its ``norms``, from
 which the solves bound a closed form's residual without touching S again.
 
@@ -50,13 +50,14 @@ ids, as in a generated dataset or a batch of connected graphs of one
 size, each block's ``rows`` are a slice, which the solves read and write
 as a slab of an n x h array.
 
-Components that are bit for bit the same, as the 0/1 chains of one length
-that the generators make are, are decomposed once, with a result
-bit-identical to decomposing each (``_decompose``). Where all of a size's
-components repeat one, each array of its block is that one result, one
-row that numpy broadcasts over the c components, and members holding that
-row stack to it again. Nothing is kept between decompositions, so
-separate graphs share no work.
+Where all of a size's components are bit for bit the same, as the 0/1
+chains of one length that the generators make are, the first is
+decomposed alone, with a result bit-identical to decomposing each
+(``_decompose``): each array of its block is that one result, one row that
+numpy broadcasts over the c components, and members holding that row
+stack to it again. A size with any two components unlike decomposes each,
+a row per component. Nothing is kept between decompositions, so separate
+graphs share no work.
 
 What a spectrum was measured on must not change under it, so the arrays
 of every S that ``build_graph`` or ``batch`` makes (``data``, ``indices``,
@@ -129,7 +130,7 @@ class SpectrumBlock:
 
     S restricted to the nodes ``nodes[i]``, S_i, equals
     ``vectors[i] @ diag(values[i]) @ vectors[i].T`` up to two errors
-    measured per distinct component when the block is decomposed, each a
+    measured on each component that ``eigh`` ran on, each a
     Frobenius norm (an upper bound on the spectral norm), kept per
     component in ``norms``; ``error`` and ``drift`` are their largest over
     the block's components. The arrays are made read-only.
@@ -143,12 +144,11 @@ class SpectrumBlock:
     a batch member's rows of the batch's decomposition, costs only the
     slicing that made it.
 
-    A decomposition runs ``eigh`` on the distinct ones of a block's
-    components only, and a component that repeats another bit for bit
-    takes its rows of the arrays. ``values``, ``vectors`` and ``norms``
-    each have one row per component, or, when all of them repeat one, one
-    row for all of them, which numpy broadcasts over the c components; a
-    reader that takes rows one by one broadcasts first.
+    ``values``, ``vectors`` and ``norms`` each have one of two layouts: one
+    row per component, or, when all of them are bit for bit alike and a
+    decomposition ran ``eigh`` on the first alone, one row for all of them,
+    which numpy broadcasts over the c components; a reader that takes rows
+    one by one broadcasts first.
     """
 
     nodes: np.ndarray    # (c, k) node indices
@@ -263,25 +263,11 @@ def _measured_eigh(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return values, vectors, np.stack([error, np.linalg.norm(gram, axis=(1, 2))], axis=1)
 
 
-def _distinct(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks of a (c, k, k) stack that differ bit for bit: the index of
-    each one's first occurrence, ascending, and each block's place among them.
-
-    Blocks are grouped by a dict keyed by their bytes, which compares keys
-    byte for byte once their hashes match, so sharing never rests on a hash.
-    """
-    first: dict[bytes, int] = {}
-    rep = np.array([first.setdefault(block.tobytes(), i) for i, block in enumerate(dense)])
-    distinct = np.array(list(first.values()))  # in insertion order, so ascending
-    return distinct, np.searchsorted(distinct, rep)
-
-
 def _decompose(s) -> list[SpectrumBlock] | None:
-    """Dense ``eigh`` of every distinct component, one call per component
-    size. ``_distinct`` finds the repeats exactly, by a dict of the blocks'
-    bytes; a repeated component takes a copy of its first copy's rows, or,
-    when that is the size's only distinct component, the block keeps its
-    one row for all."""
+    """Dense ``eigh`` of every component, one call per component size. A
+    size whose components are all bit for bit alike, by a set of their
+    blocks' bytes, decomposes its first alone and keeps that one row for
+    all; any other size decomposes every component, a row each."""
     n = s.shape[0]
     _, comp, sizes = np.unique(component_labels(s), return_inverse=True,
                                return_counts=True)
@@ -302,15 +288,11 @@ def _decompose(s) -> list[SpectrumBlock] | None:
         sel = slot[entry_comp] >= 0
         dense = np.zeros((c, k, k))
         dense[slot[entry_comp[sel]], pos[rows[sel]], pos[s.indices[sel]]] = s.data[sel]
-        distinct, copy_of = _distinct(dense)
-        if distinct.size < c:
-            dense = dense[distinct]
+        # A set compares keys byte for byte once their hashes match, so
+        # sharing never rests on a hash.
+        if len({block.tobytes() for block in dense}) == 1:
+            dense = dense[:1]
         values, vectors, norms = _measured_eigh(dense)
-        # One distinct block stays one row, which numpy broadcasts over the c
-        # components. Of several, each component keeps a gathered copy, as a
-        # shared one would need an index that every reader of a block follows.
-        if 1 < distinct.size < c:
-            values, vectors, norms = values[copy_of], vectors[copy_of], norms[copy_of]
         nodes = order[starts[members][:, None] + np.arange(k)]
         blocks.append(SpectrumBlock(nodes, values, vectors, norms))
     return blocks

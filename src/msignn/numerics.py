@@ -24,7 +24,10 @@ of the solves) are never re-validated. The structure of a compressed
 its index arrays, not by scipy's ``check_format``: the check enforces
 what scipy's full check does, at under half its cost on small graphs and
 without its copies, and also rejects a decreasing ``indptr`` that
-scipy's check lets through when it ends at 0. An input that passes and is
+scipy's check lets through when it ends at 0, and index arrays that are
+not of an integer dtype, which scipy's check only warns of. As scipy's
+check does, ``as_csr`` then hands on int32 or int64 index arrays of one
+dtype, cast from narrower or unsigned ones. An input that passes and is
 already a canonical float64 CSR array with no stored zeros is returned
 as it is, not wrapped in a second scipy array; it is still never
 mutated. ``as_dense`` and ``as_csr`` reject a complex input rather than
@@ -33,6 +36,7 @@ drop its imaginary part.
 
 from __future__ import annotations
 
+import copy
 import numbers
 import threading
 
@@ -77,6 +81,8 @@ def as_csr(a) -> sp.csr_array:
     structure is checked by ``_check_compressed`` and a COO input's
     coordinates are bounded, before scipy converts or canonicalizes it: its
     compiled routines assume a monotone ``indptr`` and in-range indices.
+    A compressed input's index arrays are then cast to the int32 or int64
+    that ``sp.get_index_dtype`` gives them both, in a shallow copy of ``a``.
     A ``csr_array`` of float64 that scipy records as canonical
     (``has_canonical_format``), with no stored zeros and no entries past
     ``indptr[-1]``, is returned itself; any other input gets a new array,
@@ -90,6 +96,12 @@ def as_csr(a) -> sp.csr_array:
     try:
         if a.format in ("csr", "csc", "bsr"):
             _check_compressed(a)
+            # Cast as scipy's full check casts: the library's arithmetic on
+            # the index arrays, S's indptr included, stays in their dtype.
+            if not a.indptr.dtype == a.indices.dtype in (np.int32, np.int64):
+                index = sp.get_index_dtype((a.indptr, a.indices))
+                a = copy.copy(a)  # a itself keeps its arrays
+                a.indptr, a.indices = a.indptr.astype(index), a.indices.astype(index)
         elif a.format == "coo":
             for axis, (index, size) in enumerate(zip(a.coords, a.shape)):
                 if a.nnz and not 0 <= index.min() <= index.max() < size:
@@ -116,8 +128,9 @@ def _check_compressed(a) -> None:
     """Raise ``ValueError`` unless a 2-D CSR, CSC or BSR array's structure is sound.
 
     These are the checks of scipy's ``check_format(full_check=True)``
-    without its dtype scan, casts and copies. The index arrays are 1-D
-    (BSR data 3-D, other data 1-D); ``indptr`` has one entry per major
+    without its dtype scan, casts and copies. The index arrays are 1-D and
+    of an integer dtype (BSR data 3-D, of blocks with at least one row and
+    one column; other data 1-D); ``indptr`` has one entry per major
     line plus one (rows of CSR, columns of CSC, block rows of BSR), starts
     at 0 and does not decrease; ``indices`` and ``data`` have one entry per
     stored value (block, for BSR), at least ``indptr[-1]`` of them; and the
@@ -133,11 +146,16 @@ def _check_compressed(a) -> None:
     if a.format == "bsr":
         if data.ndim != 3:
             raise ValueError("data should be 3-D")
+        if 0 in data.shape[1:]:
+            raise ValueError(f"blocks should not be empty, got blocksize {data.shape[1:]}")
         major, minor = major // data.shape[1], minor // data.shape[2]
     elif data.ndim != 1:
         raise ValueError("data, indices, and indptr should be 1-D")
     if indices.ndim != 1 or indptr.ndim != 1:
         raise ValueError("indices and indptr should be 1-D")
+    for name, index in (("indptr", indptr), ("indices", indices)):
+        if index.dtype.kind not in "iu":
+            raise ValueError(f"{name} should have an integer dtype, got {index.dtype}")
     if len(indptr) != major + 1:
         raise ValueError(f"index pointer size {len(indptr)} should be {major + 1}")
     if indptr[0] != 0:

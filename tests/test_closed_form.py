@@ -324,14 +324,12 @@ def _assert_each_component_decomposes_alone(s, blocks):
 
 
 def _assert_eighs(monkeypatch, s, shapes):
-    """S decomposes as if no component were alike, from eigh stacks ``shapes``, in this thread."""
-    with monkeypatch.context() as patch:
-        patch.setattr(graph_mod, "_distinct", lambda dense: (np.arange(len(dense)),) * 2)
-        expected = graph_mod._decompose(s)
+    """S decomposes as each component would alone, from eigh stacks ``shapes``, in this thread."""
     started = recording(monkeypatch, threading.Thread, "start")
     counted = recording(monkeypatch, np.linalg, "eigh", lambda a: a.shape)
-    _assert_blocks_equal(graph_mod._decompose(s), expected)
+    blocks = graph_mod._decompose(s)
     assert counted == shapes and started == []
+    _assert_each_component_decomposes_alone(s, blocks)
 
 
 def _assert_read_only(s):
@@ -470,12 +468,13 @@ def test_identical_components_share_one_eigh_and_start_no_thread(monkeypatch):
 
 
 @pytest.mark.parametrize("case, shapes", [
-    ("repeats", [(1, 2, 2), (3, 4, 4)]),
+    ("repeats", [(1, 2, 2), (6, 4, 4)]),
     ("one ulp", [(2, 4, 4)])], ids=["repeats", "one-ulp"])
 def test_only_bit_identical_components_share_an_eigh(monkeypatch, case, shapes):
     # The blocks equal those of decomposing every component on its own. The
-    # copies of A share an eigh, as do those of B, and C stands alone; two
-    # copies of A, one edge of the second one ulp heavier in S, do not share one.
+    # two alike 2-node paths share an eigh; the copies of A, and those of B,
+    # no longer share one, as their size mixes unlike components; two copies
+    # of A, one edge of the second one ulp heavier in S, do not share one.
     _assert_eighs(monkeypatch, LAYOUTS["one-ulp" if case == "one ulp" else "some-repeat"](),
                   shapes)
 

@@ -71,11 +71,11 @@ def test_softmax_scales_sum_and_shift_invariance():
     assert np.all(out > 0) and np.all(out < 1)
 
 
-def _raw_csr(indptr, indices, shape, data=None):
+def _raw_csr(indptr, indices, shape, data=None, dtype=np.int32):
     """A CSR array over the given structure, bypassing scipy's own canonicalization."""
     s = sp.csr_array(np.eye(*shape))
-    s.indptr = np.asarray(indptr, dtype=np.int32)
-    s.indices = np.asarray(indices, dtype=np.int32)
+    s.indptr = np.asarray(indptr, dtype=dtype)
+    s.indices = np.asarray(indices, dtype=dtype)
     s.data = np.ones(len(indices)) if data is None else np.asarray(data, dtype=float)
     return s
 
@@ -130,6 +130,57 @@ def test_build_graph_rejects_corrupt_csc_bsr_and_coo():
     assert [line.split(":")[0] for line in lines] == [
         "ShapeError corrupt CSC", "ShapeError corrupt BSR", "ShapeError corrupt CSC",
         "ShapeError corrupt COO"], lines
+
+
+INDEX_DTYPES = [np.int8, np.int16, np.uint8, np.uint16, np.int32, np.int64, np.uint32, np.uint64]
+WIDE = 40000  # nodes, above int16's range
+PATH_18 = sp.csr_array((np.ones(18), (np.arange(18), np.arange(1, 19))), shape=(WIDE, WIDE))
+INDEX_DTYPE_CASES = {
+    # 18 edges among the first 19 nodes: every index fits int8, but the 40036
+    # entries of S, which holds every node's self-loop, do not fit int16.
+    "undirected-wide": (PATH_18 + PATH_18.T, False),
+    "directed-wide": (PATH_18, True),
+    # 39999 edges into node 0: the indices fit int8, the entries of indptr int32.
+    "directed-star": (sp.csr_array((np.ones(WIDE - 1), (np.arange(1, WIDE),
+                                                         np.zeros(WIDE - 1, dtype=int))),
+                                   shape=(WIDE, WIDE)), True),
+}
+
+
+def _in_dtype(a, dtype):
+    """A copy of CSR ``a`` whose ``indices`` are of ``dtype``, as is its
+    ``indptr`` where its entries fit, set unchecked."""
+    out = sp.csr_array(a, copy=True)
+    out.indices = a.indices.astype(dtype)
+    if a.indptr[-1] <= np.iinfo(dtype).max:
+        out.indptr = a.indptr.astype(dtype)
+    return out
+
+
+def _builds_as_its_int32_copy(adjacency, directed):
+    """``build_graph`` gives ``adjacency``, in each index dtype, the S of its
+    int32 copy: ``data`` byte for byte, and index arrays of one dtype, int32
+    or int64, value for value."""
+    def s_of(dtype):
+        a = _in_dtype(adjacency, dtype)
+        return build_graph(a, np.ones((1, a.shape[0])), directed=directed).s
+
+    expected = s_of(np.int32)
+    for dtype in INDEX_DTYPES:
+        s = s_of(dtype)
+        assert s.indices.dtype == s.indptr.dtype in (np.int32, np.int64), dtype
+        assert s.data.tobytes() == expected.data.tobytes(), dtype
+        assert np.array_equal(s.indices, expected.indices), dtype
+        assert np.array_equal(s.indptr, expected.indptr), dtype
+
+
+@pytest.mark.parametrize("case", INDEX_DTYPE_CASES)
+def test_build_graph_gives_every_index_dtype_the_s_of_its_int32_copy(case):
+    # S's indptr counts an undirected S's self-loops too: counted in a narrow
+    # index dtype it would wrap around, and scipy can crash on such an S. So
+    # the graphs are built apart.
+    adjacency, directed = INDEX_DTYPE_CASES[case]
+    apart(_builds_as_its_int32_copy)(adjacency=adjacency, directed=directed)
 
 
 def test_as_csr_agrees_across_formats_and_leaves_input_unchanged():
@@ -225,7 +276,7 @@ def raw_compressed(draw):
                           np.zeros(major + 1, dtype=np.int32)), shape=shape)
     else:
         a = sp.csr_array(shape) if fmt == "csr" else sp.csc_array(shape)
-    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    dtype = draw(st.sampled_from(INDEX_DTYPES))
     a.indptr, a.indices, a.data = indptr.astype(dtype), indices.astype(dtype), data
     return a
 
@@ -243,12 +294,17 @@ def _raises(check, a) -> bool:
 @example(_raw_csr([0, 2, 0], [0, 1], (2, 2)))
 @example(_raw_csr([0, 5, 2, 3], [2, 1, 0], (3, 3)))
 @example(_raw_csr([0, 1, 2, 3], [0, -1, 2], (3, 3)))
+# Read unsigned, -30000 is 35536, below the 40000 columns.
+@example(_raw_csr([0, 1], [-30000], (1, 40000), dtype=np.int16))
+# scipy's check warns of an unsigned index array, and raises where it would on a signed one.
+@pytest.mark.filterwarnings("ignore:.* array has non-integer dtype:UserWarning")
 def test_compressed_check_raises_where_scipys_full_check_does(a):
     """``_check_compressed`` raises exactly where ``check_format(full_check=True)``
     does on a copy, and also on a decreasing ``indptr`` that scipy's check
-    leaves unscanned because it ends at or below 0."""
+    leaves unscanned because it ends at or below 0, or misses because
+    ``np.diff`` of an unsigned ``indptr`` wraps around."""
     scipy_raises = _raises(lambda x: copy.copy(x).check_format(full_check=True), a)
-    decreasing = a.indptr.ndim == 1 and bool(np.any(np.diff(a.indptr) < 0))
+    decreasing = a.indptr.ndim == 1 and bool(np.any(a.indptr[1:] < a.indptr[:-1]))
     assert _raises(numerics._check_compressed, a) == (scipy_raises or decreasing)
 
 

@@ -135,10 +135,13 @@ def _path(n=3):
 
 def _raw(**arrays):
     """The path's adjacency, ``indptr`` [0, 1, 3, 4] and ``indices`` [1, 0, 2, 1],
-    with some of its CSR arrays replaced, unchecked."""
+    with some of its CSR arrays replaced, unchecked: by a list as float
+    ``data`` or int32 indices, by an array as it is."""
     a = _path()
     for name, value in arrays.items():
-        setattr(a, name, np.asarray(value, dtype=float if name == "data" else np.int32))
+        if not isinstance(value, np.ndarray):
+            value = np.asarray(value, dtype=float if name == "data" else np.int32)
+        setattr(a, name, value)
     return a
 
 
@@ -282,9 +285,10 @@ DATASETS = {
 # -- build_graph, as_csr, as_dense and batch ------------------------------------
 
 
-def _bsr_with_2d_data():
+def _bsr_with_data(shape):
+    """The identity on 4 nodes in 2 x 2 blocks, its ``data`` ones of ``shape``, unchecked."""
     a = sp.bsr_array(np.eye(4), blocksize=(2, 2))
-    a.data = np.ones((2, 2))
+    a.data = np.ones(shape)
     return a
 
 
@@ -381,8 +385,17 @@ GRAPHS = {
                ("indptr-past-the-end", "indptr", [0, 1, 3, 5],
                 "last value of index pointer should be at most the size of index and data"),
                ("indptr-decreasing", "indptr", [0, 3, 1, 4],
-                "index pointer must be a non-decreasing sequence"))},
-        "bsr-data-not-3d": ({"adjacency": _bsr_with_2d_data()}, "corrupt BSR: data should be 3-D"),
+                "index pointer must be a non-decreasing sequence"),
+               ("indices-bool", "indices", np.array([1, 0, 1, 1], dtype=bool),
+                "indices should have an integer dtype, got bool"),
+               ("indices-float", "indices", np.array([1.0, 0.0, 2.0, 1.0]),
+                "indices should have an integer dtype, got float64"),
+               ("indptr-float", "indptr", np.array([0.0, 1.0, 3.0, 4.0]),
+                "indptr should have an integer dtype, got float64"))},
+        "bsr-data-not-3d": ({"adjacency": _bsr_with_data((2, 2))},
+                            "corrupt BSR: data should be 3-D"),
+        "bsr-empty-blocks": ({"adjacency": _bsr_with_data((2, 0, 2))},
+                             "corrupt BSR: blocks should not be empty, got blocksize (0, 2)"),
         "coo-index-out-of-range": ({"adjacency": _coo_with_row_9()},
                                    "corrupt COO: axis 0 index outside [0, 3)"),
     }),
